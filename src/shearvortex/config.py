@@ -7,6 +7,7 @@ fixed order with normalized value formatting, so parse/serialize round
 trips are byte-stable.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
@@ -176,6 +177,9 @@ def validate_config(cfg):
 
     if cfg.mode not in MODES:
         bad("mode", f"must be one of {MODES}, got {cfg.mode!r}")
+    for name in ("nu", "grid_l", "t_init", "t_end", "dtau"):
+        if not math.isfinite(getattr(cfg, name)):
+            bad(name, f"must be finite, got {getattr(cfg, name)!r}")
     if not cfg.nu > 0:
         bad("nu", f"viscosity must be positive, got {cfg.nu!r}")
     n = cfg.grid_n

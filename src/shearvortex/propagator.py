@@ -7,8 +7,15 @@ an explicit anisotropic heat exponent; the enhanced x-diffusion grows like
 t^3. The propagator below is exact on the resolvable band: the
 characteristic transport is a frequency shear (a modulation in physical
 space) and the damping is a diagonal multiplier.
+
+The bilinear Duhamel term of the mild formulation is marched in time with
+the semigroup property, so one Picard iteration costs a number of
+propagations linear in the number of time samples. Every propagation of
+the advection divergence is vetted for aliasing against every target time
+it contributes to.
 """
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,22 +77,10 @@ def symbol_value(nu, t, xi, eta):
     return np.exp(-nu * expo)
 
 
-@dataclass(frozen=True)
-class LinearSymbol:
-    """Propagator data at fixed (nu, t): multiplier plus mode transport."""
-
-    nu: float
-    t: float
-
-    def multiplier(self, xi, eta):
-        return symbol_value(self.nu, self.t, xi, eta)
-
-    def source_mode(self, xi, eta):
-        """Which initial mode feeds (xi, eta) after time t."""
-        return xi, np.asarray(eta, dtype=float) + self.t * np.asarray(xi, dtype=float)
+_ALIAS_TOL = 1e-9
 
 
-def apply_semigroup(f, nu, t, alias_tol=1e-9):
+def apply_semigroup(f, nu, t, alias_tol=_ALIAS_TOL):
     """Advance a physical-frame vorticity field by the linear propagator.
 
     Exact on the resolvable band. Modes whose source lies outside the band
@@ -97,8 +92,8 @@ def apply_semigroup(f, nu, t, alias_tol=1e-9):
     if nu <= 0:
         raise DomainError(f"viscosity must be positive, got {nu!r}")
     t = float(t)
-    if t < 0:
-        raise DomainError("apply_semigroup requires t >= 0")
+    if not 0.0 <= t < np.inf:
+        raise DomainError(f"apply_semigroup requires a finite t >= 0, got {t!r}")
     if t == 0.0:
         return f
     grid = f.grid
@@ -106,28 +101,35 @@ def apply_semigroup(f, nu, t, alias_tol=1e-9):
     kx, ky = grid.wavegrid()
     out = raw * symbol_value(nu, t, kx, ky)
     if alias_tol is not None:
-        # vet the input, not the shifted output: source modes with
-        # |eta - t*xi| > k_max are never read by any resolvable target.
-        # Their content is weighted by the viscous factor it would carry
-        # at its (out of band) destination, since that is exactly what
-        # the discarded contribution would have amounted to.
-        lost = np.abs(ky - t * kx) > grid.k_max * (1.0 + 1e-12)
-        if lost.any():
-            kxf, kyf = np.broadcast_arrays(kx, ky)
-            cin = np.abs(f.coeffs[lost]) * symbol_value(
-                nu, t, kxf[lost], kyf[lost] - t * kxf[lost])
-            ref = max(float(np.abs(f.coeffs).max()), 1e-300)
-            worst = float(cin.max())
-            if worst > alias_tol * ref:
-                idx = np.argwhere(lost)[np.argmax(cin)]
-                mode = (float(grid.k[idx[0]]), float(grid.k[idx[1]]))
-                raise AliasingError(
-                    f"shift t*xi moved significant content across the band "
-                    f"(decay-weighted |lost|/|peak| = {worst / ref:.2e} "
-                    f"at mode {mode})",
-                    mode=mode)
+        _check_alias(f, nu, t, alias_tol)
     out[oob] = 0.0
     return Field(grid, coeffs=out)
+
+
+def _check_alias(f, nu, t, alias_tol):
+    """Raise AliasingError if S(t) would drop significant content of f."""
+    grid = f.grid
+    kx, ky = grid.wavegrid()
+    # vet the input, not the shifted output: source modes with
+    # |eta - t*xi| > k_max are never read by any resolvable target.
+    # Their content is weighted by the viscous factor it would carry
+    # at its (out of band) destination, since that is exactly what
+    # the discarded contribution would have amounted to.
+    lost = np.abs(ky - t * kx) > grid.k_max * (1.0 + 1e-12)
+    if lost.any():
+        kxf, kyf = np.broadcast_arrays(kx, ky)
+        cin = np.abs(f.coeffs[lost]) * symbol_value(
+            nu, t, kxf[lost], kyf[lost] - t * kxf[lost])
+        ref = max(float(np.abs(f.coeffs).max()), 1e-300)
+        worst = float(cin.max())
+        if worst > alias_tol * ref:
+            idx = np.argwhere(lost)[np.argmax(cin)]
+            mode = (float(grid.k[idx[0]]), float(grid.k[idx[1]]))
+            raise AliasingError(
+                f"shift t*xi moved significant content across the band "
+                f"(decay-weighted |lost|/|peak| = {worst / ref:.2e} "
+                f"at mode {mode})",
+                mode=mode)
 
 
 @dataclass(frozen=True)
@@ -230,44 +232,90 @@ def _gl_nodes(a, b):
 
 
 def _duhamel_targets(traj1, traj2, targets):
-    """Bilinear Duhamel integrals at several target times.
+    """Bilinear Duhamel integrals at several target times, in one march.
 
-    For each target t this integrates S(t - s) applied to the advection
-    divergence of the pair over s in [t_first, t], using composite 8-point
-    Gauss-Legendre panels on the sample intervals. The last interval is
-    split geometrically toward s = t where the propagator symbol varies
-    fastest.
+    Each target t gets -(integral over s in [t_0, t] of S(t - s) g(s)),
+    where g is the advection divergence of the pair and S the propagator.
+    The quadrature is composite 8-point Gauss-Legendre: one panel on each
+    sample interval below t, and the interval [t_m, t] ending at t split
+    into four panels graded toward s = t, where the symbol varies fastest.
+
+    The single panels are not re-summed per target. One accumulator
+    J_k = sum over the panels in [t_0, t_k] of w S(t_k - s) g(s) is marched
+    with J_{k+1} = S(t_{k+1} - t_k) J_k + (panel on [t_k, t_{k+1}]), and
+    target t is S(t - t_m) J_m plus its graded panels. Every g(s) is
+    evaluated once, so the cost is linear in the number of samples; the
+    semigroup property makes this equal the per-target sum up to the
+    composition error of the discrete shear (~1e-8 relative at n=128).
     """
     if traj1.nu != traj2.nu or traj1.times != traj2.times:
         raise GridError("duhamel term needs trajectories on a common time grid")
     nu = traj1.nu
-    ts = np.asarray(traj1.times)
-    out = []
+    grid = traj1.grid
+    ts = traj1.times
+    targets = [float(t) for t in targets]
+    starts = {}
     for t in targets:
-        t = float(t)
-        if t < ts[0] or t > ts[-1] + 1e-12:
+        if not ts[0] <= t <= ts[-1] + 1e-12:
             raise DomainError(f"target time {t} outside trajectory range")
-        if t == ts[0]:
-            out.append(Field(traj1.grid, coeffs=np.zeros((traj1.grid.n,) * 2, complex)))
-            continue
-        panels = []
-        full = ts[(ts > ts[0]) & (ts < t - 1e-14)]
-        edges = np.concatenate(([ts[0]], full, [t]))
-        for a, b in zip(edges[:-1], edges[1:-1]):
-            panels.append((a, b))
-        # graded split of the final interval toward s = t
-        a0 = edges[-2]
-        d = t - a0
-        breaks = (a0, a0 + 0.5 * d, a0 + 0.75 * d, a0 + 0.875 * d, t)
-        panels.extend(zip(breaks[:-1], breaks[1:]))
-        acc = np.zeros((traj1.grid.n,) * 2, dtype=complex)
-        for a, b in panels:
-            nodes, weights = _gl_nodes(a, b)
+        if t > ts[0]:
+            # the graded interval starts at the last sample below t
+            starts[t] = max(0, bisect.bisect_left(ts, t - 1e-14) - 1)
+    zero = np.zeros((grid.n,) * 2, dtype=complex)
+
+    def divergence(s):
+        w1 = _field_at(traj1, s)
+        w2 = w1 if traj2 is traj1 else _field_at(traj2, s)
+        return _advection_divergence(w1, w2)
+
+    def propagate(f, t):
+        # only ever applied to vetted content; see the node vetting below
+        return apply_semigroup(f, nu, t, alias_tol=None).coeffs
+
+    def graded(a, t):
+        total = zero.copy()
+        d = t - a
+        breaks = (a, a + 0.5 * d, a + 0.75 * d, a + 0.875 * d, t)
+        for lo, hi in zip(breaks[:-1], breaks[1:]):
+            nodes, weights = _gl_nodes(lo, hi)
             for s, w in zip(nodes, weights):
-                g = _advection_divergence(_field_at(traj1, s), _field_at(traj2, s))
-                acc += w * apply_semigroup(g, nu, t - s).coeffs
-        out.append(Field(traj1.grid, coeffs=-acc))
-    return out
+                total += w * apply_semigroup(divergence(s), nu, t - s).coeffs
+        return total
+
+    done = {}
+    last = max(starts.values(), default=-1)
+    acc = zero  # J_k
+    for k in range(last + 1):
+        # S(t_{k+1} - t_k) J_k, shared by J_{k+1} and the target t_{k+1}
+        shifted = propagate(Field(grid, coeffs=acc), ts[k + 1] - ts[k]) \
+            if k < last else None
+        for t in [t for t, m in starts.items() if m == k]:
+            if shifted is not None and t == ts[k + 1]:
+                base = shifted
+            else:
+                base = propagate(Field(grid, coeffs=acc), t - ts[k])
+            done[t] = Field(grid, coeffs=-(base + graded(ts[k], t)))
+        if k == last:
+            break
+        # Each node of this panel is vetted against every target whose
+        # quadrature includes it, at lag t - s, by apply_semigroup's own
+        # check (same decay weights, same reference max|g(s)|), before g(s)
+        # enters J. J itself is then propagated unvetted: drop sets compose
+        # on the band (a mode's destination eta - lag*xi moves monotonically
+        # with the lag, and the band is an interval), so what S(t - t_k)
+        # drops from S(t_k - s) g(s) is exactly what S(t - s) drops from
+        # g(s). Vetting J instead would flag the ~1e-8 interpolation
+        # leakage of the discrete shear, which is not aliasing.
+        later = [t for t, m in starts.items() if m > k]
+        nodes, weights = _gl_nodes(ts[k], ts[k + 1])
+        acc = shifted.copy()
+        for s, w in zip(nodes, weights):
+            g = divergence(s)
+            for t in later:
+                _check_alias(g, nu, t - s, _ALIAS_TOL)
+            acc += w * propagate(g, ts[k + 1] - s)
+    zero_field = Field(grid, coeffs=zero)
+    return [done.get(t, zero_field) for t in targets]
 
 
 def duhamel_bilinear(traj1, traj2, t):
@@ -293,10 +341,12 @@ def picard_solve(omega0, nu, horizon, n_times, max_iter=12, tol=1e-10,
     """
     if nu <= 0:
         raise DomainError(f"viscosity must be positive, got {nu!r}")
-    if horizon <= 0 or n_times < 2:
-        raise DomainError("need horizon > 0 and at least two sample times")
-    if t_start < 0:
-        raise DomainError("t_start must be nonnegative")
+    if not 0 < horizon < np.inf or n_times < 2:
+        raise DomainError("need a finite horizon > 0 and at least two sample times")
+    if not 0 <= t_start < np.inf:
+        raise DomainError("t_start must be finite and nonnegative")
+    if max_iter < 1:
+        raise DomainError(f"max_iter must be at least 1, got {max_iter!r}")
     times = tuple(t_start + horizon * j / (n_times - 1) for j in range(n_times))
     linear = tuple(apply_semigroup(omega0, nu, t - t_start) for t in times)
     traj = Trajectory(times=times, fields=linear, nu=nu)

@@ -6,7 +6,6 @@ rule, exact for resolved trigonometric content.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 

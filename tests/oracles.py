@@ -2,11 +2,15 @@
 
 Everything here is deliberately built from a different route than the
 package internals: closed-form Gaussian algebra, symbolic differentiation,
-scalar quadrature. Agreement between these and the library is the point
-of the tests that import them.
+scalar quadrature, and for the Duhamel term the package's own integrand
+summed without its time march. Agreement between these and the library is
+the point of the tests that import them.
 """
 
 import numpy as np
+
+from shearvortex import Field, apply_semigroup
+from shearvortex.propagator import _advection_divergence, _field_at, _gl_nodes
 
 SQRT3 = np.sqrt(3.0)
 
@@ -57,3 +61,38 @@ def forward_chars(tau, xi, eta):
     big_xi = (1.5 * xi - 0.5 * SQRT3 * eta) * ep + (-0.5 * xi + 0.5 * SQRT3 * eta) * ep3
     big_eta = (0.5 * SQRT3 * xi - 0.5 * eta) * ep + (-0.5 * SQRT3 * xi + 1.5 * eta) * ep3
     return big_xi, big_eta
+
+
+def duhamel_direct(traj1, traj2, targets):
+    """Bilinear Duhamel integrals summed afresh for every target time.
+
+    The library's quadrature (its nodes, weights, graded final interval and
+    integrand) without its march: every node is propagated straight to the
+    target, S(t - s) g(s), so no semigroup composition enters. The cost is
+    quadratic in the number of samples, which is why the library marches.
+    """
+    ts = np.asarray(traj1.times)
+    out = []
+    for t in targets:
+        t = float(t)
+        if t == ts[0]:
+            out.append(Field(traj1.grid, coeffs=np.zeros((traj1.grid.n,) * 2, complex)))
+            continue
+        panels = []
+        full = ts[(ts > ts[0]) & (ts < t - 1e-14)]
+        edges = np.concatenate(([ts[0]], full, [t]))
+        for a, b in zip(edges[:-1], edges[1:-1]):
+            panels.append((a, b))
+        # graded split of the final interval toward s = t
+        a0 = edges[-2]
+        d = t - a0
+        breaks = (a0, a0 + 0.5 * d, a0 + 0.75 * d, a0 + 0.875 * d, t)
+        panels.extend(zip(breaks[:-1], breaks[1:]))
+        acc = np.zeros((traj1.grid.n,) * 2, dtype=complex)
+        for a, b in panels:
+            nodes, weights = _gl_nodes(a, b)
+            for s, w in zip(nodes, weights):
+                g = _advection_divergence(_field_at(traj1, s), _field_at(traj2, s))
+                acc += w * apply_semigroup(g, traj1.nu, t - s).coeffs
+        out.append(Field(traj1.grid, coeffs=-acc))
+    return out

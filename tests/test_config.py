@@ -116,6 +116,14 @@ def test_validate_rejects_bad_fields(field, value):
     assert field in str(info.value)
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("field", ["nu", "grid_l", "t_init", "t_end", "dtau"])
+def test_validate_rejects_non_finite_fields(field, value):
+    with pytest.raises(ConfigError) as info:
+        validate_config(RunConfig(**{field: value}))
+    assert f"{field!r}: must be finite" in str(info.value)
+
+
 def test_picard_mode_admits_early_start():
     validate_config(RunConfig(mode="picard", t_init=0.5, t_end=1.0))
     with pytest.raises(ConfigError):

@@ -113,6 +113,10 @@ def test_picard_mode_cross_checks_frame_evolver(tmp_path):
     assert main(["picard", "--config", cfg, "--out", out]) == 0
     summary = read_lines(os.path.join(out, "summary.txt"))
     assert summary_value(summary, "time samples:") == "17"
+    history = [float(d) for d in summary_value(
+        summary, "picard update distances:").split(", ")]
+    assert len(history) == 3
+    assert all(b < a for a, b in zip(history, history[1:]))
     gap = float(summary_value(
         summary, "sup relative L2 discrepancy picard vs frame evolver:"))
     assert gap <= 1e-5
@@ -173,6 +177,16 @@ def test_invalid_flags_exit_2(tmp_path, capsys):
     out = str(tmp_path / "out")
     assert main(["simulate", "--nu", "-1.0", "--out", out]) == 2
     assert "nu" in capsys.readouterr().err
+
+
+def test_non_finite_config_exits_2(tmp_path, capsys):
+    # an infinite window must be rejected before picard sizes its samples
+    cfg = write_config(tmp_path, "t_end = inf\n")
+    out = str(tmp_path / "out")
+    assert main(["picard", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "ConfigError" in err
+    assert "'t_end'" in err
 
 
 def test_missing_snapshot_exits_2(tmp_path, capsys):
