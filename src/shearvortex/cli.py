@@ -9,23 +9,19 @@ Exit codes: 0 success, 2 invalid input or snapshot, 3 solver failure,
 import argparse
 import sys
 
-from .config import RunConfig, override_config, parse_config, validate_config
+from .config import MODES, TAIL_ACTIONS, RunConfig, override_config, parse_config
 from .errors import (
     AliasingError,
     ConfigError,
-    DomainError,
-    GridError,
     ResolutionError,
     ShearVortexError,
-    SnapshotError,
     SolverError,
     TruncationError,
-    UnsupportedOrderError,
 )
 from .runner import resolve_output_dir, run_experiment
 from .snapshot import read_metadata
 
-RUN_MODES = ("simulate", "linear", "fp-decay", "picard", "probe")
+RUN_MODES = MODES
 
 
 def _exit_code(exc):
@@ -33,9 +29,6 @@ def _exit_code(exc):
         return 3
     if isinstance(exc, (ResolutionError, TruncationError, AliasingError)):
         return 4
-    if isinstance(exc, (ConfigError, GridError, DomainError,
-                        UnsupportedOrderError, SnapshotError)):
-        return 2
     return 2
 
 
@@ -55,7 +48,7 @@ def _add_run_flags(sub):
                      help="catalog entry for the initial field")
     sub.add_argument("--seed", type=int, help="random seed")
     sub.add_argument("--on-tail", dest="on_tail",
-                     choices=("error", "warn", "ignore"),
+                     choices=TAIL_ACTIONS,
                      help="action when the spectral tail grows too large")
     sub.add_argument("--out", metavar="DIR",
                      help="output directory (overrides config and "
@@ -86,8 +79,12 @@ def build_parser():
 
 def _load_config(args):
     if args.config:
-        with open(args.config, "r", encoding="ascii") as fh:
-            cfg = parse_config(fh.read())
+        try:
+            with open(args.config, "r", encoding="ascii") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"config file {args.config} is not ASCII: {e}") from None
+        cfg = parse_config(text)
     else:
         cfg = RunConfig()
     cfg = override_config(
@@ -95,7 +92,6 @@ def _load_config(args):
         grid_l=args.grid_l, t_init=args.t_init, t_end=args.t_end,
         dtau=args.dtau, initial_data=args.initial_data, seed=args.seed,
         on_tail=args.on_tail)
-    validate_config(cfg)
     return cfg
 
 

@@ -6,17 +6,24 @@ exponent. The semigroup therefore reduces to (i) evaluating the initial
 spectrum at the backward characteristic image of each lattice mode and
 (ii) multiplying by the exponent factor. Off-lattice evaluation is done
 with exact trigonometric (band-limited) interpolation, split into a shear
-stage and a scaling stage so each stage is separable.
+stage and a scaling stage so each stage is separable: the shear is
+spectral.shear_spectrum (FFTs), the scaling the dense affine kernel
+spectral.affine_trig_sum that also changes the self-similar frame.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, ResolutionError, UnsupportedOrderError
 from .grid import Field
-from .spectral import shear_spectrum, spectral_tail_ratio
+from .spectral import (
+    _alternating_signs,
+    _axis_multiplier,
+    affine_trig_sum,
+    shear_spectrum,
+    spectral_tail_ratio,
+)
 
 SQRT3 = np.sqrt(3.0)
 
@@ -38,12 +45,8 @@ def eigenfunction(a, b, grid):
     if a < 0 or b < 0 or a + b > 4:
         raise UnsupportedOrderError(f"eigenfunction orders must satisfy 0 <= a+b <= 4, got ({a}, {b})")
     g = gaussian(grid)
-    kx, ky = grid.wavegrid()
-    # zero the Nyquist line as in first-order derivatives
-    kx = kx.copy(); kx[grid.n // 2, 0] = 0.0
-    ky = ky.copy(); ky[0, grid.n // 2] = 0.0
-    d1 = 1j * kx
-    d2 = 1j * ky
+    d1 = _axis_multiplier(grid, 1)[:, None]
+    d2 = _axis_multiplier(grid, 1)[None, :]
     mult = (d1 - SQRT3 * d2) ** a * (SQRT3 * d1 - d2) ** b
     return Field(grid, coeffs=g.coeffs * mult)
 
@@ -110,38 +113,17 @@ def backward_characteristics(tau, xi, eta):
     return char_map(tau).apply(np.asarray(xi, dtype=float), np.asarray(eta, dtype=float))
 
 
-@lru_cache(maxsize=32)
-def _phase_tables(n, half_width):
-    """Cached outer-product ingredients for the interpolation stages."""
-    L = half_width
-    x = -L + (2.0 * L / n) * np.arange(n)
-    k = 2.0 * np.pi * np.fft.fftfreq(n, d=2.0 * L / n)
-    return x, k
-
-
-@lru_cache(maxsize=32)
-def _checkerboard(n):
-    """(-1)^(j+k) sign pattern relating fft-array coefficients to the
-    continuous-phase spectrum on a box starting at -L."""
-    s = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    return np.outer(s, s)
-
-
 def _scale_stage(coeffs, grid, u11, u12, u22):
     """Trig-exact evaluation at (u11*xi_j + u12*eta_k, u22*eta_k).
 
-    Written as two dense 1-D transforms (matrix products) with a phase in
-    between; exact for the discrete model, cost O(n^3).
+    The map is upper triangular in (xi, eta), so the shared kernel runs
+    on the transposed samples, where it is lower triangular.
     """
     n = grid.n
-    x, k = _phase_tables(n, grid.half_width)
     v = np.fft.ifft2(coeffs) * n ** 2  # physical samples (complex mid-pipeline)
-    e2 = np.exp(-1j * np.outer(x, u22 * k))        # [q, k]
-    t = v @ e2                                      # [p, k]
-    t *= np.exp(-1j * np.outer(x, u12 * k))         # phase in x_p for each eta_k
-    e1 = np.exp(-1j * np.outer(u11 * k, x))        # [j, p]
-    out = (e1 @ t) / n ** 2
-    out *= _checkerboard(n)  # back to fft-array sign convention
+    out = affine_trig_sum(v.T, grid.x, grid.k, u22, u12, u11, -1).T / n ** 2
+    out *= _alternating_signs(n)  # back to fft-array sign convention
+    k = grid.k
     band = grid.k_max * (1.0 + 1e-12)
     out[np.abs(u11 * k[:, None] + u12 * k[None, :]) > band] = 0.0
     if abs(u22) * np.abs(k).max() > band:

@@ -101,26 +101,28 @@ def apply_semigroup(f, nu, t, alias_tol=_ALIAS_TOL):
     kx, ky = grid.wavegrid()
     out = raw * symbol_value(nu, t, kx, ky)
     if alias_tol is not None:
-        _check_alias(f, nu, t, alias_tol)
+        _check_alias(f, nu, (t,), alias_tol)
     out[oob] = 0.0
     return Field(grid, coeffs=out)
 
 
-def _check_alias(f, nu, t, alias_tol):
-    """Raise AliasingError if S(t) would drop significant content of f."""
+def _check_alias(f, nu, lags, alias_tol):
+    """Raise AliasingError if S(t) would drop significant content of f,
+    vetting the lags t in the order given."""
     grid = f.grid
-    kx, ky = grid.wavegrid()
-    # vet the input, not the shifted output: source modes with
-    # |eta - t*xi| > k_max are never read by any resolvable target.
-    # Their content is weighted by the viscous factor it would carry
-    # at its (out of band) destination, since that is exactly what
-    # the discarded contribution would have amounted to.
-    lost = np.abs(ky - t * kx) > grid.k_max * (1.0 + 1e-12)
-    if lost.any():
-        kxf, kyf = np.broadcast_arrays(kx, ky)
-        cin = np.abs(f.coeffs[lost]) * symbol_value(
-            nu, t, kxf[lost], kyf[lost] - t * kxf[lost])
-        ref = max(float(np.abs(f.coeffs).max()), 1e-300)
+    kx, ky = np.broadcast_arrays(*grid.wavegrid())
+    mag = np.abs(f.coeffs)
+    ref = max(float(mag.max()), 1e-300)
+    for t in lags:
+        # vet the input, not the shifted output: source modes with
+        # |eta - t*xi| > k_max are never read by any resolvable target.
+        # Their content is weighted by the viscous factor it would carry
+        # at its (out of band) destination, since that is exactly what
+        # the discarded contribution would have amounted to.
+        lost = np.abs(ky - t * kx) > grid.k_max * (1.0 + 1e-12)
+        if not lost.any():
+            continue
+        cin = mag[lost] * symbol_value(nu, t, kx[lost], ky[lost] - t * kx[lost])
         worst = float(cin.max())
         if worst > alias_tol * ref:
             idx = np.argwhere(lost)[np.argmax(cin)]
@@ -178,7 +180,7 @@ def kato_norm(traj):
         if w == 0.0:
             continue
         best = max(best, w * lp_norm(f, 4.0 / 3.0))
-    return best
+    return float(best)
 
 
 def _lagrange_weights(ts, s, width=4):
@@ -311,8 +313,7 @@ def _duhamel_targets(traj1, traj2, targets):
         acc = shifted.copy()
         for s, w in zip(nodes, weights):
             g = divergence(s)
-            for t in later:
-                _check_alias(g, nu, t - s, _ALIAS_TOL)
+            _check_alias(g, nu, [t - s for t in later], _ALIAS_TOL)
             acc += w * propagate(g, ts[k + 1] - s)
     zero_field = Field(grid, coeffs=zero)
     return [done.get(t, zero_field) for t in targets]

@@ -293,7 +293,7 @@ def _run_picard(cfg, outdir):
         "mode: picard",
         f"time samples: {n_times}",
         "picard update distances: "
-        + ", ".join(repr(float(d)) for d in traj.history),
+        + ", ".join(repr(d) for d in traj.history),
         f"initial L1 norm: {float(lp_norm(om0, 1))!r}",
         f"final L1 norm: {float(lp_norm(traj.fields[-1], 1))!r}",
         "sup relative L2 discrepancy picard vs frame evolver: "

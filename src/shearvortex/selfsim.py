@@ -17,6 +17,8 @@ import numpy as np
 from .errors import BlowUpError, DomainError, GridError, ResolutionError, TruncationError
 from .grid import Field, Frame
 from .spectral import (
+    _alternating_signs,
+    affine_trig_sum,
     dealias_mask,
     derivative,
     lp_norm,
@@ -138,29 +140,6 @@ class SelfSimilarState:
         return float(np.log(self.t))
 
 
-def _affine_eval(src, a, c, b, target_grid, amp):
-    """amp * f(a X_p, c X_p + b Y_q) for the band-limited extension of f.
-
-    Exact trigonometric evaluation written as two dense 1-D stages (the
-    map is lower triangular, so the exponents separate). Target points
-    that leave the source box read its periodic extension, which is
-    harmless only for fields that decay inside the box.
-    """
-    cs = src.coeffs
-    n = src.grid.n
-    sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    chat = cs * np.outer(sign, sign)  # continuous-phase spectrum
-    k = src.grid.k
-    Xp = target_grid.x
-    Yq = target_grid.x
-    e1 = np.exp(1j * np.outer(Xp, a * k))          # [p, j]
-    A = e1 @ chat                                   # [p, k]
-    A *= np.exp(1j * np.outer(Xp, c * k))           # phase in X_p per eta_k
-    e2 = np.exp(1j * np.outer(b * k, Yq))           # [k, q]
-    vals = (A @ e2).real * amp
-    return Field(target_grid, values=vals)
-
-
 def _check_tail(f, tol, what):
     r = tail_mass_ratio(f)
     if r > tol:
@@ -194,7 +173,11 @@ def phys_to_selfsim(omega, t, nu, target_grid, tail_tol=1e-8):
         raise GridError("target grid must be a selfsim-frame grid")
     _check_tail(omega, tail_tol, "physical field")
     a, c, b = _frame_map(t, nu)
-    out = _affine_eval(omega, a, c, b, target_grid, amplitude(t, nu))
+    # f(a X, c X + b Y) from the spectrum with origin-centred phases; target
+    # points past the source box read its periodic extension
+    chat = omega.coeffs * _alternating_signs(omega.grid.n)
+    vals = affine_trig_sum(chat, omega.grid.k, target_grid.x, a, c, b, 1).real
+    out = Field(target_grid, values=vals * amplitude(t, nu))
     _check_wrap(out, "resampled frame field")
     return SelfSimilarState(omega=out, t=float(t), nu=float(nu))
 
@@ -206,27 +189,23 @@ def selfsim_to_phys(state, target_grid, tail_tol=1e-8):
     _check_tail(state.omega, tail_tol, "frame field")
     a, c, b = _frame_map(state.t, state.nu)
     # inverse of (x, y) = (a X, c X + b Y) is lower triangular as well
-    out = _affine_eval(state.omega, 1.0 / a, -c / (a * b), 1.0 / b,
-                       target_grid, 1.0 / amplitude(state.t, state.nu))
+    chat = state.omega.coeffs * _alternating_signs(state.omega.grid.n)
+    vals = affine_trig_sum(chat, state.omega.grid.k, target_grid.x,
+                           1.0 / a, -c / (a * b), 1.0 / b, 1).real
+    out = Field(target_grid, values=vals * (1.0 / amplitude(state.t, state.nu)))
     _check_wrap(out, "resampled physical field")
     return out
 
 
-def _laplacian_symbol(grid, t):
+def _laplacian_symbol(grid, co):
     """Fourier symbol of the frame Laplacian (nonpositive; zero at 0)."""
-    co = FrameCoefficients.at_time(t)
     kx, ky = grid.wavegrid()
     return -(co.diff1 * (kx - co.mix * ky) ** 2 + co.diff2 * ky ** 2)
 
 
-def _limit_laplacian_symbol(grid):
-    _, ky = grid.wavegrid()
-    return -4.0 * ky ** 2
-
-
 def invert_frame_laplacian(f, t):
     """Solve the frame Laplacian with the mean-zero gauge (zero mode -> 0)."""
-    sym = _laplacian_symbol(f.grid, t)
+    sym = _laplacian_symbol(f.grid, FrameCoefficients.at_time(t))
     with np.errstate(divide="ignore", invalid="ignore"):
         c = f.coeffs / sym
     c[0, 0] = 0.0
@@ -234,7 +213,8 @@ def invert_frame_laplacian(f, t):
 
 
 def apply_frame_laplacian(f, t):
-    return Field(f.grid, coeffs=f.coeffs * _laplacian_symbol(f.grid, t))
+    sym = _laplacian_symbol(f.grid, FrameCoefficients.at_time(t))
+    return Field(f.grid, coeffs=f.coeffs * sym)
 
 
 def _drift_values(f, co, grid):
@@ -250,24 +230,21 @@ def _drift_values(f, co, grid):
     return out
 
 
+def _apply_generator(f, co):
+    """Frame generator with coefficients co (diffusion + drifts + constant)."""
+    grid = f.grid
+    drift = Field(grid, values=_drift_values(f, co, grid))
+    return Field(grid, coeffs=f.coeffs * _laplacian_symbol(grid, co) + drift.coeffs)
+
+
 def apply_generator(f, t):
     """Full frame generator at time t (diffusion + drifts + constant)."""
-    grid = f.grid
-    co = FrameCoefficients.at_time(t)
-    drift = Field(grid, values=_drift_values(f, co, grid))
-    return Field(grid, coeffs=f.coeffs * _laplacian_symbol(grid, t) + drift.coeffs)
+    return _apply_generator(f, FrameCoefficients.at_time(t))
 
 
 def apply_limit_generator(f):
     """Late-time limit generator: 4 d_Y^2 + 2 Y d_Y + 2 + rotation."""
-    grid = f.grid
-    co = FrameCoefficients.limit()
-    fx = derivative(f, 1, 0).values
-    fy = derivative(f, 0, 1).values
-    X, Y = grid.meshgrid()
-    drift = co.dil2 * Y * fy + co.rot * (X * fy - Y * fx) + co.const * f.values
-    return Field(grid, coeffs=f.coeffs * _limit_laplacian_symbol(grid)
-                 + Field(grid, values=drift).coeffs)
+    return _apply_generator(f, FrameCoefficients.limit())
 
 
 def nonlinear_term(f, t, nu):
@@ -359,7 +336,7 @@ def evolve(state, t_end, control=None, nonlinear=True, observer=None):
         co = FrameCoefficients.at_time(t_s)
         f = Field(grid, coeffs=coeffs)
         out = Field(grid, values=_drift_values(f, co, grid)).coeffs.copy()
-        out += (_laplacian_symbol(grid, t_s) - sym_mid) * coeffs
+        out += (_laplacian_symbol(grid, co) - sym_mid) * coeffs
         if nonlinear:
             out += nonlinear_term(f, t_s, nu).coeffs
         return out
@@ -400,7 +377,8 @@ def evolve(state, t_end, control=None, nonlinear=True, observer=None):
                 ok = True
                 for _ in range(nsub):
                     hh = attempt
-                    sym_mid = _laplacian_symbol(grid, np.exp(tau_new + 0.5 * hh))
+                    co_mid = FrameCoefficients.at_time(np.exp(tau_new + 0.5 * hh))
+                    sym_mid = _laplacian_symbol(grid, co_mid)
                     E = np.exp(hh * sym_mid)
                     Eh = np.exp(0.5 * hh * sym_mid)
                     k1 = rhs(tau_new, c_new, sym_mid)

@@ -70,6 +70,17 @@ def read_metadata(path):
     return meta
 
 
+def _value(meta, key, conv):
+    """Sidecar entry key converted by conv; SnapshotError if absent or bad."""
+    if key not in meta:
+        raise SnapshotError(f"sidecar missing key {key!r}")
+    try:
+        return conv(meta[key])
+    except ValueError:
+        raise SnapshotError(
+            f"sidecar key {key!r} has invalid value {meta[key]!r}") from None
+
+
 def read_snapshot(path, grid=None):
     """Rebuild the stored Field or SelfSimilarState.
 
@@ -77,15 +88,12 @@ def read_snapshot(path, grid=None):
     a caller needs samples on a predetermined grid.
     """
     meta = read_metadata(path)
-    try:
-        n = int(meta["n"])
-        half_width = float(meta["half_width"])
-        frame = Frame[meta["frame"].upper()]
-        declared = int(meta["payload_bytes"])
-        digest = meta["sha256"]
-        kind = meta["kind"]
-    except KeyError as e:
-        raise SnapshotError(f"sidecar missing key {e.args[0]!r}") from None
+    n = _value(meta, "n", int)
+    half_width = _value(meta, "half_width", float)
+    frame = _value(meta, "frame", lambda v: Frame(v.lower()))
+    declared = _value(meta, "payload_bytes", int)
+    digest = _value(meta, "sha256", str)
+    kind = _value(meta, "kind", str)
     if declared != n * n * 8:
         raise SnapshotError(
             f"metadata disagrees with itself: payload_bytes={declared} "
@@ -110,5 +118,6 @@ def read_snapshot(path, grid=None):
     if kind != "state":
         raise SnapshotError(f"unknown snapshot kind {kind!r}")
     from .selfsim import SelfSimilarState
-    return SelfSimilarState(omega=f, t=float(meta["t"]), nu=float(meta["nu"]),
-                            alpha=float(meta["alpha"]))
+    return SelfSimilarState(omega=f, t=_value(meta, "t", float),
+                            nu=_value(meta, "nu", float),
+                            alpha=_value(meta, "alpha", float))

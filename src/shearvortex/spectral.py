@@ -1,4 +1,5 @@
-"""Transforms, derivatives, Biot-Savart inversion, norms and quadrature.
+"""Transforms, derivatives, Biot-Savart inversion, norms, quadrature and
+trig-exact resampling.
 
 All operations assume smooth fields that decay well inside the box, so the
 periodic spectral representation is accurate. Quadrature is the rectangle
@@ -203,3 +204,27 @@ def shear_spectrum(coeffs, grid, slope):
     target = slope * k[:, None] + k[None, :]
     oob = np.abs(target) > grid.k_max * (1.0 + 1e-12)
     return out, oob
+
+
+def _alternating_signs(n):
+    """(-1)^(j+k) pattern relating fft-array coefficients of a box that
+    starts at -L to the spectrum with phases centred on the origin."""
+    s = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    return np.outer(s, s)
+
+
+def affine_trig_sum(a, s, r, m11, m21, m22, sign):
+    """Trigonometric sum of a lattice at a lower-triangular image of another.
+
+    Returns out[p, q] = sum over j, k of a[j, k] exp(sign i (s_j X + s_k Y))
+    at (X, Y) = (m11 r_p, m21 r_p + m22 r_q). The map is lower triangular,
+    so the exponent separates into two dense 1-D stages (matrix products)
+    with a phase in r_p between them; exact, cost O(n^3). Resampling a
+    field is sign +1 over (wavenumbers, centred spectrum); evaluating a
+    spectrum is sign -1 over (positions, samples), transposed when the map
+    is upper triangular in the frequencies.
+    """
+    phase = sign * 1j
+    out = np.exp(phase * np.outer(r, m11 * s)) @ a      # [p, k]
+    out *= np.exp(phase * np.outer(r, m21 * s))          # phase in r_p per s_k
+    return out @ np.exp(phase * np.outer(m22 * s, r))    # [p, q]

@@ -2,8 +2,9 @@
 
 Everything here is deliberately built from a different route than the
 package internals: closed-form Gaussian algebra, symbolic differentiation,
-scalar quadrature, and for the Duhamel term the package's own integrand
-summed without its time march. Agreement between these and the library is
+scalar quadrature, trigonometric sums taken one point at a time, and for
+the Duhamel term the package's own integrand summed without its time
+march. Agreement between these and the library is
 the point of the tests that import them.
 """
 
@@ -61,6 +62,17 @@ def forward_chars(tau, xi, eta):
     big_xi = (1.5 * xi - 0.5 * SQRT3 * eta) * ep + (-0.5 * xi + 0.5 * SQRT3 * eta) * ep3
     big_eta = (0.5 * SQRT3 * xi - 0.5 * eta) * ep + (-0.5 * SQRT3 * xi + 1.5 * eta) * ep3
     return big_xi, big_eta
+
+
+def trig_sum_direct(a, s, X, Y, sign):
+    """sum over j, k of a[j, k] exp(sign i (s_j X + s_k Y)) at each point
+    (X[p, q], Y[p, q]) separately: O(n^4), no separable matrix stages, and
+    the points need not come from a triangular map."""
+    out = np.empty(X.shape, dtype=complex)
+    for idx in np.ndindex(X.shape):
+        phase = s[:, None] * X[idx] + s[None, :] * Y[idx]
+        out[idx] = np.sum(a * np.exp(sign * 1j * phase))
+    return out
 
 
 def duhamel_direct(traj1, traj2, targets):

@@ -19,10 +19,12 @@ from shearvortex import (
     weighted_inner,
     weighted_norm,
 )
-from shearvortex.fokker_planck import gaussian
+from shearvortex.fokker_planck import _scale_stage, char_map, gaussian
+from shearvortex.selfsim import _frame_map
+from shearvortex.spectral import affine_trig_sum
 
 from conftest import localized_field
-from oracles import GAUSSIAN_L2, SPEED_G_AT_R2
+from oracles import GAUSSIAN_L2, SPEED_G_AT_R2, trig_sum_direct
 
 
 # ---------------------------------------------------------------- grids
@@ -264,3 +266,43 @@ def test_dealias_clears_outer_band(frame_grid):
     outer = (np.abs(kx) >= cutoff) | (np.abs(ky) >= cutoff)
     assert np.abs(clean.coeffs[outer]).max() == 0.0
     assert np.array_equal(clean.coeffs[~outer], noisy.coeffs[~outer])
+
+
+# ------------------------------------------------------ affine kernel
+
+def _random_spectrum(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def test_affine_kernel_physical_map_matches_direct_sum():
+    # the frame change: a spectrum summed at (a X_p, c X_p + b Y_q), sign +1
+    src = make_grid(8.0, 16)
+    target = make_grid(6.0, 16, "selfsim")
+    chat = _random_spectrum(16, seed=3)
+    a, c, b = _frame_map(2.0, 0.3)
+    got = affine_trig_sum(chat, src.k, target.x, a, c, b, 1)
+    X, Y = target.meshgrid()
+    ref = trig_sum_direct(chat, src.k, a * X, c * X + b * Y, 1)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_affine_kernel_spectral_scale_stage_matches_direct_sum():
+    # the limit semigroup's scale stage: samples summed at the upper
+    # triangular image (u11 xi_j + u12 eta_k, u22 eta_k), sign -1, which the
+    # stage hands to the kernel transposed
+    grid = make_grid(8.0, 16, "selfsim")
+    n = grid.n
+    coeffs = _random_spectrum(n, seed=4)
+    m = char_map(0.4)
+    u11, u12, u22 = m.m11, m.m12, m.det / m.m11
+    got = _scale_stage(coeffs, grid, u11, u12, u22)
+    v = np.fft.ifft2(coeffs) * n ** 2
+    xi, eta = np.meshgrid(grid.k, grid.k, indexing="ij")
+    X, Y = u11 * xi + u12 * eta, u22 * eta
+    signs = (-1.0) ** np.add.outer(np.arange(n), np.arange(n))
+    ref = signs * trig_sum_direct(v, grid.x, X, Y, -1) / n ** 2
+    inside = (np.abs(X) <= grid.k_max) & (np.abs(Y) <= grid.k_max)
+    assert inside.sum() > n * n // 2
+    assert np.abs(got - ref)[inside].max() <= 1e-12 * np.abs(ref).max()
+    assert not got[~inside].any()

@@ -272,6 +272,8 @@ def test_picard_contraction_monotone_and_scales_with_data():
         traj = picard_solve(f, 1.0, 0.5, 9, t_start=1.0)
         hist = traj.history
         assert len(hist) >= 3
+        assert all(type(d) is float for d in hist)
+        assert type(kato_norm(traj)) is float
         assert all(b < a for a, b in zip(hist, hist[1:]))
         ratios = [b / a for a, b in zip(hist, hist[1:])]
         assert all(r < 0.5 for r in ratios)

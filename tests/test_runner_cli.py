@@ -189,6 +189,16 @@ def test_non_finite_config_exits_2(tmp_path, capsys):
     assert "'t_end'" in err
 
 
+def test_non_ascii_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("initial_data = caf\u00e9\n", encoding="utf-8")
+    out = str(tmp_path / "out")
+    assert main(["simulate", "--config", str(cfg), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "ConfigError" in err
+    assert "ASCII" in err
+
+
 def test_missing_snapshot_exits_2(tmp_path, capsys):
     assert main(["snapshot-info", str(tmp_path / "absent.snap")]) == 2
     assert "error" in capsys.readouterr().err

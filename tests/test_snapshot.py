@@ -112,3 +112,28 @@ def test_grid_mismatch_on_request(field, tmp_path):
     with pytest.raises(GridError):
         read_snapshot(path, grid=other)
     read_snapshot(path, grid=field.grid)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n", "abc"),
+    ("frame", "bogus"),
+    ("t", None),
+    ("half_width", "wide"),
+    ("payload_bytes", "lots"),
+])
+def test_bad_sidecar_value_is_a_snapshot_error(field, tmp_path, key, value):
+    # every parse failure names its key; value None drops the line
+    path = tmp_path / "state.snap"
+    write_snapshot(SelfSimilarState(omega=field, t=2.0, nu=0.5), path)
+    side = str(path) + ".meta"
+    with open(side, encoding="ascii") as fh:
+        lines = fh.readlines()
+    with open(side, "w", encoding="ascii") as fh:
+        for line in lines:
+            if line.split("=")[0].strip() != key:
+                fh.write(line)
+            elif value is not None:
+                fh.write(f"{key} = {value}\n")
+    with pytest.raises(SnapshotError) as info:
+        read_snapshot(path)
+    assert repr(key) in str(info.value)
