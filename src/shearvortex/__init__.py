@@ -85,7 +85,6 @@ from .selfsim import (
 )
 from .snapshot import read_metadata, read_snapshot, write_snapshot
 from .spectral import (
-    WeightSpec,
     biot_savart,
     dealias,
     derivative,
@@ -108,9 +107,9 @@ __all__ = [
     "SnapshotError", "SolverError", "TruncationError",
     "UnsupportedOrderError",
     "Field", "Frame", "GridSpec", "make_grid",
-    "WeightSpec", "biot_savart", "dealias", "derivative",
-    "inverse_laplacian", "lp_norm", "mass", "shear_spectrum",
-    "to_physical", "to_spectral", "weighted_inner", "weighted_norm",
+    "biot_savart", "dealias", "derivative", "inverse_laplacian",
+    "lp_norm", "mass", "shear_spectrum", "to_physical", "to_spectral",
+    "weighted_inner", "weighted_norm",
     "Trajectory", "apply_semigroup", "duhamel_bilinear", "green_kernel",
     "kato_norm", "picard_solve",
     "FrameCoefficients", "SelfSimilarState", "StepControl", "amplitude",

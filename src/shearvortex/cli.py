@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 invalid input or snapshot, 3 solver failure,
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .config import MODES, TAIL_ACTIONS, RunConfig, override_config, parse_config
 from .errors import (
@@ -20,8 +21,6 @@ from .errors import (
 )
 from .runner import resolve_output_dir, run_experiment
 from .snapshot import read_metadata
-
-RUN_MODES = MODES
 
 
 def _exit_code(exc):
@@ -68,7 +67,7 @@ def build_parser():
         "picard": "mild-solution iteration on the physical grid",
         "probe": "empirical constants for the a priori inequalities",
     }
-    for mode in RUN_MODES:
+    for mode in MODES:
         sub = subs.add_parser(mode, help=notes[mode])
         _add_run_flags(sub)
     info = subs.add_parser("snapshot-info",
@@ -87,12 +86,10 @@ def _load_config(args):
         cfg = parse_config(text)
     else:
         cfg = RunConfig()
-    cfg = override_config(
-        cfg, mode=args.command, nu=args.nu, grid_n=args.grid_n,
-        grid_l=args.grid_l, t_init=args.t_init, t_end=args.t_end,
-        dtau=args.dtau, initial_data=args.initial_data, seed=args.seed,
-        on_tail=args.on_tail)
-    return cfg
+    # a flag overrides the RunConfig field named by its dest
+    overrides = {f.name: vars(args).get(f.name) for f in fields(RunConfig)}
+    overrides["mode"] = args.command
+    return override_config(cfg, **overrides)
 
 
 def _snapshot_info(path):

@@ -2,22 +2,25 @@
 
 Comments start with '#', blank lines are ignored, every key appears at
 most once, and unknown keys are rejected with the line/column of the
-offender. serialize_config emits the canonical form: every key in a
-fixed order with normalized value formatting, so parse/serialize round
-trips are byte-stable.
+offender. The keys are the fields of RunConfig, whose declared types
+choose how values are parsed and formatted. serialize_config emits the
+canonical form: every key in field order with normalized value
+formatting, so parse/serialize round trips are byte-stable.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError
 
 MODES = ("simulate", "linear", "fp-decay", "picard", "probe")
 TAIL_ACTIONS = ("error", "warn", "ignore")
 
-_KEY_ORDER = ("mode", "nu", "grid_n", "grid_l", "t_init", "t_end", "dtau",
-              "initial_data", "initial_params", "seed", "output_dir",
-              "samples_per_decade", "weights", "on_tail", "snapshot_cadence")
+# bounds on resource-sized requests, checked by validate_config
+MAX_GRID_N = 2048                 # modes per axis
+MAX_SAMPLES_PER_DECADE = 1000
+MAX_STEPS = 10 ** 6               # evolver steps, ln(t_end/t_init) / dtau
+MAX_PICARD_SAMPLES = 1025         # picard time samples, see picard_samples
 
 
 @dataclass(frozen=True)
@@ -42,88 +45,67 @@ class RunConfig:
 def _fmt_scalar(v):
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        return repr(v)
     if isinstance(v, tuple):
         return ":".join(_fmt_scalar(c) for c in v)
     return str(v)
 
 
-def serialize_config(cfg):
-    """Canonical text form: fixed key order, normalized values."""
-    params = ", ".join(f"{k}={_fmt_scalar(v)}"
-                       for k, v in sorted(cfg.initial_params.items()))
-    values = {
-        "mode": cfg.mode,
-        "nu": repr(cfg.nu),
-        "grid_n": str(cfg.grid_n),
-        "grid_l": repr(cfg.grid_l),
-        "t_init": repr(cfg.t_init),
-        "t_end": repr(cfg.t_end),
-        "dtau": repr(cfg.dtau),
-        "initial_data": cfg.initial_data,
-        "initial_params": params,
-        "seed": str(cfg.seed),
-        "output_dir": cfg.output_dir,
-        "samples_per_decade": str(cfg.samples_per_decade),
-        "weights": ", ".join(repr(w) for w in cfg.weights),
-        "on_tail": cfg.on_tail,
-        "snapshot_cadence": str(cfg.snapshot_cadence),
-    }
-    return "".join(f"{k} = {values[k]}\n" for k in _KEY_ORDER)
-
-
-def _scalar(text, line, col):
+def _scalar(text):
     """Parse one scalar token: bool, int, float, pair, or bare string."""
     t = text.strip()
     if ":" in t:
-        parts = t.split(":")
-        return tuple(_scalar(p, line, col) for p in parts)
+        return tuple(_scalar(p) for p in t.split(":"))
     low = t.lower()
     if low in ("true", "false"):
         return low == "true"
-    try:
-        return int(t)
-    except ValueError:
-        pass
-    try:
-        return float(t)
-    except ValueError:
-        pass
+    for conv in (int, float):
+        try:
+            return conv(t)
+        except ValueError:
+            pass
     return t
 
 
-def _parse_params(text, line, col):
+def _parse_params(text):
     out = {}
     if not text.strip():
         return out
     for chunk in text.split(","):
         if "=" not in chunk:
-            raise ConfigError(f"malformed parameter {chunk.strip()!r} "
-                              "(expected name=value)", line=line, column=col)
+            raise ValueError(f"malformed parameter {chunk.strip()!r} "
+                             "(expected name=value)")
         name, _, val = chunk.partition("=")
         name = name.strip()
         if not name:
-            raise ConfigError("empty parameter name", line=line, column=col)
+            raise ValueError("empty parameter name")
         if name in out:
-            raise ConfigError(f"duplicate parameter {name!r}", line=line,
-                              column=col)
-        out[name] = _scalar(val, line, col)
+            raise ValueError(f"duplicate parameter {name!r}")
+        out[name] = _scalar(val)
     return out
 
 
-_CONVERTERS = {
-    "mode": str, "nu": float, "grid_n": int, "grid_l": float,
-    "t_init": float, "t_end": float, "dtau": float, "initial_data": str,
-    "seed": int, "output_dir": str, "samples_per_decade": int,
-    "on_tail": str, "snapshot_cadence": int,
+# (parse, format) of a value by the declared type of its RunConfig field;
+# parse raises ValueError on text it cannot read
+_CODECS = {
+    str: (str, str),
+    int: (int, str),
+    float: (float, repr),
+    tuple: (lambda text: tuple(float(w) for w in text.split(",") if w.strip()),
+            lambda values: ", ".join(repr(w) for w in values)),
+    dict: (_parse_params, lambda params: ", ".join(
+        f"{k}={_fmt_scalar(v)}" for k, v in sorted(params.items()))),
 }
+
+
+def serialize_config(cfg):
+    """Canonical text form: field order, values formatted by field type."""
+    return "".join(f"{f.name} = {_CODECS[f.type][1](getattr(cfg, f.name))}\n"
+                   for f in fields(RunConfig))
 
 
 def parse_config(text):
     """Parse a key = value document into a validated RunConfig."""
+    types = {f.name: f.type for f in fields(RunConfig)}
     raw = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0]
@@ -137,7 +119,7 @@ def parse_config(text):
         key_col = line.index(key) + 1 if key else 1
         if not key:
             raise ConfigError("missing key before '='", line=lineno, column=1)
-        if key not in _KEY_ORDER:
+        if key not in types:
             raise ConfigError(f"unknown key {key!r}", line=lineno,
                               column=key_col)
         if key in raw:
@@ -148,26 +130,17 @@ def parse_config(text):
 
     kwargs = {}
     for key, (val, lineno, col) in raw.items():
-        if key == "initial_params":
-            kwargs[key] = _parse_params(val, lineno, col)
-        elif key == "weights":
-            try:
-                weights = tuple(float(w) for w in val.split(",") if w.strip())
-            except ValueError:
-                raise ConfigError(f"weights must be numbers, got {val!r}",
-                                  line=lineno, column=col) from None
-            kwargs[key] = weights
-        else:
-            conv = _CONVERTERS[key]
-            try:
-                kwargs[key] = conv(val)
-            except ValueError:
-                raise ConfigError(
-                    f"field {key!r} expects {conv.__name__}, got {val!r}",
-                    line=lineno, column=col) from None
-    cfg = RunConfig(**kwargs)
-    validate_config(cfg)
-    return cfg
+        try:
+            kwargs[key] = _CODECS[types[key]][0](val)
+        except ValueError as e:
+            raise ConfigError(f"field {key!r}: {e}", line=lineno,
+                              column=col) from None
+    return validate_config(RunConfig(**kwargs))
+
+
+def picard_samples(cfg):
+    """Time samples of a picard run: eight per unit time, at least 17."""
+    return max(17, math.ceil(8.0 * (cfg.t_end - cfg.t_init)) + 1)
 
 
 def validate_config(cfg):
@@ -183,8 +156,8 @@ def validate_config(cfg):
     if not cfg.nu > 0:
         bad("nu", f"viscosity must be positive, got {cfg.nu!r}")
     n = cfg.grid_n
-    if n < 8 or n & (n - 1):
-        bad("grid_n", f"must be a power of two >= 8, got {n!r}")
+    if n < 8 or n & (n - 1) or n > MAX_GRID_N:
+        bad("grid_n", f"must be a power of two in [8, {MAX_GRID_N}], got {n!r}")
     if not cfg.grid_l > 0:
         bad("grid_l", "box half-width must be positive")
     t_floor = 0.0 if cfg.mode == "picard" else 1.0
@@ -194,8 +167,19 @@ def validate_config(cfg):
         bad("t_end", "must exceed t_init")
     if not cfg.dtau > 0:
         bad("dtau", "step must be positive")
-    if cfg.samples_per_decade < 4:
-        bad("samples_per_decade", "cadence must be at least 4")
+    if not 4 <= cfg.samples_per_decade <= MAX_SAMPLES_PER_DECADE:
+        bad("samples_per_decade",
+            f"cadence must lie in [4, {MAX_SAMPLES_PER_DECADE}]")
+    # the frame evolver runs in simulate and linear, and in picard from t = 1
+    evolves = cfg.mode in ("simulate", "linear") or (
+        cfg.mode == "picard" and cfg.t_init >= 1.0)
+    if evolves and math.log(cfg.t_end / cfg.t_init) / cfg.dtau > MAX_STEPS:
+        bad("dtau", f"ln(t_end/t_init) / dtau exceeds {MAX_STEPS:g} steps")
+    # picard_samples(cfg) > MAX, without the count (which can overflow)
+    if (cfg.mode == "picard"
+            and 8.0 * (cfg.t_end - cfg.t_init) > MAX_PICARD_SAMPLES - 1):
+        bad("t_end", f"picard window needs more than {MAX_PICARD_SAMPLES} "
+                     "time samples (8 per unit time)")
     if not cfg.weights:
         bad("weights", "need at least one weight exponent")
     if any(not 0 <= w <= 12 for w in cfg.weights):
@@ -214,6 +198,4 @@ def validate_config(cfg):
 def override_config(cfg, **overrides):
     """Apply non-None overrides (CLI flags) and revalidate."""
     changes = {k: v for k, v in overrides.items() if v is not None}
-    out = replace(cfg, **changes)
-    validate_config(out)
-    return out
+    return validate_config(replace(cfg, **changes))

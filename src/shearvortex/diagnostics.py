@@ -8,13 +8,12 @@ coercive, and those constraints are validated on construction.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, FitError
 from .fokker_planck import gaussian
-from .grid import Field
 from .propagator import apply_semigroup as heat_shear_semigroup
 from .selfsim import invert_frame_laplacian
 from .spectral import derivative, lp_norm, mass, weighted_inner, weighted_norm
@@ -86,7 +85,6 @@ class RecordOptions:
     """Which quantities record() computes per sample."""
 
     weight_exponents: tuple = (2.0, 3.0)
-    derivative_norms: tuple = ()        # extra (m, a, b) weighted norms
     energy: EnergyCoefficients = None   # set to also record (E, D)
 
 
@@ -118,11 +116,8 @@ def record(state, opts=None):
     grid = om.grid
     diff = om - (state.alpha * gaussian(grid))
     lp = {p: float(lp_norm(om, p)) for p in P_GRID}
-    weighted = {}
-    for m in opts.weight_exponents:
-        weighted[(m, 0, 0)] = float(weighted_norm(om, m))
-    for m, a, b in opts.derivative_norms:
-        weighted[(m, a, b)] = float(weighted_norm(om, m, a, b))
+    weighted = {(m, 0, 0): float(weighted_norm(om, m))
+                for m in opts.weight_exponents}
     conv = {m: float(weighted_norm(diff, m)) for m in opts.weight_exponents}
     e = d = None
     if opts.energy is not None:

@@ -5,6 +5,8 @@ with 2, solver failures (divergence, blow-up, no convergence) with 3 and
 resolution problems (aliasing, truncation, under-resolved data) with 4.
 """
 
+import math
+
 
 class ShearVortexError(Exception):
     """Base class for all toolkit errors."""
@@ -31,6 +33,12 @@ class UnsupportedOrderError(ShearVortexError):
 
 class DomainError(ShearVortexError):
     """Argument outside the mathematical domain of an operation."""
+
+
+def check_positive(value, what):
+    """Raise DomainError unless value is a finite number > 0 (NaN fails)."""
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{what} must be positive and finite, got {value!r}")
 
 
 class AliasingError(ShearVortexError):

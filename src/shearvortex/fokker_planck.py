@@ -27,6 +27,8 @@ from .spectral import (
 
 SQRT3 = np.sqrt(3.0)
 
+RESOLVED_TAIL_TOL = 1e-8  # outer-band ratio that apply_semigroup accepts
+
 
 def gaussian(grid):
     """The unit-mass Gaussian equilibrium (1/4pi) exp(-r^2/4)."""
@@ -131,7 +133,7 @@ def _scale_stage(coeffs, grid, u11, u12, u22):
     return out
 
 
-def apply_semigroup(f, tau, tail_check=True):
+def apply_semigroup(f, tau):
     """Advance a field by the limit semigroup over a time tau >= 0.
 
     The zero mode is exactly preserved, so the mass of the field is
@@ -144,11 +146,11 @@ def apply_semigroup(f, tau, tail_check=True):
         raise DomainError("tau must be nonnegative")
     if tau == 0.0:
         return f
-    if tail_check:
-        r = spectral_tail_ratio(f)
-        if r > 1e-8:
-            raise ResolutionError(
-                f"spectrum not resolved: outer-band ratio {r:.2e} exceeds 1e-08")
+    r = spectral_tail_ratio(f)
+    if r > RESOLVED_TAIL_TOL:
+        raise ResolutionError(
+            f"spectrum not resolved: outer-band ratio {r:.2e} exceeds "
+            f"{RESOLVED_TAIL_TOL:g}")
     m = char_map(tau)
     # LU split: the backward map factors into a frequency shear followed by
     # an upper-triangular scaling; m11 > 0 for every tau >= 0.

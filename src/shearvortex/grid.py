@@ -38,8 +38,10 @@ class GridSpec:
         L, n = float(self.half_width), self.n
         if not (isinstance(n, (int, np.integer)) and n >= 8 and (n & (n - 1)) == 0):
             raise GridError(f"n must be a power of two >= 8, got {n!r}")
-        if not (L > 0.0 and np.isfinite(L)):
-            raise GridError(f"half_width must be positive and finite, got {L!r}")
+        # the spacing 2L/n and the band edge pi/spacing must be finite
+        if not (np.isfinite(L) and np.pi / np.finfo(float).max < 2.0 * L / n < np.inf):
+            raise GridError("half_width must be positive and finite with a "
+                            f"representable spacing and band, got {L!r}")
         if not isinstance(self.frame, Frame):
             raise GridError(f"frame must be a Frame, got {self.frame!r}")
         object.__setattr__(self, "half_width", L)
@@ -113,14 +115,6 @@ class Field:
         self.grid = grid
         self._values = values
         self._coeffs = coeffs
-
-    @classmethod
-    def from_values(cls, grid, values):
-        return cls(grid, values=values)
-
-    @classmethod
-    def from_coeffs(cls, grid, coeffs):
-        return cls(grid, coeffs=coeffs)
 
     @property
     def values(self):

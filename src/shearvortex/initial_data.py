@@ -7,32 +7,33 @@ so that downstream coordinate-weighted operations are trustworthy.
 
 import numpy as np
 
-from .errors import DomainError, ResolutionError, TruncationError
+from .errors import DomainError, ResolutionError
 from .fokker_planck import eigenfunction
 from .grid import Field
-from .spectral import mass, tail_mass_ratio
+from .spectral import check_localized, mass
 
 CATALOG = ("gaussian", "dipole", "point_vortex_approx", "random_localized",
            "eigenfunction")
 
 
-def _pair(value, name):
+def _pair(value):
+    """A scalar (used for both axes) or a 2-sequence, as two floats."""
     if np.isscalar(value):
         return float(value), float(value)
     v = tuple(float(c) for c in value)
     if len(v) != 2:
-        raise DomainError(f"{name} must be a scalar or a pair")
+        raise ValueError("expected a scalar or a pair")
     return v
 
 
 def _gauss_bump(grid, amplitude, center, widths):
     """Unit-mass anisotropic Gaussian scaled by amplitude.
 
-    widths are the variances of the two axes; width 2 on both axes gives
-    exactly the fixed frame Gaussian (1/4pi) exp(-r^2/4).
+    widths are the variances of the two axes (pairs, like center); width 2
+    on both axes gives exactly the fixed frame Gaussian (1/4pi) exp(-r^2/4).
     """
-    cx, cy = _pair(center, "center")
-    v1, v2 = _pair(widths, "widths")
+    cx, cy = center
+    v1, v2 = widths
     if v1 <= 0 or v2 <= 0:
         raise DomainError("widths must be positive variances")
     x, y = grid.meshgrid()
@@ -42,7 +43,7 @@ def _gauss_bump(grid, amplitude, center, widths):
     return Field(grid, values=vals)
 
 
-def make_field(entry, grid, seed=0, tail_tol=1e-8, params=None):
+def make_field(entry, grid, seed=0, params=None):
     """Build a catalog field; raises if the result is not localized.
 
     entries and parameters:
@@ -64,31 +65,34 @@ def make_field(entry, grid, seed=0, tail_tol=1e-8, params=None):
              "point_vortex_approx": _make_point_vortex,
              "random_localized": _make_random,
              "eigenfunction": _make_eigenfunction}[entry]
-    f = maker(grid, int(seed), params)
+
+    def take(name, default, conv=float):
+        value = params.pop(name, default)
+        try:
+            return conv(value)
+        except (TypeError, ValueError):
+            raise DomainError(f"initial data {entry!r}: parameter {name!r} "
+                              f"has invalid value {value!r}") from None
+
+    f = maker(grid, int(seed), take)
     if params:
         raise DomainError(
             f"unknown parameters for {entry!r}: {sorted(params)}")
-    ratio = tail_mass_ratio(f)
-    if ratio > tail_tol:
-        raise TruncationError(
-            f"initial data {entry!r} not localized on this grid: tail mass "
-            f"ratio {ratio:.2e} exceeds {tail_tol:g}", tail=ratio)
+    check_localized(f, f"initial data {entry!r}")
     return f
 
 
-def _make_gaussian(grid, seed, params):
+def _make_gaussian(grid, seed, take):
     # default variance 1, not 2: the width-2 profile (the fixed frame
     # Gaussian) only clears the half-box tail gate on boxes with L >= 18
-    return _gauss_bump(grid,
-                       float(params.pop("amplitude", 1.0)),
-                       params.pop("center", (0.0, 0.0)),
-                       params.pop("widths", 1.0))
+    return _gauss_bump(grid, take("amplitude", 1.0),
+                       take("center", 0.0, _pair), take("widths", 1.0, _pair))
 
 
-def _make_dipole(grid, seed, params):
-    sep = float(params.pop("separation", 4.0))
-    strength = float(params.pop("strength", 1.0))
-    widths = params.pop("widths", 1.0)
+def _make_dipole(grid, seed, take):
+    sep = take("separation", 4.0)
+    strength = take("strength", 1.0)
+    widths = take("widths", 1.0, _pair)
     if sep <= 0:
         raise DomainError("dipole separation must be positive")
     up = _gauss_bump(grid, strength, (0.0, sep / 2.0), widths)
@@ -96,21 +100,21 @@ def _make_dipole(grid, seed, params):
     return up - down
 
 
-def _make_point_vortex(grid, seed, params):
-    gamma = float(params.pop("gamma", 1.0))
-    eps = float(params.pop("eps", 0.5))
+def _make_point_vortex(grid, seed, take):
+    gamma = take("gamma", 1.0)
+    eps = take("eps", 0.5)
     if eps < 2.0 * grid.spacing:
         raise ResolutionError(
             f"mollification width {eps:g} under-resolved: needs at least "
             f"2 grid spacings ({2.0 * grid.spacing:g})")
     # unit-mass mollifier (pi eps^2)^-1 exp(-r^2/eps^2) times circulation
-    return _gauss_bump(grid, gamma, (0.0, 0.0), 0.5 * eps * eps)
+    return _gauss_bump(grid, gamma, (0.0, 0.0), _pair(0.5 * eps * eps))
 
 
-def _make_random(grid, seed, params):
-    amplitude = float(params.pop("amplitude", 1.0))
-    corr = float(params.pop("correlation", 1.0))
-    zero_mass = bool(params.pop("zero_mass", False))
+def _make_random(grid, seed, take):
+    amplitude = take("amplitude", 1.0)
+    corr = take("correlation", 1.0)
+    zero_mass = take("zero_mass", False, bool)
     if corr <= 0:
         raise DomainError("correlation length must be positive")
     rng = np.random.default_rng(seed)
@@ -130,11 +134,11 @@ def _make_random(grid, seed, params):
     if zero_mass:
         # subtract a narrow unit-mass bump; narrower than the frame
         # Gaussian so the correction never dominates the tail budget
-        f = f - float(mass(f)) * _gauss_bump(grid, 1.0, (0.0, 0.0), 1.0)
+        f = f - float(mass(f)) * _gauss_bump(grid, 1.0, (0.0, 0.0), (1.0, 1.0))
     return f
 
 
-def _make_eigenfunction(grid, seed, params):
-    a = int(params.pop("a", 0))
-    b = int(params.pop("b", 1))
+def _make_eigenfunction(grid, seed, take):
+    a = take("a", 0, int)
+    b = take("b", 1, int)
     return eigenfunction(a, b, grid)

@@ -26,6 +26,7 @@ from .errors import (
     DomainError,
     GridError,
     NoConvergenceError,
+    check_positive,
 )
 from .grid import Field
 from .spectral import (
@@ -45,8 +46,7 @@ def green_kernel(nu, t, x, y):
     """
     nu = float(nu)
     t = np.asarray(t, dtype=np.float64)
-    if nu <= 0:
-        raise DomainError(f"viscosity must be positive, got {nu!r}")
+    check_positive(nu, "viscosity")
     if np.any(t <= 0):
         raise DomainError("green_kernel requires t > 0")
     x = np.asarray(x, dtype=np.float64)
@@ -66,8 +66,7 @@ def symbol_value(nu, t, xi, eta):
     integral evaluates to xi^2 t + xi eta t^2 + eta^2 t + xi^2 t^3 / 3 and
     is nonnegative, so the multiplier never exceeds 1.
     """
-    if nu <= 0:
-        raise DomainError(f"viscosity must be positive, got {nu!r}")
+    check_positive(nu, "viscosity")
     t = np.asarray(t, dtype=np.float64)
     if np.any(t < 0):
         raise DomainError("symbol_value requires t >= 0")
@@ -89,8 +88,7 @@ def apply_semigroup(f, nu, t, alias_tol=_ALIAS_TOL):
     input was under-resolved and an AliasingError identifies the worst
     offending mode.
     """
-    if nu <= 0:
-        raise DomainError(f"viscosity must be positive, got {nu!r}")
+    check_positive(nu, "viscosity")
     t = float(t)
     if not 0.0 <= t < np.inf:
         raise DomainError(f"apply_semigroup requires a finite t >= 0, got {t!r}")
@@ -328,8 +326,11 @@ def duhamel_bilinear(traj1, traj2, t):
     return _duhamel_targets(traj1, traj2, [t])[0]
 
 
-def picard_solve(omega0, nu, horizon, n_times, max_iter=12, tol=1e-10,
-                 t_start=0.0):
+PICARD_MAX_ITER = 12  # iteration budget of picard_solve
+PICARD_TOL = 1e-10    # relative Kato-norm update that ends the iteration
+
+
+def picard_solve(omega0, nu, horizon, n_times, t_start=0.0):
     """Iterate the mild formulation to its fixed point on [t_start, t_start+horizon].
 
     The iteration maps a trajectory to (linear flow of the data) plus the
@@ -340,21 +341,18 @@ def picard_solve(omega0, nu, horizon, n_times, max_iter=12, tol=1e-10,
     the differences raises DivergenceError, exhausting the budget raises
     NoConvergenceError.
     """
-    if nu <= 0:
-        raise DomainError(f"viscosity must be positive, got {nu!r}")
+    check_positive(nu, "viscosity")
     if not 0 < horizon < np.inf or n_times < 2:
         raise DomainError("need a finite horizon > 0 and at least two sample times")
     if not 0 <= t_start < np.inf:
         raise DomainError("t_start must be finite and nonnegative")
-    if max_iter < 1:
-        raise DomainError(f"max_iter must be at least 1, got {max_iter!r}")
     times = tuple(t_start + horizon * j / (n_times - 1) for j in range(n_times))
     linear = tuple(apply_semigroup(omega0, nu, t - t_start) for t in times)
     traj = Trajectory(times=times, fields=linear, nu=nu)
     ratios = []
     dists = []
     last_dist = None
-    for _ in range(max_iter):
+    for _ in range(PICARD_MAX_ITER):
         correction = _duhamel_targets(traj, traj, times)
         new_fields = tuple(lin + cor for lin, cor in zip(linear, correction))
         diff = Trajectory(times=times, nu=nu,
@@ -372,8 +370,8 @@ def picard_solve(omega0, nu, horizon, n_times, max_iter=12, tol=1e-10,
                     "data too large for the contraction regime", ratios=ratios)
         traj = new_traj
         last_dist = dist
-        if dist <= tol * scale:
+        if dist <= PICARD_TOL * scale:
             return traj
     raise NoConvergenceError(
-        f"Picard iteration did not reach tol={tol:g} within {max_iter} iterations "
-        f"(last relative update {last_dist / scale:.3e})", residual=last_dist)
+        f"Picard iteration did not reach tol={PICARD_TOL:g} within {PICARD_MAX_ITER} "
+        f"iterations (last relative update {last_dist / scale:.3e})", residual=last_dist)

@@ -11,7 +11,7 @@ import os
 
 import numpy as np
 
-from .config import serialize_config
+from .config import picard_samples, serialize_config
 from .diagnostics import (
     EnergyCoefficients,
     RecordOptions,
@@ -133,6 +133,11 @@ def _record_options(cfg):
                                              m=cfg.weights[0]))
 
 
+def _step_control(cfg):
+    return StepControl(dtau=cfg.dtau, on_tail=cfg.on_tail,
+                       samples_per_decade=cfg.samples_per_decade)
+
+
 def _write_outputs(outdir, cfg, records, summary_lines):
     with open(os.path.join(outdir, "diagnostics.csv"), "w",
               encoding="ascii") as fh:
@@ -168,14 +173,11 @@ def _initial_state(cfg, frame_grid):
 def _run_evolution(cfg, outdir):
     frame_grid = make_grid(cfg.grid_l, cfg.grid_n, "selfsim")
     recorder = _Recorder(_record_options(cfg), outdir, cfg.snapshot_cadence)
-    control = StepControl(dtau=cfg.dtau,
-                          samples_per_decade=cfg.samples_per_decade,
-                          on_tail=cfg.on_tail)
     nonlinear = cfg.mode == "simulate"
     try:
         state0 = _initial_state(cfg, frame_grid)
-        final, _ = evolve(state0, cfg.t_end, control, nonlinear=nonlinear,
-                          observer=recorder)
+        final, _ = evolve(state0, cfg.t_end, _step_control(cfg),
+                          nonlinear=nonlinear, observer=recorder)
     except ShearVortexError as e:
         _fail(outdir, cfg, recorder.records, e)
         raise
@@ -261,7 +263,7 @@ def _run_picard(cfg, outdir):
     phys_grid = make_grid(cfg.grid_l, cfg.grid_n)
     recorder = _Recorder(_record_options(cfg), outdir, cfg.snapshot_cadence)
     span = cfg.t_end - cfg.t_init
-    n_times = max(17, int(np.ceil(8.0 * span)) + 1)
+    n_times = picard_samples(cfg)
     try:
         om0 = make_field(cfg.initial_data, phys_grid, cfg.seed,
                          params=cfg.initial_params)
@@ -272,9 +274,7 @@ def _run_picard(cfg, outdir):
             frame_grid = make_grid(cfg.grid_l, cfg.grid_n, "selfsim")
             state = phys_to_selfsim(om0, cfg.t_init, cfg.nu, frame_grid)
             recorder(state)
-            control = StepControl(dtau=cfg.dtau,
-                                  samples_per_decade=cfg.samples_per_decade,
-                                  on_tail=cfg.on_tail)
+            control = _step_control(cfg)
             sup_gap = 0.0
             for t_i, om_i in zip(traj.times[1:], traj.fields[1:]):
                 state, _ = evolve(state, float(t_i), control,

@@ -14,14 +14,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BlowUpError, DomainError, GridError, ResolutionError, TruncationError
+from .errors import (BlowUpError, DomainError, GridError, ResolutionError,
+                     TruncationError, check_positive)
 from .grid import Field, Frame
 from .spectral import (
     _alternating_signs,
     affine_trig_sum,
+    check_localized,
     dealias_mask,
     derivative,
-    lp_norm,
     mass,
     spectral_tail_ratio,
     tail_mass_ratio,
@@ -85,8 +86,8 @@ def selfsim_coords(t, nu, x, y):
     """Map physical coordinates to self-similar coordinates at time t."""
     t = float(t)
     nu = float(nu)
-    if t <= 0 or nu <= 0:
-        raise DomainError("selfsim coordinates need t > 0 and nu > 0")
+    check_positive(t, "time")
+    check_positive(nu, "viscosity")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     a = 1.0 + t * t / 3.0
@@ -128,23 +129,17 @@ class SelfSimilarState:
     def __post_init__(self):
         if self.omega.grid.frame != Frame.SELFSIM:
             raise GridError("state field must live on a selfsim-frame grid")
-        if self.t < 1.0:
-            raise DomainError(f"state time must be >= 1, got {self.t!r}")
-        if self.nu <= 0:
-            raise DomainError(f"viscosity must be positive, got {self.nu!r}")
+        if not 1.0 <= self.t < np.inf:
+            raise DomainError(f"state time must be finite and >= 1, got {self.t!r}")
+        check_positive(self.nu, "viscosity")
         if self.alpha is None:
             object.__setattr__(self, "alpha", mass(self.omega))
+        if not np.isfinite(self.alpha):
+            raise DomainError(f"state mass alpha must be finite, got {self.alpha!r}")
 
     @property
     def tau(self):
         return float(np.log(self.t))
-
-
-def _check_tail(f, tol, what):
-    r = tail_mass_ratio(f)
-    if r > tol:
-        raise TruncationError(
-            f"{what} not localized: tail mass ratio {r:.2e} exceeds {tol:g}", tail=r)
 
 
 # resampling evaluates the periodic extension of the source, so a target
@@ -161,7 +156,7 @@ def _check_wrap(f, what):
             "the source bulk (grids are incompatible at this time)", tail=r)
 
 
-def phys_to_selfsim(omega, t, nu, target_grid, tail_tol=1e-8):
+def phys_to_selfsim(omega, t, nu, target_grid):
     """Resample a physical-frame vorticity field into the frame at time t.
 
     Mass is preserved exactly in exact arithmetic (the amplitude cancels
@@ -171,7 +166,7 @@ def phys_to_selfsim(omega, t, nu, target_grid, tail_tol=1e-8):
         raise GridError("phys_to_selfsim expects a physical-frame field")
     if target_grid.frame != Frame.SELFSIM:
         raise GridError("target grid must be a selfsim-frame grid")
-    _check_tail(omega, tail_tol, "physical field")
+    check_localized(omega, "physical field")
     a, c, b = _frame_map(t, nu)
     # f(a X, c X + b Y) from the spectrum with origin-centred phases; target
     # points past the source box read its periodic extension
@@ -182,11 +177,11 @@ def phys_to_selfsim(omega, t, nu, target_grid, tail_tol=1e-8):
     return SelfSimilarState(omega=out, t=float(t), nu=float(nu))
 
 
-def selfsim_to_phys(state, target_grid, tail_tol=1e-8):
+def selfsim_to_phys(state, target_grid):
     """Resample a frame state back to a physical-frame vorticity field."""
     if target_grid.frame != Frame.PHYSICAL:
         raise GridError("target grid must be a physical-frame grid")
-    _check_tail(state.omega, tail_tol, "frame field")
+    check_localized(state.omega, "frame field")
     a, c, b = _frame_map(state.t, state.nu)
     # inverse of (x, y) = (a X, c X + b Y) is lower triangular as well
     chat = state.omega.coeffs * _alternating_signs(state.omega.grid.n)
@@ -253,8 +248,7 @@ def nonlinear_term(f, t, nu):
     A Poisson bracket of the field with its frame stream function; exactly
     mass-free, and weighted by 1/(nu (1 + t^2/12)).
     """
-    if nu <= 0:
-        raise DomainError(f"viscosity must be positive, got {nu!r}")
+    check_positive(nu, "viscosity")
     grid = f.grid
     keep = dealias_mask(grid)
     fd = Field(grid, coeffs=f.coeffs * keep)
@@ -268,18 +262,22 @@ def nonlinear_term(f, t, nu):
     return Field(grid, coeffs=bracket.coeffs * keep * (co.nonlin / nu))
 
 
+GROWTH_FACTOR = 10.0      # one-step L2 growth that flags instability
+MAX_HALVINGS = 3          # step halvings tried before BlowUpError
+CFL_LIMIT = 1.7           # bound on dtau * skew advection rate
+MONITOR_TAIL_TOL = 1e-6   # spectral and box tail the monitor allows
+MONITOR_EVERY = 25        # steps between in-interval monitor checks
+
+
 @dataclass(frozen=True)
 class StepControl:
-    """Evolver step-size and monitoring knobs."""
+    """Evolver step size, sampling cadence and tail action; the other step
+    controls are the constants GROWTH_FACTOR, MAX_HALVINGS, CFL_LIMIT,
+    MONITOR_TAIL_TOL and MONITOR_EVERY."""
 
     dtau: float = 2e-3
     samples_per_decade: int = 16
-    growth_factor: float = 10.0   # one-step L2 growth that flags instability
-    max_halvings: int = 3
-    cfl_limit: float = 1.7        # bound on dtau * skew advection rate
-    tail_tol: float = 1e-6
     on_tail: str = "error"        # "error", "warn" or "ignore"
-    check_every: int = 25
 
     def __post_init__(self):
         if self.dtau <= 0:
@@ -300,10 +298,10 @@ def _tail_monitor(f, control, t):
     spec_tail = spectral_tail_ratio(f)
     phys_tail = tail_mass_ratio(f)
     worst = max(spec_tail, phys_tail)
-    if worst <= control.tail_tol:
+    if worst <= MONITOR_TAIL_TOL:
         return
     msg = (f"resolution monitor at t={t:.6g}: spectral tail {spec_tail:.2e}, "
-           f"box tail {phys_tail:.2e} exceed {control.tail_tol:g}")
+           f"box tail {phys_tail:.2e} exceed {MONITOR_TAIL_TOL:g}")
     if control.on_tail == "error":
         raise ResolutionError(msg)
     if control.on_tail == "warn":
@@ -329,7 +327,6 @@ def evolve(state, t_end, control=None, nonlinear=True, observer=None):
     grid = state.omega.grid
     nu = state.nu
     alpha = state.alpha
-    kx, ky = grid.wavegrid()
 
     def rhs(tau_s, coeffs, sym_mid):
         t_s = np.exp(tau_s)
@@ -363,14 +360,14 @@ def evolve(state, t_end, control=None, nonlinear=True, observer=None):
             h = min(control.dtau, target - tau)
             t_mid = np.exp(tau + 0.5 * h)
             rate = _skew_rate(FrameCoefficients.at_time(t_mid), grid)
-            if h * rate > control.cfl_limit:
+            if h * rate > CFL_LIMIT:
                 raise ResolutionError(
                     f"tau step {h:.3e} exceeds stability bound "
-                    f"{control.cfl_limit / rate:.3e} at t={t_mid:.4g} "
+                    f"{CFL_LIMIT / rate:.3e} at t={t_mid:.4g} "
                     "(refine dtau or coarsen the grid)")
             norm0 = float(np.linalg.norm(c))
             attempt = h
-            for halving in range(control.max_halvings + 1):
+            for halving in range(MAX_HALVINGS + 1):
                 c_new = c
                 tau_new = tau
                 nsub = 2 ** halving
@@ -391,19 +388,19 @@ def evolve(state, t_end, control=None, nonlinear=True, observer=None):
                     if not np.all(np.isfinite(c_new)):
                         ok = False
                         break
-                if ok and float(np.linalg.norm(c_new)) <= control.growth_factor * max(norm0, 1e-300):
+                if ok and float(np.linalg.norm(c_new)) <= GROWTH_FACTOR * max(norm0, 1e-300):
                     break
                 attempt *= 0.5
             else:
                 raise BlowUpError(
                     f"instability at t={np.exp(tau):.4g}: one-step growth exceeded "
-                    f"{control.growth_factor}x even after {control.max_halvings} halvings",
+                    f"{GROWTH_FACTOR}x even after {MAX_HALVINGS} halvings",
                     last_state=replace(state, omega=Field(grid, coeffs=c),
                                        t=float(np.exp(tau)), alpha=alpha))
             c = c_new
             tau = tau_new
             steps_done += 1
-            if steps_done % control.check_every == 0:
+            if steps_done % MONITOR_EVERY == 0:
                 _tail_monitor(Field(grid, coeffs=c), control, np.exp(tau))
         state = SelfSimilarState(omega=Field(grid, coeffs=c), t=float(np.exp(tau)),
                                  nu=nu, alpha=alpha)

@@ -4,9 +4,11 @@ Payload: little-endian IEEE-754 doubles of the physical-space samples,
 row major with the second axis fastest. Sidecar (path + ".meta") lists
 every metadata key needed to rebuild the object and a sha256 of the
 payload; reads validate the checksum and every structural invariant
-before constructing anything.
+before constructing anything. Both files are written beside their targets
+and moved into place, payload first, so no partial file takes their names.
 """
 
+import contextlib
 import hashlib
 import os
 
@@ -20,6 +22,23 @@ _FORMAT = "shearvortex-snapshot-1"
 
 def _sidecar(path):
     return os.fspath(path) + ".meta"
+
+
+def _replace_files(items):
+    """Write each (path, bytes) pair to path + ".tmp", then move the files
+    into place in order; a failed write touches no target."""
+    tmps = [os.fspath(path) + ".tmp" for path, _ in items]
+    try:
+        for tmp, (_, data) in zip(tmps, items):
+            with open(tmp, "wb") as fh:
+                fh.write(data)
+    except BaseException:
+        for tmp in tmps:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+        raise
+    for tmp, (path, _) in zip(tmps, items):
+        os.replace(tmp, path)
 
 
 def write_snapshot(obj, path):
@@ -44,11 +63,8 @@ def write_snapshot(obj, path):
         "sha256": hashlib.sha256(payload).hexdigest(),
     }
     meta.update(meta_extra)
-    with open(path, "wb") as fh:
-        fh.write(payload)
-    with open(_sidecar(path), "w", encoding="ascii") as fh:
-        for k in sorted(meta):
-            fh.write(f"{k} = {meta[k]}\n")
+    sidecar = "".join(f"{k} = {meta[k]}\n" for k in sorted(meta))
+    _replace_files([(path, payload), (_sidecar(path), sidecar.encode("ascii"))])
 
 
 def read_metadata(path):
@@ -56,15 +72,19 @@ def read_metadata(path):
     side = _sidecar(path)
     if not os.path.exists(side):
         raise SnapshotError(f"missing sidecar {side}")
+    try:
+        with open(side, encoding="ascii") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as e:
+        raise SnapshotError(f"sidecar {side} is not ASCII: {e}") from None
     meta = {}
-    with open(side, encoding="ascii") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            key, sep, val = line.partition("=")
-            if not sep:
-                raise SnapshotError(f"malformed sidecar line {line.strip()!r}")
-            meta[key.strip()] = val.strip()
+    for line in lines:
+        if not line.strip():
+            continue
+        key, sep, val = line.partition("=")
+        if not sep:
+            raise SnapshotError(f"malformed sidecar line {line.strip()!r}")
+        meta[key.strip()] = val.strip()
     if meta.get("format") != _FORMAT:
         raise SnapshotError(f"unrecognized snapshot format {meta.get('format')!r}")
     return meta

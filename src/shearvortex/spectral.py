@@ -6,25 +6,12 @@ periodic spectral representation is accurate. Quadrature is the rectangle
 rule, exact for resolved trigonometric content.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DomainError, UnsupportedOrderError
+from .errors import DomainError, TruncationError, UnsupportedOrderError
 from .grid import Field
 
 MAX_DERIVATIVE_ORDER = 4
-
-
-@dataclass(frozen=True)
-class WeightSpec:
-    """Polynomial weight <x> = (1 + |x|^2)^(1/2) raised to the power m."""
-
-    m: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.m <= 12.0 and np.isfinite(self.m)):
-            raise DomainError(f"weight exponent must lie in [0, 12], got {self.m!r}")
 
 
 def to_spectral(f):
@@ -120,14 +107,16 @@ def weight_array(grid, m):
     return (1.0 + x1 ** 2 + x2 ** 2) ** (0.5 * m)
 
 
-def weighted_norm(f, weight, a=0, b=0):
-    """Weighted Sobolev-type seminorm: L^2 norm of <x>^m d^a d^b f.
+def weighted_norm(f, m, a=0, b=0):
+    """Weighted Sobolev-type seminorm: L^2 norm of <x>^m d^a d^b f, with
+    the polynomial weight <x> = (1 + |x|^2)^(1/2) and m in [0, 12].
 
     Derivatives up to total order 3 are supported here; they are taken
     spectrally and the weight is applied in physical space.
     """
-    m = weight.m if isinstance(weight, WeightSpec) else float(weight)
-    WeightSpec(m)  # validate range
+    m = float(m)
+    if not 0.0 <= m <= 12.0:
+        raise DomainError(f"weight exponent must lie in [0, 12], got {m!r}")
     if a + b > 3:
         raise UnsupportedOrderError(f"weighted norm supports a+b <= 3, got ({a}, {b})")
     g = derivative(f, a, b)
@@ -172,6 +161,9 @@ def spectral_tail_ratio(f):
     return float(c[outer].max() / peak)
 
 
+TAIL_MASS_TOL = 1e-8  # largest tail mass ratio of a localized field
+
+
 def tail_mass_ratio(f):
     """Fraction of the L^1 mass outside the half-box |x|, |y| <= L/2."""
     L = f.grid.half_width
@@ -182,6 +174,14 @@ def tail_mass_ratio(f):
         return 0.0
     outside = (np.abs(x1) > 0.5 * L) | (np.abs(x2) > 0.5 * L)
     return float(v[outside].sum() / total)
+
+
+def check_localized(f, what):
+    """Raise TruncationError if f's tail mass ratio exceeds TAIL_MASS_TOL."""
+    r = tail_mass_ratio(f)
+    if r > TAIL_MASS_TOL:
+        raise TruncationError(f"{what} not localized: tail mass ratio {r:.2e} "
+                              f"exceeds {TAIL_MASS_TOL:g}", tail=r)
 
 
 def shear_spectrum(coeffs, grid, slope):

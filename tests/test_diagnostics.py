@@ -55,11 +55,8 @@ def test_record_convergence_columns_measure_the_perturbation(small_grid):
 def test_record_optional_columns(small_grid):
     om = gaussian(small_grid) + eigenfunction(0, 1, small_grid)
     state = SelfSimilarState(omega=om, t=2.0, nu=1.0)
-    opts = RecordOptions(derivative_norms=((2.0, 1, 0),),
-                         energy=EnergyCoefficients.from_scale())
+    opts = RecordOptions(energy=EnergyCoefficients.from_scale())
     rec = record(state, opts)
-    assert rec.weighted[(2.0, 1, 0)] == pytest.approx(
-        float(weighted_norm(om, 2.0, 1, 0)), rel=1e-12)
     e, d = energy_functionals(om, 2.0, opts.energy)
     assert rec.energy == pytest.approx(e, rel=1e-12)
     assert rec.dissipation == pytest.approx(d, rel=1e-12)

@@ -45,6 +45,10 @@ def test_grid_rejects_bad_half_width():
         make_grid(-1.0, 64)
     with pytest.raises(GridError):
         make_grid(np.inf, 64)
+    # spacing or wavenumbers that overflow or underflow a double
+    for half_width in (5e-324, 1e-310, 1.7e308, np.nan):
+        with pytest.raises(GridError):
+            make_grid(half_width, 8)
 
 
 def test_grid_integer_wavenumbers_at_half_width_pi():

@@ -20,6 +20,7 @@ from shearvortex import (
 from shearvortex.fokker_planck import gaussian
 from shearvortex.initial_data import make_field
 from shearvortex.propagator import _duhamel_targets, symbol_value
+from shearvortex.selfsim import nonlinear_term, selfsim_coords
 
 from conftest import localized_field
 from oracles import KATO_SINGLE_G, KERNEL_CENTER, SYMBOL_1110, duhamel_direct
@@ -295,8 +296,26 @@ def test_picard_rejects_bad_arguments(phys_grid):
     for t_start in (np.nan, np.inf, -1.0):
         with pytest.raises(DomainError):
             picard_solve(f, 1.0, 1.0, 5, t_start=t_start)
+
+
+@pytest.mark.parametrize("nu", [np.nan, np.inf])
+@pytest.mark.parametrize("site", ["green_kernel", "symbol_value",
+                                  "apply_semigroup", "picard_solve",
+                                  "nonlinear_term", "selfsim_coords"])
+def test_viscosity_must_be_positive_and_finite(site, nu):
+    g = make_grid(16.0, 32)
+    f = localized_field(g, seed=2)
+    frame_f = localized_field(make_grid(16.0, 32, "selfsim"), seed=2)
+    call = {
+        "green_kernel": lambda: green_kernel(nu, 1.0, 0.0, 0.0),
+        "symbol_value": lambda: symbol_value(nu, 1.0, 0.5, 0.5),
+        "apply_semigroup": lambda: apply_semigroup(f, nu, 0.5),
+        "picard_solve": lambda: picard_solve(f, nu, 0.5, 3),
+        "nonlinear_term": lambda: nonlinear_term(frame_f, 2.0, nu),
+        "selfsim_coords": lambda: selfsim_coords(2.0, nu, 0.0, 0.0),
+    }[site]
     with pytest.raises(DomainError):
-        picard_solve(f, 1.0, 1.0, 5, max_iter=0)
+        call()
 
 
 # ------------------------------------------------------------ kato norm

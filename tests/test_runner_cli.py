@@ -199,6 +199,27 @@ def test_non_ascii_config_exits_2(tmp_path, capsys):
     assert "ASCII" in err
 
 
+@pytest.mark.parametrize("entry, params, name", [
+    ("gaussian", "amplitude=abc", "amplitude"),
+    ("gaussian", "center=1:x", "center"),
+    ("gaussian", "widths=1:2:3", "widths"),
+    ("eigenfunction", "a=x", "a"),
+    ("point_vortex_approx", "eps=abc", "eps"),
+    ("random_localized", "correlation=1:2", "correlation"),
+])
+def test_non_numeric_initial_params_exit_2(tmp_path, capsys, entry, params,
+                                           name):
+    cfg = write_config(tmp_path, (
+        f"initial_data = {entry}\n"
+        f"initial_params = {params}\n"
+        "grid_n = 16\n"))
+    out = str(tmp_path / "out")
+    assert main(["fp-decay", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "DomainError" in err
+    assert repr(entry) in err and repr(name) in err
+
+
 def test_missing_snapshot_exits_2(tmp_path, capsys):
     assert main(["snapshot-info", str(tmp_path / "absent.snap")]) == 2
     assert "error" in capsys.readouterr().err

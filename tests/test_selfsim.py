@@ -26,6 +26,7 @@ from shearvortex import (
     selfsim_coords,
     selfsim_to_phys,
 )
+from shearvortex import selfsim
 from shearvortex.errors import TruncationError
 from shearvortex.fokker_planck import eigenfunction, gaussian
 from shearvortex.initial_data import make_field
@@ -387,11 +388,13 @@ def test_evolve_third_order_in_step_size():
     assert order >= 2.7
 
 
-def test_evolve_blowup_detector_reports_last_state():
+def test_evolve_blowup_detector_reports_last_state(monkeypatch):
     g = make_grid(16.0, 128, "selfsim")
     f = localized_field(g, seed=15)
     state = SelfSimilarState(omega=f, t=1.0, nu=1.0)
-    control = StepControl(dtau=2e-3, growth_factor=0.5, max_halvings=1)
+    monkeypatch.setattr(selfsim, "GROWTH_FACTOR", 0.5)
+    monkeypatch.setattr(selfsim, "MAX_HALVINGS", 1)
+    control = StepControl(dtau=2e-3)
     with pytest.raises(BlowUpError) as info:
         evolve(state, 2.0, control=control, nonlinear=False)
     assert info.value.last_state is not None

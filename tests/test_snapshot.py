@@ -1,14 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shearvortex import (
     SelfSimilarState,
     make_grid,
     read_metadata,
     read_snapshot,
+    snapshot,
     write_snapshot,
 )
-from shearvortex.errors import ChecksumError, GridError, SnapshotError
+from shearvortex.errors import (
+    ChecksumError,
+    DomainError,
+    GridError,
+    ShearVortexError,
+    SnapshotError,
+)
 
 from conftest import localized_field
 
@@ -114,6 +123,19 @@ def test_grid_mismatch_on_request(field, tmp_path):
     read_snapshot(path, grid=field.grid)
 
 
+def _edit_sidecar(path, key, value):
+    """Rewrite one sidecar line (value None drops it)."""
+    side = str(path) + ".meta"
+    with open(side, encoding="ascii") as fh:
+        lines = fh.readlines()
+    with open(side, "w", encoding="ascii") as fh:
+        for line in lines:
+            if line.split("=")[0].strip() != key:
+                fh.write(line)
+            elif value is not None:
+                fh.write(f"{key} = {value}\n")
+
+
 @pytest.mark.parametrize("key, value", [
     ("n", "abc"),
     ("frame", "bogus"),
@@ -125,15 +147,101 @@ def test_bad_sidecar_value_is_a_snapshot_error(field, tmp_path, key, value):
     # every parse failure names its key; value None drops the line
     path = tmp_path / "state.snap"
     write_snapshot(SelfSimilarState(omega=field, t=2.0, nu=0.5), path)
-    side = str(path) + ".meta"
-    with open(side, encoding="ascii") as fh:
-        lines = fh.readlines()
-    with open(side, "w", encoding="ascii") as fh:
-        for line in lines:
-            if line.split("=")[0].strip() != key:
-                fh.write(line)
-            elif value is not None:
-                fh.write(f"{key} = {value}\n")
+    _edit_sidecar(path, key, value)
     with pytest.raises(SnapshotError) as info:
         read_snapshot(path)
     assert repr(key) in str(info.value)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("t", "nan"), ("t", "inf"), ("nu", "nan"), ("nu", "inf"),
+    ("alpha", "nan"), ("alpha", "inf"),
+])
+def test_non_finite_state_is_rejected(field, tmp_path, key, value):
+    good = {"t": 2.0, "nu": 0.5, "alpha": 1.0}
+    with pytest.raises(DomainError):
+        SelfSimilarState(omega=field, **dict(good, **{key: float(value)}))
+    path = tmp_path / "state.snap"
+    write_snapshot(SelfSimilarState(omega=field, **good), path)
+    _edit_sidecar(path, key, value)
+    with pytest.raises(DomainError):
+        read_snapshot(path)
+
+
+class _DiskFull:
+    """File stand-in that takes half of one write, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+@pytest.mark.parametrize("failing_call", [0, 1])
+def test_failed_write_keeps_the_old_snapshot(field, tmp_path, monkeypatch,
+                                             failing_call):
+    # the payload (call 0) or the sidecar (call 1) write fails halfway
+    path = tmp_path / "state.snap"
+    old = SelfSimilarState(omega=field, t=2.0, nu=0.5)
+    write_snapshot(old, path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    calls = []
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        calls.append(file)
+        return _DiskFull(fh) if len(calls) - 1 == failing_call else fh
+
+    monkeypatch.setattr(snapshot, "open", failing_open, raising=False)
+    new = SelfSimilarState(omega=field * 2.0, t=3.0, nu=0.5)
+    with pytest.raises(OSError):
+        write_snapshot(new, path)
+    monkeypatch.undo()
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    back = read_snapshot(path)
+    assert back.t == 2.0
+    assert np.array_equal(back.omega.values, field.values)
+
+
+@pytest.fixture(scope="module")
+def state_snapshot(tmp_path_factory):
+    """Path of a small state snapshot, its payload and its sidecar lines."""
+    grid = make_grid(16.0, 8, "selfsim")
+    field = localized_field(grid, seed=22)
+    path = tmp_path_factory.mktemp("snap") / "state.snap"
+    write_snapshot(SelfSimilarState(omega=field, t=2.0, nu=0.5), path)
+    with open(str(path) + ".meta", encoding="ascii") as fh:
+        return path, path.read_bytes(), fh.read().splitlines()
+
+
+_VALUE = st.one_of(st.text(max_size=20), st.floats().map(repr),
+                   st.integers().map(str))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_sidecar_raises_only_toolkit_errors(state_snapshot, data):
+    path, payload, lines = state_snapshot
+    i = data.draw(st.integers(0, len(lines) - 1))
+    key = lines[i].split("=")[0].strip()
+    mutation = data.draw(st.one_of(
+        _VALUE.map(lambda v: f"{key} = {v}"),   # new value
+        st.text(max_size=30),                   # arbitrary line
+        st.just(None),                          # line dropped
+    ))
+    mutated = lines[:i] + ([] if mutation is None else [mutation]) + lines[i + 1:]
+    path.write_bytes(payload)
+    with open(str(path) + ".meta", "w", encoding="utf-8") as fh:
+        fh.write("\n".join(mutated) + "\n")
+    try:
+        read_snapshot(path)
+    except ShearVortexError:
+        pass
