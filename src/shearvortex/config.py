@@ -85,13 +85,14 @@ def _parse_params(text):
 
 
 # (parse, format) of a value by the declared type of its RunConfig field;
-# parse raises ValueError on text it cannot read
+# parse raises ValueError on text it cannot read. Floats are formatted as
+# Python floats, so a NumPy scalar writes the same text as its float twin
 _CODECS = {
     str: (str, str),
     int: (int, str),
-    float: (float, repr),
+    float: (float, lambda v: repr(float(v))),
     tuple: (lambda text: tuple(float(w) for w in text.split(",") if w.strip()),
-            lambda values: ", ".join(repr(w) for w in values)),
+            lambda values: ", ".join(repr(float(w)) for w in values)),
     dict: (_parse_params, lambda params: ", ".join(
         f"{k}={_fmt_scalar(v)}" for k, v in sorted(params.items()))),
 }

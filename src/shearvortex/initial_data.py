@@ -26,6 +26,21 @@ def _pair(value):
     return v
 
 
+def _flag(value):
+    """A real boolean: no other value is read as true or false."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError
+    return bool(value)
+
+
+def _order(value):
+    """A nonnegative integral number (2 and 2.0 alike) as an int."""
+    v = float(value)
+    if not (v >= 0 and v.is_integer()):
+        raise ValueError
+    return int(v)
+
+
 def _gauss_bump(grid, amplitude, center, widths):
     """Unit-mass anisotropic Gaussian scaled by amplitude.
 
@@ -70,7 +85,7 @@ def make_field(entry, grid, seed=0, params=None):
         value = params.pop(name, default)
         try:
             return conv(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise DomainError(f"initial data {entry!r}: parameter {name!r} "
                               f"has invalid value {value!r}") from None
 
@@ -114,7 +129,7 @@ def _make_point_vortex(grid, seed, take):
 def _make_random(grid, seed, take):
     amplitude = take("amplitude", 1.0)
     corr = take("correlation", 1.0)
-    zero_mass = take("zero_mass", False, bool)
+    zero_mass = take("zero_mass", False, _flag)
     if corr <= 0:
         raise DomainError("correlation length must be positive")
     rng = np.random.default_rng(seed)
@@ -139,6 +154,6 @@ def _make_random(grid, seed, take):
 
 
 def _make_eigenfunction(grid, seed, take):
-    a = take("a", 0, int)
-    b = take("b", 1, int)
+    a = take("a", 0, _order)
+    b = take("b", 1, _order)
     return eigenfunction(a, b, grid)

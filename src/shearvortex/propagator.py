@@ -9,13 +9,15 @@ characteristic transport is a frequency shear (a modulation in physical
 space) and the damping is a diagonal multiplier.
 
 The bilinear Duhamel term of the mild formulation is marched in time with
-the semigroup property, so one Picard iteration costs a number of
-propagations linear in the number of time samples. Every propagation of
-the advection divergence is vetted for aliasing against every target time
-it contributes to.
+the semigroup property, integrating each sample interval once by Gauss
+panels graded at the band's fastest decay rate, so one Picard iteration
+costs a number of propagations linear in the number of time samples. Every
+quadrature node is vetted for aliasing against every target time it
+contributes to.
 """
 
 import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,36 +233,48 @@ def _gl_nodes(a, b):
     return mid + rad * _GL_NODES, rad * _GL_WEIGHTS
 
 
+def _panel_set(a, b, rate):
+    """Gauss-Legendre nodes/weights on [a, b] for an integrand decaying
+    like exp(-rate (b - s)): 8-point panels with breaks b - d/2, b - d/4,
+    ... (d = b - a), as many as bring rate times the length of the last
+    panel down to 4, i.e. 1 + ceil(log2(rate d / 4)) if rate d > 4, else 1.
+    """
+    d = b - a
+    depth = 1 + max(0, math.ceil(math.log2(rate * d / 4.0)))
+    breaks = [a] + [b - d / 2.0 ** j for j in range(1, depth)] + [b]
+    nodes, weights = zip(*map(_gl_nodes, breaks[:-1], breaks[1:]))
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
 def _duhamel_targets(traj1, traj2, targets):
     """Bilinear Duhamel integrals at several target times, in one march.
 
     Each target t gets -(integral over s in [t_0, t] of S(t - s) g(s)),
     where g is the advection divergence of the pair and S the propagator.
-    The quadrature is composite 8-point Gauss-Legendre: one panel on each
-    sample interval below t, and the interval [t_m, t] ending at t split
-    into four panels graded toward s = t, where the symbol varies fastest.
-
-    The single panels are not re-summed per target. One accumulator
-    J_k = sum over the panels in [t_0, t_k] of w S(t_k - s) g(s) is marched
-    with J_{k+1} = S(t_{k+1} - t_k) J_k + (panel on [t_k, t_{k+1}]), and
-    target t is S(t - t_m) J_m plus its graded panels. Every g(s) is
-    evaluated once, so the cost is linear in the number of samples; the
-    semigroup property makes this equal the per-target sum up to the
-    composition error of the discrete shear (~1e-8 relative at n=128).
+    One accumulator J_k = integral over [t_0, t_k] of S(t_k - s) g(s) is
+    marched with J_{k+1} = S(t_{k+1} - t_k) J_k + (panel set on
+    [t_k, t_{k+1}]), the panels graded toward t_{k+1} at the band's fastest
+    decay rate 2 nu k_max^2 (one 8-node panel while rate times the interval
+    is at most 4). A sample target t_k is J_k itself; a target t in
+    (t_k, t_{k+1}) is S(t - t_k) J_k plus one panel set on [t_k, t]. So
+    every interval is integrated once and the cost is linear in the number
+    of samples; the semigroup property makes this equal the per-target sum
+    up to the composition error of the discrete shear (~1e-8 relative at
+    n=128).
     """
     if traj1.nu != traj2.nu or traj1.times != traj2.times:
         raise GridError("duhamel term needs trajectories on a common time grid")
     nu = traj1.nu
     grid = traj1.grid
     ts = traj1.times
+    rate = 2.0 * nu * grid.k_max ** 2
     targets = [float(t) for t in targets]
-    starts = {}
+    reads = {}  # target t -> index k of the accumulator J_k it starts from
     for t in targets:
         if not ts[0] <= t <= ts[-1] + 1e-12:
             raise DomainError(f"target time {t} outside trajectory range")
         if t > ts[0]:
-            # the graded interval starts at the last sample below t
-            starts[t] = max(0, bisect.bisect_left(ts, t - 1e-14) - 1)
+            reads[t] = bisect.bisect_right(ts, t) - 1
     zero = np.zeros((grid.n,) * 2, dtype=complex)
 
     def divergence(s):
@@ -268,53 +282,40 @@ def _duhamel_targets(traj1, traj2, targets):
         w2 = w1 if traj2 is traj1 else _field_at(traj2, s)
         return _advection_divergence(w1, w2)
 
-    def propagate(f, t):
-        # only ever applied to vetted content; see the node vetting below
-        return apply_semigroup(f, nu, t, alias_tol=None).coeffs
+    def propagate(c, t):
+        # only ever applied to vetted content; see panels below
+        return apply_semigroup(Field(grid, coeffs=c), nu, t,
+                               alias_tol=None).coeffs
 
-    def graded(a, t):
+    def panels(a, b, later):
+        # Sum of w S(b - s) g(s) over the panel set on [a, b]; each g(s) is
+        # first vetted at lag t - s for every target t in later, by
+        # apply_semigroup's own check. J is then propagated unvetted: drop
+        # sets compose on the band (a mode's destination eta - lag*xi moves
+        # monotonically with the lag, and the band is an interval), so what
+        # S(t - t_k) drops from S(t_k - s) g(s) is exactly what S(t - s)
+        # drops from g(s). Vetting J instead would flag the ~1e-8
+        # interpolation leakage of the discrete shear, which is not aliasing.
         total = zero.copy()
-        d = t - a
-        breaks = (a, a + 0.5 * d, a + 0.75 * d, a + 0.875 * d, t)
-        for lo, hi in zip(breaks[:-1], breaks[1:]):
-            nodes, weights = _gl_nodes(lo, hi)
-            for s, w in zip(nodes, weights):
-                total += w * apply_semigroup(divergence(s), nu, t - s).coeffs
-        return total
-
-    done = {}
-    last = max(starts.values(), default=-1)
-    acc = zero  # J_k
-    for k in range(last + 1):
-        # S(t_{k+1} - t_k) J_k, shared by J_{k+1} and the target t_{k+1}
-        shifted = propagate(Field(grid, coeffs=acc), ts[k + 1] - ts[k]) \
-            if k < last else None
-        for t in [t for t, m in starts.items() if m == k]:
-            if shifted is not None and t == ts[k + 1]:
-                base = shifted
-            else:
-                base = propagate(Field(grid, coeffs=acc), t - ts[k])
-            done[t] = Field(grid, coeffs=-(base + graded(ts[k], t)))
-        if k == last:
-            break
-        # Each node of this panel is vetted against every target whose
-        # quadrature includes it, at lag t - s, by apply_semigroup's own
-        # check (same decay weights, same reference max|g(s)|), before g(s)
-        # enters J. J itself is then propagated unvetted: drop sets compose
-        # on the band (a mode's destination eta - lag*xi moves monotonically
-        # with the lag, and the band is an interval), so what S(t - t_k)
-        # drops from S(t_k - s) g(s) is exactly what S(t - s) drops from
-        # g(s). Vetting J instead would flag the ~1e-8 interpolation
-        # leakage of the discrete shear, which is not aliasing.
-        later = [t for t, m in starts.items() if m > k]
-        nodes, weights = _gl_nodes(ts[k], ts[k + 1])
-        acc = shifted.copy()
-        for s, w in zip(nodes, weights):
+        for s, w in zip(*_panel_set(a, b, rate)):
             g = divergence(s)
             _check_alias(g, nu, [t - s for t in later], _ALIAS_TOL)
-            acc += w * propagate(g, ts[k + 1] - s)
-    zero_field = Field(grid, coeffs=zero)
-    return [done.get(t, zero_field) for t in targets]
+            total += w * propagate(g.coeffs, b - s)
+        return total
+
+    done = {ts[0]: Field(grid, coeffs=zero)}
+    acc = zero  # J_k
+    last = max(reads.values(), default=0)
+    for k in range(last + 1):
+        for t in [t for t, m in reads.items() if m == k]:
+            part = acc if t == ts[k] else (
+                propagate(acc, t - ts[k]) + panels(ts[k], t, [t]))
+            done[t] = Field(grid, coeffs=-part)
+        if k < last:
+            later = [t for t, m in reads.items() if m > k]
+            acc = (propagate(acc, ts[k + 1] - ts[k])
+                   + panels(ts[k], ts[k + 1], later))
+    return [done[t] for t in targets]
 
 
 def duhamel_bilinear(traj1, traj2, t):

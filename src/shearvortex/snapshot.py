@@ -121,8 +121,9 @@ def read_snapshot(path, grid=None):
     with open(path, "rb") as fh:
         payload = fh.read()
     if len(payload) != declared:
-        raise SnapshotError(
-            f"truncated payload: expected {declared} bytes, found {len(payload)}")
+        state = "truncated" if len(payload) < declared else "oversized"
+        raise SnapshotError(f"{state} payload: expected {declared} bytes, "
+                            f"found {len(payload)}")
     if hashlib.sha256(payload).hexdigest() != digest:
         raise ChecksumError(f"payload checksum mismatch for {path}")
     stored_grid = make_grid(half_width, n, frame)

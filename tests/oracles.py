@@ -3,9 +3,9 @@
 Everything here is deliberately built from a different route than the
 package internals: closed-form Gaussian algebra, symbolic differentiation,
 scalar quadrature, trigonometric sums taken one point at a time, and for
-the Duhamel term the package's own integrand summed without its time
-march. Agreement between these and the library is
-the point of the tests that import them.
+the Duhamel term the package's own integrand under a different
+quadrature, summed without a time march. Agreement between these and the
+library is the point of the tests that import them.
 """
 
 import numpy as np
@@ -78,10 +78,13 @@ def trig_sum_direct(a, s, X, Y, sign):
 def duhamel_direct(traj1, traj2, targets):
     """Bilinear Duhamel integrals summed afresh for every target time.
 
-    The library's quadrature (its nodes, weights, graded final interval and
-    integrand) without its march: every node is propagated straight to the
-    target, S(t - s) g(s), so no semigroup composition enters. The cost is
-    quadratic in the number of samples, which is why the library marches.
+    The library's integrand under the library's previous quadrature, kept
+    as an independent reference: one 8-point Gauss-Legendre panel on each
+    sample interval below t, and the final interval split into a fixed
+    four panels graded toward s = t, where the library now derives its
+    panel sets from the decay rate. There is no march: every node is
+    propagated straight to the target, S(t - s) g(s), so no semigroup
+    composition enters. The cost is quadratic in the number of samples.
     """
     ts = np.asarray(traj1.times)
     out = []

@@ -1,5 +1,6 @@
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -79,6 +80,16 @@ def test_serialized_form_is_byte_stable():
     text = serialize_config(RunConfig(seed=2, initial_params={"b": 1, "a": 2.5}))
     again = serialize_config(parse_config(text))
     assert again == text
+
+
+def test_numpy_scalars_serialize_like_python_floats():
+    twin = RunConfig(nu=0.5, grid_l=20.0, weights=(2.0, 3.5))
+    cfg = RunConfig(nu=np.float64(0.5), grid_l=np.float32(20.0),
+                    weights=(np.float64(2.0), np.float64(3.5)))
+    text = serialize_config(cfg)
+    assert text == serialize_config(twin)
+    assert parse_config(text) == twin
+    assert serialize_config(parse_config(text)) == text
 
 
 def test_parse_ignores_comments_blanks_and_order():

@@ -95,6 +95,18 @@ def test_random_localized_zero_mass_option(frame_grid):
     assert abs(mass(f)) <= 1e-12
 
 
+@pytest.mark.parametrize("value", ["no", "false", 0, 1, None, 1.0])
+def test_zero_mass_accepts_only_booleans(frame_grid, value):
+    with pytest.raises(DomainError) as info:
+        make_field("random_localized", frame_grid, seed=4,
+                   params={"zero_mass": value})
+    assert "'zero_mass'" in str(info.value)
+    off = make_field("random_localized", frame_grid, seed=4,
+                     params={"zero_mass": np.False_})
+    assert np.array_equal(off.values, make_field(
+        "random_localized", frame_grid, seed=4).values)
+
+
 def test_random_localized_rejects_bad_correlation(frame_grid):
     with pytest.raises(DomainError):
         make_field("random_localized", frame_grid, params={"correlation": 0.0})
@@ -102,6 +114,25 @@ def test_random_localized_rejects_bad_correlation(frame_grid):
 
 def test_eigenfunction_entry_matches_ladder(wide_frame_grid):
     f = make_field("eigenfunction", wide_frame_grid, params={"a": 1, "b": 0})
+    want = eigenfunction(1, 0, wide_frame_grid)
+    assert np.array_equal(f.coeffs, want.coeffs)
+
+
+@pytest.mark.parametrize("params, name", [
+    ({"a": 1.7, "b": 0}, "a"), ({"a": 1, "b": 0.5}, "b"),
+    ({"a": -1, "b": 1}, "a"), ({"a": 1, "b": -2.0}, "b"),
+    ({"a": np.nan, "b": 0}, "a"), ({"a": 1, "b": np.inf}, "b"),
+])
+def test_eigenfunction_rejects_non_integral_orders(wide_frame_grid, params,
+                                                    name):
+    with pytest.raises(DomainError) as info:
+        make_field("eigenfunction", wide_frame_grid, params=params)
+    assert repr(name) in str(info.value)
+
+
+def test_eigenfunction_accepts_integral_floats(wide_frame_grid):
+    f = make_field("eigenfunction", wide_frame_grid,
+                   params={"a": 1.0, "b": np.int64(0)})
     want = eigenfunction(1, 0, wide_frame_grid)
     assert np.array_equal(f.coeffs, want.coeffs)
 

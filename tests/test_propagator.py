@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import sympy
@@ -17,9 +19,10 @@ from shearvortex import (
     mass,
     picard_solve,
 )
+from shearvortex import propagator
 from shearvortex.fokker_planck import gaussian
 from shearvortex.initial_data import make_field
-from shearvortex.propagator import _duhamel_targets, symbol_value
+from shearvortex.propagator import _duhamel_targets, _panel_set, symbol_value
 from shearvortex.selfsim import nonlinear_term, selfsim_coords
 
 from conftest import localized_field
@@ -211,9 +214,11 @@ def resolved_trajectories():
 ])
 def test_duhamel_march_matches_direct_sum(resolved_trajectories, mixed,
                                           targets):
-    # the march composes propagators where the direct sum applies one; on
-    # a resolved band they differ by the shear's interpolation leakage
-    # (measured 1e-9 to 1.1e-8 here), nowhere near 1e-7
+    # the march composes propagators where the direct sum applies one, and
+    # derives its panel depth where the oracle splits the last interval
+    # into four; on a resolved band they differ by the shear's
+    # interpolation leakage (measured 4e-16 to 8.7e-9 here), nowhere near
+    # 1e-7
     first, second = resolved_trajectories
     if not mixed:
         second = first
@@ -232,14 +237,62 @@ def test_duhamel_vets_every_node_against_later_targets():
     # 2/3 band, and a lag below 0.5 shifts it by less than k_max/3, so
     # t = 0.5 loses nothing. At t = 0.75 the nodes of the first interval
     # reach lag 0.75 and shift content out of the band. Only the node
-    # vetting sees that: the graded panels ending at 0.75 have lags of at
-    # most 0.25, and the accumulator is propagated unvetted.
+    # vetting sees that: the target 0.75 is the accumulator itself, which
+    # is propagated unvetted, and each node is propagated unvetted into it.
     g = make_grid(16.0, 32)
     f = localized_field(g, seed=3)
     traj = _constant_trajectory(g, f, tuple(0.25 * j for j in range(5)))
     duhamel_bilinear(traj, traj, 0.5)
     with pytest.raises(AliasingError):
         duhamel_bilinear(traj, traj, 0.75)
+
+
+def test_panel_set_resolves_the_fastest_decay():
+    # exp(-c (b - s)) is the integrand's fastest mode; the derived depth
+    # keeps its integral within 1e-13 of the peak for c up to 1024, with
+    # no more than 40 nodes while c <= 64
+    for c in np.geomspace(1.0, 1024.0, 200):
+        nodes, weights = _panel_set(2.0, 3.0, c)
+        exact = -np.expm1(-c) / c
+        assert abs(np.dot(weights, np.exp(-c * (3.0 - nodes))) - exact) <= 1e-13
+        if c <= 64.0:
+            assert len(nodes) <= 40
+    assert len(_panel_set(2.0, 3.0, 4.0)[0]) == 8
+
+
+def _count_divergences(monkeypatch):
+    calls = []
+    evaluate = propagator._advection_divergence
+
+    def counted(w1, w2):
+        calls.append(None)
+        return evaluate(w1, w2)
+
+    monkeypatch.setattr(propagator, "_advection_divergence", counted)
+    return calls
+
+
+def test_duhamel_evaluates_each_node_once(resolved_trajectories, monkeypatch):
+    # each interval is integrated once, and a sample target is the marched
+    # accumulator itself, so no interval is summed again for its right end
+    first, _ = resolved_trajectories
+    grid = first.grid
+    rate = 2.0 * first.nu * grid.k_max ** 2
+    f = make_field("gaussian", grid, params={"amplitude": 0.05})
+    times = tuple(1.0 + j / 64.0 for j in range(17))
+    assert rate * (times[1] - times[0]) <= 4.0
+    window = Trajectory(times=times, nu=1.0, fields=tuple(
+        apply_semigroup(f, 1.0, t - times[0]) for t in times))
+    calls = _count_divergences(monkeypatch)
+    _duhamel_targets(window, window, times)
+    assert len(calls) == 8 * 16
+
+    # the resolved window's intervals of 0.25 need a graded panel set
+    depth = 1 + math.ceil(math.log2(rate * 0.25 / 4.0))
+    assert depth > 1
+    calls.clear()
+    _duhamel_targets(first, first, first.times)
+    assert len(calls) == 8 * depth * 3
 
 
 def test_trajectory_validation(phys_grid):

@@ -206,6 +206,14 @@ def test_non_ascii_config_exits_2(tmp_path, capsys):
     ("eigenfunction", "a=x", "a"),
     ("point_vortex_approx", "eps=abc", "eps"),
     ("random_localized", "correlation=1:2", "correlation"),
+    # values that int(), bool() or float() would convert silently or
+    # overflow on
+    ("random_localized", "zero_mass=no", "zero_mass"),
+    ("random_localized", "zero_mass=1", "zero_mass"),
+    ("eigenfunction", "a=1.7", "a"),
+    ("eigenfunction", "a=1, b=-1", "b"),
+    pytest.param("gaussian", "amplitude=" + "9" * 400, "amplitude",
+                 id="gaussian-amplitude=9x400-amplitude"),
 ])
 def test_non_numeric_initial_params_exit_2(tmp_path, capsys, entry, params,
                                            name):

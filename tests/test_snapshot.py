@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -245,3 +247,47 @@ def test_mutated_sidecar_raises_only_toolkit_errors(state_snapshot, data):
         read_snapshot(path)
     except ShearVortexError:
         pass
+
+
+def _with_sha256(lines, payload):
+    """Sidecar lines with the sha256 entry recomputed for payload."""
+    digest = hashlib.sha256(payload).hexdigest()
+    return [f"sha256 = {digest}" if line.startswith("sha256 =") else line
+            for line in lines]
+
+
+_SPECIALS = st.sampled_from([np.nan, np.inf, -np.inf, 1e308, -0.0, 5e-324])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_payload_raises_only_toolkit_errors(state_snapshot, data):
+    # the checksum matches every mutated payload, so only the structural
+    # checks and the constructors stand between the bytes and the result
+    path, payload, lines = state_snapshot
+    kind = data.draw(st.sampled_from(["flip", "truncate", "extend", "special"]))
+    blob = bytearray(payload)
+    if kind == "flip":
+        for i in data.draw(st.lists(st.integers(0, len(blob) - 1),
+                                    min_size=1, max_size=8)):
+            blob[i] ^= data.draw(st.integers(1, 255))
+    elif kind == "truncate":
+        del blob[data.draw(st.integers(0, len(blob) - 1)):]
+    elif kind == "extend":
+        blob += data.draw(st.binary(min_size=1, max_size=64))
+    else:
+        values = np.frombuffer(payload, dtype="<f8").copy()
+        for i in data.draw(st.lists(st.integers(0, len(values) - 1),
+                                    min_size=1, max_size=4)):
+            values[i] = data.draw(_SPECIALS)
+        blob = bytearray(values.astype("<f8").tobytes())
+    path.write_bytes(bytes(blob))
+    with open(str(path) + ".meta", "w", encoding="ascii") as fh:
+        fh.write("\n".join(_with_sha256(lines, bytes(blob))) + "\n")
+    try:
+        back = read_snapshot(path)
+    except ShearVortexError as e:
+        assert kind != "extend" or "truncated" not in str(e)
+        return
+    assert kind in ("flip", "special")
+    assert np.all(np.isfinite(back.omega.values))
