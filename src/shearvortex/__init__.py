@@ -50,7 +50,6 @@ from .errors import (
     UnsupportedOrderError,
 )
 from .fokker_planck import (
-    backward_characteristics,
     char_map,
     eigenfunction,
     eigenvalue,
@@ -73,7 +72,6 @@ from .selfsim import (
     SelfSimilarState,
     StepControl,
     amplitude,
-    apply_frame_laplacian,
     apply_generator,
     apply_limit_generator,
     evolve,
@@ -86,14 +84,11 @@ from .selfsim import (
 from .snapshot import read_metadata, read_snapshot, write_snapshot
 from .spectral import (
     biot_savart,
-    dealias,
     derivative,
     inverse_laplacian,
     lp_norm,
     mass,
     shear_spectrum,
-    to_physical,
-    to_spectral,
     weighted_inner,
     weighted_norm,
 )
@@ -107,16 +102,15 @@ __all__ = [
     "SnapshotError", "SolverError", "TruncationError",
     "UnsupportedOrderError",
     "Field", "Frame", "GridSpec", "make_grid",
-    "biot_savart", "dealias", "derivative", "inverse_laplacian",
-    "lp_norm", "mass", "shear_spectrum", "to_physical", "to_spectral",
-    "weighted_inner", "weighted_norm",
+    "biot_savart", "derivative", "inverse_laplacian", "lp_norm", "mass",
+    "shear_spectrum", "weighted_inner", "weighted_norm",
     "Trajectory", "apply_semigroup", "duhamel_bilinear", "green_kernel",
     "kato_norm", "picard_solve",
     "FrameCoefficients", "SelfSimilarState", "StepControl", "amplitude",
-    "apply_frame_laplacian", "apply_generator", "apply_limit_generator",
+    "apply_generator", "apply_limit_generator",
     "evolve", "invert_frame_laplacian", "nonlinear_term",
     "phys_to_selfsim", "selfsim_coords", "selfsim_to_phys",
-    "apply_limit_semigroup", "backward_characteristics", "char_map",
+    "apply_limit_semigroup", "char_map",
     "eigenfunction", "eigenvalue", "gaussian",
     "DiagnosticsRecord", "EnergyCoefficients", "ProbeReport",
     "RecordOptions", "energy_functionals", "inequality_probe", "rate_fit",

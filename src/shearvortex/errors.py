@@ -6,6 +6,7 @@ resolution problems (aliasing, truncation, under-resolved data) with 4.
 """
 
 import math
+import numbers
 
 
 class ShearVortexError(Exception):
@@ -39,6 +40,20 @@ def check_positive(value, what):
     """Raise DomainError unless value is a finite number > 0 (NaN fails)."""
     if not 0.0 < value < math.inf:
         raise DomainError(f"{what} must be positive and finite, got {value!r}")
+
+
+def check_order(value, what):
+    """value as an int if it is an integral number (2 and 2.0 alike); raise
+    DomainError for fractions, NaN, infinities and non-numbers such as the
+    string "2". The range of orders an operation supports is checked by
+    the operation."""
+    try:
+        v = float(value) if isinstance(value, numbers.Real) else math.nan
+    except OverflowError:
+        v = math.nan
+    if not v.is_integer():
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    return int(v)
 
 
 class AliasingError(ShearVortexError):

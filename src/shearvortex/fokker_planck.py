@@ -15,15 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ResolutionError, UnsupportedOrderError
+from .errors import (DomainError, ResolutionError, UnsupportedOrderError,
+                     check_order)
 from .grid import Field
-from .spectral import (
-    _alternating_signs,
-    _axis_multiplier,
-    affine_trig_sum,
-    shear_spectrum,
-    spectral_tail_ratio,
-)
+from .spectral import affine_trig_sum, shear_spectrum, spectral_tail_ratio
 
 SQRT3 = np.sqrt(3.0)
 
@@ -32,8 +27,7 @@ RESOLVED_TAIL_TOL = 1e-8  # outer-band ratio that apply_semigroup accepts
 
 def gaussian(grid):
     """The unit-mass Gaussian equilibrium (1/4pi) exp(-r^2/4)."""
-    x1, x2 = grid.meshgrid()
-    return Field(grid, values=np.exp(-(x1 ** 2 + x2 ** 2) / 4.0) / (4.0 * np.pi))
+    return Field(grid, values=grid.gaussian_values)
 
 
 def eigenfunction(a, b, grid):
@@ -43,12 +37,13 @@ def eigenfunction(a, b, grid):
     Gaussian produces an eigenfunction with eigenvalue -(3a + b)/2. Orders
     with a + b = 0 return the Gaussian itself (eigenvalue 0).
     """
-    a, b = int(a), int(b)
+    a = check_order(a, "eigenfunction order")
+    b = check_order(b, "eigenfunction order")
     if a < 0 or b < 0 or a + b > 4:
         raise UnsupportedOrderError(f"eigenfunction orders must satisfy 0 <= a+b <= 4, got ({a}, {b})")
     g = gaussian(grid)
-    d1 = _axis_multiplier(grid, 1)[:, None]
-    d2 = _axis_multiplier(grid, 1)[None, :]
+    d1 = grid.multipliers[1][:, None]
+    d2 = grid.multipliers[1][None, :]
     mult = (d1 - SQRT3 * d2) ** a * (SQRT3 * d1 - d2) ** b
     return Field(grid, coeffs=g.coeffs * mult)
 
@@ -90,15 +85,13 @@ class CharMap:
     def det(self):
         return self.m11 * self.m22 - self.m12 * self.m21
 
-    def apply(self, xi, eta):
-        return self.m11 * xi + self.m12 * eta, self.m21 * xi + self.m22 * eta
-
 
 def char_map(tau):
-    """Backward characteristics as an explicit 2x2 map."""
+    """Backward characteristics as an explicit 2x2 map: a mode (xi, eta)
+    is read from (m11 xi + m12 eta, m21 xi + m22 eta) after a time tau."""
     tau = float(tau)
-    if tau < 0:
-        raise DomainError("tau must be nonnegative")
+    if not 0.0 <= tau < np.inf:
+        raise DomainError(f"tau must be finite and nonnegative, got {tau!r}")
     e1 = np.exp(-tau / 2.0)
     e3 = np.exp(-3.0 * tau / 2.0)
     return CharMap(
@@ -110,11 +103,6 @@ def char_map(tau):
     )
 
 
-def backward_characteristics(tau, xi, eta):
-    """Where a mode (xi, eta) is read from after running for tau."""
-    return char_map(tau).apply(np.asarray(xi, dtype=float), np.asarray(eta, dtype=float))
-
-
 def _scale_stage(coeffs, grid, u11, u12, u22):
     """Trig-exact evaluation at (u11*xi_j + u12*eta_k, u22*eta_k).
 
@@ -124,12 +112,11 @@ def _scale_stage(coeffs, grid, u11, u12, u22):
     n = grid.n
     v = np.fft.ifft2(coeffs) * n ** 2  # physical samples (complex mid-pipeline)
     out = affine_trig_sum(v.T, grid.x, grid.k, u22, u12, u11, -1).T / n ** 2
-    out *= _alternating_signs(n)  # back to fft-array sign convention
+    out *= grid.signs  # back to fft-array sign convention
     k = grid.k
-    band = grid.k_max * (1.0 + 1e-12)
-    out[np.abs(u11 * k[:, None] + u12 * k[None, :]) > band] = 0.0
-    if abs(u22) * np.abs(k).max() > band:
-        out[:, np.abs(u22 * k) > band] = 0.0
+    out[np.abs(u11 * k[:, None] + u12 * k[None, :]) > grid.band] = 0.0
+    if abs(u22) * np.abs(k).max() > grid.band:
+        out[:, np.abs(u22 * k) > grid.band] = 0.0
     return out
 
 
@@ -142,8 +129,8 @@ def apply_semigroup(f, tau):
     content across the band and the result is unreliable.
     """
     tau = float(tau)
-    if tau < 0:
-        raise DomainError("tau must be nonnegative")
+    if not 0.0 <= tau < np.inf:
+        raise DomainError(f"tau must be finite and nonnegative, got {tau!r}")
     if tau == 0.0:
         return f
     r = spectral_tail_ratio(f)

@@ -5,14 +5,24 @@ axis, so the resolvable wavenumbers are k_j = j*pi/L for j in [-n/2, n/2).
 Spectral coefficients are normalized so the zero mode equals the mean value
 of the field over the box; integrals are rectangle-rule sums, which are
 spectrally accurate for smooth periodic data.
+
+A GridSpec owns every array that depends on the grid alone: the points x
+and wavenumbers k, built with it, and, built on first use and then kept,
+the band edge, the 2/3 keep mask, the outer-eighth and half-box masks, the
+(-1)^(j+k) signs, the derivative multipliers and the samples of
+<x>^2 = 1 + |x|^2 and of the frame Gaussian. These arrays are read-only
+and take no part in comparing grids.
 """
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
 from .errors import GridError
+
+MAX_DERIVATIVE_ORDER = 4  # highest per-axis order of `multipliers`
 
 
 class Frame(Enum):
@@ -48,10 +58,8 @@ class GridSpec:
         object.__setattr__(self, "n", int(n))
         x = -L + (2.0 * L / n) * np.arange(n)
         k = 2.0 * np.pi * np.fft.fftfreq(n, d=2.0 * L / n)  # j*pi/L, fft order
-        x.setflags(write=False)
-        k.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "x", _frozen(x))
+        object.__setattr__(self, "k", _frozen(k))
 
     @property
     def spacing(self):
@@ -62,6 +70,11 @@ class GridSpec:
         """Largest resolvable wavenumber magnitude per axis (Nyquist)."""
         return np.pi * self.n / (2.0 * self.half_width)
 
+    @cached_property
+    def band(self):
+        """k_max (1 + 1e-12): a wavenumber beyond it is out of band."""
+        return self.k_max * (1.0 + 1e-12)
+
     def meshgrid(self):
         """Coordinate arrays (first axis, second axis), indexed [i, j]."""
         return np.meshgrid(self.x, self.x, indexing="ij")
@@ -69,6 +82,63 @@ class GridSpec:
     def wavegrid(self):
         """Wavenumber arrays matching the fft layout of coefficients."""
         return self.k[:, None], self.k[None, :]
+
+    @cached_property
+    def mode_index(self):
+        """|j| of each fft position, where k_j = j*pi/L."""
+        return _frozen(np.abs(np.fft.fftfreq(self.n, d=1.0 / self.n)))
+
+    @cached_property
+    def keep(self):
+        """Boolean keep-mask of the 2/3 dealiasing rule on both axes."""
+        keep = self.mode_index <= self.n / 3.0
+        return _frozen(keep[:, None] & keep[None, :])
+
+    @cached_property
+    def outer_band(self):
+        """Boolean mask of the outer eighth of the band on either axis."""
+        out = self.mode_index >= (7.0 / 16.0) * self.n
+        return _frozen(out[:, None] | out[None, :])
+
+    @cached_property
+    def outside_half_box(self):
+        """Boolean mask of the samples with |x| or |y| beyond L/2."""
+        far = np.abs(self.x) > 0.5 * self.half_width
+        return _frozen(far[:, None] | far[None, :])
+
+    @cached_property
+    def signs(self):
+        """(-1)^(j+k) pattern relating fft-array coefficients of a box that
+        starts at -L to the spectrum with phases centred on the origin."""
+        s = np.where(np.arange(self.n) % 2 == 0, 1.0, -1.0)
+        return _frozen(np.outer(s, s))
+
+    @cached_property
+    def multipliers(self):
+        """(i k)^p along one axis for p = 0..MAX_DERIVATIVE_ORDER. Odd p
+        zero the Nyquist mode, whose real coefficient has no well-defined
+        odd derivative; so derivatives of real fields stay exactly real."""
+        ik = 1j * self.k.astype(np.complex128)
+        ik_odd = ik.copy()
+        ik_odd[self.n // 2] = 0.0
+        return tuple(_frozen((ik_odd if p % 2 else ik) ** p)
+                     for p in range(MAX_DERIVATIVE_ORDER + 1))
+
+    @cached_property
+    def bracket_sq(self):
+        """Samples of <x>^2 = 1 + |x|^2; the weight <x>^m is its m/2 power."""
+        return _frozen(1.0 + self.x[:, None] ** 2 + self.x[None, :] ** 2)
+
+    @cached_property
+    def gaussian_values(self):
+        """Samples of the unit-mass frame Gaussian (1/4pi) exp(-|x|^2/4)."""
+        r2 = self.x[:, None] ** 2 + self.x[None, :] ** 2
+        return _frozen(np.exp(-r2 / 4.0) / (4.0 * np.pi))
+
+
+def _frozen(a):
+    a.setflags(write=False)
+    return a
 
 
 def make_grid(half_width, n, frame=Frame.PHYSICAL):

@@ -7,7 +7,7 @@ so that downstream coordinate-weighted operations are trustworthy.
 
 import numpy as np
 
-from .errors import DomainError, ResolutionError
+from .errors import DomainError, ResolutionError, check_order
 from .fokker_planck import eigenfunction
 from .grid import Field
 from .spectral import check_localized, mass
@@ -35,10 +35,10 @@ def _flag(value):
 
 def _order(value):
     """A nonnegative integral number (2 and 2.0 alike) as an int."""
-    v = float(value)
-    if not (v >= 0 and v.is_integer()):
+    v = check_order(value, "order")
+    if v < 0:
         raise ValueError
-    return int(v)
+    return v
 
 
 def _gauss_bump(grid, amplitude, center, widths):
@@ -51,7 +51,7 @@ def _gauss_bump(grid, amplitude, center, widths):
     v1, v2 = widths
     if v1 <= 0 or v2 <= 0:
         raise DomainError("widths must be positive variances")
-    x, y = grid.meshgrid()
+    x, y = grid.x[:, None], grid.x[None, :]
     norm = amplitude / (2.0 * np.pi * np.sqrt(v1 * v2))
     vals = norm * np.exp(-((x - cx) ** 2) / (2.0 * v1)
                          - ((y - cy) ** 2) / (2.0 * v2))
@@ -85,7 +85,7 @@ def make_field(entry, grid, seed=0, params=None):
         value = params.pop(name, default)
         try:
             return conv(value)
-        except (TypeError, ValueError, OverflowError):
+        except (TypeError, ValueError, OverflowError, DomainError):
             raise DomainError(f"initial data {entry!r}: parameter {name!r} "
                               f"has invalid value {value!r}") from None
 
@@ -137,7 +137,7 @@ def _make_random(grid, seed, take):
     kx, ky = grid.wavegrid()
     smooth = Field(grid, coeffs=np.fft.fft2(noise) / grid.n ** 2
                    * np.exp(-0.5 * corr ** 2 * (kx ** 2 + ky ** 2)))
-    x, y = grid.meshgrid()
+    x, y = grid.x[:, None], grid.x[None, :]
     # envelope scale L/14 keeps the half-box tail under 1e-8 with margin
     envelope = np.exp(-(x ** 2 + y ** 2) / (grid.half_width / 14.0) ** 2 / 2.0)
     vals = smooth.values * envelope

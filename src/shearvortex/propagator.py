@@ -28,6 +28,7 @@ from .errors import (
     DomainError,
     GridError,
     NoConvergenceError,
+    check_order,
     check_positive,
 )
 from .grid import Field
@@ -119,7 +120,7 @@ def _check_alias(f, nu, lags, alias_tol):
         # Their content is weighted by the viscous factor it would carry
         # at its (out of band) destination, since that is exactly what
         # the discarded contribution would have amounted to.
-        lost = np.abs(ky - t * kx) > grid.k_max * (1.0 + 1e-12)
+        lost = np.abs(ky - t * kx) > grid.band
         if not lost.any():
             continue
         cin = mag[lost] * symbol_value(nu, t, kx[lost], ky[lost] - t * kx[lost])
@@ -343,6 +344,7 @@ def picard_solve(omega0, nu, horizon, n_times, t_start=0.0):
     NoConvergenceError.
     """
     check_positive(nu, "viscosity")
+    n_times = check_order(n_times, "n_times")
     if not 0 < horizon < np.inf or n_times < 2:
         raise DomainError("need a finite horizon > 0 and at least two sample times")
     if not 0 <= t_start < np.inf:

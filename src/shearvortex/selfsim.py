@@ -18,7 +18,6 @@ from .errors import (BlowUpError, DomainError, GridError, ResolutionError,
                      TruncationError, check_positive)
 from .grid import Field, Frame
 from .spectral import (
-    _alternating_signs,
     affine_trig_sum,
     check_localized,
     dealias_mask,
@@ -59,8 +58,8 @@ class FrameCoefficients:
         # diffusion part reduces to the plain Laplacian), unlike the frame
         # change itself which needs t > 0
         t = float(t)
-        if t < 0:
-            raise DomainError("frame coefficients need t >= 0")
+        if not 0.0 <= t < np.inf:
+            raise DomainError(f"frame coefficients need a finite t >= 0, got {t!r}")
         a = 1.0 + t * t / 3.0
         b = 1.0 + t * t / 12.0
         return cls(
@@ -170,7 +169,7 @@ def phys_to_selfsim(omega, t, nu, target_grid):
     a, c, b = _frame_map(t, nu)
     # f(a X, c X + b Y) from the spectrum with origin-centred phases; target
     # points past the source box read its periodic extension
-    chat = omega.coeffs * _alternating_signs(omega.grid.n)
+    chat = omega.coeffs * omega.grid.signs
     vals = affine_trig_sum(chat, omega.grid.k, target_grid.x, a, c, b, 1).real
     out = Field(target_grid, values=vals * amplitude(t, nu))
     _check_wrap(out, "resampled frame field")
@@ -184,7 +183,7 @@ def selfsim_to_phys(state, target_grid):
     check_localized(state.omega, "frame field")
     a, c, b = _frame_map(state.t, state.nu)
     # inverse of (x, y) = (a X, c X + b Y) is lower triangular as well
-    chat = state.omega.coeffs * _alternating_signs(state.omega.grid.n)
+    chat = state.omega.coeffs * state.omega.grid.signs
     vals = affine_trig_sum(chat, state.omega.grid.k, target_grid.x,
                            1.0 / a, -c / (a * b), 1.0 / b, 1).real
     out = Field(target_grid, values=vals * (1.0 / amplitude(state.t, state.nu)))
@@ -207,16 +206,11 @@ def invert_frame_laplacian(f, t):
     return Field(f.grid, coeffs=c)
 
 
-def apply_frame_laplacian(f, t):
-    sym = _laplacian_symbol(f.grid, FrameCoefficients.at_time(t))
-    return Field(f.grid, coeffs=f.coeffs * sym)
-
-
 def _drift_values(f, co, grid):
     """Physical-space samples of the first-order and zeroth-order terms."""
     fx = derivative(f, 1, 0).values
     fy = derivative(f, 0, 1).values
-    X, Y = grid.meshgrid()
+    X, Y = grid.x[:, None], grid.x[None, :]
     sheared = fx - co.mix * fy
     out = co.dil1 * (X - co.mix * Y) * sheared
     out += co.dil2 * Y * fy
@@ -280,8 +274,7 @@ class StepControl:
     on_tail: str = "error"        # "error", "warn" or "ignore"
 
     def __post_init__(self):
-        if self.dtau <= 0:
-            raise DomainError("dtau must be positive")
+        check_positive(self.dtau, "dtau")
         if self.samples_per_decade < 4:
             raise DomainError("need at least 4 samples per decade")
         if self.on_tail not in ("error", "warn", "ignore"):
@@ -320,8 +313,8 @@ def evolve(state, t_end, control=None, nonlinear=True, observer=None):
     (default: diagnostics.record) and its results are returned in order.
     """
     control = control or StepControl()
-    if t_end < state.t:
-        raise DomainError("t_end must be >= the state time")
+    if not state.t <= t_end < np.inf:
+        raise DomainError(f"t_end must be finite and >= the state time, got {t_end!r}")
     if observer is None:
         from .diagnostics import record as observer  # default observer
     grid = state.omega.grid

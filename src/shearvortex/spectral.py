@@ -1,5 +1,6 @@
-"""Transforms, derivatives, Biot-Savart inversion, norms, quadrature and
-trig-exact resampling.
+"""Derivatives, Biot-Savart inversion, norms, quadrature and trig-exact
+resampling; a Field transforms itself, and its grid keeps the arrays
+these operations share.
 
 All operations assume smooth fields that decay well inside the box, so the
 periodic spectral representation is accurate. Quadrature is the rectangle
@@ -8,51 +9,27 @@ rule, exact for resolved trigonometric content.
 
 import numpy as np
 
-from .errors import DomainError, TruncationError, UnsupportedOrderError
-from .grid import Field
-
-MAX_DERIVATIVE_ORDER = 4
-
-
-def to_spectral(f):
-    """Ensure the spectral representation is populated; returns the field."""
-    f.coeffs
-    return f
-
-
-def to_physical(f):
-    """Ensure the physical representation is populated; returns the field."""
-    f.values
-    return f
-
-
-def _axis_multiplier(grid, order):
-    """(i k)^order along one axis; Nyquist zeroed for odd orders.
-
-    The Nyquist mode of a real field has no well-defined odd derivative
-    (its coefficient is real and self-conjugate), so it is projected out;
-    this keeps derivatives of real fields exactly real.
-    """
-    k = grid.k.astype(np.complex128)
-    if order % 2 == 1:
-        k = k.copy()
-        k[grid.n // 2] = 0.0
-    return (1j * k) ** order
+from .errors import (DomainError, TruncationError, UnsupportedOrderError,
+                     check_order)
+from .grid import MAX_DERIVATIVE_ORDER, Field
 
 
 def derivative(f, a, b):
-    """Mixed spectral derivative d^a/dx1^a d^b/dx2^b of the field."""
-    a, b = int(a), int(b)
+    """Mixed spectral derivative d^a/dx1^a d^b/dx2^b of the field; the odd
+    orders project out the Nyquist mode (see GridSpec.multipliers)."""
+    a = check_order(a, "derivative order")
+    b = check_order(b, "derivative order")
     if a < 0 or b < 0 or a + b > MAX_DERIVATIVE_ORDER:
         raise UnsupportedOrderError(
             f"derivative order ({a}, {b}) outside 0 <= a+b <= {MAX_DERIVATIVE_ORDER}")
     if a == 0 and b == 0:
         return f
+    d = f.grid.multipliers
     mult = 1.0
     if a:
-        mult = _axis_multiplier(f.grid, a)[:, None]
+        mult = d[a][:, None]
     if b:
-        mult = mult * _axis_multiplier(f.grid, b)[None, :]
+        mult = mult * d[b][None, :]
     return Field(f.grid, coeffs=f.coeffs * mult)
 
 
@@ -73,8 +50,9 @@ def biot_savart(omega):
     omega minus its mean value.
     """
     psi = inverse_laplacian(omega)
-    u1 = Field(omega.grid, coeffs=-_axis_multiplier(omega.grid, 1)[None, :] * psi.coeffs)
-    u2 = Field(omega.grid, coeffs=_axis_multiplier(omega.grid, 1)[:, None] * psi.coeffs)
+    d1 = omega.grid.multipliers[1]
+    u1 = Field(omega.grid, coeffs=-d1[None, :] * psi.coeffs)
+    u2 = Field(omega.grid, coeffs=d1[:, None] * psi.coeffs)
     return u1, u2
 
 
@@ -101,10 +79,11 @@ def lp_norm(f, p):
     return float((np.sum(v ** p) * h2) ** (1.0 / p))
 
 
-def weight_array(grid, m):
-    """Samples of (1 + |x|^2)^(m/2) on the grid."""
-    x1, x2 = grid.meshgrid()
-    return (1.0 + x1 ** 2 + x2 ** 2) ** (0.5 * m)
+def _weight_exponent(m):
+    m = float(m)
+    if not 0.0 <= m <= 12.0:
+        raise DomainError(f"weight exponent must lie in [0, 12], got {m!r}")
+    return m
 
 
 def weighted_norm(f, m, a=0, b=0):
@@ -114,35 +93,27 @@ def weighted_norm(f, m, a=0, b=0):
     Derivatives up to total order 3 are supported here; they are taken
     spectrally and the weight is applied in physical space.
     """
-    m = float(m)
-    if not 0.0 <= m <= 12.0:
-        raise DomainError(f"weight exponent must lie in [0, 12], got {m!r}")
+    m = _weight_exponent(m)
+    a, b = check_order(a, "derivative order"), check_order(b, "derivative order")
     if a + b > 3:
         raise UnsupportedOrderError(f"weighted norm supports a+b <= 3, got ({a}, {b})")
     g = derivative(f, a, b)
-    w = weight_array(f.grid, m)
+    w = f.grid.bracket_sq ** (0.5 * m)
     h2 = f.grid.spacing ** 2
     return float(np.sqrt(np.sum((w * g.values) ** 2) * h2))
 
 
 def weighted_inner(f, g, m=0.0):
-    """Weighted L^2 inner product (f, g) with weight <x>^(2m)."""
-    w2 = weight_array(f.grid, 2.0 * m) if m else 1.0
+    """Weighted L^2 inner product (f, g) with weight <x>^(2m), m in [0, 12]."""
+    m = _weight_exponent(m)
+    w2 = f.grid.bracket_sq ** m if m else 1.0
     h2 = f.grid.spacing ** 2
     return float(np.sum(w2 * f.values * g.values) * h2)
 
 
 def dealias_mask(grid):
     """Boolean keep-mask implementing the 2/3 rule on both axes."""
-    n = grid.n
-    j = np.abs(np.fft.fftfreq(n, d=1.0 / n))
-    keep = j <= n / 3.0
-    return keep[:, None] & keep[None, :]
-
-
-def dealias(f):
-    """Project the field onto the 2/3 band."""
-    return Field(f.grid, coeffs=f.coeffs * dealias_mask(f.grid))
+    return grid.keep
 
 
 def spectral_tail_ratio(f):
@@ -155,10 +126,7 @@ def spectral_tail_ratio(f):
     peak = c.max()
     if peak == 0.0:
         return 0.0
-    n = f.grid.n
-    j = np.abs(np.fft.fftfreq(n, d=1.0 / n))
-    outer = (j[:, None] >= (7.0 / 16.0) * n) | (j[None, :] >= (7.0 / 16.0) * n)
-    return float(c[outer].max() / peak)
+    return float(c[f.grid.outer_band].max() / peak)
 
 
 TAIL_MASS_TOL = 1e-8  # largest tail mass ratio of a localized field
@@ -166,14 +134,11 @@ TAIL_MASS_TOL = 1e-8  # largest tail mass ratio of a localized field
 
 def tail_mass_ratio(f):
     """Fraction of the L^1 mass outside the half-box |x|, |y| <= L/2."""
-    L = f.grid.half_width
-    x1, x2 = f.grid.meshgrid()
     v = np.abs(f.values)
     total = v.sum()
     if total == 0.0:
         return 0.0
-    outside = (np.abs(x1) > 0.5 * L) | (np.abs(x2) > 0.5 * L)
-    return float(v[outside].sum() / total)
+    return float(v[f.grid.outside_half_box].sum() / total)
 
 
 def check_localized(f, what):
@@ -202,15 +167,8 @@ def shear_spectrum(coeffs, grid, slope):
     mixed *= np.exp(-1j * slope * np.outer(k, y))
     out = np.fft.fft(mixed, axis=1) / n
     target = slope * k[:, None] + k[None, :]
-    oob = np.abs(target) > grid.k_max * (1.0 + 1e-12)
+    oob = np.abs(target) > grid.band
     return out, oob
-
-
-def _alternating_signs(n):
-    """(-1)^(j+k) pattern relating fft-array coefficients of a box that
-    starts at -L to the spectrum with phases centred on the origin."""
-    s = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    return np.outer(s, s)
 
 
 def affine_trig_sum(a, s, r, m11, m21, m22, sign):

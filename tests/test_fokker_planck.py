@@ -15,7 +15,6 @@ from shearvortex.errors import DomainError, ResolutionError, UnsupportedOrderErr
 from shearvortex.fokker_planck import (
     SQRT3,
     apply_semigroup,
-    backward_characteristics,
     char_map,
     eigenfunction,
     eigenvalue,
@@ -62,6 +61,9 @@ def test_eigenfunction_order_cap(frame_grid):
         eigenfunction(3, 2, frame_grid)
     with pytest.raises(UnsupportedOrderError):
         eigenfunction(-1, 0, frame_grid)
+    for a, b in ((1.7, 0), (0, 0.5), (np.nan, 1)):
+        with pytest.raises(DomainError):
+            eigenfunction(a, b, frame_grid)
 
 
 def test_eigenvalue_table():
@@ -147,14 +149,16 @@ def test_backward_inverts_forward(tau):
     xi = np.array([1.0, -0.5, 2.0, 0.0])
     eta = np.array([0.3, 0.9, -2.0, 1.0])
     X, Y = forward_chars(tau, xi, eta)
-    back = backward_characteristics(tau, X, Y)
+    m = char_map(tau)
+    back = np.array([[m.m11, m.m12], [m.m21, m.m22]]) @ np.array([X, Y])
     assert np.allclose(back[0], xi, rtol=0.0, atol=1e-12)
     assert np.allclose(back[1], eta, rtol=0.0, atol=1e-12)
 
 
 def test_char_map_rejects_negative_time():
-    with pytest.raises(DomainError):
-        char_map(-1.0)
+    for tau in (-1.0, np.nan, np.inf):
+        with pytest.raises(DomainError):
+            char_map(tau)
 
 
 # ------------------------------------------------------------------ semigroup
@@ -234,8 +238,9 @@ def test_semigroup_converges_to_projected_gaussian(frame_grid):
 
 def test_semigroup_rejects_negative_time(frame_grid):
     f = gaussian(frame_grid)
-    with pytest.raises(DomainError):
-        apply_semigroup(f, -0.5)
+    for tau in (-0.5, np.nan, np.inf):
+        with pytest.raises(DomainError):
+            apply_semigroup(f, tau)
 
 
 def test_semigroup_rejects_unresolved_spectrum():

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 import sympy
@@ -9,19 +12,16 @@ from shearvortex import (
     DomainError,
     UnsupportedOrderError,
     biot_savart,
-    dealias,
     derivative,
     lp_norm,
     make_grid,
     mass,
-    to_physical,
-    to_spectral,
     weighted_inner,
     weighted_norm,
 )
 from shearvortex.fokker_planck import _scale_stage, char_map, gaussian
 from shearvortex.selfsim import _frame_map
-from shearvortex.spectral import affine_trig_sum
+from shearvortex.spectral import MAX_DERIVATIVE_ORDER, affine_trig_sum, dealias_mask
 
 from conftest import localized_field
 from oracles import GAUSSIAN_L2, SPEED_G_AT_R2, trig_sum_direct
@@ -61,11 +61,81 @@ def test_grid_rejects_unknown_frame():
         make_grid(16.0, 64, "rotating")
 
 
+# ------------------------------------------------------------ grid plan
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "shearvortex"
+
+
+def test_only_the_grid_builds_wavenumbers_and_meshes():
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "grid.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name in ("fftfreq", "meshgrid"):
+                    calls.append(f"{path.name}:{node.lineno} {name}")
+    assert not calls, calls
+
+
+def _plan_by_formula(L, n):
+    """Each grid-only array by its formula, built from np.meshgrid and
+    np.fft.fftfreq the way the operations that use it once built it."""
+    x = -L + (2.0 * L / n) * np.arange(n)
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d=2.0 * L / n)
+    x1, x2 = np.meshgrid(x, x, indexing="ij")
+    j = np.abs(np.fft.fftfreq(n, d=1.0 / n))
+    keep = j <= n / 3.0
+    s = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    plan = {
+        "x": x, "k": k, "mode_index": j,
+        "keep": keep[:, None] & keep[None, :],
+        "outer_band": (j[:, None] >= (7.0 / 16.0) * n)
+        | (j[None, :] >= (7.0 / 16.0) * n),
+        "outside_half_box": (np.abs(x1) > 0.5 * L) | (np.abs(x2) > 0.5 * L),
+        "signs": np.outer(s, s),
+        "bracket_sq": 1.0 + x1 ** 2 + x2 ** 2,
+        "gaussian_values": np.exp(-(x1 ** 2 + x2 ** 2) / 4.0) / (4.0 * np.pi),
+    }
+    for order in range(MAX_DERIVATIVE_ORDER + 1):
+        kc = k.astype(np.complex128)
+        if order % 2 == 1:
+            kc = kc.copy()
+            kc[n // 2] = 0.0
+        plan[order] = (1j * kc) ** order
+    return plan
+
+
+def test_plan_arrays_are_kept_read_only_and_exact():
+    # a spacing that is not a dyadic rational, so any change in the order
+    # of operations would show in the last bits
+    L, n = 16.3, 64
+    grid = make_grid(L, n)
+
+    def read(name):
+        return grid.multipliers[name] if isinstance(name, int) else getattr(grid, name)
+
+    for name, want in _plan_by_formula(L, n).items():
+        got = read(name)
+        assert read(name) is got, name
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert got.tobytes() == want.tobytes(), name
+        with pytest.raises(ValueError):
+            got[(0,) * got.ndim] = got[(0,) * got.ndim]
+    assert grid.band == grid.k_max * (1.0 + 1e-12)
+    assert dealias_mask(grid) is grid.keep
+    assert np.array_equal(gaussian(grid).values, grid.gaussian_values)
+    # the plan takes no part in comparing or hashing grids
+    fresh = make_grid(L, n)
+    assert fresh == grid and hash(fresh) == hash(grid)
+
+
 # ----------------------------------------------------------- transforms
 
 def test_constant_field_spectrum(small_grid):
     f = Field(small_grid, values=np.full((64, 64), 2.5))
-    c = to_spectral(f).coeffs
+    c = f.coeffs
     assert np.isclose(c[0, 0].real, 2.5, rtol=1e-14)
     off = c.copy()
     off[0, 0] = 0.0
@@ -78,7 +148,8 @@ def test_transform_round_trip(seed):
     g = make_grid(16.0, 64)
     vals = np.random.default_rng(seed).standard_normal((64, 64))
     f = Field(g, values=vals)
-    back = to_physical(to_spectral(f))
+    back = Field(g, coeffs=f.coeffs)
+    assert not back.has_values
     assert np.abs(back.values - vals).max() <= 1e-12 * np.abs(vals).max()
 
 
@@ -86,7 +157,7 @@ def test_single_cosine_two_coefficients(phys_grid):
     x, _ = phys_grid.meshgrid()
     k = 3.0 * np.pi / phys_grid.half_width
     f = Field(phys_grid, values=np.cos(k * x))
-    c = to_spectral(f).coeffs
+    c = f.coeffs
     big = np.abs(c) > 1e-12
     assert big.sum() == 2
     assert np.allclose(np.abs(c[big]), 0.5, rtol=1e-12)
@@ -129,6 +200,12 @@ def test_derivative_order_cap():
         derivative(f, 3, 2)
     with pytest.raises(UnsupportedOrderError):
         derivative(f, -1, 0)
+    for a, b in ((1.5, 0), (0, 0.5), (np.nan, 0), (1, np.inf), ("2", 1)):
+        with pytest.raises(DomainError):
+            derivative(f, a, b)
+    # integral floats and numpy integers stay accepted
+    want = derivative(f, 1, 2).coeffs
+    assert np.array_equal(derivative(f, 1.0, np.int64(2)).coeffs, want)
 
 
 # ---------------------------------------------------------- biot-savart
@@ -219,6 +296,18 @@ def test_weighted_norm_order_cap(small_grid):
     f = Field(small_grid, values=np.ones((64, 64)))
     with pytest.raises(UnsupportedOrderError):
         weighted_norm(f, 2.0, 2, 2)
+    for a, b in ((1.5, 0), (0, 0.5), ("x", 0), (None, 1)):
+        with pytest.raises(DomainError):
+            weighted_norm(f, 2.0, a, b)
+
+
+@pytest.mark.parametrize("m", [-1.0, 12.5, np.nan, np.inf])
+def test_weight_exponent_range(small_grid, m):
+    f = Field(small_grid, values=np.ones((64, 64)))
+    with pytest.raises(DomainError):
+        weighted_norm(f, m)
+    with pytest.raises(DomainError):
+        weighted_inner(f, f, m)
 
 
 def test_weighted_inner_matches_norm(frame_grid):
@@ -263,13 +352,13 @@ def test_parseval(frame_grid):
 
 def test_dealias_clears_outer_band(frame_grid):
     f = localized_field(frame_grid, seed=4)
-    noisy = Field(frame_grid, coeffs=f.coeffs + 1e-3)
-    clean = dealias(noisy)
+    noisy = f.coeffs + 1e-3
+    clean = noisy * dealias_mask(frame_grid)
     kx, ky = frame_grid.wavegrid()
     cutoff = frame_grid.k_max * 2.0 / 3.0
     outer = (np.abs(kx) >= cutoff) | (np.abs(ky) >= cutoff)
-    assert np.abs(clean.coeffs[outer]).max() == 0.0
-    assert np.array_equal(clean.coeffs[~outer], noisy.coeffs[~outer])
+    assert np.abs(clean[outer]).max() == 0.0
+    assert np.array_equal(clean[~outer], noisy[~outer])
 
 
 # ------------------------------------------------------ affine kernel

@@ -343,6 +343,9 @@ def test_picard_rejects_bad_arguments(phys_grid):
         picard_solve(f, 1.0, 0.0, 5)
     with pytest.raises(DomainError):
         picard_solve(f, 1.0, 1.0, 1)
+    for n_times in (2.5, np.nan):
+        with pytest.raises(DomainError):
+            picard_solve(f, 1.0, 1.0, n_times)
     for horizon in (np.nan, np.inf):
         with pytest.raises(DomainError):
             picard_solve(f, 1.0, horizon, 5)
