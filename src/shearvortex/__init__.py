@@ -89,6 +89,7 @@ from .spectral import (
     lp_norm,
     mass,
     shear_spectrum,
+    transport,
     weighted_inner,
     weighted_norm,
 )
@@ -103,7 +104,7 @@ __all__ = [
     "UnsupportedOrderError",
     "Field", "Frame", "GridSpec", "make_grid",
     "biot_savart", "derivative", "inverse_laplacian", "lp_norm", "mass",
-    "shear_spectrum", "weighted_inner", "weighted_norm",
+    "shear_spectrum", "transport", "weighted_inner", "weighted_norm",
     "Trajectory", "apply_semigroup", "duhamel_bilinear", "green_kernel",
     "kato_norm", "picard_solve",
     "FrameCoefficients", "SelfSimilarState", "StepControl", "amplitude",

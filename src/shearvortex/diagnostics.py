@@ -7,6 +7,8 @@ the constants must satisfy explicit ratio constraints for E to stay
 coercive, and those constraints are validated on construction.
 """
 
+import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -47,6 +49,9 @@ class EnergyCoefficients:
 
     def __post_init__(self):
         cs = (self.c1, self.c2, self.c3, self.c4, self.c5, self.c6, self.c7)
+        if not all(isinstance(v, numbers.Real) and math.isfinite(v)
+                   for v in (*cs, self.t0, self.m)):
+            raise DomainError("energy constants, t0 and m must be finite numbers")
         if any(c <= 0 for c in cs):
             raise DomainError("all energy constants must be positive")
         if self.t0 <= 0:
@@ -139,8 +144,8 @@ def rate_fit(series, window=None):
         raise FitError(f"rate fit needs >= 5 samples, got {len(pts)}")
     t = np.array([p[0] for p in pts])
     v = np.array([p[1] for p in pts])
-    if np.any(t <= 0) or np.any(v <= 0):
-        raise DomainError("rate fit needs positive times and values")
+    if not (np.all((0 < t) & (t < np.inf)) and np.all((0 < v) & (v < np.inf))):
+        raise DomainError("rate fit needs finite positive times and values")
     x = np.log(t)
     y = np.log(v)
     dx = x - x.mean()

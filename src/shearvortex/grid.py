@@ -9,11 +9,12 @@ spectrally accurate for smooth periodic data.
 A GridSpec owns every array that depends on the grid alone: the points x
 and wavenumbers k, built with it, and, built on first use and then kept,
 the band edge, the 2/3 keep mask, the outer-eighth and half-box masks, the
-(-1)^(j+k) signs, the derivative multipliers and the samples of
-<x>^2 = 1 + |x|^2 and of the frame Gaussian. These arrays are read-only
-and take no part in comparing grids.
+(-1)^(j+k) signs, the derivative multipliers, the Laplacian's symbol and
+the samples of <x>^2 = 1 + |x|^2 and of the frame Gaussian. These arrays
+are read-only and take no part in comparing grids.
 """
 
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -125,6 +126,11 @@ class GridSpec:
                      for p in range(MAX_DERIVATIVE_ORDER + 1))
 
     @cached_property
+    def laplacian(self):
+        """Fourier symbol -(k1^2 + k2^2) of the Laplacian; zero at k = 0."""
+        return _frozen(-(self.k[:, None] ** 2 + self.k[None, :] ** 2))
+
+    @cached_property
     def bracket_sq(self):
         """Samples of <x>^2 = 1 + |x|^2; the weight <x>^m is its m/2 power."""
         return _frozen(1.0 + self.x[:, None] ** 2 + self.x[None, :] ** 2)
@@ -234,7 +240,7 @@ class Field:
         return Field(self.grid, coeffs=self.coeffs - other.coeffs)
 
     def __mul__(self, scalar):
-        if not np.isscalar(scalar):
+        if not isinstance(scalar, numbers.Real):
             return NotImplemented
         if self.has_values:
             return Field(self.grid, values=self.values * float(scalar))

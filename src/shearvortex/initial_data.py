@@ -134,9 +134,8 @@ def _make_random(grid, seed, take):
         raise DomainError("correlation length must be positive")
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((grid.n, grid.n))
-    kx, ky = grid.wavegrid()
     smooth = Field(grid, coeffs=np.fft.fft2(noise) / grid.n ** 2
-                   * np.exp(-0.5 * corr ** 2 * (kx ** 2 + ky ** 2)))
+                   * np.exp(0.5 * corr ** 2 * grid.laplacian))
     x, y = grid.x[:, None], grid.x[None, :]
     # envelope scale L/14 keeps the half-box tail under 1e-8 with margin
     envelope = np.exp(-(x ** 2 + y ** 2) / (grid.half_width / 14.0) ** 2 / 2.0)

@@ -32,13 +32,7 @@ from .errors import (
     check_positive,
 )
 from .grid import Field
-from .spectral import (
-    biot_savart,
-    dealias_mask,
-    derivative,
-    lp_norm,
-    shear_spectrum,
-)
+from .spectral import lp_norm, shear_spectrum, transport
 
 
 def green_kernel(nu, t, x, y):
@@ -50,8 +44,8 @@ def green_kernel(nu, t, x, y):
     nu = float(nu)
     t = np.asarray(t, dtype=np.float64)
     check_positive(nu, "viscosity")
-    if np.any(t <= 0):
-        raise DomainError("green_kernel requires t > 0")
+    if not np.all((0 < t) & (t < np.inf)):
+        raise DomainError("green_kernel requires a finite t > 0")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     a = 1.0 + t ** 2 / 3.0
@@ -71,8 +65,8 @@ def symbol_value(nu, t, xi, eta):
     """
     check_positive(nu, "viscosity")
     t = np.asarray(t, dtype=np.float64)
-    if np.any(t < 0):
-        raise DomainError("symbol_value requires t >= 0")
+    if not np.all((0 <= t) & (t < np.inf)):
+        raise DomainError("symbol_value requires a finite t >= 0")
     xi = np.asarray(xi, dtype=np.float64)
     eta = np.asarray(eta, dtype=np.float64)
     expo = t * (xi ** 2 + eta ** 2) + t ** 2 * xi * eta + (t ** 3 / 3.0) * xi ** 2
@@ -151,10 +145,11 @@ class Trajectory:
         fields = tuple(self.fields)
         if len(times) == 0 or len(times) != len(fields):
             raise GridError("trajectory needs matching, nonempty times and fields")
+        if not all(0.0 <= t < math.inf for t in times):
+            raise DomainError("trajectory times must be finite and nonnegative")
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise DomainError("trajectory times must be strictly increasing")
-        if times[0] < 0:
-            raise DomainError("trajectory times must be nonnegative")
+        check_positive(self.nu, "viscosity")
         grid = fields[0].grid
         if any(f.grid != grid for f in fields):
             raise GridError("trajectory fields must share one grid")
@@ -213,18 +208,6 @@ def _field_at(traj, s):
     return Field(traj.grid, coeffs=c)
 
 
-def _advection_divergence(omega1, omega2):
-    """div(u1 * omega2) with u1 = biot_savart(omega1); dealiased product."""
-    grid = omega1.grid
-    keep = dealias_mask(grid)
-    u1, u2 = biot_savart(Field(grid, coeffs=omega1.coeffs * keep))
-    w = Field(grid, coeffs=omega2.coeffs * keep)
-    p1 = Field(grid, values=u1.values * w.values)
-    p2 = Field(grid, values=u2.values * w.values)
-    d = derivative(p1, 1, 0).coeffs + derivative(p2, 0, 1).coeffs
-    return Field(grid, coeffs=d * keep)
-
-
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
@@ -251,7 +234,7 @@ def _duhamel_targets(traj1, traj2, targets):
     """Bilinear Duhamel integrals at several target times, in one march.
 
     Each target t gets -(integral over s in [t_0, t] of S(t - s) g(s)),
-    where g is the advection divergence of the pair and S the propagator.
+    where g is the transport term of the pair and S the propagator.
     One accumulator J_k = integral over [t_0, t_k] of S(t_k - s) g(s) is
     marched with J_{k+1} = S(t_{k+1} - t_k) J_k + (panel set on
     [t_k, t_{k+1}]), the panels graded toward t_{k+1} at the band's fastest
@@ -281,7 +264,7 @@ def _duhamel_targets(traj1, traj2, targets):
     def divergence(s):
         w1 = _field_at(traj1, s)
         w2 = w1 if traj2 is traj1 else _field_at(traj2, s)
-        return _advection_divergence(w1, w2)
+        return transport(w1, w2)
 
     def propagate(c, t):
         # only ever applied to vetted content; see panels below

@@ -20,11 +20,12 @@ from .grid import Field, Frame
 from .spectral import (
     affine_trig_sum,
     check_localized,
-    dealias_mask,
     derivative,
+    inverse_laplacian,
     mass,
     spectral_tail_ratio,
     tail_mass_ratio,
+    transport,
 )
 
 SQRT3 = np.sqrt(3.0)
@@ -199,11 +200,7 @@ def _laplacian_symbol(grid, co):
 
 def invert_frame_laplacian(f, t):
     """Solve the frame Laplacian with the mean-zero gauge (zero mode -> 0)."""
-    sym = _laplacian_symbol(f.grid, FrameCoefficients.at_time(t))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c = f.coeffs / sym
-    c[0, 0] = 0.0
-    return Field(f.grid, coeffs=c)
+    return inverse_laplacian(f, _laplacian_symbol(f.grid, FrameCoefficients.at_time(t)))
 
 
 def _drift_values(f, co, grid):
@@ -239,21 +236,13 @@ def apply_limit_generator(f):
 def nonlinear_term(f, t, nu):
     """Self-advection term of the frame equation, dealiased (2/3 rule).
 
-    A Poisson bracket of the field with its frame stream function; exactly
+    Minus the transport of the field by its frame Biot-Savart velocity,
+    i.e. a Poisson bracket with its frame stream function; exactly
     mass-free, and weighted by 1/(nu (1 + t^2/12)).
     """
     check_positive(nu, "viscosity")
-    grid = f.grid
-    keep = dealias_mask(grid)
-    fd = Field(grid, coeffs=f.coeffs * keep)
-    g = invert_frame_laplacian(fd, t)
-    fx = derivative(fd, 1, 0).values
-    fy = derivative(fd, 0, 1).values
-    gx = derivative(g, 1, 0).values
-    gy = derivative(g, 0, 1).values
     co = FrameCoefficients.at_time(t)
-    bracket = Field(grid, values=gy * fx - gx * fy)
-    return Field(grid, coeffs=bracket.coeffs * keep * (co.nonlin / nu))
+    return transport(f, f, _laplacian_symbol(f.grid, co)) * -(co.nonlin / nu)
 
 
 GROWTH_FACTOR = 10.0      # one-step L2 growth that flags instability

@@ -1,6 +1,10 @@
-"""Derivatives, Biot-Savart inversion, norms, quadrature and trig-exact
+"""Derivatives, the Biot-Savart law, norms, quadrature and trig-exact
 resampling; a Field transforms itself, and its grid keeps the arrays
 these operations share.
+
+Both frames share one Biot-Savart law, inverse_laplacian -> biot_savart
+-> transport, whose symbol operand is the plain Laplacian's by default
+and the frame Laplacian's (the plain one at t = 0) in the frame.
 
 All operations assume smooth fields that decay well inside the box, so the
 periodic spectral representation is accurate. Quadrature is the rectangle
@@ -33,27 +37,41 @@ def derivative(f, a, b):
     return Field(f.grid, coeffs=f.coeffs * mult)
 
 
-def inverse_laplacian(f):
-    """Solve lap(psi) = f with the mean-zero gauge (zero mode -> 0)."""
-    kx, ky = f.grid.wavegrid()
-    k2 = kx ** 2 + ky ** 2
+def inverse_laplacian(f, symbol=None):
+    """Solve lap(psi) = f with the mean-zero gauge (zero mode -> 0); lap has
+    the Fourier symbol given, by default the plain one, grid.laplacian."""
+    if symbol is None:
+        symbol = f.grid.laplacian
     with np.errstate(divide="ignore", invalid="ignore"):
-        psi = -f.coeffs / k2
+        psi = f.coeffs / symbol
     psi[0, 0] = 0.0
     return Field(f.grid, coeffs=psi)
 
 
-def biot_savart(omega):
+def biot_savart(omega, symbol=None):
     """Velocity (u1, u2) = perp-gradient of the inverse Laplacian of omega.
 
     The gauge fixes the stream function to zero mean, so curl(u) recovers
-    omega minus its mean value.
+    omega minus its mean value when the symbol is the plain Laplacian's.
     """
-    psi = inverse_laplacian(omega)
+    psi = inverse_laplacian(omega, symbol)
     d1 = omega.grid.multipliers[1]
     u1 = Field(omega.grid, coeffs=-d1[None, :] * psi.coeffs)
     u2 = Field(omega.grid, coeffs=d1[:, None] * psi.coeffs)
     return u1, u2
+
+
+def transport(omega, w, symbol=None):
+    """u . grad(w) with u = biot_savart(omega, symbol), 2/3-dealiased on
+    both inputs and on the product; equal to div(u w), as div(u) = 0."""
+    grid = omega.grid
+    keep = grid.keep
+    od = Field(grid, coeffs=omega.coeffs * keep)
+    u1, u2 = biot_savart(od, symbol)
+    wd = od if w is omega else Field(grid, coeffs=w.coeffs * keep)
+    prod = (u1.values * derivative(wd, 1, 0).values
+            + u2.values * derivative(wd, 0, 1).values)
+    return Field(grid, coeffs=Field(grid, values=prod).coeffs * keep)
 
 
 def mass(f):

@@ -2,16 +2,16 @@
 
 Everything here is deliberately built from a different route than the
 package internals: closed-form Gaussian algebra, symbolic differentiation,
-scalar quadrature, trigonometric sums taken one point at a time, and for
-the Duhamel term the package's own integrand under a different
-quadrature, summed without a time march. Agreement between these and the
+scalar quadrature, trigonometric sums taken one point at a time, the
+conservative form of the transport term, and for the Duhamel term that
+integrand under a different quadrature, summed without a time march. Agreement between these and the
 library is the point of the tests that import them.
 """
 
 import numpy as np
 
-from shearvortex import Field, apply_semigroup
-from shearvortex.propagator import _advection_divergence, _field_at, _gl_nodes
+from shearvortex import Field, apply_semigroup, derivative
+from shearvortex.propagator import _field_at, _gl_nodes
 
 SQRT3 = np.sqrt(3.0)
 
@@ -75,14 +75,37 @@ def trig_sum_direct(a, s, X, Y, sign):
     return out
 
 
+def advection_divergence(omega1, omega2, symbol=None):
+    """Conservative form div(u w) of the dealiased transport term, with
+    u = perp-gradient of the stream function of keep * omega1 under the
+    Laplacian symbol given (default -(k1^2 + k2^2)) and w = keep * omega2.
+    The divergence of the products, not u . grad(w): the two agree because
+    div(u) = 0 and the 2/3 rule keeps only unaliased modes of the product.
+    """
+    grid = omega1.grid
+    k1, k2 = np.meshgrid(grid.k, grid.k, indexing="ij")
+    sym = -(k1 ** 2 + k2 ** 2) if symbol is None else symbol
+    cut = grid.k_max * 2.0 / 3.0
+    keep = (np.abs(k1) <= cut) & (np.abs(k2) <= cut)
+    safe = np.where(sym == 0.0, 1.0, sym)
+    psi = np.where(sym == 0.0, 0.0, omega1.coeffs * keep / safe)
+    psi = Field(grid, coeffs=psi)
+    u1 = -derivative(psi, 0, 1).values
+    u2 = derivative(psi, 1, 0).values
+    w = Field(grid, coeffs=omega2.coeffs * keep).values
+    div = (derivative(Field(grid, values=u1 * w), 1, 0).coeffs
+           + derivative(Field(grid, values=u2 * w), 0, 1).coeffs)
+    return Field(grid, coeffs=div * keep)
+
+
 def duhamel_direct(traj1, traj2, targets):
     """Bilinear Duhamel integrals summed afresh for every target time.
 
-    The library's integrand under the library's previous quadrature, kept
-    as an independent reference: one 8-point Gauss-Legendre panel on each
-    sample interval below t, and the final interval split into a fixed
-    four panels graded toward s = t, where the library now derives its
-    panel sets from the decay rate. There is no march: every node is
+    The conservative form of the library's integrand under the library's
+    previous quadrature, kept as an independent reference: one 8-point
+    Gauss-Legendre panel on each sample interval below t, and the final
+    interval split into a fixed four panels graded toward s = t, where the
+    library now derives its panel sets from the decay rate. There is no march: every node is
     propagated straight to the target, S(t - s) g(s), so no semigroup
     composition enters. The cost is quadratic in the number of samples.
     """
@@ -107,7 +130,7 @@ def duhamel_direct(traj1, traj2, targets):
         for a, b in panels:
             nodes, weights = _gl_nodes(a, b)
             for s, w in zip(nodes, weights):
-                g = _advection_divergence(_field_at(traj1, s), _field_at(traj2, s))
+                g = advection_divergence(_field_at(traj1, s), _field_at(traj2, s))
                 acc += w * apply_semigroup(g, traj1.nu, t - s).coeffs
         out.append(Field(traj1.grid, coeffs=-acc))
     return out

@@ -109,6 +109,9 @@ def test_rate_fit_rejects_bad_series():
         rate_fit([(0.0, 1.0)] + [(t, 1.0) for t in good_t])
     with pytest.raises(DomainError):
         rate_fit([(2.0, v) for v in (1.0, 2.0, 3.0, 4.0, 5.0)])
+    for bad in ((2.0, np.nan), (np.inf, 0.5), (np.nan, 0.5), (3.0, np.inf)):
+        with pytest.raises(DomainError):
+            rate_fit([(t, 1.0 / t) for t in good_t] + [bad])
 
 
 # ---------------------------------------------------------- energy functionals
@@ -209,6 +212,11 @@ def test_ladder_validation():
         EnergyCoefficients(**good, t0=0.0)
     with pytest.raises(DomainError):
         EnergyCoefficients(**good, m=1.0)
+    # NaN passes every ordering check, so finiteness is checked first
+    for name, bad in (("t0", np.nan), ("c3", np.nan), ("m", np.nan),
+                      ("m", np.inf), ("t0", np.inf), ("c7", "1e-12")):
+        with pytest.raises(DomainError):
+            EnergyCoefficients(**{**good, name: bad})
     # chain satisfied but c2 << c1^2 fails
     with pytest.raises(DomainError):
         EnergyCoefficients(c1=0.1, c2=0.01, c3=1e-3, c4=0.01,

@@ -16,15 +16,17 @@ from shearvortex import (
     lp_norm,
     make_grid,
     mass,
+    transport,
     weighted_inner,
     weighted_norm,
 )
 from shearvortex.fokker_planck import _scale_stage, char_map, gaussian
-from shearvortex.selfsim import _frame_map
+from shearvortex.selfsim import FrameCoefficients, _frame_map, _laplacian_symbol
 from shearvortex.spectral import MAX_DERIVATIVE_ORDER, affine_trig_sum, dealias_mask
 
 from conftest import localized_field
-from oracles import GAUSSIAN_L2, SPEED_G_AT_R2, trig_sum_direct
+from oracles import (GAUSSIAN_L2, SPEED_G_AT_R2, advection_divergence,
+                     trig_sum_direct)
 
 
 # ---------------------------------------------------------------- grids
@@ -66,16 +68,29 @@ def test_grid_rejects_unknown_frame():
 SRC = Path(__file__).resolve().parents[1] / "src" / "shearvortex"
 
 
-def test_only_the_grid_builds_wavenumbers_and_meshes():
+def _calls_outside(home, names):
+    """Calls of the named functions in src/shearvortex outside home."""
     calls = []
     for path in sorted(SRC.glob("*.py")):
-        if path.name == "grid.py":
+        if path.name == home:
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "attr", getattr(node.func, "id", None))
-                if name in ("fftfreq", "meshgrid"):
+                if name in names:
                     calls.append(f"{path.name}:{node.lineno} {name}")
+    return calls
+
+
+def test_only_the_grid_builds_wavenumbers_and_meshes():
+    calls = _calls_outside("grid.py", ("fftfreq", "meshgrid"))
+    assert not calls, calls
+
+
+def test_only_spectral_divides_by_a_laplacian_symbol():
+    # the symbol division needs np.errstate for the zero mode; one
+    # inverse_laplacian serves the physical and the frame Laplacian
+    calls = _calls_outside("spectral.py", ("errstate",))
     assert not calls, calls
 
 
@@ -85,6 +100,7 @@ def _plan_by_formula(L, n):
     x = -L + (2.0 * L / n) * np.arange(n)
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=2.0 * L / n)
     x1, x2 = np.meshgrid(x, x, indexing="ij")
+    k1, k2 = np.meshgrid(k, k, indexing="ij")
     j = np.abs(np.fft.fftfreq(n, d=1.0 / n))
     keep = j <= n / 3.0
     s = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
@@ -95,6 +111,7 @@ def _plan_by_formula(L, n):
         | (j[None, :] >= (7.0 / 16.0) * n),
         "outside_half_box": (np.abs(x1) > 0.5 * L) | (np.abs(x2) > 0.5 * L),
         "signs": np.outer(s, s),
+        "laplacian": -(k1 ** 2 + k2 ** 2),
         "bracket_sq": 1.0 + x1 ** 2 + x2 ** 2,
         "gaussian_values": np.exp(-(x1 ** 2 + x2 ** 2) / 4.0) / (4.0 * np.pi),
     }
@@ -161,6 +178,20 @@ def test_single_cosine_two_coefficients(phys_grid):
     big = np.abs(c) > 1e-12
     assert big.sum() == 2
     assert np.allclose(np.abs(c[big]), 0.5, rtol=1e-12)
+
+
+def test_field_scales_by_real_numbers_only(small_grid):
+    f = localized_field(small_grid, seed=2)
+    want = f.values * 2.0
+    for c in (2, 2.0, np.float64(2.0), np.int64(2)):
+        assert np.array_equal((f * c).values, want)
+        assert np.array_equal((c * f).values, want)
+    for c in ("2", 1j, np.complex128(1.0), None, [2.0]):
+        assert Field.__mul__(f, c) is NotImplemented, c
+    with pytest.raises(TypeError):
+        f * "2"
+    with pytest.raises(TypeError):
+        f * 1j
 
 
 # ---------------------------------------------------------- derivatives
@@ -245,6 +276,20 @@ def test_biot_savart_divergence_free_and_curl(frame_grid):
     want = f.coeffs.copy()
     want[0, 0] = 0.0
     assert np.abs(curl.coeffs - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("t", [None, 3.0])
+def test_transport_matches_conservative_form(frame_grid, t):
+    # u . grad(w) against div(u w), for the plain Laplacian (None) and the
+    # frame Laplacian at t = 3, with omega and w different fields
+    symbol = None if t is None else _laplacian_symbol(
+        frame_grid, FrameCoefficients.at_time(t))
+    omega = localized_field(frame_grid, seed=8)
+    w = localized_field(frame_grid, seed=9)
+    got = transport(omega, w, symbol).coeffs
+    want = advection_divergence(omega, w, symbol).coeffs
+    assert np.abs(want).max() > 0.0
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 # ---------------------------------------------------------------- norms

@@ -50,13 +50,20 @@ def test_kernel_unit_mass():
 
 
 def test_kernel_rejects_nonpositive_time():
-    with pytest.raises(DomainError):
-        green_kernel(1.0, 0.0, 0.0, 0.0)
+    for t in (0.0, np.nan, np.inf):
+        with pytest.raises(DomainError):
+            green_kernel(1.0, t, 0.0, 0.0)
     with pytest.raises(DomainError):
         green_kernel(-1.0, 1.0, 0.0, 0.0)
 
 
 # --------------------------------------------------------------- symbol
+
+def test_symbol_rejects_non_finite_time():
+    for t in (np.nan, np.inf, np.array([0.5, np.nan])):
+        with pytest.raises(DomainError):
+            symbol_value(1.0, t, 1.0, 1.0)
+
 
 def test_symbol_identity_at_time_zero():
     for xi, eta in ((0.0, 0.0), (3.0, -2.0), (10.0, 10.0)):
@@ -262,13 +269,13 @@ def test_panel_set_resolves_the_fastest_decay():
 
 def _count_divergences(monkeypatch):
     calls = []
-    evaluate = propagator._advection_divergence
+    evaluate = propagator.transport
 
     def counted(w1, w2):
         calls.append(None)
         return evaluate(w1, w2)
 
-    monkeypatch.setattr(propagator, "_advection_divergence", counted)
+    monkeypatch.setattr(propagator, "transport", counted)
     return calls
 
 
@@ -301,6 +308,12 @@ def test_trajectory_validation(phys_grid):
         Trajectory(times=(), fields=(), nu=1.0)
     with pytest.raises(DomainError):
         Trajectory(times=(1.0, 0.5), fields=(f, f), nu=1.0)
+    for times in ((0.0, np.nan), (np.nan, 1.0), (0.0, np.inf), (0.0, np.nan, 2.0)):
+        with pytest.raises(DomainError):
+            Trajectory(times=times, fields=(f,) * len(times), nu=1.0)
+    for nu in (np.nan, -1.0, np.inf):
+        with pytest.raises(DomainError):
+            Trajectory(times=(0.0, 1.0), fields=(f, f), nu=nu)
     other = localized_field(make_grid(16.0, 64), seed=1)
     with pytest.raises(GridError):
         Trajectory(times=(0.0, 1.0), fields=(f, other), nu=1.0)

@@ -15,6 +15,7 @@ from shearvortex import (
     apply_limit_generator,
     evolve,
     green_kernel,
+    inverse_laplacian,
     invert_frame_laplacian,
     lp_norm,
     make_grid,
@@ -24,6 +25,7 @@ from shearvortex import (
     rate_fit,
     selfsim_coords,
     selfsim_to_phys,
+    transport,
 )
 from shearvortex import selfsim
 from shearvortex.errors import TruncationError
@@ -195,6 +197,17 @@ def test_frame_laplacian_inverse_at_zero_time(frame_grid):
     want = f.coeffs / -k2
     want[0, 0] = 0.0
     assert np.abs(psi.coeffs - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_frame_law_at_zero_time_is_the_plain_law(frame_grid):
+    # the frame Laplacian at t = 0 is the plain one, to the last bit, so
+    # both frames run one Biot-Savart law
+    f = localized_field(frame_grid, seed=3)
+    got = invert_frame_laplacian(f, 0.0).coeffs
+    assert got.tobytes() == inverse_laplacian(f).coeffs.tobytes()
+    nu = 0.7
+    got = nonlinear_term(f, 0.0, nu).coeffs
+    assert got.tobytes() == (transport(f, f) * -(1.0 / nu)).coeffs.tobytes()
 
 
 def _frame_symbol(xi, eta, t):
