@@ -4,7 +4,10 @@ empirical-constant probes for the frame dynamics.
 The hypocoercive energy pair (E, D) mixes weighted norms of derivatives
 up to third order with log-time factors and a ladder of small constants;
 the constants must satisfy explicit ratio constraints for E to stay
-coercive, and those constraints are validated on construction.
+coercive, and those constraints are validated on construction. Both are
+read off one Gram table: the weighted-L2 inner products of the samples
+<x>^m d^a omega, each sample formed once per call. record measures the
+distance to alpha times the fixed Gaussian from samples as well.
 """
 
 import math
@@ -14,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, FitError
-from .fokker_planck import gaussian
+from .errors import DomainError, FitError, check_real
+from .grid import Field
 from .propagator import apply_semigroup as heat_shear_semigroup
 from .selfsim import invert_frame_laplacian
-from .spectral import derivative, lp_norm, mass, weighted_inner, weighted_norm
+from .spectral import derivative, lp_norm, mass, weighted_norm
 
 #: fixed exponent grid for the L^p columns (4/3 is the fixed-point norm)
 P_GRID = (1.0, 4.0 / 3.0, 2.0, np.inf)
@@ -119,7 +122,7 @@ def record(state, opts=None):
     opts = opts or RecordOptions()
     om = state.omega
     grid = om.grid
-    diff = om - (state.alpha * gaussian(grid))
+    diff = Field(grid, values=om.values - state.alpha * grid.gaussian_values)
     lp = {p: float(lp_norm(om, p)) for p in P_GRID}
     weighted = {(m, 0, 0): float(weighted_norm(om, m))
                 for m in opts.weight_exponents}
@@ -136,9 +139,10 @@ def record(state, opts=None):
 def rate_fit(series, window=None):
     """Least-squares slope of log(value) against log(t), with its
     standard error. Needs at least 5 samples in the window, all positive."""
-    pts = [(float(t), float(v)) for t, v in series]
+    pts = [(check_real(t, "rate fit time"), check_real(v, "rate fit value"))
+           for t, v in series]
     if window is not None:
-        ta, tb = window
+        ta, tb = (check_real(w, "rate fit window") for w in window)
         pts = [(t, v) for t, v in pts if ta <= t <= tb]
     if len(pts) < 5:
         raise FitError(f"rate fit needs >= 5 samples, got {len(pts)}")
@@ -159,67 +163,65 @@ def rate_fit(series, window=None):
     return slope, float(stderr)
 
 
-# derivative multi-indices appearing in E and D
+# Gram rows of E and D: (ladder index 0..7 with 0 meaning 1.0, log power,
+# a, b) over the weighted samples f_a = <x>^m d^a omega. An E row adds
+# c log^p (f_a, f_b); a D row adds c log^p (|f_b|^2 + |f_a|^2 / (1 + t^2)),
+# the second term only when a is set.
 _E_TERMS = (
-    # (coefficient index 0..7 with 0 meaning 1.0, log power, kind)
-    (0, 0, ("norm", 0, 0)),
-    (1, 1, ("norm", 0, 1)),
-    (2, 2, ("inner", (1, 0), (0, 1))),
-    (3, 3, ("norm", 1, 0)),
-    (4, 2, ("norm", 0, 2)),
-    (5, 4, ("norm", 1, 1)),
-    (6, 5, ("inner", (2, 0), (1, 1))),
-    (7, 6, ("norm", 2, 0)),
+    (0, 0, (0, 0), (0, 0)),
+    (1, 1, (0, 1), (0, 1)),
+    (2, 2, (1, 0), (0, 1)),
+    (3, 3, (1, 0), (1, 0)),
+    (4, 2, (0, 2), (0, 2)),
+    (5, 4, (1, 1), (1, 1)),
+    (6, 5, (2, 0), (1, 1)),
+    (7, 6, (2, 0), (2, 0)),
 )
 _D_TERMS = (
-    (0, 0, ("pair", (1, 0), (0, 1))),
-    (1, 1, ("pair", (1, 1), (0, 2))),
-    (2, 2, ("norm", 1, 0)),
-    (3, 3, ("pair", (2, 0), (1, 1))),
-    (4, 2, ("pair", (1, 2), (0, 3))),
-    (5, 4, ("pair", (2, 1), (1, 2))),
-    (6, 5, ("norm", 2, 0)),
-    (7, 6, ("pair", (3, 0), (2, 1))),
+    (0, 0, (1, 0), (0, 1)),
+    (1, 1, (1, 1), (0, 2)),
+    (2, 2, None, (1, 0)),
+    (3, 3, (2, 0), (1, 1)),
+    (4, 2, (1, 2), (0, 3)),
+    (5, 4, (2, 1), (1, 2)),
+    (6, 5, None, (2, 0)),
+    (7, 6, (3, 0), (2, 1)),
 )
+# the ten derivative orders sampled, and the four that enter an inner product
+_ORDERS = tuple(sorted({o for row in _E_TERMS + _D_TERMS for o in row[2:]
+                        if o is not None}))
+_CROSS = frozenset(o for _, _, a, b in _E_TERMS if a != b for o in (a, b))
 
 
 def energy_functionals(omega, t, coef):
     """The energy E(t) and dissipation D(t) of the hypocoercive pair.
 
-    Every term is a weighted-L2 norm or inner product of derivatives of
-    omega (orders up to 3), scaled by a constant from the ladder, a power
-    of ln(t/t0), and, inside D, a factor 1/(1+t^2) on the sheared-
-    direction derivative of each pair.
+    Both sum rows of one Gram table of weighted-L2 inner products of the
+    samples f_a = <x>^m d^a omega (orders up to 3), scaled by a constant
+    from the ladder, a power of ln(t/t0) and, inside D, 1/(1+t^2) on the
+    sheared-direction derivative of each pair. Each sample is formed
+    once, and one that enters no inner product is dropped once normed.
     """
     if t < coef.t0:
         raise DomainError(f"energy functionals need t >= t0 = {coef.t0}")
-    m = coef.m
     log = float(np.log(t / coef.t0))
     decay = 1.0 / (1.0 + t * t)
     cs = (1.0, coef.c1, coef.c2, coef.c3, coef.c4, coef.c5, coef.c6, coef.c7)
-    norms = {}
-
-    def norm2(a, b):
-        if (a, b) not in norms:
-            norms[(a, b)] = float(weighted_norm(omega, m, a, b)) ** 2
-        return norms[(a, b)]
-
-    e = 0.0
-    for ci, lp, term in _E_TERMS:
-        if term[0] == "norm":
-            val = norm2(term[1], term[2])
-        else:
-            f = derivative(omega, *term[1])
-            g = derivative(omega, *term[2])
-            val = float(weighted_inner(f, g, m))
-        e += cs[ci] * log ** lp * val
-    d = 0.0
-    for ci, lp, term in _D_TERMS:
-        if term[0] == "norm":
-            val = norm2(term[1], term[2])
-        else:
-            val = decay * norm2(*term[1]) + norm2(*term[2])
-        d += cs[ci] * log ** lp * val
+    weight = omega.grid.bracket_sq ** (0.5 * coef.m)
+    h2 = omega.grid.spacing ** 2
+    gram, kept = {}, {}
+    for o in _ORDERS:
+        f = weight * derivative(omega, *o).values
+        gram[o, o] = float(np.sum(f * f)) * h2
+        if o in _CROSS:
+            kept[o] = f
+    for _, _, a, b in _E_TERMS:
+        if a != b:
+            gram[a, b] = float(np.sum(kept[a] * kept[b])) * h2
+    e = sum(cs[ci] * log ** lp * gram[a, b] for ci, lp, a, b in _E_TERMS)
+    d = sum(cs[ci] * log ** lp
+            * (gram[b, b] + (decay * gram[a, a] if a is not None else 0.0))
+            for ci, lp, a, b in _D_TERMS)
     return e, d
 
 

@@ -37,9 +37,22 @@ class DomainError(ShearVortexError):
 
 
 def check_positive(value, what):
-    """Raise DomainError unless value is a finite number > 0 (NaN fails)."""
-    if not 0.0 < value < math.inf:
+    """Raise DomainError unless value is a finite real number > 0; NaN and
+    non-numbers such as the string "1" or the complex 1j fail."""
+    if not (isinstance(value, numbers.Real) and 0.0 < value < math.inf):
         raise DomainError(f"{what} must be positive and finite, got {value!r}")
+
+
+def check_real(value, what):
+    """value as a float if it is a real number; raise DomainError for
+    non-numbers such as the string "1" or the complex 1j. An integer too
+    large for a float becomes an infinity, which range checks reject."""
+    if not isinstance(value, numbers.Real):
+        raise DomainError(f"{what} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def check_order(value, what):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DomainError, ResolutionError, UnsupportedOrderError,
-                     check_order)
+                     check_order, check_real)
 from .grid import Field
 from .spectral import affine_trig_sum, shear_spectrum, spectral_tail_ratio
 
@@ -89,7 +89,7 @@ class CharMap:
 def char_map(tau):
     """Backward characteristics as an explicit 2x2 map: a mode (xi, eta)
     is read from (m11 xi + m12 eta, m21 xi + m22 eta) after a time tau."""
-    tau = float(tau)
+    tau = check_real(tau, "tau")
     if not 0.0 <= tau < np.inf:
         raise DomainError(f"tau must be finite and nonnegative, got {tau!r}")
     e1 = np.exp(-tau / 2.0)
@@ -128,7 +128,7 @@ def apply_semigroup(f, tau):
     the band edge); otherwise the characteristic shift moves significant
     content across the band and the result is unreliable.
     """
-    tau = float(tau)
+    tau = check_real(tau, "tau")
     if not 0.0 <= tau < np.inf:
         raise DomainError(f"tau must be finite and nonnegative, got {tau!r}")
     if tau == 0.0:

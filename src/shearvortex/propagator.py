@@ -30,6 +30,7 @@ from .errors import (
     NoConvergenceError,
     check_order,
     check_positive,
+    check_real,
 )
 from .grid import Field
 from .spectral import lp_norm, shear_spectrum, transport
@@ -41,9 +42,8 @@ def green_kernel(nu, t, x, y):
     An anisotropic, sheared Gaussian: variance grows like nu*t^3 along x
     (shear-enhanced diffusion) and like nu*t along the tilted y direction.
     """
-    nu = float(nu)
-    t = np.asarray(t, dtype=np.float64)
     check_positive(nu, "viscosity")
+    t = np.asarray(t, dtype=np.float64)
     if not np.all((0 < t) & (t < np.inf)):
         raise DomainError("green_kernel requires a finite t > 0")
     x = np.asarray(x, dtype=np.float64)
@@ -86,7 +86,7 @@ def apply_semigroup(f, nu, t, alias_tol=_ALIAS_TOL):
     offending mode.
     """
     check_positive(nu, "viscosity")
-    t = float(t)
+    t = check_real(t, "time")
     if not 0.0 <= t < np.inf:
         raise DomainError(f"apply_semigroup requires a finite t >= 0, got {t!r}")
     if t == 0.0:
@@ -141,7 +141,7 @@ class Trajectory:
     history: tuple = ()
 
     def __post_init__(self):
-        times = tuple(float(t) for t in self.times)
+        times = tuple(check_real(t, "trajectory time") for t in self.times)
         fields = tuple(self.fields)
         if len(times) == 0 or len(times) != len(fields):
             raise GridError("trajectory needs matching, nonempty times and fields")

@@ -30,12 +30,14 @@ from .selfsim import (
     amplitude,
     evolve,
     phys_to_selfsim,
+    sample_schedule,
 )
 from .snapshot import write_snapshot
 from .spectral import lp_norm, mass
 
 PROBE_ENSEMBLE_SIZE = 10
 PROBE_TIMES = 5
+LOCAL_FIT_SAMPLES = 5  # samples of the summary's local convergence exponent
 
 
 def _fmt_m(m):
@@ -191,6 +193,7 @@ def _run_evolution(cfg, outdir):
                          if l1[i] > 0), default=0.0)
     late = (cfg.t_end / 10.0, cfg.t_end)
     conv_series = [(r.t, r.convergence_L2m[m0]) for r in recs]
+    low = min(conv_series, key=lambda p: p[1])
     growth_series = [(r.t, r.weighted[(m0, 0, 0)]) for r in recs]
     # physical-frame sup norm via the amplitude factor (exact identity)
     linf_phys = [(r.t, r.lp_norms[np.inf] / amplitude(r.t, cfg.nu))
@@ -203,6 +206,10 @@ def _run_evolution(cfg, outdir):
         f"mass relative drift: {mass_drift!r}",
         f"worst relative L1 rise per sample: {worst_l1_rise!r}",
         f"conv_L2m_{_fmt_m(m0)} final: {recs[-1].convergence_L2m[m0]!r}",
+        f"conv_L2m_{_fmt_m(m0)} minimum: {low[1]!r} at t = {low[0]!r}",
+        "local exponent conv_L2m_" + _fmt_m(m0)
+        + f" over last {LOCAL_FIT_SAMPLES} samples: "
+        + _try_fit(conv_series[-LOCAL_FIT_SAMPLES:], None),
         "fitted exponent conv_L2m_" + _fmt_m(m0)
         + f" over last decade: {_try_fit(conv_series, late)}",
         "fitted exponent weighted L2(m) growth over [10, t_end]: "
@@ -216,8 +223,8 @@ def _run_evolution(cfg, outdir):
 
 
 def _run_fp_decay(cfg, outdir):
-    """Decay of the limit semigroup from frame initial data, logged on the
-    same cadence; time column is t = t_init e^tau."""
+    """Decay of the limit semigroup from frame initial data, sampled on the
+    evolver's schedule; time column is t = t_init e^tau."""
     frame_grid = make_grid(cfg.grid_l, cfg.grid_n, "selfsim")
     opts = _record_options(cfg)
     recorder = _Recorder(opts, outdir, cfg.snapshot_cadence)
@@ -225,13 +232,10 @@ def _run_fp_decay(cfg, outdir):
         f0 = make_field(cfg.initial_data, frame_grid, cfg.seed,
                         params=cfg.initial_params)
         alpha = float(mass(f0))
-        tau_end = float(np.log(cfg.t_end / cfg.t_init))
-        n_samples = max(2, int(np.ceil(
-            tau_end / np.log(10.0) * cfg.samples_per_decade)) + 1)
-        taus = np.linspace(0.0, tau_end, n_samples)
+        taus = sample_schedule(cfg.t_init, cfg.t_end, cfg.samples_per_decade)
         last_state = None
-        for tau in taus:
-            u = fp_apply(f0, float(tau))
+        for tau in (s - taus[0] for s in taus):
+            u = fp_apply(f0, tau)
             last_state = SelfSimilarState(
                 omega=u, t=float(cfg.t_init * np.exp(tau)), nu=cfg.nu,
                 alpha=alpha)
@@ -307,6 +311,20 @@ def _run_picard(cfg, outdir):
 def _run_probe(cfg, outdir):
     """Empirical-constant probes over a seeded ensemble; writes probes.csv
     and the summary instead of the evolution diagnostics."""
+    try:
+        rows, lines = _probe_tables(cfg)
+    except ShearVortexError as e:
+        _fail(outdir, cfg, [], e)
+        raise
+    with open(os.path.join(outdir, "probes.csv"), "w", encoding="ascii") as fh:
+        fh.write("\n".join(rows) + "\n")
+    with open(os.path.join(outdir, "summary.txt"), "w", encoding="ascii") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return 0
+
+
+def _probe_tables(cfg):
+    """The probes.csv rows and summary lines of a probe run."""
     frame_grid = make_grid(cfg.grid_l, cfg.grid_n, "selfsim")
     ensemble = [make_field("random_localized", frame_grid, cfg.seed + i)
                 for i in range(PROBE_ENSEMBLE_SIZE)]
@@ -329,8 +347,4 @@ def _run_probe(cfg, outdir):
         lines += [f"{kind} max ratio: {rep.max_ratio!r}",
                   f"{kind} mean ratio: {rep.mean_ratio!r}",
                   f"{kind} maximizer: field {rep.argmax[0]} at t={rep.argmax[1]!r}"]
-    with open(os.path.join(outdir, "probes.csv"), "w", encoding="ascii") as fh:
-        fh.write("\n".join(rows) + "\n")
-    with open(os.path.join(outdir, "summary.txt"), "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return 0
+    return rows, lines

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (BlowUpError, DomainError, GridError, ResolutionError,
-                     TruncationError, check_positive)
+                     TruncationError, check_order, check_positive, check_real)
 from .grid import Field, Frame
 from .spectral import (
     affine_trig_sum,
@@ -58,7 +58,7 @@ class FrameCoefficients:
         # the coefficient formulas are regular down to t = 0 (where the
         # diffusion part reduces to the plain Laplacian), unlike the frame
         # change itself which needs t > 0
-        t = float(t)
+        t = check_real(t, "time")
         if not 0.0 <= t < np.inf:
             raise DomainError(f"frame coefficients need a finite t >= 0, got {t!r}")
         a = 1.0 + t * t / 3.0
@@ -84,10 +84,9 @@ class FrameCoefficients:
 
 def selfsim_coords(t, nu, x, y):
     """Map physical coordinates to self-similar coordinates at time t."""
-    t = float(t)
-    nu = float(nu)
     check_positive(t, "time")
     check_positive(nu, "viscosity")
+    t, nu = float(t), float(nu)
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     a = 1.0 + t * t / 3.0
@@ -264,7 +263,7 @@ class StepControl:
 
     def __post_init__(self):
         check_positive(self.dtau, "dtau")
-        if self.samples_per_decade < 4:
+        if check_order(self.samples_per_decade, "samples per decade") < 4:
             raise DomainError("need at least 4 samples per decade")
         if self.on_tail not in ("error", "warn", "ignore"):
             raise DomainError(f"unknown tail action {self.on_tail!r}")
@@ -288,6 +287,25 @@ def _tail_monitor(f, control, t):
         raise ResolutionError(msg)
     if control.on_tail == "warn":
         warnings.warn(msg, RuntimeWarning, stacklevel=3)
+
+
+def sample_schedule(t_init, t_end, samples_per_decade):
+    """Sample log-times tau = ln t from t_init to t_end: every
+    ln10/samples_per_decade from ln t_init, plus ln t_end when later."""
+    tau = float(np.log(t_init))
+    tau_end = float(np.log(t_end))
+    ln10 = float(np.log(10.0))
+    taus = [tau]
+    j = 1
+    while True:
+        s = tau + j * ln10 / samples_per_decade
+        if s >= tau_end - 1e-12:
+            break
+        taus.append(s)
+        j += 1
+    if tau_end > tau:
+        taus.append(tau_end)
+    return taus
 
 
 def evolve(state, t_end, control=None, nonlinear=True, observer=None):
@@ -320,19 +338,8 @@ def evolve(state, t_end, control=None, nonlinear=True, observer=None):
             out += nonlinear_term(f, t_s, nu).coeffs
         return out
 
-    tau = float(np.log(state.t))
-    tau_end = float(np.log(t_end))
-    ln10 = float(np.log(10.0))
-    sample_taus = [tau]
-    j = 1
-    while True:
-        s = float(np.log(state.t)) + j * ln10 / control.samples_per_decade
-        if s >= tau_end - 1e-12:
-            break
-        sample_taus.append(s)
-        j += 1
-    if tau_end > tau:
-        sample_taus.append(tau_end)
+    sample_taus = sample_schedule(state.t, t_end, control.samples_per_decade)
+    tau = sample_taus[0]
 
     c = state.omega.coeffs.copy()
     records = [observer(state)]

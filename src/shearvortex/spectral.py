@@ -14,7 +14,7 @@ rule, exact for resolved trigonometric content.
 import numpy as np
 
 from .errors import (DomainError, TruncationError, UnsupportedOrderError,
-                     check_order)
+                     check_order, check_real)
 from .grid import MAX_DERIVATIVE_ORDER, Field
 
 
@@ -83,7 +83,7 @@ def mass(f):
 
 def lp_norm(f, p):
     """L^p norm by rectangle-rule quadrature; p in [1, inf]."""
-    p = float(p)
+    p = check_real(p, "p")
     if not p >= 1.0:
         raise DomainError(f"p must satisfy 1 <= p <= inf, got {p!r}")
     v = np.abs(f.values)
@@ -98,7 +98,7 @@ def lp_norm(f, p):
 
 
 def _weight_exponent(m):
-    m = float(m)
+    m = check_real(m, "weight exponent")
     if not 0.0 <= m <= 12.0:
         raise DomainError(f"weight exponent must lie in [0, 12], got {m!r}")
     return m

@@ -15,6 +15,7 @@ from shearvortex import (
     weighted_inner,
     weighted_norm,
 )
+from shearvortex import diagnostics, fokker_planck, spectral
 from shearvortex.diagnostics import P_GRID
 from shearvortex.errors import DomainError, FitError
 from shearvortex.fokker_planck import eigenfunction, gaussian
@@ -60,6 +61,28 @@ def test_record_optional_columns(small_grid):
     e, d = energy_functionals(om, 2.0, opts.energy)
     assert rec.energy == pytest.approx(e, rel=1e-12)
     assert rec.dissipation == pytest.approx(d, rel=1e-12)
+
+
+def test_record_distance_to_alpha_gaussian_matches_field_arithmetic(
+        small_grid, monkeypatch):
+    # alpha is set apart from the mass, and omega is held as coefficients,
+    # as the evolver leaves it; the Gaussian comes from the grid's samples
+    om = Field(small_grid, coeffs=(gaussian(small_grid)
+                                   + eigenfunction(0, 1, small_grid)).coeffs)
+    state = SelfSimilarState(omega=om, t=2.0, nu=1.0, alpha=0.7)
+    want = om - 0.7 * gaussian(small_grid)
+    monkeypatch.setattr(fokker_planck, "gaussian", _forbidden)
+    monkeypatch.setattr(diagnostics, "gaussian", _forbidden, raising=False)
+    rec = record(state)
+    for m in (2.0, 3.0):
+        assert rec.convergence_L2m[m] == pytest.approx(
+            float(weighted_norm(want, m)), rel=1e-13)
+    assert rec.convergence_L1_phys == pytest.approx(
+        float(lp_norm(want, 1)), rel=1e-13)
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("called")
 
 
 # ------------------------------------------------------------------- rate_fit
@@ -109,9 +132,14 @@ def test_rate_fit_rejects_bad_series():
         rate_fit([(0.0, 1.0)] + [(t, 1.0) for t in good_t])
     with pytest.raises(DomainError):
         rate_fit([(2.0, v) for v in (1.0, 2.0, 3.0, 4.0, 5.0)])
-    for bad in ((2.0, np.nan), (np.inf, 0.5), (np.nan, 0.5), (3.0, np.inf)):
+    for bad in ((2.0, np.nan), (np.inf, 0.5), (np.nan, 0.5), (3.0, np.inf),
+                ("2.0", 0.5), (2.0, " 5e-1 "), (2.0, 0.5j)):
         with pytest.raises(DomainError):
             rate_fit([(t, 1.0 / t) for t in good_t] + [bad])
+    with pytest.raises(DomainError):
+        rate_fit([(str(t), str(1.0 / t)) for t in good_t])
+    with pytest.raises(DomainError):
+        rate_fit([(t, 1.0 / t) for t in good_t], window=("1", "10"))
 
 
 # ---------------------------------------------------------- energy functionals
@@ -169,6 +197,33 @@ def test_energy_term_sum(small_grid):
     e, d = energy_functionals(om, t, coef)
     assert e == pytest.approx(want_e, rel=1e-12)
     assert d == pytest.approx(want_d, rel=1e-12)
+
+
+def test_energy_samples_each_derivative_once(small_grid, monkeypatch):
+    # one Gram table: ten weighted samples (orders up to 3), each from one
+    # derivative and one inverse transform, and no per-term norm calls
+    om = Field(small_grid,
+               coeffs=localized_field(small_grid, seed=11, corr=1.5).coeffs)
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(spectral, "derivative",
+                        counted("derivative", spectral.derivative))
+    monkeypatch.setattr(diagnostics, "derivative",
+                        counted("derivative", diagnostics.derivative))
+    monkeypatch.setattr(np.fft, "ifft2", counted("ifft2", np.fft.ifft2))
+    for mod in (spectral, diagnostics):
+        for name in ("weighted_norm", "weighted_inner"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, _forbidden)
+    energy_functionals(om, 2.0, EnergyCoefficients.from_scale())
+    assert calls.count("derivative") == 10
+    assert calls.count("ifft2") == 10
 
 
 def test_energy_positive_for_valid_ladder(small_grid):

@@ -20,10 +20,12 @@ from shearvortex import (
     picard_solve,
 )
 from shearvortex import propagator
-from shearvortex.fokker_planck import gaussian
+from shearvortex.fokker_planck import apply_semigroup as fp_apply
+from shearvortex.fokker_planck import char_map, gaussian
 from shearvortex.initial_data import make_field
 from shearvortex.propagator import _duhamel_targets, _panel_set, symbol_value
-from shearvortex.selfsim import nonlinear_term, selfsim_coords
+from shearvortex.selfsim import FrameCoefficients, nonlinear_term, selfsim_coords
+from shearvortex.spectral import weighted_norm
 
 from conftest import localized_field
 from oracles import KATO_SINGLE_G, KERNEL_CENTER, SYMBOL_1110, duhamel_direct
@@ -308,10 +310,11 @@ def test_trajectory_validation(phys_grid):
         Trajectory(times=(), fields=(), nu=1.0)
     with pytest.raises(DomainError):
         Trajectory(times=(1.0, 0.5), fields=(f, f), nu=1.0)
-    for times in ((0.0, np.nan), (np.nan, 1.0), (0.0, np.inf), (0.0, np.nan, 2.0)):
+    for times in ((0.0, np.nan), (np.nan, 1.0), (0.0, np.inf), (0.0, np.nan, 2.0),
+                  ("0.5", " 1e0 "), (0.5, 1j), (0.0, 10 ** 400)):
         with pytest.raises(DomainError):
             Trajectory(times=times, fields=(f,) * len(times), nu=1.0)
-    for nu in (np.nan, -1.0, np.inf):
+    for nu in (np.nan, -1.0, np.inf, "1", 1j):
         with pytest.raises(DomainError):
             Trajectory(times=(0.0, 1.0), fields=(f, f), nu=nu)
     other = localized_field(make_grid(16.0, 64), seed=1)
@@ -367,7 +370,7 @@ def test_picard_rejects_bad_arguments(phys_grid):
             picard_solve(f, 1.0, 1.0, 5, t_start=t_start)
 
 
-@pytest.mark.parametrize("nu", [np.nan, np.inf])
+@pytest.mark.parametrize("nu", [np.nan, np.inf, "1", 1j])
 @pytest.mark.parametrize("site", ["green_kernel", "symbol_value",
                                   "apply_semigroup", "picard_solve",
                                   "nonlinear_term", "selfsim_coords"])
@@ -382,6 +385,28 @@ def test_viscosity_must_be_positive_and_finite(site, nu):
         "picard_solve": lambda: picard_solve(f, nu, 0.5, 3),
         "nonlinear_term": lambda: nonlinear_term(frame_f, 2.0, nu),
         "selfsim_coords": lambda: selfsim_coords(2.0, nu, 0.0, 0.0),
+    }[site]
+    with pytest.raises(DomainError):
+        call()
+
+
+@pytest.mark.parametrize("value", ["1", 1j])
+@pytest.mark.parametrize("site", ["apply_semigroup_t", "selfsim_coords_t",
+                                  "frame_coefficients", "char_map",
+                                  "limit_semigroup", "lp_norm",
+                                  "weighted_norm"])
+def test_scalar_arguments_must_be_real_numbers(site, value):
+    # a string or complex scalar is rejected before any comparison with it
+    f = localized_field(make_grid(16.0, 32), seed=2)
+    frame_f = localized_field(make_grid(16.0, 32, "selfsim"), seed=2)
+    call = {
+        "apply_semigroup_t": lambda: apply_semigroup(f, 1.0, value),
+        "selfsim_coords_t": lambda: selfsim_coords(value, 1.0, 0.0, 0.0),
+        "frame_coefficients": lambda: FrameCoefficients.at_time(value),
+        "char_map": lambda: char_map(value),
+        "limit_semigroup": lambda: fp_apply(frame_f, value),
+        "lp_norm": lambda: lp_norm(f, value),
+        "weighted_norm": lambda: weighted_norm(f, value),
     }[site]
     with pytest.raises(DomainError):
         call()

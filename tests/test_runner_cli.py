@@ -15,6 +15,7 @@ from shearvortex import (
     write_snapshot,
 )
 from shearvortex.cli import main
+from shearvortex.diagnostics import rate_fit
 from shearvortex.runner import resolve_output_dir
 
 from conftest import localized_field
@@ -120,6 +121,65 @@ def test_picard_mode_cross_checks_frame_evolver(tmp_path):
     gap = float(summary_value(
         summary, "sup relative L2 discrepancy picard vs frame evolver:"))
     assert gap <= 1e-5
+
+
+SCHEDULE_CONFIG = ("initial_data = eigenfunction\n"
+                   "initial_params = a=0, b=1\n"
+                   "grid_l = 18.0\n"
+                   "grid_n = 64\n"
+                   "t_init = 2.0\n"
+                   "samples_per_decade = 8\n")
+
+
+@pytest.fixture(scope="module")
+def schedule_runs(tmp_path_factory):
+    base = tmp_path_factory.mktemp("schedule")
+    cfg = write_config(base, SCHEDULE_CONFIG + "t_end = 7.0\n")
+    outs = {}
+    for mode in ("linear", "fp-decay"):
+        outs[mode] = str(base / mode)
+        assert main([mode, "--config", cfg, "--out", outs[mode]]) == 0
+    return outs
+
+
+def csv_column(out, name):
+    rows = read_lines(os.path.join(out, "diagnostics.csv"))
+    col = rows[0].split(",").index(name)
+    return [float(r.split(",")[col]) for r in rows[1:]]
+
+
+def test_fp_decay_samples_on_the_evolver_schedule(schedule_runs):
+    # every ln10/samples_per_decade in log-time from t_init, plus t_end
+    t_lin = csv_column(schedule_runs["linear"], "t")
+    t_fp = csv_column(schedule_runs["fp-decay"], "t")
+    assert len(t_fp) == len(t_lin) == 6
+    assert t_fp == pytest.approx(t_lin, rel=1e-12)
+    assert np.diff(np.log(t_fp[:-1])) == pytest.approx(np.log(10.0) / 8, rel=1e-12)
+
+
+def test_linear_summary_reports_minimum_and_local_exponent(schedule_runs):
+    out = schedule_runs["linear"]
+    summary = read_lines(os.path.join(out, "summary.txt"))
+    t = csv_column(out, "t")
+    conv = csv_column(out, "conv_L2m_2")
+    low = int(np.argmin(conv))
+    assert summary_value(summary, "conv_L2m_2 minimum:") == (
+        f"{conv[low]!r} at t = {t[low]!r}")
+    local = summary_value(summary,
+                          "local exponent conv_L2m_2 over last 5 samples:")
+    slope, err = rate_fit(list(zip(t, conv))[-5:])
+    assert local == f"{slope!r} (stderr {err!r})"
+
+
+def test_local_exponent_needs_five_samples(tmp_path):
+    cfg = write_config(tmp_path, SCHEDULE_CONFIG + "t_end = 3.0\n")
+    out = str(tmp_path / "out")
+    assert main(["linear", "--config", cfg, "--out", out]) == 0
+    assert len(csv_column(out, "t")) == 3
+    summary = read_lines(os.path.join(out, "summary.txt"))
+    assert summary_value(
+        summary, "local exponent conv_L2m_2 over last 5 samples:"
+    ).startswith("n/a")
 
 
 # -------------------------------------------------------------- reproducibility
@@ -259,6 +319,15 @@ def test_unresolved_run_exits_4_with_partial_outputs(tmp_path, capsys):
     rows = read_lines(os.path.join(out, "diagnostics.csv"))
     assert rows[0] == CSV_HEADER
     assert len(rows) == 2
+
+
+def test_failed_probe_exits_4_with_failed_summary(tmp_path, capsys):
+    # a 16-mode box cannot hold the semigroup probe's shift
+    out = str(tmp_path / "out")
+    assert main(["probe", "--grid-n", "16", "--grid-l", "16", "--out", out]) == 4
+    assert "AliasingError" in capsys.readouterr().err
+    summary = read_lines(os.path.join(out, "summary.txt"))
+    assert summary[0].startswith("status: FAILED AliasingError")
 
 
 def test_incompatible_resample_exits_4(tmp_path, capsys):

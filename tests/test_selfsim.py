@@ -440,10 +440,11 @@ def test_evolve_tail_monitor_actions():
 
 
 def test_step_control_validation():
-    for dtau in (0.0, np.nan, np.inf):
+    for dtau in (0.0, np.nan, np.inf, "0.1", 0.1j):
         with pytest.raises(DomainError):
             StepControl(dtau=dtau)
-    with pytest.raises(DomainError):
-        StepControl(samples_per_decade=3)
+    for spd in (3, "16", 16.5, np.nan):
+        with pytest.raises(DomainError):
+            StepControl(samples_per_decade=spd)
     with pytest.raises(DomainError):
         StepControl(on_tail="explode")
