@@ -12,6 +12,15 @@ the band edge, the 2/3 keep mask, the outer-eighth and half-box masks, the
 (-1)^(j+k) signs, the derivative multipliers, the Laplacian's symbol and
 the samples of <x>^2 = 1 + |x|^2 and of the frame Gaussian. These arrays
 are read-only and take no part in comparing grids.
+
+A real field's spectrum is Hermitian, so the hot loops keep only its half
+spectrum: the first half_cols = n/2 + 1 columns of coeffs, the layout
+of np.fft.rfft2 (see spectral). The plan serves that layout through
+slices (keep[:, :half_cols], laplacian[:, :half_cols],
+multipliers[p][:half_cols]) and builds no second set of arrays. The
+slices are exact because of the Nyquist convention: the mode j = n/2 has
+wavenumber -k_max in fft order, odd derivative orders zero it, and even
+orders depend only on its square.
 """
 
 import numbers
@@ -70,6 +79,11 @@ class GridSpec:
     def k_max(self):
         """Largest resolvable wavenumber magnitude per axis (Nyquist)."""
         return np.pi * self.n / (2.0 * self.half_width)
+
+    @property
+    def half_cols(self):
+        """Columns of a half spectrum (the rfft2 layout): n/2 + 1."""
+        return self.n // 2 + 1
 
     @cached_property
     def band(self):

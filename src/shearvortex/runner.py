@@ -38,6 +38,7 @@ from .spectral import lp_norm, mass
 PROBE_ENSEMBLE_SIZE = 10
 PROBE_TIMES = 5
 LOCAL_FIT_SAMPLES = 5  # samples of the summary's local convergence exponent
+MASS_FLOOR = 1e-12     # |mass| / L1 norm below which the mass is roundoff
 
 
 def _fmt_m(m):
@@ -172,6 +173,15 @@ def _initial_state(cfg, frame_grid):
     return phys_to_selfsim(f, cfg.t_init, cfg.nu, frame_grid)
 
 
+def _mass_drift(first, last):
+    """|m_end/m_0 - 1|; for data whose mass is roundoff (|m_0| at most
+    MASS_FLOOR times its L1 norm), |m_end - m_0| over that L1 norm."""
+    m0, l1 = first.mass, first.lp_norms[1.0]
+    if abs(m0) > MASS_FLOOR * l1:
+        return abs(last.mass / m0 - 1.0)
+    return abs(last.mass - m0) / l1 if l1 > 0 else abs(last.mass)
+
+
 def _run_evolution(cfg, outdir):
     frame_grid = make_grid(cfg.grid_l, cfg.grid_n, "selfsim")
     recorder = _Recorder(_record_options(cfg), outdir, cfg.snapshot_cadence)
@@ -186,8 +196,7 @@ def _run_evolution(cfg, outdir):
     write_snapshot(final, os.path.join(outdir, "final.snap"))
     recs = recorder.records
     m0 = cfg.weights[0]
-    mass_drift = abs(recs[-1].mass / recs[0].mass - 1.0) \
-        if recs[0].mass != 0 else abs(recs[-1].mass)
+    mass_drift = _mass_drift(recs[0], recs[-1])
     l1 = [r.lp_norms[1.0] for r in recs]
     worst_l1_rise = max((l1[i + 1] / l1[i] - 1.0 for i in range(len(l1) - 1)
                          if l1[i] > 0), default=0.0)

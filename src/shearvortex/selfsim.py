@@ -20,12 +20,14 @@ from .grid import Field, Frame
 from .spectral import (
     affine_trig_sum,
     check_localized,
-    derivative,
+    full_spectrum,
+    half_spectrum,
     inverse_laplacian,
     mass,
     spectral_tail_ratio,
     tail_mass_ratio,
     transport,
+    transport_spectrum,
 )
 
 SQRT3 = np.sqrt(3.0)
@@ -128,13 +130,16 @@ class SelfSimilarState:
     def __post_init__(self):
         if self.omega.grid.frame != Frame.SELFSIM:
             raise GridError("state field must live on a selfsim-frame grid")
-        if not 1.0 <= self.t < np.inf:
+        t = check_real(self.t, "state time")
+        if not 1.0 <= t < np.inf:
             raise DomainError(f"state time must be finite and >= 1, got {self.t!r}")
+        object.__setattr__(self, "t", t)
         check_positive(self.nu, "viscosity")
-        if self.alpha is None:
-            object.__setattr__(self, "alpha", mass(self.omega))
-        if not np.isfinite(self.alpha):
+        alpha = (mass(self.omega) if self.alpha is None
+                 else check_real(self.alpha, "state mass alpha"))
+        if not np.isfinite(alpha):
             raise DomainError(f"state mass alpha must be finite, got {self.alpha!r}")
+        object.__setattr__(self, "alpha", alpha)
 
     @property
     def tau(self):
@@ -191,9 +196,11 @@ def selfsim_to_phys(state, target_grid):
     return out
 
 
-def _laplacian_symbol(grid, co):
-    """Fourier symbol of the frame Laplacian (nonpositive; zero at 0)."""
-    kx, ky = grid.wavegrid()
+def _laplacian_symbol(grid, co, cols=None):
+    """Fourier symbol of the frame Laplacian (nonpositive; zero at 0) on
+    the first cols columns: all by default, grid.half_cols for a half
+    spectrum."""
+    kx, ky = grid.k[:, None], grid.k[None, :cols]
     return -(co.diff1 * (kx - co.mix * ky) ** 2 + co.diff2 * ky ** 2)
 
 
@@ -202,24 +209,30 @@ def invert_frame_laplacian(f, t):
     return inverse_laplacian(f, _laplacian_symbol(f.grid, FrameCoefficients.at_time(t)))
 
 
-def _drift_values(f, co, grid):
-    """Physical-space samples of the first-order and zeroth-order terms."""
-    fx = derivative(f, 1, 0).values
-    fy = derivative(f, 0, 1).values
+def _drift_spectrum(c, co, grid):
+    """Half spectrum of the first- and zeroth-order terms of the generator
+    with coefficients co, applied in physical space to the field with half
+    spectrum c: three inverse real transforms and one forward."""
+    d = grid.multipliers[1]
+    irfft2 = np.fft.irfft2
+    fx = irfft2(c * d[:, None], norm="forward")
+    fy = irfft2(c * d[None, :grid.half_cols], norm="forward")
     X, Y = grid.x[:, None], grid.x[None, :]
     sheared = fx - co.mix * fy
     out = co.dil1 * (X - co.mix * Y) * sheared
     out += co.dil2 * Y * fy
     out += co.rot * (X * fy - Y * fx)
-    out += co.const * f.values
-    return out
+    out += co.const * irfft2(c, norm="forward")
+    return np.fft.rfft2(out, norm="forward")
 
 
 def _apply_generator(f, co):
     """Frame generator with coefficients co (diffusion + drifts + constant)."""
     grid = f.grid
-    drift = Field(grid, values=_drift_values(f, co, grid))
-    return Field(grid, coeffs=f.coeffs * _laplacian_symbol(grid, co) + drift.coeffs)
+    c = half_spectrum(f)
+    out = _drift_spectrum(c, co, grid)
+    out += _laplacian_symbol(grid, co, grid.half_cols) * c
+    return Field(grid, coeffs=full_spectrum(out))
 
 
 def apply_generator(f, t):
@@ -308,6 +321,27 @@ def sample_schedule(t_init, t_end, samples_per_decade):
     return taus
 
 
+def _half_norm(c):
+    """l2 norm of the full spectrum whose half spectrum is c: columns
+    1..n/2-1 count twice, the self-mirrored columns 0 and n/2 once."""
+    p = c.real * c.real
+    p += c.imag * c.imag
+    return float(np.sqrt(2.0 * p.sum() - p[:, 0].sum() - p[:, -1].sum()))
+
+
+def _frame_rhs(c, t, sym_mid, grid, nu, nonlinear):
+    """Half spectrum of the evolver's explicit terms at time t: drifts,
+    constant, the diffusion left over by the integrating factor sym_mid
+    and, if nonlinear, the advection term."""
+    co = FrameCoefficients.at_time(t)
+    sym = _laplacian_symbol(grid, co, grid.half_cols)
+    out = _drift_spectrum(c, co, grid)
+    out += (sym - sym_mid) * c
+    if nonlinear:
+        out += transport_spectrum(c, c, grid, sym) * -(co.nonlin / nu)
+    return out
+
+
 def evolve(state, t_end, control=None, nonlinear=True, observer=None):
     """Advance a frame state to t_end; returns (final state, records).
 
@@ -316,10 +350,13 @@ def evolve(state, t_end, control=None, nonlinear=True, observer=None):
     remaining terms (drifts, constant, advection and the frozen-symbol
     correction) advance with an explicit third-order Runge-Kutta stage
     cycle, which keeps the skew drift terms inside the stability region.
+    The steps run on the half spectrum (see spectral); Fields are built
+    only for samples, the tail monitor and a blow-up's last state.
     Samples are logarithmically spaced; each sample calls the observer
     (default: diagnostics.record) and its results are returned in order.
     """
     control = control or StepControl()
+    t_end = check_real(t_end, "t_end")
     if not state.t <= t_end < np.inf:
         raise DomainError(f"t_end must be finite and >= the state time, got {t_end!r}")
     if observer is None:
@@ -328,20 +365,17 @@ def evolve(state, t_end, control=None, nonlinear=True, observer=None):
     nu = state.nu
     alpha = state.alpha
 
-    def rhs(tau_s, coeffs, sym_mid):
-        t_s = np.exp(tau_s)
-        co = FrameCoefficients.at_time(t_s)
-        f = Field(grid, coeffs=coeffs)
-        out = Field(grid, values=_drift_values(f, co, grid)).coeffs.copy()
-        out += (_laplacian_symbol(grid, co) - sym_mid) * coeffs
-        if nonlinear:
-            out += nonlinear_term(f, t_s, nu).coeffs
-        return out
+    def rhs(tau_s, c, sym_mid):
+        return _frame_rhs(c, np.exp(tau_s), sym_mid, grid, nu, nonlinear)
+
+    def as_field(c):
+        return Field(grid, coeffs=full_spectrum(c))
 
     sample_taus = sample_schedule(state.t, t_end, control.samples_per_decade)
     tau = sample_taus[0]
 
-    c = state.omega.coeffs.copy()
+    c = half_spectrum(state.omega)
+    norm0 = _half_norm(c)
     records = [observer(state)]
     steps_done = 0
     for target in sample_taus[1:]:
@@ -354,7 +388,6 @@ def evolve(state, t_end, control=None, nonlinear=True, observer=None):
                     f"tau step {h:.3e} exceeds stability bound "
                     f"{CFL_LIMIT / rate:.3e} at t={t_mid:.4g} "
                     "(refine dtau or coarsen the grid)")
-            norm0 = float(np.linalg.norm(c))
             attempt = h
             for halving in range(MAX_HALVINGS + 1):
                 c_new = c
@@ -364,7 +397,7 @@ def evolve(state, t_end, control=None, nonlinear=True, observer=None):
                 for _ in range(nsub):
                     hh = attempt
                     co_mid = FrameCoefficients.at_time(np.exp(tau_new + 0.5 * hh))
-                    sym_mid = _laplacian_symbol(grid, co_mid)
+                    sym_mid = _laplacian_symbol(grid, co_mid, grid.half_cols)
                     E = np.exp(hh * sym_mid)
                     Eh = np.exp(0.5 * hh * sym_mid)
                     k1 = rhs(tau_new, c_new, sym_mid)
@@ -377,21 +410,24 @@ def evolve(state, t_end, control=None, nonlinear=True, observer=None):
                     if not np.all(np.isfinite(c_new)):
                         ok = False
                         break
-                if ok and float(np.linalg.norm(c_new)) <= GROWTH_FACTOR * max(norm0, 1e-300):
-                    break
+                if ok:
+                    norm_new = _half_norm(c_new)
+                    if norm_new <= GROWTH_FACTOR * max(norm0, 1e-300):
+                        break
                 attempt *= 0.5
             else:
                 raise BlowUpError(
                     f"instability at t={np.exp(tau):.4g}: one-step growth exceeded "
                     f"{GROWTH_FACTOR}x even after {MAX_HALVINGS} halvings",
-                    last_state=replace(state, omega=Field(grid, coeffs=c),
+                    last_state=replace(state, omega=as_field(c),
                                        t=float(np.exp(tau)), alpha=alpha))
             c = c_new
+            norm0 = norm_new
             tau = tau_new
             steps_done += 1
             if steps_done % MONITOR_EVERY == 0:
-                _tail_monitor(Field(grid, coeffs=c), control, np.exp(tau))
-        state = SelfSimilarState(omega=Field(grid, coeffs=c), t=float(np.exp(tau)),
+                _tail_monitor(as_field(c), control, np.exp(tau))
+        state = SelfSimilarState(omega=as_field(c), t=float(np.exp(tau)),
                                  nu=nu, alpha=alpha)
         _tail_monitor(state.omega, control, state.t)
         records.append(observer(state))

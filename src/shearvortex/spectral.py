@@ -2,9 +2,23 @@
 resampling; a Field transforms itself, and its grid keeps the arrays
 these operations share.
 
-Both frames share one Biot-Savart law, inverse_laplacian -> biot_savart
--> transport, whose symbol operand is the plain Laplacian's by default
-and the frame Laplacian's (the plain one at t = 0) in the frame.
+Both frames share one Biot-Savart law: _solve, the one division by a
+Laplacian symbol, and _velocity, its perp-gradient, serve
+inverse_laplacian, biot_savart and transport alike. The symbol operand is
+the plain Laplacian's by default and the frame Laplacian's (the plain one
+at t = 0) in the frame.
+
+Hot loops work on half spectra: a real field's coefficients in the rfft2
+layout, the first n/2 + 1 columns of coeffs (normalized like coeffs, so
+np.fft.irfft2(c, norm="forward") gives the values and np.fft.rfft2(v,
+norm="forward") the coefficients). Column 0 and the Nyquist column n/2
+are their own conjugate mirrors; the other columns stand for themselves
+and their mirror images. An operator of the full layout acts on the half
+layout through the first n/2 + 1 columns of its plan arrays: odd orders
+zero the Nyquist mode and even orders do not depend on its sign, so the
+slices are exact. transport_spectrum is the one dealiased transport
+kernel; transport wraps it for Fields, and full_spectrum turns a half
+spectrum back into a Field's coeffs.
 
 All operations assume smooth fields that decay well inside the box, so the
 periodic spectral representation is accurate. Quadrature is the rectangle
@@ -37,15 +51,27 @@ def derivative(f, a, b):
     return Field(f.grid, coeffs=f.coeffs * mult)
 
 
+def _solve(c, symbol):
+    """Coefficients c divided by the Laplacian symbol, zero mode -> 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        psi = c / symbol
+    psi[0, 0] = 0.0
+    return psi
+
+
+def _velocity(c, symbol, d1, d2):
+    """Spectra of (u1, u2) = (-d2 psi, d1 psi), lap(psi) = c; d1 and d2 are
+    the first-derivative multipliers broadcast along axes 0 and 1."""
+    psi = _solve(c, symbol)
+    return -d2 * psi, d1 * psi
+
+
 def inverse_laplacian(f, symbol=None):
     """Solve lap(psi) = f with the mean-zero gauge (zero mode -> 0); lap has
     the Fourier symbol given, by default the plain one, grid.laplacian."""
     if symbol is None:
         symbol = f.grid.laplacian
-    with np.errstate(divide="ignore", invalid="ignore"):
-        psi = f.coeffs / symbol
-    psi[0, 0] = 0.0
-    return Field(f.grid, coeffs=psi)
+    return Field(f.grid, coeffs=_solve(f.coeffs, symbol))
 
 
 def biot_savart(omega, symbol=None):
@@ -54,24 +80,65 @@ def biot_savart(omega, symbol=None):
     The gauge fixes the stream function to zero mean, so curl(u) recovers
     omega minus its mean value when the symbol is the plain Laplacian's.
     """
-    psi = inverse_laplacian(omega, symbol)
-    d1 = omega.grid.multipliers[1]
-    u1 = Field(omega.grid, coeffs=-d1[None, :] * psi.coeffs)
-    u2 = Field(omega.grid, coeffs=d1[:, None] * psi.coeffs)
-    return u1, u2
+    grid = omega.grid
+    if symbol is None:
+        symbol = grid.laplacian
+    d = grid.multipliers[1]
+    u1, u2 = _velocity(omega.coeffs, symbol, d[:, None], d[None, :])
+    return Field(grid, coeffs=u1), Field(grid, coeffs=u2)
+
+
+def half_spectrum(f):
+    """The field's half spectrum: a read-only view of its coeffs' first
+    n/2 + 1 columns."""
+    return f.coeffs[:, :f.grid.half_cols]
+
+
+def full_spectrum(c):
+    """Full fft-layout coefficients of the real field with half spectrum c.
+
+    Columns 1..n/2-1 are mirrored by Hermitian symmetry; the self-mirrored
+    columns 0 and n/2 take their Hermitian part, which is what irfft2
+    reads of them. The result is exactly Hermitian.
+    """
+    n = c.shape[0]
+    mirror = np.roll(c[::-1], 1, axis=0).conj()       # conj(c[-j, l])
+    out = np.empty((n, n), dtype=np.complex128)
+    out[:, n // 2 + 1:] = mirror[:, n // 2 - 1:0:-1]
+    out[:, 1:n // 2] = c[:, 1:n // 2]
+    for col in (0, n // 2):
+        out[:, col] = 0.5 * (c[:, col] + mirror[:, col])
+    return out
+
+
+def transport_spectrum(omega, w, grid, symbol):
+    """Half spectrum of u . grad(w), u the velocity of omega under the
+    Laplacian symbol given, from half spectra (symbol in the half layout
+    too). 2/3-dealiased on both inputs and on the product: four inverse
+    real transforms and one forward."""
+    h = grid.half_cols
+    keep = grid.keep[:, :h]
+    d = grid.multipliers[1]
+    d1, d2 = d[:, None], d[None, :h]
+    od = omega * keep
+    wd = od if w is omega else w * keep
+    u1, u2 = _velocity(od, symbol, d1, d2)
+    irfft2 = np.fft.irfft2
+    prod = (irfft2(u1, norm="forward") * irfft2(d1 * wd, norm="forward")
+            + irfft2(u2, norm="forward") * irfft2(d2 * wd, norm="forward"))
+    return np.fft.rfft2(prod, norm="forward") * keep
 
 
 def transport(omega, w, symbol=None):
     """u . grad(w) with u = biot_savart(omega, symbol), 2/3-dealiased on
     both inputs and on the product; equal to div(u w), as div(u) = 0."""
     grid = omega.grid
-    keep = grid.keep
-    od = Field(grid, coeffs=omega.coeffs * keep)
-    u1, u2 = biot_savart(od, symbol)
-    wd = od if w is omega else Field(grid, coeffs=w.coeffs * keep)
-    prod = (u1.values * derivative(wd, 1, 0).values
-            + u2.values * derivative(wd, 0, 1).values)
-    return Field(grid, coeffs=Field(grid, values=prod).coeffs * keep)
+    if symbol is None:
+        symbol = grid.laplacian
+    oh = half_spectrum(omega)
+    wh = oh if w is omega else half_spectrum(w)
+    out = transport_spectrum(oh, wh, grid, symbol[:, :grid.half_cols])
+    return Field(grid, coeffs=full_spectrum(out))
 
 
 def mass(f):

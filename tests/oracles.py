@@ -3,14 +3,16 @@
 Everything here is deliberately built from a different route than the
 package internals: closed-form Gaussian algebra, symbolic differentiation,
 scalar quadrature, trigonometric sums taken one point at a time, the
-conservative form of the transport term, and for the Duhamel term that
-integrand under a different quadrature, summed without a time march. Agreement between these and the
-library is the point of the tests that import them.
+conservative form of the transport term, for the Duhamel term that
+integrand under a different quadrature, summed without a time march, and
+the frame evolver's right-hand side on the full spectrum through Fields.
+Agreement between these and the library is the point of the tests that
+import them.
 """
 
 import numpy as np
 
-from shearvortex import Field, apply_semigroup, derivative
+from shearvortex import Field, FrameCoefficients, apply_semigroup, derivative
 from shearvortex.propagator import _field_at, _gl_nodes
 
 SQRT3 = np.sqrt(3.0)
@@ -96,6 +98,28 @@ def advection_divergence(omega1, omega2, symbol=None):
     div = (derivative(Field(grid, values=u1 * w), 1, 0).coeffs
            + derivative(Field(grid, values=u2 * w), 0, 1).coeffs)
     return Field(grid, coeffs=div * keep)
+
+
+def frame_rhs_full(f, t, sym_mid, nu, nonlinear):
+    """Full-layout coefficients of the evolver's explicit terms at time t:
+    the drifts and the constant sampled from Field values, the frame
+    symbol minus sym_mid (both n x n) times the coefficients and, if
+    nonlinear, the conservative form of the advection term. Every
+    transform is a complex one of the full spectrum."""
+    grid = f.grid
+    co = FrameCoefficients.at_time(t)
+    k1, k2 = np.meshgrid(grid.k, grid.k, indexing="ij")
+    sym = -(co.diff1 * (k1 - co.mix * k2) ** 2 + co.diff2 * k2 ** 2)
+    fx = derivative(f, 1, 0).values
+    fy = derivative(f, 0, 1).values
+    x, y = np.meshgrid(grid.x, grid.x, indexing="ij")
+    drift = (co.dil1 * (x - co.mix * y) * (fx - co.mix * fy)
+             + co.dil2 * y * fy + co.rot * (x * fy - y * fx)
+             + co.const * f.values)
+    out = Field(grid, values=drift).coeffs + (sym - sym_mid) * f.coeffs
+    if nonlinear:
+        out = out - (co.nonlin / nu) * advection_divergence(f, f, sym).coeffs
+    return out
 
 
 def duhamel_direct(traj1, traj2, targets):

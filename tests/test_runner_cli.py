@@ -182,6 +182,26 @@ def test_local_exponent_needs_five_samples(tmp_path):
     ).startswith("n/a")
 
 
+@pytest.mark.parametrize("n, bound", [(64, 1e-6), (128, 1e-10)])
+def test_mass_drift_of_zero_mass_data_is_relative_to_l1(tmp_path, n, bound):
+    # the (0, 1) eigenfunction has roundoff mass (-8.7e-17 here), which
+    # made the relative drift read 3e9 at n = 64; it is now measured
+    # against ||w0||_1. At n = 64 the mass does drift, by 2.6e-7 (the
+    # band edge leaks into the zero mode); at n = 128 it is roundoff.
+    cfg = write_config(tmp_path, SCHEDULE_CONFIG.replace("18.0", "20.0")
+                       .replace("64", str(n)) + "t_end = 7.0\n")
+    out = str(tmp_path / "out")
+    assert main(["linear", "--config", cfg, "--out", out]) == 0
+    summary = read_lines(os.path.join(out, "summary.txt"))
+    mass_col, l1 = csv_column(out, "mass"), csv_column(out, "L1")
+    m0 = float(summary_value(summary, "mass initial:"))
+    assert m0 == mass_col[0]
+    assert 0.0 < abs(m0) <= 1e-12 * l1[0]
+    drift = float(summary_value(summary, "mass relative drift:"))
+    assert drift == pytest.approx(abs(mass_col[-1] - m0) / l1[0], rel=1e-6)
+    assert drift <= bound
+
+
 # -------------------------------------------------------------- reproducibility
 
 @pytest.fixture(scope="module")

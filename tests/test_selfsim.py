@@ -31,10 +31,10 @@ from shearvortex import selfsim
 from shearvortex.errors import TruncationError
 from shearvortex.fokker_planck import eigenfunction, gaussian
 from shearvortex.initial_data import make_field
-from shearvortex.spectral import derivative
+from shearvortex.spectral import derivative, full_spectrum, half_spectrum
 
 from conftest import localized_field
-from oracles import COORD_X_1110, COORD_Y_1110, SQRT3
+from oracles import COORD_X_1110, COORD_Y_1110, SQRT3, frame_rhs_full
 
 
 # ---------------------------------------------------------- coordinates
@@ -148,6 +148,12 @@ def test_state_validation(frame_grid):
         SelfSimilarState(omega=G, t=0.5, nu=1.0)
     with pytest.raises(DomainError):
         SelfSimilarState(omega=G, t=1.0, nu=-1.0)
+    for t in ("1", 1j, np.nan):
+        with pytest.raises(DomainError):
+            SelfSimilarState(omega=G, t=t, nu=1.0)
+    for alpha in ("1", 1j, np.inf):
+        with pytest.raises(DomainError):
+            SelfSimilarState(omega=G, t=1.0, nu=1.0, alpha=alpha)
     phys = Field(make_grid(16.0, 256), values=G.values)
     with pytest.raises(GridError):
         SelfSimilarState(omega=phys, t=1.0, nu=1.0)
@@ -345,7 +351,7 @@ def test_nonlinear_term_matches_pointwise_quadrature():
 
 def test_evolve_requires_forward_time(frame_grid):
     state = SelfSimilarState(omega=gaussian(frame_grid), t=2.0, nu=1.0)
-    for t_end in (1.0, np.nan, np.inf):
+    for t_end in (1.0, np.nan, np.inf, "2", 2j):
         with pytest.raises(DomainError):
             evolve(state, t_end)
 
@@ -437,6 +443,56 @@ def test_evolve_tail_monitor_actions():
     final, _ = evolve(state, 1.1, control=StepControl(on_tail="ignore"),
                       nonlinear=False)
     assert final.t == pytest.approx(1.1, rel=1e-12)
+
+
+@pytest.mark.parametrize("nonlinear", [False, True])
+@pytest.mark.parametrize("t", [1.0, 3.0, 30.0])
+def test_half_spectrum_rhs_matches_full_layout_oracle(frame_grid, t, nonlinear):
+    # the step's right-hand side on real transforms of the half spectrum,
+    # against the full-spectrum, Field-based one; sym_mid is taken at a
+    # later time so the frozen-symbol correction is not zero
+    f = localized_field(frame_grid, seed=17)
+    nu = 0.5
+    sym_mid = selfsim._laplacian_symbol(frame_grid,
+                                        FrameCoefficients.at_time(1.1 * t))
+    half_mid = sym_mid[:, :frame_grid.half_cols]
+    got = full_spectrum(selfsim._frame_rhs(half_spectrum(f), t, half_mid,
+                                           frame_grid, nu, nonlinear))
+    want = frame_rhs_full(f, t, sym_mid, nu, nonlinear)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_evolve_step_uses_only_real_transforms(monkeypatch):
+    # one step over a span with no sample and no monitor call: three RHS
+    # evaluations of 7 irfft2 + 2 rfft2 each, and no complex transform
+    g = make_grid(16.0, 64, "selfsim")
+    state = SelfSimilarState(omega=localized_field(g, seed=18), t=1.0, nu=1.0)
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
+                 "rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn"):
+        monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+    monkeypatch.setattr(selfsim, "_tail_monitor", lambda *args: None)
+    marks = []
+    dtau = 2e-3
+    final, _ = evolve(state, float(np.exp(dtau)), StepControl(dtau=dtau),
+                      observer=lambda s: marks.append(len(calls)))
+    step = calls[marks[0]:marks[1]]
+    assert sorted(step) == ["irfft2"] * 21 + ["rfft2"] * 6
+    assert final.t == pytest.approx(np.exp(dtau), rel=1e-15)
+    # the final state is a real field: its full spectrum is exactly Hermitian
+    c = final.omega.coeffs
+    mirror = np.roll(np.roll(c[::-1, ::-1], 1, axis=0), 1, axis=1)
+    assert np.array_equal(c, mirror.conj())
+    # the growth test's norm is the full spectrum's l2 norm
+    assert selfsim._half_norm(half_spectrum(final.omega)) == pytest.approx(
+        np.linalg.norm(c), rel=1e-14)
 
 
 def test_step_control_validation():
