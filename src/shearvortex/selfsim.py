@@ -39,8 +39,9 @@ class FrameCoefficients:
 
     diff1/diff2 multiply the sheared and plain second derivatives, mix is
     the shear slope inside the tilted derivative, dil1/dil2 the two
-    dilation drifts, rot the rotation, const the zeroth-order term and
-    nonlin the (viscosity-free) prefactor of the advection term. As
+    dilation drifts, rot the rotation, const the zeroth-order term (equal
+    to dil1 (1 + mix^2) + dil2, the divergence of the drift) and nonlin
+    the (viscosity-free) prefactor of the advection term. As
     t -> infinity they converge, at rate 1/t^2, to
     (0, sqrt(3), 4, 0, 2, sqrt(3)/2, 2, 0).
     """
@@ -211,19 +212,25 @@ def invert_frame_laplacian(f, t):
 
 def _drift_spectrum(c, co, grid):
     """Half spectrum of the first- and zeroth-order terms of the generator
-    with coefficients co, applied in physical space to the field with half
-    spectrum c: three inverse real transforms and one forward."""
+    with coefficients co, applied to the field f with half spectrum c.
+
+    The drift is b . grad(f) with b1 = dil1 (X - mix Y) - rot Y and
+    b2 = -mix dil1 (X - mix Y) + dil2 Y + rot X, and div(b) =
+    dil1 (1 + mix^2) + dil2 is the constant term's coefficient at every
+    time and in the limit. So the two terms are div(b f): the products
+    b f are formed in physical space and differentiated spectrally, one
+    inverse real transform and two forward. The derivative multipliers
+    vanish at the zero mode, so the terms carry no mass by construction.
+    """
     d = grid.multipliers[1]
-    irfft2 = np.fft.irfft2
-    fx = irfft2(c * d[:, None], norm="forward")
-    fy = irfft2(c * d[None, :grid.half_cols], norm="forward")
     X, Y = grid.x[:, None], grid.x[None, :]
-    sheared = fx - co.mix * fy
-    out = co.dil1 * (X - co.mix * Y) * sheared
-    out += co.dil2 * Y * fy
-    out += co.rot * (X * fy - Y * fx)
-    out += co.const * irfft2(c, norm="forward")
-    return np.fft.rfft2(out, norm="forward")
+    f = np.fft.irfft2(c, norm="forward")
+    stretch = co.dil1 * (X - co.mix * Y)
+    b1 = stretch - co.rot * Y
+    b2 = co.dil2 * Y + co.rot * X - co.mix * stretch
+    rfft2 = np.fft.rfft2
+    return (d[:, None] * rfft2(b1 * f, norm="forward")
+            + d[None, :grid.half_cols] * rfft2(b2 * f, norm="forward"))
 
 
 def _apply_generator(f, co):

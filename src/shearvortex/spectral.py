@@ -234,6 +234,26 @@ def check_localized(f, what):
                               f"exceeds {TAIL_MASS_TOL:g}", tail=r)
 
 
+def shear_phase(grid, slope):
+    """The phase exp(-i slope xi_j y_q) of the shear by slope."""
+    return np.exp(-1j * slope * np.outer(grid.k, grid.x))
+
+
+def shear_out_of_band(grid, slope):
+    """Boolean mask of the lattice points whose shear request
+    (xi_j, slope*xi_j + eta_k) lies outside the resolvable band."""
+    k = grid.k
+    return np.abs(slope * k[:, None] + k[None, :]) > grid.band
+
+
+def sheared(coeffs, phase):
+    """The evaluation of shear_spectrum, with the shear's phase given."""
+    n = coeffs.shape[0]
+    mixed = np.fft.ifft(coeffs, axis=1) * n
+    mixed *= phase
+    return np.fft.fft(mixed, axis=1) / n
+
+
 def shear_spectrum(coeffs, grid, slope):
     """Evaluate the band-limited spectrum at (xi_j, slope*xi_j + eta_k).
 
@@ -243,17 +263,12 @@ def shear_spectrum(coeffs, grid, slope):
     exp(-i slope xi_j y_q) before transforming back. Returns the evaluated
     array together with the boolean mask of lattice points whose request
     lies outside the resolvable band (those values are periodic wraps and
-    should be discarded or vetted by the caller).
+    should be discarded or vetted by the caller). A caller that shears by
+    one slope many times keeps shear_phase and shear_out_of_band and calls
+    sheared.
     """
-    n = grid.n
-    y = grid.x
-    k = grid.k
-    mixed = np.fft.ifft(coeffs, axis=1) * n
-    mixed *= np.exp(-1j * slope * np.outer(k, y))
-    out = np.fft.fft(mixed, axis=1) / n
-    target = slope * k[:, None] + k[None, :]
-    oob = np.abs(target) > grid.band
-    return out, oob
+    return (sheared(coeffs, shear_phase(grid, slope)),
+            shear_out_of_band(grid, slope))
 
 
 def affine_trig_sum(a, s, r, m11, m21, m22, sign):

@@ -3,17 +3,20 @@
 Everything here is deliberately built from a different route than the
 package internals: closed-form Gaussian algebra, symbolic differentiation,
 scalar quadrature, trigonometric sums taken one point at a time, the
-conservative form of the transport term, for the Duhamel term that
-integrand under a different quadrature, summed without a time march, and
-the frame evolver's right-hand side on the full spectrum through Fields.
+conservative form of the transport term and the non-conservative form of
+the frame drift, for the Duhamel term that integrand under a different
+quadrature, summed without a time march, the aliasing vetting over whole
+drop sets, and the frame evolver's right-hand side on the full spectrum
+through Fields.
 Agreement between these and the library is the point of the tests that
 import them.
 """
 
 import numpy as np
 
-from shearvortex import Field, FrameCoefficients, apply_semigroup, derivative
-from shearvortex.propagator import _field_at, _gl_nodes
+from shearvortex import (AliasingError, Field, FrameCoefficients, apply_semigroup,
+                         derivative)
+from shearvortex.propagator import _gl_nodes, _lagrange_weights, symbol_value
 
 SQRT3 = np.sqrt(3.0)
 
@@ -100,6 +103,23 @@ def advection_divergence(omega1, omega2, symbol=None):
     return Field(grid, coeffs=div * keep)
 
 
+def drift_spectrum_nonconservative(c, co, grid):
+    """Half spectrum of the frame generator's drift and constant terms in
+    the form b . grad(f) + const f: the products of the coordinates with
+    the samples of f's two first derivatives, plus const times f (the
+    library forms div(b f), whose zero mode vanishes by construction)."""
+    d = grid.multipliers[1]
+    irfft2 = np.fft.irfft2
+    fx = irfft2(c * d[:, None], norm="forward")
+    fy = irfft2(c * d[None, :grid.half_cols], norm="forward")
+    X, Y = grid.x[:, None], grid.x[None, :]
+    out = co.dil1 * (X - co.mix * Y) * (fx - co.mix * fy)
+    out += co.dil2 * Y * fy
+    out += co.rot * (X * fy - Y * fx)
+    out += co.const * irfft2(c, norm="forward")
+    return np.fft.rfft2(out, norm="forward")
+
+
 def frame_rhs_full(f, t, sym_mid, nu, nonlinear):
     """Full-layout coefficients of the evolver's explicit terms at time t:
     the drifts and the constant sampled from Field values, the frame
@@ -120,6 +140,42 @@ def frame_rhs_full(f, t, sym_mid, nu, nonlinear):
     if nonlinear:
         out = out - (co.nonlin / nu) * advection_divergence(f, f, sym).coeffs
     return out
+
+
+def field_at(traj, s):
+    """Trajectory field at time s by polynomial interpolation of the full
+    spectra (the march interpolates half spectra)."""
+    ts = traj.times
+    j = np.searchsorted(ts, s)
+    if j < len(ts) and ts[j] == s:
+        return traj.fields[j]
+    idx, w = _lagrange_weights(ts, s)
+    c = sum(wi * traj.fields[i].coeffs for i, wi in zip(idx, w))
+    return Field(traj.grid, coeffs=c)
+
+
+def check_alias_unpruned(c, grid, nu, lags, alias_tol):
+    """The aliasing vetting over each lag's whole drop set: raise
+    AliasingError if S(t) drops significant content of the spectrum c,
+    the lags t vetted in the order given. The library keeps only the drop
+    set's entries whose decay weight exceeds alias_tol."""
+    kx, ky = np.broadcast_arrays(*grid.wavegrid())
+    mag = np.abs(c)
+    ref = max(float(mag.max()), 1e-300)
+    for t in lags:
+        lost = np.abs(ky - t * kx) > grid.band
+        if not lost.any():
+            continue
+        cin = mag[lost] * symbol_value(nu, t, kx[lost], ky[lost] - t * kx[lost])
+        worst = float(cin.max())
+        if worst > alias_tol * ref:
+            idx = np.argwhere(lost)[np.argmax(cin)]
+            mode = (float(grid.k[idx[0]]), float(grid.k[idx[1]]))
+            raise AliasingError(
+                f"shift t*xi moved significant content across the band "
+                f"(decay-weighted |lost|/|peak| = {worst / ref:.2e} "
+                f"at mode {mode})",
+                mode=mode)
 
 
 def duhamel_direct(traj1, traj2, targets):
@@ -154,7 +210,7 @@ def duhamel_direct(traj1, traj2, targets):
         for a, b in panels:
             nodes, weights = _gl_nodes(a, b)
             for s, w in zip(nodes, weights):
-                g = advection_divergence(_field_at(traj1, s), _field_at(traj2, s))
+                g = advection_divergence(field_at(traj1, s), field_at(traj2, s))
                 acc += w * apply_semigroup(g, traj1.nu, t - s).coeffs
         out.append(Field(traj1.grid, coeffs=-acc))
     return out

@@ -94,6 +94,24 @@ def test_only_spectral_divides_by_a_laplacian_symbol():
     assert not calls, calls
 
 
+def test_propagator_leaves_shears_and_transforms_to_spectral():
+    # the propagator reads shear phases from its lag plan, which builds
+    # them with spectral.shear_phase: no np.fft reference, and no exp of
+    # an imaginary argument, in propagator.py
+    found = []
+    tree = ast.parse((SRC / "propagator.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "fft":
+            found.append(f"{node.lineno} fft")
+        if (isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "exp"
+                and any(isinstance(c, ast.Constant)
+                        and isinstance(c.value, complex)
+                        for c in ast.walk(node))):
+            found.append(f"{node.lineno} exp")
+    assert not found, found
+
+
 def _plan_by_formula(L, n):
     """Each grid-only array by its formula, built from np.meshgrid and
     np.fft.fftfreq the way the operations that use it once built it."""

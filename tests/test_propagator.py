@@ -18,6 +18,7 @@ from shearvortex import (
     make_grid,
     mass,
     picard_solve,
+    transport,
 )
 from shearvortex import propagator
 from shearvortex.fokker_planck import apply_semigroup as fp_apply
@@ -28,7 +29,8 @@ from shearvortex.selfsim import FrameCoefficients, nonlinear_term, selfsim_coord
 from shearvortex.spectral import weighted_norm
 
 from conftest import localized_field
-from oracles import KATO_SINGLE_G, KERNEL_CENTER, SYMBOL_1110, duhamel_direct
+from oracles import (KATO_SINGLE_G, KERNEL_CENTER, SYMBOL_1110,
+                     check_alias_unpruned, duhamel_direct)
 
 
 # --------------------------------------------------------------- kernel
@@ -271,13 +273,13 @@ def test_panel_set_resolves_the_fastest_decay():
 
 def _count_divergences(monkeypatch):
     calls = []
-    evaluate = propagator.transport
+    evaluate = propagator.transport_spectrum
 
-    def counted(w1, w2):
+    def counted(*args):
         calls.append(None)
-        return evaluate(w1, w2)
+        return evaluate(*args)
 
-    monkeypatch.setattr(propagator, "transport", counted)
+    monkeypatch.setattr(propagator, "transport_spectrum", counted)
     return calls
 
 
@@ -302,6 +304,129 @@ def test_duhamel_evaluates_each_node_once(resolved_trajectories, monkeypatch):
     calls.clear()
     _duhamel_targets(first, first, first.times)
     assert len(calls) == 8 * depth * 3
+
+
+def _small_picard_data():
+    # three Picard iterations on a window of four intervals
+    g = make_grid(16.0, 64)
+    return make_field("gaussian", g, params={"amplitude": 0.01})
+
+
+def _calls_in_march(monkeypatch, names):
+    """Argument tuples of each call of the named propagator functions made
+    inside _duhamel_targets (so not by the linear flow's apply_semigroup)."""
+    calls = {name: [] for name in names}
+    inside = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            if inside:
+                calls[name].append(args)
+            return fn(*args)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(propagator, name,
+                            counted(name, getattr(propagator, name)))
+    march = propagator._duhamel_targets
+
+    def marked(*args):
+        inside.append(None)
+        try:
+            return march(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(propagator, "_duhamel_targets", marked)
+    return calls
+
+
+def test_picard_builds_each_lag_table_once_per_solve(monkeypatch):
+    calls = _calls_in_march(monkeypatch, ("_lag_tables", "shear_phase",
+                                          "_drop_set", "_propagate"))
+    traj = picard_solve(_small_picard_data(), 1.0, 0.5, 5, t_start=1.0)
+    assert len(traj.history) == 3
+    lags = [t for _, _, t in calls["_lag_tables"]]
+    assert lags and len(lags) == len(set(lags))
+    assert len(calls["shear_phase"]) == len(lags)
+    # every propagation of the three iterations reads one of those tables
+    assert len(calls["_propagate"]) >= 3 * 8 * 4 > 3 * len(lags)
+    vetted = [t for _, _, t, _ in calls["_drop_set"]]
+    assert vetted and len(vetted) == len(set(vetted))
+
+
+def test_picard_result_does_not_depend_on_the_plan_budget(monkeypatch):
+    f = _small_picard_data()
+    kept = picard_solve(f, 1.0, 0.5, 5, t_start=1.0)
+    monkeypatch.setattr(propagator, "LAG_PLAN_BUDGET", 0)
+    rebuilt = picard_solve(f, 1.0, 0.5, 5, t_start=1.0)
+    assert kept.history == rebuilt.history
+    for a, b in zip(kept.fields, rebuilt.fields):
+        assert np.array_equal(a.coeffs, b.coeffs)
+
+
+def test_lag_plan_keeps_its_tables_within_the_budget():
+    # at n = 512 one lag's phase, symbol and mask take ~6 MiB, so the
+    # budget holds a few lags; later lags are built per call, identically
+    g = make_grid(20.0, 512)
+    plan = propagator._LagPlan(g, 1.0)
+    lags = [0.01 * j for j in range(1, 9)]
+    first = [plan.tables(t) for t in lags]
+    assert 0 < plan.nbytes <= propagator.LAG_PLAN_BUDGET
+    per_lag = sum(a.nbytes for a in first[0])
+    assert plan.nbytes == per_lag * (propagator.LAG_PLAN_BUDGET // per_lag)
+    for t, tables in zip(lags, first):
+        again = plan.tables(t)
+        assert all(np.array_equal(a, b) for a, b in zip(tables, again))
+    assert plan.nbytes <= propagator.LAG_PLAN_BUDGET
+
+
+def _vetting(check, *args):
+    try:
+        check(*args)
+    except AliasingError as e:
+        return str(e), e.mode
+    return None
+
+
+def test_pruned_vetting_raises_as_the_full_drop_set(monkeypatch):
+    # the config of test_duhamel_vets_every_node_against_later_targets:
+    # every vetting the march makes, and a sweep of single lags, give the
+    # outcome (pass, or the same message and mode) of the full drop sets
+    g = make_grid(16.0, 32)
+    f = localized_field(g, seed=3)
+    traj = _constant_trajectory(g, f, tuple(0.25 * j for j in range(5)))
+    vet = propagator._check_alias
+    outcomes = []
+
+    def both(c, lags, plan):
+        lags = list(lags)
+        want = _vetting(check_alias_unpruned, c, plan.grid, plan.nu, lags,
+                        plan.alias_tol)
+        got = _vetting(vet, c, lags, plan)
+        outcomes.append((got, want))
+        vet(c, lags, plan)
+
+    monkeypatch.setattr(propagator, "_check_alias", both)
+    duhamel_bilinear(traj, traj, 0.5)
+    with pytest.raises(AliasingError):
+        duhamel_bilinear(traj, traj, 0.75)
+    assert all(got == want for got, want in outcomes)
+    assert outcomes[0][0] is None and outcomes[-1][0] is not None
+
+    kx, ky = np.broadcast_arrays(*g.wavegrid())
+    pruned = raised = 0
+    for tol in (1e-12, propagator._ALIAS_TOL, 1e-6, 1e-3):
+        plan = propagator._LagPlan(g, 1.0, alias_tol=tol)
+        for c in (f.coeffs, transport(f, f).coeffs):
+            for lag in np.linspace(0.05, 2.0, 40):
+                got = _vetting(vet, c, [lag], plan)
+                assert got == _vetting(check_alias_unpruned, c, g, 1.0,
+                                       [lag], tol)
+                raised += got is not None
+                lost = np.abs(ky - lag * kx) > g.band
+                pruned += int(lost.sum()) - plan.drops(lag)[0].size
+    assert pruned > 0 and 0 < raised < 320
 
 
 def test_trajectory_validation(phys_grid):
