@@ -17,11 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, FitError, check_real
-from .grid import Field
+from .errors import DomainError, FitError, GridError, check_real
 from .propagator import apply_semigroup as heat_shear_semigroup
 from .selfsim import invert_frame_laplacian
-from .spectral import derivative, lp_norm, mass, weighted_norm
+from .spectral import (derivative, derivative_samples, half_spectrum,
+                       lp_norm, mass, weight_samples, weighted_l2,
+                       weighted_norm)
 
 #: fixed exponent grid for the L^p columns (4/3 is the fixed-point norm)
 P_GRID = (1.0, 4.0 / 3.0, 2.0, np.inf)
@@ -117,23 +118,30 @@ def record(state, opts=None):
     convergence_L2m is the weighted-L2 distance to alpha times the fixed
     Gaussian for each configured m. The physical-frame L1 distance equals
     the frame-coordinates L1 distance exactly (the amplitude factor
-    cancels the Jacobian), so no resampling is involved.
+    cancels the Jacobian), so no resampling is involved. Every column is
+    read off the state's samples, the energy pair's derivatives off its
+    half spectrum, and each distinct weight <x>^m is formed once.
     """
     opts = opts or RecordOptions()
     om = state.omega
     grid = om.grid
-    diff = Field(grid, values=om.values - state.alpha * grid.gaussian_values)
+    v = om.values
+    diff = v - state.alpha * grid.gaussian_values
+    powers = {m: weight_samples(grid, m) for m in opts.weight_exponents}
     lp = {p: float(lp_norm(om, p)) for p in P_GRID}
-    weighted = {(m, 0, 0): float(weighted_norm(om, m))
+    weighted = {(m, 0, 0): weighted_l2(powers[m], v, grid)
                 for m in opts.weight_exponents}
-    conv = {m: float(weighted_norm(diff, m)) for m in opts.weight_exponents}
+    conv = {m: weighted_l2(powers[m], diff, grid)
+            for m in opts.weight_exponents}
     e = d = None
     if opts.energy is not None:
-        e, d = energy_functionals(om, state.t, opts.energy)
+        e, d = energy_functionals(om, state.t, opts.energy,
+                                  powers.get(opts.energy.m))
     return DiagnosticsRecord(
         t=state.t, tau=state.tau, mass=float(mass(om)), lp_norms=lp,
         weighted=weighted, convergence_L2m=conv,
-        convergence_L1_phys=float(lp_norm(diff, 1)), energy=e, dissipation=d)
+        convergence_L1_phys=float(np.sum(np.abs(diff)) * grid.spacing ** 2),
+        energy=e, dissipation=d)
 
 
 def rate_fit(series, window=None):
@@ -193,26 +201,37 @@ _ORDERS = tuple(sorted({o for row in _E_TERMS + _D_TERMS for o in row[2:]
 _CROSS = frozenset(o for _, _, a, b in _E_TERMS if a != b for o in (a, b))
 
 
-def energy_functionals(omega, t, coef):
+def energy_functionals(omega, t, coef, weight=None):
     """The energy E(t) and dissipation D(t) of the hypocoercive pair.
 
     Both sum rows of one Gram table of weighted-L2 inner products of the
     samples f_a = <x>^m d^a omega (orders up to 3), scaled by a constant
     from the ladder, a power of ln(t/t0) and, inside D, 1/(1+t^2) on the
     sheared-direction derivative of each pair. Each sample is formed
-    once, and one that enters no inner product is dropped once normed.
+    once, a derivative by one inverse real transform of the field's half
+    spectrum, and one that enters no inner product is dropped once
+    normed. weight holds the samples of <x>^m when the caller has them
+    (record shares its own); a sample or square sum that is not finite
+    raises GridError.
     """
     if t < coef.t0:
         raise DomainError(f"energy functionals need t >= t0 = {coef.t0}")
+    grid = omega.grid
+    if weight is None:
+        weight = grid.bracket_sq ** (0.5 * coef.m)
     log = float(np.log(t / coef.t0))
     decay = 1.0 / (1.0 + t * t)
     cs = (1.0, coef.c1, coef.c2, coef.c3, coef.c4, coef.c5, coef.c6, coef.c7)
-    weight = omega.grid.bracket_sq ** (0.5 * coef.m)
-    h2 = omega.grid.spacing ** 2
+    c = half_spectrum(omega)
+    h2 = grid.spacing ** 2
     gram, kept = {}, {}
     for o in _ORDERS:
-        f = weight * derivative(omega, *o).values
+        f = weight * (omega.values if o == (0, 0)
+                      else derivative_samples(c, grid, *o))
         gram[o, o] = float(np.sum(f * f)) * h2
+        if not math.isfinite(gram[o, o]):
+            raise GridError(f"weighted derivative {o} of the field is not "
+                            "finite")
         if o in _CROSS:
             kept[o] = f
     for _, _, a, b in _E_TERMS:

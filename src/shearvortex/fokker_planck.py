@@ -9,6 +9,12 @@ with exact trigonometric (band-limited) interpolation, split into a shear
 stage and a scaling stage so each stage is separable: the shear is
 spectral.shear_spectrum (FFTs), the scaling the dense affine kernel
 spectral.affine_trig_sum that also changes the self-similar frame.
+
+The field is real, so the scaling stage evaluates only the half spectrum
+(the n/2 + 1 columns of the rfft2 layout) from the real samples of the
+sheared spectrum: both dense stages run on n/2 + 1 rows, the first as
+two real products. The damping multiplies the half spectrum, and the
+result's values come from one inverse real transform of it.
 """
 
 from dataclasses import dataclass
@@ -18,7 +24,8 @@ import numpy as np
 from .errors import (DomainError, ResolutionError, UnsupportedOrderError,
                      check_order, check_real)
 from .grid import Field
-from .spectral import affine_trig_sum, shear_spectrum, spectral_tail_ratio
+from .spectral import (affine_trig_sum, full_spectrum, shear_spectrum,
+                       spectral_tail_ratio)
 
 SQRT3 = np.sqrt(3.0)
 
@@ -104,19 +111,22 @@ def char_map(tau):
 
 
 def _scale_stage(coeffs, grid, u11, u12, u22):
-    """Trig-exact evaluation at (u11*xi_j + u12*eta_k, u22*eta_k).
+    """Trig-exact evaluation at (u11*xi_j + u12*eta_k, u22*eta_k), on the
+    half layout: the n/2 + 1 columns eta_k of a real field's spectrum.
 
+    The samples of coeffs are read as real, as Field.values reads them.
     The map is upper triangular in (xi, eta), so the shared kernel runs
-    on the transposed samples, where it is lower triangular.
+    on the transposed samples, where it is lower triangular, with the
+    half columns as its row points.
     """
-    n = grid.n
-    v = np.fft.ifft2(coeffs) * n ** 2  # physical samples (complex mid-pipeline)
-    out = affine_trig_sum(v.T, grid.x, grid.k, u22, u12, u11, -1).T / n ** 2
-    out *= grid.signs  # back to fft-array sign convention
+    n, h = grid.n, grid.half_cols
     k = grid.k
-    out[np.abs(u11 * k[:, None] + u12 * k[None, :]) > grid.band] = 0.0
+    v = (np.fft.ifft2(coeffs) * n ** 2).real  # physical samples
+    out = affine_trig_sum(v.T, grid.x, k[:h], k, u22, u12, u11, -1).T / n ** 2
+    out *= grid.signs[:, :h]  # back to fft-array sign convention
+    out[np.abs(u11 * k[:, None] + u12 * k[None, :h]) > grid.band] = 0.0
     if abs(u22) * np.abs(k).max() > grid.band:
-        out[:, np.abs(u22 * k) > grid.band] = 0.0
+        out[:, np.abs(u22 * k[:h]) > grid.band] = 0.0
     return out
 
 
@@ -126,7 +136,10 @@ def apply_semigroup(f, tau):
     The zero mode is exactly preserved, so the mass of the field is
     invariant. The input spectrum should be resolved (decayed well before
     the band edge); otherwise the characteristic shift moves significant
-    content across the band and the result is unreliable.
+    content across the band and the result is unreliable. The result
+    holds both representations, its values from one inverse real
+    transform of the half spectrum and its coeffs the Hermitian full
+    layout of the same half spectrum.
     """
     tau = check_real(tau, "tau")
     if not 0.0 <= tau < np.inf:
@@ -145,9 +158,11 @@ def apply_semigroup(f, tau):
     u11 = m.m11
     u12 = m.m12
     u22 = m.det / m.m11
-    c, oob = shear_spectrum(f.coeffs, f.grid, slope)
+    grid = f.grid
+    c, oob = shear_spectrum(f.coeffs, grid, slope)
     c[oob] = 0.0
-    c = _scale_stage(c, f.grid, u11, u12, u22)
-    kx, ky = f.grid.wavegrid()
-    c *= np.exp(symbol_exponent(tau, kx, ky))
-    return Field(f.grid, coeffs=c)
+    c = _scale_stage(c, grid, u11, u12, u22)
+    c *= np.exp(symbol_exponent(tau, grid.k[:, None],
+                                grid.k[None, :grid.half_cols]))
+    return Field(grid, values=np.fft.irfft2(c, norm="forward"),
+                 coeffs=full_spectrum(c))

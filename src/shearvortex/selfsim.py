@@ -176,7 +176,8 @@ def phys_to_selfsim(omega, t, nu, target_grid):
     # f(a X, c X + b Y) from the spectrum with origin-centred phases; target
     # points past the source box read its periodic extension
     chat = omega.coeffs * omega.grid.signs
-    vals = affine_trig_sum(chat, omega.grid.k, target_grid.x, a, c, b, 1).real
+    x = target_grid.x
+    vals = affine_trig_sum(chat, omega.grid.k, x, x, a, c, b, 1).real
     out = Field(target_grid, values=vals * amplitude(t, nu))
     _check_wrap(out, "resampled frame field")
     return SelfSimilarState(omega=out, t=float(t), nu=float(nu))
@@ -190,7 +191,8 @@ def selfsim_to_phys(state, target_grid):
     a, c, b = _frame_map(state.t, state.nu)
     # inverse of (x, y) = (a X, c X + b Y) is lower triangular as well
     chat = state.omega.coeffs * state.omega.grid.signs
-    vals = affine_trig_sum(chat, state.omega.grid.k, target_grid.x,
+    x = target_grid.x
+    vals = affine_trig_sum(chat, state.omega.grid.k, x, x,
                            1.0 / a, -c / (a * b), 1.0 / b, 1).real
     out = Field(target_grid, values=vals * (1.0 / amplitude(state.t, state.nu)))
     _check_wrap(out, "resampled physical field")

@@ -17,8 +17,9 @@ and their mirror images. An operator of the full layout acts on the half
 layout through the first n/2 + 1 columns of its plan arrays: odd orders
 zero the Nyquist mode and even orders do not depend on its sign, so the
 slices are exact. transport_spectrum is the one dealiased transport
-kernel; transport wraps it for Fields, and full_spectrum turns a half
-spectrum back into a Field's coeffs.
+kernel; transport wraps it for Fields, derivative_samples samples a
+derivative of a half spectrum, and full_spectrum turns a half spectrum
+back into a Field's coeffs.
 
 All operations assume smooth fields that decay well inside the box, so the
 periodic spectral representation is accurate. Quadrature is the rectangle
@@ -42,13 +43,27 @@ def derivative(f, a, b):
             f"derivative order ({a}, {b}) outside 0 <= a+b <= {MAX_DERIVATIVE_ORDER}")
     if a == 0 and b == 0:
         return f
-    d = f.grid.multipliers
+    return Field(f.grid, coeffs=f.coeffs * _derivative_symbol(f.grid, a, b))
+
+
+def _derivative_symbol(grid, a, b, cols=None):
+    """Multiplier of d^a/dx1^a d^b/dx2^b on the first cols columns: all by
+    default, grid.half_cols for a half spectrum."""
+    d = grid.multipliers
     mult = 1.0
     if a:
         mult = d[a][:, None]
     if b:
-        mult = mult * d[b][None, :]
-    return Field(f.grid, coeffs=f.coeffs * mult)
+        mult = mult * d[b][None, :cols]
+    return mult
+
+
+def derivative_samples(c, grid, a, b):
+    """Samples of d^a/dx1^a d^b/dx2^b of the real field with half spectrum
+    c: one inverse real transform, and no Field. Unlike a Field's, the
+    samples are not checked for finiteness."""
+    return np.fft.irfft2(c * _derivative_symbol(grid, a, b, grid.half_cols),
+                         norm="forward")
 
 
 def _solve(c, symbol):
@@ -183,9 +198,17 @@ def weighted_norm(f, m, a=0, b=0):
     if a + b > 3:
         raise UnsupportedOrderError(f"weighted norm supports a+b <= 3, got ({a}, {b})")
     g = derivative(f, a, b)
-    w = f.grid.bracket_sq ** (0.5 * m)
-    h2 = f.grid.spacing ** 2
-    return float(np.sqrt(np.sum((w * g.values) ** 2) * h2))
+    return weighted_l2(weight_samples(f.grid, m), g.values, f.grid)
+
+
+def weight_samples(grid, m):
+    """Samples of the weight <x>^m = (1 + |x|^2)^(m/2), m in [0, 12]."""
+    return grid.bracket_sq ** (0.5 * _weight_exponent(m))
+
+
+def weighted_l2(w, v, grid):
+    """L^2 norm of the samples w * v by rectangle-rule quadrature."""
+    return float(np.sqrt(np.sum((w * v) ** 2) * grid.spacing ** 2))
 
 
 def weighted_inner(f, g, m=0.0):
@@ -271,18 +294,25 @@ def shear_spectrum(coeffs, grid, slope):
             shear_out_of_band(grid, slope))
 
 
-def affine_trig_sum(a, s, r, m11, m21, m22, sign):
+def affine_trig_sum(a, s, rp, rq, m11, m21, m22, sign):
     """Trigonometric sum of a lattice at a lower-triangular image of another.
 
     Returns out[p, q] = sum over j, k of a[j, k] exp(sign i (s_j X + s_k Y))
-    at (X, Y) = (m11 r_p, m21 r_p + m22 r_q). The map is lower triangular,
-    so the exponent separates into two dense 1-D stages (matrix products)
-    with a phase in r_p between them; exact, cost O(n^3). Resampling a
-    field is sign +1 over (wavenumbers, centred spectrum); evaluating a
+    at (X, Y) = (m11 rp_p, m21 rp_p + m22 rq_q). The map is lower
+    triangular, so the exponent separates into two dense 1-D stages
+    (matrix products) with a phase in rp_p between them; exact, cost
+    O(len(rp) n^2). Resampling a field is sign +1 over (wavenumbers,
+    centred spectrum) at rp = rq = the target points; evaluating a
     spectrum is sign -1 over (positions, samples), transposed when the map
-    is upper triangular in the frequencies.
+    is upper triangular in the frequencies, and a half spectrum needs only
+    the rows rp of its n/2 + 1 columns. A real lattice a takes the first
+    stage as two real products, its cosine and sine parts.
     """
     phase = sign * 1j
-    out = np.exp(phase * np.outer(r, m11 * s)) @ a      # [p, k]
-    out *= np.exp(phase * np.outer(r, m21 * s))          # phase in r_p per s_k
-    return out @ np.exp(phase * np.outer(m22 * s, r))    # [p, q]
+    arg = np.outer(rp, m11 * s)
+    if np.isrealobj(a):
+        out = np.cos(arg) @ a + phase * (np.sin(arg) @ a)   # [p, k]
+    else:
+        out = np.exp(phase * arg) @ a                       # [p, k]
+    out *= np.exp(phase * np.outer(rp, m21 * s))            # phase in rp_p per s_k
+    return out @ np.exp(phase * np.outer(m22 * s, rq))      # [p, q]

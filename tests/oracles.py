@@ -16,6 +16,8 @@ import numpy as np
 
 from shearvortex import (AliasingError, Field, FrameCoefficients, apply_semigroup,
                          derivative)
+from shearvortex.fokker_planck import char_map, symbol_exponent
+from shearvortex.spectral import shear_spectrum
 from shearvortex.propagator import _gl_nodes, _lagrange_weights, symbol_value
 
 SQRT3 = np.sqrt(3.0)
@@ -214,3 +216,26 @@ def duhamel_direct(traj1, traj2, targets):
                 acc += w * apply_semigroup(g, traj1.nu, t - s).coeffs
         out.append(Field(traj1.grid, coeffs=-acc))
     return out
+
+
+def limit_semigroup_full(f, tau):
+    """The limit semigroup over a time tau > 0 on the full fft layout: the
+    frequency shear, then the scale stage at every lattice point with the
+    complex samples of the sheared spectrum and the dense n x n stages
+    written out, then the damping (the library evaluates the n/2 + 1
+    columns of the half layout from real samples)."""
+    grid = f.grid
+    n, k, x = grid.n, grid.k, grid.x
+    m = char_map(tau)
+    u11, u12, u22 = m.m11, m.m12, m.det / m.m11
+    c, oob = shear_spectrum(f.coeffs, grid, m.m21 / m.m11)
+    c[oob] = 0.0
+    v = np.fft.ifft2(c).T * n ** 2  # transposed complex samples
+    out = np.exp(-1j * np.outer(k, u22 * x)) @ v
+    out *= np.exp(-1j * np.outer(k, u12 * x))
+    out = (out @ np.exp(-1j * np.outer(u11 * x, k))).T / n ** 2
+    out *= grid.signs
+    out[np.abs(u11 * k[:, None] + u12 * k[None, :]) > grid.band] = 0.0
+    out[:, np.abs(u22 * k) > grid.band] = 0.0
+    kx, ky = grid.wavegrid()
+    return Field(grid, coeffs=out * np.exp(symbol_exponent(tau, kx, ky)))

@@ -10,6 +10,7 @@ from shearvortex import (
     inequality_probe,
     lp_norm,
     make_grid,
+    mass,
     rate_fit,
     record,
     weighted_inner,
@@ -17,7 +18,7 @@ from shearvortex import (
 )
 from shearvortex import diagnostics, fokker_planck, spectral
 from shearvortex.diagnostics import P_GRID
-from shearvortex.errors import DomainError, FitError
+from shearvortex.errors import DomainError, FitError, GridError
 from shearvortex.fokker_planck import eigenfunction, gaussian
 from shearvortex.selfsim import invert_frame_laplacian
 from shearvortex.spectral import derivative
@@ -199,31 +200,92 @@ def test_energy_term_sum(small_grid):
     assert d == pytest.approx(want_d, rel=1e-12)
 
 
+def _counted(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+_TRANSFORMS = ("fft2", "ifft2", "fftn", "ifftn", "rfft2", "irfft2")
+
+
+def _count_sampling(monkeypatch, calls):
+    """Count derivative calls and every 2-D transform into calls."""
+    for mod in (spectral, diagnostics):
+        monkeypatch.setattr(mod, "derivative",
+                            _counted(calls, "derivative", spectral.derivative))
+    for name in _TRANSFORMS:
+        monkeypatch.setattr(np.fft, name,
+                            _counted(calls, name, getattr(np.fft, name)))
+
+
 def test_energy_samples_each_derivative_once(small_grid, monkeypatch):
-    # one Gram table: ten weighted samples (orders up to 3), each from one
-    # derivative and one inverse transform, and no per-term norm calls
-    om = Field(small_grid,
-               coeffs=localized_field(small_grid, seed=11, corr=1.5).coeffs)
+    # one Gram table: ten weighted samples (orders up to 3), the field's
+    # own samples and one inverse real transform of its half spectrum per
+    # nonzero order; no derivative Field, no complex transform and no
+    # per-term norm calls. The field holds both representations, as
+    # apply_semigroup leaves it.
+    lf = localized_field(small_grid, seed=11, corr=1.5)
+    om = Field(small_grid, values=lf.values, coeffs=lf.coeffs)
     calls = []
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(spectral, "derivative",
-                        counted("derivative", spectral.derivative))
-    monkeypatch.setattr(diagnostics, "derivative",
-                        counted("derivative", diagnostics.derivative))
-    monkeypatch.setattr(np.fft, "ifft2", counted("ifft2", np.fft.ifft2))
+    _count_sampling(monkeypatch, calls)
     for mod in (spectral, diagnostics):
         for name in ("weighted_norm", "weighted_inner"):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, _forbidden)
     energy_functionals(om, 2.0, EnergyCoefficients.from_scale())
-    assert calls.count("derivative") == 10
-    assert calls.count("ifft2") == 10
+    assert calls.count("irfft2") == 9
+    assert calls.count("derivative") == 0
+    assert len(calls) == 9
+
+
+class _PowerCount(np.ndarray):
+    """Samples of <x>^2 that log the exponent of every power taken."""
+
+    def __pow__(self, other):
+        self.log.append(other)
+        return np.asarray(self) ** other
+
+
+@pytest.mark.parametrize("energy_m,powers", [(2.0, [1.0, 1.5]),
+                                             (4.0, [1.0, 1.5, 2.0])])
+def test_record_on_fp_decay_state_reads_samples_once(monkeypatch, energy_m,
+                                                     powers):
+    # the state apply_semigroup leaves holds values and coeffs, so record
+    # transforms nothing but the energy pair's nine derivative samples,
+    # calls no derivative, and forms each distinct weight power once
+    grid = make_grid(16.0, 64, "selfsim")
+    bracket = grid.bracket_sq.view(_PowerCount)
+    bracket.log = []
+    grid.__dict__["bracket_sq"] = bracket
+    f0 = gaussian(grid) + 0.3 * eigenfunction(1, 0, grid)
+    u = fokker_planck.apply_semigroup(f0, 0.5)
+    state = SelfSimilarState(omega=u, t=2.0, nu=1.0, alpha=mass(f0))
+    opts = RecordOptions(weight_exponents=(2.0, 3.0),
+                         energy=EnergyCoefficients.from_scale(m=energy_m))
+    calls = []
+    _count_sampling(monkeypatch, calls)
+    rec = record(state, opts)
+    assert calls == ["irfft2"] * 9
+    assert sorted(bracket.log) == powers
+    assert np.isfinite(rec.energy) and np.isfinite(rec.dissipation)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_energy_raises_on_overflowing_samples(small_grid):
+    # a cosine mode near the float maximum: its weighted samples and their
+    # derivatives overflow, which must raise, not give a NaN or infinite
+    # E or D
+    c = np.zeros((small_grid.n,) * 2, dtype=complex)
+    c[30, 0] = c[-30, 0] = 1e306
+    om = Field(small_grid, coeffs=c)
+    coef = EnergyCoefficients.from_scale()
+    with pytest.raises(GridError):
+        energy_functionals(om, 2.0, coef)
+    state = SelfSimilarState(omega=om, t=2.0, nu=1.0)
+    with pytest.raises(GridError):
+        record(state, RecordOptions(energy=coef))
 
 
 def test_energy_positive_for_valid_ladder(small_grid):

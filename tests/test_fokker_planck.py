@@ -23,7 +23,7 @@ from shearvortex.fokker_planck import (
 )
 
 from conftest import localized_field
-from oracles import GAUSSIAN_PEAK, forward_chars
+from oracles import GAUSSIAN_PEAK, forward_chars, limit_semigroup_full
 
 
 # ---------------------------------------------------------------- equilibrium
@@ -234,6 +234,35 @@ def test_semigroup_converges_to_projected_gaussian(frame_grid):
     r6 = np.linalg.norm(apply_semigroup(f, 6.0).coeffs - target) / scale
     assert r6 <= np.exp(-3.0)
     assert 0.3 <= r6 / r4 <= 0.45
+
+
+def _assert_matches_full_layout(f, tau):
+    got = apply_semigroup(f, tau)
+    want = limit_semigroup_full(f, tau).values
+    assert np.abs(got.values - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("tau", [0.05, 0.7, 2.5])
+def test_semigroup_matches_full_layout_oracle(frame_grid, tau):
+    for f in (localized_field(frame_grid, seed=5, corr=2.0),
+              eigenfunction(1, 1, frame_grid), gaussian(frame_grid)):
+        _assert_matches_full_layout(f, tau)
+
+
+def test_semigroup_matches_full_layout_oracle_at_n512():
+    # the fp-decay benchmark's datum and horizon
+    grid = make_grid(20.0, 512, "selfsim")
+    _assert_matches_full_layout(eigenfunction(1, 0, grid), np.log(3.2))
+
+
+def test_semigroup_result_holds_both_representations(frame_grid):
+    # values from the inverse real transform, coeffs its Hermitian layout
+    out = apply_semigroup(localized_field(frame_grid, seed=5, corr=2.0), 0.7)
+    assert out.has_values and out.has_coeffs
+    c = out.coeffs
+    assert np.array_equal(c, np.roll(c[::-1, ::-1], 1, axis=(0, 1)).conj())
+    back = (np.fft.ifft2(c) * frame_grid.n ** 2).real
+    assert np.abs(back - out.values).max() <= 1e-14 * np.abs(out.values).max()
 
 
 def test_semigroup_rejects_negative_time(frame_grid):

@@ -437,28 +437,46 @@ def test_affine_kernel_physical_map_matches_direct_sum():
     target = make_grid(6.0, 16, "selfsim")
     chat = _random_spectrum(16, seed=3)
     a, c, b = _frame_map(2.0, 0.3)
-    got = affine_trig_sum(chat, src.k, target.x, a, c, b, 1)
+    got = affine_trig_sum(chat, src.k, target.x, target.x, a, c, b, 1)
     X, Y = target.meshgrid()
     ref = trig_sum_direct(chat, src.k, a * X, c * X + b * Y, 1)
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def test_affine_kernel_spectral_scale_stage_matches_direct_sum():
-    # the limit semigroup's scale stage: samples summed at the upper
-    # triangular image (u11 xi_j + u12 eta_k, u22 eta_k), sign -1, which the
-    # stage hands to the kernel transposed
+def test_affine_kernel_row_points_and_real_lattice():
+    # rows at a subset of the points are those rows of the square sum, and
+    # a real lattice (two real first-stage products) sums as its complex
+    # cast does
     grid = make_grid(8.0, 16, "selfsim")
-    n = grid.n
+    a = np.random.default_rng(5).standard_normal((16, 16))
+    args = (0.8, -0.3, 1.1, -1)
+    square = affine_trig_sum(a.astype(complex), grid.x, grid.k, grid.k, *args)
+    rows = grid.k[:grid.half_cols]
+    for lattice in (a, a.astype(complex)):
+        got = affine_trig_sum(lattice, grid.x, rows, grid.k, *args)
+        assert got.shape == (grid.half_cols, 16)
+        assert (np.abs(got - square[:grid.half_cols]).max()
+                <= 1e-13 * np.abs(square).max())
+
+
+def test_affine_kernel_spectral_scale_stage_matches_direct_sum():
+    # the limit semigroup's scale stage: real samples summed at the upper
+    # triangular image (u11 xi_j + u12 eta_k, u22 eta_k), sign -1, which the
+    # stage hands to the kernel transposed; it evaluates the n/2 + 1
+    # columns of the half layout
+    grid = make_grid(8.0, 16, "selfsim")
+    n, h = grid.n, grid.half_cols
     coeffs = _random_spectrum(n, seed=4)
     m = char_map(0.4)
     u11, u12, u22 = m.m11, m.m12, m.det / m.m11
     got = _scale_stage(coeffs, grid, u11, u12, u22)
-    v = np.fft.ifft2(coeffs) * n ** 2
-    xi, eta = np.meshgrid(grid.k, grid.k, indexing="ij")
+    assert got.shape == (n, h)
+    v = (np.fft.ifft2(coeffs) * n ** 2).real
+    xi, eta = np.meshgrid(grid.k, grid.k[:h], indexing="ij")
     X, Y = u11 * xi + u12 * eta, u22 * eta
-    signs = (-1.0) ** np.add.outer(np.arange(n), np.arange(n))
+    signs = (-1.0) ** np.add.outer(np.arange(n), np.arange(h))
     ref = signs * trig_sum_direct(v, grid.x, X, Y, -1) / n ** 2
     inside = (np.abs(X) <= grid.k_max) & (np.abs(Y) <= grid.k_max)
-    assert inside.sum() > n * n // 2
+    assert inside.sum() > n * h // 2
     assert np.abs(got - ref)[inside].max() <= 1e-12 * np.abs(ref).max()
     assert not got[~inside].any()
