@@ -21,8 +21,8 @@ from .errors import DomainError, FitError, GridError, check_real
 from .propagator import apply_semigroup as heat_shear_semigroup
 from .selfsim import invert_frame_laplacian
 from .spectral import (derivative, derivative_samples, half_spectrum,
-                       lp_norm, mass, weight_samples, weighted_l2,
-                       weighted_norm)
+                       lp_norm, lp_samples, mass, weight_samples,
+                       weighted_l2, weighted_norm)
 
 #: fixed exponent grid for the L^p columns (4/3 is the fixed-point norm)
 P_GRID = (1.0, 4.0 / 3.0, 2.0, np.inf)
@@ -140,7 +140,7 @@ def record(state, opts=None):
     return DiagnosticsRecord(
         t=state.t, tau=state.tau, mass=float(mass(om)), lp_norms=lp,
         weighted=weighted, convergence_L2m=conv,
-        convergence_L1_phys=float(np.sum(np.abs(diff)) * grid.spacing ** 2),
+        convergence_L1_phys=lp_samples(diff, grid, 1.0),
         energy=e, dissipation=d)
 
 
@@ -218,7 +218,7 @@ def energy_functionals(omega, t, coef, weight=None):
         raise DomainError(f"energy functionals need t >= t0 = {coef.t0}")
     grid = omega.grid
     if weight is None:
-        weight = grid.bracket_sq ** (0.5 * coef.m)
+        weight = weight_samples(grid, coef.m)
     log = float(np.log(t / coef.t0))
     decay = 1.0 / (1.0 + t * t)
     cs = (1.0, coef.c1, coef.c2, coef.c3, coef.c4, coef.c5, coef.c6, coef.c7)

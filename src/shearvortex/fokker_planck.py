@@ -134,12 +134,14 @@ def apply_semigroup(f, tau):
     """Advance a field by the limit semigroup over a time tau >= 0.
 
     The zero mode is exactly preserved, so the mass of the field is
-    invariant. The input spectrum should be resolved (decayed well before
-    the band edge); otherwise the characteristic shift moves significant
-    content across the band and the result is unreliable. The result
-    holds both representations, its values from one inverse real
-    transform of the half spectrum and its coeffs the Hermitian full
-    layout of the same half spectrum.
+    invariant up to the rounding of its samples. The input spectrum should
+    be resolved (decayed well before the band edge); otherwise the
+    characteristic shift moves significant content across the band and
+    the result is unreliable. The result holds both representations, its
+    values from one inverse real transform of the half spectrum and its
+    coeffs the Hermitian full layout of the same half spectrum; mass()
+    sums those values, so it reads the kept zero mode to rounding, not
+    exactly.
     """
     tau = check_real(tau, "tau")
     if not 0.0 <= tau < np.inf:

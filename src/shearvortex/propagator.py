@@ -24,17 +24,15 @@ of the modes S(t) drops with their destination decay weights, keeping only
 the entries whose weight exceeds the vetting tolerance. That pruning
 changes no vetting outcome: a pruned entry's weighted content is at most
 the tolerance times the peak, so it can neither raise nor be the worst
-mode of a raise. The march lists its legs before it starts, so it knows
-how often it will read each lag, and the plan keeps the most read within
-LAG_PLAN_BUDGET bytes (one lag's propagation tables take 0.4 MiB at
-n = 128 and 6 MiB at n = 512); any other lag's tables are built per call
-by the same arithmetic, so no result depends on the budget.
-apply_semigroup runs the same kernels on tables built for the one call.
+mode of a raise. The plan keeps at most LAG_PLAN_BUDGET bytes (one lag's
+propagation tables take 0.4 MiB at n = 128 and 6 MiB at n = 512); past it
+a lag's tables are built per call by the same arithmetic, so no result
+depends on the budget. apply_semigroup runs the same kernels on tables
+built for the one call.
 """
 
 import bisect
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,19 +96,13 @@ LAG_PLAN_BUDGET = 32 * 2 ** 20  # bytes of lag tables one solve keeps
 
 class _LagPlan:
     """Tables of the propagator S(t) on one grid at one viscosity, built
-    once per exact lag t and kept, within LAG_PLAN_BUDGET bytes, for the
-    lags the march uses most; every other lag's tables are built again on
-    each call, by the same arithmetic.
+    once per exact lag t and kept while they fit in LAG_PLAN_BUDGET bytes;
+    past it a lag's tables are built again on each call, by the same
+    arithmetic.
 
     tables(t) are the shear phase, the damping symbol and the out-of-band
     mask of S(t) (see _propagate); drops(t) is the drop set of S(t)
-    vetted at alias_tol (see _drop_set and _check_alias). admit(uses)
-    ranks the keys ("tables", t) and ("drops", t) by how often the march
-    reads them, ties by first use, and a key it was not told of ranks
-    last. A key is kept if it fits in the budget once kept keys of lower
-    rank are let go, lowest first; so a plan fills with the top of the
-    ranking, a key never displaces one of higher rank, and keys it was
-    not told of are kept first come, first served.
+    vetted at alias_tol (see _drop_set and _check_alias).
     """
 
     def __init__(self, grid, nu, alias_tol=_ALIAS_TOL):
@@ -118,36 +110,16 @@ class _LagPlan:
         self.nu = nu
         self.alias_tol = alias_tol
         self.nbytes = 0
-        self._kept = {}   # key -> (tables, bytes)
-        self._rank = {}
-
-    def admit(self, uses):
-        """Rank keys by use count: uses maps each key to its count, in the
-        order of first use."""
-        order = sorted(uses, key=uses.get, reverse=True)  # stable sort
-        self._rank = {key: i for i, key in enumerate(order)}
+        self._kept = {}
 
     def _memo(self, key, build, *args):
-        kept = self._kept.get(key)
-        if kept is not None:
-            return kept[0]
-        tables = build(self.grid, self.nu, *args)
-        rank = self._rank.get(key, math.inf)
-        size = sum(a.nbytes for a in tables)
-        lower = sorted((k for k in self._kept
-                        if self._rank.get(k, math.inf) > rank),
-                       key=lambda k: self._rank.get(k, math.inf), reverse=True)
-        free, victims = LAG_PLAN_BUDGET - self.nbytes, []
-        for k in lower:
-            if free >= size:
-                break
-            victims.append(k)
-            free += self._kept[k][1]
-        if free >= size:
-            for k in victims:
-                self.nbytes -= self._kept.pop(k)[1]
-            self._kept[key] = (tables, size)
-            self.nbytes += size
+        tables = self._kept.get(key)
+        if tables is None:
+            tables = build(self.grid, self.nu, *args)
+            size = sum(a.nbytes for a in tables)
+            if self.nbytes + size <= LAG_PLAN_BUDGET:
+                self._kept[key] = tables
+                self.nbytes += size
         return tables
 
     def tables(self, t):
@@ -349,11 +321,11 @@ def _duhamel_targets(traj1, traj2, targets, plan=None):
 
     The march runs on arrays: g(s) is the transport kernel on the half
     spectra interpolated at s, and propagation and vetting read plan (a
-    _LagPlan, by default one built for this call). The plan is told how
-    often the march reads each lag and keeps the most read within its byte
-    budget, and the drop sets keep only the entries that can fail the
-    vetting; neither the budget nor the pruning changes the result (see
-    the module docstring).
+    _LagPlan, by default one built for this call). Each distinct lag's
+    tables are built once while they fit in the plan's byte budget, and
+    the drop sets keep only the entries that can fail the vetting; neither
+    the budget nor the pruning changes the result (see the module
+    docstring).
     """
     if traj1.nu != traj2.nu or traj1.times != traj2.times:
         raise GridError("duhamel term needs trajectories on a common time grid")
@@ -390,56 +362,37 @@ def _duhamel_targets(traj1, traj2, targets, plan=None):
         return full_spectrum(transport_spectrum(c1, c2, grid, laplacian))
 
     def propagate(c, t):
-        # only ever applied to vetted content; see leg below
+        # only ever applied to vetted content; see panels below
         return _propagate(c, plan.tables(t))
 
-    def leg(acc, k, b, later, nodes, weights):
-        # J_k carried to b plus the panel set on [t_k, b]: the sum of
-        # w S(b - s) g(s), each g(s) first vetted at lag t - s for every
-        # target t in later. J is propagated unvetted: drop sets compose
-        # on the band (a mode's destination eta - lag*xi moves monotonically
-        # with the lag, and the band is an interval), so what S(t - t_k)
-        # drops from S(t_k - s) g(s) is exactly what S(t - s) drops from
-        # g(s). Vetting J instead would flag the ~1e-8 interpolation
-        # leakage of the discrete shear, which is not aliasing.
-        head = propagate(acc, b - ts[k])
+    def panels(a, b, later):
+        # Sum of w S(b - s) g(s) over the panel set on [a, b]; each g(s) is
+        # first vetted at lag t - s for every target t in later. J is then
+        # propagated unvetted: drop sets compose on the band (a mode's
+        # destination eta - lag*xi moves monotonically with the lag, and
+        # the band is an interval), so what S(t - t_k) drops from
+        # S(t_k - s) g(s) is exactly what S(t - s) drops from g(s). Vetting
+        # J instead would flag the ~1e-8 interpolation leakage of the
+        # discrete shear, which is not aliasing.
         total = zero.copy()
-        for s, w in zip(nodes, weights):
+        for s, w in zip(*_panel_set(a, b, rate)):
             g = divergence(s)
             _check_alias(g, [t - s for t in later], plan)
             total += w * propagate(g, b - s)
-        return head + total
+        return total
 
-    # The march's legs in order, (k, b, later, nodes, weights): a target
-    # between t_k and t_{k+1} is a leg to it from J_k, and J_{k+1} the leg
-    # to t_{k+1}. Listing them first fixes every lag the march reads, so
-    # the plan can keep the most used.
-    last = max(reads.values(), default=0)
-    legs = []
-    for k in range(last + 1):
-        legs += [(k, t, [t]) for t, m in reads.items()
-                 if m == k and t != ts[k]]
-        if k < last:
-            legs.append((k, ts[k + 1], [t for t, m in reads.items() if m > k]))
-    legs = [(k, b, later, *_panel_set(ts[k], b, rate))
-            for k, b, later in legs]
-
-    def reads_of(k, b, later, nodes, _):
-        # the plan keys leg reads, in its order
-        yield "tables", float(b - ts[k])
-        for s in nodes:
-            yield from (("drops", float(t - s)) for t in later)
-            yield "tables", float(b - s)
-
-    plan.admit(Counter(key for each in legs for key in reads_of(*each)))
-    done = {t: Field(grid, coeffs=zero) for t in targets if t == ts[0]}
+    done = {ts[0]: Field(grid, coeffs=zero)}
     acc = zero  # J_k
-    for k, b, later, nodes, weights in legs:
-        part = leg(acc, k, b, later, nodes, weights)
-        if b in reads:
-            done[b] = Field(grid, coeffs=-part)
-        if k < last and b == ts[k + 1]:
-            acc = part
+    last = max(reads.values(), default=0)
+    for k in range(last + 1):
+        for t in [t for t, m in reads.items() if m == k]:
+            part = acc if t == ts[k] else (
+                propagate(acc, t - ts[k]) + panels(ts[k], t, [t]))
+            done[t] = Field(grid, coeffs=-part)
+        if k < last:
+            later = [t for t, m in reads.items() if m > k]
+            acc = (propagate(acc, ts[k + 1] - ts[k])
+                   + panels(ts[k], ts[k + 1], later))
     return [done[t] for t in targets]
 
 

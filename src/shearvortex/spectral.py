@@ -168,10 +168,16 @@ def lp_norm(f, p):
     p = check_real(p, "p")
     if not p >= 1.0:
         raise DomainError(f"p must satisfy 1 <= p <= inf, got {p!r}")
-    v = np.abs(f.values)
+    return lp_samples(f.values, f.grid, p)
+
+
+def lp_samples(v, grid, p):
+    """L^p norm of the samples v by rectangle-rule quadrature; p in
+    [1, inf], unchecked."""
+    v = np.abs(v)
     if np.isinf(p):
         return float(v.max())
-    h2 = f.grid.spacing ** 2
+    h2 = grid.spacing ** 2
     if p == 1.0:
         return float(np.sum(v) * h2)
     if p == 2.0:

@@ -381,39 +381,6 @@ def test_lag_plan_keeps_its_tables_within_the_budget():
     assert plan.nbytes <= propagator.LAG_PLAN_BUDGET
 
 
-def test_lag_plan_keeps_the_most_read_lags(monkeypatch):
-    # a target between samples makes the march's first leg, whose lags it
-    # reads once per march; with room for a few lags' tables the plan
-    # keeps the lags the march reads on every interval, so each lag built
-    # once is read at least as often as any lag built again
-    f = _small_picard_data()
-    times = tuple(1.0 + 0.125 * j for j in range(5))
-    traj = _constant_trajectory(f.grid, f, times)
-    per_lag = sum(a.nbytes for a in propagator._lag_tables(f.grid, 1.0, 0.125))
-    monkeypatch.setattr(propagator, "LAG_PLAN_BUDGET", 8 * per_lag)
-    built, reads = {}, {}
-    build, read = propagator._lag_tables, propagator._LagPlan.tables
-
-    def counted_build(grid, nu, t):
-        built[t] = built.get(t, 0) + 1
-        return build(grid, nu, t)
-
-    def counted_read(plan, t):
-        reads[float(t)] = reads.get(float(t), 0) + 1
-        return read(plan, t)
-
-    monkeypatch.setattr(propagator, "_lag_tables", counted_build)
-    monkeypatch.setattr(propagator._LagPlan, "tables", counted_read)
-    plan = propagator._LagPlan(f.grid, 1.0)
-    for _ in range(3):
-        _duhamel_targets(traj, traj, (1.05,) + times, plan)
-    kept = [reads[t] for t in reads if built[t] == 1]
-    rebuilt = [reads[t] for t in reads if built[t] > 1]
-    assert kept and rebuilt
-    assert min(kept) >= max(rebuilt) > min(reads.values())
-    assert plan.nbytes <= propagator.LAG_PLAN_BUDGET
-
-
 def _vetting(check, *args):
     try:
         check(*args)

@@ -431,10 +431,10 @@ def _zero_padded(f, n2):
 def test_conservative_drift_is_no_farther_from_the_refined_run(monkeypatch):
     # the sim benchmark's datum on its grid, the smallest on which it
     # passes the resolution monitors (at n = 64 its frame spectrum's tail
-    # is 1e-4), evolved with the conservative drift and with the
-    # non-conservative form, against the same state zero-padded to 2n
-    # (measured: 1.4e-8 and 3.4e-8 relative L2; the step error is far
-    # below either)
+    # is 8.7e-3, past the monitors' 1e-6), evolved with the conservative
+    # drift and with the non-conservative form, against the same state
+    # zero-padded to 2n (measured: 1.4e-8 and 3.4e-8 relative L2; the
+    # step error is far below either)
     phys = make_field("random_localized", make_grid(16.0, 128), 0,
                       params={"amplitude": 0.2})
     state = phys_to_selfsim(phys, 1.0, 1.0, make_grid(16.0, 128, "selfsim"))
