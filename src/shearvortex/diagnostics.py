@@ -20,9 +20,8 @@ import numpy as np
 from .errors import DomainError, FitError, GridError, check_real
 from .propagator import apply_semigroup as heat_shear_semigroup
 from .selfsim import invert_frame_laplacian
-from .spectral import (derivative, derivative_samples, half_spectrum,
-                       lp_norm, lp_samples, mass, weight_samples,
-                       weighted_l2, weighted_norm)
+from .spectral import (derivative, derivative_samples, lp_norm, lp_samples,
+                       mass, weight_samples, weighted_l2, weighted_norm)
 
 #: fixed exponent grid for the L^p columns (4/3 is the fixed-point norm)
 P_GRID = (1.0, 4.0 / 3.0, 2.0, np.inf)
@@ -120,7 +119,8 @@ def record(state, opts=None):
     the frame-coordinates L1 distance exactly (the amplitude factor
     cancels the Jacobian), so no resampling is involved. Every column is
     read off the state's samples, the energy pair's derivatives off its
-    half spectrum, and each distinct weight <x>^m is formed once.
+    spectrum, and each distinct weight <x>^m and the magnitudes |omega|
+    are formed once. A column that is not finite raises GridError.
     """
     opts = opts or RecordOptions()
     om = state.omega
@@ -128,20 +128,25 @@ def record(state, opts=None):
     v = om.values
     diff = v - state.alpha * grid.gaussian_values
     powers = {m: weight_samples(grid, m) for m in opts.weight_exponents}
-    lp = {p: float(lp_norm(om, p)) for p in P_GRID}
+    mag = np.abs(v)
+    lp = {p: lp_samples(mag, grid, p) for p in P_GRID}
     weighted = {(m, 0, 0): weighted_l2(powers[m], v, grid)
                 for m in opts.weight_exponents}
     conv = {m: weighted_l2(powers[m], diff, grid)
             for m in opts.weight_exponents}
+    conv_l1 = lp_samples(np.abs(diff), grid, 1.0)
+    total = float(mass(om))
+    if not all(map(math.isfinite, (total, conv_l1, *lp.values(),
+                                   *weighted.values(), *conv.values()))):
+        raise GridError("a diagnostic of the state is not finite")
     e = d = None
     if opts.energy is not None:
         e, d = energy_functionals(om, state.t, opts.energy,
                                   powers.get(opts.energy.m))
     return DiagnosticsRecord(
-        t=state.t, tau=state.tau, mass=float(mass(om)), lp_norms=lp,
+        t=state.t, tau=state.tau, mass=total, lp_norms=lp,
         weighted=weighted, convergence_L2m=conv,
-        convergence_L1_phys=lp_samples(diff, grid, 1.0),
-        energy=e, dissipation=d)
+        convergence_L1_phys=conv_l1, energy=e, dissipation=d)
 
 
 def rate_fit(series, window=None):
@@ -222,7 +227,7 @@ def energy_functionals(omega, t, coef, weight=None):
     log = float(np.log(t / coef.t0))
     decay = 1.0 / (1.0 + t * t)
     cs = (1.0, coef.c1, coef.c2, coef.c3, coef.c4, coef.c5, coef.c6, coef.c7)
-    c = half_spectrum(omega)
+    c = omega.coeffs
     h2 = grid.spacing ** 2
     gram, kept = {}, {}
     for o in _ORDERS:

@@ -7,14 +7,10 @@ spectrum at the backward characteristic image of each lattice mode and
 (ii) multiplying by the exponent factor. Off-lattice evaluation is done
 with exact trigonometric (band-limited) interpolation, split into a shear
 stage and a scaling stage so each stage is separable: the shear is
-spectral.shear_spectrum (FFTs), the scaling the dense affine kernel
-spectral.affine_trig_sum that also changes the self-similar frame.
-
-The field is real, so the scaling stage evaluates only the half spectrum
-(the n/2 + 1 columns of the rfft2 layout) from the real samples of the
-sheared spectrum: both dense stages run on n/2 + 1 rows, the first as
-two real products. The damping multiplies the half spectrum, and the
-result's values come from one inverse real transform of it.
+spectral.shear_spectrum (FFTs), the scaling spectral.scale_spectrum, the
+dense affine kernel that also changes the self-similar frame, run from
+the real samples of the sheared spectrum. The damping multiplies the
+half spectrum.
 """
 
 from dataclasses import dataclass
@@ -24,7 +20,7 @@ import numpy as np
 from .errors import (DomainError, ResolutionError, UnsupportedOrderError,
                      check_order, check_real)
 from .grid import Field
-from .spectral import (affine_trig_sum, full_spectrum, shear_spectrum,
+from .spectral import (derivative_symbol, scale_spectrum, shear_spectrum,
                        spectral_tail_ratio)
 
 SQRT3 = np.sqrt(3.0)
@@ -49,8 +45,8 @@ def eigenfunction(a, b, grid):
     if a < 0 or b < 0 or a + b > 4:
         raise UnsupportedOrderError(f"eigenfunction orders must satisfy 0 <= a+b <= 4, got ({a}, {b})")
     g = gaussian(grid)
-    d1 = grid.multipliers[1][:, None]
-    d2 = grid.multipliers[1][None, :]
+    d1 = derivative_symbol(grid, 1, 0)
+    d2 = derivative_symbol(grid, 0, 1)
     mult = (d1 - SQRT3 * d2) ** a * (SQRT3 * d1 - d2) ** b
     return Field(grid, coeffs=g.coeffs * mult)
 
@@ -110,26 +106,6 @@ def char_map(tau):
     )
 
 
-def _scale_stage(coeffs, grid, u11, u12, u22):
-    """Trig-exact evaluation at (u11*xi_j + u12*eta_k, u22*eta_k), on the
-    half layout: the n/2 + 1 columns eta_k of a real field's spectrum.
-
-    The samples of coeffs are read as real, as Field.values reads them.
-    The map is upper triangular in (xi, eta), so the shared kernel runs
-    on the transposed samples, where it is lower triangular, with the
-    half columns as its row points.
-    """
-    n, h = grid.n, grid.half_cols
-    k = grid.k
-    v = (np.fft.ifft2(coeffs) * n ** 2).real  # physical samples
-    out = affine_trig_sum(v.T, grid.x, k[:h], k, u22, u12, u11, -1).T / n ** 2
-    out *= grid.signs[:, :h]  # back to fft-array sign convention
-    out[np.abs(u11 * k[:, None] + u12 * k[None, :h]) > grid.band] = 0.0
-    if abs(u22) * np.abs(k).max() > grid.band:
-        out[:, np.abs(u22 * k[:h]) > grid.band] = 0.0
-    return out
-
-
 def apply_semigroup(f, tau):
     """Advance a field by the limit semigroup over a time tau >= 0.
 
@@ -137,11 +113,7 @@ def apply_semigroup(f, tau):
     invariant up to the rounding of its samples. The input spectrum should
     be resolved (decayed well before the band edge); otherwise the
     characteristic shift moves significant content across the band and
-    the result is unreliable. The result holds both representations, its
-    values from one inverse real transform of the half spectrum and its
-    coeffs the Hermitian full layout of the same half spectrum; mass()
-    sums those values, so it reads the kept zero mode to rounding, not
-    exactly.
+    the result is unreliable.
     """
     tau = check_real(tau, "tau")
     if not 0.0 <= tau < np.inf:
@@ -163,8 +135,6 @@ def apply_semigroup(f, tau):
     grid = f.grid
     c, oob = shear_spectrum(f.coeffs, grid, slope)
     c[oob] = 0.0
-    c = _scale_stage(c, grid, u11, u12, u22)
-    c *= np.exp(symbol_exponent(tau, grid.k[:, None],
-                                grid.k[None, :grid.half_cols]))
-    return Field(grid, values=np.fft.irfft2(c, norm="forward"),
-                 coeffs=full_spectrum(c))
+    c = scale_spectrum(c, grid, u11, u12, u22)
+    c *= np.exp(symbol_exponent(tau, *grid.wavegrid()))
+    return Field(grid, coeffs=c)

@@ -6,21 +6,18 @@ Spectral coefficients are normalized so the zero mode equals the mean value
 of the field over the box; integrals are rectangle-rule sums, which are
 spectrally accurate for smooth periodic data.
 
+Fields are real, so their spectra are Hermitian and a Field keeps one
+half: the half_cols = n/2 + 1 columns of the np.fft.rfft2 layout, rows in
+fft order over all n wavenumbers and columns over k_0 .. k_{n/2}.
+
 A GridSpec owns every array that depends on the grid alone: the points x
 and wavenumbers k, built with it, and, built on first use and then kept,
 the band edge, the 2/3 keep mask, the outer-eighth and half-box masks, the
 (-1)^(j+k) signs, the derivative multipliers, the Laplacian's symbol and
-the samples of <x>^2 = 1 + |x|^2 and of the frame Gaussian. These arrays
-are read-only and take no part in comparing grids.
-
-A real field's spectrum is Hermitian, so the hot loops keep only its half
-spectrum: the first half_cols = n/2 + 1 columns of coeffs, the layout
-of np.fft.rfft2 (see spectral). The plan serves that layout through
-slices (keep[:, :half_cols], laplacian[:, :half_cols],
-multipliers[p][:half_cols]) and builds no second set of arrays. The
-slices are exact because of the Nyquist convention: the mode j = n/2 has
-wavenumber -k_max in fft order, odd derivative orders zero it, and even
-orders depend only on its square.
+the samples of <x>^2 = 1 + |x|^2 and of the frame Gaussian. The masks,
+the symbol and wavegrid() are in the half layout; the multipliers are per
+axis and the signs cover the full lattice. These arrays are read-only and
+take no part in comparing grids.
 """
 
 import numbers
@@ -95,8 +92,8 @@ class GridSpec:
         return np.meshgrid(self.x, self.x, indexing="ij")
 
     def wavegrid(self):
-        """Wavenumber arrays matching the fft layout of coefficients."""
-        return self.k[:, None], self.k[None, :]
+        """Wavenumber arrays (rows, columns) of the half layout."""
+        return self.k[:, None], self.k[None, :self.half_cols]
 
     @cached_property
     def mode_index(self):
@@ -107,13 +104,13 @@ class GridSpec:
     def keep(self):
         """Boolean keep-mask of the 2/3 dealiasing rule on both axes."""
         keep = self.mode_index <= self.n / 3.0
-        return _frozen(keep[:, None] & keep[None, :])
+        return _frozen(keep[:, None] & keep[None, :self.half_cols])
 
     @cached_property
     def outer_band(self):
         """Boolean mask of the outer eighth of the band on either axis."""
         out = self.mode_index >= (7.0 / 16.0) * self.n
-        return _frozen(out[:, None] | out[None, :])
+        return _frozen(out[:, None] | out[None, :self.half_cols])
 
     @cached_property
     def outside_half_box(self):
@@ -142,7 +139,8 @@ class GridSpec:
     @cached_property
     def laplacian(self):
         """Fourier symbol -(k1^2 + k2^2) of the Laplacian; zero at k = 0."""
-        return _frozen(-(self.k[:, None] ** 2 + self.k[None, :] ** 2))
+        kx, ky = self.wavegrid()
+        return _frozen(-(kx ** 2 + ky ** 2))
 
     @cached_property
     def bracket_sq(self):
@@ -176,8 +174,11 @@ class Field:
 
     Whichever representation is missing is computed on first access and
     cached; the arrays themselves are read-only. values[i, j] is the sample
-    at (x[i], x[j]); coeffs follows numpy fft ordering on both axes and is
-    normalized so coeffs[0, 0] is the mean of the field over the box.
+    at (x[i], x[j]). coeffs is the n x (n/2 + 1) half spectrum,
+    np.fft.rfft2(values, norm="forward"), so coeffs[0, 0] is the mean of
+    the field over the box; values is np.fft.irfft2(coeffs,
+    norm="forward"). Columns 0 and n/2 are their own mirror images, and
+    irfft2 reads only the Hermitian part of them.
     """
 
     __slots__ = ("grid", "_values", "_coeffs")
@@ -185,7 +186,7 @@ class Field:
     def __init__(self, grid, values=None, coeffs=None):
         if values is None and coeffs is None:
             raise GridError("Field needs values or coeffs")
-        n = grid.n
+        n, h = grid.n, grid.half_cols
         if values is not None:
             values = np.asarray(values, dtype=np.float64)
             if values.shape != (n, n):
@@ -196,8 +197,8 @@ class Field:
             values.setflags(write=False)
         if coeffs is not None:
             coeffs = np.asarray(coeffs, dtype=np.complex128)
-            if coeffs.shape != (n, n):
-                raise GridError(f"coeffs shape {coeffs.shape} != ({n}, {n})")
+            if coeffs.shape != (n, h):
+                raise GridError(f"coeffs shape {coeffs.shape} != ({n}, {h})")
             if not np.all(np.isfinite(coeffs)):
                 raise GridError("coeffs contain non-finite entries")
             coeffs = coeffs.copy()
@@ -209,8 +210,7 @@ class Field:
     @property
     def values(self):
         if self._values is None:
-            v = np.fft.ifft2(self._coeffs) * (self.grid.n ** 2)
-            v = np.ascontiguousarray(v.real)
+            v = np.fft.irfft2(self._coeffs, norm="forward")
             v.setflags(write=False)
             self._values = v
         return self._values
@@ -218,8 +218,7 @@ class Field:
     @property
     def coeffs(self):
         if self._coeffs is None:
-            c = np.fft.fft2(self._values) / (self.grid.n ** 2)
-            c = np.ascontiguousarray(c)
+            c = np.fft.rfft2(self._values, norm="forward")
             c.setflags(write=False)
             self._coeffs = c
         return self._coeffs

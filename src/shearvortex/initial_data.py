@@ -134,7 +134,7 @@ def _make_random(grid, seed, take):
         raise DomainError("correlation length must be positive")
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((grid.n, grid.n))
-    smooth = Field(grid, coeffs=np.fft.fft2(noise) / grid.n ** 2
+    smooth = Field(grid, coeffs=np.fft.rfft2(noise, norm="forward")
                    * np.exp(0.5 * corr ** 2 * grid.laplacian))
     x, y = grid.x[:, None], grid.x[None, :]
     # envelope scale L/14 keeps the half-box tail under 1e-8 with margin

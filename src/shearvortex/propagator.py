@@ -25,7 +25,7 @@ the entries whose weight exceeds the vetting tolerance. That pruning
 changes no vetting outcome: a pruned entry's weighted content is at most
 the tolerance times the peak, so it can neither raise nor be the worst
 mode of a raise. The plan keeps at most LAG_PLAN_BUDGET bytes (one lag's
-propagation tables take 0.4 MiB at n = 128 and 6 MiB at n = 512); past it
+propagation tables take 0.3 MiB at n = 128 and 5.1 MiB at n = 512); past it
 a lag's tables are built per call by the same arithmetic, so no result
 depends on the budget. apply_semigroup runs the same kernels on tables
 built for the one call.
@@ -48,8 +48,8 @@ from .errors import (
     check_real,
 )
 from .grid import Field
-from .spectral import (full_spectrum, half_spectrum, lp_norm, shear_out_of_band,
-                       shear_phase, sheared, transport_spectrum)
+from .spectral import (lp_norm, shear_out_of_band, shear_phase, sheared,
+                       transport_spectrum)
 
 
 def green_kernel(nu, t, x, y):
@@ -319,8 +319,8 @@ def _duhamel_targets(traj1, traj2, targets, plan=None):
     up to the composition error of the discrete shear (~1e-8 relative at
     n=128).
 
-    The march runs on arrays: g(s) is the transport kernel on the half
-    spectra interpolated at s, and propagation and vetting read plan (a
+    The march runs on arrays: g(s) is the transport kernel on the spectra
+    interpolated at s, and propagation and vetting read plan (a
     _LagPlan, by default one built for this call). Each distinct lag's
     tables are built once while they fit in the plan's byte budget, and
     the drop sets keep only the entries that can fail the vetting; neither
@@ -342,24 +342,22 @@ def _duhamel_targets(traj1, traj2, targets, plan=None):
             reads[t] = bisect.bisect_right(ts, t) - 1
     if plan is None:
         plan = _LagPlan(grid, nu)
-    laplacian = grid.laplacian[:, :grid.half_cols]
-    halves1 = [half_spectrum(f) for f in traj1.fields]
-    halves2 = halves1 if traj2 is traj1 else [half_spectrum(f)
-                                              for f in traj2.fields]
-    zero = np.zeros((grid.n,) * 2, dtype=complex)
+    spectra1 = [f.coeffs for f in traj1.fields]
+    spectra2 = spectra1 if traj2 is traj1 else [f.coeffs for f in traj2.fields]
+    zero = np.zeros_like(spectra1[0])
 
-    def half_at(halves, s):
-        # a sample's half spectrum, or polynomial interpolation of them
+    def spectrum_at(spectra, s):
+        # a sample's spectrum, or polynomial interpolation of them
         j = bisect.bisect_left(ts, s)
         if j < len(ts) and ts[j] == s:
-            return halves[j]
+            return spectra[j]
         idx, w = _lagrange_weights(ts, s)
-        return sum(wi * halves[i] for i, wi in zip(idx, w))
+        return sum(wi * spectra[i] for i, wi in zip(idx, w))
 
     def divergence(s):
-        c1 = half_at(halves1, s)
-        c2 = c1 if traj2 is traj1 else half_at(halves2, s)
-        return full_spectrum(transport_spectrum(c1, c2, grid, laplacian))
+        c1 = spectrum_at(spectra1, s)
+        c2 = c1 if traj2 is traj1 else spectrum_at(spectra2, s)
+        return transport_spectrum(c1, c2, grid, grid.laplacian)
 
     def propagate(c, t):
         # only ever applied to vetted content; see panels below

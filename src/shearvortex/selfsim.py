@@ -18,13 +18,13 @@ from .errors import (BlowUpError, DomainError, GridError, ResolutionError,
                      TruncationError, check_order, check_positive, check_real)
 from .grid import Field, Frame
 from .spectral import (
-    affine_trig_sum,
     check_localized,
-    full_spectrum,
-    half_spectrum,
+    derivative_symbol,
     inverse_laplacian,
     mass,
+    resampled,
     spectral_tail_ratio,
+    spectrum_norm,
     tail_mass_ratio,
     transport,
     transport_spectrum,
@@ -173,12 +173,7 @@ def phys_to_selfsim(omega, t, nu, target_grid):
         raise GridError("target grid must be a selfsim-frame grid")
     check_localized(omega, "physical field")
     a, c, b = _frame_map(t, nu)
-    # f(a X, c X + b Y) from the spectrum with origin-centred phases; target
-    # points past the source box read its periodic extension
-    chat = omega.coeffs * omega.grid.signs
-    x = target_grid.x
-    vals = affine_trig_sum(chat, omega.grid.k, x, x, a, c, b, 1).real
-    out = Field(target_grid, values=vals * amplitude(t, nu))
+    out = resampled(omega, target_grid, a, c, b, amplitude(t, nu))
     _check_wrap(out, "resampled frame field")
     return SelfSimilarState(omega=out, t=float(t), nu=float(nu))
 
@@ -190,20 +185,15 @@ def selfsim_to_phys(state, target_grid):
     check_localized(state.omega, "frame field")
     a, c, b = _frame_map(state.t, state.nu)
     # inverse of (x, y) = (a X, c X + b Y) is lower triangular as well
-    chat = state.omega.coeffs * state.omega.grid.signs
-    x = target_grid.x
-    vals = affine_trig_sum(chat, state.omega.grid.k, x, x,
-                           1.0 / a, -c / (a * b), 1.0 / b, 1).real
-    out = Field(target_grid, values=vals * (1.0 / amplitude(state.t, state.nu)))
+    out = resampled(state.omega, target_grid, 1.0 / a, -c / (a * b), 1.0 / b,
+                    1.0 / amplitude(state.t, state.nu))
     _check_wrap(out, "resampled physical field")
     return out
 
 
-def _laplacian_symbol(grid, co, cols=None):
-    """Fourier symbol of the frame Laplacian (nonpositive; zero at 0) on
-    the first cols columns: all by default, grid.half_cols for a half
-    spectrum."""
-    kx, ky = grid.k[:, None], grid.k[None, :cols]
+def _laplacian_symbol(grid, co):
+    """Fourier symbol of the frame Laplacian (nonpositive; zero at 0)."""
+    kx, ky = grid.wavegrid()
     return -(co.diff1 * (kx - co.mix * ky) ** 2 + co.diff2 * ky ** 2)
 
 
@@ -224,24 +214,22 @@ def _drift_spectrum(c, co, grid):
     inverse real transform and two forward. The derivative multipliers
     vanish at the zero mode, so the terms carry no mass by construction.
     """
-    d = grid.multipliers[1]
     X, Y = grid.x[:, None], grid.x[None, :]
     f = np.fft.irfft2(c, norm="forward")
     stretch = co.dil1 * (X - co.mix * Y)
     b1 = stretch - co.rot * Y
     b2 = co.dil2 * Y + co.rot * X - co.mix * stretch
     rfft2 = np.fft.rfft2
-    return (d[:, None] * rfft2(b1 * f, norm="forward")
-            + d[None, :grid.half_cols] * rfft2(b2 * f, norm="forward"))
+    return (derivative_symbol(grid, 1, 0) * rfft2(b1 * f, norm="forward")
+            + derivative_symbol(grid, 0, 1) * rfft2(b2 * f, norm="forward"))
 
 
 def _apply_generator(f, co):
     """Frame generator with coefficients co (diffusion + drifts + constant)."""
     grid = f.grid
-    c = half_spectrum(f)
-    out = _drift_spectrum(c, co, grid)
-    out += _laplacian_symbol(grid, co, grid.half_cols) * c
-    return Field(grid, coeffs=full_spectrum(out))
+    out = _drift_spectrum(f.coeffs, co, grid)
+    out += _laplacian_symbol(grid, co) * f.coeffs
+    return Field(grid, coeffs=out)
 
 
 def apply_generator(f, t):
@@ -330,20 +318,12 @@ def sample_schedule(t_init, t_end, samples_per_decade):
     return taus
 
 
-def _half_norm(c):
-    """l2 norm of the full spectrum whose half spectrum is c: columns
-    1..n/2-1 count twice, the self-mirrored columns 0 and n/2 once."""
-    p = c.real * c.real
-    p += c.imag * c.imag
-    return float(np.sqrt(2.0 * p.sum() - p[:, 0].sum() - p[:, -1].sum()))
-
-
 def _frame_rhs(c, t, sym_mid, grid, nu, nonlinear):
     """Half spectrum of the evolver's explicit terms at time t: drifts,
     constant, the diffusion left over by the integrating factor sym_mid
     and, if nonlinear, the advection term."""
     co = FrameCoefficients.at_time(t)
-    sym = _laplacian_symbol(grid, co, grid.half_cols)
+    sym = _laplacian_symbol(grid, co)
     out = _drift_spectrum(c, co, grid)
     out += (sym - sym_mid) * c
     if nonlinear:
@@ -359,8 +339,8 @@ def evolve(state, t_end, control=None, nonlinear=True, observer=None):
     remaining terms (drifts, constant, advection and the frozen-symbol
     correction) advance with an explicit third-order Runge-Kutta stage
     cycle, which keeps the skew drift terms inside the stability region.
-    The steps run on the half spectrum (see spectral); Fields are built
-    only for samples, the tail monitor and a blow-up's last state.
+    The steps run on arrays, the half spectrum of the state; Fields are
+    built only for samples, the tail monitor and a blow-up's last state.
     Samples are logarithmically spaced; each sample calls the observer
     (default: diagnostics.record) and its results are returned in order.
     """
@@ -377,14 +357,11 @@ def evolve(state, t_end, control=None, nonlinear=True, observer=None):
     def rhs(tau_s, c, sym_mid):
         return _frame_rhs(c, np.exp(tau_s), sym_mid, grid, nu, nonlinear)
 
-    def as_field(c):
-        return Field(grid, coeffs=full_spectrum(c))
-
     sample_taus = sample_schedule(state.t, t_end, control.samples_per_decade)
     tau = sample_taus[0]
 
-    c = half_spectrum(state.omega)
-    norm0 = _half_norm(c)
+    c = state.omega.coeffs
+    norm0 = spectrum_norm(c)
     records = [observer(state)]
     steps_done = 0
     for target in sample_taus[1:]:
@@ -406,7 +383,7 @@ def evolve(state, t_end, control=None, nonlinear=True, observer=None):
                 for _ in range(nsub):
                     hh = attempt
                     co_mid = FrameCoefficients.at_time(np.exp(tau_new + 0.5 * hh))
-                    sym_mid = _laplacian_symbol(grid, co_mid, grid.half_cols)
+                    sym_mid = _laplacian_symbol(grid, co_mid)
                     E = np.exp(hh * sym_mid)
                     Eh = np.exp(0.5 * hh * sym_mid)
                     k1 = rhs(tau_new, c_new, sym_mid)
@@ -420,7 +397,7 @@ def evolve(state, t_end, control=None, nonlinear=True, observer=None):
                         ok = False
                         break
                 if ok:
-                    norm_new = _half_norm(c_new)
+                    norm_new = spectrum_norm(c_new)
                     if norm_new <= GROWTH_FACTOR * max(norm0, 1e-300):
                         break
                 attempt *= 0.5
@@ -428,16 +405,16 @@ def evolve(state, t_end, control=None, nonlinear=True, observer=None):
                 raise BlowUpError(
                     f"instability at t={np.exp(tau):.4g}: one-step growth exceeded "
                     f"{GROWTH_FACTOR}x even after {MAX_HALVINGS} halvings",
-                    last_state=replace(state, omega=as_field(c),
+                    last_state=replace(state, omega=Field(grid, coeffs=c),
                                        t=float(np.exp(tau)), alpha=alpha))
             c = c_new
             norm0 = norm_new
             tau = tau_new
             steps_done += 1
             if steps_done % MONITOR_EVERY == 0:
-                _tail_monitor(as_field(c), control, np.exp(tau))
-        state = SelfSimilarState(omega=as_field(c), t=float(np.exp(tau)),
-                                 nu=nu, alpha=alpha)
+                _tail_monitor(Field(grid, coeffs=c), control, np.exp(tau))
+        state = SelfSimilarState(omega=Field(grid, coeffs=c),
+                                 t=float(np.exp(tau)), nu=nu, alpha=alpha)
         _tail_monitor(state.omega, control, state.t)
         records.append(observer(state))
     return state, records

@@ -8,18 +8,14 @@ inverse_laplacian, biot_savart and transport alike. The symbol operand is
 the plain Laplacian's by default and the frame Laplacian's (the plain one
 at t = 0) in the frame.
 
-Hot loops work on half spectra: a real field's coefficients in the rfft2
-layout, the first n/2 + 1 columns of coeffs (normalized like coeffs, so
-np.fft.irfft2(c, norm="forward") gives the values and np.fft.rfft2(v,
-norm="forward") the coefficients). Column 0 and the Nyquist column n/2
-are their own conjugate mirrors; the other columns stand for themselves
-and their mirror images. An operator of the full layout acts on the half
-layout through the first n/2 + 1 columns of its plan arrays: odd orders
-zero the Nyquist mode and even orders do not depend on its sign, so the
-slices are exact. transport_spectrum is the one dealiased transport
-kernel; transport wraps it for Fields, derivative_samples samples a
-derivative of a half spectrum, and full_spectrum turns a half spectrum
-back into a Field's coeffs.
+Every spectrum is a half spectrum, the rfft2 layout of a Field's coeffs
+(see grid). Column 0 and the Nyquist column n/2 are their own conjugate
+mirrors; the other columns stand for themselves and their mirror images.
+Two operations sum over the full lattice, and full_spectrum completes
+their input here: sheared, as the shear mixes columns, and resampled,
+the dense frame change. transport_spectrum is the one dealiased
+transport kernel; transport wraps it for Fields, and derivative_samples
+samples a derivative of a half spectrum.
 
 All operations assume smooth fields that decay well inside the box, so the
 periodic spectral representation is accurate. Quadrature is the rectangle
@@ -43,18 +39,17 @@ def derivative(f, a, b):
             f"derivative order ({a}, {b}) outside 0 <= a+b <= {MAX_DERIVATIVE_ORDER}")
     if a == 0 and b == 0:
         return f
-    return Field(f.grid, coeffs=f.coeffs * _derivative_symbol(f.grid, a, b))
+    return Field(f.grid, coeffs=f.coeffs * derivative_symbol(f.grid, a, b))
 
 
-def _derivative_symbol(grid, a, b, cols=None):
-    """Multiplier of d^a/dx1^a d^b/dx2^b on the first cols columns: all by
-    default, grid.half_cols for a half spectrum."""
+def derivative_symbol(grid, a, b):
+    """Multiplier of d^a/dx1^a d^b/dx2^b on the half layout."""
     d = grid.multipliers
     mult = 1.0
     if a:
         mult = d[a][:, None]
     if b:
-        mult = mult * d[b][None, :cols]
+        mult = mult * d[b][None, :grid.half_cols]
     return mult
 
 
@@ -62,8 +57,7 @@ def derivative_samples(c, grid, a, b):
     """Samples of d^a/dx1^a d^b/dx2^b of the real field with half spectrum
     c: one inverse real transform, and no Field. Unlike a Field's, the
     samples are not checked for finiteness."""
-    return np.fft.irfft2(c * _derivative_symbol(grid, a, b, grid.half_cols),
-                         norm="forward")
+    return np.fft.irfft2(c * derivative_symbol(grid, a, b), norm="forward")
 
 
 def _solve(c, symbol):
@@ -98,15 +92,9 @@ def biot_savart(omega, symbol=None):
     grid = omega.grid
     if symbol is None:
         symbol = grid.laplacian
-    d = grid.multipliers[1]
-    u1, u2 = _velocity(omega.coeffs, symbol, d[:, None], d[None, :])
+    u1, u2 = _velocity(omega.coeffs, symbol, derivative_symbol(grid, 1, 0),
+                       derivative_symbol(grid, 0, 1))
     return Field(grid, coeffs=u1), Field(grid, coeffs=u2)
-
-
-def half_spectrum(f):
-    """The field's half spectrum: a read-only view of its coeffs' first
-    n/2 + 1 columns."""
-    return f.coeffs[:, :f.grid.half_cols]
 
 
 def full_spectrum(c):
@@ -126,15 +114,21 @@ def full_spectrum(c):
     return out
 
 
+def spectrum_norm(c):
+    """l2 norm of the full spectrum whose half spectrum is c: columns
+    1..n/2-1 count twice, the self-mirrored columns 0 and n/2 once."""
+    p = c.real * c.real
+    p += c.imag * c.imag
+    return float(np.sqrt(2.0 * p.sum() - p[:, 0].sum() - p[:, -1].sum()))
+
+
 def transport_spectrum(omega, w, grid, symbol):
     """Half spectrum of u . grad(w), u the velocity of omega under the
     Laplacian symbol given, from half spectra (symbol in the half layout
     too). 2/3-dealiased on both inputs and on the product: four inverse
     real transforms and one forward."""
-    h = grid.half_cols
-    keep = grid.keep[:, :h]
-    d = grid.multipliers[1]
-    d1, d2 = d[:, None], d[None, :h]
+    keep = grid.keep
+    d1, d2 = derivative_symbol(grid, 1, 0), derivative_symbol(grid, 0, 1)
     od = omega * keep
     wd = od if w is omega else w * keep
     u1, u2 = _velocity(od, symbol, d1, d2)
@@ -150,10 +144,8 @@ def transport(omega, w, symbol=None):
     grid = omega.grid
     if symbol is None:
         symbol = grid.laplacian
-    oh = half_spectrum(omega)
-    wh = oh if w is omega else half_spectrum(w)
-    out = transport_spectrum(oh, wh, grid, symbol[:, :grid.half_cols])
-    return Field(grid, coeffs=full_spectrum(out))
+    return Field(grid, coeffs=transport_spectrum(omega.coeffs, w.coeffs,
+                                                 grid, symbol))
 
 
 def mass(f):
@@ -168,13 +160,12 @@ def lp_norm(f, p):
     p = check_real(p, "p")
     if not p >= 1.0:
         raise DomainError(f"p must satisfy 1 <= p <= inf, got {p!r}")
-    return lp_samples(f.values, f.grid, p)
+    return lp_samples(np.abs(f.values), f.grid, p)
 
 
 def lp_samples(v, grid, p):
-    """L^p norm of the samples v by rectangle-rule quadrature; p in
-    [1, inf], unchecked."""
-    v = np.abs(v)
+    """L^p norm of the samples whose magnitudes are v, by rectangle-rule
+    quadrature; p in [1, inf], unchecked."""
     if np.isinf(p):
         return float(v.max())
     h2 = grid.spacing ** 2
@@ -271,20 +262,21 @@ def shear_phase(grid, slope):
 def shear_out_of_band(grid, slope):
     """Boolean mask of the lattice points whose shear request
     (xi_j, slope*xi_j + eta_k) lies outside the resolvable band."""
-    k = grid.k
-    return np.abs(slope * k[:, None] + k[None, :]) > grid.band
+    kx, ky = grid.wavegrid()
+    return np.abs(slope * kx + ky) > grid.band
 
 
 def sheared(coeffs, phase):
-    """The evaluation of shear_spectrum, with the shear's phase given."""
+    """The evaluation of shear_spectrum, with the shear's phase given. The
+    shear mixes columns, so it runs on the full lattice."""
     n = coeffs.shape[0]
-    mixed = np.fft.ifft(coeffs, axis=1) * n
+    mixed = np.fft.ifft(full_spectrum(coeffs), axis=1) * n
     mixed *= phase
-    return np.fft.fft(mixed, axis=1) / n
+    return (np.fft.fft(mixed, axis=1) / n)[:, :n // 2 + 1]
 
 
 def shear_spectrum(coeffs, grid, slope):
-    """Evaluate the band-limited spectrum at (xi_j, slope*xi_j + eta_k).
+    """Evaluate the band-limited half spectrum at (xi_j, slope*xi_j + eta_k).
 
     A shear in the frequency plane is exactly a modulation in physical
     space, so the evaluation is trigonometrically exact: the mixed
@@ -298,6 +290,25 @@ def shear_spectrum(coeffs, grid, slope):
     """
     return (sheared(coeffs, shear_phase(grid, slope)),
             shear_out_of_band(grid, slope))
+
+
+def scale_spectrum(coeffs, grid, u11, u12, u22):
+    """Evaluate the band-limited half spectrum at (u11*xi_j + u12*eta_k,
+    u22*eta_k), trig-exact; requests outside the band read zero.
+
+    The map is upper triangular in (xi, eta), so affine_trig_sum runs on
+    the transposed real samples, where it is lower triangular, with the
+    n/2 + 1 half-layout columns as its row points.
+    """
+    n = grid.n
+    kx, ky = grid.wavegrid()
+    v = np.fft.irfft2(coeffs, norm="forward")  # physical samples
+    out = affine_trig_sum(v.T, grid.x, ky[0], grid.k, u22, u12, u11, -1).T / n ** 2
+    out *= grid.signs[:, :grid.half_cols]  # back to fft-array sign convention
+    out[np.abs(u11 * kx + u12 * ky) > grid.band] = 0.0
+    if abs(u22) * np.abs(grid.k).max() > grid.band:
+        out[:, np.abs(u22 * ky[0]) > grid.band] = 0.0
+    return out
 
 
 def affine_trig_sum(a, s, rp, rq, m11, m21, m22, sign):
@@ -322,3 +333,14 @@ def affine_trig_sum(a, s, rp, rq, m11, m21, m22, sign):
         out = np.exp(phase * arg) @ a                       # [p, k]
     out *= np.exp(phase * np.outer(rp, m21 * s))            # phase in rp_p per s_k
     return out @ np.exp(phase * np.outer(m22 * s, rq))      # [p, q]
+
+
+def resampled(f, grid, m11, m21, m22, scale):
+    """scale times f at (m11 X, m21 X + m22 Y) for the points (X, Y) of
+    grid, a Field there. Trig-exact: a dense sum over f's full lattice
+    with phases centred on the origin, so points past f's box read its
+    periodic extension."""
+    chat = full_spectrum(f.coeffs) * f.grid.signs
+    x = grid.x
+    vals = affine_trig_sum(chat, f.grid.k, x, x, m11, m21, m22, 1).real
+    return Field(grid, values=vals * scale)

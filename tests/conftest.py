@@ -28,7 +28,7 @@ def localized_field(grid, seed, corr=1.0):
     """
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((grid.n, grid.n))
-    kx, ky = grid.wavegrid()
+    kx, ky = grid.k[:, None], grid.k[None, :]
     smooth = np.fft.ifft2(np.fft.fft2(noise)
                           * np.exp(-0.5 * corr ** 2 * (kx ** 2 + ky ** 2))).real
     x, y = grid.meshgrid()

@@ -5,19 +5,18 @@ package internals: closed-form Gaussian algebra, symbolic differentiation,
 scalar quadrature, trigonometric sums taken one point at a time, the
 conservative form of the transport term and the non-conservative form of
 the frame drift, for the Duhamel term that integrand under a different
-quadrature, summed without a time march, the aliasing vetting over whole
-drop sets, and the frame evolver's right-hand side on the full spectrum
-through Fields.
+quadrature, summed without a time march and propagated by a full-layout
+shear, the aliasing vetting over whole drop sets, and the frame evolver's
+right-hand side on the full spectrum. The full-layout references take
+and return full fft-layout coefficient arrays, not Fields.
 Agreement between these and the library is the point of the tests that
 import them.
 """
 
 import numpy as np
 
-from shearvortex import (AliasingError, Field, FrameCoefficients, apply_semigroup,
-                         derivative)
+from shearvortex import AliasingError, FrameCoefficients
 from shearvortex.fokker_planck import char_map, symbol_exponent
-from shearvortex.spectral import shear_spectrum
 from shearvortex.propagator import _gl_nodes, _lagrange_weights, symbol_value
 
 SQRT3 = np.sqrt(3.0)
@@ -82,27 +81,48 @@ def trig_sum_direct(a, s, X, Y, sign):
     return out
 
 
-def advection_divergence(omega1, omega2, symbol=None):
-    """Conservative form div(u w) of the dealiased transport term, with
-    u = perp-gradient of the stream function of keep * omega1 under the
-    Laplacian symbol given (default -(k1^2 + k2^2)) and w = keep * omega2.
-    The divergence of the products, not u . grad(w): the two agree because
-    div(u) = 0 and the 2/3 rule keeps only unaliased modes of the product.
-    """
-    grid = omega1.grid
+def full_coeffs(v):
+    """Full fft-layout coefficients of the samples v, normalized so the
+    zero mode is their mean."""
+    return np.fft.fft2(v) / v.shape[0] ** 2
+
+
+def full_values(c):
+    """Samples of the real part of the field with full coefficients c."""
+    return (np.fft.ifft2(c) * c.shape[0] ** 2).real
+
+
+def laplacian_symbol_full(grid, co=None):
+    """Full-layout symbol of the plain Laplacian, or of the frame
+    Laplacian with coefficients co."""
     k1, k2 = np.meshgrid(grid.k, grid.k, indexing="ij")
-    sym = -(k1 ** 2 + k2 ** 2) if symbol is None else symbol
+    if co is None:
+        return -(k1 ** 2 + k2 ** 2)
+    return -(co.diff1 * (k1 - co.mix * k2) ** 2 + co.diff2 * k2 ** 2)
+
+
+def advection_divergence(c1, c2, grid, sym=None):
+    """Conservative form div(u w) of the dealiased transport term, on full
+    fft-layout coefficients, with u = perp-gradient of the stream function
+    of keep * c1 under the full-layout Laplacian symbol given (default
+    the plain one) and w = keep * c2. The divergence of the products, not
+    u . grad(w): the two agree because div(u) = 0 and the 2/3 rule keeps
+    only unaliased modes of the product.
+    """
+    if sym is None:
+        sym = laplacian_symbol_full(grid)
+    k1, k2 = np.meshgrid(grid.k, grid.k, indexing="ij")
     cut = grid.k_max * 2.0 / 3.0
     keep = (np.abs(k1) <= cut) & (np.abs(k2) <= cut)
+    d = grid.multipliers[1]
+    d1, d2 = d[:, None], d[None, :]
     safe = np.where(sym == 0.0, 1.0, sym)
-    psi = np.where(sym == 0.0, 0.0, omega1.coeffs * keep / safe)
-    psi = Field(grid, coeffs=psi)
-    u1 = -derivative(psi, 0, 1).values
-    u2 = derivative(psi, 1, 0).values
-    w = Field(grid, coeffs=omega2.coeffs * keep).values
-    div = (derivative(Field(grid, values=u1 * w), 1, 0).coeffs
-           + derivative(Field(grid, values=u2 * w), 0, 1).coeffs)
-    return Field(grid, coeffs=div * keep)
+    psi = np.where(sym == 0.0, 0.0, c1 * keep / safe)
+    u1 = full_values(-d2 * psi)
+    u2 = full_values(d1 * psi)
+    w = full_values(c2 * keep)
+    div = d1 * full_coeffs(u1 * w) + d2 * full_coeffs(u2 * w)
+    return div * keep
 
 
 def drift_spectrum_nonconservative(c, co, grid):
@@ -124,36 +144,53 @@ def drift_spectrum_nonconservative(c, co, grid):
 
 def frame_rhs_full(f, t, sym_mid, nu, nonlinear):
     """Full-layout coefficients of the evolver's explicit terms at time t:
-    the drifts and the constant sampled from Field values, the frame
-    symbol minus sym_mid (both n x n) times the coefficients and, if
-    nonlinear, the conservative form of the advection term. Every
+    the drifts and the constant sampled from the field's full spectrum,
+    the frame symbol minus sym_mid (both n x n) times the coefficients
+    and, if nonlinear, the conservative form of the advection term. Every
     transform is a complex one of the full spectrum."""
     grid = f.grid
     co = FrameCoefficients.at_time(t)
-    k1, k2 = np.meshgrid(grid.k, grid.k, indexing="ij")
-    sym = -(co.diff1 * (k1 - co.mix * k2) ** 2 + co.diff2 * k2 ** 2)
-    fx = derivative(f, 1, 0).values
-    fy = derivative(f, 0, 1).values
+    sym = laplacian_symbol_full(grid, co)
+    c = full_coeffs(f.values)
+    d = grid.multipliers[1]
+    fx = full_values(d[:, None] * c)
+    fy = full_values(d[None, :] * c)
     x, y = np.meshgrid(grid.x, grid.x, indexing="ij")
     drift = (co.dil1 * (x - co.mix * y) * (fx - co.mix * fy)
              + co.dil2 * y * fy + co.rot * (x * fy - y * fx)
              + co.const * f.values)
-    out = Field(grid, values=drift).coeffs + (sym - sym_mid) * f.coeffs
+    out = full_coeffs(drift) + (sym - sym_mid) * c
     if nonlinear:
-        out = out - (co.nonlin / nu) * advection_divergence(f, f, sym).coeffs
+        out = out - (co.nonlin / nu) * advection_divergence(c, c, grid, sym)
     return out
 
 
-def field_at(traj, s):
-    """Trajectory field at time s by polynomial interpolation of the full
-    spectra (the march interpolates half spectra)."""
+def spectrum_at(traj, s):
+    """Full spectrum of the trajectory at time s, by polynomial
+    interpolation of the samples' full spectra."""
     ts = traj.times
     j = np.searchsorted(ts, s)
     if j < len(ts) and ts[j] == s:
-        return traj.fields[j]
+        return full_coeffs(traj.fields[j].values)
     idx, w = _lagrange_weights(ts, s)
-    c = sum(wi * traj.fields[i].coeffs for i, wi in zip(idx, w))
-    return Field(traj.grid, coeffs=c)
+    return sum(wi * full_coeffs(traj.fields[i].values) for i, wi in zip(idx, w))
+
+
+def shear_full(c, grid, slope):
+    """The full spectrum c evaluated at (xi_j, slope*xi_j + eta_k) as a
+    modulation along the second axis; targets whose request lies outside
+    the band read zero."""
+    k = grid.k
+    mixed = np.fft.ifft(c, axis=1) * np.exp(-1j * slope * np.outer(k, grid.x))
+    out = np.fft.fft(mixed, axis=1)
+    out[np.abs(slope * k[:, None] + k[None, :]) > grid.band] = 0.0
+    return out
+
+
+def propagate_full(c, grid, nu, t):
+    """The linear propagator S(t) on a full spectrum, unvetted."""
+    return shear_full(c, grid, t) * symbol_value(nu, t, *np.meshgrid(
+        grid.k, grid.k, indexing="ij"))
 
 
 def check_alias_unpruned(c, grid, nu, lags, alias_tol):
@@ -181,7 +218,8 @@ def check_alias_unpruned(c, grid, nu, lags, alias_tol):
 
 
 def duhamel_direct(traj1, traj2, targets):
-    """Bilinear Duhamel integrals summed afresh for every target time.
+    """Full-layout bilinear Duhamel integrals summed afresh for every
+    target time.
 
     The conservative form of the library's integrand under the library's
     previous quadrature, kept as an independent reference: one 8-point
@@ -192,11 +230,12 @@ def duhamel_direct(traj1, traj2, targets):
     composition enters. The cost is quadratic in the number of samples.
     """
     ts = np.asarray(traj1.times)
+    grid = traj1.grid
     out = []
     for t in targets:
         t = float(t)
         if t == ts[0]:
-            out.append(Field(traj1.grid, coeffs=np.zeros((traj1.grid.n,) * 2, complex)))
+            out.append(np.zeros((grid.n,) * 2, complex))
             continue
         panels = []
         full = ts[(ts > ts[0]) & (ts < t - 1e-14)]
@@ -208,28 +247,29 @@ def duhamel_direct(traj1, traj2, targets):
         d = t - a0
         breaks = (a0, a0 + 0.5 * d, a0 + 0.75 * d, a0 + 0.875 * d, t)
         panels.extend(zip(breaks[:-1], breaks[1:]))
-        acc = np.zeros((traj1.grid.n,) * 2, dtype=complex)
+        acc = np.zeros((grid.n,) * 2, dtype=complex)
         for a, b in panels:
             nodes, weights = _gl_nodes(a, b)
             for s, w in zip(nodes, weights):
-                g = advection_divergence(field_at(traj1, s), field_at(traj2, s))
-                acc += w * apply_semigroup(g, traj1.nu, t - s).coeffs
-        out.append(Field(traj1.grid, coeffs=-acc))
+                g = advection_divergence(spectrum_at(traj1, s),
+                                         spectrum_at(traj2, s), grid)
+                acc += w * propagate_full(g, grid, traj1.nu, t - s)
+        out.append(-acc)
     return out
 
 
 def limit_semigroup_full(f, tau):
-    """The limit semigroup over a time tau > 0 on the full fft layout: the
-    frequency shear, then the scale stage at every lattice point with the
-    complex samples of the sheared spectrum and the dense n x n stages
-    written out, then the damping (the library evaluates the n/2 + 1
-    columns of the half layout from real samples)."""
+    """Full fft-layout coefficients of the limit semigroup over a time
+    tau > 0: the frequency shear as a modulation of the complex full
+    spectrum, then the scale stage at every lattice point with the complex
+    samples of the sheared spectrum and the dense n x n stages written
+    out, then the damping (the library evaluates the n/2 + 1 columns of
+    the half layout from real samples)."""
     grid = f.grid
     n, k, x = grid.n, grid.k, grid.x
     m = char_map(tau)
     u11, u12, u22 = m.m11, m.m12, m.det / m.m11
-    c, oob = shear_spectrum(f.coeffs, grid, m.m21 / m.m11)
-    c[oob] = 0.0
+    c = shear_full(full_coeffs(f.values), grid, m.m21 / m.m11)
     v = np.fft.ifft2(c).T * n ** 2  # transposed complex samples
     out = np.exp(-1j * np.outer(k, u22 * x)) @ v
     out *= np.exp(-1j * np.outer(k, u12 * x))
@@ -237,5 +277,4 @@ def limit_semigroup_full(f, tau):
     out *= grid.signs
     out[np.abs(u11 * k[:, None] + u12 * k[None, :]) > grid.band] = 0.0
     out[:, np.abs(u22 * k) > grid.band] = 0.0
-    kx, ky = grid.wavegrid()
-    return Field(grid, coeffs=out * np.exp(symbol_exponent(tau, kx, ky)))
+    return out * np.exp(symbol_exponent(tau, k[:, None], k[None, :]))

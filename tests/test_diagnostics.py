@@ -224,8 +224,8 @@ def test_energy_samples_each_derivative_once(small_grid, monkeypatch):
     # one Gram table: ten weighted samples (orders up to 3), the field's
     # own samples and one inverse real transform of its half spectrum per
     # nonzero order; no derivative Field, no complex transform and no
-    # per-term norm calls. The field holds both representations, as
-    # apply_semigroup leaves it.
+    # per-term norm calls. The field holds both representations, so its
+    # own samples cost no transform.
     lf = localized_field(small_grid, seed=11, corr=1.5)
     om = Field(small_grid, values=lf.values, coeffs=lf.coeffs)
     calls = []
@@ -252,9 +252,10 @@ class _PowerCount(np.ndarray):
                                              (4.0, [1.0, 1.5, 2.0])])
 def test_record_on_fp_decay_state_reads_samples_once(monkeypatch, energy_m,
                                                      powers):
-    # the state apply_semigroup leaves holds values and coeffs, so record
-    # transforms nothing but the energy pair's nine derivative samples,
-    # calls no derivative, and forms each distinct weight power once
+    # the state apply_semigroup leaves holds its half spectrum only, so
+    # record transforms nothing but its samples, once, and the energy
+    # pair's nine derivative samples, calls no derivative, and forms each
+    # distinct weight power once
     grid = make_grid(16.0, 64, "selfsim")
     bracket = grid.bracket_sq.view(_PowerCount)
     bracket.log = []
@@ -267,7 +268,7 @@ def test_record_on_fp_decay_state_reads_samples_once(monkeypatch, energy_m,
     calls = []
     _count_sampling(monkeypatch, calls)
     rec = record(state, opts)
-    assert calls == ["irfft2"] * 9
+    assert calls == ["irfft2"] * 10
     assert sorted(bracket.log) == powers
     assert np.isfinite(rec.energy) and np.isfinite(rec.dissipation)
 
@@ -276,16 +277,17 @@ def test_record_on_fp_decay_state_reads_samples_once(monkeypatch, energy_m,
 def test_energy_raises_on_overflowing_samples(small_grid):
     # a cosine mode near the float maximum: its weighted samples and their
     # derivatives overflow, which must raise, not give a NaN or infinite
-    # E or D
-    c = np.zeros((small_grid.n,) * 2, dtype=complex)
+    # E or D, nor an infinite norm column when record takes no energy
+    c = np.zeros((small_grid.n, small_grid.half_cols), dtype=complex)
     c[30, 0] = c[-30, 0] = 1e306
     om = Field(small_grid, coeffs=c)
     coef = EnergyCoefficients.from_scale()
     with pytest.raises(GridError):
         energy_functionals(om, 2.0, coef)
     state = SelfSimilarState(omega=om, t=2.0, nu=1.0)
-    with pytest.raises(GridError):
-        record(state, RecordOptions(energy=coef))
+    for opts in (RecordOptions(energy=coef), RecordOptions()):
+        with pytest.raises(GridError):
+            record(state, opts)
 
 
 def test_energy_positive_for_valid_ladder(small_grid):

@@ -238,7 +238,7 @@ def test_semigroup_converges_to_projected_gaussian(frame_grid):
 
 def _assert_matches_full_layout(f, tau):
     got = apply_semigroup(f, tau)
-    want = limit_semigroup_full(f, tau).values
+    want = (np.fft.ifft2(limit_semigroup_full(f, tau)) * f.grid.n ** 2).real
     assert np.abs(got.values - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -255,14 +255,14 @@ def test_semigroup_matches_full_layout_oracle_at_n512():
     _assert_matches_full_layout(eigenfunction(1, 0, grid), np.log(3.2))
 
 
-def test_semigroup_result_holds_both_representations(frame_grid):
-    # values from the inverse real transform, coeffs its Hermitian layout
+def test_semigroup_result_is_sampled_once_from_its_half_spectrum(frame_grid):
+    # the result holds its half spectrum only; its values are one inverse
+    # real transform of it, taken on first use and then kept
     out = apply_semigroup(localized_field(frame_grid, seed=5, corr=2.0), 0.7)
-    assert out.has_values and out.has_coeffs
-    c = out.coeffs
-    assert np.array_equal(c, np.roll(c[::-1, ::-1], 1, axis=(0, 1)).conj())
-    back = (np.fft.ifft2(c) * frame_grid.n ** 2).real
-    assert np.abs(back - out.values).max() <= 1e-14 * np.abs(out.values).max()
+    assert out.has_coeffs and not out.has_values
+    assert out.values is out.values
+    assert np.array_equal(out.values,
+                          np.fft.irfft2(out.coeffs, norm="forward"))
 
 
 def test_semigroup_rejects_negative_time(frame_grid):

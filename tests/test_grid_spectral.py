@@ -20,13 +20,14 @@ from shearvortex import (
     weighted_inner,
     weighted_norm,
 )
-from shearvortex.fokker_planck import _scale_stage, char_map, gaussian
+from shearvortex.fokker_planck import char_map, gaussian
 from shearvortex.selfsim import FrameCoefficients, _frame_map, _laplacian_symbol
-from shearvortex.spectral import MAX_DERIVATIVE_ORDER, affine_trig_sum, dealias_mask
+from shearvortex.spectral import (MAX_DERIVATIVE_ORDER, affine_trig_sum,
+                                  dealias_mask, full_spectrum, scale_spectrum)
 
 from conftest import localized_field
 from oracles import (GAUSSIAN_L2, SPEED_G_AT_R2, advection_divergence,
-                     trig_sum_direct)
+                     full_coeffs, laplacian_symbol_full, trig_sum_direct)
 
 
 # ---------------------------------------------------------------- grids
@@ -94,6 +95,14 @@ def test_only_spectral_divides_by_a_laplacian_symbol():
     assert not calls, calls
 
 
+def test_only_spectral_sums_over_the_full_lattice():
+    # a Field's coeffs are its half spectrum; only spectral completes one
+    # (for the shear and the frame change) and takes complex transforms
+    calls = _calls_outside("spectral.py", ("fft", "ifft", "fft2", "ifft2",
+                                           "full_spectrum"))
+    assert not calls, calls
+
+
 def test_propagator_leaves_shears_and_transforms_to_spectral():
     # the propagator reads shear phases from its lag plan, which builds
     # them with spectral.shear_phase: no np.fft reference, and no exp of
@@ -114,7 +123,10 @@ def test_propagator_leaves_shears_and_transforms_to_spectral():
 
 def _plan_by_formula(L, n):
     """Each grid-only array by its formula, built from np.meshgrid and
-    np.fft.fftfreq the way the operations that use it once built it."""
+    np.fft.fftfreq the way the operations that use it once built it; the
+    masks and the Laplacian on the first n/2 + 1 columns, the half
+    layout."""
+    h = n // 2 + 1
     x = -L + (2.0 * L / n) * np.arange(n)
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=2.0 * L / n)
     x1, x2 = np.meshgrid(x, x, indexing="ij")
@@ -124,12 +136,12 @@ def _plan_by_formula(L, n):
     s = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     plan = {
         "x": x, "k": k, "mode_index": j,
-        "keep": keep[:, None] & keep[None, :],
+        "keep": keep[:, None] & keep[None, :h],
         "outer_band": (j[:, None] >= (7.0 / 16.0) * n)
-        | (j[None, :] >= (7.0 / 16.0) * n),
+        | (j[None, :h] >= (7.0 / 16.0) * n),
         "outside_half_box": (np.abs(x1) > 0.5 * L) | (np.abs(x2) > 0.5 * L),
         "signs": np.outer(s, s),
-        "laplacian": -(k1 ** 2 + k2 ** 2),
+        "laplacian": -(k1 ** 2 + k2 ** 2)[:, :h],
         "bracket_sq": 1.0 + x1 ** 2 + x2 ** 2,
         "gaussian_values": np.exp(-(x1 ** 2 + x2 ** 2) / 4.0) / (4.0 * np.pi),
     }
@@ -159,6 +171,9 @@ def test_plan_arrays_are_kept_read_only_and_exact():
         with pytest.raises(ValueError):
             got[(0,) * got.ndim] = got[(0,) * got.ndim]
     assert grid.band == grid.k_max * (1.0 + 1e-12)
+    kx, ky = grid.wavegrid()
+    assert np.array_equal(kx[:, 0], grid.k)
+    assert np.array_equal(ky[0], grid.k[:n // 2 + 1])
     assert dealias_mask(grid) is grid.keep
     assert np.array_equal(gaussian(grid).values, grid.gaussian_values)
     # the plan takes no part in comparing or hashing grids
@@ -167,6 +182,19 @@ def test_plan_arrays_are_kept_read_only_and_exact():
 
 
 # ----------------------------------------------------------- transforms
+
+def test_field_coeffs_are_the_rfft2_half_spectrum(small_grid):
+    n = small_grid.n
+    with pytest.raises(GridError):
+        Field(small_grid, coeffs=np.zeros((n, n), dtype=complex))
+    v = localized_field(small_grid, seed=2).values
+    c = Field(small_grid, values=v).coeffs
+    want = np.fft.rfft2(v, norm="forward")
+    assert c.shape == (n, n // 2 + 1)
+    assert c.tobytes() == want.tobytes()
+    back = Field(small_grid, coeffs=c).values
+    assert back.tobytes() == np.fft.irfft2(c, norm="forward").tobytes()
+
 
 def test_constant_field_spectrum(small_grid):
     f = Field(small_grid, values=np.full((64, 64), 2.5))
@@ -299,13 +327,17 @@ def test_biot_savart_divergence_free_and_curl(frame_grid):
 @pytest.mark.parametrize("t", [None, 3.0])
 def test_transport_matches_conservative_form(frame_grid, t):
     # u . grad(w) against div(u w), for the plain Laplacian (None) and the
-    # frame Laplacian at t = 3, with omega and w different fields
-    symbol = None if t is None else _laplacian_symbol(
-        frame_grid, FrameCoefficients.at_time(t))
+    # frame Laplacian at t = 3, with omega and w different fields; the
+    # oracle's full layout is compared on its first n/2 + 1 columns
+    co = None if t is None else FrameCoefficients.at_time(t)
+    symbol = None if co is None else _laplacian_symbol(frame_grid, co)
     omega = localized_field(frame_grid, seed=8)
     w = localized_field(frame_grid, seed=9)
     got = transport(omega, w, symbol).coeffs
-    want = advection_divergence(omega, w, symbol).coeffs
+    want = advection_divergence(full_coeffs(omega.values),
+                                full_coeffs(w.values), frame_grid,
+                                laplacian_symbol_full(frame_grid, co))
+    want = want[:, :frame_grid.half_cols]
     assert np.abs(want).max() > 0.0
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -407,7 +439,7 @@ def test_mass_linearity(alpha, beta):
 def test_parseval(frame_grid):
     f = localized_field(frame_grid, seed=9)
     box = (2.0 * frame_grid.half_width) ** 2
-    spectral_sum = box * float(np.sum(np.abs(f.coeffs) ** 2))
+    spectral_sum = box * float(np.sum(np.abs(full_spectrum(f.coeffs)) ** 2))
     assert abs(lp_norm(f, 2) ** 2 - spectral_sum) <= 1e-12 * spectral_sum
 
 
@@ -463,15 +495,15 @@ def test_affine_kernel_spectral_scale_stage_matches_direct_sum():
     # the limit semigroup's scale stage: real samples summed at the upper
     # triangular image (u11 xi_j + u12 eta_k, u22 eta_k), sign -1, which the
     # stage hands to the kernel transposed; it evaluates the n/2 + 1
-    # columns of the half layout
+    # columns of the half layout, from the samples of a half spectrum
     grid = make_grid(8.0, 16, "selfsim")
     n, h = grid.n, grid.half_cols
-    coeffs = _random_spectrum(n, seed=4)
+    coeffs = _random_spectrum(n, seed=4)[:, :h]
     m = char_map(0.4)
     u11, u12, u22 = m.m11, m.m12, m.det / m.m11
-    got = _scale_stage(coeffs, grid, u11, u12, u22)
+    got = scale_spectrum(coeffs, grid, u11, u12, u22)
     assert got.shape == (n, h)
-    v = (np.fft.ifft2(coeffs) * n ** 2).real
+    v = (np.fft.ifft2(full_spectrum(coeffs)) * n ** 2).real
     xi, eta = np.meshgrid(grid.k, grid.k[:h], indexing="ij")
     X, Y = u11 * xi + u12 * eta, u22 * eta
     signs = (-1.0) ** np.add.outer(np.arange(n), np.arange(h))

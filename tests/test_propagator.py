@@ -106,7 +106,8 @@ def test_symbol_consistent_with_kernel_transform():
     # relative to the continuous transform
     j = np.rint(g.k * g.half_width / np.pi).astype(int)
     sign = np.where(j % 2 == 0, 1.0, -1.0)
-    recovered = f.coeffs * (2.0 * g.half_width) ** 2 * np.outer(sign, sign)
+    recovered = (f.coeffs * (2.0 * g.half_width) ** 2
+                 * np.outer(sign, sign[:g.half_cols]))
     want = symbol_value(1.0, t, kx, ky)
     assert np.abs(recovered.real - want).max() <= 1e-12
     assert np.abs(recovered.imag).max() <= 1e-12
@@ -236,11 +237,12 @@ def test_duhamel_march_matches_direct_sum(resolved_trajectories, mixed,
     marched = _duhamel_targets(first, second, targets)
     direct = duhamel_direct(first, second, targets)
     for t, m, d in zip(targets, marched, direct):
-        peak = np.abs(d.coeffs).max()
+        d = d[:, :first.grid.half_cols]  # the oracle's full layout
+        peak = np.abs(d).max()
         if t == first.times[0]:
             assert peak == 0.0 and np.abs(m.coeffs).max() == 0.0
         else:
-            assert np.abs(m.coeffs - d.coeffs).max() <= 1e-7 * peak, t
+            assert np.abs(m.coeffs - d).max() <= 1e-7 * peak, t
 
 
 def test_duhamel_vets_every_node_against_later_targets():

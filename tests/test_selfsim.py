@@ -31,11 +31,12 @@ from shearvortex import selfsim
 from shearvortex.errors import TruncationError
 from shearvortex.fokker_planck import eigenfunction, gaussian
 from shearvortex.initial_data import make_field
-from shearvortex.spectral import derivative, full_spectrum, half_spectrum
+from shearvortex.spectral import derivative, full_spectrum, spectrum_norm
 
 from conftest import localized_field
 from oracles import (COORD_X_1110, COORD_Y_1110, SQRT3,
-                     drift_spectrum_nonconservative, frame_rhs_full)
+                     drift_spectrum_nonconservative, frame_rhs_full,
+                     laplacian_symbol_full)
 
 
 # ---------------------------------------------------------- coordinates
@@ -225,19 +226,20 @@ def _frame_symbol(xi, eta, t):
 
 
 def test_frame_laplacian_single_mode():
-    # reference: the symbol evaluated by hand at one lattice mode
+    # reference: the symbol evaluated by hand at one lattice mode of the
+    # half layout
     g = make_grid(16.0, 64, "selfsim")
     t = 2.0
-    j, l = 3, -5
+    j, l = -3, 5
     xi = j * np.pi / 16.0
     eta = l * np.pi / 16.0
-    coeffs = np.zeros((64, 64), complex)
-    coeffs[j, l % 64] = 1.0
+    coeffs = np.zeros((64, 33), complex)
+    coeffs[j % 64, l] = 1.0
     sigma = _frame_symbol(xi, eta, t)
     out = invert_frame_laplacian(Field(g, coeffs=coeffs), t)
-    assert out.coeffs[j, l % 64] == pytest.approx(1.0 / sigma, rel=1e-13)
+    assert out.coeffs[j % 64, l] == pytest.approx(1.0 / sigma, rel=1e-13)
     other = out.coeffs.copy()
-    other[j, l % 64] = 0.0
+    other[j % 64, l] = 0.0
     assert np.abs(other).max() == 0.0
 
 
@@ -338,7 +340,7 @@ def test_nonlinear_term_matches_pointwise_quadrature():
     # hermitian symmetrization keeps the field real
     sym = (coeffs + np.conj(np.flip(np.roll(np.roll(coeffs, -1, 0), -1, 1),
                                     (0, 1)))) / 2.0
-    f = Field(g, values=Field(g, coeffs=sym).values.copy())
+    f = Field(g, values=(np.fft.ifft2(sym) * 64 ** 2).real)
     t, nu = 2.0, 0.7
     got = nonlinear_term(f, t, nu)
     psi = invert_frame_laplacian(f, t)
@@ -410,7 +412,7 @@ def test_evolve_linear_run_keeps_mass_at_the_band_edge():
 @pytest.mark.parametrize("t", [0.0, 1.0, 3.0, 30.0, 1000.0, None])
 def test_drift_kernel_matches_the_nonconservative_form(frame_grid, t):
     co = FrameCoefficients.limit() if t is None else FrameCoefficients.at_time(t)
-    c = half_spectrum(localized_field(frame_grid, seed=19))
+    c = localized_field(frame_grid, seed=19).coeffs
     got = selfsim._drift_spectrum(c, co, frame_grid)
     want = drift_spectrum_nonconservative(c, co, frame_grid)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
@@ -423,8 +425,9 @@ def _zero_padded(f, n2):
     n = f.grid.n
     src = np.r_[0:n // 2, n // 2 + 1:n]
     dst = np.r_[0:n // 2, n2 - n // 2 + 1:n2]
-    c = np.zeros((n2, n2), dtype=complex)
-    c[np.ix_(dst, dst)] = f.coeffs[np.ix_(src, src)]
+    cols = np.r_[0:n // 2]
+    c = np.zeros((n2, n2 // 2 + 1), dtype=complex)
+    c[np.ix_(dst, cols)] = f.coeffs[np.ix_(src, cols)]
     return Field(make_grid(f.grid.half_width, n2, f.grid.frame), coeffs=c)
 
 
@@ -516,12 +519,12 @@ def test_half_spectrum_rhs_matches_full_layout_oracle(frame_grid, t, nonlinear):
     # later time so the frozen-symbol correction is not zero
     f = localized_field(frame_grid, seed=17)
     nu = 0.5
-    sym_mid = selfsim._laplacian_symbol(frame_grid,
-                                        FrameCoefficients.at_time(1.1 * t))
-    half_mid = sym_mid[:, :frame_grid.half_cols]
-    got = full_spectrum(selfsim._frame_rhs(half_spectrum(f), t, half_mid,
-                                           frame_grid, nu, nonlinear))
-    want = frame_rhs_full(f, t, sym_mid, nu, nonlinear)
+    co_mid = FrameCoefficients.at_time(1.1 * t)
+    sym_mid = selfsim._laplacian_symbol(frame_grid, co_mid)
+    got = full_spectrum(selfsim._frame_rhs(f.coeffs, t, sym_mid, frame_grid,
+                                           nu, nonlinear))
+    want = frame_rhs_full(f, t, laplacian_symbol_full(frame_grid, co_mid), nu,
+                          nonlinear)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -550,11 +553,11 @@ def test_evolve_step_uses_only_real_transforms(monkeypatch):
     assert sorted(step) == ["irfft2"] * 15 + ["rfft2"] * 9
     assert final.t == pytest.approx(np.exp(dtau), rel=1e-15)
     # the final state is a real field: its full spectrum is exactly Hermitian
-    c = final.omega.coeffs
+    c = full_spectrum(final.omega.coeffs)
     mirror = np.roll(np.roll(c[::-1, ::-1], 1, axis=0), 1, axis=1)
     assert np.array_equal(c, mirror.conj())
     # the growth test's norm is the full spectrum's l2 norm
-    assert selfsim._half_norm(half_spectrum(final.omega)) == pytest.approx(
+    assert spectrum_norm(final.omega.coeffs) == pytest.approx(
         np.linalg.norm(c), rel=1e-14)
 
 
