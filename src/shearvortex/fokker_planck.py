@@ -9,8 +9,11 @@ with exact trigonometric (band-limited) interpolation, split into a shear
 stage and a scaling stage so each stage is separable: the shear is
 spectral.shear_spectrum (FFTs), the scaling spectral.scale_spectrum, the
 dense affine kernel that also changes the self-similar frame, run from
-the real samples of the sheared spectrum. The damping multiplies the
-half spectrum.
+the real samples of the sheared spectrum. Both fold by the mirror
+symmetry of the lattices: the shear transforms rows 0..n/2 of the mixed
+representation, and each kernel stage is two real matrix products over
+n/2 + 1 points, so neither takes an exponential, cosine or sine at more
+than (n/2 + 1)^2 points. The damping multiplies the half spectrum.
 """
 
 from dataclasses import dataclass

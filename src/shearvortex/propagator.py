@@ -25,10 +25,10 @@ the entries whose weight exceeds the vetting tolerance. That pruning
 changes no vetting outcome: a pruned entry's weighted content is at most
 the tolerance times the peak, so it can neither raise nor be the worst
 mode of a raise. The plan keeps at most LAG_PLAN_BUDGET bytes (one lag's
-propagation tables take 0.3 MiB at n = 128 and 5.1 MiB at n = 512); past it
-a lag's tables are built per call by the same arithmetic, so no result
-depends on the budget. apply_semigroup runs the same kernels on tables
-built for the one call.
+propagation tables take 0.2 MiB at n = 128 and 3.1 MiB at n = 512, so 10
+lags fit at n = 512); past it a lag's tables are built per call by the
+same arithmetic, so no result depends on the budget. apply_semigroup runs
+the same kernels on tables built for the one call.
 """
 
 import bisect
@@ -100,9 +100,11 @@ class _LagPlan:
     past it a lag's tables are built again on each call, by the same
     arithmetic.
 
-    tables(t) are the shear phase, the damping symbol and the out-of-band
-    mask of S(t) (see _propagate); drops(t) is the drop set of S(t)
-    vetted at alias_tol (see _drop_set and _check_alias).
+    tables(t) are the shear phase ((n/2 + 1) x n), the damping symbol and
+    the out-of-band mask (n x (n/2 + 1) each) of S(t) (see _propagate),
+    about 0.2 MiB a lag at n = 128 and 3.1 MiB at n = 512, where 10 lags
+    fit the budget; drops(t) is the drop set of S(t) vetted at alias_tol
+    (see _drop_set and _check_alias).
     """
 
     def __init__(self, grid, nu, alias_tol=_ALIAS_TOL):

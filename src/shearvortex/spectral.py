@@ -11,11 +11,16 @@ at t = 0) in the frame.
 Every spectrum is a half spectrum, the rfft2 layout of a Field's coeffs
 (see grid). Column 0 and the Nyquist column n/2 are their own conjugate
 mirrors; the other columns stand for themselves and their mirror images.
-Two operations sum over the full lattice, and full_spectrum completes
-their input here: sheared, as the shear mixes columns, and resampled,
-the dense frame change. transport_spectrum is the one dealiased
-transport kernel; transport wraps it for Fields, and derivative_samples
-samples a derivative of a half spectrum.
+The shear mixes columns, so sheared runs on full rows, but only on rows
+0..n/2 (_top_rows): rows j and n - j of a real field's spectrum are
+conjugate mirrors, and _mirror_rows, the one row completion, fills in
+rows n/2+1..n-1 of its output and of full_spectrum. resampled, the dense
+frame change, sums over the full lattice. The dense sums of
+affine_trig_sum and the shear's phase fold by the mirror symmetry of
+grid.x and grid.k (x_{n-j} = -x_j, k_{n-j} = -k_j), so they take
+cosines and sines at n/2 + 1 points per axis. transport_spectrum is the
+one dealiased transport kernel; transport wraps it for Fields, and
+derivative_samples samples a derivative of a half spectrum.
 
 All operations assume smooth fields that decay well inside the box, so the
 periodic spectral representation is accurate. Quadrature is the rectangle
@@ -97,21 +102,45 @@ def biot_savart(omega, symbol=None):
     return Field(grid, coeffs=u1), Field(grid, coeffs=u2)
 
 
-def full_spectrum(c):
-    """Full fft-layout coefficients of the real field with half spectrum c.
-
-    Columns 1..n/2-1 are mirrored by Hermitian symmetry; the self-mirrored
-    columns 0 and n/2 take their Hermitian part, which is what irfft2
-    reads of them. The result is exactly Hermitian.
-    """
+def _top_rows(c):
+    """Rows 0..n/2 of the full spectrum of the real field with half
+    spectrum c, (n/2 + 1) x n: columns 0..n/2 are c's, and columns
+    n/2+1..n-1 mirror c's columns n/2-1..1 by Hermitian symmetry; the
+    self-mirrored columns 0 and n/2 take their Hermitian part, which is
+    what irfft2 reads of them."""
     n = c.shape[0]
-    mirror = np.roll(c[::-1], 1, axis=0).conj()       # conj(c[-j, l])
-    out = np.empty((n, n), dtype=np.complex128)
-    out[:, n // 2 + 1:] = mirror[:, n // 2 - 1:0:-1]
-    out[:, 1:n // 2] = c[:, 1:n // 2]
+    h = n // 2 + 1
+    mirror = np.empty((h, h), dtype=np.complex128)    # conj(c[-j, l])
+    mirror[0] = c[0]
+    mirror[1:] = c[:n // 2 - 1:-1]
+    np.conjugate(mirror, out=mirror)
+    top = np.empty((h, n), dtype=np.complex128)
+    top[:, :h] = c[:h]
+    top[:, h:] = mirror[:, h - 2:0:-1]
     for col in (0, n // 2):
-        out[:, col] = 0.5 * (c[:, col] + mirror[:, col])
+        top[:, col] = 0.5 * (c[:h, col] + mirror[:, col])
+    return top
+
+
+def _mirror_rows(top, cols):
+    """The first cols columns of the n x n array H with H[-j, -l] =
+    conj(H[j, l]) (indices mod n) whose rows 0..n/2 are top, an
+    (n/2 + 1) x n array: rows n/2+1..n-1 are the conjugate mirrors of
+    rows n/2-1..1, and rows 0 and n/2 are top's as they are."""
+    h, n = top.shape
+    out = np.empty((n, cols), dtype=np.complex128)
+    out[:h] = top[:, :cols]
+    rows = top[h - 2:0:-1]                            # rows n/2-1..1
+    np.conjugate(rows[:, :1], out=out[h:, :1])
+    np.conjugate(rows[:, n - 1:n - cols:-1], out=out[h:, 1:])
     return out
+
+
+def full_spectrum(c):
+    """Full fft-layout coefficients of the real field with half spectrum c:
+    its rows 0..n/2 (_top_rows) completed by _mirror_rows, the row
+    completion sheared also uses. The result is exactly Hermitian."""
+    return _mirror_rows(_top_rows(c), c.shape[0])
 
 
 def spectrum_norm(c):
@@ -255,8 +284,15 @@ def check_localized(f, what):
 
 
 def shear_phase(grid, slope):
-    """The phase exp(-i slope xi_j y_q) of the shear by slope."""
-    return np.exp(-1j * slope * np.outer(grid.k, grid.x))
+    """Rows 0..n/2 of the phase exp(-i slope xi_j y_q) of the shear by
+    slope, (n/2 + 1) x n: the rows sheared transforms. The exponentials
+    are taken at columns 0..n/2; as y_{n-q} = -y_q, columns n/2+1..n-1
+    are the conjugates of columns n/2-1..1."""
+    n, h = grid.n, grid.half_cols
+    out = np.empty((h, n), dtype=np.complex128)
+    out[:, :h] = np.exp(-1j * slope * np.outer(grid.k[:h], grid.x[:h]))
+    np.conjugate(out[:, h - 2:0:-1], out=out[:, h:])
+    return out
 
 
 def shear_out_of_band(grid, slope):
@@ -267,12 +303,19 @@ def shear_out_of_band(grid, slope):
 
 
 def sheared(coeffs, phase):
-    """The evaluation of shear_spectrum, with the shear's phase given. The
-    shear mixes columns, so it runs on the full lattice."""
-    n = coeffs.shape[0]
-    mixed = np.fft.ifft(full_spectrum(coeffs), axis=1) * n
+    """The evaluation of shear_spectrum, with the shear's phase given.
+
+    The shear mixes columns, so it runs on full rows: rows 0..n/2 of the
+    full spectrum go to the mixed (axis-0 spectral, axis-1 physical)
+    representation, take the phase and come back, 2 (n/2 + 1) complex
+    transforms of length n. The field is real, so rows j and n - j of the
+    mixed representation, and of the phase, are conjugate; the output's
+    rows n/2+1..n-1 are the conjugate mirrors of rows n/2-1..1.
+    """
+    mixed = np.fft.ifft(_top_rows(coeffs), axis=1, norm="forward")
     mixed *= phase
-    return (np.fft.fft(mixed, axis=1) / n)[:, :n // 2 + 1]
+    return _mirror_rows(np.fft.fft(mixed, axis=1, norm="forward"),
+                        coeffs.shape[1])
 
 
 def shear_spectrum(coeffs, grid, slope):
@@ -311,28 +354,69 @@ def scale_spectrum(coeffs, grid, u11, u12, u22):
     return out
 
 
+def _fold(a):
+    """Even and odd parts of the rows of a over the mirror j <-> n - j, on
+    rows 0..n/2: row m is a[m] + a[n - m] and a[m] - a[n - m]; the
+    self-mirrored rows 0 and n/2 enter both parts whole."""
+    n = a.shape[0]
+    even = a[:n // 2 + 1].copy()
+    odd = even.copy()
+    tail = a[:n // 2:-1]        # rows n-1..n/2+1, the mirrors of rows 1..n/2-1
+    even[1:-1] += tail
+    odd[1:-1] -= tail
+    return even, odd
+
+
+def _real_product(m, z):
+    """The real matrix m times z, real or complex, as one real product
+    (a complex z is read as its interleaved real and imaginary parts)."""
+    return (m @ z.view(np.float64)).view(z.dtype)
+
+
 def affine_trig_sum(a, s, rp, rq, m11, m21, m22, sign):
     """Trigonometric sum of a lattice at a lower-triangular image of another.
 
     Returns out[p, q] = sum over j, k of a[j, k] exp(sign i (s_j X + s_k Y))
     at (X, Y) = (m11 rp_p, m21 rp_p + m22 rq_q). The map is lower
     triangular, so the exponent separates into two dense 1-D stages
-    (matrix products) with a phase in rp_p between them; exact, cost
-    O(len(rp) n^2). Resampling a field is sign +1 over (wavenumbers,
-    centred spectrum) at rp = rq = the target points; evaluating a
-    spectrum is sign -1 over (positions, samples), transposed when the map
-    is upper triangular in the frequencies, and a half spectrum needs only
-    the rows rp of its n/2 + 1 columns. A real lattice a takes the first
-    stage as two real products, its cosine and sine parts.
+    (matrix products) with a phase in rp_p between them; exact. Resampling
+    a field is sign +1 over (wavenumbers, centred spectrum) at rp = rq =
+    the target points; evaluating a spectrum is sign -1 over (positions,
+    samples), transposed when the map is upper triangular in the
+    frequencies, and a half spectrum needs only the rows rp of its n/2 + 1
+    columns.
+
+    Precondition: s, of length n with a n x n, and rq are even lattices
+    mirrored about index 0 (s_{n-j} = -s_j, the entries 0 and n/2 alone),
+    as grid.k is and grid.x is to an ulp; rp may be any points. The sums
+    fold by that symmetry: rows j and n - j of a, and columns k and n - k
+    of the stage-1 output, enter as their sum times a cosine and their
+    difference times a sine, and output column n - q is column q with the
+    sine part's sign flipped. So each stage is two real matrix products
+    over n/2 + 1 points; stage 1 and the phase take the cosines and sines
+    of len(rp) (n/2 + 1) arguments, stage 2 of (n/2 + 1)^2. Cost: about
+    2 len(rp) n^2 real multiply-adds for a real a, 3 len(rp) n^2 for a
+    complex one, on one path.
     """
+    h = len(s) // 2 + 1
+    nq = len(rq)
+    hq = nq // 2 + 1
     phase = sign * 1j
-    arg = np.outer(rp, m11 * s)
-    if np.isrealobj(a):
-        out = np.cos(arg) @ a + phase * (np.sin(arg) @ a)   # [p, k]
-    else:
-        out = np.exp(phase * arg) @ a                       # [p, k]
-    out *= np.exp(phase * np.outer(rp, m21 * s))            # phase in rp_p per s_k
-    return out @ np.exp(phase * np.outer(m22 * s, rq))      # [p, q]
+    even, odd = _fold(a)                                  # [m, k]
+    arg = np.outer(rp, m11 * s[:h])
+    out = (_real_product(np.cos(arg), even)
+           + phase * _real_product(np.sin(arg), odd))    # [p, k]
+    even, odd = _fold(out.T)                              # [m, p]
+    arg = np.outer(m21 * s[:h], rp)                       # phase in rp_p per s_m
+    cos, sin = np.cos(arg), phase * np.sin(arg)
+    even, odd = even * cos + odd * sin, odd * cos + even * sin
+    arg = np.outer(rq[:hq], m22 * s[:h])
+    plus = _real_product(np.cos(arg), even)               # [q, p]
+    minus = phase * _real_product(np.sin(arg), odd)
+    out = np.empty((nq, len(rp)), dtype=np.complex128)
+    out[:hq] = plus + minus
+    out[hq:] = plus[hq - 2:0:-1] - minus[hq - 2:0:-1]
+    return out.T
 
 
 def resampled(f, grid, m11, m21, m22, scale):

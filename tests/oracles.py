@@ -2,15 +2,15 @@
 
 Everything here is deliberately built from a different route than the
 package internals: closed-form Gaussian algebra, symbolic differentiation,
-scalar quadrature, trigonometric sums taken one point at a time, the
-conservative form of the transport term and the non-conservative form of
-the frame drift, for the Duhamel term that integrand under a different
-quadrature, summed without a time march and propagated by a full-layout
-shear, the aliasing vetting over whole drop sets, and the frame evolver's
-right-hand side on the full spectrum. The full-layout references take
-and return full fft-layout coefficient arrays, not Fields.
-Agreement between these and the library is the point of the tests that
-import them.
+scalar quadrature, trigonometric sums taken one point at a time or as
+dense unfolded matrix stages, the conservative form of the transport term
+and the non-conservative form of the frame drift, for the Duhamel term
+that integrand under a different quadrature, summed without a time march
+and propagated by a full-layout shear, the aliasing vetting over whole
+drop sets, and the frame evolver's right-hand side on the full spectrum.
+The full-layout references take and return full fft-layout coefficient
+arrays, not Fields. Agreement between these and the library is the point
+of the tests that import them.
 """
 
 import numpy as np
@@ -79,6 +79,23 @@ def trig_sum_direct(a, s, X, Y, sign):
         phase = s[:, None] * X[idx] + s[None, :] * Y[idx]
         out[idx] = np.sum(a * np.exp(sign * 1j * phase))
     return out
+
+
+def affine_trig_sum_dense(a, s, rp, rq, m11, m21, m22, sign):
+    """The sum of spectral.affine_trig_sum, out[p, q] = sum over j, k of
+    a[j, k] exp(sign i (s_j X + s_k Y)) at (X, Y) = (m11 rp_p,
+    m21 rp_p + m22 rq_q), as two dense stages over the whole lattice:
+    every exponential taken, no mirror symmetry of s or rq used, so any
+    s and rq will do. A real a takes its first stage as cosine and sine
+    products."""
+    phase = sign * 1j
+    arg = np.outer(rp, m11 * s)
+    if np.isrealobj(a):
+        out = np.cos(arg) @ a + phase * (np.sin(arg) @ a)   # [p, k]
+    else:
+        out = np.exp(phase * arg) @ a                       # [p, k]
+    out *= np.exp(phase * np.outer(rp, m21 * s))            # phase in rp_p per s_k
+    return out @ np.exp(phase * np.outer(m22 * s, rq))      # [p, q]
 
 
 def full_coeffs(v):

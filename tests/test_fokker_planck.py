@@ -11,6 +11,7 @@ from shearvortex import (
     mass,
     weighted_norm,
 )
+from shearvortex import spectral
 from shearvortex.errors import DomainError, ResolutionError, UnsupportedOrderError
 from shearvortex.fokker_planck import (
     SQRT3,
@@ -263,6 +264,37 @@ def test_semigroup_result_is_sampled_once_from_its_half_spectrum(frame_grid):
     assert out.values is out.values
     assert np.array_equal(out.values,
                           np.fft.irfft2(out.coeffs, norm="forward"))
+
+
+class _TrigSizes:
+    """numpy, but recording the size of every exp, cos and sin argument."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if name not in ("exp", "cos", "sin"):
+            return attr
+
+        def recorded(x, *args, **kwargs):
+            self.sizes.append((name, np.size(x)))
+            return attr(x, *args, **kwargs)
+        return recorded
+
+
+def test_semigroup_takes_trig_at_half_lattice_points(small_grid, monkeypatch):
+    # the shear's phase and both stages of the scale kernel fold by the
+    # lattices' mirror symmetry, so no exponential, cosine or sine that
+    # spectral evaluates during one call spans more than (n/2 + 1)^2
+    # arguments
+    f = gaussian(small_grid)
+    trig = _TrigSizes()
+    monkeypatch.setattr(spectral, "np", trig)
+    apply_semigroup(f, 0.7)
+    names = {name for name, _ in trig.sizes}
+    assert names == {"exp", "cos", "sin"}
+    assert max(size for _, size in trig.sizes) <= small_grid.half_cols ** 2
 
 
 def test_semigroup_rejects_negative_time(frame_grid):

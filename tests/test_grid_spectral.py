@@ -23,11 +23,13 @@ from shearvortex import (
 from shearvortex.fokker_planck import char_map, gaussian
 from shearvortex.selfsim import FrameCoefficients, _frame_map, _laplacian_symbol
 from shearvortex.spectral import (MAX_DERIVATIVE_ORDER, affine_trig_sum,
-                                  dealias_mask, full_spectrum, scale_spectrum)
+                                  dealias_mask, full_spectrum, scale_spectrum,
+                                  shear_phase, shear_spectrum)
 
 from conftest import localized_field
 from oracles import (GAUSSIAN_L2, SPEED_G_AT_R2, advection_divergence,
-                     full_coeffs, laplacian_symbol_full, trig_sum_direct)
+                     affine_trig_sum_dense, full_coeffs, laplacian_symbol_full,
+                     shear_full, trig_sum_direct)
 
 
 # ---------------------------------------------------------------- grids
@@ -62,6 +64,19 @@ def test_grid_integer_wavenumbers_at_half_width_pi():
 def test_grid_rejects_unknown_frame():
     with pytest.raises(GridError):
         make_grid(16.0, 64, "rotating")
+
+
+@pytest.mark.parametrize("half_width, n", [(8.0, 8), (20.0, 512), (16.3, 64),
+                                           (np.pi, 128), (7.3, 16), (1 / 3, 32)])
+def test_grid_lattices_are_mirror_symmetric(half_width, n):
+    # the precondition of affine_trig_sum and shear_phase: x_{n-j} = -x_j
+    # and k_{n-j} = -k_j, with entries 0 and n/2 alone, to a few ulps
+    g = make_grid(half_width, n)
+    x, k = g.x, g.k
+    assert x[n // 2] == 0.0 and x[0] == -half_width
+    assert k[0] == 0.0 and abs(k[n // 2] + g.k_max) <= 4 * np.spacing(g.k_max)
+    assert np.abs(x[1:n // 2] + x[:n // 2:-1]).max() <= 4 * np.spacing(half_width)
+    assert np.abs(k[1:n // 2] + k[:n // 2:-1]).max() <= 4 * np.spacing(g.k_max)
 
 
 # ------------------------------------------------------------ grid plan
@@ -491,6 +506,40 @@ def test_affine_kernel_row_points_and_real_lattice():
                 <= 1e-13 * np.abs(square).max())
 
 
+@pytest.mark.parametrize("n", [8, 128])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("complex_lattice", [False, True])
+def test_folded_kernel_matches_the_dense_kernel(n, sign, complex_lattice):
+    # both sign conventions, real and complex lattices, over positions (the
+    # scale stage's s) and wavenumbers (the frame change's s), at the whole
+    # target lattice, its first n/2 + 1 points and a subset of points
+    grid = make_grid(16.3, n, "selfsim")
+    rng = np.random.default_rng(n + sign)
+    a = rng.standard_normal((n, n))
+    if complex_lattice:
+        a = a + 1j * rng.standard_normal((n, n))
+    args = (0.8, -0.3, 1.1, sign)
+    for s, r in ((grid.x, grid.k), (grid.k, grid.x)):
+        for rp in (r, r[:grid.half_cols], r[[1, 5, 2]]):
+            got = affine_trig_sum(a, s, rp, r, *args)
+            want = affine_trig_sum_dense(a, s, rp, r, *args)
+            assert got.shape == want.shape == (len(rp), n)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_folded_kernel_between_lattices_of_different_lengths():
+    # the frame change from n = 16 to a target lattice of 32 and back
+    coarse, fine = make_grid(8.0, 16), make_grid(6.0, 32, "selfsim")
+    a, c, b = _frame_map(2.0, 0.3)
+    for src, target in ((coarse, fine), (fine, coarse)):
+        chat = _random_spectrum(src.n, seed=src.n)
+        x = target.x
+        got = affine_trig_sum(chat, src.k, x, x, a, c, b, 1)
+        want = affine_trig_sum_dense(chat, src.k, x, x, a, c, b, 1)
+        assert got.shape == (target.n, target.n)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_affine_kernel_spectral_scale_stage_matches_direct_sum():
     # the limit semigroup's scale stage: real samples summed at the upper
     # triangular image (u11 xi_j + u12 eta_k, u22 eta_k), sign -1, which the
@@ -512,3 +561,36 @@ def test_affine_kernel_spectral_scale_stage_matches_direct_sum():
     assert inside.sum() > n * h // 2
     assert np.abs(got - ref)[inside].max() <= 1e-12 * np.abs(ref).max()
     assert not got[~inside].any()
+
+
+# ---------------------------------------------------------------- shear
+
+@pytest.mark.parametrize("half_width, n", [(20.0, 512), (8.0, 16), (16.0, 8)])
+def test_shear_phase_is_the_top_rows_of_the_dense_phase(half_width, n):
+    # rows 0..n/2 only; the mirrored columns are conjugates of computed
+    # ones, byte for byte where x is mirrored exactly (these grids) but
+    # for the sign of the zero imaginary parts of row 0 (xi = 0), which
+    # adding 0j makes positive
+    grid = make_grid(half_width, n)
+    for slope in (0.37, -1.9, 12.3):
+        got = shear_phase(grid, slope)
+        want = np.exp(-1j * slope * np.outer(grid.k, grid.x))[:grid.half_cols]
+        assert got.shape == (grid.half_cols, n)
+        assert (got + 0j).tobytes() == (want + 0j).tobytes()
+        assert got[1:].tobytes() == want[1:].tobytes()
+
+
+@pytest.mark.parametrize("n", [8, 16, 128])
+def test_sheared_matches_the_full_layout_shear(n):
+    # a real field with content in its Nyquist row and column, whose
+    # shear is not Hermitian there
+    grid = make_grid(16.0, n)
+    v = np.random.default_rng(n).standard_normal((n, n))
+    c = np.fft.rfft2(v, norm="forward")
+    assert np.abs(c[n // 2]).min() > 0.0 and np.abs(c[:, n // 2]).min() > 0.0
+    for slope in (0.3, -1.7, 4.0):
+        got, oob = shear_spectrum(c, grid, slope)
+        got[oob] = 0.0
+        want = shear_full(full_coeffs(v), grid, slope)[:, :grid.half_cols]
+        assert got.shape == (n, grid.half_cols)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()

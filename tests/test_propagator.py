@@ -368,11 +368,12 @@ def test_picard_result_does_not_depend_on_the_plan_budget(monkeypatch):
 
 
 def test_lag_plan_keeps_its_tables_within_the_budget():
-    # at n = 512 one lag's phase, symbol and mask take ~6 MiB, so the
-    # budget holds a few lags; later lags are built per call, identically
+    # at n = 512 one lag's phase (n/2 + 1 rows), symbol and mask take
+    # ~3.1 MiB, so the budget holds 10 lags; later lags are built per
+    # call, identically
     g = make_grid(20.0, 512)
     plan = propagator._LagPlan(g, 1.0)
-    lags = [0.01 * j for j in range(1, 9)]
+    lags = [0.01 * j for j in range(1, 13)]
     first = [plan.tables(t) for t in lags]
     assert 0 < plan.nbytes <= propagator.LAG_PLAN_BUDGET
     per_lag = sum(a.nbytes for a in first[0])
