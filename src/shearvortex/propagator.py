@@ -178,8 +178,7 @@ def apply_semigroup(f, nu, t, alias_tol=_ALIAS_TOL):
     if t == 0.0:
         return f
     plan = _LagPlan(f.grid, nu, alias_tol)
-    if alias_tol is not None:
-        _check_alias(f.coeffs, (t,), plan)
+    _check_alias(f.coeffs, (t,), plan)
     return Field(f.grid, coeffs=_propagate(f.coeffs, plan.tables(t)))
 
 

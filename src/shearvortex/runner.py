@@ -113,26 +113,52 @@ class _Recorder:
 
 
 def run_experiment(cfg, output_dir=None):
-    """Run one experiment; returns 0 and leaves artifacts in the output
-    directory (diagnostics.csv, summary.txt, config.txt, snapshots).
+    """Run one experiment; returns 0 and leaves its artifacts in the
+    output directory.
 
-    Solver failures still write the partial CSV and a summary flagging
-    the failure, then propagate to the caller.
+    Every mode writes config.txt, diagnostics.csv (one row per recorded
+    sample) and summary.txt (headed by ``status: OK`` and ``mode:``).
+    simulate, linear and fp-decay also write final.snap, the last frame
+    state, and picard its last physical field; these four write every
+    ``snapshot_cadence``-th recorded sample as state_*.snap (state_00000
+    on). probe writes probes.csv and records no samples.
+
+    A solver failure still writes the samples recorded so far, a summary
+    headed ``status: FAILED`` and, when the error carries one, the last
+    stable state as last_stable.snap; the error then propagates.
     """
     outdir = resolve_output_dir(cfg, output_dir)
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "config.txt"), "w", encoding="ascii") as fh:
         fh.write(serialize_config(cfg))
-    runner = {"simulate": _run_evolution, "linear": _run_evolution,
-              "fp-decay": _run_fp_decay, "picard": _run_picard,
-              "probe": _run_probe}[cfg.mode]
-    return runner(cfg, outdir)
+    run = {"simulate": _run_evolution, "linear": _run_evolution,
+           "fp-decay": _run_fp_decay, "picard": _run_picard,
+           "probe": _run_probe}[cfg.mode]
+    recorder = _Recorder(_record_options(cfg), outdir, cfg.snapshot_cadence)
+    try:
+        final, lines = run(cfg, recorder)
+    except ShearVortexError as exc:
+        lines = [f"status: FAILED {type(exc).__name__}: {exc}",
+                 f"samples recorded before failure: {len(recorder.records)}"]
+        last = getattr(exc, "last_state", None)
+        if last is not None:
+            write_snapshot(last, os.path.join(outdir, "last_stable.snap"))
+            lines.append("last stable state written to last_stable.snap")
+        _write_outputs(outdir, cfg, recorder.records, lines)
+        raise
+    if final is not None:
+        write_snapshot(final, os.path.join(outdir, "final.snap"))
+    _write_outputs(outdir, cfg, recorder.records,
+                   ["status: OK", f"mode: {cfg.mode}"] + lines)
+    return 0
 
 
 def _record_options(cfg):
+    # picard may start before t = 1, where no frame state exists; every
+    # state a run records has t >= 1, so the energy pair is anchored there
     return RecordOptions(
         weight_exponents=cfg.weights,
-        energy=EnergyCoefficients.from_scale(10.0, t0=cfg.t_init,
+        energy=EnergyCoefficients.from_scale(10.0, t0=max(cfg.t_init, 1.0),
                                              m=cfg.weights[0]))
 
 
@@ -148,16 +174,6 @@ def _write_outputs(outdir, cfg, records, summary_lines):
     with open(os.path.join(outdir, "summary.txt"), "w",
               encoding="ascii") as fh:
         fh.write("\n".join(summary_lines) + "\n")
-
-
-def _fail(outdir, cfg, records, exc):
-    lines = [f"status: FAILED {type(exc).__name__}: {exc}",
-             f"samples recorded before failure: {len(records)}"]
-    last = getattr(exc, "last_state", None)
-    if last is not None:
-        write_snapshot(last, os.path.join(outdir, "last_stable.snap"))
-        lines.append("last stable state written to last_stable.snap")
-    _write_outputs(outdir, cfg, records, lines)
 
 
 def _initial_state(cfg, frame_grid):
@@ -182,18 +198,11 @@ def _mass_drift(first, last):
     return abs(last.mass - m0) / l1 if l1 > 0 else abs(last.mass)
 
 
-def _run_evolution(cfg, outdir):
+def _run_evolution(cfg, recorder):
     frame_grid = make_grid(cfg.grid_l, cfg.grid_n, "selfsim")
-    recorder = _Recorder(_record_options(cfg), outdir, cfg.snapshot_cadence)
-    nonlinear = cfg.mode == "simulate"
-    try:
-        state0 = _initial_state(cfg, frame_grid)
-        final, _ = evolve(state0, cfg.t_end, _step_control(cfg),
-                          nonlinear=nonlinear, observer=recorder)
-    except ShearVortexError as e:
-        _fail(outdir, cfg, recorder.records, e)
-        raise
-    write_snapshot(final, os.path.join(outdir, "final.snap"))
+    state0 = _initial_state(cfg, frame_grid)
+    final, _ = evolve(state0, cfg.t_end, _step_control(cfg),
+                      nonlinear=cfg.mode == "simulate", observer=recorder)
     recs = recorder.records
     m0 = cfg.weights[0]
     mass_drift = _mass_drift(recs[0], recs[-1])
@@ -207,9 +216,7 @@ def _run_evolution(cfg, outdir):
     # physical-frame sup norm via the amplitude factor (exact identity)
     linf_phys = [(r.t, r.lp_norms[np.inf] / amplitude(r.t, cfg.nu))
                  for r in recs]
-    lines = [
-        "status: OK",
-        f"mode: {cfg.mode}",
+    return final, [
         f"samples: {len(recs)}",
         f"mass initial: {recs[0].mass!r}",
         f"mass relative drift: {mass_drift!r}",
@@ -227,83 +234,59 @@ def _run_evolution(cfg, outdir):
         + _try_fit(linf_phys, (10.0, cfg.t_end)),
         f"measured convergence onset t: {_measured_onset(recs, m0)!r}",
     ]
-    _write_outputs(outdir, cfg, recs, lines)
-    return 0
 
 
-def _run_fp_decay(cfg, outdir):
+def _run_fp_decay(cfg, recorder):
     """Decay of the limit semigroup from frame initial data, sampled on the
     evolver's schedule; time column is t = t_init e^tau."""
     frame_grid = make_grid(cfg.grid_l, cfg.grid_n, "selfsim")
-    opts = _record_options(cfg)
-    recorder = _Recorder(opts, outdir, cfg.snapshot_cadence)
-    try:
-        f0 = make_field(cfg.initial_data, frame_grid, cfg.seed,
-                        params=cfg.initial_params)
-        alpha = float(mass(f0))
-        taus = sample_schedule(cfg.t_init, cfg.t_end, cfg.samples_per_decade)
-        last_state = None
-        for tau in (s - taus[0] for s in taus):
-            u = fp_apply(f0, tau)
-            last_state = SelfSimilarState(
-                omega=u, t=float(cfg.t_init * np.exp(tau)), nu=cfg.nu,
-                alpha=alpha)
-            recorder(last_state)
-    except ShearVortexError as e:
-        _fail(outdir, cfg, recorder.records, e)
-        raise
-    write_snapshot(last_state, os.path.join(outdir, "final.snap"))
+    f0 = make_field(cfg.initial_data, frame_grid, cfg.seed,
+                    params=cfg.initial_params)
+    alpha = float(mass(f0))
+    taus = sample_schedule(cfg.t_init, cfg.t_end, cfg.samples_per_decade)
+    for tau in (s - taus[0] for s in taus):
+        state = SelfSimilarState(
+            omega=fp_apply(f0, tau), t=float(cfg.t_init * np.exp(tau)),
+            nu=cfg.nu, alpha=alpha)
+        recorder(state)
     recs = recorder.records
     m_fit = 3.0 if 3.0 in cfg.weights else cfg.weights[-1]
     series = [(r.t, r.weighted[(m_fit, 0, 0)]) for r in recs]
-    lines = [
-        "status: OK",
-        "mode: fp-decay",
+    return state, [
         f"samples: {len(recs)}",
         f"fitted decay exponent of the L2({_fmt_m(m_fit)}) norm: "
         + _try_fit(series, None),
         f"norm initial: {series[0][1]!r}",
         f"norm final: {series[-1][1]!r}",
     ]
-    _write_outputs(outdir, cfg, recs, lines)
-    return 0
 
 
-def _run_picard(cfg, outdir):
+def _run_picard(cfg, recorder):
     """Mild-solution iteration on the physical grid; when the window lies
     in t >= 1 the frame evolver runs alongside and the sup discrepancy of
     the two solvers (in frame coordinates, L2) goes to the summary."""
     phys_grid = make_grid(cfg.grid_l, cfg.grid_n)
-    recorder = _Recorder(_record_options(cfg), outdir, cfg.snapshot_cadence)
-    span = cfg.t_end - cfg.t_init
     n_times = picard_samples(cfg)
-    try:
-        om0 = make_field(cfg.initial_data, phys_grid, cfg.seed,
-                         params=cfg.initial_params)
-        traj = picard_solve(om0, cfg.nu, span, n_times, t_start=cfg.t_init)
-        compare = cfg.t_init >= 1.0
-        sup_gap = None
-        if compare:
-            frame_grid = make_grid(cfg.grid_l, cfg.grid_n, "selfsim")
-            state = phys_to_selfsim(om0, cfg.t_init, cfg.nu, frame_grid)
+    om0 = make_field(cfg.initial_data, phys_grid, cfg.seed,
+                     params=cfg.initial_params)
+    traj = picard_solve(om0, cfg.nu, cfg.t_end - cfg.t_init, n_times,
+                        t_start=cfg.t_init)
+    sup_gap = None
+    if cfg.t_init >= 1.0:
+        frame_grid = make_grid(cfg.grid_l, cfg.grid_n, "selfsim")
+        state = phys_to_selfsim(om0, cfg.t_init, cfg.nu, frame_grid)
+        recorder(state)
+        control = _step_control(cfg)
+        sup_gap = 0.0
+        for t_i, om_i in zip(traj.times[1:], traj.fields[1:]):
+            state, _ = evolve(state, float(t_i), control,
+                              observer=lambda s: None)
             recorder(state)
-            control = _step_control(cfg)
-            sup_gap = 0.0
-            for t_i, om_i in zip(traj.times[1:], traj.fields[1:]):
-                state, _ = evolve(state, float(t_i), control,
-                                  observer=lambda s: None)
-                recorder(state)
-                ref = phys_to_selfsim(om_i, float(t_i), cfg.nu, frame_grid)
-                gap = float(lp_norm(state.omega - ref.omega, 2))
-                scale = float(lp_norm(ref.omega, 2))
-                sup_gap = max(sup_gap, gap / scale if scale > 0 else gap)
-    except ShearVortexError as e:
-        _fail(outdir, cfg, recorder.records, e)
-        raise
-    write_snapshot(traj.fields[-1], os.path.join(outdir, "final.snap"))
-    lines = [
-        "status: OK",
-        "mode: picard",
+            ref = phys_to_selfsim(om_i, float(t_i), cfg.nu, frame_grid)
+            gap = float(lp_norm(state.omega - ref.omega, 2))
+            scale = float(lp_norm(ref.omega, 2))
+            sup_gap = max(sup_gap, gap / scale if scale > 0 else gap)
+    return traj.fields[-1], [
         f"time samples: {n_times}",
         "picard update distances: "
         + ", ".join(repr(d) for d in traj.history),
@@ -313,35 +296,18 @@ def _run_picard(cfg, outdir):
         + (repr(sup_gap) if sup_gap is not None
            else "n/a (window starts before t = 1)"),
     ]
-    _write_outputs(outdir, cfg, recorder.records, lines)
-    return 0
 
 
-def _run_probe(cfg, outdir):
+def _run_probe(cfg, recorder):
     """Empirical-constant probes over a seeded ensemble; writes probes.csv
-    and the summary instead of the evolution diagnostics."""
-    try:
-        rows, lines = _probe_tables(cfg)
-    except ShearVortexError as e:
-        _fail(outdir, cfg, [], e)
-        raise
-    with open(os.path.join(outdir, "probes.csv"), "w", encoding="ascii") as fh:
-        fh.write("\n".join(rows) + "\n")
-    with open(os.path.join(outdir, "summary.txt"), "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return 0
-
-
-def _probe_tables(cfg):
-    """The probes.csv rows and summary lines of a probe run."""
+    and records no samples."""
     frame_grid = make_grid(cfg.grid_l, cfg.grid_n, "selfsim")
     ensemble = [make_field("random_localized", frame_grid, cfg.seed + i)
                 for i in range(PROBE_ENSEMBLE_SIZE)]
     times = [float(t) for t in np.geomspace(cfg.t_init, cfg.t_end,
                                             PROBE_TIMES)]
     rows = ["kind,field,t,ratio"]
-    lines = ["status: OK", "mode: probe",
-             f"ensemble size: {len(ensemble)}",
+    lines = [f"ensemble size: {len(ensemble)}",
              "times: " + ", ".join(repr(t) for t in times)]
     for kind in ("biot_savart_linf", "anisotropic_sigma", "semigroup_lp"):
         if kind == "semigroup_lp":
@@ -356,4 +322,7 @@ def _probe_tables(cfg):
         lines += [f"{kind} max ratio: {rep.max_ratio!r}",
                   f"{kind} mean ratio: {rep.mean_ratio!r}",
                   f"{kind} maximizer: field {rep.argmax[0]} at t={rep.argmax[1]!r}"]
-    return rows, lines
+    with open(os.path.join(recorder.outdir, "probes.csv"), "w",
+              encoding="ascii") as fh:
+        fh.write("\n".join(rows) + "\n")
+    return None, lines

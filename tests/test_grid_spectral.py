@@ -118,6 +118,22 @@ def test_only_spectral_sums_over_the_full_lattice():
     assert not calls, calls
 
 
+def test_only_run_experiment_closes_a_run():
+    # one run skeleton: a mode returns its final object and summary lines,
+    # and run_experiment alone handles a solver failure (besides _try_fit's
+    # unfittable series) and writes final.snap
+    tree = ast.parse((SRC / "runner.py").read_text(encoding="utf-8"))
+    handlers = [func.name
+                for func in tree.body if isinstance(func, ast.FunctionDef)
+                for node in ast.walk(func)
+                if isinstance(node, ast.ExceptHandler)
+                and getattr(node.type, "id", None) == "ShearVortexError"]
+    assert handlers == ["_try_fit", "run_experiment"], handlers
+    finals = [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.Constant) and node.value == "final.snap"]
+    assert len(finals) == 1, finals
+
+
 def test_propagator_leaves_shears_and_transforms_to_spectral():
     # the propagator reads shear phases from its lag plan, which builds
     # them with spectral.shear_phase: no np.fft reference, and no exp of

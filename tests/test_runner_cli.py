@@ -8,10 +8,12 @@ import pytest
 
 import shearvortex
 from shearvortex import (
+    Field,
     RunConfig,
     SelfSimilarState,
     make_grid,
     read_snapshot,
+    selfsim,
     write_snapshot,
 )
 from shearvortex.cli import main
@@ -100,6 +102,8 @@ def test_probe_mode_writes_ratio_table(tmp_path):
     summary = read_lines(os.path.join(out, "summary.txt"))
     for kind in ("biot_savart_linf", "anisotropic_sigma", "semigroup_lp"):
         float(summary_value(summary, f"{kind} max ratio:"))
+    # a probe records no samples, as on its failure path
+    assert read_lines(os.path.join(out, "diagnostics.csv")) == [CSV_HEADER]
 
 
 def test_picard_mode_cross_checks_frame_evolver(tmp_path):
@@ -121,6 +125,22 @@ def test_picard_mode_cross_checks_frame_evolver(tmp_path):
     gap = float(summary_value(
         summary, "sup relative L2 discrepancy picard vs frame evolver:"))
     assert gap <= 1e-5
+
+
+def test_picard_mode_starts_before_the_frame(tmp_path):
+    # from t_init = 0 no frame state exists, so nothing is recorded and
+    # the frame evolver's cross-check is left out
+    out = str(tmp_path / "out")
+    assert main(["picard", "--grid-n", "128", "--grid-l", "20",
+                 "--t-init", "0", "--t-end", "0.25", "--out", out]) == 0
+    summary = read_lines(os.path.join(out, "summary.txt"))
+    assert summary[:2] == ["status: OK", "mode: picard"]
+    assert summary_value(summary, "time samples:") == "17"
+    assert summary_value(
+        summary, "sup relative L2 discrepancy picard vs frame evolver:"
+    ) == "n/a (window starts before t = 1)"
+    assert read_lines(os.path.join(out, "diagnostics.csv")) == [CSV_HEADER]
+    assert isinstance(read_snapshot(os.path.join(out, "final.snap")), Field)
 
 
 SCHEDULE_CONFIG = ("initial_data = eigenfunction\n"
@@ -339,6 +359,38 @@ def test_unresolved_run_exits_4_with_partial_outputs(tmp_path, capsys):
     rows = read_lines(os.path.join(out, "diagnostics.csv"))
     assert rows[0] == CSV_HEADER
     assert len(rows) == 2
+
+
+def test_unresolved_fp_decay_exits_4_with_partial_outputs(tmp_path, capsys):
+    # a unit Gaussian is not resolved on a 32-mode box: tau = 0 passes it
+    # through and is recorded, the first positive tau rejects it
+    out = str(tmp_path / "out")
+    assert main(["fp-decay", "--initial-data", "gaussian", "--grid-n", "32",
+                 "--grid-l", "16", "--t-end", "3.2", "--out", out]) == 4
+    assert "ResolutionError" in capsys.readouterr().err
+    summary = read_lines(os.path.join(out, "summary.txt"))
+    assert summary[0].startswith("status: FAILED ResolutionError")
+    assert summary_value(summary, "samples recorded before failure:") == "1"
+    assert len(read_lines(os.path.join(out, "diagnostics.csv"))) == 2
+    assert not os.path.exists(os.path.join(out, "final.snap"))
+
+
+def test_blown_up_run_exits_3_with_last_stable_state(tmp_path, capsys,
+                                                     monkeypatch):
+    # the detector settings of test_evolve_blowup_detector_reports_last_state
+    monkeypatch.setattr(selfsim, "GROWTH_FACTOR", 0.5)
+    monkeypatch.setattr(selfsim, "MAX_HALVINGS", 1)
+    out = str(tmp_path / "out")
+    assert main(["linear", "--grid-n", "128", "--grid-l", "16",
+                 "--t-end", "2", "--out", out]) == 3
+    assert "BlowUpError" in capsys.readouterr().err
+    summary = read_lines(os.path.join(out, "summary.txt"))
+    assert summary[0].startswith("status: FAILED BlowUpError")
+    assert "last stable state written to last_stable.snap" in summary
+    last = read_snapshot(os.path.join(out, "last_stable.snap"))
+    assert isinstance(last, SelfSimilarState)
+    assert last.t == pytest.approx(1.0)
+    assert not os.path.exists(os.path.join(out, "final.snap"))
 
 
 def test_failed_probe_exits_4_with_failed_summary(tmp_path, capsys):
