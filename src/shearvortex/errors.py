@@ -55,6 +55,15 @@ def check_real(value, what):
         return math.inf if value > 0 else -math.inf
 
 
+def check_time(value, what):
+    """value as a float if it is a finite real number >= 0; raise
+    DomainError for negative times, NaN, infinities and non-numbers."""
+    t = check_real(value, what)
+    if not 0.0 <= t < math.inf:
+        raise DomainError(f"{what} must be finite and nonnegative, got {value!r}")
+    return t
+
+
 def check_order(value, what):
     """value as an int if it is an integral number (2 and 2.0 alike); raise
     DomainError for fractions, NaN, infinities and non-numbers such as the

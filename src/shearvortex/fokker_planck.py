@@ -4,16 +4,12 @@ In Fourier variables the limit generator advects coefficients along linear
 characteristics while damping them through an explicit quadratic-form
 exponent. The semigroup therefore reduces to (i) evaluating the initial
 spectrum at the backward characteristic image of each lattice mode and
-(ii) multiplying by the exponent factor. Off-lattice evaluation is done
-with exact trigonometric (band-limited) interpolation, split into a shear
-stage and a scaling stage so each stage is separable: the shear is
-spectral.shear_spectrum (FFTs), the scaling spectral.scale_spectrum, the
-dense affine kernel that also changes the self-similar frame, run from
-the real samples of the sheared spectrum. Both fold by the mirror
-symmetry of the lattices: the shear transforms rows 0..n/2 of the mixed
-representation, and each kernel stage is two real matrix products over
-n/2 + 1 points, so neither takes an exponential, cosine or sine at more
-than (n/2 + 1)^2 points. The damping multiplies the half spectrum.
+(ii) multiplying by the exponent factor: spectral.characteristic_flow for
+the map char_map(tau) and the damping exp(symbol_exponent), the kernel
+the physical heat-shear propagator runs too. Here the map is not a pure
+shear, so the kernel's trig-exact read takes both of its stages: an FFT
+shear, then the dense affine scaling that also changes the self-similar
+frame.
 """
 
 from dataclasses import dataclass
@@ -21,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DomainError, ResolutionError, UnsupportedOrderError,
-                     check_order, check_real)
+                     check_order, check_time)
 from .grid import Field
-from .spectral import (derivative_symbol, scale_spectrum, shear_spectrum,
+from .spectral import (characteristic_flow, derivative_symbol, flow_tables,
                        spectral_tail_ratio)
 
 SQRT3 = np.sqrt(3.0)
@@ -65,9 +61,10 @@ def symbol_exponent(tau, xi, eta):
     Always <= 0; tends to -(xi^2 + eta^2) as tau -> infinity, which is the
     Fourier transform exponent of the Gaussian equilibrium.
     """
-    if np.any(np.asarray(tau) < 0):
-        raise DomainError("tau must be nonnegative")
-    e = np.exp(-np.asarray(tau, dtype=np.float64))
+    tau = np.asarray(tau, dtype=np.float64)
+    if not np.all((0 <= tau) & (tau < np.inf)):
+        raise DomainError("symbol_exponent requires a finite tau >= 0")
+    e = np.exp(-tau)
     return (-(1 - e) ** 3 * xi ** 2
             - 2.0 * SQRT3 * e * (1 - e) ** 2 * xi * eta
             - (1 - e) * (1 + 3 * e ** 2) * eta ** 2)
@@ -95,9 +92,7 @@ class CharMap:
 def char_map(tau):
     """Backward characteristics as an explicit 2x2 map: a mode (xi, eta)
     is read from (m11 xi + m12 eta, m21 xi + m22 eta) after a time tau."""
-    tau = check_real(tau, "tau")
-    if not 0.0 <= tau < np.inf:
-        raise DomainError(f"tau must be finite and nonnegative, got {tau!r}")
+    tau = check_time(tau, "tau")
     e1 = np.exp(-tau / 2.0)
     e3 = np.exp(-3.0 * tau / 2.0)
     return CharMap(
@@ -118,9 +113,7 @@ def apply_semigroup(f, tau):
     characteristic shift moves significant content across the band and
     the result is unreliable.
     """
-    tau = check_real(tau, "tau")
-    if not 0.0 <= tau < np.inf:
-        raise DomainError(f"tau must be finite and nonnegative, got {tau!r}")
+    tau = check_time(tau, "tau")
     if tau == 0.0:
         return f
     r = spectral_tail_ratio(f)
@@ -128,16 +121,8 @@ def apply_semigroup(f, tau):
         raise ResolutionError(
             f"spectrum not resolved: outer-band ratio {r:.2e} exceeds "
             f"{RESOLVED_TAIL_TOL:g}")
-    m = char_map(tau)
-    # LU split: the backward map factors into a frequency shear followed by
-    # an upper-triangular scaling; m11 > 0 for every tau >= 0.
-    slope = m.m21 / m.m11
-    u11 = m.m11
-    u12 = m.m12
-    u22 = m.det / m.m11
-    grid = f.grid
-    c, oob = shear_spectrum(f.coeffs, grid, slope)
-    c[oob] = 0.0
-    c = scale_spectrum(c, grid, u11, u12, u22)
-    c *= np.exp(symbol_exponent(tau, *grid.wavegrid()))
-    return Field(grid, coeffs=c)
+    cm = char_map(tau)
+    m = (cm.m11, cm.m12), (cm.m21, cm.m22)    # m11 > 0 for every tau >= 0
+    damping = np.exp(symbol_exponent(tau, *f.grid.wavegrid()))
+    c = characteristic_flow(f.coeffs, f.grid, m, flow_tables(f.grid, m, damping))
+    return Field(f.grid, coeffs=c)

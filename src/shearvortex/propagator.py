@@ -4,9 +4,11 @@ fixed-point machinery built on it.
 In Fourier variables the linearized vorticity equation transports modes
 along the shear characteristic eta -> eta + t*xi while damping them with
 an explicit anisotropic heat exponent; the enhanced x-diffusion grows like
-t^3. The propagator below is exact on the resolvable band: the
-characteristic transport is a frequency shear (a modulation in physical
-space) and the damping is a diagonal multiplier.
+t^3. The propagator below is exact on the resolvable band: it is
+spectral.characteristic_flow for the backward map (xi, eta) ->
+(xi, eta + t xi), a frequency shear (a modulation in physical space),
+damped by symbol_value, a diagonal multiplier. The limit semigroup of
+fokker_planck is the same kernel for its own map and damping.
 
 The bilinear Duhamel term of the mild formulation is marched in time with
 the semigroup property, integrating each sample interval once by Gauss
@@ -17,18 +19,19 @@ contributes to.
 
 The march runs on arrays and reads a lag plan. The sample grid is uniform
 and the panels sit at the same places relative to each interval's end, so
-the lags repeat; the plan picard_solve shares among its iterations builds
-each distinct propagation lag's shear phase, damping symbol and
-out-of-band mask once, and for each distinct vetting lag the flat indices
-of the modes S(t) drops with their destination decay weights, keeping only
-the entries whose weight exceeds the vetting tolerance. That pruning
-changes no vetting outcome: a pruned entry's weighted content is at most
-the tolerance times the peak, so it can neither raise nor be the worst
-mode of a raise. The plan keeps at most LAG_PLAN_BUDGET bytes (one lag's
-propagation tables take 0.2 MiB at n = 128 and 3.1 MiB at n = 512, so 10
-lags fit at n = 512); past it a lag's tables are built per call by the
-same arithmetic, so no result depends on the budget. apply_semigroup runs
-the same kernels on tables built for the one call.
+the lags repeat; the plan picard_solve shares among its iterations keeps
+each distinct propagation lag's flow tables (the kernel's shear phase,
+out-of-band mask and damping symbol), and for each distinct vetting lag
+the flat indices of the modes S(t) drops with their destination decay
+weights, keeping only the entries whose weight exceeds the vetting
+tolerance. That pruning changes no vetting outcome: a pruned entry's
+weighted content is at most the tolerance times the peak, so it can
+neither raise nor be the worst mode of a raise. The plan keeps at most
+LAG_PLAN_BUDGET bytes (one lag's flow tables take 0.2 MiB at n = 128 and
+3.1 MiB at n = 512, so 10 lags fit at n = 512); past it a lag's tables
+are built per call by the same arithmetic, so no result depends on the
+budget. apply_semigroup runs the same kernel on tables built for the one
+call.
 """
 
 import bisect
@@ -45,10 +48,10 @@ from .errors import (
     NoConvergenceError,
     check_order,
     check_positive,
-    check_real,
+    check_time,
 )
 from .grid import Field
-from .spectral import (lp_norm, shear_out_of_band, shear_phase, sheared,
+from .spectral import (characteristic_flow, flow_tables, lp_norm,
                        transport_spectrum)
 
 
@@ -100,11 +103,12 @@ class _LagPlan:
     past it a lag's tables are built again on each call, by the same
     arithmetic.
 
-    tables(t) are the shear phase ((n/2 + 1) x n), the damping symbol and
-    the out-of-band mask (n x (n/2 + 1) each) of S(t) (see _propagate),
-    about 0.2 MiB a lag at n = 128 and 3.1 MiB at n = 512, where 10 lags
-    fit the budget; drops(t) is the drop set of S(t) vetted at alias_tol
-    (see _drop_set and _check_alias).
+    tables(t) are spectral.flow_tables of S(t): the shear phase
+    ((n/2 + 1) x n), the out-of-band mask and the damping symbol
+    (n x (n/2 + 1) each), about 0.2 MiB a lag at n = 128 and 3.1 MiB at
+    n = 512, where 10 lags fit the budget, and flow(c, t) runs
+    spectral.characteristic_flow on them; drops(t) is the drop set of
+    S(t) vetted at alias_tol (see _drop_set and _check_alias).
     """
 
     def __init__(self, grid, nu, alias_tol=_ALIAS_TOL):
@@ -132,21 +136,17 @@ class _LagPlan:
         t = float(t)
         return self._memo(("drops", t), _drop_set, t, self.alias_tol)
 
+    def flow(self, c, t):
+        """S(t) applied to the spectrum c, unvetted, on the lag's tables."""
+        return characteristic_flow(c, self.grid, ((1.0, 0.0), (t, 1.0)),
+                                   self.tables(t))
+
 
 def _lag_tables(grid, nu, t):
-    """Shear phase, damping symbol and out-of-band mask of S(t)."""
-    kx, ky = grid.wavegrid()
-    return (shear_phase(grid, t), symbol_value(nu, t, kx, ky),
-            shear_out_of_band(grid, t))
-
-
-def _propagate(c, tables):
-    """S(t) applied to the spectrum c, from the lag's tables: shear, damp,
-    then zero the targets whose source lies outside the band."""
-    phase, symbol, oob = tables
-    out = sheared(c, phase) * symbol
-    out[oob] = 0.0
-    return out
+    """spectral.flow_tables of S(t): its backward map reads a mode
+    (xi, eta) from (xi, eta + t xi), and symbol_value damps it."""
+    return flow_tables(grid, ((1.0, 0.0), (t, 1.0)),
+                       symbol_value(nu, t, *grid.wavegrid()))
 
 
 def _drop_set(grid, nu, t, alias_tol):
@@ -172,14 +172,13 @@ def apply_semigroup(f, nu, t, alias_tol=_ALIAS_TOL):
     offending mode.
     """
     check_positive(nu, "viscosity")
-    t = check_real(t, "time")
-    if not 0.0 <= t < np.inf:
-        raise DomainError(f"apply_semigroup requires a finite t >= 0, got {t!r}")
+    check_positive(alias_tol, "alias_tol")
+    t = check_time(t, "time")
     if t == 0.0:
         return f
     plan = _LagPlan(f.grid, nu, alias_tol)
     _check_alias(f.coeffs, (t,), plan)
-    return Field(f.grid, coeffs=_propagate(f.coeffs, plan.tables(t)))
+    return Field(f.grid, coeffs=plan.flow(f.coeffs, t))
 
 
 def _check_alias(c, lags, plan):
@@ -226,12 +225,10 @@ class Trajectory:
     history: tuple = ()
 
     def __post_init__(self):
-        times = tuple(check_real(t, "trajectory time") for t in self.times)
+        times = tuple(check_time(t, "trajectory time") for t in self.times)
         fields = tuple(self.fields)
         if len(times) == 0 or len(times) != len(fields):
             raise GridError("trajectory needs matching, nonempty times and fields")
-        if not all(0.0 <= t < math.inf for t in times):
-            raise DomainError("trajectory times must be finite and nonnegative")
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise DomainError("trajectory times must be strictly increasing")
         check_positive(self.nu, "viscosity")
@@ -360,9 +357,7 @@ def _duhamel_targets(traj1, traj2, targets, plan=None):
         c2 = c1 if traj2 is traj1 else spectrum_at(spectra2, s)
         return transport_spectrum(c1, c2, grid, grid.laplacian)
 
-    def propagate(c, t):
-        # only ever applied to vetted content; see panels below
-        return _propagate(c, plan.tables(t))
+    propagate = plan.flow  # only ever applied to vetted content; see panels
 
     def panels(a, b, later):
         # Sum of w S(b - s) g(s) over the panel set on [a, b]; each g(s) is
@@ -420,11 +415,11 @@ def picard_solve(omega0, nu, horizon, n_times, t_start=0.0):
     NoConvergenceError.
     """
     check_positive(nu, "viscosity")
+    check_positive(horizon, "horizon")
     n_times = check_order(n_times, "n_times")
-    if not 0 < horizon < np.inf or n_times < 2:
-        raise DomainError("need a finite horizon > 0 and at least two sample times")
-    if not 0 <= t_start < np.inf:
-        raise DomainError("t_start must be finite and nonnegative")
+    if n_times < 2:
+        raise DomainError(f"need at least two sample times, got {n_times}")
+    t_start = check_time(t_start, "t_start")
     times = tuple(t_start + horizon * j / (n_times - 1) for j in range(n_times))
     linear = tuple(apply_semigroup(omega0, nu, t - t_start) for t in times)
     traj = Trajectory(times=times, fields=linear, nu=nu)

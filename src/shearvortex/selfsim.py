@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (BlowUpError, DomainError, GridError, ResolutionError,
-                     TruncationError, check_order, check_positive, check_real)
+                     TruncationError, check_order, check_positive, check_real,
+                     check_time)
 from .grid import Field, Frame
 from .spectral import (
     check_localized,
@@ -61,9 +62,7 @@ class FrameCoefficients:
         # the coefficient formulas are regular down to t = 0 (where the
         # diffusion part reduces to the plain Laplacian), unlike the frame
         # change itself which needs t > 0
-        t = check_real(t, "time")
-        if not 0.0 <= t < np.inf:
-            raise DomainError(f"frame coefficients need a finite t >= 0, got {t!r}")
+        t = check_time(t, "time")
         a = 1.0 + t * t / 3.0
         b = 1.0 + t * t / 12.0
         return cls(

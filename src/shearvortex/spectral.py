@@ -18,9 +18,19 @@ rows n/2+1..n-1 of its output and of full_spectrum. resampled, the dense
 frame change, sums over the full lattice. The dense sums of
 affine_trig_sum and the shear's phase fold by the mirror symmetry of
 grid.x and grid.k (x_{n-j} = -x_j, k_{n-j} = -k_j), so they take
-cosines and sines at n/2 + 1 points per axis. transport_spectrum is the
-one dealiased transport kernel; transport wraps it for Fields, and
-derivative_samples samples a derivative of a half spectrum.
+cosines and sines at n/2 + 1 points per axis.
+
+Both linear semigroups, the physical heat-shear propagator and the
+frame's limit semigroup, are one Ornstein-Uhlenbeck operation: read the
+spectrum at the backward image M k of each mode, then multiply by a
+Gaussian damping. characteristic_flow is that operation, with the tables
+flow_tables builds for M. It alone splits M into a shear and an
+upper-triangular scaling, and no other module shears or scales a
+spectrum; the heat-shear map's scaling is the identity and is skipped.
+
+transport_spectrum is the one dealiased transport kernel; transport wraps
+it for Fields, and derivative_samples samples a derivative of a half
+spectrum.
 
 All operations assume smooth fields that decay well inside the box, so the
 periodic spectral representation is accurate. Quadrature is the rectangle
@@ -295,13 +305,6 @@ def shear_phase(grid, slope):
     return out
 
 
-def shear_out_of_band(grid, slope):
-    """Boolean mask of the lattice points whose shear request
-    (xi_j, slope*xi_j + eta_k) lies outside the resolvable band."""
-    kx, ky = grid.wavegrid()
-    return np.abs(slope * kx + ky) > grid.band
-
-
 def sheared(coeffs, phase):
     """The evaluation of shear_spectrum, with the shear's phase given.
 
@@ -327,12 +330,12 @@ def shear_spectrum(coeffs, grid, slope):
     exp(-i slope xi_j y_q) before transforming back. Returns the evaluated
     array together with the boolean mask of lattice points whose request
     lies outside the resolvable band (those values are periodic wraps and
-    should be discarded or vetted by the caller). A caller that shears by
-    one slope many times keeps shear_phase and shear_out_of_band and calls
-    sheared.
+    should be discarded or vetted by the caller): the phase and mask of
+    flow_tables, which characteristic_flow keeps to shear by one slope
+    many times.
     """
-    return (sheared(coeffs, shear_phase(grid, slope)),
-            shear_out_of_band(grid, slope))
+    phase, oob, _ = flow_tables(grid, ((1.0, 0.0), (slope, 1.0)), None)
+    return sheared(coeffs, phase), oob
 
 
 def scale_spectrum(coeffs, grid, u11, u12, u22):
@@ -351,6 +354,38 @@ def scale_spectrum(coeffs, grid, u11, u12, u22):
     out[np.abs(u11 * kx + u12 * ky) > grid.band] = 0.0
     if abs(u22) * np.abs(grid.k).max() > grid.band:
         out[:, np.abs(u22 * ky[0]) > grid.band] = 0.0
+    return out
+
+
+def flow_tables(grid, m, damping):
+    """The tables characteristic_flow reads for the backward map
+    m = ((m11, m12), (m21, m22)), m11 != 0: the phase of the shear by
+    slope = m21/m11, the boolean mask of the lattice points whose shear
+    request (xi_j, slope*xi_j + eta_k) lies outside the resolvable band,
+    and damping, a multiplier on the half layout, as given."""
+    slope = m[1][0] / m[0][0]
+    kx, ky = grid.wavegrid()
+    oob = np.abs(slope * kx + ky) > grid.band
+    return shear_phase(grid, slope), oob, damping
+
+
+def characteristic_flow(c, grid, m, tables):
+    """The half spectrum c read at the backward image (m11 xi + m12 eta,
+    m21 xi + m22 eta) of each mode, then multiplied by the damping of
+    tables (flow_tables for m); trig-exact on the band.
+
+    The read splits as m = [[1, 0], [m21/m11, 1]] U: shear by m21/m11,
+    zero the targets whose shear request leaves the band, then run
+    scale_spectrum by U = [[m11, m12], [0, det(m)/m11]] unless U is the
+    identity, which it is exactly when m11 = m22 = 1 and m12 = 0.
+    """
+    phase, oob, damping = tables
+    out = sheared(c, phase)
+    out[oob] = 0.0
+    (m11, m12), (m21, m22) = m
+    if (m11, m12, m22) != (1.0, 0.0, 1.0):
+        out = scale_spectrum(out, grid, m11, m12, (m11 * m22 - m12 * m21) / m11)
+    out *= damping
     return out
 
 

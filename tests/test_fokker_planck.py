@@ -128,8 +128,11 @@ def test_symbol_exponent_nonpositive(tau, xi, eta):
 
 
 def test_symbol_exponent_rejects_negative_time():
-    with pytest.raises(DomainError):
-        symbol_exponent(-0.1, 1.0, 1.0)
+    # and, as symbol_value does, NaN and infinite times, in arrays too
+    for tau in (-0.1, np.nan, np.inf, np.array([0.5, np.nan]),
+                np.array([[0.5], [np.inf]])):
+        with pytest.raises(DomainError):
+            symbol_exponent(tau, 1.0, 1.0)
 
 
 # ------------------------------------------------------------- characteristics

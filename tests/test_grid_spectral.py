@@ -21,10 +21,13 @@ from shearvortex import (
     weighted_norm,
 )
 from shearvortex.fokker_planck import char_map, gaussian
+from shearvortex.initial_data import make_field
+from shearvortex.propagator import apply_semigroup
 from shearvortex.selfsim import FrameCoefficients, _frame_map, _laplacian_symbol
 from shearvortex.spectral import (MAX_DERIVATIVE_ORDER, affine_trig_sum,
                                   dealias_mask, full_spectrum, scale_spectrum,
-                                  shear_phase, shear_spectrum)
+                                  shear_phase, shear_spectrum, spectrum_norm,
+                                  transport_spectrum)
 
 from conftest import localized_field
 from oracles import (GAUSSIAN_L2, SPEED_G_AT_R2, advection_divergence,
@@ -150,6 +153,15 @@ def test_propagator_leaves_shears_and_transforms_to_spectral():
                         for c in ast.walk(node))):
             found.append(f"{node.lineno} exp")
     assert not found, found
+
+
+def test_only_the_characteristic_flow_shears_and_scales():
+    # one kernel for both linear semigroups: the heat-shear propagator and
+    # the limit semigroup run spectral.characteristic_flow, and no other
+    # module shears or scales a spectrum itself
+    calls = _calls_outside("spectral.py", ("sheared", "shear_phase",
+                                           "shear_spectrum", "scale_spectrum"))
+    assert not calls, calls
 
 
 def _plan_by_formula(L, n):
@@ -371,6 +383,35 @@ def test_transport_matches_conservative_form(frame_grid, t):
     want = want[:, :frame_grid.half_cols]
     assert np.abs(want).max() > 0.0
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _sheared_frame_gap(L, n, t):
+    """Relative l2 gap between the physical transport term of the catalog
+    Gaussian carried to time t (nu = 1) and the same term formed in
+    shearing coordinates: the field sheared by -t, the Laplacian symbol
+    -(xi^2 + (eta - t xi)^2), the result sheared back. The Poisson
+    bracket is invariant under the det-1 shear, so the two differ only in
+    how the stream function is periodized."""
+    g = make_grid(L, n)
+    c = apply_semigroup(make_field("gaussian", g), 1.0, t).coeffs
+    phys = transport_spectrum(c, c, g, g.laplacian)
+    s, oob = shear_spectrum(c, g, -t)
+    s[oob] = 0.0
+    kx, ky = g.wavegrid()
+    frame = transport_spectrum(s, s, g, -(kx ** 2 + (ky - t * kx) ** 2))
+    back = shear_spectrum(frame, g, t)[0]
+    return spectrum_norm(phys - back) / spectrum_norm(phys)
+
+
+def test_physical_biot_savart_periodic_image_error():
+    # the physical Biot-Savart law periodizes the stream function, an
+    # error of order (w/L)^2 for a field of width w: at t = 0.25 it falls
+    # ~4x (measured 5.8e-3 -> 1.4e-3) when the box doubles at equal
+    # spacing. At t = 1 the two image lattices coincide, and so do the
+    # two terms
+    coarse = _sheared_frame_gap(20.0, 128, 0.25)
+    assert coarse / _sheared_frame_gap(40.0, 256, 0.25) >= 3.0
+    assert _sheared_frame_gap(20.0, 128, 1.0) <= 1e-11
 
 
 # ---------------------------------------------------------------- norms

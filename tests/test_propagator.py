@@ -20,7 +20,7 @@ from shearvortex import (
     picard_solve,
     transport,
 )
-from shearvortex import propagator
+from shearvortex import propagator, spectral
 from shearvortex.fokker_planck import apply_semigroup as fp_apply
 from shearvortex.fokker_planck import char_map, gaussian
 from shearvortex.initial_data import make_field
@@ -260,6 +260,21 @@ def test_duhamel_vets_every_node_against_later_targets():
         duhamel_bilinear(traj, traj, 0.75)
 
 
+def test_alias_tol_must_be_positive_and_finite():
+    # a NaN or infinite tolerance would switch the aliasing check off:
+    # this bump, under-resolved for the shear at t = 2, would pass
+    g = make_grid(8.0, 64)
+    x, y = g.meshgrid()
+    bump = Field(g, values=np.exp(-(x ** 2 + y ** 2) / 0.18))
+    with pytest.raises(AliasingError):
+        apply_semigroup(bump, 1e-3, 2.0)
+    for tol in (np.nan, np.inf, -1e-9, 0.0, "1e-9", 1j):
+        with pytest.raises(DomainError):
+            apply_semigroup(bump, 1e-3, 2.0, alias_tol=tol)
+        with pytest.raises(DomainError):
+            apply_semigroup(bump, 1e-3, 0.0, alias_tol=tol)
+
+
 def test_panel_set_resolves_the_fastest_decay():
     # exp(-c (b - s)) is the integrand's fastest mode; the derived depth
     # keeps its integral within 1e-13 of the peak for c up to 1024, with
@@ -314,10 +329,11 @@ def _small_picard_data():
     return make_field("gaussian", g, params={"amplitude": 0.01})
 
 
-def _calls_in_march(monkeypatch, names):
-    """Argument tuples of each call of the named propagator functions made
-    inside _duhamel_targets (so not by the linear flow's apply_semigroup)."""
-    calls = {name: [] for name in names}
+def _calls_in_march(monkeypatch, targets):
+    """Argument tuples of each call of the functions named by the
+    (module, name) pairs targets made inside _duhamel_targets (so not by
+    the linear flow's apply_semigroup), by name."""
+    calls = {name: [] for _, name in targets}
     inside = []
 
     def counted(name, fn):
@@ -327,9 +343,8 @@ def _calls_in_march(monkeypatch, names):
             return fn(*args)
         return wrapper
 
-    for name in names:
-        monkeypatch.setattr(propagator, name,
-                            counted(name, getattr(propagator, name)))
+    for owner, name in targets:
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     march = propagator._duhamel_targets
 
     def marked(*args):
@@ -344,15 +359,18 @@ def _calls_in_march(monkeypatch, names):
 
 
 def test_picard_builds_each_lag_table_once_per_solve(monkeypatch):
-    calls = _calls_in_march(monkeypatch, ("_lag_tables", "shear_phase",
-                                          "_drop_set", "_propagate"))
+    # the shear phases are counted where the kernel's flow_tables builds
+    # them, the propagations where the lag plan runs the kernel
+    calls = _calls_in_march(monkeypatch, [
+        (propagator, "_lag_tables"), (propagator, "_drop_set"),
+        (propagator, "characteristic_flow"), (spectral, "shear_phase")])
     traj = picard_solve(_small_picard_data(), 1.0, 0.5, 5, t_start=1.0)
     assert len(traj.history) == 3
     lags = [t for _, _, t in calls["_lag_tables"]]
     assert lags and len(lags) == len(set(lags))
     assert len(calls["shear_phase"]) == len(lags)
     # every propagation of the three iterations reads one of those tables
-    assert len(calls["_propagate"]) >= 3 * 8 * 4 > 3 * len(lags)
+    assert len(calls["characteristic_flow"]) >= 3 * 8 * 4 > 3 * len(lags)
     vetted = [t for _, _, t, _ in calls["_drop_set"]]
     assert vetted and len(vetted) == len(set(vetted))
 
@@ -490,10 +508,10 @@ def test_picard_rejects_bad_arguments(phys_grid):
     for n_times in (2.5, np.nan):
         with pytest.raises(DomainError):
             picard_solve(f, 1.0, 1.0, n_times)
-    for horizon in (np.nan, np.inf):
+    for horizon in (np.nan, np.inf, "1"):
         with pytest.raises(DomainError):
             picard_solve(f, 1.0, horizon, 5)
-    for t_start in (np.nan, np.inf, -1.0):
+    for t_start in (np.nan, np.inf, -1.0, "1"):
         with pytest.raises(DomainError):
             picard_solve(f, 1.0, 1.0, 5, t_start=t_start)
 
