@@ -8,6 +8,8 @@ resolution problems (aliasing, truncation, under-resolved data) with 4.
 import math
 import numbers
 
+import numpy as np
+
 
 class ShearVortexError(Exception):
     """Base class for all toolkit errors."""
@@ -62,6 +64,22 @@ def check_time(value, what):
     if not 0.0 <= t < math.inf:
         raise DomainError(f"{what} must be finite and nonnegative, got {value!r}")
     return t
+
+
+def check_times(value, what):
+    """value, a real number or an array of them, as a float64 array if
+    every entry is finite and >= 0; raise DomainError for negative, NaN
+    and infinite entries, and for strings, bytes, complex numbers and
+    objects, which a float conversion would parse or drop the imaginary
+    part of. A scalar is read as check_real reads it."""
+    a = np.asarray(check_real(value, what) if isinstance(value, numbers.Real)
+                   else value)
+    if a.dtype.kind not in "biuf":
+        raise DomainError(f"{what} must be real, got {value!r}")
+    a = a.astype(np.float64, copy=False)
+    if not np.all((0.0 <= a) & (a < np.inf)):
+        raise DomainError(f"{what} must be finite and nonnegative, got {value!r}")
+    return a
 
 
 def check_order(value, what):

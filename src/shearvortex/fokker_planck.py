@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DomainError, ResolutionError, UnsupportedOrderError,
-                     check_order, check_time)
+from .errors import (ResolutionError, UnsupportedOrderError,
+                     check_order, check_time, check_times)
 from .grid import Field
 from .spectral import (characteristic_flow, derivative_symbol, flow_tables,
                        spectral_tail_ratio)
@@ -61,9 +61,7 @@ def symbol_exponent(tau, xi, eta):
     Always <= 0; tends to -(xi^2 + eta^2) as tau -> infinity, which is the
     Fourier transform exponent of the Gaussian equilibrium.
     """
-    tau = np.asarray(tau, dtype=np.float64)
-    if not np.all((0 <= tau) & (tau < np.inf)):
-        raise DomainError("symbol_exponent requires a finite tau >= 0")
+    tau = check_times(tau, "symbol_exponent tau")
     e = np.exp(-tau)
     return (-(1 - e) ** 3 * xi ** 2
             - 2.0 * SQRT3 * e * (1 - e) ** 2 * xi * eta

@@ -15,7 +15,10 @@ the semigroup property, integrating each sample interval once by Gauss
 panels graded at the band's fastest decay rate, so one Picard iteration
 costs a number of propagations linear in the number of time samples. Every
 quadrature node is vetted for aliasing against every target time it
-contributes to.
+contributes to. The transport term's factors (spectral.transport_factors)
+are linear in the spectra, so a node's are interpolated from its
+stencil samples' factors: per iteration, the four inverse transforms run
+once per sample and the one forward transform once per node.
 
 The march runs on arrays and reads a lag plan. The sample grid is uniform
 and the panels sit at the same places relative to each interval's end, so
@@ -49,10 +52,11 @@ from .errors import (
     check_order,
     check_positive,
     check_time,
+    check_times,
 )
 from .grid import Field
 from .spectral import (characteristic_flow, flow_tables, lp_norm,
-                       transport_spectrum)
+                       transport_factors, transport_product)
 
 
 def green_kernel(nu, t, x, y):
@@ -62,8 +66,8 @@ def green_kernel(nu, t, x, y):
     (shear-enhanced diffusion) and like nu*t along the tilted y direction.
     """
     check_positive(nu, "viscosity")
-    t = np.asarray(t, dtype=np.float64)
-    if not np.all((0 < t) & (t < np.inf)):
+    t = check_times(t, "green_kernel time")
+    if not np.all(t > 0):
         raise DomainError("green_kernel requires a finite t > 0")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -83,9 +87,7 @@ def symbol_value(nu, t, xi, eta):
     is nonnegative, so the multiplier never exceeds 1.
     """
     check_positive(nu, "viscosity")
-    t = np.asarray(t, dtype=np.float64)
-    if not np.all((0 <= t) & (t < np.inf)):
-        raise DomainError("symbol_value requires a finite t >= 0")
+    t = check_times(t, "symbol_value time")
     xi = np.asarray(xi, dtype=np.float64)
     eta = np.asarray(eta, dtype=np.float64)
     expo = t * (xi ** 2 + eta ** 2) + t ** 2 * xi * eta + (t ** 3 / 3.0) * xi ** 2
@@ -317,8 +319,12 @@ def _duhamel_targets(traj1, traj2, targets, plan=None):
     up to the composition error of the discrete shear (~1e-8 relative at
     n=128).
 
-    The march runs on arrays: g(s) is the transport kernel on the spectra
-    interpolated at s, and propagation and vetting read plan (a
+    The march runs on arrays. g(s) is spectral.transport_product of the
+    transport factors interpolated at s from those of the samples, which
+    equals the transport kernel on the spectra interpolated at s up to
+    roundoff, as the factors are linear in the spectra; each sample's
+    factors are built once per call and kept while a stencil reads them,
+    at most 4 samples' at a time. Propagation and vetting read plan (a
     _LagPlan, by default one built for this call). Each distinct lag's
     tables are built once while they fit in the plan's byte budget, and
     the drop sets keep only the entries that can fail the vetting; neither
@@ -343,19 +349,26 @@ def _duhamel_targets(traj1, traj2, targets, plan=None):
     spectra1 = [f.coeffs for f in traj1.fields]
     spectra2 = spectra1 if traj2 is traj1 else [f.coeffs for f in traj2.fields]
     zero = np.zeros_like(spectra1[0])
-
-    def spectrum_at(spectra, s):
-        # a sample's spectrum, or polynomial interpolation of them
-        j = bisect.bisect_left(ts, s)
-        if j < len(ts) and ts[j] == s:
-            return spectra[j]
-        idx, w = _lagrange_weights(ts, s)
-        return sum(wi * spectra[i] for i, wi in zip(idx, w))
+    # The transport factors are linear in the spectra, so a node's are the
+    # Lagrange combination of its stencil samples' factors. A stencil
+    # reads `width` consecutive samples and the stencils only move
+    # forward, so slot i % width of the ring holds sample i's factors from
+    # its first read to its last; a sample whose slot was taken is rebuilt.
+    # A stencil covers every slot, so the combination reads no unfilled one.
+    width = len(_lagrange_weights(ts, ts[0])[0])
+    ring = np.empty((width, 4, grid.n, grid.n))
+    held = [None] * width  # the sample index each slot holds
 
     def divergence(s):
-        c1 = spectrum_at(spectra1, s)
-        c2 = c1 if traj2 is traj1 else spectrum_at(spectra2, s)
-        return transport_spectrum(c1, c2, grid, grid.laplacian)
+        weights = np.empty(width)
+        for i, wi in zip(*_lagrange_weights(ts, s)):
+            slot = i % width
+            if held[slot] != i:
+                ring[slot] = transport_factors(spectra1[i], spectra2[i], grid,
+                                               grid.laplacian)
+                held[slot] = i
+            weights[slot] = wi
+        return transport_product(np.einsum("i,i...->...", weights, ring), grid)
 
     propagate = plan.flow  # only ever applied to vetted content; see panels
 

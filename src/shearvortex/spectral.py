@@ -28,9 +28,16 @@ flow_tables builds for M. It alone splits M into a shear and an
 upper-triangular scaling, and no other module shears or scales a
 spectrum; the heat-shear map's scaling is the identity and is skipped.
 
-transport_spectrum is the one dealiased transport kernel; transport wraps
-it for Fields, and derivative_samples samples a derivative of a half
-spectrum.
+transport_spectrum is the one dealiased transport kernel, the composition
+of its two halves: transport_factors, the samples of the velocity and of
+the gradient, linear in each input, and transport_product, the dealiased
+spectrum of their product. Both halves run on the n x (n/3 + 1) block of
+columns the 2/3 rule keeps: four axis-0 inverse transforms there and four
+axis-1 inverse real transforms, then one axis-1 forward real transform
+and one axis-0 forward transform of the kept columns. The Duhamel march
+calls the halves apart, to build each sample's factors once; transport
+wraps the kernel for Fields, and derivative_samples samples a derivative
+of a half spectrum.
 
 All operations assume smooth fields that decay well inside the box, so the
 periodic spectral representation is accurate. Quadrature is the rectangle
@@ -161,20 +168,64 @@ def spectrum_norm(c):
     return float(np.sqrt(2.0 * p.sum() - p[:, 0].sum() - p[:, -1].sum()))
 
 
+def _kept_cols(grid):
+    """Half-layout columns 0..n/3 that the 2/3 rule keeps (grid.keep);
+    n is a power of two, so n/3 is not an integer."""
+    return grid.n // 3 + 1
+
+
+def transport_factors(omega, w, grid, symbol):
+    """Samples (u1, u2, d1 w, d2 w) of the transport term u . grad(w), u
+    the velocity of omega under the Laplacian symbol given, as one
+    4 x n x n array; omega, w and the symbol are half spectra, and both
+    inputs are 2/3-dealiased. Linear in each input.
+
+    The dealiased spectra vanish past column n/3, so the velocity, the
+    derivatives and the axis-0 inverse transforms run on the n x (n/3 + 1)
+    block of kept columns; the other columns of the mixed (axis-0
+    physical, axis-1 spectral) representation stay zero, so an axis-1
+    inverse real transform of each gives the samples irfft2 would.
+    """
+    m = _kept_cols(grid)
+    keep = grid.keep[:, :m]
+    d1 = derivative_symbol(grid, 1, 0)
+    d2 = derivative_symbol(grid, 0, 1)[:, :m]
+    od = omega[:, :m] * keep
+    wd = od if w is omega else w[:, :m] * keep
+    u1, u2 = _velocity(od, symbol[:, :m], d1, d2)
+    n = grid.n
+    mixed = np.zeros((n, grid.half_cols), dtype=np.complex128)
+    out = np.empty((4, n, n))
+    for spec, samples in zip((u1, u2, d1 * wd, d2 * wd), out):
+        np.fft.ifft(spec, axis=0, norm="forward", out=mixed[:, :m])
+        np.fft.irfft(mixed, axis=1, norm="forward", out=samples)
+    return out
+
+
+def transport_product(factors, grid):
+    """Half spectrum of u1 d1 w + u2 d2 w from the samples transport_factors
+    returns, 2/3-dealiased: the axis-1 forward real transform, then the
+    axis-0 transform on the n/3 + 1 kept columns only."""
+    m = _kept_cols(grid)
+    u1, u2, w1, w2 = factors
+    rows = np.fft.rfft(u1 * w1 + u2 * w2, axis=1, norm="forward")
+    out = np.zeros((grid.n, grid.half_cols), dtype=np.complex128)
+    kept = out[:, :m]
+    np.fft.fft(rows[:, :m], axis=0, norm="forward", out=kept)
+    kept *= grid.keep[:, :m]
+    return out
+
+
 def transport_spectrum(omega, w, grid, symbol):
     """Half spectrum of u . grad(w), u the velocity of omega under the
     Laplacian symbol given, from half spectra (symbol in the half layout
-    too). 2/3-dealiased on both inputs and on the product: four inverse
-    real transforms and one forward."""
-    keep = grid.keep
-    d1, d2 = derivative_symbol(grid, 1, 0), derivative_symbol(grid, 0, 1)
-    od = omega * keep
-    wd = od if w is omega else w * keep
-    u1, u2 = _velocity(od, symbol, d1, d2)
-    irfft2 = np.fft.irfft2
-    prod = (irfft2(u1, norm="forward") * irfft2(d1 * wd, norm="forward")
-            + irfft2(u2, norm="forward") * irfft2(d2 * wd, norm="forward"))
-    return np.fft.rfft2(prod, norm="forward") * keep
+    too). 2/3-dealiased on both inputs and on the product, on the
+    n x (n/3 + 1) block of kept columns: four axis-0 inverse transforms
+    of that block and four axis-1 inverse real transforms
+    (transport_factors), the product, then one axis-1 forward real
+    transform and one axis-0 forward transform of the block
+    (transport_product)."""
+    return transport_product(transport_factors(omega, w, grid, symbol), grid)
 
 
 def transport(omega, w, symbol=None):

@@ -9,15 +9,20 @@ that integrand under a different quadrature, summed without a time march
 and propagated by a full-layout shear, the aliasing vetting over whole
 drop sets, and the frame evolver's right-hand side on the full spectrum.
 The full-layout references take and return full fft-layout coefficient
-arrays, not Fields. Agreement between these and the library is the point
-of the tests that import them.
+arrays, not Fields. Two references keep, on half spectra, a route the
+library left for speed: the transport kernel on the whole half layout,
+and the Duhamel march with each node's transport term formed from
+interpolated spectra. Agreement between these and the library is the
+point of the tests that import them.
 """
 
 import numpy as np
 
 from shearvortex import AliasingError, FrameCoefficients
 from shearvortex.fokker_planck import char_map, symbol_exponent
-from shearvortex.propagator import _gl_nodes, _lagrange_weights, symbol_value
+from shearvortex.propagator import (_gl_nodes, _lagrange_weights, _LagPlan,
+                                    _panel_set, symbol_value)
+from shearvortex.spectral import transport_spectrum
 
 SQRT3 = np.sqrt(3.0)
 
@@ -140,6 +145,25 @@ def advection_divergence(c1, c2, grid, sym=None):
     w = full_values(c2 * keep)
     div = d1 * full_coeffs(u1 * w) + d2 * full_coeffs(u2 * w)
     return div * keep
+
+
+def transport_spectrum_full_width(omega, w, grid, symbol):
+    """The dealiased transport kernel on the whole half layout: four
+    irfft2 of the velocity and gradient spectra, the product, one rfft2,
+    then the keep mask; the library runs each stage on the kept columns
+    only, with the same arithmetic."""
+    keep = grid.keep
+    d1 = grid.multipliers[1][:, None]
+    d2 = grid.multipliers[1][None, :grid.half_cols]
+    od = omega * keep
+    wd = od if w is omega else w * keep
+    with np.errstate(divide="ignore", invalid="ignore"):
+        psi = od / symbol
+    psi[0, 0] = 0.0
+    irfft2 = np.fft.irfft2
+    prod = (irfft2(-d2 * psi, norm="forward") * irfft2(d1 * wd, norm="forward")
+            + irfft2(d1 * psi, norm="forward") * irfft2(d2 * wd, norm="forward"))
+    return np.fft.rfft2(prod, norm="forward") * keep
 
 
 def drift_spectrum_nonconservative(c, co, grid):
@@ -271,6 +295,46 @@ def duhamel_direct(traj1, traj2, targets):
                 g = advection_divergence(spectrum_at(traj1, s),
                                          spectrum_at(traj2, s), grid)
                 acc += w * propagate_full(g, grid, traj1.nu, t - s)
+        out.append(-acc)
+    return out
+
+
+def duhamel_per_node(traj1, traj2, targets):
+    """The library's Duhamel march, unvetted, with each node's transport
+    term formed from the spectra interpolated at the node.
+
+    The library interpolates each node's transport factors from its
+    stencil samples' factors instead; the two are equal up to roundoff,
+    because the factors are linear in the spectra. Each target is
+    marched afresh from t_0, so the cost is quadratic in the number of
+    samples.
+    """
+    grid, ts = traj1.grid, traj1.times
+    flow = _LagPlan(grid, traj1.nu).flow
+    rate = 2.0 * traj1.nu * grid.k_max ** 2
+
+    def at(traj, s):
+        idx, w = _lagrange_weights(ts, s)
+        return sum(wi * traj.fields[i].coeffs for i, wi in zip(idx, w))
+
+    def panels(a, b):
+        total = 0.0
+        for s, w in zip(*_panel_set(a, b, rate)):
+            c1 = at(traj1, s)
+            c2 = c1 if traj2 is traj1 else at(traj2, s)
+            total = total + w * flow(
+                transport_spectrum(c1, c2, grid, grid.laplacian), b - s)
+        return total
+
+    out = []
+    for t in targets:
+        acc = np.zeros((grid.n, grid.half_cols), dtype=complex)
+        k = 0
+        while k + 1 < len(ts) and ts[k + 1] <= t:
+            acc = flow(acc, ts[k + 1] - ts[k]) + panels(ts[k], ts[k + 1])
+            k += 1
+        if t > ts[k]:
+            acc = flow(acc, t - ts[k]) + panels(ts[k], t)
         out.append(-acc)
     return out
 

@@ -135,6 +135,15 @@ def test_symbol_exponent_rejects_negative_time():
             symbol_exponent(tau, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("tau", ["0.5", b"0.5", 0.5j, np.array(["0.5"]),
+                                 [0.5, "1"], np.array([0.5, 1.0], dtype=object),
+                                 np.array([0.5, 0.5j])])
+def test_symbol_exponent_rejects_non_real_time(tau):
+    # a float conversion would parse the strings and read the objects
+    with pytest.raises(DomainError):
+        symbol_exponent(tau, 1.0, 1.0)
+
+
 # ------------------------------------------------------------- characteristics
 
 def test_char_map_identity_at_zero():

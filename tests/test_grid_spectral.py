@@ -32,7 +32,7 @@ from shearvortex.spectral import (MAX_DERIVATIVE_ORDER, affine_trig_sum,
 from conftest import localized_field
 from oracles import (GAUSSIAN_L2, SPEED_G_AT_R2, advection_divergence,
                      affine_trig_sum_dense, full_coeffs, laplacian_symbol_full,
-                     shear_full, trig_sum_direct)
+                     shear_full, transport_spectrum_full_width, trig_sum_direct)
 
 
 # ---------------------------------------------------------------- grids
@@ -383,6 +383,24 @@ def test_transport_matches_conservative_form(frame_grid, t):
     want = want[:, :frame_grid.half_cols]
     assert np.abs(want).max() > 0.0
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", [16, 64, 128])
+@pytest.mark.parametrize("t", [None, 3.0])
+@pytest.mark.parametrize("same", [True, False])
+def test_kept_block_transport_equals_full_width_kernel(n, t, same):
+    # the kept-column stages do the full-width kernel's arithmetic on the
+    # columns the 2/3 rule keeps, so the two agree bit for bit; w is omega
+    # takes the shared-input path
+    g = make_grid(16.0, n, "selfsim")
+    symbol = g.laplacian if t is None else _laplacian_symbol(
+        g, FrameCoefficients.at_time(t))
+    omega = localized_field(g, seed=8).coeffs
+    w = omega if same else localized_field(g, seed=9).coeffs
+    got = transport_spectrum(omega, w, g, symbol)
+    want = transport_spectrum_full_width(omega, w, g, symbol)
+    assert np.abs(want).max() > 0.0
+    assert np.array_equal(got, want)
 
 
 def _sheared_frame_gap(L, n, t):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from shearvortex.spectral import weighted_norm
 
 from conftest import localized_field
 from oracles import (KATO_SINGLE_G, KERNEL_CENTER, SYMBOL_1110,
-                     check_alias_unpruned, duhamel_direct)
+                     check_alias_unpruned, duhamel_direct, duhamel_per_node)
 
 
 # --------------------------------------------------------------- kernel
@@ -61,7 +62,24 @@ def test_kernel_rejects_nonpositive_time():
         green_kernel(-1.0, 1.0, 0.0, 0.0)
 
 
+# times that a float conversion would parse, or read only in part
+NON_REAL_TIMES = ["0.5", b"0.5", 0.5j, np.array(["0.5"]), [0.5, "1"],
+                  np.array([0.5, 1.0], dtype=object), np.array([0.5, 0.5j])]
+
+
+@pytest.mark.parametrize("t", NON_REAL_TIMES)
+def test_kernel_rejects_non_real_time(t):
+    with pytest.raises(DomainError):
+        green_kernel(1.0, t, 0.0, 0.0)
+
+
 # --------------------------------------------------------------- symbol
+
+@pytest.mark.parametrize("t", NON_REAL_TIMES)
+def test_symbol_rejects_non_real_time(t):
+    with pytest.raises(DomainError):
+        symbol_value(1.0, t, 1.0, 1.0)
+
 
 def test_symbol_rejects_non_finite_time():
     for t in (np.nan, np.inf, np.array([0.5, np.nan])):
@@ -245,6 +263,29 @@ def test_duhamel_march_matches_direct_sum(resolved_trajectories, mixed,
             assert np.abs(m.coeffs - d).max() <= 1e-7 * peak, t
 
 
+@pytest.mark.parametrize("mixed", [False, True])
+def test_duhamel_factor_reuse_matches_per_node_transport(
+        resolved_trajectories, mixed):
+    # the march interpolates each node's transport factors from its
+    # stencil samples' factors; the oracle transforms the spectra
+    # interpolated at the node. The factors are linear in the spectra, so
+    # only roundoff separates the two. 1.3 lies strictly between samples
+    # (a panel set on [t_k, t]); the pair of different trajectories goes
+    # through duhamel_bilinear
+    first, second = resolved_trajectories
+    targets = (1.3, 1.75)
+    if mixed:
+        got = [duhamel_bilinear(first, second, t) for t in targets]
+    else:
+        second = first
+        got = _duhamel_targets(first, first, targets)
+    want = duhamel_per_node(first, second, targets)
+    for t, g, w in zip(targets, got, want):
+        peak = np.abs(w).max()
+        assert peak > 0.0
+        assert np.abs(g.coeffs - w).max() <= 1e-13 * peak, t
+
+
 def test_duhamel_vets_every_node_against_later_targets():
     # rough data on a coarse box. The advection divergence lives in the
     # 2/3 band, and a lag below 0.5 shifts it by less than k_max/3, so
@@ -289,20 +330,29 @@ def test_panel_set_resolves_the_fastest_decay():
 
 
 def _count_divergences(monkeypatch):
-    calls = []
-    evaluate = propagator.transport_spectrum
+    """Lists that grow by one entry per transport_product call (a node's
+    transport term) and per transport_factors call (the id of the
+    spectrum whose factors it builds) in the march."""
+    products, factors = [], []
+    product, build = propagator.transport_product, propagator.transport_factors
 
-    def counted(*args):
-        calls.append(None)
-        return evaluate(*args)
+    def counted_product(*args):
+        products.append(None)
+        return product(*args)
 
-    monkeypatch.setattr(propagator, "transport_spectrum", counted)
-    return calls
+    def counted_build(*args):
+        factors.append(id(args[0]))
+        return build(*args)
+
+    monkeypatch.setattr(propagator, "transport_product", counted_product)
+    monkeypatch.setattr(propagator, "transport_factors", counted_build)
+    return products, factors
 
 
 def test_duhamel_evaluates_each_node_once(resolved_trajectories, monkeypatch):
     # each interval is integrated once, and a sample target is the marched
-    # accumulator itself, so no interval is summed again for its right end
+    # accumulator itself, so no interval is summed again for its right end;
+    # each sample's transport factors are built once per march
     first, _ = resolved_trajectories
     grid = first.grid
     rate = 2.0 * first.nu * grid.k_max ** 2
@@ -311,16 +361,49 @@ def test_duhamel_evaluates_each_node_once(resolved_trajectories, monkeypatch):
     assert rate * (times[1] - times[0]) <= 4.0
     window = Trajectory(times=times, nu=1.0, fields=tuple(
         apply_semigroup(f, 1.0, t - times[0]) for t in times))
-    calls = _count_divergences(monkeypatch)
+    products, factors = _count_divergences(monkeypatch)
     _duhamel_targets(window, window, times)
-    assert len(calls) == 8 * 16
+    assert len(products) == 8 * 16
+    samples = [id(f.coeffs) for f in window.fields]
+    assert sorted(factors) == sorted(samples)
 
     # the resolved window's intervals of 0.25 need a graded panel set
     depth = 1 + math.ceil(math.log2(rate * 0.25 / 4.0))
     assert depth > 1
-    calls.clear()
+    products.clear()
+    factors.clear()
     _duhamel_targets(first, first, first.times)
-    assert len(calls) == 8 * depth * 3
+    assert len(products) == 8 * depth * 3
+    assert sorted(factors) == sorted(id(f.coeffs) for f in first.fields)
+
+
+def test_duhamel_memory_does_not_grow_with_the_samples(monkeypatch):
+    # the march keeps the transport factors of one stencil's samples (at
+    # most 4) at a time, so marching 33 samples holds no more memory than
+    # marching 9, less than one sample's factors more; the lag plan, which
+    # keeps tables per lag, keeps none here
+    monkeypatch.setattr(propagator, "LAG_PLAN_BUDGET", 0)
+    grid = make_grid(20.0, 128)
+    f = make_field("gaussian", grid, params={"amplitude": 0.05})
+
+    def peak(count):
+        times = tuple(1.0 + j / 64.0 for j in range(count))
+        window = Trajectory(times=times, nu=1.0, fields=tuple(
+            apply_semigroup(f, 1.0, t - times[0]) for t in times))
+        for sample in window.fields:  # transform lazy spectra beforehand
+            sample.coeffs
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _duhamel_targets(window, window, [times[-1]])
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    one_sample = 4 * grid.n ** 2 * 8
+    short = peak(9)
+    assert short >= 4 * one_sample
+    assert peak(33) - short < one_sample
 
 
 def _small_picard_data():

@@ -530,15 +530,21 @@ def test_half_spectrum_rhs_matches_full_layout_oracle(frame_grid, t, nonlinear):
 
 def test_evolve_step_uses_only_real_transforms(monkeypatch):
     # one step over a span with no sample and no monitor call: three RHS
-    # evaluations of 5 irfft2 + 3 rfft2 each, and no complex transform
+    # evaluations, each of one irfft2 and two rfft2 for the drift, and a
+    # transport term on the n x (n/3 + 1) block of columns the 2/3 rule
+    # keeps: four axis-0 inverse transforms of that block, four axis-1
+    # inverse real transforms of length n, one axis-1 forward real
+    # transform and one axis-0 forward transform of the block. No complex
+    # transform runs on an n x n array
     g = make_grid(16.0, 64, "selfsim")
+    n, m, h = g.n, g.n // 3 + 1, g.half_cols
     state = SelfSimilarState(omega=localized_field(g, seed=18), t=1.0, nu=1.0)
     calls = []
 
     def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
+        def wrapper(a, *args, **kwargs):
+            calls.append((name, kwargs.get("axis"), np.shape(a)))
+            return fn(a, *args, **kwargs)
         return wrapper
 
     for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
@@ -550,7 +556,12 @@ def test_evolve_step_uses_only_real_transforms(monkeypatch):
     final, _ = evolve(state, float(np.exp(dtau)), StepControl(dtau=dtau),
                       observer=lambda s: marks.append(len(calls)))
     step = calls[marks[0]:marks[1]]
-    assert sorted(step) == ["irfft2"] * 15 + ["rfft2"] * 9
+    rhs = ([("irfft2", None, (n, h))] + [("rfft2", None, (n, n))] * 2
+           + [("ifft", 0, (n, m))] * 4 + [("irfft", 1, (n, h))] * 4
+           + [("rfft", 1, (n, n))] + [("fft", 0, (n, m))])
+    assert sorted(step) == sorted(rhs * 3)
+    assert all(shape == (n, m) for name, _, shape in step
+               if name in ("fft", "ifft"))
     assert final.t == pytest.approx(np.exp(dtau), rel=1e-15)
     # the final state is a real field: its full spectrum is exactly Hermitian
     c = full_spectrum(final.omega.coeffs)
