@@ -70,7 +70,6 @@ from .runner import run_experiment
 from .selfsim import (
     FrameCoefficients,
     SelfSimilarState,
-    StepControl,
     amplitude,
     apply_generator,
     apply_limit_generator,
@@ -107,7 +106,7 @@ __all__ = [
     "shear_spectrum", "transport", "weighted_inner", "weighted_norm",
     "Trajectory", "apply_semigroup", "duhamel_bilinear", "green_kernel",
     "kato_norm", "picard_solve",
-    "FrameCoefficients", "SelfSimilarState", "StepControl", "amplitude",
+    "FrameCoefficients", "SelfSimilarState", "amplitude",
     "apply_generator", "apply_limit_generator",
     "evolve", "invert_frame_laplacian", "nonlinear_term",
     "phys_to_selfsim", "selfsim_coords", "selfsim_to_phys",

@@ -9,9 +9,10 @@ formatting, so parse/serialize round trips are byte-stable.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 
-from .errors import ConfigError
+from .errors import ConfigError, check_real
 
 MODES = ("simulate", "linear", "fp-decay", "picard", "probe")
 TAIL_ACTIONS = ("error", "warn", "ignore")
@@ -144,15 +145,38 @@ def picard_samples(cfg):
     return max(17, math.ceil(8.0 * (cfg.t_end - cfg.t_init)) + 1)
 
 
+def _real(v):
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+# (test, name) of the values a RunConfig field of each declared type
+# takes: the values serialize_config writes in a form parse_config reads
+# back (NumPy scalars count as the Python numbers they stand for)
+_FIELD_TYPES = {
+    str: (lambda v: isinstance(v, str), "a string"),
+    int: (lambda v: isinstance(v, numbers.Integral)
+          and not isinstance(v, bool), "an integer"),
+    float: (_real, "a real number"),
+    tuple: (lambda v: isinstance(v, tuple) and all(map(_real, v)),
+            "a tuple of real numbers"),
+    dict: (lambda v: isinstance(v, dict), "a dict"),
+}
+
+
 def validate_config(cfg):
     """Field-level validation; raises ConfigError naming the field."""
     def bad(fieldname, msg):
         raise ConfigError(f"field {fieldname!r}: {msg}")
 
+    for f in fields(RunConfig):
+        ok, kind = _FIELD_TYPES[f.type]
+        if not ok(getattr(cfg, f.name)):
+            bad(f.name, f"must be {kind}, got {getattr(cfg, f.name)!r}")
     if cfg.mode not in MODES:
         bad("mode", f"must be one of {MODES}, got {cfg.mode!r}")
     for name in ("nu", "grid_l", "t_init", "t_end", "dtau"):
-        if not math.isfinite(getattr(cfg, name)):
+        # check_real reads an int too large for a float as an infinity
+        if not math.isfinite(check_real(getattr(cfg, name), name)):
             bad(name, f"must be finite, got {getattr(cfg, name)!r}")
     if not cfg.nu > 0:
         bad("nu", f"viscosity must be positive, got {cfg.nu!r}")

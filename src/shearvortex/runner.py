@@ -1,5 +1,11 @@
 """Experiment orchestration: build initial data, run the configured
-solver, stream diagnostics to CSV, snapshot states, and summarize fits.
+solver, sample it, stream diagnostics to CSV, snapshot states, and
+summarize fits.
+
+The runner owns the sampling: simulate and linear evolve the frame state
+from one time of sample_schedule to the next, fp-decay applies the limit
+semigroup at those times, and picard's cross-check evolves to each of the
+mild solution's time samples; each sampled state goes to the recorder.
 
 Outputs are a pure function of (config, seed): floats are serialized
 with repr (shortest round-trip form), reductions run single-threaded in
@@ -11,7 +17,7 @@ import os
 
 import numpy as np
 
-from .config import picard_samples, serialize_config
+from .config import picard_samples, serialize_config, validate_config
 from .diagnostics import (
     EnergyCoefficients,
     RecordOptions,
@@ -26,7 +32,6 @@ from .initial_data import make_field
 from .propagator import picard_solve
 from .selfsim import (
     SelfSimilarState,
-    StepControl,
     amplitude,
     evolve,
     phys_to_selfsim,
@@ -92,8 +97,8 @@ def _measured_onset(records, key_m):
 
 
 class _Recorder:
-    """Observer that keeps records as they stream and writes snapshots,
-    so partial output survives a mid-run solver failure."""
+    """Records each sampled state as the run streams it and writes
+    snapshots, so partial output survives a mid-run solver failure."""
 
     def __init__(self, opts, outdir, cadence):
         self.opts = opts
@@ -126,7 +131,10 @@ def run_experiment(cfg, output_dir=None):
     A solver failure still writes the samples recorded so far, a summary
     headed ``status: FAILED`` and, when the error carries one, the last
     stable state as last_stable.snap; the error then propagates.
+
+    The config is validated first (ConfigError), before any output.
     """
+    validate_config(cfg)
     outdir = resolve_output_dir(cfg, output_dir)
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "config.txt"), "w", encoding="ascii") as fh:
@@ -162,11 +170,6 @@ def _record_options(cfg):
                                              m=cfg.weights[0]))
 
 
-def _step_control(cfg):
-    return StepControl(dtau=cfg.dtau, on_tail=cfg.on_tail,
-                       samples_per_decade=cfg.samples_per_decade)
-
-
 def _write_outputs(outdir, cfg, records, summary_lines):
     with open(os.path.join(outdir, "diagnostics.csv"), "w",
               encoding="ascii") as fh:
@@ -200,9 +203,13 @@ def _mass_drift(first, last):
 
 def _run_evolution(cfg, recorder):
     frame_grid = make_grid(cfg.grid_l, cfg.grid_n, "selfsim")
-    state0 = _initial_state(cfg, frame_grid)
-    final, _ = evolve(state0, cfg.t_end, _step_control(cfg),
-                      nonlinear=cfg.mode == "simulate", observer=recorder)
+    state = _initial_state(cfg, frame_grid)
+    recorder(state)
+    for tau in sample_schedule(cfg.t_init, cfg.t_end,
+                               cfg.samples_per_decade)[1:]:
+        state = evolve(state, float(np.exp(tau)), cfg.dtau,
+                       nonlinear=cfg.mode == "simulate", on_tail=cfg.on_tail)
+        recorder(state)
     recs = recorder.records
     m0 = cfg.weights[0]
     mass_drift = _mass_drift(recs[0], recs[-1])
@@ -216,7 +223,7 @@ def _run_evolution(cfg, recorder):
     # physical-frame sup norm via the amplitude factor (exact identity)
     linf_phys = [(r.t, r.lp_norms[np.inf] / amplitude(r.t, cfg.nu))
                  for r in recs]
-    return final, [
+    return state, [
         f"samples: {len(recs)}",
         f"mass initial: {recs[0].mass!r}",
         f"mass relative drift: {mass_drift!r}",
@@ -276,11 +283,9 @@ def _run_picard(cfg, recorder):
         frame_grid = make_grid(cfg.grid_l, cfg.grid_n, "selfsim")
         state = phys_to_selfsim(om0, cfg.t_init, cfg.nu, frame_grid)
         recorder(state)
-        control = _step_control(cfg)
         sup_gap = 0.0
         for t_i, om_i in zip(traj.times[1:], traj.fields[1:]):
-            state, _ = evolve(state, float(t_i), control,
-                              observer=lambda s: None)
+            state = evolve(state, float(t_i), cfg.dtau, on_tail=cfg.on_tail)
             recorder(state)
             ref = phys_to_selfsim(om_i, float(t_i), cfg.nu, frame_grid)
             gap = float(lp_norm(state.omega - ref.omega, 2))

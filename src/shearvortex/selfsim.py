@@ -7,6 +7,10 @@ kernel decay rate, so the kernel itself becomes the fixed Gaussian
 (1/4pi) exp(-(X^2+Y^2)/4). Evolution in the frame uses tau = ln t; the
 frame generator has time-dependent coefficients converging at rate 1/t^2
 to the limit generator handled in closed form by the fokker_planck module.
+
+evolve steps one frame state to one later time; sample_schedule gives
+the log-spaced sample times, and callers that sample a run (the runner)
+evolve from one sample to the next and record each state themselves.
 """
 
 import warnings
@@ -257,25 +261,7 @@ GROWTH_FACTOR = 10.0      # one-step L2 growth that flags instability
 MAX_HALVINGS = 3          # step halvings tried before BlowUpError
 CFL_LIMIT = 1.7           # bound on dtau * skew advection rate
 MONITOR_TAIL_TOL = 1e-6   # spectral and box tail the monitor allows
-MONITOR_EVERY = 25        # steps between in-interval monitor checks
-
-
-@dataclass(frozen=True)
-class StepControl:
-    """Evolver step size, sampling cadence and tail action; the other step
-    controls are the constants GROWTH_FACTOR, MAX_HALVINGS, CFL_LIMIT,
-    MONITOR_TAIL_TOL and MONITOR_EVERY."""
-
-    dtau: float = 2e-3
-    samples_per_decade: int = 16
-    on_tail: str = "error"        # "error", "warn" or "ignore"
-
-    def __post_init__(self):
-        check_positive(self.dtau, "dtau")
-        if check_order(self.samples_per_decade, "samples per decade") < 4:
-            raise DomainError("need at least 4 samples per decade")
-        if self.on_tail not in ("error", "warn", "ignore"):
-            raise DomainError(f"unknown tail action {self.on_tail!r}")
+MONITOR_EVERY = 25        # steps between in-call monitor checks
 
 
 def _skew_rate(co, grid):
@@ -284,7 +270,7 @@ def _skew_rate(co, grid):
     return (co.rot + co.dil1 * (1.0 + co.mix ** 2)) * L * grid.k_max
 
 
-def _tail_monitor(f, control, t):
+def _tail_monitor(f, on_tail, t):
     spec_tail = spectral_tail_ratio(f)
     phys_tail = tail_mass_ratio(f)
     worst = max(spec_tail, phys_tail)
@@ -292,15 +278,21 @@ def _tail_monitor(f, control, t):
         return
     msg = (f"resolution monitor at t={t:.6g}: spectral tail {spec_tail:.2e}, "
            f"box tail {phys_tail:.2e} exceed {MONITOR_TAIL_TOL:g}")
-    if control.on_tail == "error":
+    if on_tail == "error":
         raise ResolutionError(msg)
-    if control.on_tail == "warn":
+    if on_tail == "warn":
         warnings.warn(msg, RuntimeWarning, stacklevel=3)
 
 
 def sample_schedule(t_init, t_end, samples_per_decade):
     """Sample log-times tau = ln t from t_init to t_end: every
-    ln10/samples_per_decade from ln t_init, plus ln t_end when later."""
+    ln10/samples_per_decade from ln t_init, plus ln t_end when later.
+    Needs 0 < t_init <= t_end < inf and an integral cadence >= 4."""
+    if check_order(samples_per_decade, "samples per decade") < 4:
+        raise DomainError("need at least 4 samples per decade")
+    check_positive(t_init, "t_init")
+    if not t_init <= check_real(t_end, "t_end") < np.inf:
+        raise DomainError(f"t_end must be finite and >= t_init, got {t_end!r}")
     tau = float(np.log(t_init))
     tau_end = float(np.log(t_end))
     ln10 = float(np.log(10.0))
@@ -330,90 +322,89 @@ def _frame_rhs(c, t, sym_mid, grid, nu, nonlinear):
     return out
 
 
-def evolve(state, t_end, control=None, nonlinear=True, observer=None):
-    """Advance a frame state to t_end; returns (final state, records).
+def evolve(state, t_end, dtau=2e-3, nonlinear=True, on_tail="error"):
+    """Advance a frame state to t_end and return the state there (the
+    input itself when t_end is its time).
 
-    Integrates in tau = ln t. Diffusion is applied exactly through an
-    integrating factor with the symbol frozen at the step midpoint; the
-    remaining terms (drifts, constant, advection and the frozen-symbol
-    correction) advance with an explicit third-order Runge-Kutta stage
-    cycle, which keeps the skew drift terms inside the stability region.
-    The steps run on arrays, the half spectrum of the state; Fields are
-    built only for samples, the tail monitor and a blow-up's last state.
-    Samples are logarithmically spaced; each sample calls the observer
-    (default: diagnostics.record) and its results are returned in order.
+    Integrates in tau = ln t with steps of at most dtau. Diffusion is
+    applied exactly through an integrating factor with the symbol frozen
+    at the step midpoint; the remaining terms (drifts, constant, advection
+    and the frozen-symbol correction) advance with an explicit third-order
+    Runge-Kutta stage cycle, which keeps the skew drift terms inside the
+    stability region. The steps run on arrays, the half spectrum of the
+    state; Fields are built only for the result, the tail monitor and a
+    blow-up's last state. The tail monitor runs every MONITOR_EVERY steps
+    and on the result, and on_tail ("error", "warn" or "ignore") says
+    what a resolution loss does. Callers that sample a run call evolve
+    once per sample interval.
     """
-    control = control or StepControl()
+    check_positive(dtau, "dtau")
+    if on_tail not in ("error", "warn", "ignore"):
+        raise DomainError(f"unknown tail action {on_tail!r}")
     t_end = check_real(t_end, "t_end")
     if not state.t <= t_end < np.inf:
         raise DomainError(f"t_end must be finite and >= the state time, got {t_end!r}")
-    if observer is None:
-        from .diagnostics import record as observer  # default observer
+    if t_end == state.t:
+        return state
     grid = state.omega.grid
     nu = state.nu
-    alpha = state.alpha
 
     def rhs(tau_s, c, sym_mid):
         return _frame_rhs(c, np.exp(tau_s), sym_mid, grid, nu, nonlinear)
 
-    sample_taus = sample_schedule(state.t, t_end, control.samples_per_decade)
-    tau = sample_taus[0]
-
+    tau = state.tau
+    target = float(np.log(t_end))
     c = state.omega.coeffs
     norm0 = spectrum_norm(c)
-    records = [observer(state)]
     steps_done = 0
-    for target in sample_taus[1:]:
-        while tau < target - 1e-13:
-            h = min(control.dtau, target - tau)
-            t_mid = np.exp(tau + 0.5 * h)
-            rate = _skew_rate(FrameCoefficients.at_time(t_mid), grid)
-            if h * rate > CFL_LIMIT:
-                raise ResolutionError(
-                    f"tau step {h:.3e} exceeds stability bound "
-                    f"{CFL_LIMIT / rate:.3e} at t={t_mid:.4g} "
-                    "(refine dtau or coarsen the grid)")
-            attempt = h
-            for halving in range(MAX_HALVINGS + 1):
-                c_new = c
-                tau_new = tau
-                nsub = 2 ** halving
-                ok = True
-                for _ in range(nsub):
-                    hh = attempt
-                    co_mid = FrameCoefficients.at_time(np.exp(tau_new + 0.5 * hh))
-                    sym_mid = _laplacian_symbol(grid, co_mid)
-                    E = np.exp(hh * sym_mid)
-                    Eh = np.exp(0.5 * hh * sym_mid)
-                    k1 = rhs(tau_new, c_new, sym_mid)
-                    ca = Eh * (c_new + 0.5 * hh * k1)
-                    k2 = rhs(tau_new + 0.5 * hh, ca, sym_mid)
-                    cb = E * (c_new - hh * k1) + 2.0 * hh * Eh * k2
-                    k3 = rhs(tau_new + hh, cb, sym_mid)
-                    c_new = E * c_new + (hh / 6.0) * (E * k1 + 4.0 * Eh * k2 + k3)
-                    tau_new += hh
-                    if not np.all(np.isfinite(c_new)):
-                        ok = False
-                        break
-                if ok:
-                    norm_new = spectrum_norm(c_new)
-                    if norm_new <= GROWTH_FACTOR * max(norm0, 1e-300):
-                        break
-                attempt *= 0.5
-            else:
-                raise BlowUpError(
-                    f"instability at t={np.exp(tau):.4g}: one-step growth exceeded "
-                    f"{GROWTH_FACTOR}x even after {MAX_HALVINGS} halvings",
-                    last_state=replace(state, omega=Field(grid, coeffs=c),
-                                       t=float(np.exp(tau)), alpha=alpha))
-            c = c_new
-            norm0 = norm_new
-            tau = tau_new
-            steps_done += 1
-            if steps_done % MONITOR_EVERY == 0:
-                _tail_monitor(Field(grid, coeffs=c), control, np.exp(tau))
-        state = SelfSimilarState(omega=Field(grid, coeffs=c),
-                                 t=float(np.exp(tau)), nu=nu, alpha=alpha)
-        _tail_monitor(state.omega, control, state.t)
-        records.append(observer(state))
-    return state, records
+    while tau < target - 1e-13:
+        h = min(dtau, target - tau)
+        t_mid = np.exp(tau + 0.5 * h)
+        rate = _skew_rate(FrameCoefficients.at_time(t_mid), grid)
+        if h * rate > CFL_LIMIT:
+            raise ResolutionError(
+                f"tau step {h:.3e} exceeds stability bound "
+                f"{CFL_LIMIT / rate:.3e} at t={t_mid:.4g} "
+                "(refine dtau or coarsen the grid)")
+        attempt = h
+        for halving in range(MAX_HALVINGS + 1):
+            c_new = c
+            tau_new = tau
+            nsub = 2 ** halving
+            ok = True
+            for _ in range(nsub):
+                hh = attempt
+                co_mid = FrameCoefficients.at_time(np.exp(tau_new + 0.5 * hh))
+                sym_mid = _laplacian_symbol(grid, co_mid)
+                E = np.exp(hh * sym_mid)
+                Eh = np.exp(0.5 * hh * sym_mid)
+                k1 = rhs(tau_new, c_new, sym_mid)
+                ca = Eh * (c_new + 0.5 * hh * k1)
+                k2 = rhs(tau_new + 0.5 * hh, ca, sym_mid)
+                cb = E * (c_new - hh * k1) + 2.0 * hh * Eh * k2
+                k3 = rhs(tau_new + hh, cb, sym_mid)
+                c_new = E * c_new + (hh / 6.0) * (E * k1 + 4.0 * Eh * k2 + k3)
+                tau_new += hh
+                if not np.all(np.isfinite(c_new)):
+                    ok = False
+                    break
+            if ok:
+                norm_new = spectrum_norm(c_new)
+                if norm_new <= GROWTH_FACTOR * max(norm0, 1e-300):
+                    break
+            attempt *= 0.5
+        else:
+            raise BlowUpError(
+                f"instability at t={np.exp(tau):.4g}: one-step growth exceeded "
+                f"{GROWTH_FACTOR}x even after {MAX_HALVINGS} halvings",
+                last_state=replace(state, omega=Field(grid, coeffs=c),
+                                   t=float(np.exp(tau))))
+        c = c_new
+        norm0 = norm_new
+        tau = tau_new
+        steps_done += 1
+        if steps_done % MONITOR_EVERY == 0:
+            _tail_monitor(Field(grid, coeffs=c), on_tail, np.exp(tau))
+    state = replace(state, omega=Field(grid, coeffs=c), t=float(np.exp(tau)))
+    _tail_monitor(state.omega, on_tail, state.t)
+    return state

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ChecksumError, GridError, SnapshotError
 from .grid import Field, Frame, make_grid
+from .selfsim import SelfSimilarState
 
 _FORMAT = "shearvortex-snapshot-1"
 
@@ -138,7 +139,6 @@ def read_snapshot(path, grid=None):
         return f
     if kind != "state":
         raise SnapshotError(f"unknown snapshot kind {kind!r}")
-    from .selfsim import SelfSimilarState
     return SelfSimilarState(omega=f, t=_value(meta, "t", float),
                             nu=_value(meta, "nu", float),
                             alpha=_value(meta, "alpha", float))

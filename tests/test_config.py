@@ -168,6 +168,21 @@ def test_parse_rejects_malformed_params():
     ("samples_per_decade", 1001),
     ("samples_per_decade", 10 ** 12),
     ("dtau", 1e-6),
+    # each value has its field's declared type, in a form whose
+    # serialized text parses back
+    ("grid_n", 128.0),
+    ("nu", "1"),
+    ("weights", (2.0, "x")),
+    ("seed", 1.5),
+    ("samples_per_decade", 4.5),
+    ("snapshot_cadence", 1.5),
+    ("grid_n", True),
+    ("t_end", False),
+    ("weights", (2.0, True)),
+    ("weights", [2.0, 3.0]),
+    ("mode", None),
+    ("initial_params", "amplitude=0.5"),
+    pytest.param("nu", 10 ** 400, id="nu-int-past-float-range"),
 ])
 def test_validate_rejects_bad_fields(field, value):
     cfg = RunConfig(**{field: value})

@@ -137,6 +137,18 @@ def test_only_run_experiment_closes_a_run():
     assert len(finals) == 1, finals
 
 
+def test_no_function_body_imports():
+    # every module's dependencies are its top-level imports, so the
+    # import graph of the package is the one its module heads show
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for func in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(func)
+             if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not found, found
+
+
 def test_propagator_leaves_shears_and_transforms_to_spectral():
     # the propagator reads shear phases from its lag plan, which builds
     # them with spectral.shear_phase: no np.fft reference, and no exp of

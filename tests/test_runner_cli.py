@@ -8,11 +8,13 @@ import pytest
 
 import shearvortex
 from shearvortex import (
+    ConfigError,
     Field,
     RunConfig,
     SelfSimilarState,
     make_grid,
     read_snapshot,
+    run_experiment,
     selfsim,
     write_snapshot,
 )
@@ -106,14 +108,17 @@ def test_probe_mode_writes_ratio_table(tmp_path):
     assert read_lines(os.path.join(out, "diagnostics.csv")) == [CSV_HEADER]
 
 
+PICARD_CONFIG = ("initial_data = gaussian\n"
+                 "initial_params = amplitude=0.05\n"
+                 "grid_l = 20.0\n"
+                 "grid_n = 128\n"
+                 "t_end = 1.25\n"
+                 "dtau = 0.004\n")
+PICARD_GAP = "sup relative L2 discrepancy picard vs frame evolver:"
+
+
 def test_picard_mode_cross_checks_frame_evolver(tmp_path):
-    cfg = write_config(tmp_path, (
-        "initial_data = gaussian\n"
-        "initial_params = amplitude=0.05\n"
-        "grid_l = 20.0\n"
-        "grid_n = 128\n"
-        "t_end = 1.25\n"
-        "dtau = 0.004\n"))
+    cfg = write_config(tmp_path, PICARD_CONFIG)
     out = str(tmp_path / "out")
     assert main(["picard", "--config", cfg, "--out", out]) == 0
     summary = read_lines(os.path.join(out, "summary.txt"))
@@ -122,9 +127,15 @@ def test_picard_mode_cross_checks_frame_evolver(tmp_path):
         summary, "picard update distances:").split(", ")]
     assert len(history) == 3
     assert all(b < a for a, b in zip(history, history[1:]))
-    gap = float(summary_value(
-        summary, "sup relative L2 discrepancy picard vs frame evolver:"))
-    assert gap <= 1e-5
+    gap = summary_value(summary, PICARD_GAP)
+    assert float(gap) <= 1e-5
+    # the frame evolver steps from one picard time sample to the next,
+    # whatever the sampling cadence of simulate and linear runs
+    cfg = write_config(tmp_path, PICARD_CONFIG + "samples_per_decade = 1000\n")
+    out = str(tmp_path / "out_1000")
+    assert main(["picard", "--config", cfg, "--out", out]) == 0
+    assert summary_value(read_lines(os.path.join(out, "summary.txt")),
+                         PICARD_GAP) == gap
 
 
 def test_picard_mode_starts_before_the_frame(tmp_path):
@@ -136,9 +147,8 @@ def test_picard_mode_starts_before_the_frame(tmp_path):
     summary = read_lines(os.path.join(out, "summary.txt"))
     assert summary[:2] == ["status: OK", "mode: picard"]
     assert summary_value(summary, "time samples:") == "17"
-    assert summary_value(
-        summary, "sup relative L2 discrepancy picard vs frame evolver:"
-    ) == "n/a (window starts before t = 1)"
+    assert summary_value(summary, PICARD_GAP) == (
+        "n/a (window starts before t = 1)")
     assert read_lines(os.path.join(out, "diagnostics.csv")) == [CSV_HEADER]
     assert isinstance(read_snapshot(os.path.join(out, "final.snap")), Field)
 
@@ -287,6 +297,19 @@ def test_non_finite_config_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "ConfigError" in err
     assert "'t_end'" in err
+
+
+def test_run_experiment_validates_a_config_built_in_code(tmp_path):
+    # a RunConfig built in code has not been through parse_config; a bad
+    # cadence is rejected before the output directory exists
+    out = tmp_path / "out"
+    cfg = RunConfig(mode="fp-decay", initial_data="eigenfunction",
+                    initial_params={"a": 1, "b": 0}, grid_n=64, grid_l=20.0,
+                    t_end=3.2, samples_per_decade=-1, output_dir=str(out))
+    with pytest.raises(ConfigError) as info:
+        run_experiment(cfg)
+    assert "'samples_per_decade'" in str(info.value)
+    assert not out.exists()
 
 
 def test_non_ascii_config_exits_2(tmp_path, capsys):

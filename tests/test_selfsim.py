@@ -9,7 +9,6 @@ from shearvortex import (
     GridError,
     ResolutionError,
     SelfSimilarState,
-    StepControl,
     amplitude,
     apply_generator,
     apply_limit_generator,
@@ -23,6 +22,7 @@ from shearvortex import (
     nonlinear_term,
     phys_to_selfsim,
     rate_fit,
+    record,
     selfsim_coords,
     selfsim_to_phys,
     transport,
@@ -31,6 +31,7 @@ from shearvortex import selfsim
 from shearvortex.errors import TruncationError
 from shearvortex.fokker_planck import eigenfunction, gaussian
 from shearvortex.initial_data import make_field
+from shearvortex.selfsim import sample_schedule
 from shearvortex.spectral import derivative, full_spectrum, spectrum_norm
 
 from conftest import localized_field
@@ -352,6 +353,15 @@ def test_nonlinear_term_matches_pointwise_quadrature():
 
 # --------------------------------------------------------------- evolve
 
+def evolve_sampled(state, t_end, samples_per_decade=16, **kwargs):
+    """The states at sample_schedule's times from state.t to t_end, each
+    evolved from the one before, as a sampled run steps them."""
+    states = [state]
+    for tau in sample_schedule(state.t, t_end, samples_per_decade)[1:]:
+        states.append(evolve(states[-1], float(np.exp(tau)), **kwargs))
+    return states
+
+
 def test_evolve_requires_forward_time(frame_grid):
     state = SelfSimilarState(omega=gaussian(frame_grid), t=2.0, nu=1.0)
     for t_end in (1.0, np.nan, np.inf, "2", 2j):
@@ -359,11 +369,17 @@ def test_evolve_requires_forward_time(frame_grid):
             evolve(state, t_end)
 
 
+def test_evolve_to_the_state_time_returns_the_state(frame_grid):
+    state = SelfSimilarState(omega=gaussian(frame_grid), t=2.0, nu=1.0)
+    assert evolve(state, state.t) is state
+
+
 def test_evolve_gaussian_fixed_point_short():
     g = make_grid(16.0, 128, "selfsim")
     G = gaussian(g)
     state = SelfSimilarState(omega=G, t=1.0, nu=1.0)
-    final, records = evolve(state, 3.0, nonlinear=False)
+    states = evolve_sampled(state, 3.0, nonlinear=False)
+    final, records = states[-1], [record(s) for s in states]
     assert lp_norm(final.omega - G, 2) <= 1e-8 * lp_norm(G, 2)
     assert final.t == pytest.approx(3.0, rel=1e-12)
     # records carry consistent clocks and nonnegative norms
@@ -379,7 +395,7 @@ def test_evolve_conserves_mass_nonlinear():
     f = make_field("gaussian", g, params={"amplitude": 1.0, "center": (1.0, -0.5)})
     f = f + make_field("dipole", g, params={"strength": 0.6})
     state = SelfSimilarState(omega=f, t=1.0, nu=1.0)
-    final, _ = evolve(state, 2.0, nonlinear=True)
+    final = evolve_sampled(state, 2.0, nonlinear=True)[-1]
     assert abs(mass(final.omega) - mass(f)) <= 1e-10 * abs(mass(f))
     assert final.alpha == state.alpha
 
@@ -393,7 +409,7 @@ def test_evolve_mass_drift_bounded_for_rough_data():
     g = make_grid(16.0, 128, "selfsim")
     f = localized_field(g, seed=13)
     state = SelfSimilarState(omega=f, t=1.0, nu=1.0)
-    final, _ = evolve(state, 2.0, nonlinear=True)
+    final = evolve_sampled(state, 2.0, nonlinear=True)[-1]
     assert abs(mass(final.omega) - mass(f)) <= 1e-7 * max(abs(mass(f)), 1e-12)
 
 
@@ -405,7 +421,7 @@ def test_evolve_linear_run_keeps_mass_at_the_band_edge():
     g = make_grid(20.0, 64, "selfsim")
     f = eigenfunction(0, 1, g)
     state = SelfSimilarState(omega=f, t=2.0, nu=1.0)
-    final, _ = evolve(state, 7.0, nonlinear=False, observer=lambda s: None)
+    final = evolve_sampled(state, 7.0, nonlinear=False)[-1]
     assert abs(mass(final.omega) - mass(f)) <= 1e-14 * lp_norm(f, 1)
 
 
@@ -441,10 +457,9 @@ def test_conservative_drift_is_no_farther_from_the_refined_run(monkeypatch):
     phys = make_field("random_localized", make_grid(16.0, 128), 0,
                       params={"amplitude": 0.2})
     state = phys_to_selfsim(phys, 1.0, 1.0, make_grid(16.0, 128, "selfsim"))
-    control = StepControl(dtau=3.5e-3)
 
     def final(s):
-        return evolve(s, 1.25, control, observer=lambda s: None)[0].omega.values
+        return evolve_sampled(s, 1.25, dtau=3.5e-3)[-1].omega.values
 
     fine = SelfSimilarState(omega=_zero_padded(state.omega, 256), t=1.0, nu=1.0)
     ref = final(fine)[::2, ::2]
@@ -468,8 +483,8 @@ def test_evolve_third_order_in_step_size():
     t_end = float(np.exp(0.2))
 
     def final_coeffs(dtau):
-        control = StepControl(dtau=dtau, samples_per_decade=4)
-        final, _ = evolve(state, t_end, control=control, nonlinear=False)
+        final = evolve_sampled(state, t_end, samples_per_decade=4,
+                               dtau=dtau, nonlinear=False)[-1]
         return final.omega.coeffs
 
     ref = final_coeffs(2.5e-4)
@@ -485,9 +500,8 @@ def test_evolve_blowup_detector_reports_last_state(monkeypatch):
     state = SelfSimilarState(omega=f, t=1.0, nu=1.0)
     monkeypatch.setattr(selfsim, "GROWTH_FACTOR", 0.5)
     monkeypatch.setattr(selfsim, "MAX_HALVINGS", 1)
-    control = StepControl(dtau=2e-3)
     with pytest.raises(BlowUpError) as info:
-        evolve(state, 2.0, control=control, nonlinear=False)
+        evolve(state, 2.0, dtau=2e-3, nonlinear=False)
     assert info.value.last_state is not None
     assert info.value.last_state.t == pytest.approx(1.0)
 
@@ -495,7 +509,7 @@ def test_evolve_blowup_detector_reports_last_state(monkeypatch):
 def test_evolve_step_size_guard(frame_grid):
     state = SelfSimilarState(omega=gaussian(frame_grid), t=1.0, nu=1.0)
     with pytest.raises(ResolutionError):
-        evolve(state, 2.0, control=StepControl(dtau=1.0), nonlinear=False)
+        evolve(state, 2.0, dtau=1.0, nonlinear=False)
 
 
 def test_evolve_tail_monitor_actions():
@@ -503,11 +517,10 @@ def test_evolve_tail_monitor_actions():
     f = localized_field(g, seed=16, corr=0.5)   # under-resolved on purpose
     state = SelfSimilarState(omega=f, t=1.0, nu=1.0)
     with pytest.raises(ResolutionError):
-        evolve(state, 1.1, control=StepControl(on_tail="error"), nonlinear=False)
+        evolve(state, 1.1, on_tail="error", nonlinear=False)
     with pytest.warns(RuntimeWarning):
-        evolve(state, 1.1, control=StepControl(on_tail="warn"), nonlinear=False)
-    final, _ = evolve(state, 1.1, control=StepControl(on_tail="ignore"),
-                      nonlinear=False)
+        evolve(state, 1.1, on_tail="warn", nonlinear=False)
+    final = evolve(state, 1.1, on_tail="ignore", nonlinear=False)
     assert final.t == pytest.approx(1.1, rel=1e-12)
 
 
@@ -529,7 +542,7 @@ def test_half_spectrum_rhs_matches_full_layout_oracle(frame_grid, t, nonlinear):
 
 
 def test_evolve_step_uses_only_real_transforms(monkeypatch):
-    # one step over a span with no sample and no monitor call: three RHS
+    # one step with no monitor call: three RHS
     # evaluations, each of one irfft2 and two rfft2 for the drift, and a
     # transport term on the n x (n/3 + 1) block of columns the 2/3 rule
     # keeps: four axis-0 inverse transforms of that block, four axis-1
@@ -538,7 +551,9 @@ def test_evolve_step_uses_only_real_transforms(monkeypatch):
     # transform runs on an n x n array
     g = make_grid(16.0, 64, "selfsim")
     n, m, h = g.n, g.n // 3 + 1, g.half_cols
-    state = SelfSimilarState(omega=localized_field(g, seed=18), t=1.0, nu=1.0)
+    # a state held as coefficients, so no transform of the input is counted
+    f = localized_field(g, seed=18)
+    state = SelfSimilarState(omega=Field(g, coeffs=f.coeffs), t=1.0, nu=1.0)
     calls = []
 
     def counted(name, fn):
@@ -551,16 +566,13 @@ def test_evolve_step_uses_only_real_transforms(monkeypatch):
                  "rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn"):
         monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
     monkeypatch.setattr(selfsim, "_tail_monitor", lambda *args: None)
-    marks = []
     dtau = 2e-3
-    final, _ = evolve(state, float(np.exp(dtau)), StepControl(dtau=dtau),
-                      observer=lambda s: marks.append(len(calls)))
-    step = calls[marks[0]:marks[1]]
+    final = evolve(state, float(np.exp(dtau)), dtau)
     rhs = ([("irfft2", None, (n, h))] + [("rfft2", None, (n, n))] * 2
            + [("ifft", 0, (n, m))] * 4 + [("irfft", 1, (n, h))] * 4
            + [("rfft", 1, (n, n))] + [("fft", 0, (n, m))])
-    assert sorted(step) == sorted(rhs * 3)
-    assert all(shape == (n, m) for name, _, shape in step
+    assert sorted(calls) == sorted(rhs * 3)
+    assert all(shape == (n, m) for name, _, shape in calls
                if name in ("fft", "ifft"))
     assert final.t == pytest.approx(np.exp(dtau), rel=1e-15)
     # the final state is a real field: its full spectrum is exactly Hermitian
@@ -572,12 +584,21 @@ def test_evolve_step_uses_only_real_transforms(monkeypatch):
         np.linalg.norm(c), rel=1e-14)
 
 
-def test_step_control_validation():
+def test_step_control_validation(frame_grid):
+    # evolve's step size and tail action, and the sample cadence and
+    # window of sample_schedule
+    state = SelfSimilarState(omega=gaussian(frame_grid), t=1.0, nu=1.0)
     for dtau in (0.0, np.nan, np.inf, "0.1", 0.1j):
         with pytest.raises(DomainError):
-            StepControl(dtau=dtau)
-    for spd in (3, "16", 16.5, np.nan):
-        with pytest.raises(DomainError):
-            StepControl(samples_per_decade=spd)
+            evolve(state, 2.0, dtau=dtau)
     with pytest.raises(DomainError):
-        StepControl(on_tail="explode")
+        evolve(state, 2.0, on_tail="explode")
+    for spd in (3, "16", 16.5, np.nan, -1):
+        with pytest.raises(DomainError):
+            sample_schedule(1.0, 10.0, spd)
+    for t_init, t_end in ((0.0, 10.0), (-1.0, 10.0), (np.nan, 10.0),
+                          (np.inf, np.inf), ("1", 10.0), (1.0, np.nan),
+                          (1.0, np.inf), (2.0, 1.0), (1.0, "10")):
+        with pytest.raises(DomainError):
+            sample_schedule(t_init, t_end, 16)
+    assert sample_schedule(2.0, 2.0, 4) == [pytest.approx(np.log(2.0))]
