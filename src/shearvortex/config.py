@@ -13,15 +13,17 @@ import numbers
 from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError, check_real
+from .propagator import MAX_PICARD_SAMPLES
+from .selfsim import MAX_STEPS
 
 MODES = ("simulate", "linear", "fp-decay", "picard", "probe")
 TAIL_ACTIONS = ("error", "warn", "ignore")
 
-# bounds on resource-sized requests, checked by validate_config
+# bounds on resource-sized requests, checked by validate_config; the
+# library's evolve and picard_solve enforce MAX_STEPS and
+# MAX_PICARD_SAMPLES themselves
 MAX_GRID_N = 2048                 # modes per axis
 MAX_SAMPLES_PER_DECADE = 1000
-MAX_STEPS = 10 ** 6               # evolver steps, ln(t_end/t_init) / dtau
-MAX_PICARD_SAMPLES = 1025         # picard time samples, see picard_samples
 
 
 @dataclass(frozen=True)

@@ -10,31 +10,22 @@ spectral.characteristic_flow for the backward map (xi, eta) ->
 damped by symbol_value, a diagonal multiplier. The limit semigroup of
 fokker_planck is the same kernel for its own map and damping.
 
-The bilinear Duhamel term of the mild formulation is marched in time with
-the semigroup property, integrating each sample interval once by Gauss
-panels graded at the band's fastest decay rate, so one Picard iteration
-costs a number of propagations linear in the number of time samples. Every
-quadrature node is vetted for aliasing against every target time it
-contributes to. The transport term's factors (spectral.transport_factors)
-are linear in the spectra, so a node's are interpolated from its
-stencil samples' factors: per iteration, the four inverse transforms run
-once per sample and the one forward transform once per node.
-
-The march runs on arrays and reads a lag plan. The sample grid is uniform
-and the panels sit at the same places relative to each interval's end, so
-the lags repeat; the plan picard_solve shares among its iterations keeps
-each distinct propagation lag's flow tables (the kernel's shear phase,
-out-of-band mask and damping symbol), and for each distinct vetting lag
-the flat indices of the modes S(t) drops with their destination decay
-weights, keeping only the entries whose weight exceeds the vetting
-tolerance. That pruning changes no vetting outcome: a pruned entry's
-weighted content is at most the tolerance times the peak, so it can
-neither raise nor be the worst mode of a raise. The plan keeps at most
-LAG_PLAN_BUDGET bytes (one lag's flow tables take 0.2 MiB at n = 128 and
-3.1 MiB at n = 512, so 10 lags fit at n = 512); past it a lag's tables
-are built per call by the same arithmetic, so no result depends on the
-budget. apply_semigroup runs the same kernel on tables built for the one
-call.
+The bilinear Duhamel term of the mild formulation is marched in shearing
+coordinates (Rogallo 1981) anchored at the trajectory's first time t_0:
+g(tau, X, Y) = omega(t_0 + tau, X + tau Y, Y), whose spectrum at a mode
+(xi, eta) is the physical one at (xi, eta - tau xi). There the linear
+flow is a real diagonal multiplier (_carry) on a fixed lattice, so the
+march shears nothing: each sample is read into shearing coordinates
+once, and each target is vetted for aliasing and read back once. The
+shear has determinant 1, so the transport term there is the same
+Poisson bracket with the Laplacian symbol -(xi^2 + (eta - tau xi)^2).
+Its factors (spectral.transport_factors) are linear in the spectra, so a
+quadrature node's are interpolated from its stencil samples' factors:
+per iteration, the four inverse transforms run once per sample and the
+one forward transform once per node. Each sample interval is integrated
+once, by Gauss panels graded at the band's fastest decay rate, so one
+Picard iteration costs a number of transforms linear in the number of
+time samples.
 """
 
 import bisect
@@ -96,72 +87,13 @@ def symbol_value(nu, t, xi, eta):
 
 _ALIAS_TOL = 1e-9
 
-LAG_PLAN_BUDGET = 32 * 2 ** 20  # bytes of lag tables one solve keeps
 
-
-class _LagPlan:
-    """Tables of the propagator S(t) on one grid at one viscosity, built
-    once per exact lag t and kept while they fit in LAG_PLAN_BUDGET bytes;
-    past it a lag's tables are built again on each call, by the same
-    arithmetic.
-
-    tables(t) are spectral.flow_tables of S(t): the shear phase
-    ((n/2 + 1) x n), the out-of-band mask and the damping symbol
-    (n x (n/2 + 1) each), about 0.2 MiB a lag at n = 128 and 3.1 MiB at
-    n = 512, where 10 lags fit the budget, and flow(c, t) runs
-    spectral.characteristic_flow on them; drops(t) is the drop set of
-    S(t) vetted at alias_tol (see _drop_set and _check_alias).
-    """
-
-    def __init__(self, grid, nu, alias_tol=_ALIAS_TOL):
-        self.grid = grid
-        self.nu = nu
-        self.alias_tol = alias_tol
-        self.nbytes = 0
-        self._kept = {}
-
-    def _memo(self, key, build, *args):
-        tables = self._kept.get(key)
-        if tables is None:
-            tables = build(self.grid, self.nu, *args)
-            size = sum(a.nbytes for a in tables)
-            if self.nbytes + size <= LAG_PLAN_BUDGET:
-                self._kept[key] = tables
-                self.nbytes += size
-        return tables
-
-    def tables(self, t):
-        t = float(t)
-        return self._memo(("tables", t), _lag_tables, t)
-
-    def drops(self, t):
-        t = float(t)
-        return self._memo(("drops", t), _drop_set, t, self.alias_tol)
-
-    def flow(self, c, t):
-        """S(t) applied to the spectrum c, unvetted, on the lag's tables."""
-        return characteristic_flow(c, self.grid, ((1.0, 0.0), (t, 1.0)),
-                                   self.tables(t))
-
-
-def _lag_tables(grid, nu, t):
-    """spectral.flow_tables of S(t): its backward map reads a mode
-    (xi, eta) from (xi, eta + t xi), and symbol_value damps it."""
-    return flow_tables(grid, ((1.0, 0.0), (t, 1.0)),
-                       symbol_value(nu, t, *grid.wavegrid()))
-
-
-def _drop_set(grid, nu, t, alias_tol):
-    """Source modes that S(t) drops, as flat indices, with the viscous
-    factor each would carry at its (out of band) destination; only the
-    entries whose factor exceeds alias_tol, the ones vetting can flag."""
-    # vet the input, not the shifted output: source modes with
-    # |eta - t*xi| > k_max are never read by any resolvable target
-    kx, ky = np.broadcast_arrays(*grid.wavegrid())
-    lost = np.abs(ky - t * kx) > grid.band
-    weight = symbol_value(nu, t, kx[lost], ky[lost] - t * kx[lost])
-    big = weight > alias_tol
-    return np.flatnonzero(lost)[big], weight[big]
+def _flow(c, grid, t, damping=1.0):
+    """The half spectrum c read at (xi, eta + t xi), times damping: the
+    kernel spectral.characteristic_flow on tables built for the one call;
+    unvetted."""
+    m = ((1.0, 0.0), (t, 1.0))
+    return characteristic_flow(c, grid, m, flow_tables(grid, m, damping))
 
 
 def apply_semigroup(f, nu, t, alias_tol=_ALIAS_TOL):
@@ -178,41 +110,42 @@ def apply_semigroup(f, nu, t, alias_tol=_ALIAS_TOL):
     t = check_time(t, "time")
     if t == 0.0:
         return f
-    plan = _LagPlan(f.grid, nu, alias_tol)
-    _check_alias(f.coeffs, (t,), plan)
-    return Field(f.grid, coeffs=plan.flow(f.coeffs, t))
+    grid = f.grid
+    _check_alias(f.coeffs, grid, t, alias_tol, nu)
+    return Field(grid, coeffs=_flow(f.coeffs, grid, t, symbol_value(
+        nu, t, *grid.wavegrid())))
 
 
-def _check_alias(c, lags, plan):
-    """Raise AliasingError if S(t) would drop significant content of the
-    spectrum c, vetting the lags t in the order given.
+def _check_alias(c, grid, t, alias_tol, nu=None):
+    """Raise AliasingError if the spectrum c has significant content on
+    the modes (xi, eta) that the shear eta -> eta - t xi carries out of the
+    band: those S(t) drops, and in shearing coordinates at shear time t
+    those whose physical frequency is past the band.
 
-    Dropped content is weighted by the viscous factor it would carry at
-    its destination, since that is exactly what the discarded contribution
-    would have amounted to, and it is significant above plan.alias_tol
-    times the peak |c|. The plan's drop sets leave out the modes whose
-    factor is at most alias_tol: such a mode's |c| * factor is at most
-    peak * alias_tol (|c| <= peak, and rounding is monotone), so it can
-    neither raise nor be the worst mode of a raise, and the error (message
-    and mode) is the one the full drop set gives.
+    Given nu, dropped content is weighted by the viscous factor it would
+    carry at its destination, since that is exactly what the discarded
+    contribution would have amounted to; a spectrum in shearing
+    coordinates carries its decay already. It is significant above
+    alias_tol times the peak |c|.
     """
+    kx, ky = np.broadcast_arrays(*grid.wavegrid())
+    lost = np.abs(ky - t * kx) > grid.band
+    if not lost.any():
+        return
     mag = np.abs(c)
     ref = max(float(mag.max()), 1e-300)
-    flat = mag.ravel()
-    for t in lags:
-        idx, weight = plan.drops(t)
-        if not idx.size:
-            continue
-        cin = flat[idx] * weight
-        worst = float(cin.max())
-        if worst > plan.alias_tol * ref:
-            i, j = np.unravel_index(idx[np.argmax(cin)], mag.shape)
-            mode = (float(plan.grid.k[i]), float(plan.grid.k[j]))
-            raise AliasingError(
-                f"shift t*xi moved significant content across the band "
-                f"(decay-weighted |lost|/|peak| = {worst / ref:.2e} "
-                f"at mode {mode})",
-                mode=mode)
+    cin = mag[lost]
+    if nu is not None:
+        cin = cin * symbol_value(nu, t, kx[lost], ky[lost] - t * kx[lost])
+    worst = float(cin.max())
+    if worst > alias_tol * ref:
+        i, j = np.argwhere(lost)[np.argmax(cin)]
+        mode = (float(grid.k[i]), float(grid.k[j]))
+        raise AliasingError(
+            f"shift t*xi moved significant content across the band "
+            f"(decay-weighted |lost|/|peak| = {worst / ref:.2e} "
+            f"at mode {mode})",
+            mode=mode)
 
 
 @dataclass(frozen=True)
@@ -303,103 +236,106 @@ def _panel_set(a, b, rate):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _duhamel_targets(traj1, traj2, targets, plan=None):
+def _carry(nu, grid, a, b):
+    """The linear flow in shearing coordinates from shear time a to b:
+    the real multiplier exp(-nu * integral over [a, b] of
+    xi^2 + (eta - r xi)^2 dr) on the half layout."""
+    kx, ky = grid.wavegrid()
+    return symbol_value(nu, b - a, kx, ky - b * kx)
+
+
+def _duhamel_targets(traj1, traj2, targets):
     """Bilinear Duhamel integrals at several target times, in one march.
 
     Each target t gets -(integral over s in [t_0, t] of S(t - s) g(s)),
-    where g is the transport term of the pair and S the propagator.
-    One accumulator J_k = integral over [t_0, t_k] of S(t_k - s) g(s) is
-    marched with J_{k+1} = S(t_{k+1} - t_k) J_k + (panel set on
-    [t_k, t_{k+1}]), the panels graded toward t_{k+1} at the band's fastest
-    decay rate 2 nu k_max^2 (one 8-node panel while rate times the interval
-    is at most 4). A sample target t_k is J_k itself; a target t in
-    (t_k, t_{k+1}) is S(t - t_k) J_k plus one panel set on [t_k, t]. So
-    every interval is integrated once and the cost is linear in the number
-    of samples; the semigroup property makes this equal the per-target sum
-    up to the composition error of the discrete shear (~1e-8 relative at
-    n=128).
+    where g is the transport term of the pair and S the propagator. The
+    march runs in shearing coordinates at shear time tau = t - t_0 (see
+    the module docstring), where S is the multiplier _carry. One
+    accumulator J_k = integral over [t_0, t_k] of carry(s, t_k) g(s) is
+    marched with J_{k+1} = carry(t_k, t_{k+1}) J_k + (panel set on
+    [t_k, t_{k+1}]), the panels graded toward t_{k+1} at the band's
+    fastest decay rate 2 nu k_max^2 (one 8-node panel while rate times the
+    interval is at most 4). A sample target t_k is J_k itself; a target t
+    in (t_k, t_{k+1}) is carry(t_k, t) J_k plus one panel set on [t_k, t].
+    So every interval is integrated once and the cost is linear in the
+    number of samples; the multipliers compose to roundoff.
 
-    The march runs on arrays. g(s) is spectral.transport_product of the
-    transport factors interpolated at s from those of the samples, which
-    equals the transport kernel on the spectra interpolated at s up to
-    roundoff, as the factors are linear in the spectra; each sample's
-    factors are built once per call and kept while a stencil reads them,
-    at most 4 samples' at a time. Propagation and vetting read plan (a
-    _LagPlan, by default one built for this call). Each distinct lag's
-    tables are built once while they fit in the plan's byte budget, and
-    the drop sets keep only the entries that can fail the vetting; neither
-    the budget nor the pruning changes the result (see the module
-    docstring).
+    The march runs on arrays. Each sample is read into shearing
+    coordinates, and its transport factors built there, once per call,
+    and kept while a stencil reads them, at most 4 samples' at a time.
+    g(s) is spectral.transport_product of the factors interpolated at s,
+    which equals the transport kernel on the spectra (and stream
+    functions) interpolated at s up to roundoff, as the factors are
+    linear in the spectra; it is then cut to the physical 2/3 box at s.
+    J is only ever multiplied, so it carries its decay and no shear
+    leakage: each target is vetted for content whose physical frequency
+    lies past the band, which the read-back would drop, and read back.
     """
     if traj1.nu != traj2.nu or traj1.times != traj2.times:
         raise GridError("duhamel term needs trajectories on a common time grid")
     nu = traj1.nu
     grid = traj1.grid
     ts = traj1.times
+    t0 = ts[0]
     rate = 2.0 * nu * grid.k_max ** 2
     targets = [float(t) for t in targets]
     reads = {}  # target t -> index k of the accumulator J_k it starts from
     for t in targets:
-        if not ts[0] <= t <= ts[-1] + 1e-12:
+        if not t0 <= t <= ts[-1] + 1e-12:
             raise DomainError(f"target time {t} outside trajectory range")
-        if t > ts[0]:
+        if t > t0:
             reads[t] = bisect.bisect_right(ts, t) - 1
-    if plan is None:
-        plan = _LagPlan(grid, nu)
-    spectra1 = [f.coeffs for f in traj1.fields]
-    spectra2 = spectra1 if traj2 is traj1 else [f.coeffs for f in traj2.fields]
-    zero = np.zeros_like(spectra1[0])
+    kx, ky = grid.wavegrid()
+    zero = np.zeros((grid.n, grid.half_cols), dtype=np.complex128)
     # The transport factors are linear in the spectra, so a node's are the
     # Lagrange combination of its stencil samples' factors. A stencil
     # reads `width` consecutive samples and the stencils only move
     # forward, so slot i % width of the ring holds sample i's factors from
     # its first read to its last; a sample whose slot was taken is rebuilt.
     # A stencil covers every slot, so the combination reads no unfilled one.
-    width = len(_lagrange_weights(ts, ts[0])[0])
+    width = len(_lagrange_weights(ts, t0)[0])
     ring = np.empty((width, 4, grid.n, grid.n))
     held = [None] * width  # the sample index each slot holds
+
+    def factors(i):
+        tau = ts[i] - t0
+        g1 = _flow(traj1.fields[i].coeffs, grid, -tau)
+        g2 = g1 if traj2 is traj1 else _flow(traj2.fields[i].coeffs, grid, -tau)
+        return transport_factors(g1, g2, grid, -(kx ** 2 + (ky - tau * kx) ** 2))
 
     def divergence(s):
         weights = np.empty(width)
         for i, wi in zip(*_lagrange_weights(ts, s)):
             slot = i % width
             if held[slot] != i:
-                ring[slot] = transport_factors(spectra1[i], spectra2[i], grid,
-                                               grid.laplacian)
+                ring[slot] = factors(i)
                 held[slot] = i
             weights[slot] = wi
-        return transport_product(np.einsum("i,i...->...", weights, ring), grid)
+        g = transport_product(np.einsum("i,i...->...", weights, ring), grid)
+        # transport_product keeps the shearing lattice's 2/3 box; the node
+        # keeps the physical one at its shear time too (grid.keep at t_0)
+        g *= np.abs(ky - (s - t0) * kx) <= (2.0 / 3.0) * grid.band
+        return g
 
-    propagate = plan.flow  # only ever applied to vetted content; see panels
-
-    def panels(a, b, later):
-        # Sum of w S(b - s) g(s) over the panel set on [a, b]; each g(s) is
-        # first vetted at lag t - s for every target t in later. J is then
-        # propagated unvetted: drop sets compose on the band (a mode's
-        # destination eta - lag*xi moves monotonically with the lag, and
-        # the band is an interval), so what S(t - t_k) drops from
-        # S(t_k - s) g(s) is exactly what S(t - s) drops from g(s). Vetting
-        # J instead would flag the ~1e-8 interpolation leakage of the
-        # discrete shear, which is not aliasing.
+    def panels(a, b):
         total = zero.copy()
         for s, w in zip(*_panel_set(a, b, rate)):
-            g = divergence(s)
-            _check_alias(g, [t - s for t in later], plan)
-            total += w * propagate(g, b - s)
+            total += w * _carry(nu, grid, s - t0, b - t0) * divergence(s)
         return total
 
-    done = {ts[0]: Field(grid, coeffs=zero)}
+    done = {t0: Field(grid, coeffs=zero)}
     acc = zero  # J_k
     last = max(reads.values(), default=0)
     for k in range(last + 1):
+        tau_k = ts[k] - t0
         for t in [t for t, m in reads.items() if m == k]:
             part = acc if t == ts[k] else (
-                propagate(acc, t - ts[k]) + panels(ts[k], t, [t]))
-            done[t] = Field(grid, coeffs=-part)
+                _carry(nu, grid, tau_k, t - t0) * acc + panels(ts[k], t))
+            _check_alias(part, grid, t - t0, _ALIAS_TOL)
+            done[t] = Field(grid, coeffs=-_flow(part, grid, t - t0))
         if k < last:
-            later = [t for t, m in reads.items() if m > k]
-            acc = (propagate(acc, ts[k + 1] - ts[k])
-                   + panels(ts[k], ts[k + 1], later))
+            acc = (_carry(nu, grid, tau_k, ts[k + 1] - t0) * acc
+                   + panels(ts[k], ts[k + 1]))
     return [done[t] for t in targets]
 
 
@@ -414,6 +350,7 @@ def duhamel_bilinear(traj1, traj2, t):
 
 PICARD_MAX_ITER = 12  # iteration budget of picard_solve
 PICARD_TOL = 1e-10    # relative Kato-norm update that ends the iteration
+MAX_PICARD_SAMPLES = 1025  # time samples picard_solve accepts
 
 
 def picard_solve(omega0, nu, horizon, n_times, t_start=0.0):
@@ -425,23 +362,24 @@ def picard_solve(omega0, nu, horizon, n_times, t_start=0.0):
     differences, relative to the trajectory norm; the per-iteration
     distances are kept on the result as traj.history. Sustained growth of
     the differences raises DivergenceError, exhausting the budget raises
-    NoConvergenceError.
+    NoConvergenceError. More than MAX_PICARD_SAMPLES samples raise
+    DomainError before any work.
     """
     check_positive(nu, "viscosity")
     check_positive(horizon, "horizon")
     n_times = check_order(n_times, "n_times")
-    if n_times < 2:
-        raise DomainError(f"need at least two sample times, got {n_times}")
+    if not 2 <= n_times <= MAX_PICARD_SAMPLES:
+        raise DomainError(f"need 2 to {MAX_PICARD_SAMPLES} sample times, "
+                          f"got {n_times}")
     t_start = check_time(t_start, "t_start")
     times = tuple(t_start + horizon * j / (n_times - 1) for j in range(n_times))
     linear = tuple(apply_semigroup(omega0, nu, t - t_start) for t in times)
     traj = Trajectory(times=times, fields=linear, nu=nu)
-    plan = _LagPlan(omega0.grid, nu)
     ratios = []
     dists = []
     last_dist = None
     for _ in range(PICARD_MAX_ITER):
-        correction = _duhamel_targets(traj, traj, times, plan)
+        correction = _duhamel_targets(traj, traj, times)
         new_fields = tuple(lin + cor for lin, cor in zip(linear, correction))
         diff = Trajectory(times=times, nu=nu,
                           fields=tuple(a - b for a, b in zip(new_fields, traj.fields)))

@@ -19,6 +19,7 @@ import numpy as np
 
 from .config import picard_samples, serialize_config, validate_config
 from .diagnostics import (
+    PROBE_KINDS,
     EnergyCoefficients,
     RecordOptions,
     inequality_probe,
@@ -314,7 +315,7 @@ def _run_probe(cfg, recorder):
     rows = ["kind,field,t,ratio"]
     lines = [f"ensemble size: {len(ensemble)}",
              "times: " + ", ".join(repr(t) for t in times)]
-    for kind in ("biot_savart_linf", "anisotropic_sigma", "semigroup_lp"):
+    for kind in PROBE_KINDS:
         if kind == "semigroup_lp":
             phys_grid = make_grid(cfg.grid_l, cfg.grid_n)
             fields = [make_field("random_localized", phys_grid, cfg.seed + i)

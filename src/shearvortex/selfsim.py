@@ -13,6 +13,7 @@ the log-spaced sample times, and callers that sample a run (the runner)
 evolve from one sample to the next and record each state themselves.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -262,6 +263,7 @@ MAX_HALVINGS = 3          # step halvings tried before BlowUpError
 CFL_LIMIT = 1.7           # bound on dtau * skew advection rate
 MONITOR_TAIL_TOL = 1e-6   # spectral and box tail the monitor allows
 MONITOR_EVERY = 25        # steps between in-call monitor checks
+MAX_STEPS = 10 ** 6       # most steps one evolve call takes, ln(t_end/t) / dtau
 
 
 def _skew_rate(co, grid):
@@ -336,7 +338,8 @@ def evolve(state, t_end, dtau=2e-3, nonlinear=True, on_tail="error"):
     blow-up's last state. The tail monitor runs every MONITOR_EVERY steps
     and on the result, and on_tail ("error", "warn" or "ignore") says
     what a resolution loss does. Callers that sample a run call evolve
-    once per sample interval.
+    once per sample interval. A call that would take more than MAX_STEPS
+    steps raises DomainError before the first.
     """
     check_positive(dtau, "dtau")
     if on_tail not in ("error", "warn", "ignore"):
@@ -346,6 +349,8 @@ def evolve(state, t_end, dtau=2e-3, nonlinear=True, on_tail="error"):
         raise DomainError(f"t_end must be finite and >= the state time, got {t_end!r}")
     if t_end == state.t:
         return state
+    if math.log(t_end / state.t) / dtau > MAX_STEPS:
+        raise DomainError(f"ln(t_end/t) / dtau exceeds {MAX_STEPS:g} steps")
     grid = state.omega.grid
     nu = state.nu
 

@@ -382,8 +382,7 @@ def shear_spectrum(coeffs, grid, slope):
     array together with the boolean mask of lattice points whose request
     lies outside the resolvable band (those values are periodic wraps and
     should be discarded or vetted by the caller): the phase and mask of
-    flow_tables, which characteristic_flow keeps to shear by one slope
-    many times.
+    flow_tables, the tables characteristic_flow reads.
     """
     phase, oob, _ = flow_tables(grid, ((1.0, 0.0), (slope, 1.0)), None)
     return sheared(coeffs, phase), oob

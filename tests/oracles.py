@@ -6,7 +6,7 @@ scalar quadrature, trigonometric sums taken one point at a time or as
 dense unfolded matrix stages, the conservative form of the transport term
 and the non-conservative form of the frame drift, for the Duhamel term
 that integrand under a different quadrature, summed without a time march
-and propagated by a full-layout shear, the aliasing vetting over whole
+and carried by a full-layout shear, the aliasing vetting over whole
 drop sets, and the frame evolver's right-hand side on the full spectrum.
 The full-layout references take and return full fft-layout coefficient
 arrays, not Fields. Two references keep, on half spectra, a route the
@@ -20,9 +20,9 @@ import numpy as np
 
 from shearvortex import AliasingError, FrameCoefficients
 from shearvortex.fokker_planck import char_map, symbol_exponent
-from shearvortex.propagator import (_gl_nodes, _lagrange_weights, _LagPlan,
-                                    _panel_set, symbol_value)
-from shearvortex.spectral import transport_spectrum
+from shearvortex.propagator import (_gl_nodes, _lagrange_weights, _panel_set,
+                                    symbol_value)
+from shearvortex.spectral import shear_spectrum, transport_spectrum
 
 SQRT3 = np.sqrt(3.0)
 
@@ -123,6 +123,22 @@ def laplacian_symbol_full(grid, co=None):
     return -(co.diff1 * (k1 - co.mix * k2) ** 2 + co.diff2 * k2 ** 2)
 
 
+def keep_full(grid, tau=0.0):
+    """Full-layout keep mask of the 2/3 rule on the modes (k1, k2 - tau k1),
+    with the band's 1e-12 slack: in shearing coordinates at shear time
+    tau, the physical 2/3 box."""
+    k1, k2 = np.meshgrid(grid.k, grid.k, indexing="ij")
+    cut = grid.k_max * (2.0 / 3.0) * (1.0 + 1e-12)
+    return (np.abs(k1) <= cut) & (np.abs(k2 - tau * k1) <= cut)
+
+
+def stream_full(c, sym):
+    """c / sym on full fft-layout coefficients, zero where the symbol
+    vanishes."""
+    safe = np.where(sym == 0.0, 1.0, sym)
+    return np.where(sym == 0.0, 0.0, c / safe)
+
+
 def advection_divergence(c1, c2, grid, sym=None):
     """Conservative form div(u w) of the dealiased transport term, on full
     fft-layout coefficients, with u = perp-gradient of the stream function
@@ -133,13 +149,15 @@ def advection_divergence(c1, c2, grid, sym=None):
     """
     if sym is None:
         sym = laplacian_symbol_full(grid)
-    k1, k2 = np.meshgrid(grid.k, grid.k, indexing="ij")
-    cut = grid.k_max * 2.0 / 3.0
-    keep = (np.abs(k1) <= cut) & (np.abs(k2) <= cut)
+    return bracket_divergence(stream_full(c1 * keep_full(grid), sym), c2, grid)
+
+
+def bracket_divergence(psi, c2, grid):
+    """div(u w) on full fft-layout coefficients, u = perp-gradient of the
+    stream function psi and w = keep * c2, cut to the keep mask."""
+    keep = keep_full(grid)
     d = grid.multipliers[1]
     d1, d2 = d[:, None], d[None, :]
-    safe = np.where(sym == 0.0, 1.0, sym)
-    psi = np.where(sym == 0.0, 0.0, c1 * keep / safe)
     u1 = full_values(-d2 * psi)
     u2 = full_values(d1 * psi)
     w = full_values(c2 * keep)
@@ -206,17 +224,6 @@ def frame_rhs_full(f, t, sym_mid, nu, nonlinear):
     return out
 
 
-def spectrum_at(traj, s):
-    """Full spectrum of the trajectory at time s, by polynomial
-    interpolation of the samples' full spectra."""
-    ts = traj.times
-    j = np.searchsorted(ts, s)
-    if j < len(ts) and ts[j] == s:
-        return full_coeffs(traj.fields[j].values)
-    idx, w = _lagrange_weights(ts, s)
-    return sum(wi * full_coeffs(traj.fields[i].values) for i, wi in zip(idx, w))
-
-
 def shear_full(c, grid, slope):
     """The full spectrum c evaluated at (xi_j, slope*xi_j + eta_k) as a
     modulation along the second axis; targets whose request lies outside
@@ -228,17 +235,10 @@ def shear_full(c, grid, slope):
     return out
 
 
-def propagate_full(c, grid, nu, t):
-    """The linear propagator S(t) on a full spectrum, unvetted."""
-    return shear_full(c, grid, t) * symbol_value(nu, t, *np.meshgrid(
-        grid.k, grid.k, indexing="ij"))
-
-
 def check_alias_unpruned(c, grid, nu, lags, alias_tol):
     """The aliasing vetting over each lag's whole drop set: raise
     AliasingError if S(t) drops significant content of the spectrum c,
-    the lags t vetted in the order given. The library keeps only the drop
-    set's entries whose decay weight exceeds alias_tol."""
+    the lags t vetted in the order given, one vetting per lag."""
     kx, ky = np.broadcast_arrays(*grid.wavegrid())
     mag = np.abs(c)
     ref = max(float(mag.max()), 1e-300)
@@ -258,50 +258,69 @@ def check_alias_unpruned(c, grid, nu, lags, alias_tol):
                 mode=mode)
 
 
-def duhamel_direct(traj1, traj2, targets):
+def duhamel_direct_sheared(traj1, traj2, targets):
     """Full-layout bilinear Duhamel integrals summed afresh for every
-    target time.
+    target time, in shearing coordinates anchored at t_0 = times[0].
 
-    The conservative form of the library's integrand under the library's
-    previous quadrature, kept as an independent reference: one 8-point
-    Gauss-Legendre panel on each sample interval below t, and the final
-    interval split into a fixed four panels graded toward s = t, where the
-    library now derives its panel sets from the decay rate. There is no march: every node is
-    propagated straight to the target, S(t - s) g(s), so no semigroup
-    composition enters. The cost is quadratic in the number of samples.
+    Each sample is read at (xi, eta - tau xi), tau = t_i - t_0, by a
+    full-layout shear, with its stream function there, g / -(xi^2 +
+    (eta - tau xi)^2). A node's term is the conservative form of the
+    bracket of the stream function and the spectrum, each interpolated
+    at the node, cut to the physical 2/3 box at the node's shear time;
+    it is multiplied straight to the target by the closed-form damping
+    of shearing coordinates, with no march, then read back at
+    (xi, eta + tau xi). The quadrature is the library's previous one:
+    8-point Gauss-Legendre panels, one on each sample interval below t
+    and four on the last, graded toward s = t, where the library derives
+    its panel sets from the decay rate. The cost is quadratic in the
+    number of samples.
     """
-    ts = np.asarray(traj1.times)
-    grid = traj1.grid
+    ts = traj1.times
+    grid, nu = traj1.grid, traj1.nu
+    k1, k2 = np.meshgrid(grid.k, grid.k, indexing="ij")
+
+    def read_in(traj):
+        specs, streams = [], []
+        for t, f in zip(ts, traj.fields):
+            tau = t - ts[0]
+            g = shear_full(full_coeffs(f.values), grid, -tau)
+            specs.append(g)
+            streams.append(stream_full(g * keep_full(grid),
+                                       -(k1 ** 2 + (k2 - tau * k1) ** 2)))
+        return specs, streams
+
+    def at(samples, s):
+        idx, w = _lagrange_weights(ts, s)
+        return sum(wi * samples[i] for i, wi in zip(idx, w))
+
+    def panels(t):
+        edges = [ts[0]] + [u for u in ts[1:] if u < t - 1e-14] + [t]
+        a0, d = edges[-2], t - edges[-2]
+        breaks = (a0, a0 + 0.5 * d, a0 + 0.75 * d, a0 + 0.875 * d, t)
+        return (list(zip(edges[:-2], edges[1:-1]))
+                + list(zip(breaks[:-1], breaks[1:])))
+
+    specs, streams = read_in(traj1)
+    specs2 = specs if traj2 is traj1 else read_in(traj2)[0]
     out = []
     for t in targets:
         t = float(t)
-        if t == ts[0]:
-            out.append(np.zeros((grid.n,) * 2, complex))
-            continue
-        panels = []
-        full = ts[(ts > ts[0]) & (ts < t - 1e-14)]
-        edges = np.concatenate(([ts[0]], full, [t]))
-        for a, b in zip(edges[:-1], edges[1:-1]):
-            panels.append((a, b))
-        # graded split of the final interval toward s = t
-        a0 = edges[-2]
-        d = t - a0
-        breaks = (a0, a0 + 0.5 * d, a0 + 0.75 * d, a0 + 0.875 * d, t)
-        panels.extend(zip(breaks[:-1], breaks[1:]))
+        tau = t - ts[0]
         acc = np.zeros((grid.n,) * 2, dtype=complex)
-        for a, b in panels:
-            nodes, weights = _gl_nodes(a, b)
-            for s, w in zip(nodes, weights):
-                g = advection_divergence(spectrum_at(traj1, s),
-                                         spectrum_at(traj2, s), grid)
-                acc += w * propagate_full(g, grid, traj1.nu, t - s)
-        out.append(-acc)
+        if t > ts[0]:
+            for a, b in panels(t):
+                for s, w in zip(*_gl_nodes(a, b)):
+                    g = bracket_divergence(at(streams, s), at(specs2, s), grid)
+                    g *= keep_full(grid, s - ts[0])
+                    acc += w * symbol_value(nu, t - s, k1, k2 - tau * k1) * g
+        out.append(-shear_full(acc, grid, tau))
     return out
 
 
 def duhamel_per_node(traj1, traj2, targets):
-    """The library's Duhamel march, unvetted, with each node's transport
-    term formed from the spectra interpolated at the node.
+    """The library's Duhamel march in shearing coordinates, unvetted, with
+    each node's transport term formed from the spectra and stream
+    functions interpolated at the node.
 
     The library interpolates each node's transport factors from its
     stencil samples' factors instead; the two are equal up to roundoff,
@@ -309,21 +328,46 @@ def duhamel_per_node(traj1, traj2, targets):
     marched afresh from t_0, so the cost is quadratic in the number of
     samples.
     """
-    grid, ts = traj1.grid, traj1.times
-    flow = _LagPlan(grid, traj1.nu).flow
-    rate = 2.0 * traj1.nu * grid.k_max ** 2
+    grid, ts, nu = traj1.grid, traj1.times, traj1.nu
+    kx, ky = grid.wavegrid()
+    rate = 2.0 * nu * grid.k_max ** 2
+    unit = np.ones((grid.n, grid.half_cols))
 
-    def at(traj, s):
+    def shear(c, tau):
+        out, oob = shear_spectrum(c, grid, tau)
+        out[oob] = 0.0
+        return out
+
+    def read_in(traj):
+        specs, streams = [], []
+        for t, f in zip(ts, traj.fields):
+            tau = t - ts[0]
+            g = shear(f.coeffs, -tau)
+            specs.append(g)
+            psi = g * grid.keep / -(kx ** 2 + (ky - tau * kx) ** 2)
+            psi[0, 0] = 0.0
+            streams.append(psi)
+        return specs, streams
+
+    def at(samples, s):
         idx, w = _lagrange_weights(ts, s)
-        return sum(wi * traj.fields[i].coeffs for i, wi in zip(idx, w))
+        return sum(wi * samples[i] for i, wi in zip(idx, w))
+
+    def carry(a, b):
+        return symbol_value(nu, (b - ts[0]) - (a - ts[0]), kx,
+                            ky - (b - ts[0]) * kx)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        specs, streams = read_in(traj1)
+        specs2 = specs if traj2 is traj1 else read_in(traj2)[0]
 
     def panels(a, b):
         total = 0.0
         for s, w in zip(*_panel_set(a, b, rate)):
-            c1 = at(traj1, s)
-            c2 = c1 if traj2 is traj1 else at(traj2, s)
-            total = total + w * flow(
-                transport_spectrum(c1, c2, grid, grid.laplacian), b - s)
+            # the stream function as the spectrum, under a unit symbol
+            g = transport_spectrum(at(streams, s), at(specs2, s), grid, unit)
+            g *= np.abs(ky - (s - ts[0]) * kx) <= (2.0 / 3.0) * grid.band
+            total = total + w * carry(s, b) * g
         return total
 
     out = []
@@ -331,11 +375,11 @@ def duhamel_per_node(traj1, traj2, targets):
         acc = np.zeros((grid.n, grid.half_cols), dtype=complex)
         k = 0
         while k + 1 < len(ts) and ts[k + 1] <= t:
-            acc = flow(acc, ts[k + 1] - ts[k]) + panels(ts[k], ts[k + 1])
+            acc = carry(ts[k], ts[k + 1]) * acc + panels(ts[k], ts[k + 1])
             k += 1
         if t > ts[k]:
-            acc = flow(acc, t - ts[k]) + panels(ts[k], t)
-        out.append(-acc)
+            acc = carry(ts[k], t) * acc + panels(ts[k], t)
+        out.append(-shear(acc, t - ts[0]))
     return out
 
 

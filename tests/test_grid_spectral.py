@@ -150,9 +150,9 @@ def test_no_function_body_imports():
 
 
 def test_propagator_leaves_shears_and_transforms_to_spectral():
-    # the propagator reads shear phases from its lag plan, which builds
-    # them with spectral.shear_phase: no np.fft reference, and no exp of
-    # an imaginary argument, in propagator.py
+    # the propagator shears through spectral.characteristic_flow, whose
+    # flow_tables builds the phase with spectral.shear_phase: no np.fft
+    # reference, and no exp of an imaginary argument, in propagator.py
     found = []
     tree = ast.parse((SRC / "propagator.py").read_text(encoding="utf-8"))
     for node in ast.walk(tree):

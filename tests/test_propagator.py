@@ -31,7 +31,8 @@ from shearvortex.spectral import weighted_norm
 
 from conftest import localized_field
 from oracles import (KATO_SINGLE_G, KERNEL_CENTER, SYMBOL_1110,
-                     check_alias_unpruned, duhamel_direct, duhamel_per_node)
+                     check_alias_unpruned, duhamel_direct_sheared,
+                     duhamel_per_node)
 
 
 # --------------------------------------------------------------- kernel
@@ -244,16 +245,18 @@ def resolved_trajectories():
 ])
 def test_duhamel_march_matches_direct_sum(resolved_trajectories, mixed,
                                           targets):
-    # the march composes propagators where the direct sum applies one, and
-    # derives its panel depth where the oracle splits the last interval
-    # into four; on a resolved band they differ by the shear's
-    # interpolation leakage (measured 4e-16 to 8.7e-9 here), nowhere near
-    # 1e-7
+    # both run in shearing coordinates anchored at t_0. The march composes
+    # multipliers and interpolates each node's transport factors, where
+    # the direct sum carries each node straight to its target and forms
+    # its term from the interpolated spectrum and stream function; the
+    # march derives its panel depth where the oracle splits the last
+    # interval into four. They differ by the quadrature (measured 1.6e-11
+    # to 4.1e-9 here), nowhere near 1e-7
     first, second = resolved_trajectories
     if not mixed:
         second = first
     marched = _duhamel_targets(first, second, targets)
-    direct = duhamel_direct(first, second, targets)
+    direct = duhamel_direct_sheared(first, second, targets)
     for t, m, d in zip(targets, marched, direct):
         d = d[:, :first.grid.half_cols]  # the oracle's full layout
         peak = np.abs(d).max()
@@ -267,8 +270,8 @@ def test_duhamel_march_matches_direct_sum(resolved_trajectories, mixed,
 def test_duhamel_factor_reuse_matches_per_node_transport(
         resolved_trajectories, mixed):
     # the march interpolates each node's transport factors from its
-    # stencil samples' factors; the oracle transforms the spectra
-    # interpolated at the node. The factors are linear in the spectra, so
+    # stencil samples' factors; the oracle transforms the spectra and
+    # stream functions interpolated at the node. The factors are linear in the spectra, so
     # only roundoff separates the two. 1.3 lies strictly between samples
     # (a panel set on [t_k, t]); the pair of different trajectories goes
     # through duhamel_bilinear
@@ -290,9 +293,9 @@ def test_duhamel_vets_every_node_against_later_targets():
     # rough data on a coarse box. The advection divergence lives in the
     # 2/3 band, and a lag below 0.5 shifts it by less than k_max/3, so
     # t = 0.5 loses nothing. At t = 0.75 the nodes of the first interval
-    # reach lag 0.75 and shift content out of the band. Only the node
-    # vetting sees that: the target 0.75 is the accumulator itself, which
-    # is propagated unvetted, and each node is propagated unvetted into it.
+    # reach lag 0.75 and shift content out of the band. The march carries
+    # each node to its target in shearing coordinates, so the target's
+    # read-back vetting sees that content past the physical band.
     g = make_grid(16.0, 32)
     f = localized_field(g, seed=3)
     traj = _constant_trajectory(g, f, tuple(0.25 * j for j in range(5)))
@@ -331,8 +334,8 @@ def test_panel_set_resolves_the_fastest_decay():
 
 def _count_divergences(monkeypatch):
     """Lists that grow by one entry per transport_product call (a node's
-    transport term) and per transport_factors call (the id of the
-    spectrum whose factors it builds) in the march."""
+    transport term) and per transport_factors call (a sample's factors)
+    in the march."""
     products, factors = [], []
     product, build = propagator.transport_product, propagator.transport_factors
 
@@ -341,7 +344,7 @@ def _count_divergences(monkeypatch):
         return product(*args)
 
     def counted_build(*args):
-        factors.append(id(args[0]))
+        factors.append(None)
         return build(*args)
 
     monkeypatch.setattr(propagator, "transport_product", counted_product)
@@ -352,7 +355,8 @@ def _count_divergences(monkeypatch):
 def test_duhamel_evaluates_each_node_once(resolved_trajectories, monkeypatch):
     # each interval is integrated once, and a sample target is the marched
     # accumulator itself, so no interval is summed again for its right end;
-    # each sample's transport factors are built once per march
+    # each sample's transport factors are built once per march, from its
+    # copy in shearing coordinates
     first, _ = resolved_trajectories
     grid = first.grid
     rate = 2.0 * first.nu * grid.k_max ** 2
@@ -364,8 +368,7 @@ def test_duhamel_evaluates_each_node_once(resolved_trajectories, monkeypatch):
     products, factors = _count_divergences(monkeypatch)
     _duhamel_targets(window, window, times)
     assert len(products) == 8 * 16
-    samples = [id(f.coeffs) for f in window.fields]
-    assert sorted(factors) == sorted(samples)
+    assert len(factors) == len(times)
 
     # the resolved window's intervals of 0.25 need a graded panel set
     depth = 1 + math.ceil(math.log2(rate * 0.25 / 4.0))
@@ -374,15 +377,13 @@ def test_duhamel_evaluates_each_node_once(resolved_trajectories, monkeypatch):
     factors.clear()
     _duhamel_targets(first, first, first.times)
     assert len(products) == 8 * depth * 3
-    assert sorted(factors) == sorted(id(f.coeffs) for f in first.fields)
+    assert len(factors) == len(first.times)
 
 
-def test_duhamel_memory_does_not_grow_with_the_samples(monkeypatch):
+def test_duhamel_memory_does_not_grow_with_the_samples():
     # the march keeps the transport factors of one stencil's samples (at
     # most 4) at a time, so marching 33 samples holds no more memory than
-    # marching 9, less than one sample's factors more; the lag plan, which
-    # keeps tables per lag, keeps none here
-    monkeypatch.setattr(propagator, "LAG_PLAN_BUDGET", 0)
+    # marching 9, less than one sample's factors more
     grid = make_grid(20.0, 128)
     f = make_field("gaussian", grid, params={"amplitude": 0.05})
 
@@ -441,48 +442,19 @@ def _calls_in_march(monkeypatch, targets):
     return calls
 
 
-def test_picard_builds_each_lag_table_once_per_solve(monkeypatch):
-    # the shear phases are counted where the kernel's flow_tables builds
-    # them, the propagations where the lag plan runs the kernel
+def test_picard_shears_each_sample_and_target_once(monkeypatch):
+    # in shearing coordinates the march propagates by a multiplier: the
+    # kernel runs, and builds a shear phase, once per sample read in
+    # (slope -tau_i) and once per target after t_0 read back (slope
+    # +tau), and nowhere else
     calls = _calls_in_march(monkeypatch, [
-        (propagator, "_lag_tables"), (propagator, "_drop_set"),
         (propagator, "characteristic_flow"), (spectral, "shear_phase")])
     traj = picard_solve(_small_picard_data(), 1.0, 0.5, 5, t_start=1.0)
     assert len(traj.history) == 3
-    lags = [t for _, _, t in calls["_lag_tables"]]
-    assert lags and len(lags) == len(set(lags))
-    assert len(calls["shear_phase"]) == len(lags)
-    # every propagation of the three iterations reads one of those tables
-    assert len(calls["characteristic_flow"]) >= 3 * 8 * 4 > 3 * len(lags)
-    vetted = [t for _, _, t, _ in calls["_drop_set"]]
-    assert vetted and len(vetted) == len(set(vetted))
-
-
-def test_picard_result_does_not_depend_on_the_plan_budget(monkeypatch):
-    f = _small_picard_data()
-    kept = picard_solve(f, 1.0, 0.5, 5, t_start=1.0)
-    monkeypatch.setattr(propagator, "LAG_PLAN_BUDGET", 0)
-    rebuilt = picard_solve(f, 1.0, 0.5, 5, t_start=1.0)
-    assert kept.history == rebuilt.history
-    for a, b in zip(kept.fields, rebuilt.fields):
-        assert np.array_equal(a.coeffs, b.coeffs)
-
-
-def test_lag_plan_keeps_its_tables_within_the_budget():
-    # at n = 512 one lag's phase (n/2 + 1 rows), symbol and mask take
-    # ~3.1 MiB, so the budget holds 10 lags; later lags are built per
-    # call, identically
-    g = make_grid(20.0, 512)
-    plan = propagator._LagPlan(g, 1.0)
-    lags = [0.01 * j for j in range(1, 13)]
-    first = [plan.tables(t) for t in lags]
-    assert 0 < plan.nbytes <= propagator.LAG_PLAN_BUDGET
-    per_lag = sum(a.nbytes for a in first[0])
-    assert plan.nbytes == per_lag * (propagator.LAG_PLAN_BUDGET // per_lag)
-    for t, tables in zip(lags, first):
-        again = plan.tables(t)
-        assert all(np.array_equal(a, b) for a, b in zip(tables, again))
-    assert plan.nbytes <= propagator.LAG_PLAN_BUDGET
+    taus = [t - traj.times[0] for t in traj.times]
+    want = sorted(([-tau for tau in taus] + taus[1:]) * 3)
+    assert sorted(m[1][0] for _, _, m, _ in calls["characteristic_flow"]) == want
+    assert sorted(slope for _, slope in calls["shear_phase"]) == want
 
 
 def _vetting(check, *args):
@@ -493,44 +465,35 @@ def _vetting(check, *args):
     return None
 
 
-def test_pruned_vetting_raises_as_the_full_drop_set(monkeypatch):
-    # the config of test_duhamel_vets_every_node_against_later_targets:
-    # every vetting the march makes, and a sweep of single lags, give the
-    # outcome (pass, or the same message and mode) of the full drop sets
+def test_vetting_raises_as_the_full_drop_set():
+    # apply_semigroup vets its lag's whole drop set: over a sweep of single
+    # lags it gives the oracle's outcome (pass, or the same message and
+    # mode). The march vets each target it reads back from shearing
+    # coordinates: every raise names a mode whose image at its target lies
+    # out of band. The config of
+    # test_duhamel_vets_every_node_against_later_targets
     g = make_grid(16.0, 32)
     f = localized_field(g, seed=3)
     traj = _constant_trajectory(g, f, tuple(0.25 * j for j in range(5)))
-    vet = propagator._check_alias
-    outcomes = []
+    raised = 0
+    for t in np.linspace(0.3, 1.0, 15):
+        got = _vetting(duhamel_bilinear, traj, traj, t)
+        if got is not None:
+            xi, eta = got[1]
+            assert abs(eta - t * xi) > g.band, t
+            raised += 1
+    assert 0 < raised < 15
 
-    def both(c, lags, plan):
-        lags = list(lags)
-        want = _vetting(check_alias_unpruned, c, plan.grid, plan.nu, lags,
-                        plan.alias_tol)
-        got = _vetting(vet, c, lags, plan)
-        outcomes.append((got, want))
-        vet(c, lags, plan)
-
-    monkeypatch.setattr(propagator, "_check_alias", both)
-    duhamel_bilinear(traj, traj, 0.5)
-    with pytest.raises(AliasingError):
-        duhamel_bilinear(traj, traj, 0.75)
-    assert all(got == want for got, want in outcomes)
-    assert outcomes[0][0] is None and outcomes[-1][0] is not None
-
-    kx, ky = np.broadcast_arrays(*g.wavegrid())
-    pruned = raised = 0
+    raised = 0
     for tol in (1e-12, propagator._ALIAS_TOL, 1e-6, 1e-3):
-        plan = propagator._LagPlan(g, 1.0, alias_tol=tol)
         for c in (f.coeffs, transport(f, f).coeffs):
             for lag in np.linspace(0.05, 2.0, 40):
-                got = _vetting(vet, c, [lag], plan)
+                got = _vetting(apply_semigroup, Field(g, coeffs=c), 1.0, lag,
+                               tol)
                 assert got == _vetting(check_alias_unpruned, c, g, 1.0,
                                        [lag], tol)
                 raised += got is not None
-                lost = np.abs(ky - lag * kx) > g.band
-                pruned += int(lost.sum()) - plan.drops(lag)[0].size
-    assert pruned > 0 and 0 < raised < 320
+    assert 0 < raised < 320
 
 
 def test_trajectory_validation(phys_grid):
@@ -597,6 +560,47 @@ def test_picard_rejects_bad_arguments(phys_grid):
     for t_start in (np.nan, np.inf, -1.0, "1"):
         with pytest.raises(DomainError):
             picard_solve(f, 1.0, 1.0, 5, t_start=t_start)
+
+
+def test_picard_caps_its_samples_before_any_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("picard_solve started work")
+
+    monkeypatch.setattr(propagator, "apply_semigroup", refuse)
+    f = localized_field(make_grid(16.0, 32), seed=1)
+    with pytest.raises(DomainError):
+        picard_solve(f, 1.0, 1.0, propagator.MAX_PICARD_SAMPLES + 1)
+
+
+@pytest.mark.parametrize("t_start,horizon,n_times", [(0.0, 2.0, 17),
+                                                     (1.0, 3.0, 25)])
+def test_picard_converges_over_long_windows(t_start, horizon, n_times):
+    # windows four and six times the longest the other tests solve: the
+    # march carries its nodes over lags up to the horizon in shearing
+    # coordinates, converges, conserves mass and raises no AliasingError
+    f = make_field("gaussian", make_grid(16.0, 64), params={"amplitude": 0.05})
+    traj = picard_solve(f, 1.0, horizon, n_times, t_start=t_start)
+    hist = traj.history
+    assert len(hist) >= 2
+    assert all(b < a for a, b in zip(hist, hist[1:]))
+    m0 = mass(f)
+    assert all(abs(mass(u) - m0) <= 1e-12 * abs(m0) for u in traj.fields)
+
+
+def test_shearing_multiplier_composes_and_reads_back_as_the_propagator():
+    # _carry(a, b) is the heat-shear flow from shear time a to b in
+    # shearing coordinates: two steps make one, and the multiplier from 0
+    # to tau, read back at +tau, is apply_semigroup over tau
+    g = make_grid(20.0, 128)
+    for a, b, c in ((0.0, 0.25, 1.0), (0.3, 1.1, 1.7)):
+        two = propagator._carry(1.0, g, a, b) * propagator._carry(1.0, g, b, c)
+        assert np.abs(two - propagator._carry(1.0, g, a, c)).max() <= 1e-14
+    f = make_field("dipole", g)
+    for tau in (0.25, 1.0):
+        read = propagator._flow(propagator._carry(1.0, g, 0.0, tau) * f.coeffs,
+                                g, tau)
+        want = apply_semigroup(f, 1.0, tau).coeffs
+        assert np.abs(read - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("nu", [np.nan, np.inf, "1", 1j])

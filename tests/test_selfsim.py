@@ -512,6 +512,17 @@ def test_evolve_step_size_guard(frame_grid):
         evolve(state, 2.0, dtau=1.0, nonlinear=False)
 
 
+def test_evolve_caps_its_steps_before_any_work(frame_grid, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("evolve started stepping")
+
+    monkeypatch.setattr(selfsim, "_frame_rhs", refuse)
+    state = SelfSimilarState(omega=gaussian(frame_grid), t=1.0, nu=1.0)
+    for dtau in (1e-12, 0.999 * np.log(2.0) / selfsim.MAX_STEPS):
+        with pytest.raises(DomainError):
+            evolve(state, 2.0, dtau=dtau)
+
+
 def test_evolve_tail_monitor_actions():
     g = make_grid(16.0, 64, "selfsim")
     f = localized_field(g, seed=16, corr=0.5)   # under-resolved on purpose
