@@ -10,7 +10,7 @@ import argparse
 import sys
 from dataclasses import fields
 
-from .config import MODES, TAIL_ACTIONS, RunConfig, override_config, parse_config
+from .config import MODES, RunConfig, override_config, parse_config
 from .errors import (
     AliasingError,
     ConfigError,
@@ -20,6 +20,7 @@ from .errors import (
     TruncationError,
 )
 from .runner import resolve_output_dir, run_experiment
+from .selfsim import TAIL_ACTIONS
 from .snapshot import read_metadata
 
 

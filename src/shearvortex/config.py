@@ -14,10 +14,9 @@ from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError, check_real
 from .propagator import MAX_PICARD_SAMPLES
-from .selfsim import MAX_STEPS
+from .selfsim import MAX_STEPS, TAIL_ACTIONS
 
 MODES = ("simulate", "linear", "fp-decay", "picard", "probe")
-TAIL_ACTIONS = ("error", "warn", "ignore")
 
 # bounds on resource-sized requests, checked by validate_config; the
 # library's evolve and picard_solve enforce MAX_STEPS and

@@ -319,6 +319,7 @@ def inequality_probe(kind, ensemble, times, m=2.0, sigma=0.25, nu=1.0):
     ensemble = list(ensemble)
     if not ensemble:
         raise DomainError("probe ensemble must be nonempty")
+    m, sigma = check_real(m, "probe m"), check_real(sigma, "probe sigma")
     if kind == "biot_savart_linf" and m <= 1:
         raise DomainError("biot-savart probe needs m > 1")
     if kind == "anisotropic_sigma" and not 0 < sigma < 0.5:

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import (ResolutionError, UnsupportedOrderError,
                      check_order, check_time, check_times)
 from .grid import Field
-from .spectral import (characteristic_flow, derivative_symbol, flow_tables,
+from .spectral import (characteristic_flow, derivative_symbol,
                        spectral_tail_ratio)
 
 SQRT3 = np.sqrt(3.0)
@@ -122,5 +122,4 @@ def apply_semigroup(f, tau):
     cm = char_map(tau)
     m = (cm.m11, cm.m12), (cm.m21, cm.m22)    # m11 > 0 for every tau >= 0
     damping = np.exp(symbol_exponent(tau, *f.grid.wavegrid()))
-    c = characteristic_flow(f.coeffs, f.grid, m, flow_tables(f.grid, m, damping))
-    return Field(f.grid, coeffs=c)
+    return Field(f.grid, coeffs=characteristic_flow(f.coeffs, f.grid, m, damping))

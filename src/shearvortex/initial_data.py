@@ -71,11 +71,15 @@ def make_field(entry, grid, seed=0, params=None):
       random_localized: amplitude (1), correlation (1), zero_mass (False) -
         seeded filtered noise under a fixed Gaussian envelope
       eigenfunction: a (0), b (1) - frame-generator eigenfunctions
+
+    The seed is a nonnegative integral number (7 and 7.0 alike).
     """
     params = dict(params or {})
     if entry not in CATALOG:
         raise DomainError(f"unknown initial-data entry {entry!r}; "
                           f"catalog: {CATALOG}")
+    if check_order(seed, "seed") < 0:
+        raise DomainError(f"seed must be >= 0, got {seed!r}")
     maker = {"gaussian": _make_gaussian, "dipole": _make_dipole,
              "point_vortex_approx": _make_point_vortex,
              "random_localized": _make_random,

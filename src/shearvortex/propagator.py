@@ -46,8 +46,8 @@ from .errors import (
     check_times,
 )
 from .grid import Field
-from .spectral import (characteristic_flow, flow_tables, lp_norm,
-                       transport_factors, transport_product)
+from .spectral import (characteristic_flow, lp_norm, transport_factors,
+                       transport_product)
 
 
 def green_kernel(nu, t, x, y):
@@ -90,10 +90,9 @@ _ALIAS_TOL = 1e-9
 
 def _flow(c, grid, t, damping=1.0):
     """The half spectrum c read at (xi, eta + t xi), times damping: the
-    kernel spectral.characteristic_flow on tables built for the one call;
-    unvetted."""
-    m = ((1.0, 0.0), (t, 1.0))
-    return characteristic_flow(c, grid, m, flow_tables(grid, m, damping))
+    kernel spectral.characteristic_flow for the pure shear by t, whose
+    scaling stage is the identity; unvetted."""
+    return characteristic_flow(c, grid, ((1, 0), (t, 1)), damping)
 
 
 def apply_semigroup(f, nu, t, alias_tol=_ALIAS_TOL):
@@ -278,7 +277,7 @@ def _duhamel_targets(traj1, traj2, targets):
     ts = traj1.times
     t0 = ts[0]
     rate = 2.0 * nu * grid.k_max ** 2
-    targets = [float(t) for t in targets]
+    targets = [check_time(t, "target time") for t in targets]
     reads = {}  # target t -> index k of the accumulator J_k it starts from
     for t in targets:
         if not t0 <= t <= ts[-1] + 1e-12:

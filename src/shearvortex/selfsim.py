@@ -169,8 +169,11 @@ def phys_to_selfsim(omega, t, nu, target_grid):
     """Resample a physical-frame vorticity field into the frame at time t.
 
     Mass is preserved exactly in exact arithmetic (the amplitude cancels
-    the Jacobian); the input must be localized well inside its box.
+    the Jacobian); the input must be localized well inside its box. t and
+    nu are checked before any resampling.
     """
+    check_positive(t, "time")
+    check_positive(nu, "viscosity")
     if omega.grid.frame != Frame.PHYSICAL:
         raise GridError("phys_to_selfsim expects a physical-frame field")
     if target_grid.frame != Frame.SELFSIM:
@@ -264,6 +267,7 @@ CFL_LIMIT = 1.7           # bound on dtau * skew advection rate
 MONITOR_TAIL_TOL = 1e-6   # spectral and box tail the monitor allows
 MONITOR_EVERY = 25        # steps between in-call monitor checks
 MAX_STEPS = 10 ** 6       # most steps one evolve call takes, ln(t_end/t) / dtau
+TAIL_ACTIONS = ("error", "warn", "ignore")  # what evolve's on_tail may say
 
 
 def _skew_rate(co, grid):
@@ -336,13 +340,13 @@ def evolve(state, t_end, dtau=2e-3, nonlinear=True, on_tail="error"):
     stability region. The steps run on arrays, the half spectrum of the
     state; Fields are built only for the result, the tail monitor and a
     blow-up's last state. The tail monitor runs every MONITOR_EVERY steps
-    and on the result, and on_tail ("error", "warn" or "ignore") says
+    and on the result, and on_tail (one of TAIL_ACTIONS) says
     what a resolution loss does. Callers that sample a run call evolve
     once per sample interval. A call that would take more than MAX_STEPS
     steps raises DomainError before the first.
     """
     check_positive(dtau, "dtau")
-    if on_tail not in ("error", "warn", "ignore"):
+    if on_tail not in TAIL_ACTIONS:
         raise DomainError(f"unknown tail action {on_tail!r}")
     t_end = check_real(t_end, "t_end")
     if not state.t <= t_end < np.inf:

@@ -11,8 +11,8 @@ at t = 0) in the frame.
 Every spectrum is a half spectrum, the rfft2 layout of a Field's coeffs
 (see grid). Column 0 and the Nyquist column n/2 are their own conjugate
 mirrors; the other columns stand for themselves and their mirror images.
-The shear mixes columns, so sheared runs on full rows, but only on rows
-0..n/2 (_top_rows): rows j and n - j of a real field's spectrum are
+The shear mixes columns, so shear_spectrum runs on full rows, but only
+on rows 0..n/2 (_top_rows): rows j and n - j of a real field's spectrum are
 conjugate mirrors, and _mirror_rows, the one row completion, fills in
 rows n/2+1..n-1 of its output and of full_spectrum. resampled, the dense
 frame change, sums over the full lattice. The dense sums of
@@ -23,10 +23,10 @@ cosines and sines at n/2 + 1 points per axis.
 Both linear semigroups, the physical heat-shear propagator and the
 frame's limit semigroup, are one Ornstein-Uhlenbeck operation: read the
 spectrum at the backward image M k of each mode, then multiply by a
-Gaussian damping. characteristic_flow is that operation, with the tables
-flow_tables builds for M. It alone splits M into a shear and an
-upper-triangular scaling, and no other module shears or scales a
-spectrum; the heat-shear map's scaling is the identity and is skipped.
+Gaussian damping. characteristic_flow is that operation, for any M and
+damping operand. It alone splits M into a shear and an upper-triangular
+scaling, and no other module shears or scales a spectrum; the heat-shear
+map's scaling is the identity and is skipped.
 
 transport_spectrum is the one dealiased transport kernel, the composition
 of its two halves: transport_factors, the samples of the velocity and of
@@ -156,7 +156,7 @@ def _mirror_rows(top, cols):
 def full_spectrum(c):
     """Full fft-layout coefficients of the real field with half spectrum c:
     its rows 0..n/2 (_top_rows) completed by _mirror_rows, the row
-    completion sheared also uses. The result is exactly Hermitian."""
+    completion shear_spectrum also uses. The result is exactly Hermitian."""
     return _mirror_rows(_top_rows(c), c.shape[0])
 
 
@@ -346,30 +346,14 @@ def check_localized(f, what):
 
 def shear_phase(grid, slope):
     """Rows 0..n/2 of the phase exp(-i slope xi_j y_q) of the shear by
-    slope, (n/2 + 1) x n: the rows sheared transforms. The exponentials
-    are taken at columns 0..n/2; as y_{n-q} = -y_q, columns n/2+1..n-1
-    are the conjugates of columns n/2-1..1."""
+    slope, (n/2 + 1) x n: the rows shear_spectrum transforms. The
+    exponentials are taken at columns 0..n/2; as y_{n-q} = -y_q, columns
+    n/2+1..n-1 are the conjugates of columns n/2-1..1."""
     n, h = grid.n, grid.half_cols
     out = np.empty((h, n), dtype=np.complex128)
     out[:, :h] = np.exp(-1j * slope * np.outer(grid.k[:h], grid.x[:h]))
     np.conjugate(out[:, h - 2:0:-1], out=out[:, h:])
     return out
-
-
-def sheared(coeffs, phase):
-    """The evaluation of shear_spectrum, with the shear's phase given.
-
-    The shear mixes columns, so it runs on full rows: rows 0..n/2 of the
-    full spectrum go to the mixed (axis-0 spectral, axis-1 physical)
-    representation, take the phase and come back, 2 (n/2 + 1) complex
-    transforms of length n. The field is real, so rows j and n - j of the
-    mixed representation, and of the phase, are conjugate; the output's
-    rows n/2+1..n-1 are the conjugate mirrors of rows n/2-1..1.
-    """
-    mixed = np.fft.ifft(_top_rows(coeffs), axis=1, norm="forward")
-    mixed *= phase
-    return _mirror_rows(np.fft.fft(mixed, axis=1, norm="forward"),
-                        coeffs.shape[1])
 
 
 def shear_spectrum(coeffs, grid, slope):
@@ -378,14 +362,22 @@ def shear_spectrum(coeffs, grid, slope):
     A shear in the frequency plane is exactly a modulation in physical
     space, so the evaluation is trigonometrically exact: the mixed
     (axis-0 spectral, axis-1 physical) representation picks up the phase
-    exp(-i slope xi_j y_q) before transforming back. Returns the evaluated
-    array together with the boolean mask of lattice points whose request
-    lies outside the resolvable band (those values are periodic wraps and
-    should be discarded or vetted by the caller): the phase and mask of
-    flow_tables, the tables characteristic_flow reads.
+    exp(-i slope xi_j y_q) (shear_phase) before transforming back. The
+    shear mixes columns, so it runs on full rows: rows 0..n/2 of the full
+    spectrum, 2 (n/2 + 1) complex transforms of length n. The field is
+    real, so rows j and n - j of the mixed representation, and of the
+    phase, are conjugate; the output's rows n/2+1..n-1 are the conjugate
+    mirrors of rows n/2-1..1. Returns the evaluated array together with
+    the boolean mask of lattice points whose request lies outside the
+    resolvable band (those values are periodic wraps and should be
+    discarded or vetted by the caller).
     """
-    phase, oob, _ = flow_tables(grid, ((1.0, 0.0), (slope, 1.0)), None)
-    return sheared(coeffs, phase), oob
+    mixed = np.fft.ifft(_top_rows(coeffs), axis=1, norm="forward")
+    mixed *= shear_phase(grid, slope)
+    out = _mirror_rows(np.fft.fft(mixed, axis=1, norm="forward"),
+                       coeffs.shape[1])
+    kx, ky = grid.wavegrid()
+    return out, np.abs(slope * kx + ky) > grid.band
 
 
 def scale_spectrum(coeffs, grid, u11, u12, u22):
@@ -407,32 +399,20 @@ def scale_spectrum(coeffs, grid, u11, u12, u22):
     return out
 
 
-def flow_tables(grid, m, damping):
-    """The tables characteristic_flow reads for the backward map
-    m = ((m11, m12), (m21, m22)), m11 != 0: the phase of the shear by
-    slope = m21/m11, the boolean mask of the lattice points whose shear
-    request (xi_j, slope*xi_j + eta_k) lies outside the resolvable band,
-    and damping, a multiplier on the half layout, as given."""
-    slope = m[1][0] / m[0][0]
-    kx, ky = grid.wavegrid()
-    oob = np.abs(slope * kx + ky) > grid.band
-    return shear_phase(grid, slope), oob, damping
-
-
-def characteristic_flow(c, grid, m, tables):
+def characteristic_flow(c, grid, m, damping):
     """The half spectrum c read at the backward image (m11 xi + m12 eta,
-    m21 xi + m22 eta) of each mode, then multiplied by the damping of
-    tables (flow_tables for m); trig-exact on the band.
+    m21 xi + m22 eta) of each mode of the map m = ((m11, m12), (m21, m22)),
+    m11 != 0, then multiplied by damping, a multiplier on the half layout;
+    trig-exact on the band.
 
-    The read splits as m = [[1, 0], [m21/m11, 1]] U: shear by m21/m11,
-    zero the targets whose shear request leaves the band, then run
-    scale_spectrum by U = [[m11, m12], [0, det(m)/m11]] unless U is the
-    identity, which it is exactly when m11 = m22 = 1 and m12 = 0.
+    The read splits as m = [[1, 0], [m21/m11, 1]] U: shear_spectrum by
+    m21/m11, zero the targets whose shear request leaves the band, then
+    run scale_spectrum by U = [[m11, m12], [0, det(m)/m11]] unless U is
+    the identity, which it is exactly when m11 = m22 = 1 and m12 = 0.
     """
-    phase, oob, damping = tables
-    out = sheared(c, phase)
-    out[oob] = 0.0
     (m11, m12), (m21, m22) = m
+    out, oob = shear_spectrum(c, grid, m21 / m11)
+    out[oob] = 0.0
     if (m11, m12, m22) != (1.0, 0.0, 1.0):
         out = scale_spectrum(out, grid, m11, m12, (m11 * m22 - m12 * m21) / m11)
     out *= damping

@@ -418,3 +418,15 @@ def test_probe_error_paths(small_grid):
     with pytest.warns(RuntimeWarning):
         with pytest.raises(DomainError):
             inequality_probe("biot_savart_linf", [z], [1.0])
+
+
+@pytest.mark.parametrize("kind, bad", [
+    ("biot_savart_linf", {"m": "3"}), ("biot_savart_linf", {"m": 3j}),
+    ("biot_savart_linf", {"m": None}),
+    ("anisotropic_sigma", {"sigma": "0.2"}),
+    ("anisotropic_sigma", {"sigma": b"0.2"}),
+    ("anisotropic_sigma", {"sigma": None})])
+def test_probe_rejects_non_real_parameters(small_grid, kind, bad):
+    # m <= 1 and 0 < sigma used to raise a bare TypeError on these
+    with pytest.raises(DomainError):
+        inequality_probe(kind, [gaussian(small_grid)], [1.0], **bad)

@@ -25,8 +25,9 @@ from shearvortex.initial_data import make_field
 from shearvortex.propagator import apply_semigroup
 from shearvortex.selfsim import FrameCoefficients, _frame_map, _laplacian_symbol
 from shearvortex.spectral import (MAX_DERIVATIVE_ORDER, affine_trig_sum,
-                                  dealias_mask, full_spectrum, scale_spectrum,
-                                  shear_phase, shear_spectrum, spectrum_norm,
+                                  characteristic_flow, dealias_mask,
+                                  full_spectrum, scale_spectrum, shear_phase,
+                                  shear_spectrum, spectrum_norm,
                                   transport_spectrum)
 
 from conftest import localized_field
@@ -151,7 +152,7 @@ def test_no_function_body_imports():
 
 def test_propagator_leaves_shears_and_transforms_to_spectral():
     # the propagator shears through spectral.characteristic_flow, whose
-    # flow_tables builds the phase with spectral.shear_phase: no np.fft
+    # shear_spectrum builds the phase with spectral.shear_phase: no np.fft
     # reference, and no exp of an imaginary argument, in propagator.py
     found = []
     tree = ast.parse((SRC / "propagator.py").read_text(encoding="utf-8"))
@@ -681,3 +682,27 @@ def test_sheared_matches_the_full_layout_shear(n):
         want = shear_full(full_coeffs(v), grid, slope)[:, :grid.half_cols]
         assert got.shape == (n, grid.half_cols)
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_characteristic_flow_takes_its_map_and_damping():
+    # the kernel is given the backward map and the damping operand: a
+    # pure shear is shear_spectrum with its out-of-band targets zeroed,
+    # times the damping; char_map(0.4) adds the scale stage by
+    # U = [[m11, m12], [0, det/m11]]; bit for bit
+    n = 32
+    grid = make_grid(16.0, n)
+    rng = np.random.default_rng(11)
+    c = np.fft.rfft2(rng.standard_normal((n, n)), norm="forward")
+    d = rng.uniform(0.5, 1.0, c.shape)
+    for t in (0.3, -1.1):
+        want, oob = shear_spectrum(c, grid, t)
+        want[oob] = 0.0
+        got = characteristic_flow(c, grid, ((1, 0), (t, 1)), d)
+        assert got.tobytes() == (want * d).tobytes()
+    cm = char_map(0.4)
+    want, oob = shear_spectrum(c, grid, cm.m21 / cm.m11)
+    want[oob] = 0.0
+    want = scale_spectrum(want, grid, cm.m11, cm.m12,
+                          (cm.m11 * cm.m22 - cm.m12 * cm.m21) / cm.m11)
+    got = characteristic_flow(c, grid, ((cm.m11, cm.m12), (cm.m21, cm.m22)), d)
+    assert got.tobytes() == (want * d).tobytes()

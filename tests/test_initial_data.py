@@ -153,3 +153,28 @@ def test_unknown_entry_and_leftover_params(frame_grid):
         make_field("gaussian", frame_grid, params={"amplitud": 1.0})
     with pytest.raises(DomainError):
         make_field("dipole", frame_grid, params={"gamma": 1.0})
+
+
+@pytest.mark.parametrize("seed", [1.7, "3", b"3", -1, np.nan, np.inf, "x",
+                                  None, 1j])
+def test_make_field_rejects_bad_seeds(frame_grid, seed):
+    # a fraction used to be truncated (1.7 gave the seed-1 field) and a
+    # numeric string parsed; negative and NaN seeds reached numpy
+    for entry in ("gaussian", "random_localized"):
+        with pytest.raises(DomainError):
+            make_field(entry, frame_grid, seed)
+
+
+def test_make_field_reads_integral_seeds_exactly(frame_grid):
+    # an integral float is its integer, and integers past 2^53 are not
+    # rounded through a float
+    base = make_field("random_localized", frame_grid, 3)
+    assert np.array_equal(
+        make_field("random_localized", frame_grid, 3.0).values, base.values)
+    assert np.array_equal(
+        make_field("random_localized", frame_grid, np.int64(3)).values,
+        base.values)
+    big = 2 ** 60
+    assert not np.array_equal(
+        make_field("random_localized", frame_grid, big).values,
+        make_field("random_localized", frame_grid, big + 1).values)

@@ -222,6 +222,18 @@ def test_duhamel_rejects_non_finite_time(phys_grid, t):
         _duhamel_targets(traj, traj, [0.5, t])
 
 
+@pytest.mark.parametrize("t", ["0.5", b"0.5", None, 1j])
+def test_duhamel_rejects_non_real_time(phys_grid, t):
+    # a string or bytes target used to be parsed by float(), and None or
+    # a complex number raised a bare TypeError
+    f = localized_field(phys_grid, seed=5)
+    traj = _constant_trajectory(phys_grid, f, (0.0, 0.5, 1.0))
+    with pytest.raises(DomainError):
+        duhamel_bilinear(traj, traj, t)
+    with pytest.raises(DomainError):
+        _duhamel_targets(traj, traj, [0.5, t])
+
+
 @pytest.fixture(scope="module")
 def resolved_trajectories():
     """Linear flows of two Gaussians on a grid that resolves the Duhamel

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,25 @@ def test_frame_change_rejects_wide_field(frame_grid):
     wide = Field(g, values=np.exp(-(x ** 2 + y ** 2) / 80.0))
     with pytest.raises(TruncationError):
         phys_to_selfsim(wide, 1.0, 1.0, frame_grid)
+
+
+@pytest.mark.parametrize("t, nu", [
+    (-1.0, 1.0), (np.inf, 1.0), (np.nan, 1.0), (1j, 1.0), ("2", 1.0),
+    (0.0, 1.0), (2.0, np.nan), (2.0, "1"), (2.0, -1.0), (2.0, np.inf)])
+def test_frame_change_checks_time_and_viscosity_first(
+        frame_grid, wide_phys_grid, monkeypatch, t, nu):
+    # these used to run the dense resample first and end in a misleading
+    # GridError (t = inf with 4 RuntimeWarnings) or a bare ValueError or
+    # TypeError
+    def fail(*args):
+        raise AssertionError("resampled before t and nu were checked")
+
+    monkeypatch.setattr(selfsim, "resampled", fail)
+    f = kernel_field(wide_phys_grid, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            phys_to_selfsim(f, t, nu, frame_grid)
 
 
 def test_state_validation(frame_grid):
