@@ -320,8 +320,8 @@ def inequality_probe(kind, ensemble, times, m=2.0, sigma=0.25, nu=1.0):
     if not ensemble:
         raise DomainError("probe ensemble must be nonempty")
     m, sigma = check_real(m, "probe m"), check_real(sigma, "probe sigma")
-    if kind == "biot_savart_linf" and m <= 1:
-        raise DomainError("biot-savart probe needs m > 1")
+    if kind == "biot_savart_linf" and not 1 < m < np.inf:
+        raise DomainError(f"biot-savart probe needs a finite m > 1, got {m!r}")
     if kind == "anisotropic_sigma" and not 0 < sigma < 0.5:
         raise DomainError("anisotropic probe needs 0 < sigma < 1/2")
     entries = []

@@ -151,18 +151,20 @@ class SelfSimilarState:
         return float(np.log(self.t))
 
 
-# resampling evaluates the periodic extension of the source, so a target
-# box reaching past the source box reads periodic copies; replication of
-# bulk values shows up as O(1) tail mass in the output
+# a frame change reads the source's transform over the source box alone,
+# so no periodic copy of the source enters; the image can still reach past
+# the target box (box tail) or past the target band (spectral tail)
 _WRAP_TOL = 1e-4
 
 
 def _check_wrap(f, what):
-    r = tail_mass_ratio(f)
-    if r > _WRAP_TOL:
+    box, spec = tail_mass_ratio(f), spectral_tail_ratio(f)
+    worst = max(box, spec)
+    if worst > _WRAP_TOL:
         raise TruncationError(
-            f"{what} has tail mass ratio {r:.2e}: the target box wraps into "
-            "the source bulk (grids are incompatible at this time)", tail=r)
+            f"{what} has box tail {box:.2e} and spectral tail {spec:.2e}, "
+            f"above {_WRAP_TOL:g}: the target box is too small or its "
+            "lattice too coarse for the image at this time", tail=worst)
 
 
 def phys_to_selfsim(omega, t, nu, target_grid):
@@ -180,7 +182,9 @@ def phys_to_selfsim(omega, t, nu, target_grid):
         raise GridError("target grid must be a selfsim-frame grid")
     check_localized(omega, "physical field")
     a, c, b = _frame_map(t, nu)
-    out = resampled(omega, target_grid, a, c, b, amplitude(t, nu))
+    # amplitude(t, nu) f(A X), A = [[a, 0], [c, b]], has f's transform at
+    # A^-T kappa: the amplitude, det A, cancels the Jacobian
+    out = resampled(omega, target_grid, 1.0 / a, -c / (a * b), 1.0 / b)
     _check_wrap(out, "resampled frame field")
     return SelfSimilarState(omega=out, t=float(t), nu=float(nu))
 
@@ -191,9 +195,9 @@ def selfsim_to_phys(state, target_grid):
         raise GridError("target grid must be a physical-frame grid")
     check_localized(state.omega, "frame field")
     a, c, b = _frame_map(state.t, state.nu)
-    # inverse of (x, y) = (a X, c X + b Y) is lower triangular as well
-    out = resampled(state.omega, target_grid, 1.0 / a, -c / (a * b), 1.0 / b,
-                    1.0 / amplitude(state.t, state.nu))
+    # the physical field g(A^-1 x) / det A has the frame field g's
+    # transform at A^T k, A^T = [[a, c], [0, b]]
+    out = resampled(state.omega, target_grid, a, c, b)
     _check_wrap(out, "resampled physical field")
     return out
 

@@ -14,11 +14,10 @@ mirrors; the other columns stand for themselves and their mirror images.
 The shear mixes columns, so shear_spectrum runs on full rows, but only
 on rows 0..n/2 (_top_rows): rows j and n - j of a real field's spectrum are
 conjugate mirrors, and _mirror_rows, the one row completion, fills in
-rows n/2+1..n-1 of its output and of full_spectrum. resampled, the dense
-frame change, sums over the full lattice. The dense sums of
-affine_trig_sum and the shear's phase fold by the mirror symmetry of
-grid.x and grid.k (x_{n-j} = -x_j, k_{n-j} = -k_j), so they take
-cosines and sines at n/2 + 1 points per axis.
+rows n/2+1..n-1 of its output. The dense sums of affine_trig_sum and the
+shear's phase fold by the mirror symmetry of grid.x and grid.k
+(x_{n-j} = -x_j, k_{n-j} = -k_j), so they take cosines and sines at
+n/2 + 1 points per axis.
 
 Both linear semigroups, the physical heat-shear propagator and the
 frame's limit semigroup, are one Ornstein-Uhlenbeck operation: read the
@@ -26,7 +25,9 @@ spectrum at the backward image M k of each mode, then multiply by a
 Gaussian damping. characteristic_flow is that operation, for any M and
 damping operand. It alone splits M into a shear and an upper-triangular
 scaling, and no other module shears or scales a spectrum; the heat-shear
-map's scaling is the identity and is skipped.
+map's scaling is the identity and is skipped. The frame changes are the
+scale stage alone, read from one grid into another: resampled is its
+Field entry.
 
 transport_spectrum is the one dealiased transport kernel, the composition
 of its two halves: transport_factors, the samples of the velocity and of
@@ -151,13 +152,6 @@ def _mirror_rows(top, cols):
     np.conjugate(rows[:, :1], out=out[h:, :1])
     np.conjugate(rows[:, n - 1:n - cols:-1], out=out[h:, 1:])
     return out
-
-
-def full_spectrum(c):
-    """Full fft-layout coefficients of the real field with half spectrum c:
-    its rows 0..n/2 (_top_rows) completed by _mirror_rows, the row
-    completion shear_spectrum also uses. The result is exactly Hermitian."""
-    return _mirror_rows(_top_rows(c), c.shape[0])
 
 
 def spectrum_norm(c):
@@ -380,21 +374,25 @@ def shear_spectrum(coeffs, grid, slope):
     return out, np.abs(slope * kx + ky) > grid.band
 
 
-def scale_spectrum(coeffs, grid, u11, u12, u22):
-    """Evaluate the band-limited half spectrum at (u11*xi_j + u12*eta_k,
-    u22*eta_k), trig-exact; requests outside the band read zero.
+def scale_spectrum(coeffs, grid, target, u11, u12, u22):
+    """Target's half spectrum whose coefficient at each mode (xi_j, eta_k)
+    of target is the half spectrum coeffs on grid read at (u11*xi_j +
+    u12*eta_k, u22*eta_k): the transform of grid's samples there, a sum
+    over grid's own box, times (h / 2 L_target)^2, h grid's spacing.
+    Trig-exact; requests outside grid's band read zero. With target =
+    grid it is the spectrum evaluated at the image of each of its modes.
 
     The map is upper triangular in (xi, eta), so affine_trig_sum runs on
-    the transposed real samples, where it is lower triangular, with the
-    n/2 + 1 half-layout columns as its row points.
+    the transposed real samples, where it is lower triangular, with
+    target's n/2 + 1 half-layout columns as its row points.
     """
-    n = grid.n
-    kx, ky = grid.wavegrid()
-    v = np.fft.irfft2(coeffs, norm="forward")  # physical samples
-    out = affine_trig_sum(v.T, grid.x, ky[0], grid.k, u22, u12, u11, -1).T / n ** 2
-    out *= grid.signs[:, :grid.half_cols]  # back to fft-array sign convention
+    kx, ky = target.wavegrid()
+    v = np.fft.irfft2(coeffs, norm="forward")  # physical samples on grid
+    out = affine_trig_sum(v.T, grid.x, ky[0], target.k, u22, u12, u11).T
+    out /= (target.half_width / grid.half_width * grid.n) ** 2  # (2 L_target / h)^2
+    out *= target.signs[:, :target.half_cols]  # back to fft-array sign convention
     out[np.abs(u11 * kx + u12 * ky) > grid.band] = 0.0
-    if abs(u22) * np.abs(grid.k).max() > grid.band:
+    if abs(u22) * np.abs(target.k).max() > grid.band:
         out[:, np.abs(u22 * ky[0]) > grid.band] = 0.0
     return out
 
@@ -414,7 +412,8 @@ def characteristic_flow(c, grid, m, damping):
     out, oob = shear_spectrum(c, grid, m21 / m11)
     out[oob] = 0.0
     if (m11, m12, m22) != (1.0, 0.0, 1.0):
-        out = scale_spectrum(out, grid, m11, m12, (m11 * m22 - m12 * m21) / m11)
+        out = scale_spectrum(out, grid, grid, m11, m12,
+                             (m11 * m22 - m12 * m21) / m11)
     out *= damping
     return out
 
@@ -438,18 +437,17 @@ def _real_product(m, z):
     return (m @ z.view(np.float64)).view(z.dtype)
 
 
-def affine_trig_sum(a, s, rp, rq, m11, m21, m22, sign):
+def affine_trig_sum(a, s, rp, rq, m11, m21, m22):
     """Trigonometric sum of a lattice at a lower-triangular image of another.
 
-    Returns out[p, q] = sum over j, k of a[j, k] exp(sign i (s_j X + s_k Y))
+    Returns out[p, q] = sum over j, k of a[j, k] exp(-i (s_j X + s_k Y))
     at (X, Y) = (m11 rp_p, m21 rp_p + m22 rq_q). The map is lower
     triangular, so the exponent separates into two dense 1-D stages
-    (matrix products) with a phase in rp_p between them; exact. Resampling
-    a field is sign +1 over (wavenumbers, centred spectrum) at rp = rq =
-    the target points; evaluating a spectrum is sign -1 over (positions,
-    samples), transposed when the map is upper triangular in the
-    frequencies, and a half spectrum needs only the rows rp of its n/2 + 1
-    columns.
+    (matrix products) with a phase in rp_p between them; exact. Over
+    (positions, samples) it is the transform of the samples at the image
+    points; scale_spectrum hands it the samples transposed, where its
+    upper-triangular map is lower triangular, and a half spectrum needs
+    only the rows rp of its n/2 + 1 columns.
 
     Precondition: s, of length n with a n x n, and rq are even lattices
     mirrored about index 0 (s_{n-j} = -s_j, the entries 0 and n/2 alone),
@@ -466,7 +464,7 @@ def affine_trig_sum(a, s, rp, rq, m11, m21, m22, sign):
     h = len(s) // 2 + 1
     nq = len(rq)
     hq = nq // 2 + 1
-    phase = sign * 1j
+    phase = -1j
     even, odd = _fold(a)                                  # [m, k]
     arg = np.outer(rp, m11 * s[:h])
     out = (_real_product(np.cos(arg), even)
@@ -484,12 +482,10 @@ def affine_trig_sum(a, s, rp, rq, m11, m21, m22, sign):
     return out.T
 
 
-def resampled(f, grid, m11, m21, m22, scale):
-    """scale times f at (m11 X, m21 X + m22 Y) for the points (X, Y) of
-    grid, a Field there. Trig-exact: a dense sum over f's full lattice
-    with phases centred on the origin, so points past f's box read its
-    periodic extension."""
-    chat = full_spectrum(f.coeffs) * f.grid.signs
-    x = grid.x
-    vals = affine_trig_sum(chat, f.grid.k, x, x, m11, m21, m22, 1).real
-    return Field(grid, values=vals * scale)
+def resampled(f, grid, u11, u12, u22):
+    """The Field on grid whose coefficient at each mode kappa is f's
+    transform at U kappa, U = [[u11, u12], [0, u22]] (scale_spectrum):
+    f(U^-T X) / |det U| at the points X of grid, which keeps the mass.
+    Trig-exact on f's band; the sum runs over f's own box, so no periodic
+    copy of f is read."""
+    return Field(grid, coeffs=scale_spectrum(f.coeffs, f.grid, grid, u11, u12, u22))

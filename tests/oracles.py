@@ -109,6 +109,22 @@ def full_coeffs(v):
     return np.fft.fft2(v) / v.shape[0] ** 2
 
 
+def full_spectrum(c):
+    """Full fft-layout coefficients of the real field with half spectrum c,
+    completed entry by entry by Hermitian symmetry, H[-j, -l] =
+    conj(H[j, l]): columns n/2+1..n-1 mirror c's columns n/2-1..1, and
+    the self-mirrored columns 0 and n/2 take their Hermitian part, which
+    is what irfft2 reads of them. The result is exactly Hermitian."""
+    n, h = c.shape
+    rows = -np.arange(n) % n                     # the row index of -j
+    out = np.empty((n, n), dtype=np.complex128)
+    out[:, :h] = c
+    out[:, h:] = np.conj(c[rows][:, h - 2:0:-1])
+    for col in (0, n // 2):
+        out[:, col] = 0.5 * (c[:, col] + np.conj(c[rows, col]))
+    return out
+
+
 def full_values(c):
     """Samples of the real part of the field with full coefficients c."""
     return (np.fft.ifft2(c) * c.shape[0] ** 2).real

@@ -430,3 +430,15 @@ def test_probe_rejects_non_real_parameters(small_grid, kind, bad):
     # m <= 1 and 0 < sigma used to raise a bare TypeError on these
     with pytest.raises(DomainError):
         inequality_probe(kind, [gaussian(small_grid)], [1.0], **bad)
+
+
+@pytest.mark.parametrize("m", [np.nan, np.inf])
+def test_probe_rejects_non_finite_m_before_any_work(small_grid, monkeypatch, m):
+    # these passed the m > 1 check, and the run then failed inside lp_norm
+    # with a message that named neither the probe nor m
+    def fail(*args):
+        raise AssertionError("probe ratio taken before m was checked")
+
+    monkeypatch.setattr(diagnostics, "_ratio_biot_savart", fail)
+    with pytest.raises(DomainError, match="biot-savart probe needs a finite m"):
+        inequality_probe("biot_savart_linf", [gaussian(small_grid)], [1.0], m=m)

@@ -26,14 +26,14 @@ from shearvortex.propagator import apply_semigroup
 from shearvortex.selfsim import FrameCoefficients, _frame_map, _laplacian_symbol
 from shearvortex.spectral import (MAX_DERIVATIVE_ORDER, affine_trig_sum,
                                   characteristic_flow, dealias_mask,
-                                  full_spectrum, scale_spectrum, shear_phase,
-                                  shear_spectrum, spectrum_norm,
-                                  transport_spectrum)
+                                  scale_spectrum, shear_phase, shear_spectrum,
+                                  spectrum_norm, transport_spectrum)
 
 from conftest import localized_field
 from oracles import (GAUSSIAN_L2, SPEED_G_AT_R2, advection_divergence,
-                     affine_trig_sum_dense, full_coeffs, laplacian_symbol_full,
-                     shear_full, transport_spectrum_full_width, trig_sum_direct)
+                     affine_trig_sum_dense, full_coeffs, full_spectrum,
+                     laplacian_symbol_full, shear_full,
+                     transport_spectrum_full_width, trig_sum_direct)
 
 
 # ---------------------------------------------------------------- grids
@@ -175,6 +175,22 @@ def test_only_the_characteristic_flow_shears_and_scales():
     calls = _calls_outside("spectral.py", ("sheared", "shear_phase",
                                            "shear_spectrum", "scale_spectrum"))
     assert not calls, calls
+
+
+def test_only_the_scale_stage_runs_the_affine_sum():
+    # the frame changes read a spectrum through scale_spectrum, the one
+    # caller of affine_trig_sum; no src/ code completes a half spectrum
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {id(node): func.name for func in ast.walk(tree)
+                 if isinstance(func, ast.FunctionDef) for node in ast.walk(func)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name in ("affine_trig_sum", "full_spectrum"):
+                    calls.append((path.name, owner.get(id(node)), name))
+    assert calls == [("spectral.py", "scale_spectrum", "affine_trig_sum")], calls
 
 
 def _plan_by_formula(L, n):
@@ -566,25 +582,13 @@ def _random_spectrum(n, seed):
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
-def test_affine_kernel_physical_map_matches_direct_sum():
-    # the frame change: a spectrum summed at (a X_p, c X_p + b Y_q), sign +1
-    src = make_grid(8.0, 16)
-    target = make_grid(6.0, 16, "selfsim")
-    chat = _random_spectrum(16, seed=3)
-    a, c, b = _frame_map(2.0, 0.3)
-    got = affine_trig_sum(chat, src.k, target.x, target.x, a, c, b, 1)
-    X, Y = target.meshgrid()
-    ref = trig_sum_direct(chat, src.k, a * X, c * X + b * Y, 1)
-    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-
-
 def test_affine_kernel_row_points_and_real_lattice():
     # rows at a subset of the points are those rows of the square sum, and
     # a real lattice (two real first-stage products) sums as its complex
     # cast does
     grid = make_grid(8.0, 16, "selfsim")
     a = np.random.default_rng(5).standard_normal((16, 16))
-    args = (0.8, -0.3, 1.1, -1)
+    args = (0.8, -0.3, 1.1)
     square = affine_trig_sum(a.astype(complex), grid.x, grid.k, grid.k, *args)
     rows = grid.k[:grid.half_cols]
     for lattice in (a, a.astype(complex)):
@@ -595,37 +599,47 @@ def test_affine_kernel_row_points_and_real_lattice():
 
 
 @pytest.mark.parametrize("n", [8, 128])
-@pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("complex_lattice", [False, True])
-def test_folded_kernel_matches_the_dense_kernel(n, sign, complex_lattice):
-    # both sign conventions, real and complex lattices, over positions (the
-    # scale stage's s) and wavenumbers (the frame change's s), at the whole
-    # target lattice, its first n/2 + 1 points and a subset of points
+def test_folded_kernel_matches_the_dense_kernel(n, complex_lattice):
+    # real and complex lattices, over positions (the scale stage's s) and
+    # over wavenumbers, at the whole target lattice, its first n/2 + 1
+    # points and a subset of points
     grid = make_grid(16.3, n, "selfsim")
-    rng = np.random.default_rng(n + sign)
+    rng = np.random.default_rng(n - 1)
     a = rng.standard_normal((n, n))
     if complex_lattice:
         a = a + 1j * rng.standard_normal((n, n))
-    args = (0.8, -0.3, 1.1, sign)
+    args = (0.8, -0.3, 1.1)
     for s, r in ((grid.x, grid.k), (grid.k, grid.x)):
         for rp in (r, r[:grid.half_cols], r[[1, 5, 2]]):
             got = affine_trig_sum(a, s, rp, r, *args)
-            want = affine_trig_sum_dense(a, s, rp, r, *args)
+            want = affine_trig_sum_dense(a, s, rp, r, *args, -1)
             assert got.shape == want.shape == (len(rp), n)
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
-def test_folded_kernel_between_lattices_of_different_lengths():
-    # the frame change from n = 16 to a target lattice of 32 and back
-    coarse, fine = make_grid(8.0, 16), make_grid(6.0, 32, "selfsim")
+def test_scale_spectrum_between_grids_of_different_lengths():
+    # the frame change's read from n = 16 into a lattice of 32 and back,
+    # by the frame map at t = 2, nu = 0.3 and by its inverse
+    coarse, fine = make_grid(8.0, 16), make_grid(16.0, 32, "selfsim")
     a, c, b = _frame_map(2.0, 0.3)
-    for src, target in ((coarse, fine), (fine, coarse)):
-        chat = _random_spectrum(src.n, seed=src.n)
-        x = target.x
-        got = affine_trig_sum(chat, src.k, x, x, a, c, b, 1)
-        want = affine_trig_sum_dense(chat, src.k, x, x, a, c, b, 1)
-        assert got.shape == (target.n, target.n)
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    maps = ((coarse, fine, (1.0 / a, -c / (a * b), 1.0 / b)),
+            (fine, coarse, (a, c, b)))
+    for src, target, (u11, u12, u22) in maps:
+        n, h = target.n, target.half_cols
+        coeffs = _random_spectrum(src.n, seed=src.n)[:, :src.half_cols]
+        got = scale_spectrum(coeffs, src, target, u11, u12, u22)
+        assert got.shape == (n, h)
+        v = (np.fft.ifft2(full_spectrum(coeffs)) * src.n ** 2).real
+        xi, eta = np.meshgrid(target.k, target.k[:h], indexing="ij")
+        X, Y = u11 * xi + u12 * eta, u22 * eta
+        signs = (-1.0) ** np.add.outer(np.arange(n), np.arange(h))
+        scale = (src.spacing / (2.0 * target.half_width)) ** 2
+        ref = signs * trig_sum_direct(v, src.x, X, Y, -1) * scale
+        inside = (np.abs(X) <= src.k_max) & (np.abs(Y) <= src.k_max)
+        assert n * h // 4 < inside.sum() < n * h
+        assert np.abs(got - ref)[inside].max() <= 1e-12 * np.abs(ref).max()
+        assert not got[~inside].any()
 
 
 def test_affine_kernel_spectral_scale_stage_matches_direct_sum():
@@ -638,7 +652,7 @@ def test_affine_kernel_spectral_scale_stage_matches_direct_sum():
     coeffs = _random_spectrum(n, seed=4)[:, :h]
     m = char_map(0.4)
     u11, u12, u22 = m.m11, m.m12, m.det / m.m11
-    got = scale_spectrum(coeffs, grid, u11, u12, u22)
+    got = scale_spectrum(coeffs, grid, grid, u11, u12, u22)
     assert got.shape == (n, h)
     v = (np.fft.ifft2(full_spectrum(coeffs)) * n ** 2).real
     xi, eta = np.meshgrid(grid.k, grid.k[:h], indexing="ij")
@@ -702,7 +716,7 @@ def test_characteristic_flow_takes_its_map_and_damping():
     cm = char_map(0.4)
     want, oob = shear_spectrum(c, grid, cm.m21 / cm.m11)
     want[oob] = 0.0
-    want = scale_spectrum(want, grid, cm.m11, cm.m12,
+    want = scale_spectrum(want, grid, grid, cm.m11, cm.m12,
                           (cm.m11 * cm.m22 - cm.m12 * cm.m21) / cm.m11)
     got = characteristic_flow(c, grid, ((cm.m11, cm.m12), (cm.m21, cm.m22)), d)
     assert got.tobytes() == (want * d).tobytes()

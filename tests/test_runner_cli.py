@@ -426,8 +426,8 @@ def test_failed_probe_exits_4_with_failed_summary(tmp_path, capsys):
 
 
 def test_incompatible_resample_exits_4(tmp_path, capsys):
-    # broadband data reaches the edge of the physical box, so the frame
-    # resample would wrap bulk content; the run is rejected up front
+    # broadband data reaches past the frame lattice's band, so the frame
+    # change would truncate it; the run is rejected up front
     cfg = write_config(tmp_path, (
         "initial_data = random_localized\n"
         "initial_params = correlation=0.5\n"
@@ -438,6 +438,22 @@ def test_incompatible_resample_exits_4(tmp_path, capsys):
     assert "TruncationError" in capsys.readouterr().err
     summary = read_lines(os.path.join(out, "summary.txt"))
     assert summary[0].startswith("status: FAILED TruncationError")
+
+
+def test_simulate_starts_physical_data_late_on_equal_boxes(tmp_path):
+    # at t_init = 2 the frame box maps past the physical box of the same
+    # size; the frame change reads the data's transform, which n = 256
+    # resolves there, so the handoff is made
+    cfg = write_config(tmp_path, (
+        "initial_data = gaussian\n"
+        "grid_l = 20.0\n"
+        "grid_n = 256\n"
+        "t_init = 2.0\n"
+        "t_end = 2.2\n"
+        "dtau = 0.002\n"))
+    out = str(tmp_path / "out")
+    assert main(["simulate", "--config", cfg, "--out", out]) == 0
+    assert read_lines(os.path.join(out, "summary.txt"))[0] == "status: OK"
 
 
 # ------------------------------------------------------------ output directory

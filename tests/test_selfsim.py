@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,12 +35,12 @@ from shearvortex.errors import TruncationError
 from shearvortex.fokker_planck import eigenfunction, gaussian
 from shearvortex.initial_data import make_field
 from shearvortex.selfsim import sample_schedule
-from shearvortex.spectral import derivative, full_spectrum, spectrum_norm
+from shearvortex.spectral import derivative, spectrum_norm
 
 from conftest import localized_field
 from oracles import (COORD_X_1110, COORD_Y_1110, SQRT3,
                      drift_spectrum_nonconservative, frame_rhs_full,
-                     laplacian_symbol_full)
+                     full_spectrum, laplacian_symbol_full)
 
 
 # ---------------------------------------------------------- coordinates
@@ -130,13 +131,40 @@ def test_gaussian_state_maps_to_kernel(phys24, frame20):
     assert lp_norm(phys - want, 2) <= 1e-9 * lp_norm(want, 2)
 
 
-def test_inverse_map_rejects_oversized_target(wide_phys_grid):
-    # a physical box wider than the frame tile image would read the
-    # periodic copies; the wrap guard must refuse
+def test_inverse_map_reads_wide_targets_and_rejects_unfit_ones(wide_phys_grid):
+    # the frame change reads the frame field's transform over its own box,
+    # so a physical box wider than the frame box's image gets the kernel,
+    # not periodic copies; a target box too small for the image, or a
+    # lattice too coarse for it, is refused
     g = make_grid(20.0, 256, "selfsim")
     state = SelfSimilarState(omega=gaussian(g), t=2.0, nu=1.0)
-    with pytest.raises(TruncationError):
-        selfsim_to_phys(state, wide_phys_grid)
+    phys = selfsim_to_phys(state, wide_phys_grid)
+    want = kernel_field(wide_phys_grid, 2.0)
+    assert lp_norm(phys - want, 2) <= 1e-12 * lp_norm(want, 2)
+    with pytest.raises(TruncationError) as small:       # box tail 0.60
+        selfsim_to_phys(replace(state, t=5.0), make_grid(8.0, 128))
+    assert small.value.tail > 0.5
+    phys = make_field("gaussian", make_grid(20.0, 128))
+    with pytest.raises(TruncationError) as coarse:     # spectral tail 5.9e-2
+        phys_to_selfsim(phys, 3.0, 1.0, make_grid(20.0, 128, "selfsim"))
+    assert coarse.value.tail > 5e-2
+
+
+@pytest.mark.parametrize("t", [2.0, 3.0])
+def test_catalog_gaussian_maps_to_its_closed_form_on_equal_boxes(t):
+    # the frame image amplitude(t) f(A X) of the catalog Gaussian f, read
+    # from a box of the frame box's size: resolved at n = 512, though the
+    # frame box maps past the physical box
+    phys_grid, frame = make_grid(20.0, 512), make_grid(20.0, 512, "selfsim")
+    f = make_field("gaussian", phys_grid)
+    state = phys_to_selfsim(f, t, 1.0, frame)
+    a, c, b = selfsim._frame_map(t, 1.0)
+    X, Y = frame.meshgrid()
+    x, y = a * X, c * X + b * Y
+    want = amplitude(t, 1.0) * np.exp(-(x * x + y * y) / 2.0) / (2.0 * np.pi)
+    err = np.sqrt(np.sum((state.omega.values - want) ** 2) / np.sum(want ** 2))
+    assert err <= 1e-12
+    assert abs(state.alpha - mass(f)) <= 4 * np.finfo(float).eps
 
 
 def test_frame_change_rejects_wide_field(frame_grid):
