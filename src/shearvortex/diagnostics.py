@@ -6,8 +6,10 @@ up to third order with log-time factors and a ladder of small constants;
 the constants must satisfy explicit ratio constraints for E to stay
 coercive, and those constraints are validated on construction. Both are
 read off one Gram table: the weighted-L2 inner products of the samples
-<x>^m d^a omega, each sample formed once per call. record measures the
-distance to alpha times the fixed Gaussian from samples as well.
+<x>^m d^a omega, each sample formed once per call and summed as it
+streams in from spectral.derivative_pass; this module takes no
+transform of its own. record measures the distance to alpha times the
+fixed Gaussian from samples as well.
 """
 
 import math
@@ -17,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, FitError, GridError, check_real
+from .errors import DomainError, FitError, GridError, check_real, check_time
 from .propagator import apply_semigroup as heat_shear_semigroup
 from .selfsim import invert_frame_laplacian
-from .spectral import (derivative, derivative_samples, lp_norm, lp_samples,
+from .spectral import (derivative, derivative_pass, lp_norm, lp_samples,
                        mass, weight_samples, weighted_l2, weighted_norm)
 
 #: fixed exponent grid for the L^p columns (4/3 is the fixed-point norm)
@@ -200,10 +202,11 @@ _D_TERMS = (
     (6, 5, None, (2, 0)),
     (7, 6, (3, 0), (2, 1)),
 )
-# the ten derivative orders sampled, and the four that enter an inner product
+# the ten derivative orders sampled, and each cross pair of E by the factor
+# that comes later in ascending order (derivative_pass's order)
 _ORDERS = tuple(sorted({o for row in _E_TERMS + _D_TERMS for o in row[2:]
                         if o is not None}))
-_CROSS = frozenset(o for _, _, a, b in _E_TERMS if a != b for o in (a, b))
+_CROSS = {a: b for _, _, a, b in _E_TERMS if a != b}
 
 
 def energy_functionals(omega, t, coef, weight=None):
@@ -212,36 +215,44 @@ def energy_functionals(omega, t, coef, weight=None):
     Both sum rows of one Gram table of weighted-L2 inner products of the
     samples f_a = <x>^m d^a omega (orders up to 3), scaled by a constant
     from the ladder, a power of ln(t/t0) and, inside D, 1/(1+t^2) on the
-    sheared-direction derivative of each pair. Each sample is formed
-    once, a derivative by one inverse real transform of the field's half
-    spectrum, and one that enters no inner product is dropped once
-    normed. weight holds the samples of <x>^m when the caller has them
-    (record shares its own); a sample or square sum that is not finite
-    raises GridError.
+    sheared-direction derivative of each pair. f_0 is weighted from the
+    field's own samples and the nine derivatives stream in from one
+    spectral.derivative_pass: each square sum is taken as its sample
+    arrives, and each cross pair when its later factor does, so at most
+    one earlier factor is held. weight holds the (n, n) samples of <x>^m
+    when the caller has them (record shares its own); a sample or square
+    sum that is not finite raises GridError.
     """
+    t = check_time(t, "energy time")
     if t < coef.t0:
         raise DomainError(f"energy functionals need t >= t0 = {coef.t0}")
     grid = omega.grid
     if weight is None:
         weight = weight_samples(grid, coef.m)
+    elif np.shape(weight) != (grid.n, grid.n):
+        raise GridError(f"weight shape {np.shape(weight)} != "
+                        f"({grid.n}, {grid.n})")
     log = float(np.log(t / coef.t0))
     decay = 1.0 / (1.0 + t * t)
     cs = (1.0, coef.c1, coef.c2, coef.c3, coef.c4, coef.c5, coef.c6, coef.c7)
-    c = omega.coeffs
     h2 = grid.spacing ** 2
     gram, kept = {}, {}
-    for o in _ORDERS:
-        f = weight * (omega.values if o == (0, 0)
-                      else derivative_samples(c, grid, *o))
-        gram[o, o] = float(np.sum(f * f)) * h2
+
+    def square(o, f):
+        gram[o, o] = float(np.vdot(f, f)) * h2
         if not math.isfinite(gram[o, o]):
             raise GridError(f"weighted derivative {o} of the field is not "
                             "finite")
+
+    square((0, 0), weight * omega.values)
+    for o, f in derivative_pass(omega.coeffs, grid, _ORDERS[1:]):
+        f *= weight
+        square(o, f)
         if o in _CROSS:
+            gram[o, _CROSS[o]] = float(np.vdot(f, kept.pop(_CROSS[o]))) * h2
+        elif o in _CROSS.values():
             kept[o] = f
-    for _, _, a, b in _E_TERMS:
-        if a != b:
-            gram[a, b] = float(np.sum(kept[a] * kept[b])) * h2
+        del f       # free the sample before the pass makes the next
     e = sum(cs[ci] * log ** lp * gram[a, b] for ci, lp, a, b in _E_TERMS)
     d = sum(cs[ci] * log ** lp
             * (gram[b, b] + (decay * gram[a, a] if a is not None else 0.0))

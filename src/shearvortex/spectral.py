@@ -25,9 +25,11 @@ spectrum at the backward image M k of each mode, then multiply by a
 Gaussian damping. characteristic_flow is that operation, for any M and
 damping operand. It alone splits M into a shear and an upper-triangular
 scaling, and no other module shears or scales a spectrum; the heat-shear
-map's scaling is the identity and is skipped. The frame changes are the
-scale stage alone, read from one grid into another: resampled is its
-Field entry.
+map's scaling is the identity and is skipped. The scale stage sums
+physical samples, so the flow hands it the samples of its sheared
+spectrum. The frame changes are the scale stage alone, read from one
+grid into another: resampled is its Field entry, and hands over the
+Field's samples.
 
 transport_spectrum is the one dealiased transport kernel, the composition
 of its two halves: transport_factors, the samples of the velocity and of
@@ -37,13 +39,16 @@ columns the 2/3 rule keeps: four axis-0 inverse transforms there and four
 axis-1 inverse real transforms, then one axis-1 forward real transform
 and one axis-0 forward transform of the kept columns. The Duhamel march
 calls the halves apart, to build each sample's factors once; transport
-wraps the kernel for Fields, and derivative_samples samples a derivative
-of a half spectrum.
+wraps the kernel for Fields. derivative_pass samples derivatives of a
+half spectrum by the same row-column split: one axis-0 inverse transform
+per x-order, shared by that order's axis-1 inverse real transforms.
 
 All operations assume smooth fields that decay well inside the box, so the
 periodic spectral representation is accurate. Quadrature is the rectangle
 rule, exact for resolved trigonometric content.
 """
+
+from itertools import groupby
 
 import numpy as np
 
@@ -76,11 +81,23 @@ def derivative_symbol(grid, a, b):
     return mult
 
 
-def derivative_samples(c, grid, a, b):
-    """Samples of d^a/dx1^a d^b/dx2^b of the real field with half spectrum
-    c: one inverse real transform, and no Field. Unlike a Field's, the
-    samples are not checked for finiteness."""
-    return np.fft.irfft2(c * derivative_symbol(grid, a, b), norm="forward")
+def derivative_pass(c, grid, orders):
+    """Yield (order, samples) of d^a/dx1^a d^b/dx2^b of the real field with
+    half spectrum c for each order (a, b) in orders, in ascending order,
+    and no Field. irfft2 splits by rows and columns, so the orders of one
+    a share its axis-0 stage: one axis-0 inverse transform of c (ik1)^a
+    per distinct a, then one axis-1 inverse real transform of that mixed
+    array times (ik2)^b per order; the factor (ik)^0 = 1 is skipped. Each
+    samples array is fresh, for the caller to keep or overwrite; unlike a
+    Field's, it is not checked for finiteness."""
+    d, h = grid.multipliers, grid.half_cols
+    mixed, product = np.empty((2, *c.shape), dtype=np.complex128)
+    for a, group in groupby(sorted(orders), key=lambda o: o[0]):
+        spec = np.multiply(c, d[a][:, None], out=product) if a else c
+        np.fft.ifft(spec, axis=0, norm="forward", out=mixed)
+        for _, b in group:
+            spec = np.multiply(mixed, d[b][:h], out=product) if b else mixed
+            yield (a, b), np.fft.irfft(spec, axis=1, norm="forward")
 
 
 def _solve(c, symbol):
@@ -374,20 +391,19 @@ def shear_spectrum(coeffs, grid, slope):
     return out, np.abs(slope * kx + ky) > grid.band
 
 
-def scale_spectrum(coeffs, grid, target, u11, u12, u22):
+def scale_spectrum(v, grid, target, u11, u12, u22):
     """Target's half spectrum whose coefficient at each mode (xi_j, eta_k)
-    of target is the half spectrum coeffs on grid read at (u11*xi_j +
-    u12*eta_k, u22*eta_k): the transform of grid's samples there, a sum
+    of target is the spectrum of the real samples v on grid read at
+    (u11*xi_j + u12*eta_k, u22*eta_k): the transform of v there, a sum
     over grid's own box, times (h / 2 L_target)^2, h grid's spacing.
     Trig-exact; requests outside grid's band read zero. With target =
-    grid it is the spectrum evaluated at the image of each of its modes.
+    grid it is v's spectrum evaluated at the image of each of its modes.
 
     The map is upper triangular in (xi, eta), so affine_trig_sum runs on
-    the transposed real samples, where it is lower triangular, with
-    target's n/2 + 1 half-layout columns as its row points.
+    the transposed samples, where it is lower triangular, with target's
+    n/2 + 1 half-layout columns as its row points.
     """
     kx, ky = target.wavegrid()
-    v = np.fft.irfft2(coeffs, norm="forward")  # physical samples on grid
     out = affine_trig_sum(v.T, grid.x, ky[0], target.k, u22, u12, u11).T
     out /= (target.half_width / grid.half_width * grid.n) ** 2  # (2 L_target / h)^2
     out *= target.signs[:, :target.half_cols]  # back to fft-array sign convention
@@ -405,15 +421,16 @@ def characteristic_flow(c, grid, m, damping):
 
     The read splits as m = [[1, 0], [m21/m11, 1]] U: shear_spectrum by
     m21/m11, zero the targets whose shear request leaves the band, then
-    run scale_spectrum by U = [[m11, m12], [0, det(m)/m11]] unless U is
-    the identity, which it is exactly when m11 = m22 = 1 and m12 = 0.
+    run scale_spectrum on the samples of the sheared spectrum by U =
+    [[m11, m12], [0, det(m)/m11]] unless U is the identity, which it is
+    exactly when m11 = m22 = 1 and m12 = 0.
     """
     (m11, m12), (m21, m22) = m
     out, oob = shear_spectrum(c, grid, m21 / m11)
     out[oob] = 0.0
     if (m11, m12, m22) != (1.0, 0.0, 1.0):
-        out = scale_spectrum(out, grid, grid, m11, m12,
-                             (m11 * m22 - m12 * m21) / m11)
+        out = scale_spectrum(np.fft.irfft2(out, norm="forward"), grid, grid,
+                             m11, m12, (m11 * m22 - m12 * m21) / m11)
     out *= damping
     return out
 
@@ -487,5 +504,6 @@ def resampled(f, grid, u11, u12, u22):
     transform at U kappa, U = [[u11, u12], [0, u22]] (scale_spectrum):
     f(U^-T X) / |det U| at the points X of grid, which keeps the mass.
     Trig-exact on f's band; the sum runs over f's own box, so no periodic
-    copy of f is read."""
-    return Field(grid, coeffs=scale_spectrum(f.coeffs, f.grid, grid, u11, u12, u22))
+    copy of f is read. It reads f's samples, which a Field that holds
+    them hands over without a transform."""
+    return Field(grid, coeffs=scale_spectrum(f.values, f.grid, grid, u11, u12, u22))

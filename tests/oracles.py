@@ -9,11 +9,12 @@ that integrand under a different quadrature, summed without a time march
 and carried by a full-layout shear, the aliasing vetting over whole
 drop sets, and the frame evolver's right-hand side on the full spectrum.
 The full-layout references take and return full fft-layout coefficient
-arrays, not Fields. Two references keep, on half spectra, a route the
+arrays, not Fields. Three references keep, on half spectra, a route the
 library left for speed: the transport kernel on the whole half layout,
-and the Duhamel march with each node's transport term formed from
-interpolated spectra. Agreement between these and the library is the
-point of the tests that import them.
+the Duhamel march with each node's transport term formed from
+interpolated spectra, and the energy pair with one two-axis inverse
+transform per derivative order. Agreement between these and the library
+is the point of the tests that import them.
 """
 
 import numpy as np
@@ -22,7 +23,9 @@ from shearvortex import AliasingError, FrameCoefficients
 from shearvortex.fokker_planck import char_map, symbol_exponent
 from shearvortex.propagator import (_gl_nodes, _lagrange_weights, _panel_set,
                                     symbol_value)
-from shearvortex.spectral import shear_spectrum, transport_spectrum
+from shearvortex.diagnostics import _D_TERMS, _E_TERMS
+from shearvortex.spectral import (derivative_symbol, shear_spectrum,
+                                  transport_spectrum, weight_samples)
 
 SQRT3 = np.sqrt(3.0)
 
@@ -128,6 +131,37 @@ def full_spectrum(c):
 def full_values(c):
     """Samples of the real part of the field with full coefficients c."""
     return (np.fft.ifft2(c) * c.shape[0] ** 2).real
+
+
+def derivative_samples(c, grid, a, b):
+    """Samples of d^a/dx1^a d^b/dx2^b of the real field with half spectrum
+    c: one inverse real transform over both axes."""
+    return np.fft.irfft2(c * derivative_symbol(grid, a, b), norm="forward")
+
+
+def energy_per_order(omega, t, coef, weight=None):
+    """E and D of the hypocoercive pair from the samples <x>^m d^a omega,
+    each order by its own derivative_samples, and the inner product of
+    every pair of orders the row tables name, summed row by row."""
+    grid = omega.grid
+    if weight is None:
+        weight = weight_samples(grid, coef.m)
+    rows = _E_TERMS + _D_TERMS
+    orders = {o for row in rows for o in row[2:] if o is not None}
+    f = {o: weight * derivative_samples(omega.coeffs, grid, *o) for o in orders}
+    h2 = grid.spacing ** 2
+
+    def gram(a, b):
+        return float(np.sum(f[a] * f[b])) * h2
+
+    log = np.log(t / coef.t0)
+    decay = 1.0 / (1.0 + t * t)
+    cs = (1.0, coef.c1, coef.c2, coef.c3, coef.c4, coef.c5, coef.c6, coef.c7)
+    e = sum(cs[ci] * log ** lp * gram(a, b) for ci, lp, a, b in _E_TERMS)
+    d = sum(cs[ci] * log ** lp
+            * (gram(b, b) + (decay * gram(a, a) if a is not None else 0.0))
+            for ci, lp, a, b in _D_TERMS)
+    return e, d
 
 
 def laplacian_symbol_full(grid, co=None):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,9 +23,10 @@ from shearvortex.diagnostics import P_GRID
 from shearvortex.errors import DomainError, FitError, GridError
 from shearvortex.fokker_planck import eigenfunction, gaussian
 from shearvortex.selfsim import invert_frame_laplacian
-from shearvortex.spectral import derivative
+from shearvortex.spectral import derivative, weight_samples
 
 from conftest import localized_field
+from oracles import energy_per_order
 
 
 # --------------------------------------------------------------------- record
@@ -208,24 +211,44 @@ def _counted(calls, name, fn):
 
 
 _TRANSFORMS = ("fft2", "ifft2", "fftn", "ifftn", "rfft2", "irfft2")
+_AXIS_TRANSFORMS = ("fft", "ifft", "rfft", "irfft")
+
+
+def _counted_axis(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls.append(f"{name}/{kwargs.get('axis', -1)}")
+        return fn(*args, **kwargs)
+    return wrapper
 
 
 def _count_sampling(monkeypatch, calls):
-    """Count derivative calls and every 2-D transform into calls."""
+    """Count derivative calls and every transform into calls; a one-axis
+    transform is logged with its axis, as "ifft/0"."""
     for mod in (spectral, diagnostics):
         monkeypatch.setattr(mod, "derivative",
                             _counted(calls, "derivative", spectral.derivative))
     for name in _TRANSFORMS:
         monkeypatch.setattr(np.fft, name,
                             _counted(calls, name, getattr(np.fft, name)))
+    for name in _AXIS_TRANSFORMS:
+        monkeypatch.setattr(np.fft, name,
+                            _counted_axis(calls, name, getattr(np.fft, name)))
+
+
+# the energy pair's nine derivative samples: per x-order a = 0..3, one
+# axis-0 inverse transform, then one axis-1 inverse real transform per
+# order (a, b) of the Gram table (3, 3, 2 and 1 of them)
+_PASS_CALLS = [c for count in (3, 3, 2, 1)
+               for c in ["ifft/0"] + ["irfft/1"] * count]
 
 
 def test_energy_samples_each_derivative_once(small_grid, monkeypatch):
     # one Gram table: ten weighted samples (orders up to 3), the field's
-    # own samples and one inverse real transform of its half spectrum per
-    # nonzero order; no derivative Field, no complex transform and no
-    # per-term norm calls. The field holds both representations, so its
-    # own samples cost no transform.
+    # own samples and the nine derivatives of its half spectrum from four
+    # axis-0 inverse transforms, shared by the nine axis-1 inverse real
+    # transforms; no derivative Field, no 2-D transform and no per-term
+    # norm calls. The field holds both representations, so its own
+    # samples cost no transform.
     lf = localized_field(small_grid, seed=11, corr=1.5)
     om = Field(small_grid, values=lf.values, coeffs=lf.coeffs)
     calls = []
@@ -235,9 +258,10 @@ def test_energy_samples_each_derivative_once(small_grid, monkeypatch):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, _forbidden)
     energy_functionals(om, 2.0, EnergyCoefficients.from_scale())
-    assert calls.count("irfft2") == 9
+    assert calls.count("ifft/0") == 4
+    assert calls.count("irfft/1") == 9
     assert calls.count("derivative") == 0
-    assert len(calls) == 9
+    assert len(calls) == 13
 
 
 class _PowerCount(np.ndarray):
@@ -254,8 +278,9 @@ def test_record_on_fp_decay_state_reads_samples_once(monkeypatch, energy_m,
                                                      powers):
     # the state apply_semigroup leaves holds its half spectrum only, so
     # record transforms nothing but its samples, once, and the energy
-    # pair's nine derivative samples, calls no derivative, and forms each
-    # distinct weight power once
+    # pair's nine derivative samples (four axis-0 and nine axis-1
+    # transforms), calls no derivative, and forms each distinct weight
+    # power once
     grid = make_grid(16.0, 64, "selfsim")
     bracket = grid.bracket_sq.view(_PowerCount)
     bracket.log = []
@@ -268,7 +293,7 @@ def test_record_on_fp_decay_state_reads_samples_once(monkeypatch, energy_m,
     calls = []
     _count_sampling(monkeypatch, calls)
     rec = record(state, opts)
-    assert calls == ["irfft2"] * 10
+    assert calls == ["irfft2"] + _PASS_CALLS
     assert sorted(bracket.log) == powers
     assert np.isfinite(rec.energy) and np.isfinite(rec.dissipation)
 
@@ -303,6 +328,51 @@ def test_energy_rejects_time_before_anchor(small_grid):
     om = gaussian(small_grid)
     with pytest.raises(DomainError):
         energy_functionals(om, 0.5, EnergyCoefficients.from_scale(t0=1.0))
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, "2", 2 + 0j])
+def test_energy_rejects_times_that_are_not_finite_reals(small_grid, t):
+    with pytest.raises(DomainError):
+        energy_functionals(gaussian(small_grid), t,
+                           EnergyCoefficients.from_scale())
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (64, 1), (64,), (65, 65)])
+def test_energy_rejects_weight_of_another_shape(small_grid, shape):
+    with pytest.raises(GridError):
+        energy_functionals(gaussian(small_grid), 2.0,
+                           EnergyCoefficients.from_scale(), np.ones(shape))
+
+
+@pytest.mark.parametrize("n", [16, 64, 128])
+def test_energy_pass_matches_per_order_transforms(n):
+    # the pass's row-column split against one irfft2 per derivative
+    # order, with the weight formed inside and with a weight passed in
+    grid = make_grid(16.0, n, "selfsim")
+    om = localized_field(grid, seed=n, corr=1.5)
+    for m in (2.0, 3.0):
+        coef = EnergyCoefficients.from_scale(m=m)
+        for weight in (None, weight_samples(grid, 1.0)):
+            for t in (1.0, 2.0, 30.0):
+                got = energy_functionals(om, t, coef, weight)
+                want = energy_per_order(om, t, coef, weight)
+                for g, w in zip(got, want):
+                    assert abs(g - w) <= 1e-13 * abs(w), (m, t, g, w)
+
+
+def test_energy_call_holds_at_most_five_arrays(frame_grid):
+    # the samples stream through the Gram table: the weight, the pass's
+    # two complex buffers, one sample and at most one earlier cross factor
+    om = localized_field(frame_grid, seed=5, corr=1.5)
+    coef = EnergyCoefficients.from_scale()
+    energy_functionals(om, 2.0, coef)      # caches the Field's transforms
+    tracemalloc.start()
+    try:
+        energy_functionals(om, 2.0, coef)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * om.values.nbytes, peak / om.values.nbytes
 
 
 # ---------------------------------------------------------- coefficient ladder

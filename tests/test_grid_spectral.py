@@ -122,6 +122,21 @@ def test_only_spectral_sums_over_the_full_lattice():
     assert not calls, calls
 
 
+def test_diagnostics_leaves_sampling_to_spectral():
+    # the energy pair streams its derivative samples from
+    # spectral.derivative_pass: diagnostics.py calls no numpy.fft
+    # function and imports nothing from numpy.fft
+    tree = ast.parse((SRC / "diagnostics.py").read_text(encoding="utf-8"))
+    found = [f"{node.lineno} {ast.unparse(node)}" for node in ast.walk(tree)
+             if (isinstance(node, ast.Call)
+                 and "fft" in ast.unparse(node.func).split(".")[:-1])
+             or (isinstance(node, ast.ImportFrom)
+                 and "fft" in (node.module or ""))
+             or (isinstance(node, ast.Import)
+                 and any("fft" in alias.name for alias in node.names))]
+    assert not found, found
+
+
 def test_only_run_experiment_closes_a_run():
     # one run skeleton: a mode returns its final object and summary lines,
     # and run_experiment alone handles a solver failure (besides _try_fit's
@@ -628,7 +643,8 @@ def test_scale_spectrum_between_grids_of_different_lengths():
     for src, target, (u11, u12, u22) in maps:
         n, h = target.n, target.half_cols
         coeffs = _random_spectrum(src.n, seed=src.n)[:, :src.half_cols]
-        got = scale_spectrum(coeffs, src, target, u11, u12, u22)
+        got = scale_spectrum(np.fft.irfft2(coeffs, norm="forward"), src,
+                             target, u11, u12, u22)
         assert got.shape == (n, h)
         v = (np.fft.ifft2(full_spectrum(coeffs)) * src.n ** 2).real
         xi, eta = np.meshgrid(target.k, target.k[:h], indexing="ij")
@@ -652,7 +668,8 @@ def test_affine_kernel_spectral_scale_stage_matches_direct_sum():
     coeffs = _random_spectrum(n, seed=4)[:, :h]
     m = char_map(0.4)
     u11, u12, u22 = m.m11, m.m12, m.det / m.m11
-    got = scale_spectrum(coeffs, grid, grid, u11, u12, u22)
+    got = scale_spectrum(np.fft.irfft2(coeffs, norm="forward"), grid, grid,
+                         u11, u12, u22)
     assert got.shape == (n, h)
     v = (np.fft.ifft2(full_spectrum(coeffs)) * n ** 2).real
     xi, eta = np.meshgrid(grid.k, grid.k[:h], indexing="ij")
@@ -716,7 +733,8 @@ def test_characteristic_flow_takes_its_map_and_damping():
     cm = char_map(0.4)
     want, oob = shear_spectrum(c, grid, cm.m21 / cm.m11)
     want[oob] = 0.0
-    want = scale_spectrum(want, grid, grid, cm.m11, cm.m12,
+    want = scale_spectrum(np.fft.irfft2(want, norm="forward"), grid, grid,
+                          cm.m11, cm.m12,
                           (cm.m11 * cm.m22 - cm.m12 * cm.m21) / cm.m11)
     got = characteristic_flow(c, grid, ((cm.m11, cm.m12), (cm.m21, cm.m22)), d)
     assert got.tobytes() == (want * d).tobytes()
