@@ -11,25 +11,10 @@ import sys
 from dataclasses import fields
 
 from .config import MODES, RunConfig, override_config, parse_config
-from .errors import (
-    AliasingError,
-    ConfigError,
-    ResolutionError,
-    ShearVortexError,
-    SolverError,
-    TruncationError,
-)
+from .errors import ConfigError, ShearVortexError
 from .runner import resolve_output_dir, run_experiment
 from .selfsim import TAIL_ACTIONS
 from .snapshot import read_metadata
-
-
-def _exit_code(exc):
-    if isinstance(exc, SolverError):
-        return 3
-    if isinstance(exc, (ResolutionError, TruncationError, AliasingError)):
-        return 4
-    return 2
 
 
 def _add_run_flags(sub):
@@ -111,7 +96,7 @@ def main(argv=None):
         return code
     except ShearVortexError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return _exit_code(e)
+        return e.exit_code
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

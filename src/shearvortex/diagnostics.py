@@ -154,11 +154,15 @@ def record(state, opts=None):
 def rate_fit(series, window=None):
     """Least-squares slope of log(value) against log(t), with its
     standard error. Needs at least 5 samples in the window, all positive."""
-    pts = [(check_real(t, "rate fit time"), check_real(v, "rate fit value"))
-           for t, v in series]
-    if window is not None:
-        ta, tb = (check_real(w, "rate fit window") for w in window)
-        pts = [(t, v) for t, v in pts if ta <= t <= tb]
+    try:
+        pts = [(check_real(t, "rate fit time"), check_real(v, "rate fit value"))
+               for t, v in series]
+        if window is not None:
+            ta, tb = (check_real(w, "rate fit window") for w in window)
+            pts = [(t, v) for t, v in pts if ta <= t <= tb]
+    except (TypeError, ValueError):
+        raise DomainError("rate fit needs a series of (t, value) pairs and a "
+                          "(start, end) window") from None
     if len(pts) < 5:
         raise FitError(f"rate fit needs >= 5 samples, got {len(pts)}")
     t = np.array([p[0] for p in pts])

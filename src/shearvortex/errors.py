@@ -1,8 +1,9 @@
 """Exception types shared across the toolkit.
 
-The CLI maps these onto process exit codes: configuration problems exit
-with 2, solver failures (divergence, blow-up, no convergence) with 3 and
-resolution problems (aliasing, truncation, under-resolved data) with 4.
+Each carries the process exit code the CLI returns for it, as exit_code:
+configuration problems exit with 2, solver failures (divergence, blow-up,
+no convergence) with 3 and resolution problems (aliasing, truncation,
+under-resolved data) with 4.
 """
 
 import math
@@ -13,6 +14,8 @@ import numpy as np
 
 class ShearVortexError(Exception):
     """Base class for all toolkit errors."""
+
+    exit_code = 2
 
 
 class ConfigError(ShearVortexError):
@@ -99,6 +102,8 @@ def check_order(value, what):
 class AliasingError(ShearVortexError):
     """Significant spectral content moved across the resolvable band."""
 
+    exit_code = 4
+
     def __init__(self, message, mode=None):
         self.mode = mode  # offending (xi, eta) pair, if identified
         super().__init__(message)
@@ -106,6 +111,8 @@ class AliasingError(ShearVortexError):
 
 class TruncationError(ShearVortexError):
     """Field not localized inside its box; carries the measured tail."""
+
+    exit_code = 4
 
     def __init__(self, message, tail=None):
         self.tail = tail
@@ -115,6 +122,8 @@ class TruncationError(ShearVortexError):
 class ResolutionError(ShearVortexError):
     """Requested feature cannot be represented on the given grid."""
 
+    exit_code = 4
+
 
 class FitError(ShearVortexError):
     """Exponent fit rejected (too few samples in the window)."""
@@ -122,6 +131,8 @@ class FitError(ShearVortexError):
 
 class SolverError(ShearVortexError):
     """Base class for iteration/integration failures."""
+
+    exit_code = 3
 
 
 class DivergenceError(SolverError):

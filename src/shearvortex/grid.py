@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridError
+from .errors import DomainError, GridError, check_real
 
 MAX_DERIVATIVE_ORDER = 4  # highest per-axis order of `multipliers`
 
@@ -52,7 +52,11 @@ class GridSpec:
     k: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        L, n = float(self.half_width), self.n
+        try:
+            L = check_real(self.half_width, "half_width")
+        except DomainError as e:
+            raise GridError(str(e)) from None
+        n = self.n
         if not (isinstance(n, (int, np.integer)) and n >= 8 and (n & (n - 1)) == 0):
             raise GridError(f"n must be a power of two >= 8, got {n!r}")
         # the spacing 2L/n and the band edge pi/spacing must be finite
@@ -159,6 +163,26 @@ def _frozen(a):
     return a
 
 
+def _frozen_copy(a, what, dtype, shape):
+    """A read-only copy of a as dtype, None for None; GridError unless a
+    holds numbers dtype can hold, has the given shape and is finite.
+    Strings, bytes and objects, which a float conversion would parse, are
+    refused, and so are complex numbers for a real dtype."""
+    if a is None:
+        return None
+    a = np.asarray(a)
+    if a.dtype.kind not in "biuf" + np.dtype(dtype).kind:
+        raise GridError(f"{what} must hold numbers {np.dtype(dtype).name} "
+                        f"can hold, got dtype {a.dtype}")
+    if a.shape != shape:
+        raise GridError(f"{what} shape {a.shape} != {shape}")
+    a = np.array(a, dtype=dtype)
+    if not np.all(np.isfinite(a)):
+        raise GridError(f"{what} contain non-finite entries")
+    a.setflags(write=False)
+    return a
+
+
 def make_grid(half_width, n, frame=Frame.PHYSICAL):
     """Validated GridSpec constructor; accepts frame as Frame or string."""
     if isinstance(frame, str):
@@ -187,25 +211,9 @@ class Field:
         if values is None and coeffs is None:
             raise GridError("Field needs values or coeffs")
         n, h = grid.n, grid.half_cols
-        if values is not None:
-            values = np.asarray(values, dtype=np.float64)
-            if values.shape != (n, n):
-                raise GridError(f"values shape {values.shape} != ({n}, {n})")
-            if not np.all(np.isfinite(values)):
-                raise GridError("values contain non-finite entries")
-            values = values.copy()
-            values.setflags(write=False)
-        if coeffs is not None:
-            coeffs = np.asarray(coeffs, dtype=np.complex128)
-            if coeffs.shape != (n, h):
-                raise GridError(f"coeffs shape {coeffs.shape} != ({n}, {h})")
-            if not np.all(np.isfinite(coeffs)):
-                raise GridError("coeffs contain non-finite entries")
-            coeffs = coeffs.copy()
-            coeffs.setflags(write=False)
         self.grid = grid
-        self._values = values
-        self._coeffs = coeffs
+        self._values = _frozen_copy(values, "values", np.float64, (n, n))
+        self._coeffs = _frozen_copy(coeffs, "coeffs", np.complex128, (n, h))
 
     @property
     def values(self):

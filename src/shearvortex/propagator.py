@@ -8,7 +8,10 @@ t^3. The propagator below is exact on the resolvable band: it is
 spectral.characteristic_flow for the backward map (xi, eta) ->
 (xi, eta + t xi), a frequency shear (a modulation in physical space),
 damped by symbol_value, a diagonal multiplier. The limit semigroup of
-fokker_planck is the same kernel for its own map and damping.
+fokker_planck is the same kernel for its own map and damping. Its
+fundamental solution, green_kernel, is read off the self-similar frame,
+which is built on it: the fixed Gaussian at selfsim_coords, divided by
+selfsim.amplitude.
 
 The bilinear Duhamel term of the mild formulation is marched in shearing
 coordinates (Rogallo 1981) anchored at the trajectory's first time t_0:
@@ -46,6 +49,7 @@ from .errors import (
     check_times,
 )
 from .grid import Field
+from .selfsim import amplitude, selfsim_coords
 from .spectral import (characteristic_flow, lp_norm, transport_factors,
                        transport_product)
 
@@ -55,19 +59,16 @@ def green_kernel(nu, t, x, y):
 
     An anisotropic, sheared Gaussian: variance grows like nu*t^3 along x
     (shear-enhanced diffusion) and like nu*t along the tilted y direction.
+    The self-similar frame is built on it: it is the fixed Gaussian
+    (1/4pi) exp(-(X^2 + Y^2)/4) at the frame coordinates (X, Y) of (x, y)
+    (selfsim_coords), divided by the frame's amplitude.
     """
     check_positive(nu, "viscosity")
     t = check_times(t, "green_kernel time")
     if not np.all(t > 0):
         raise DomainError("green_kernel requires a finite t > 0")
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    a = 1.0 + t ** 2 / 3.0
-    b = 1.0 + t ** 2 / 12.0
-    pref = 1.0 / (4.0 * np.pi * nu * t * np.sqrt(b))
-    e1 = x ** 2 / (4.0 * nu * t * a)
-    e2 = (a * y - 0.5 * t * x) ** 2 / (4.0 * nu * t * a * b)
-    return pref * np.exp(-(e1 + e2))
+    X, Y = selfsim_coords(t, nu, x, y)
+    return np.exp(-(X * X + Y * Y) / 4.0) / (4.0 * np.pi * amplitude(t, nu))
 
 
 def symbol_value(nu, t, xi, eta):

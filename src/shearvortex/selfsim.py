@@ -8,6 +8,14 @@ kernel decay rate, so the kernel itself becomes the fixed Gaussian
 frame generator has time-dependent coefficients converging at rate 1/t^2
 to the limit generator handled in closed form by the fokker_planck module.
 
+Each frame concept has one routine here, which other modules read:
+_frame_map is the only formula for the frame's scales (selfsim_coords,
+amplitude and propagator.green_kernel read it); _frame_rhs forms the
+frame equation's explicit terms and _advection_spectrum its advection
+term (evolve, apply_generator, apply_limit_generator and nonlinear_term
+call them); and _frame_read is the one vetted read of both frame
+changes.
+
 evolve steps one frame state to one later time; sample_schedule gives
 the log-spaced sample times, and callers that sample a run (the runner)
 evolve from one sample to the next and record each state themselves.
@@ -21,7 +29,7 @@ import numpy as np
 
 from .errors import (BlowUpError, DomainError, GridError, ResolutionError,
                      TruncationError, check_order, check_positive, check_real,
-                     check_time)
+                     check_time, check_times)
 from .grid import Field, Frame
 from .spectral import (
     check_localized,
@@ -32,7 +40,6 @@ from .spectral import (
     spectral_tail_ratio,
     spectrum_norm,
     tail_mass_ratio,
-    transport,
     transport_spectrum,
 )
 
@@ -89,33 +96,37 @@ class FrameCoefficients:
                    dil2=2.0, rot=0.5 * SQRT3, const=2.0, nonlin=0.0)
 
 
-def selfsim_coords(t, nu, x, y):
-    """Map physical coordinates to self-similar coordinates at time t."""
-    check_positive(t, "time")
-    check_positive(nu, "viscosity")
-    t, nu = float(t), float(nu)
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    a = 1.0 + t * t / 3.0
-    b = 1.0 + t * t / 12.0
-    X = x / np.sqrt(nu * t * a)
-    Y = (a * y - 0.5 * t * x) / np.sqrt(nu * t * a * b)
-    return X, Y
-
-
-def amplitude(t, nu):
-    """Vorticity rescaling factor of the frame: nu t sqrt(1 + t^2/12)."""
-    return nu * t * np.sqrt(1.0 + t * t / 12.0)
-
-
 def _frame_map(t, nu):
-    """Lower-triangular map (X, Y) -> (x, y) = (a X, c X + b Y)."""
+    """Lower-triangular map (X, Y) -> (x, y) = (a X, c X + b Y) of the
+    frame at time t (a number or an array), the only formula for the
+    frame's scales: with A = 1 + t^2/3 and B = 1 + t^2/12,
+    a = sqrt(nu t A), b = sqrt(nu t B / A) and c = (t/2) sqrt(nu t / A)."""
     A = 1.0 + t * t / 3.0
     B = 1.0 + t * t / 12.0
     a = np.sqrt(nu * t * A)
     b = np.sqrt(nu * t * B / A)
     c = 0.5 * t * np.sqrt(nu * t / A)
     return a, c, b
+
+
+def selfsim_coords(t, nu, x, y):
+    """Map physical coordinates to self-similar coordinates at time t > 0
+    (a number or an array): the inverse of the frame map,
+    X = x / a and Y = (y - c X) / b."""
+    t = check_times(t, "time")
+    if not np.all(t > 0):
+        raise DomainError("selfsim_coords requires a finite t > 0")
+    check_positive(nu, "viscosity")
+    a, c, b = _frame_map(t, float(nu))
+    X = np.asarray(x, dtype=np.float64) / a
+    return X, (np.asarray(y, dtype=np.float64) - c * X) / b
+
+
+def amplitude(t, nu):
+    """Vorticity rescaling factor of the frame, the frame map's
+    determinant a b = nu t sqrt(1 + t^2/12)."""
+    a, _, b = _frame_map(t, nu)
+    return a * b
 
 
 @dataclass(frozen=True)
@@ -157,14 +168,22 @@ class SelfSimilarState:
 _WRAP_TOL = 1e-4
 
 
-def _check_wrap(f, what):
-    box, spec = tail_mass_ratio(f), spectral_tail_ratio(f)
+def _frame_read(f, target_grid, u, source, image):
+    """f's image on target_grid under the frame change whose spectral map
+    is u = (u11, u12, u22) (resampled), vetted: f must be localized in its
+    box, and the image's box and spectral tails must stay within
+    _WRAP_TOL. source and image name the two fields in the errors."""
+    check_localized(f, f"{source} field")
+    out = resampled(f, target_grid, *u)
+    box, spec = tail_mass_ratio(out), spectral_tail_ratio(out)
     worst = max(box, spec)
     if worst > _WRAP_TOL:
         raise TruncationError(
-            f"{what} has box tail {box:.2e} and spectral tail {spec:.2e}, "
-            f"above {_WRAP_TOL:g}: the target box is too small or its "
-            "lattice too coarse for the image at this time", tail=worst)
+            f"resampled {image} field has box tail {box:.2e} and spectral "
+            f"tail {spec:.2e}, above {_WRAP_TOL:g}: the target box is too "
+            "small or its lattice too coarse for the image at this time",
+            tail=worst)
+    return out
 
 
 def phys_to_selfsim(omega, t, nu, target_grid):
@@ -180,12 +199,11 @@ def phys_to_selfsim(omega, t, nu, target_grid):
         raise GridError("phys_to_selfsim expects a physical-frame field")
     if target_grid.frame != Frame.SELFSIM:
         raise GridError("target grid must be a selfsim-frame grid")
-    check_localized(omega, "physical field")
     a, c, b = _frame_map(t, nu)
     # amplitude(t, nu) f(A X), A = [[a, 0], [c, b]], has f's transform at
     # A^-T kappa: the amplitude, det A, cancels the Jacobian
-    out = resampled(omega, target_grid, 1.0 / a, -c / (a * b), 1.0 / b)
-    _check_wrap(out, "resampled frame field")
+    out = _frame_read(omega, target_grid, (1.0 / a, -c / (a * b), 1.0 / b),
+                      "physical", "frame")
     return SelfSimilarState(omega=out, t=float(t), nu=float(nu))
 
 
@@ -193,13 +211,10 @@ def selfsim_to_phys(state, target_grid):
     """Resample a frame state back to a physical-frame vorticity field."""
     if target_grid.frame != Frame.PHYSICAL:
         raise GridError("target grid must be a physical-frame grid")
-    check_localized(state.omega, "frame field")
-    a, c, b = _frame_map(state.t, state.nu)
     # the physical field g(A^-1 x) / det A has the frame field g's
     # transform at A^T k, A^T = [[a, c], [0, b]]
-    out = resampled(state.omega, target_grid, a, c, b)
-    _check_wrap(out, "resampled physical field")
-    return out
+    return _frame_read(state.omega, target_grid,
+                       _frame_map(state.t, state.nu), "frame", "physical")
 
 
 def _laplacian_symbol(grid, co):
@@ -235,22 +250,37 @@ def _drift_spectrum(c, co, grid):
             + derivative_symbol(grid, 0, 1) * rfft2(b2 * f, norm="forward"))
 
 
-def _apply_generator(f, co):
-    """Frame generator with coefficients co (diffusion + drifts + constant)."""
-    grid = f.grid
-    out = _drift_spectrum(f.coeffs, co, grid)
-    out += _laplacian_symbol(grid, co) * f.coeffs
-    return Field(grid, coeffs=out)
+def _advection_spectrum(c, co, grid, nu, sym):
+    """Half spectrum of the frame equation's advection term for the field
+    with half spectrum c, coefficients co, viscosity nu and the frame
+    Laplacian's symbol sym: minus the transport of the field by its frame
+    Biot-Savart velocity, weighted by nonlin / nu; dealiased (2/3 rule)."""
+    return transport_spectrum(c, c, grid, sym) * -(co.nonlin / nu)
+
+
+def _frame_rhs(c, co, grid, shift=0.0, nu=None):
+    """Half spectrum of the frame equation's explicit terms with
+    coefficients co for the field with half spectrum c: drifts, constant,
+    the diffusion minus the integrating-factor symbol shift and, when nu
+    is given, the advection term at viscosity nu."""
+    sym = _laplacian_symbol(grid, co)
+    out = _drift_spectrum(c, co, grid)
+    out += (sym - shift) * c
+    if nu is not None:
+        out += _advection_spectrum(c, co, grid, nu, sym)
+    return out
 
 
 def apply_generator(f, t):
     """Full frame generator at time t (diffusion + drifts + constant)."""
-    return _apply_generator(f, FrameCoefficients.at_time(t))
+    co = FrameCoefficients.at_time(t)
+    return Field(f.grid, coeffs=_frame_rhs(f.coeffs, co, f.grid))
 
 
 def apply_limit_generator(f):
     """Late-time limit generator: 4 d_Y^2 + 2 Y d_Y + 2 + rotation."""
-    return _apply_generator(f, FrameCoefficients.limit())
+    co = FrameCoefficients.limit()
+    return Field(f.grid, coeffs=_frame_rhs(f.coeffs, co, f.grid))
 
 
 def nonlinear_term(f, t, nu):
@@ -261,8 +291,9 @@ def nonlinear_term(f, t, nu):
     mass-free, and weighted by 1/(nu (1 + t^2/12)).
     """
     check_positive(nu, "viscosity")
-    co = FrameCoefficients.at_time(t)
-    return transport(f, f, _laplacian_symbol(f.grid, co)) * -(co.nonlin / nu)
+    co, grid = FrameCoefficients.at_time(t), f.grid
+    return Field(grid, coeffs=_advection_spectrum(
+        f.coeffs, co, grid, nu, _laplacian_symbol(grid, co)))
 
 
 GROWTH_FACTOR = 10.0      # one-step L2 growth that flags instability
@@ -319,19 +350,6 @@ def sample_schedule(t_init, t_end, samples_per_decade):
     return taus
 
 
-def _frame_rhs(c, t, sym_mid, grid, nu, nonlinear):
-    """Half spectrum of the evolver's explicit terms at time t: drifts,
-    constant, the diffusion left over by the integrating factor sym_mid
-    and, if nonlinear, the advection term."""
-    co = FrameCoefficients.at_time(t)
-    sym = _laplacian_symbol(grid, co)
-    out = _drift_spectrum(c, co, grid)
-    out += (sym - sym_mid) * c
-    if nonlinear:
-        out += transport_spectrum(c, c, grid, sym) * -(co.nonlin / nu)
-    return out
-
-
 def evolve(state, t_end, dtau=2e-3, nonlinear=True, on_tail="error"):
     """Advance a frame state to t_end and return the state there (the
     input itself when t_end is its time).
@@ -360,10 +378,11 @@ def evolve(state, t_end, dtau=2e-3, nonlinear=True, on_tail="error"):
     if math.log(t_end / state.t) / dtau > MAX_STEPS:
         raise DomainError(f"ln(t_end/t) / dtau exceeds {MAX_STEPS:g} steps")
     grid = state.omega.grid
-    nu = state.nu
+    nu = state.nu if nonlinear else None   # _frame_rhs advects only given nu
 
     def rhs(tau_s, c, sym_mid):
-        return _frame_rhs(c, np.exp(tau_s), sym_mid, grid, nu, nonlinear)
+        return _frame_rhs(c, FrameCoefficients.at_time(np.exp(tau_s)), grid,
+                          sym_mid, nu)
 
     tau = state.tau
     target = float(np.log(t_end))

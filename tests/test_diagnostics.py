@@ -128,6 +128,17 @@ def test_rate_fit_needs_enough_samples():
         rate_fit([(1.0, 1.0), (2.0, 0.5), (3.0, 0.3), (4.0, 0.2)])
 
 
+# a window of one entry, a series of 3-tuples and no series at all used to
+# fail with a bare ValueError or TypeError from unpacking
+@pytest.mark.parametrize("series, window", [
+    ([(t, 1.0 / t) for t in range(1, 7)], (1.0,)),
+    ([(t, 1.0 / t, 0.0) for t in range(1, 7)], None),
+    (None, None)])
+def test_rate_fit_rejects_malformed_input(series, window):
+    with pytest.raises(DomainError):
+        rate_fit(series, window)
+
+
 def test_rate_fit_rejects_bad_series():
     good_t = np.geomspace(1.0, 10.0, 6)
     with pytest.raises(DomainError):

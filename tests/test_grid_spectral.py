@@ -1,4 +1,5 @@
 import ast
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from shearvortex import (
     Field,
     GridError,
+    GridSpec,
     DomainError,
     UnsupportedOrderError,
     biot_savart,
@@ -60,6 +62,16 @@ def test_grid_rejects_bad_half_width():
             make_grid(half_width, 8)
 
 
+# half widths a float conversion would parse ("16", b"16") or fail on with
+# a bare ValueError or TypeError
+@pytest.mark.parametrize("half_width", ["16", b"16", "abc", 1j, None, [16]])
+def test_grid_half_width_must_be_a_real_number(half_width):
+    with pytest.raises(GridError):
+        make_grid(half_width, 64)
+    with pytest.raises(GridError):
+        GridSpec(half_width, 8)
+
+
 def test_grid_integer_wavenumbers_at_half_width_pi():
     g = make_grid(np.pi, 16)
     assert np.allclose(np.sort(g.k), np.arange(-8, 8), atol=1e-14)
@@ -100,6 +112,48 @@ def _calls_outside(home, names):
                 if name in names:
                     calls.append(f"{path.name}:{node.lineno} {name}")
     return calls
+
+
+def _callers(names, files="*.py"):
+    """(file, function) of each call of the named functions in the
+    src/shearvortex files matching files, function being the top-level
+    function or method whose body holds the call ("<module>" outside
+    any)."""
+    found = set()
+
+    def visit(node, owner, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, owner or child.name, name)
+                continue
+            if isinstance(child, ast.Call) and getattr(
+                    child.func, "attr", getattr(child.func, "id", None)) in names:
+                found.add((name, owner or "<module>"))
+            visit(child, owner, name)
+
+    for path in sorted(SRC.glob(files)):
+        visit(ast.parse(path.read_text(encoding="utf-8")), None, path.name)
+    return found
+
+
+def test_frame_scales_have_one_formula():
+    # the frame map's scales are written out once, in selfsim._frame_map;
+    # the kernel, the coordinates and the amplitude read them from there
+    calls = {c for c in _callers(("sqrt",))
+             if c[1] in ("green_kernel", "selfsim_coords", "amplitude")}
+    assert not calls, calls
+
+
+def test_frame_equation_has_one_right_hand_side():
+    # apply_generator, apply_limit_generator and evolve form the frame
+    # equation's explicit terms through selfsim._frame_rhs alone
+    assert _callers(("_drift_spectrum",)) == {("selfsim.py", "_frame_rhs")}
+
+
+def test_frame_advection_has_one_routine():
+    # evolve and nonlinear_term advect through selfsim._advection_spectrum
+    calls = _callers(("transport", "transport_spectrum"), "selfsim.py")
+    assert calls == {("selfsim.py", "_advection_spectrum")}
 
 
 def test_only_the_grid_builds_wavenumbers_and_meshes():
@@ -281,6 +335,36 @@ def test_field_coeffs_are_the_rfft2_half_spectrum(small_grid):
     assert c.tobytes() == want.tobytes()
     back = Field(small_grid, coeffs=c).values
     assert back.tobytes() == np.fft.irfft2(c, norm="forward").tobytes()
+
+
+def test_field_values_must_be_real_numbers(small_grid):
+    # a float conversion would parse the strings
+    with pytest.raises(GridError):
+        Field(small_grid, values=np.full((64, 64), "1.5"))
+
+
+def test_field_coeffs_must_be_numbers(small_grid):
+    with pytest.raises(GridError):
+        Field(small_grid, coeffs=np.full((64, 33), "1"))
+
+
+def test_field_values_must_not_be_complex(small_grid):
+    # a float conversion would drop the imaginary part with a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GridError):
+            Field(small_grid, values=np.full((64, 64), 1.0 + 1.0j))
+
+
+def test_field_keeps_read_only_float_copies(small_grid):
+    ints = np.ones((64, 64), dtype=np.int64)
+    f = Field(small_grid, values=ints, coeffs=np.zeros((64, 33)))
+    assert f.values.dtype == np.float64 and f.coeffs.dtype == np.complex128
+    assert not (f.values.flags.writeable or f.coeffs.flags.writeable)
+    v = np.ones((64, 64))
+    g = Field(small_grid, values=v)
+    v[0, 0] = 2.0
+    assert g.values[0, 0] == 1.0
 
 
 def test_constant_field_spectrum(small_grid):

@@ -26,7 +26,8 @@ from shearvortex.fokker_planck import apply_semigroup as fp_apply
 from shearvortex.fokker_planck import char_map, gaussian
 from shearvortex.initial_data import make_field
 from shearvortex.propagator import _duhamel_targets, _panel_set, symbol_value
-from shearvortex.selfsim import FrameCoefficients, nonlinear_term, selfsim_coords
+from shearvortex.selfsim import (FrameCoefficients, amplitude, nonlinear_term,
+                                 selfsim_coords)
 from shearvortex.spectral import weighted_norm
 
 from conftest import localized_field
@@ -53,6 +54,18 @@ def test_kernel_unit_mass():
     for t in (1.0, 3.0):
         total = float(np.sum(green_kernel(1.0, t, x, y))) * g.spacing ** 2
         assert abs(total - 1.0) <= 1e-8
+
+
+@pytest.mark.parametrize("nu", [0.1, 1.0])
+@pytest.mark.parametrize("t", [0.5, 1.0, 10.0, 1000.0])
+def test_kernel_is_the_fixed_gaussian_in_frame_coordinates(t, nu):
+    # G(x, t) amplitude(t) = (1/4pi) exp(-|X|^2/4) at the frame
+    # coordinates X of x: the frame is built on the kernel
+    x, y = make_grid(5.0, 32).meshgrid()
+    X, Y = selfsim_coords(t, nu, x, y)
+    want = np.exp(-(X ** 2 + Y ** 2) / 4.0) / (4.0 * np.pi)
+    got = green_kernel(nu, t, x, y) * amplitude(t, nu)
+    assert np.all(np.abs(got - want) <= 1e-15 * want)
 
 
 def test_kernel_rejects_nonpositive_time():

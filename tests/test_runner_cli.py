@@ -12,6 +12,7 @@ from shearvortex import (
     Field,
     RunConfig,
     SelfSimilarState,
+    errors,
     make_grid,
     read_snapshot,
     run_experiment,
@@ -354,6 +355,18 @@ def test_non_numeric_initial_params_exit_2(tmp_path, capsys, entry, params,
 def test_missing_snapshot_exits_2(tmp_path, capsys):
     assert main(["snapshot-info", str(tmp_path / "absent.snap")]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_each_error_class_carries_its_exit_code():
+    # the CLI returns the error's own exit_code: 2 for invalid input, 3 for
+    # solver failures and 4 for resolution failures, subclasses included
+    want = {errors.ShearVortexError: 2, errors.ConfigError: 2,
+            errors.GridError: 2, errors.DomainError: 2, errors.FitError: 2,
+            errors.ChecksumError: 2, errors.SolverError: 3,
+            errors.DivergenceError: 3, errors.NoConvergenceError: 3,
+            errors.BlowUpError: 3, errors.ResolutionError: 4,
+            errors.TruncationError: 4, errors.AliasingError: 4}
+    assert {cls: cls("x").exit_code for cls in want} == want
 
 
 def test_diverging_picard_exits_3(tmp_path, capsys):

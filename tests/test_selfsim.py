@@ -594,8 +594,9 @@ def test_half_spectrum_rhs_matches_full_layout_oracle(frame_grid, t, nonlinear):
     nu = 0.5
     co_mid = FrameCoefficients.at_time(1.1 * t)
     sym_mid = selfsim._laplacian_symbol(frame_grid, co_mid)
-    got = full_spectrum(selfsim._frame_rhs(f.coeffs, t, sym_mid, frame_grid,
-                                           nu, nonlinear))
+    got = full_spectrum(selfsim._frame_rhs(
+        f.coeffs, FrameCoefficients.at_time(t), frame_grid, sym_mid,
+        nu if nonlinear else None))
     want = frame_rhs_full(f, t, laplacian_symbol_full(frame_grid, co_mid), nu,
                           nonlinear)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
