@@ -10,6 +10,7 @@ formatting, so parse/serialize round trips are byte-stable.
 
 import math
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError, check_real
@@ -86,23 +87,36 @@ def _parse_params(text):
     return out
 
 
-# (parse, format) of a value by the declared type of its RunConfig field;
-# parse raises ValueError on text it cannot read. Floats are formatted as
-# Python floats, so a NumPy scalar writes the same text as its float twin
-_CODECS = {
-    str: (str, str),
-    int: (int, str),
-    float: (float, lambda v: repr(float(v))),
-    tuple: (lambda text: tuple(float(w) for w in text.split(",") if w.strip()),
-            lambda values: ", ".join(repr(float(w)) for w in values)),
-    dict: (_parse_params, lambda params: ", ".join(
-        f"{k}={_fmt_scalar(v)}" for k, v in sorted(params.items()))),
+def _real(v):
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+# How a value of each declared RunConfig field type is parsed (raising
+# ValueError on text it cannot read) and formatted, and the test and noun
+# of the values such a field takes: those serialize_config writes in a
+# form parse_config reads back. NumPy scalars count as the Python numbers
+# they stand for; floats are formatted as Python floats, so a NumPy
+# scalar writes the same text as its float twin.
+_ValueType = namedtuple("_ValueType", "parse format test noun")
+_TYPES = {
+    str: _ValueType(str, str, lambda v: isinstance(v, str), "a string"),
+    int: _ValueType(int, str, lambda v: isinstance(v, numbers.Integral)
+                    and not isinstance(v, bool), "an integer"),
+    float: _ValueType(float, lambda v: repr(float(v)), _real, "a real number"),
+    tuple: _ValueType(
+        lambda text: tuple(float(w) for w in text.split(",") if w.strip()),
+        lambda values: ", ".join(repr(float(w)) for w in values),
+        lambda v: isinstance(v, tuple) and all(map(_real, v)),
+        "a tuple of real numbers"),
+    dict: _ValueType(_parse_params, lambda params: ", ".join(
+        f"{k}={_fmt_scalar(v)}" for k, v in sorted(params.items())),
+        lambda v: isinstance(v, dict), "a dict"),
 }
 
 
 def serialize_config(cfg):
     """Canonical text form: field order, values formatted by field type."""
-    return "".join(f"{f.name} = {_CODECS[f.type][1](getattr(cfg, f.name))}\n"
+    return "".join(f"{f.name} = {_TYPES[f.type].format(getattr(cfg, f.name))}\n"
                    for f in fields(RunConfig))
 
 
@@ -134,7 +148,7 @@ def parse_config(text):
     kwargs = {}
     for key, (val, lineno, col) in raw.items():
         try:
-            kwargs[key] = _CODECS[types[key]][0](val)
+            kwargs[key] = _TYPES[types[key]].parse(val)
         except ValueError as e:
             raise ConfigError(f"field {key!r}: {e}", line=lineno,
                               column=col) from None
@@ -146,33 +160,15 @@ def picard_samples(cfg):
     return max(17, math.ceil(8.0 * (cfg.t_end - cfg.t_init)) + 1)
 
 
-def _real(v):
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
-
-
-# (test, name) of the values a RunConfig field of each declared type
-# takes: the values serialize_config writes in a form parse_config reads
-# back (NumPy scalars count as the Python numbers they stand for)
-_FIELD_TYPES = {
-    str: (lambda v: isinstance(v, str), "a string"),
-    int: (lambda v: isinstance(v, numbers.Integral)
-          and not isinstance(v, bool), "an integer"),
-    float: (_real, "a real number"),
-    tuple: (lambda v: isinstance(v, tuple) and all(map(_real, v)),
-            "a tuple of real numbers"),
-    dict: (lambda v: isinstance(v, dict), "a dict"),
-}
-
-
 def validate_config(cfg):
     """Field-level validation; raises ConfigError naming the field."""
     def bad(fieldname, msg):
         raise ConfigError(f"field {fieldname!r}: {msg}")
 
     for f in fields(RunConfig):
-        ok, kind = _FIELD_TYPES[f.type]
-        if not ok(getattr(cfg, f.name)):
-            bad(f.name, f"must be {kind}, got {getattr(cfg, f.name)!r}")
+        value, value_type = getattr(cfg, f.name), _TYPES[f.type]
+        if not value_type.test(value):
+            bad(f.name, f"must be {value_type.noun}, got {value!r}")
     if cfg.mode not in MODES:
         bad("mode", f"must be one of {MODES}, got {cfg.mode!r}")
     for name in ("nu", "grid_l", "t_init", "t_end", "dtau"):

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FitError, GridError, check_real, check_time
+from .grid import Field, Frame
 from .propagator import apply_semigroup as heat_shear_semigroup
 from .selfsim import invert_frame_laplacian
 from .spectral import (derivative, derivative_pass, lp_norm, lp_samples,
@@ -65,19 +66,15 @@ class EnergyCoefficients:
             raise DomainError("weight exponent m must exceed 1")
         if self.c2 != self.c4:
             raise DomainError("need c2 = c4")
-        chain = (("1", 1.0, "c1", self.c1), ("c1", self.c1, "c2", self.c2),
-                 ("c2", self.c2, "c3", self.c3), ("c3", self.c3, "c5", self.c5),
-                 ("c5", self.c5, "c6", self.c6), ("c6", self.c6, "c7", self.c7))
+        c1, c2, c3, _, c5, c6, c7 = cs
+        # (big, small) pairs: the chain, then the products
+        pairs = (("1", 1.0, "c1", c1), ("c1", c1, "c2", c2), ("c2", c2, "c3", c3),
+                 ("c3", c3, "c5", c5), ("c5", c5, "c6", c6), ("c6", c6, "c7", c7),
+                 ("c2", c2, "c1^2", c1 ** 2), ("c1*c3", c1 * c3, "c2^2", c2 ** 2),
+                 ("c3*c6", c3 * c6, "c5^2", c5 ** 2),
+                 ("c5*c7", c5 * c7, "c6^2", c6 ** 2))
         # 1e-12 relative slack admits ladders that hit factor 10 exactly
-        for big_name, big, small_name, small in chain:
-            if _RATIO * small > big * (1.0 + 1e-12):
-                raise DomainError(
-                    f"need {big_name} >= {_RATIO:g} * {small_name}")
-        prods = (("c1^2", self.c1 ** 2, "c2", self.c2),
-                 ("c2^2", self.c2 ** 2, "c1*c3", self.c1 * self.c3),
-                 ("c5^2", self.c5 ** 2, "c3*c6", self.c3 * self.c6),
-                 ("c6^2", self.c6 ** 2, "c5*c7", self.c5 * self.c7))
-        for small_name, small, big_name, big in prods:
+        for big_name, big, small_name, small in pairs:
             if _RATIO * small > big * (1.0 + 1e-12):
                 raise DomainError(
                     f"need {big_name} >= {_RATIO:g} * {small_name}")
@@ -86,6 +83,7 @@ class EnergyCoefficients:
     def from_scale(cls, A=10.0, t0=1.0, m=2.0):
         """One-parameter ladder (A^-3, A^-5, A^-6, A^-5, A^-9, A^-11, A^-12);
         satisfies every ratio constraint for A >= 10."""
+        A = check_real(A, "energy scale A")
         return cls(c1=A ** -3, c2=A ** -5, c3=A ** -6, c4=A ** -5,
                    c5=A ** -9, c6=A ** -11, c7=A ** -12, t0=t0, m=m)
 
@@ -276,35 +274,27 @@ class ProbeReport:
     argmax: tuple             # (field index, t) of the maximizer
 
 
-PROBE_KINDS = ("biot_savart_linf", "anisotropic_sigma", "semigroup_lp")
-
-
-def _stream_gradient_sup(f, t):
-    """sup norms of the two stream-function derivatives in the frame."""
+def _stream_gradient(f, t):
+    """sup|d1 psi| + <t> sup|d2 psi| for the frame stream function psi of
+    f at time t, the left side of both Biot-Savart probes."""
     g = invert_frame_laplacian(f, t)
-    gx = float(lp_norm(derivative(g, 1, 0), np.inf))
-    gy = float(lp_norm(derivative(g, 0, 1), np.inf))
-    return gx, gy
+    return (float(lp_norm(derivative(g, 1, 0), np.inf)) + np.sqrt(1.0 + t * t)
+            * float(lp_norm(derivative(g, 0, 1), np.inf)))
 
 
 def _ratio_biot_savart(f, t, m):
-    gx, gy = _stream_gradient_sup(f, t)
-    bracket = np.sqrt(1.0 + t * t)
-    lhs = gx + bracket * gy
     p_hi = 2.0 * m / (m - 1.0)
     p_lo = 2.0 * m / (m + 1.0)
-    rhs = bracket ** 1.5 * np.sqrt(float(lp_norm(f, p_hi)) * float(lp_norm(f, p_lo)))
-    return lhs / rhs
+    rhs = np.sqrt(1.0 + t * t) ** 1.5 * np.sqrt(
+        float(lp_norm(f, p_hi)) * float(lp_norm(f, p_lo)))
+    return _stream_gradient(f, t) / rhs
 
 
 def _ratio_anisotropic(f, t, sigma):
-    gx, gy = _stream_gradient_sup(f, t)
-    bracket = np.sqrt(1.0 + t * t)
-    lhs = gx + bracket * gy
-    rhs = (bracket ** (1.0 + sigma)
+    rhs = (np.sqrt(1.0 + t * t) ** (1.0 + sigma)
            * float(weighted_norm(f, 1.0)) ** (0.5 + sigma)
            * float(weighted_norm(f, 1.0, 1, 0)) ** (0.5 - sigma))
-    return lhs / rhs
+    return _stream_gradient(f, t) / rhs
 
 
 def _ratio_semigroup(f, t, nu):
@@ -322,6 +312,16 @@ def _ratio_semigroup(f, t, nu):
     return max(r1, r2, r3)
 
 
+# each probe kind: its ratio, the parameter that ratio takes, and the
+# frame its ensemble lives in
+_PROBES = {
+    "biot_savart_linf": (_ratio_biot_savart, "m", Frame.SELFSIM),
+    "anisotropic_sigma": (_ratio_anisotropic, "sigma", Frame.SELFSIM),
+    "semigroup_lp": (_ratio_semigroup, "nu", Frame.PHYSICAL),
+}
+PROBE_KINDS = tuple(_PROBES)
+
+
 def inequality_probe(kind, ensemble, times, m=2.0, sigma=0.25, nu=1.0):
     """Measure LHS/RHS (constants stripped) of one of the a priori
     inequalities over an ensemble of fields and a list of times.
@@ -331,14 +331,22 @@ def inequality_probe(kind, ensemble, times, m=2.0, sigma=0.25, nu=1.0):
     """
     if kind not in PROBE_KINDS:
         raise DomainError(f"unknown probe kind {kind!r}; use one of {PROBE_KINDS}")
-    ensemble = list(ensemble)
+    ratio, name, _ = _PROBES[kind]
+    try:
+        ensemble = list(ensemble)
+        times = [check_time(t, "probe time") for t in times]
+    except TypeError:
+        raise DomainError("probe ensemble and times must be sequences") from None
     if not ensemble:
         raise DomainError("probe ensemble must be nonempty")
+    if not all(isinstance(f, Field) for f in ensemble):
+        raise DomainError("probe ensemble must hold Fields")
     m, sigma = check_real(m, "probe m"), check_real(sigma, "probe sigma")
-    if kind == "biot_savart_linf" and not 1 < m < np.inf:
+    if name == "m" and not 1 < m < np.inf:
         raise DomainError(f"biot-savart probe needs a finite m > 1, got {m!r}")
-    if kind == "anisotropic_sigma" and not 0 < sigma < 0.5:
+    if name == "sigma" and not 0 < sigma < 0.5:
         raise DomainError("anisotropic probe needs 0 < sigma < 1/2")
+    param = {"m": m, "sigma": sigma, "nu": nu}[name]
     entries = []
     for i, f in enumerate(ensemble):
         if float(lp_norm(f, np.inf)) == 0.0:
@@ -346,12 +354,7 @@ def inequality_probe(kind, ensemble, times, m=2.0, sigma=0.25, nu=1.0):
                           stacklevel=2)
             continue
         for t in times:
-            if kind == "biot_savart_linf":
-                r = _ratio_biot_savart(f, t, m)
-            elif kind == "anisotropic_sigma":
-                r = _ratio_anisotropic(f, t, sigma)
-            else:
-                r = _ratio_semigroup(f, t, nu)
+            r = ratio(f, t, param)
             if not np.isfinite(r):
                 raise DomainError(
                     f"probe ratio not finite for field {i} at t={t}")
@@ -360,9 +363,7 @@ def inequality_probe(kind, ensemble, times, m=2.0, sigma=0.25, nu=1.0):
         raise DomainError("probe ensemble contained only zero fields")
     ratios = np.array([e[2] for e in entries])
     top = int(np.argmax(ratios))
-    params = {"m": m} if kind == "biot_savart_linf" else (
-        {"sigma": sigma} if kind == "anisotropic_sigma" else {"nu": nu})
-    return ProbeReport(kind=kind, params=params, entries=tuple(entries),
+    return ProbeReport(kind=kind, params={name: param}, entries=tuple(entries),
                        max_ratio=float(ratios.max()),
                        mean_ratio=float(ratios.mean()),
                        argmax=(entries[top][0], entries[top][1]))

@@ -69,17 +69,23 @@ def check_time(value, what):
     return t
 
 
-def check_times(value, what):
-    """value, a real number or an array of them, as a float64 array if
-    every entry is finite and >= 0; raise DomainError for negative, NaN
-    and infinite entries, and for strings, bytes, complex numbers and
-    objects, which a float conversion would parse or drop the imaginary
-    part of. A scalar is read as check_real reads it."""
+def check_reals(value, what):
+    """value, a real number or an array of them, as a float64 array, with
+    no copy or scan of one already; raise DomainError for strings, bytes,
+    complex numbers and objects, which a float conversion would parse or
+    drop the imaginary part of. A scalar is read as check_real reads it."""
     a = np.asarray(check_real(value, what) if isinstance(value, numbers.Real)
                    else value)
     if a.dtype.kind not in "biuf":
         raise DomainError(f"{what} must be real, got {value!r}")
-    a = a.astype(np.float64, copy=False)
+    return a.astype(np.float64, copy=False)
+
+
+def check_times(value, what):
+    """value, a real number or an array of them, read by check_reals, if
+    every entry is finite and >= 0; raise DomainError for negative, NaN
+    and infinite entries too."""
+    a = check_reals(value, what)
     if not np.all((0.0 <= a) & (a < np.inf)):
         raise DomainError(f"{what} must be finite and nonnegative, got {value!r}")
     return a

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ResolutionError, UnsupportedOrderError,
-                     check_order, check_time, check_times)
+                     check_order, check_reals, check_time, check_times)
 from .grid import Field
 from .spectral import (characteristic_flow, derivative_symbol,
                        spectral_tail_ratio)
@@ -62,6 +62,8 @@ def symbol_exponent(tau, xi, eta):
     Fourier transform exponent of the Gaussian equilibrium.
     """
     tau = check_times(tau, "symbol_exponent tau")
+    xi = check_reals(xi, "symbol_exponent xi")
+    eta = check_reals(eta, "symbol_exponent eta")
     e = np.exp(-tau)
     return (-(1 - e) ** 3 * xi ** 2
             - 2.0 * SQRT3 * e * (1 - e) ** 2 * xi * eta

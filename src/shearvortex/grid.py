@@ -210,6 +210,8 @@ class Field:
     def __init__(self, grid, values=None, coeffs=None):
         if values is None and coeffs is None:
             raise GridError("Field needs values or coeffs")
+        if not isinstance(grid, GridSpec):
+            raise GridError(f"Field needs a GridSpec, got {grid!r}")
         n, h = grid.n, grid.half_cols
         self.grid = grid
         self._values = _frozen_copy(values, "values", np.float64, (n, n))
@@ -239,26 +241,21 @@ class Field:
     def has_coeffs(self):
         return self._coeffs is not None
 
-    def _check_same_grid(self, other):
+    # linear arithmetic; works in whichever representation both sides share
+    def _combine(self, other, op):
+        if not isinstance(other, Field):
+            return NotImplemented
         if self.grid != other.grid:
             raise GridError("fields live on different grids")
-
-    # linear arithmetic; works in whichever representation both sides share
-    def __add__(self, other):
-        if not isinstance(other, Field):
-            return NotImplemented
-        self._check_same_grid(other)
         if self.has_values and other.has_values:
-            return Field(self.grid, values=self.values + other.values)
-        return Field(self.grid, coeffs=self.coeffs + other.coeffs)
+            return Field(self.grid, values=op(self.values, other.values))
+        return Field(self.grid, coeffs=op(self.coeffs, other.coeffs))
+
+    def __add__(self, other):
+        return self._combine(other, np.add)
 
     def __sub__(self, other):
-        if not isinstance(other, Field):
-            return NotImplemented
-        self._check_same_grid(other)
-        if self.has_values and other.has_values:
-            return Field(self.grid, values=self.values - other.values)
-        return Field(self.grid, coeffs=self.coeffs - other.coeffs)
+        return self._combine(other, np.subtract)
 
     def __mul__(self, scalar):
         if not isinstance(scalar, numbers.Real):

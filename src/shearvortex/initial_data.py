@@ -12,10 +12,6 @@ from .fokker_planck import eigenfunction
 from .grid import Field
 from .spectral import check_localized, mass
 
-CATALOG = ("gaussian", "dipole", "point_vortex_approx", "random_localized",
-           "eigenfunction")
-
-
 def _pair(value):
     """A scalar (used for both axes) or a 2-sequence, as two floats."""
     if np.isscalar(value):
@@ -80,10 +76,6 @@ def make_field(entry, grid, seed=0, params=None):
                           f"catalog: {CATALOG}")
     if check_order(seed, "seed") < 0:
         raise DomainError(f"seed must be >= 0, got {seed!r}")
-    maker = {"gaussian": _make_gaussian, "dipole": _make_dipole,
-             "point_vortex_approx": _make_point_vortex,
-             "random_localized": _make_random,
-             "eigenfunction": _make_eigenfunction}[entry]
 
     def take(name, default, conv=float):
         value = params.pop(name, default)
@@ -93,7 +85,7 @@ def make_field(entry, grid, seed=0, params=None):
             raise DomainError(f"initial data {entry!r}: parameter {name!r} "
                               f"has invalid value {value!r}") from None
 
-    f = maker(grid, int(seed), take)
+    f = _MAKERS[entry](grid, int(seed), take)
     if params:
         raise DomainError(
             f"unknown parameters for {entry!r}: {sorted(params)}")
@@ -160,3 +152,11 @@ def _make_eigenfunction(grid, seed, take):
     a = take("a", 0, _order)
     b = take("b", 1, _order)
     return eigenfunction(a, b, grid)
+
+
+# each catalog entry's maker, in catalog order
+_MAKERS = {"gaussian": _make_gaussian, "dipole": _make_dipole,
+           "point_vortex_approx": _make_point_vortex,
+           "random_localized": _make_random,
+           "eigenfunction": _make_eigenfunction}
+CATALOG = tuple(_MAKERS)

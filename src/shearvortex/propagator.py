@@ -45,6 +45,7 @@ from .errors import (
     NoConvergenceError,
     check_order,
     check_positive,
+    check_reals,
     check_time,
     check_times,
 )
@@ -80,8 +81,8 @@ def symbol_value(nu, t, xi, eta):
     """
     check_positive(nu, "viscosity")
     t = check_times(t, "symbol_value time")
-    xi = np.asarray(xi, dtype=np.float64)
-    eta = np.asarray(eta, dtype=np.float64)
+    xi = check_reals(xi, "symbol_value xi")
+    eta = check_reals(eta, "symbol_value eta")
     expo = t * (xi ** 2 + eta ** 2) + t ** 2 * xi * eta + (t ** 3 / 3.0) * xi ** 2
     return np.exp(-nu * expo)
 
@@ -160,10 +161,15 @@ class Trajectory:
     history: tuple = ()
 
     def __post_init__(self):
-        times = tuple(check_time(t, "trajectory time") for t in self.times)
-        fields = tuple(self.fields)
+        try:
+            times = tuple(check_time(t, "trajectory time") for t in self.times)
+            fields = tuple(self.fields)
+        except TypeError:
+            raise GridError("trajectory times and fields must be sequences") from None
         if len(times) == 0 or len(times) != len(fields):
             raise GridError("trajectory needs matching, nonempty times and fields")
+        if not all(isinstance(f, Field) for f in fields):
+            raise GridError("trajectory fields must be Fields")
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise DomainError("trajectory times must be strictly increasing")
         check_positive(self.nu, "viscosity")
@@ -375,29 +381,24 @@ def picard_solve(omega0, nu, horizon, n_times, t_start=0.0):
     times = tuple(t_start + horizon * j / (n_times - 1) for j in range(n_times))
     linear = tuple(apply_semigroup(omega0, nu, t - t_start) for t in times)
     traj = Trajectory(times=times, fields=linear, nu=nu)
-    ratios = []
-    dists = []
-    last_dist = None
+    dists = []  # Kato distance of each update
     for _ in range(PICARD_MAX_ITER):
-        correction = _duhamel_targets(traj, traj, times)
-        new_fields = tuple(lin + cor for lin, cor in zip(linear, correction))
-        diff = Trajectory(times=times, nu=nu,
-                          fields=tuple(a - b for a, b in zip(new_fields, traj.fields)))
-        dist = kato_norm(diff)
-        dists.append(dist)
-        new_traj = Trajectory(times=times, fields=new_fields, nu=nu,
-                              history=tuple(dists))
-        scale = max(kato_norm(new_traj), 1e-300)
-        if last_dist is not None and last_dist > 0:
-            ratios.append(dist / last_dist)
-            if len(ratios) >= 2 and ratios[-1] >= 1.0 and ratios[-2] >= 1.0:
-                raise DivergenceError(
-                    f"Picard differences growing (ratios {ratios[-2]:.3f}, {ratios[-1]:.3f}); "
-                    "data too large for the contraction regime", ratios=ratios)
-        traj = new_traj
-        last_dist = dist
-        if dist <= PICARD_TOL * scale:
+        fields = tuple(lin + cor for lin, cor in
+                       zip(linear, _duhamel_targets(traj, traj, times)))
+        dists.append(kato_norm(Trajectory(times=times, nu=nu, fields=tuple(
+            a - b for a, b in zip(fields, traj.fields)))))
+        traj = Trajectory(times=times, fields=fields, nu=nu,
+                          history=tuple(dists))
+        scale = max(kato_norm(traj), 1e-300)
+        # a zero distance ends the iteration below, so no quotient of
+        # distances divides by zero
+        if len(dists) >= 3 and dists[-3] <= dists[-2] <= dists[-1]:
+            ratios = [b / a for a, b in zip(dists, dists[1:])]
+            raise DivergenceError(
+                f"Picard differences growing (ratios {ratios[-2]:.3f}, {ratios[-1]:.3f}); "
+                "data too large for the contraction regime", ratios=ratios)
+        if dists[-1] <= PICARD_TOL * scale:
             return traj
     raise NoConvergenceError(
         f"Picard iteration did not reach tol={PICARD_TOL:g} within {PICARD_MAX_ITER} "
-        f"iterations (last relative update {last_dist / scale:.3e})", residual=last_dist)
+        f"iterations (last relative update {dists[-1] / scale:.3e})", residual=dists[-1])

@@ -19,7 +19,8 @@ import numpy as np
 
 from .config import picard_samples, serialize_config, validate_config
 from .diagnostics import (
-    PROBE_KINDS,
+    _PROBES,
+    P_GRID,
     EnergyCoefficients,
     RecordOptions,
     inequality_probe,
@@ -52,21 +53,22 @@ def _fmt_m(m):
 
 
 def _columns(weights):
-    return (["t", "tau", "mass", "L1", "L43", "L2", "Linf"]
-            + [f"conv_L2m_{_fmt_m(m)}" for m in weights]
-            + ["conv_L1_phys", "E", "D"])
+    """(header, value of a record) for each column of diagnostics.csv."""
+    return ([("t", lambda r: r.t), ("tau", lambda r: r.tau),
+             ("mass", lambda r: r.mass)]
+            + [(name, lambda r, p=p: r.lp_norms[p])
+               for name, p in zip(("L1", "L43", "L2", "Linf"), P_GRID)]
+            + [(f"conv_L2m_{_fmt_m(m)}", lambda r, m=m: r.convergence_L2m[m])
+               for m in weights]
+            + [("conv_L1_phys", lambda r: r.convergence_L1_phys),
+               ("E", lambda r: r.energy), ("D", lambda r: r.dissipation)])
 
 
 def _csv_rows(records, weights):
-    lines = [",".join(_columns(weights))]
-    for r in records:
-        cells = [repr(r.t), repr(r.tau), repr(r.mass),
-                 repr(r.lp_norms[1.0]), repr(r.lp_norms[4.0 / 3.0]),
-                 repr(r.lp_norms[2.0]), repr(r.lp_norms[np.inf])]
-        cells += [repr(r.convergence_L2m[m]) for m in weights]
-        cells += [repr(r.convergence_L1_phys), repr(r.energy),
-                  repr(r.dissipation)]
-        lines.append(",".join(cells))
+    columns = _columns(weights)
+    lines = [",".join(header for header, _ in columns)]
+    lines += [",".join(repr(value(r)) for _, value in columns)
+              for r in records]
     return "\n".join(lines) + "\n"
 
 
@@ -307,22 +309,19 @@ def _run_picard(cfg, recorder):
 def _run_probe(cfg, recorder):
     """Empirical-constant probes over a seeded ensemble; writes probes.csv
     and records no samples."""
-    frame_grid = make_grid(cfg.grid_l, cfg.grid_n, "selfsim")
-    ensemble = [make_field("random_localized", frame_grid, cfg.seed + i)
-                for i in range(PROBE_ENSEMBLE_SIZE)]
+    # one seeded ensemble on the grid of each frame a probe kind names
+    grids = {frame: make_grid(cfg.grid_l, cfg.grid_n, frame)
+             for _, _, frame in _PROBES.values()}
+    ensembles = {frame: [make_field("random_localized", grid, cfg.seed + i)
+                         for i in range(PROBE_ENSEMBLE_SIZE)]
+                 for frame, grid in grids.items()}
     times = [float(t) for t in np.geomspace(cfg.t_init, cfg.t_end,
                                             PROBE_TIMES)]
     rows = ["kind,field,t,ratio"]
-    lines = [f"ensemble size: {len(ensemble)}",
+    lines = [f"ensemble size: {PROBE_ENSEMBLE_SIZE}",
              "times: " + ", ".join(repr(t) for t in times)]
-    for kind in PROBE_KINDS:
-        if kind == "semigroup_lp":
-            phys_grid = make_grid(cfg.grid_l, cfg.grid_n)
-            fields = [make_field("random_localized", phys_grid, cfg.seed + i)
-                      for i in range(PROBE_ENSEMBLE_SIZE)]
-        else:
-            fields = ensemble
-        rep = inequality_probe(kind, fields, times, nu=cfg.nu)
+    for kind, (_, _, frame) in _PROBES.items():
+        rep = inequality_probe(kind, ensembles[frame], times, nu=cfg.nu)
         for i, t, r in rep.entries:
             rows.append(f"{kind},{i},{t!r},{r!r}")
         lines += [f"{kind} max ratio: {rep.max_ratio!r}",

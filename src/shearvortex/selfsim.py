@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import (BlowUpError, DomainError, GridError, ResolutionError,
                      TruncationError, check_order, check_positive, check_real,
-                     check_time, check_times)
+                     check_reals, check_time, check_times)
 from .grid import Field, Frame
 from .spectral import (
     check_localized,
@@ -118,8 +118,8 @@ def selfsim_coords(t, nu, x, y):
         raise DomainError("selfsim_coords requires a finite t > 0")
     check_positive(nu, "viscosity")
     a, c, b = _frame_map(t, float(nu))
-    X = np.asarray(x, dtype=np.float64) / a
-    return X, (np.asarray(y, dtype=np.float64) - c * X) / b
+    X = check_reals(x, "selfsim_coords x") / a
+    return X, (check_reals(y, "selfsim_coords y") - c * X) / b
 
 
 def amplitude(t, nu):

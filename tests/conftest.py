@@ -35,3 +35,10 @@ def localized_field(grid, seed, corr=1.0):
     env = np.exp(-(x ** 2 + y ** 2) / (grid.half_width / 14.0) ** 2 / 2.0)
     vals = smooth * env
     return Field(grid, values=vals / np.abs(vals).max())
+
+
+# points (x, y or xi, eta) that are not real numbers: a float conversion
+# would parse the strings and bytes, read None as NaN, drop the imaginary
+# parts and read the objects
+NON_REAL_POINTS = ["1", b"1", 1j, None, ["1", "2"], np.array([1.0, 0.5j]),
+                   np.array([1.0, 0.5], dtype=object)]

@@ -423,6 +423,12 @@ def test_ladder_validation():
                            c5=1e-4, c6=1e-5, c7=1e-6)
 
 
+@pytest.mark.parametrize("A", ["10", None])
+def test_energy_scale_must_be_a_real_number(A):
+    with pytest.raises(DomainError):
+        EnergyCoefficients.from_scale(A)
+
+
 # ---------------------------------------------------------------------- probes
 
 def test_probe_gaussian_biot_savart(small_grid):
@@ -499,6 +505,17 @@ def test_probe_error_paths(small_grid):
     with pytest.warns(RuntimeWarning):
         with pytest.raises(DomainError):
             inequality_probe("biot_savart_linf", [z], [1.0])
+
+
+@pytest.mark.parametrize("case", ["no ensemble", "no times", "arrays",
+                                  "string times"])
+def test_probe_rejects_malformed_ensembles_and_times(small_grid, case):
+    G = gaussian(small_grid)
+    ensemble, times = {"no ensemble": (None, [1.0]), "no times": ([G], None),
+                       "arrays": ([G.values], [1.0]),
+                       "string times": ([G], ["1"])}[case]
+    with pytest.raises(DomainError):
+        inequality_probe("biot_savart_linf", ensemble, times)
 
 
 @pytest.mark.parametrize("kind, bad", [

@@ -23,7 +23,7 @@ from shearvortex.fokker_planck import (
     symbol_exponent,
 )
 
-from conftest import localized_field
+from conftest import NON_REAL_POINTS, localized_field
 from oracles import GAUSSIAN_PEAK, forward_chars, limit_semigroup_full
 
 
@@ -142,6 +142,13 @@ def test_symbol_exponent_rejects_non_real_time(tau):
     # a float conversion would parse the strings and read the objects
     with pytest.raises(DomainError):
         symbol_exponent(tau, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("point", NON_REAL_POINTS)
+def test_symbol_exponent_rejects_non_real_points(point):
+    for xi, eta in ((point, 0.0), (1.0, point)):
+        with pytest.raises(DomainError):
+            symbol_exponent(1.0, xi, eta)
 
 
 # ------------------------------------------------------------- characteristics

@@ -8,6 +8,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from shearvortex import (
+    CATALOG,
     Field,
     GridError,
     GridSpec,
@@ -22,6 +23,7 @@ from shearvortex import (
     weighted_inner,
     weighted_norm,
 )
+from shearvortex.diagnostics import PROBE_KINDS
 from shearvortex.fokker_planck import char_map, gaussian
 from shearvortex.initial_data import make_field
 from shearvortex.propagator import apply_semigroup
@@ -207,6 +209,30 @@ def test_only_run_experiment_closes_a_run():
     assert len(finals) == 1, finals
 
 
+def test_probe_kinds_are_decided_in_one_table():
+    # a kind's ratio, parameter and ensemble frame come from the
+    # diagnostics table: no comparison with a kind's name in diagnostics.py,
+    # and no kind named in runner.py at all
+    def literals(name, compared):
+        tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+        nodes = ([c for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                  for c in (node.left, *node.comparators)] if compared
+                 else list(ast.walk(tree)))
+        return [f"{name}:{node.lineno} {node.value}" for node in nodes
+                if isinstance(node, ast.Constant) and node.value in PROBE_KINDS]
+
+    found = literals("diagnostics.py", True) + literals("runner.py", False)
+    assert not found, found
+
+
+def test_each_catalog_name_is_written_once():
+    # initial_data's one table maps each entry name to its maker
+    tree = ast.parse((SRC / "initial_data.py").read_text(encoding="utf-8"))
+    names = [node.value for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and node.value in CATALOG]
+    assert sorted(names) == sorted(CATALOG), names
+
+
 def test_no_function_body_imports():
     # every module's dependencies are its top-level imports, so the
     # import graph of the package is the one its module heads show
@@ -341,6 +367,14 @@ def test_field_values_must_be_real_numbers(small_grid):
     # a float conversion would parse the strings
     with pytest.raises(GridError):
         Field(small_grid, values=np.full((64, 64), "1.5"))
+
+
+@pytest.mark.parametrize("grid", ["g", None])
+def test_field_grid_must_be_a_gridspec(grid):
+    with pytest.raises(GridError):
+        Field(grid, values=np.zeros((64, 64)))
+    with pytest.raises(GridError):
+        Field(grid, coeffs=np.zeros((64, 33)))
 
 
 def test_field_coeffs_must_be_numbers(small_grid):

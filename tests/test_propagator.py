@@ -7,9 +7,11 @@ import sympy
 
 from shearvortex import (
     AliasingError,
+    DivergenceError,
     DomainError,
     Field,
     GridError,
+    NoConvergenceError,
     Trajectory,
     apply_semigroup,
     duhamel_bilinear,
@@ -21,7 +23,7 @@ from shearvortex import (
     picard_solve,
     transport,
 )
-from shearvortex import propagator, spectral
+from shearvortex import errors, propagator, spectral
 from shearvortex.fokker_planck import apply_semigroup as fp_apply
 from shearvortex.fokker_planck import char_map, gaussian
 from shearvortex.initial_data import make_field
@@ -30,7 +32,7 @@ from shearvortex.selfsim import (FrameCoefficients, amplitude, nonlinear_term,
                                  selfsim_coords)
 from shearvortex.spectral import weighted_norm
 
-from conftest import localized_field
+from conftest import NON_REAL_POINTS, localized_field
 from oracles import (KATO_SINGLE_G, KERNEL_CENTER, SYMBOL_1110,
                      check_alias_unpruned, duhamel_direct_sheared,
                      duhamel_per_node)
@@ -81,6 +83,13 @@ NON_REAL_TIMES = ["0.5", b"0.5", 0.5j, np.array(["0.5"]), [0.5, "1"],
                   np.array([0.5, 1.0], dtype=object), np.array([0.5, 0.5j])]
 
 
+@pytest.mark.parametrize("point", NON_REAL_POINTS)
+def test_kernel_rejects_non_real_points(point):
+    for x, y in ((point, 0.0), (0.5, point)):
+        with pytest.raises(DomainError):
+            green_kernel(1.0, 1.0, x, y)
+
+
 @pytest.mark.parametrize("t", NON_REAL_TIMES)
 def test_kernel_rejects_non_real_time(t):
     with pytest.raises(DomainError):
@@ -99,6 +108,19 @@ def test_symbol_rejects_non_finite_time():
     for t in (np.nan, np.inf, np.array([0.5, np.nan])):
         with pytest.raises(DomainError):
             symbol_value(1.0, t, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("point", NON_REAL_POINTS)
+def test_symbol_rejects_non_real_points(point):
+    for xi, eta in ((point, 0.0), (1.0, point)):
+        with pytest.raises(DomainError):
+            symbol_value(1.0, 1.0, xi, eta)
+
+
+def test_symbol_reads_float_arrays_without_a_copy():
+    # symbol_value runs once per Duhamel node: its points pass as they are
+    xi = np.linspace(-1.0, 1.0, 5)
+    assert errors.check_reals(xi, "xi") is xi
 
 
 def test_symbol_identity_at_time_zero():
@@ -539,6 +561,12 @@ def test_trajectory_validation(phys_grid):
         Trajectory(times=(0.0, 1.0), fields=(f, other), nu=1.0)
 
 
+@pytest.mark.parametrize("fields", [(1.0, 2.0), None])
+def test_trajectory_holds_fields(fields):
+    with pytest.raises(GridError):
+        Trajectory((0.0, 0.5), fields, 1.0)
+
+
 # --------------------------------------------------------------- picard
 
 def test_picard_zero_data_one_iteration():
@@ -566,6 +594,31 @@ def test_picard_contraction_monotone_and_scales_with_data():
         assert all(r < 0.5 for r in ratios)
         factors.append(ratios[0])
     assert 1.5 <= factors[1] / factors[0] <= 3.0
+
+
+def test_picard_errors_carry_the_update_distances(monkeypatch):
+    # the distances are recomputed here by the iteration's definition: the
+    # divergence payload is their consecutive quotients, its message quotes
+    # the last two, and the budget's residual is the last distance
+    f = make_field("gaussian", make_grid(16.0, 64), params={"amplitude": 400.0})
+    times = tuple(j / 8 for j in range(9))
+    with pytest.raises(DivergenceError) as diverged:
+        picard_solve(f, 1.0, 1.0, len(times))
+    ratios = diverged.value.ratios
+    linear = tuple(apply_semigroup(f, 1.0, t) for t in times)
+    traj, dists = Trajectory(times=times, fields=linear, nu=1.0), []
+    for _ in range(len(ratios) + 1):
+        fields = tuple(a + b for a, b in
+                       zip(linear, _duhamel_targets(traj, traj, times)))
+        dists.append(kato_norm(Trajectory(times=times, nu=1.0, fields=tuple(
+            a - b for a, b in zip(fields, traj.fields)))))
+        traj = Trajectory(times=times, fields=fields, nu=1.0)
+    assert list(ratios) == [b / a for a, b in zip(dists, dists[1:])]
+    assert f"ratios {ratios[-2]:.3f}, {ratios[-1]:.3f})" in str(diverged.value)
+    monkeypatch.setattr(propagator, "PICARD_MAX_ITER", 2)
+    with pytest.raises(NoConvergenceError) as exhausted:
+        picard_solve(f, 1.0, 1.0, len(times))
+    assert exhausted.value.residual == dists[1]
 
 
 def test_picard_rejects_bad_arguments(phys_grid):

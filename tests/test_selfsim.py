@@ -37,7 +37,7 @@ from shearvortex.initial_data import make_field
 from shearvortex.selfsim import sample_schedule
 from shearvortex.spectral import derivative, spectrum_norm
 
-from conftest import localized_field
+from conftest import NON_REAL_POINTS, localized_field
 from oracles import (COORD_X_1110, COORD_Y_1110, SQRT3,
                      drift_spectrum_nonconservative, frame_rhs_full,
                      full_spectrum, laplacian_symbol_full)
@@ -65,6 +65,13 @@ def test_coords_jacobian_determinant():
         det = X1 * Y2 - X2 * Y1
         want = 1.0 / (t * np.sqrt(1.0 + t * t / 12.0))
         assert det == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("point", NON_REAL_POINTS)
+def test_coords_reject_non_real_points(point):
+    for x, y in ((point, 0.0), (1.0, point)):
+        with pytest.raises(DomainError):
+            selfsim_coords(1.0, 1.0, x, y)
 
 
 def test_coords_reject_nonpositive_time():
