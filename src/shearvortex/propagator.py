@@ -24,11 +24,16 @@ shear has determinant 1, so the transport term there is the same
 Poisson bracket with the Laplacian symbol -(xi^2 + (eta - tau xi)^2).
 Its factors (spectral.transport_factors) are linear in the spectra, so a
 quadrature node's are interpolated from its stencil samples' factors:
-per iteration, the four inverse transforms run once per sample and the
-one forward transform once per node. Each sample interval is integrated
-once, by Gauss panels graded at the band's fastest decay rate, so one
-Picard iteration costs a number of transforms linear in the number of
-time samples.
+per iteration, the factors' inverse transforms run once per sample and
+the product's forward transforms once per node. Each node's combination
+is written into one buffer the march reuses, and transport_product forms
+the product there in place. Its result is non-zero only on the
+n x (n/3 + 1) block of columns the 2/3 rule keeps, so the node mask,
+the carry multipliers and the accumulation run on that block alone, and
+a target is widened to the half layout only to be vetted and read back.
+Each sample interval is integrated once, by Gauss panels graded at the
+band's fastest decay rate, so one Picard iteration costs a number of
+transforms linear in the number of time samples.
 """
 
 import bisect
@@ -51,8 +56,8 @@ from .errors import (
 )
 from .grid import Field
 from .selfsim import amplitude, selfsim_coords
-from .spectral import (characteristic_flow, lp_norm, transport_factors,
-                       transport_product)
+from .spectral import (characteristic_flow, kept_cols, lp_norm,
+                       transport_factors, transport_product)
 
 
 def green_kernel(nu, t, x, y):
@@ -242,11 +247,13 @@ def _panel_set(a, b, rate):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _carry(nu, grid, a, b):
+def _carry(nu, grid, a, b, cols=None):
     """The linear flow in shearing coordinates from shear time a to b:
     the real multiplier exp(-nu * integral over [a, b] of
-    xi^2 + (eta - r xi)^2 dr) on the half layout."""
+    xi^2 + (eta - r xi)^2 dr) on the half layout, or on its first cols
+    columns."""
     kx, ky = grid.wavegrid()
+    ky = ky[:, :cols]
     return symbol_value(nu, b - a, kx, ky - b * kx)
 
 
@@ -292,7 +299,8 @@ def _duhamel_targets(traj1, traj2, targets):
         if t > t0:
             reads[t] = bisect.bisect_right(ts, t) - 1
     kx, ky = grid.wavegrid()
-    zero = np.zeros((grid.n, grid.half_cols), dtype=np.complex128)
+    m = kept_cols(grid)
+    ky_kept = ky[:, :m]
     # The transport factors are linear in the spectra, so a node's are the
     # Lagrange combination of its stencil samples' factors. A stencil
     # reads `width` consecutive samples and the stencils only move
@@ -302,6 +310,7 @@ def _duhamel_targets(traj1, traj2, targets):
     width = len(_lagrange_weights(ts, t0)[0])
     ring = np.empty((width, 4, grid.n, grid.n))
     held = [None] * width  # the sample index each slot holds
+    node = np.empty((4, grid.n, grid.n))  # a node's combination, reused
 
     def factors(i):
         tau = ts[i] - t0
@@ -317,30 +326,33 @@ def _duhamel_targets(traj1, traj2, targets):
                 ring[slot] = factors(i)
                 held[slot] = i
             weights[slot] = wi
-        g = transport_product(np.einsum("i,i...->...", weights, ring), grid)
+        np.einsum("i,i...->...", weights, ring, out=node)
+        g = transport_product(node, grid)[:, :m]
         # transport_product keeps the shearing lattice's 2/3 box; the node
         # keeps the physical one at its shear time too (grid.keep at t_0)
-        g *= np.abs(ky - (s - t0) * kx) <= (2.0 / 3.0) * grid.band
+        g *= np.abs(ky_kept - (s - t0) * kx) <= (2.0 / 3.0) * grid.band
         return g
 
     def panels(a, b):
-        total = zero.copy()
+        total = np.zeros((grid.n, m), dtype=np.complex128)
         for s, w in zip(*_panel_set(a, b, rate)):
-            total += w * _carry(nu, grid, s - t0, b - t0) * divergence(s)
+            total += w * _carry(nu, grid, s - t0, b - t0, m) * divergence(s)
         return total
 
+    zero = np.zeros((grid.n, grid.half_cols), dtype=np.complex128)
     done = {t0: Field(grid, coeffs=zero)}
-    acc = zero  # J_k
+    acc = zero[:, :m]  # J_k, on the kept columns
     last = max(reads.values(), default=0)
     for k in range(last + 1):
         tau_k = ts[k] - t0
-        for t in [t for t, m in reads.items() if m == k]:
-            part = acc if t == ts[k] else (
-                _carry(nu, grid, tau_k, t - t0) * acc + panels(ts[k], t))
+        for t in [t for t, j in reads.items() if j == k]:
+            part = zero.copy()
+            part[:, :m] = acc if t == ts[k] else (
+                _carry(nu, grid, tau_k, t - t0, m) * acc + panels(ts[k], t))
             _check_alias(part, grid, t - t0, _ALIAS_TOL)
             done[t] = Field(grid, coeffs=-_flow(part, grid, t - t0))
         if k < last:
-            acc = (_carry(nu, grid, tau_k, ts[k + 1] - t0) * acc
+            acc = (_carry(nu, grid, tau_k, ts[k + 1] - t0, m) * acc
                    + panels(ts[k], ts[k + 1]))
     return [done[t] for t in targets]
 
@@ -367,9 +379,10 @@ def picard_solve(omega0, nu, horizon, n_times, t_start=0.0):
     grid. Convergence is measured in the weighted Kato norm of successive
     differences, relative to the trajectory norm; the per-iteration
     distances are kept on the result as traj.history. Sustained growth of
-    the differences raises DivergenceError, exhausting the budget raises
-    NoConvergenceError. More than MAX_PICARD_SAMPLES samples raise
-    DomainError before any work.
+    the differences, or a distance or norm that overflows, raises
+    DivergenceError; exhausting the budget raises NoConvergenceError.
+    More than MAX_PICARD_SAMPLES samples raise DomainError before any
+    work.
     """
     check_positive(nu, "viscosity")
     check_positive(horizon, "horizon")
@@ -389,11 +402,18 @@ def picard_solve(omega0, nu, horizon, n_times, t_start=0.0):
             a - b for a, b in zip(fields, traj.fields)))))
         traj = Trajectory(times=times, fields=fields, nu=nu,
                           history=tuple(dists))
-        scale = max(kato_norm(traj), 1e-300)
+        scale = kato_norm(traj)
         # a zero distance ends the iteration below, so no quotient of
         # distances divides by zero
+        ratios = [b / a for a, b in zip(dists, dists[1:])]
+        if not (math.isfinite(dists[-1]) and math.isfinite(scale)):
+            # an overflowed norm would pass the tolerance test as inf <= inf
+            raise DivergenceError(
+                f"Picard Kato norms overflowed (update distance {dists[-1]!r}, "
+                f"trajectory norm {scale!r}); data too large for the "
+                "contraction regime", ratios=ratios)
+        scale = max(scale, 1e-300)
         if len(dists) >= 3 and dists[-3] <= dists[-2] <= dists[-1]:
-            ratios = [b / a for a, b in zip(dists, dists[1:])]
             raise DivergenceError(
                 f"Picard differences growing (ratios {ratios[-2]:.3f}, {ratios[-1]:.3f}); "
                 "data too large for the contraction regime", ratios=ratios)

@@ -11,10 +11,10 @@ to the limit generator handled in closed form by the fokker_planck module.
 Each frame concept has one routine here, which other modules read:
 _frame_map is the only formula for the frame's scales (selfsim_coords,
 amplitude and propagator.green_kernel read it); _frame_rhs forms the
-frame equation's explicit terms and _advection_spectrum its advection
-term (evolve, apply_generator, apply_limit_generator and nonlinear_term
-call them); and _frame_read is the one vetted read of both frame
-changes.
+frame equation's explicit terms, advection included (evolve,
+apply_generator, apply_limit_generator and nonlinear_term call it), with
+the drift's matrix from _drift_spectrum; and _frame_read is the one
+vetted read of both frame changes.
 
 evolve steps one frame state to one later time; sample_schedule gives
 the log-spaced sample times, and callers that sample a run (the runner)
@@ -33,14 +33,15 @@ from .errors import (BlowUpError, DomainError, GridError, ResolutionError,
 from .grid import Field, Frame
 from .spectral import (
     check_localized,
-    derivative_symbol,
+    drift_divergence,
+    drift_workspace,
     inverse_laplacian,
+    kept_cols,
     mass,
     resampled,
     spectral_tail_ratio,
     spectrum_norm,
     tail_mass_ratio,
-    transport_spectrum,
 )
 
 SQRT3 = np.sqrt(3.0)
@@ -228,46 +229,75 @@ def invert_frame_laplacian(f, t):
     return inverse_laplacian(f, _laplacian_symbol(f.grid, FrameCoefficients.at_time(t)))
 
 
-def _drift_spectrum(c, co, grid):
+def _drift_spectrum(c, co, grid, ws=None, symbol=None):
     """Half spectrum of the first- and zeroth-order terms of the generator
     with coefficients co, applied to the field f with half spectrum c.
 
     The drift is b . grad(f) with b1 = dil1 (X - mix Y) - rot Y and
     b2 = -mix dil1 (X - mix Y) + dil2 Y + rot X, and div(b) =
     dil1 (1 + mix^2) + dil2 is the constant term's coefficient at every
-    time and in the limit. So the two terms are div(b f): the products
-    b f are formed in physical space and differentiated spectrally, one
-    inverse real transform and two forward. The derivative multipliers
-    vanish at the zero mode, so the terms carry no mass by construction.
+    time and in the limit. So the two terms are div(b f), and b is
+    linear in (X, Y): spectral.drift_divergence forms the fluxes b f in
+    the mixed (axis-0 physical, axis-1 spectral) representation, where X
+    f is X times the axis-0 inverse transform of c, whose columns 0 and
+    n/2 are read at their real part (what the inverse real transform
+    reads of them), so only Y f goes through samples; then it
+    differentiates spectrally. The derivative multipliers vanish at the
+    zero mode, so the terms carry no mass by construction.
+
+    ws and symbol are drift_divergence's: the workspace (fresh if None)
+    and, when given, the frame Laplacian symbol under which the field's
+    transport rides in the same transforms. A co of None runs the
+    transport alone and returns None.
     """
-    X, Y = grid.x[:, None], grid.x[None, :]
-    f = np.fft.irfft2(c, norm="forward")
-    stretch = co.dil1 * (X - co.mix * Y)
-    b1 = stretch - co.rot * Y
-    b2 = co.dil2 * Y + co.rot * X - co.mix * stretch
-    rfft2 = np.fft.rfft2
-    return (derivative_symbol(grid, 1, 0) * rfft2(b1 * f, norm="forward")
-            + derivative_symbol(grid, 0, 1) * rfft2(b2 * f, norm="forward"))
+    a = None if co is None else (
+        (co.dil1, -(co.dil1 * co.mix + co.rot)),
+        (co.rot - co.mix * co.dil1, co.dil2 + co.mix * co.mix * co.dil1))
+    return drift_divergence(c, a, grid, ws, symbol)
 
 
-def _advection_spectrum(c, co, grid, nu, sym):
-    """Half spectrum of the frame equation's advection term for the field
-    with half spectrum c, coefficients co, viscosity nu and the frame
-    Laplacian's symbol sym: minus the transport of the field by its frame
-    Biot-Savart velocity, weighted by nonlin / nu; dealiased (2/3 rule)."""
-    return transport_spectrum(c, c, grid, sym) * -(co.nonlin / nu)
-
-
-def _frame_rhs(c, co, grid, shift=0.0, nu=None):
+def _frame_rhs(c, co, grid, shift=0.0, nu=None, sym=None, ws=None, out=None):
     """Half spectrum of the frame equation's explicit terms with
     coefficients co for the field with half spectrum c: drifts, constant,
     the diffusion minus the integrating-factor symbol shift and, when nu
-    is given, the advection term at viscosity nu."""
-    sym = _laplacian_symbol(grid, co)
-    out = _drift_spectrum(c, co, grid)
-    out += (sym - shift) * c
+    is given, the advection term at viscosity nu, minus the transport of
+    the field by its frame Biot-Savart velocity weighted by nonlin / nu,
+    dealiased (2/3 rule).
+
+    sym is co's frame Laplacian symbol when the caller has it; passed as
+    the shift itself, the (sym - shift) c term is exactly zero and is
+    skipped. A shift of None leaves out the drifts, the constant and the
+    diffusion: the result is the advection term alone (nonlinear_term).
+    ws is the workspace (spectral.drift_workspace, with transport exactly
+    when nu is given; fresh if None) and out the array the result is
+    written to (fresh if None). c may be ws's first mixed array, which is
+    overwritten.
+
+    A nonlinear right-hand side makes 15 one-axis transform passes in six
+    numpy calls, all in spectral.drift_divergence, where the transport
+    rides in the drift's transforms; a linear one makes five passes in
+    four calls.
+    """
+    if ws is None:
+        ws = drift_workspace(grid, nu is not None)
+    if sym is None:
+        sym = _laplacian_symbol(grid, co)
+    if out is None:
+        out = np.empty((grid.n, grid.half_cols), dtype=np.complex128)
+    symbol = None if nu is None else sym
+    if shift is None:
+        _drift_spectrum(c, None, grid, ws, symbol)
+        return np.multiply(ws[0][2], -(co.nonlin / nu), out=out)
+    if sym is shift:
+        np.copyto(out, _drift_spectrum(c, co, grid, ws, symbol))
+    else:
+        np.multiply(sym - shift, c, out=out)
+        out += _drift_spectrum(c, co, grid, ws, symbol)
     if nu is not None:
-        out += _advection_spectrum(c, co, grid, nu, sym)
+        m = kept_cols(grid)
+        advection = ws[0][2][:, :m]
+        advection *= -(co.nonlin / nu)
+        out[:, :m] += advection
     return out
 
 
@@ -291,9 +321,8 @@ def nonlinear_term(f, t, nu):
     mass-free, and weighted by 1/(nu (1 + t^2/12)).
     """
     check_positive(nu, "viscosity")
-    co, grid = FrameCoefficients.at_time(t), f.grid
-    return Field(grid, coeffs=_advection_spectrum(
-        f.coeffs, co, grid, nu, _laplacian_symbol(grid, co)))
+    return Field(f.grid, coeffs=_frame_rhs(
+        f.coeffs, FrameCoefficients.at_time(t), f.grid, None, nu))
 
 
 GROWTH_FACTOR = 10.0      # one-step L2 growth that flags instability
@@ -360,12 +389,12 @@ def evolve(state, t_end, dtau=2e-3, nonlinear=True, on_tail="error"):
     and the frozen-symbol correction) advance with an explicit third-order
     Runge-Kutta stage cycle, which keeps the skew drift terms inside the
     stability region. The steps run on arrays, the half spectrum of the
-    state; Fields are built only for the result, the tail monitor and a
-    blow-up's last state. The tail monitor runs every MONITOR_EVERY steps
-    and on the result, and on_tail (one of TAIL_ACTIONS) says
-    what a resolution loss does. Callers that sample a run call evolve
-    once per sample interval. A call that would take more than MAX_STEPS
-    steps raises DomainError before the first.
+    state, in one workspace per call (_march); Fields are built only for
+    the result, the tail monitor and a blow-up's last state. The tail
+    monitor runs every MONITOR_EVERY steps and on the result, and on_tail
+    (one of TAIL_ACTIONS) says what a resolution loss does. Callers that
+    sample a run call evolve once per sample interval. A call that would
+    take more than MAX_STEPS steps raises DomainError before the first.
     """
     check_positive(dtau, "dtau")
     if on_tail not in TAIL_ACTIONS:
@@ -377,22 +406,46 @@ def evolve(state, t_end, dtau=2e-3, nonlinear=True, on_tail="error"):
         return state
     if math.log(t_end / state.t) / dtau > MAX_STEPS:
         raise DomainError(f"ln(t_end/t) / dtau exceeds {MAX_STEPS:g} steps")
+    c, tau = _march(state, float(np.log(t_end)), dtau,
+                    state.nu if nonlinear else None, on_tail)
+    state = replace(state, omega=Field(state.omega.grid, coeffs=c),
+                    t=float(np.exp(tau)))
+    _tail_monitor(state.omega, on_tail, state.t)
+    return state
+
+
+def _march(state, target, dtau, nu, on_tail):
+    """evolve's steps from state to log-time target, advecting at
+    viscosity nu unless it is None: the half spectrum there and its
+    log-time.
+
+    Every right-hand side and stage runs in arrays allocated here, once:
+    the right-hand sides' workspace (drift_workspace), the accepted and
+    the trial spectrum, two stage slopes and one integrating factor,
+    which holds Eh = exp(h sym_mid / 2) until k2 is weighted and
+    E = exp(h sym_mid) after. Each stage's input is formed in the
+    workspace's first mixed array, which the right-hand side then
+    overwrites, and its last is scratch between right-hand sides. The
+    stage combinations are formed in place with the association of the
+    classic formulas, k1 being folded into E k1 + 4 Eh k2 before k3 takes
+    k2's place; the midpoint stage reuses sym_mid as its frame symbol.
+    The right-hand sides' workspace is freed with the call.
+    """
     grid = state.omega.grid
-    nu = state.nu if nonlinear else None   # _frame_rhs advects only given nu
-
-    def rhs(tau_s, c, sym_mid):
-        return _frame_rhs(c, FrameCoefficients.at_time(np.exp(tau_s)), grid,
-                          sym_mid, nu)
-
+    shape = (grid.n, grid.half_cols)
+    ws = drift_workspace(grid, nu is not None)
+    stage, scratch = ws[0][0], ws[0][-1]
+    c, trial, k1, k2 = np.empty((4, *shape), dtype=np.complex128)
+    E = np.empty(shape)
+    np.copyto(c, state.omega.coeffs)
+    at_time = FrameCoefficients.at_time
     tau = state.tau
-    target = float(np.log(t_end))
-    c = state.omega.coeffs
     norm0 = spectrum_norm(c)
     steps_done = 0
     while tau < target - 1e-13:
         h = min(dtau, target - tau)
         t_mid = np.exp(tau + 0.5 * h)
-        rate = _skew_rate(FrameCoefficients.at_time(t_mid), grid)
+        rate = _skew_rate(at_time(t_mid), grid)
         if h * rate > CFL_LIMIT:
             raise ResolutionError(
                 f"tau step {h:.3e} exceeds stability bound "
@@ -400,28 +453,44 @@ def evolve(state, t_end, dtau=2e-3, nonlinear=True, on_tail="error"):
                 "(refine dtau or coarsen the grid)")
         attempt = h
         for halving in range(MAX_HALVINGS + 1):
-            c_new = c
+            np.copyto(trial, c)
             tau_new = tau
             nsub = 2 ** halving
             ok = True
             for _ in range(nsub):
                 hh = attempt
-                co_mid = FrameCoefficients.at_time(np.exp(tau_new + 0.5 * hh))
+                co_mid = at_time(np.exp(tau_new + 0.5 * hh))
                 sym_mid = _laplacian_symbol(grid, co_mid)
-                E = np.exp(hh * sym_mid)
-                Eh = np.exp(0.5 * hh * sym_mid)
-                k1 = rhs(tau_new, c_new, sym_mid)
-                ca = Eh * (c_new + 0.5 * hh * k1)
-                k2 = rhs(tau_new + 0.5 * hh, ca, sym_mid)
-                cb = E * (c_new - hh * k1) + 2.0 * hh * Eh * k2
-                k3 = rhs(tau_new + hh, cb, sym_mid)
-                c_new = E * c_new + (hh / 6.0) * (E * k1 + 4.0 * Eh * k2 + k3)
+                np.exp(np.multiply(0.5 * hh, sym_mid, out=E), out=E)   # Eh
+                _frame_rhs(trial, at_time(np.exp(tau_new)), grid, sym_mid, nu,
+                           ws=ws, out=k1)
+                np.multiply(0.5 * hh, k1, out=stage)
+                stage += trial
+                stage *= E                            # Eh (c + h/2 k1)
+                _frame_rhs(stage, co_mid, grid, sym_mid, nu, sym=sym_mid,
+                           ws=ws, out=k2)
+                k2 *= E                               # Eh k2
+                np.exp(np.multiply(hh, sym_mid, out=E), out=E)         # E
+                np.multiply(hh, k1, out=stage)
+                np.subtract(trial, stage, out=stage)
+                stage *= E
+                stage += np.multiply(2.0 * hh, k2, out=scratch)
+                # stage: E (c - h k1) + 2h Eh k2
+                k1 *= E
+                k2 *= 4.0
+                k1 += k2                              # E k1 + 4 Eh k2
+                _frame_rhs(stage, at_time(np.exp(tau_new + hh)), grid, sym_mid,
+                           nu, ws=ws, out=k2)         # k3
+                k1 += k2
+                k1 *= hh / 6.0
+                trial *= E
+                trial += k1
                 tau_new += hh
-                if not np.all(np.isfinite(c_new)):
+                if not np.all(np.isfinite(trial)):
                     ok = False
                     break
             if ok:
-                norm_new = spectrum_norm(c_new)
+                norm_new = spectrum_norm(trial)
                 if norm_new <= GROWTH_FACTOR * max(norm0, 1e-300):
                     break
             attempt *= 0.5
@@ -431,12 +500,10 @@ def evolve(state, t_end, dtau=2e-3, nonlinear=True, on_tail="error"):
                 f"{GROWTH_FACTOR}x even after {MAX_HALVINGS} halvings",
                 last_state=replace(state, omega=Field(grid, coeffs=c),
                                    t=float(np.exp(tau))))
-        c = c_new
+        c, trial = trial, c
         norm0 = norm_new
         tau = tau_new
         steps_done += 1
         if steps_done % MONITOR_EVERY == 0:
             _tail_monitor(Field(grid, coeffs=c), on_tail, np.exp(tau))
-    state = replace(state, omega=Field(grid, coeffs=c), t=float(np.exp(tau)))
-    _tail_monitor(state.omega, on_tail, state.t)
-    return state
+    return c, tau

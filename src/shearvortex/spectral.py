@@ -35,13 +35,21 @@ transport_spectrum is the one dealiased transport kernel, the composition
 of its two halves: transport_factors, the samples of the velocity and of
 the gradient, linear in each input, and transport_product, the dealiased
 spectrum of their product. Both halves run on the n x (n/3 + 1) block of
-columns the 2/3 rule keeps: four axis-0 inverse transforms there and four
-axis-1 inverse real transforms, then one axis-1 forward real transform
-and one axis-0 forward transform of the kept columns. The Duhamel march
-calls the halves apart, to build each sample's factors once; transport
-wraps the kernel for Fields. derivative_pass samples derivatives of a
-half spectrum by the same row-column split: one axis-0 inverse transform
-per x-order, shared by that order's axis-1 inverse real transforms.
+columns the 2/3 rule keeps, in stages: transport_mixed forms the four
+factors' spectra on the block and takes them to the mixed (axis-0
+physical, axis-1 spectral) representation in one stacked axis-0 inverse
+transform; one stacked axis-1 inverse real transform gives their
+samples; transport_samples forms the product in place; one axis-1
+forward real transform and kept_spectrum's axis-0 forward transform of
+the kept columns finish it. So the kernel makes ten one-axis passes in
+four numpy calls. The Duhamel march calls the halves apart, to build
+each sample's factors once; transport wraps the kernel for Fields.
+drift_divergence runs the same stages for the frame equation, with the
+factors and their product riding in the transforms of the drift's
+fluxes, so that a frame right-hand side makes its 15 passes in six
+calls. derivative_pass samples derivatives of a half spectrum by the
+same row-column split: one axis-0 inverse transform per x-order, shared
+by that order's axis-1 inverse real transforms.
 
 All operations assume smooth fields that decay well inside the box, so the
 periodic spectral representation is accurate. Quadrature is the rectangle
@@ -108,11 +116,13 @@ def _solve(c, symbol):
     return psi
 
 
-def _velocity(c, symbol, d1, d2):
-    """Spectra of (u1, u2) = (-d2 psi, d1 psi), lap(psi) = c; d1 and d2 are
-    the first-derivative multipliers broadcast along axes 0 and 1."""
-    psi = _solve(c, symbol)
-    return -d2 * psi, d1 * psi
+def _velocity(psi, d1, d2, out):
+    """Spectra of (u1, u2) = (-d2 psi, d1 psi) for the stream function
+    psi (_solve), written into out[0] and out[1] and returned; d1 and d2
+    are the first-derivative multipliers broadcast along axes 0 and 1."""
+    np.multiply(-d2, psi, out=out[0])
+    np.multiply(d1, psi, out=out[1])
+    return out
 
 
 def inverse_laplacian(f, symbol=None):
@@ -132,8 +142,10 @@ def biot_savart(omega, symbol=None):
     grid = omega.grid
     if symbol is None:
         symbol = grid.laplacian
-    u1, u2 = _velocity(omega.coeffs, symbol, derivative_symbol(grid, 1, 0),
-                       derivative_symbol(grid, 0, 1))
+    u1, u2 = _velocity(_solve(omega.coeffs, symbol),
+                       derivative_symbol(grid, 1, 0),
+                       derivative_symbol(grid, 0, 1),
+                       np.empty((2, grid.n, grid.half_cols), dtype=np.complex128))
     return Field(grid, coeffs=u1), Field(grid, coeffs=u2)
 
 
@@ -179,10 +191,32 @@ def spectrum_norm(c):
     return float(np.sqrt(2.0 * p.sum() - p[:, 0].sum() - p[:, -1].sum()))
 
 
-def _kept_cols(grid):
+def kept_cols(grid):
     """Half-layout columns 0..n/3 that the 2/3 rule keeps (grid.keep);
     n is a power of two, so n/3 is not an integer."""
     return grid.n // 3 + 1
+
+
+def transport_mixed(omega, w, grid, symbol, out):
+    """Write into out, a 4 x n x (n/3 + 1) array, the mixed (axis-0
+    physical, axis-1 spectral) representations of u1, u2, d1 w and d2 w
+    on the block of kept columns, u the velocity of omega under the
+    Laplacian symbol given; omega, w and the symbol are half spectra, and
+    both inputs are 2/3-dealiased. The four spectra are formed in out,
+    then one stacked axis-0 inverse transform runs in place. out may be
+    the kept block of a wider stack (see drift_divergence)."""
+    m = kept_cols(grid)
+    keep = grid.keep[:, :m]
+    d1 = derivative_symbol(grid, 1, 0)
+    d2 = derivative_symbol(grid, 0, 1)[:, :m]
+    od = omega[:, :m] * keep
+    wd = od if w is omega else w[:, :m] * keep
+    np.multiply(d1, wd, out=out[2])
+    np.multiply(d2, wd, out=out[3])
+    psi = _solve(od, symbol[:, :m])
+    del od, wd      # freed before the velocity's products
+    _velocity(psi, d1, d2, out)
+    np.fft.ifft(out, axis=-2, norm="forward", out=out)
 
 
 def transport_factors(omega, w, grid, symbol):
@@ -191,50 +225,144 @@ def transport_factors(omega, w, grid, symbol):
     4 x n x n array; omega, w and the symbol are half spectra, and both
     inputs are 2/3-dealiased. Linear in each input.
 
-    The dealiased spectra vanish past column n/3, so the velocity, the
-    derivatives and the axis-0 inverse transforms run on the n x (n/3 + 1)
-    block of kept columns; the other columns of the mixed (axis-0
-    physical, axis-1 spectral) representation stay zero, so an axis-1
-    inverse real transform of each gives the samples irfft2 would.
+    Two transform calls: transport_mixed's stacked axis-0 inverse
+    transform of the kept block, then one stacked axis-1 inverse real
+    transform. The mixed representation vanishes past column n/3, so the
+    inverse real transform reads the block zero-padded to n/2 + 1
+    columns and gives the samples irfft2 would.
     """
-    m = _kept_cols(grid)
-    keep = grid.keep[:, :m]
-    d1 = derivative_symbol(grid, 1, 0)
-    d2 = derivative_symbol(grid, 0, 1)[:, :m]
-    od = omega[:, :m] * keep
-    wd = od if w is omega else w[:, :m] * keep
-    u1, u2 = _velocity(od, symbol[:, :m], d1, d2)
-    n = grid.n
-    mixed = np.zeros((n, grid.half_cols), dtype=np.complex128)
-    out = np.empty((4, n, n))
-    for spec, samples in zip((u1, u2, d1 * wd, d2 * wd), out):
-        np.fft.ifft(spec, axis=0, norm="forward", out=mixed[:, :m])
-        np.fft.irfft(mixed, axis=1, norm="forward", out=samples)
-    return out
+    mixed = np.empty((4, grid.n, kept_cols(grid)), dtype=np.complex128)
+    transport_mixed(omega, w, grid, symbol, mixed)
+    return np.fft.irfft(mixed, n=grid.n, axis=-1, norm="forward")
+
+
+def transport_samples(factors):
+    """Samples of u1 d1 w + u2 d2 w from the samples (u1, u2, d1 w, d2 w)
+    transport_factors returns, formed in place: the result is factors[0],
+    and factors[1] is overwritten too."""
+    u1, u2, w1, w2 = factors
+    u1 *= w1
+    u2 *= w2
+    u1 += u2
+    return u1
+
+
+def kept_spectrum(rows, grid):
+    """The 2/3-dealiased half spectrum whose mixed (axis-0 physical,
+    axis-1 spectral) representation is rows, formed in rows: one axis-0
+    forward transform of the n/3 + 1 kept columns, the 2/3 mask there,
+    and the other columns zeroed. Returns rows."""
+    m = kept_cols(grid)
+    kept = rows[:, :m]
+    np.fft.fft(kept, axis=-2, norm="forward", out=kept)
+    kept *= grid.keep[:, :m]
+    rows[:, m:] = 0.0
+    return rows
 
 
 def transport_product(factors, grid):
     """Half spectrum of u1 d1 w + u2 d2 w from the samples transport_factors
-    returns, 2/3-dealiased: the axis-1 forward real transform, then the
-    axis-0 transform on the n/3 + 1 kept columns only."""
-    m = _kept_cols(grid)
-    u1, u2, w1, w2 = factors
-    rows = np.fft.rfft(u1 * w1 + u2 * w2, axis=1, norm="forward")
-    out = np.zeros((grid.n, grid.half_cols), dtype=np.complex128)
-    kept = out[:, :m]
-    np.fft.fft(rows[:, :m], axis=0, norm="forward", out=kept)
-    kept *= grid.keep[:, :m]
-    return out
+    returns, 2/3-dealiased, in two transform calls: the product is formed
+    in place in factors (transport_samples), then one axis-1 forward real
+    transform and the axis-0 forward transform of the n/3 + 1 kept
+    columns (kept_spectrum). Only those columns of the result can be
+    non-zero."""
+    rows = np.fft.rfft(transport_samples(factors), axis=-1, norm="forward")
+    return kept_spectrum(rows, grid)
+
+
+def drift_workspace(grid, transport):
+    """The arrays drift_divergence runs in, as (mixed, samples): mixed
+    holds five n x (n/2 + 1) mixed (axis-0 physical, axis-1 spectral)
+    arrays, zero to start, and samples the axis-1 inverse real transforms
+    of the first five of them (with transport) or of the first alone.
+    Between calls they hold nothing, so a caller may form the next call's
+    input in mixed[0] and use mixed[-1] as scratch."""
+    n = grid.n
+    return (np.zeros((5, n, grid.half_cols), dtype=np.complex128),
+            np.empty((5 if transport else 1, n, n)))
+
+
+def drift_divergence(c, a, grid, ws=None, symbol=None):
+    """Half spectrum of div(b f) for the real field f with half spectrum
+    c and the drift b = a x linear in the sample coordinates x = (X, Y),
+    a = ((a11, a12), (a21, a22)); and, given a Laplacian symbol, of the
+    transport of f by its own velocity under it, 2/3-dealiased. The drift
+    spectrum is returned as mixed[0] of the workspace ws = (mixed,
+    samples) (drift_workspace, with transport exactly when the symbol is
+    given; fresh if None), and
+    the transport's is left in mixed[2]; both are valid until ws is used
+    again. c may be mixed[0]. An a of None runs the transport alone and
+    returns None.
+
+    The fluxes b f are formed in the mixed representation. X depends on
+    axis 0 alone, so the axis-1 real transform of X f is X times M, the
+    axis-0 inverse transform of c, with columns 0 and n/2 read at their
+    real part, which is what the inverse real transform reads of them;
+    only Y f goes through samples. So the drift takes four transform
+    calls: the axis-0 inverse transform of c, one axis-1 inverse real
+    transform, one axis-1 forward real transform of Y f and one axis-0
+    forward transform of the two fluxes, stacked.
+
+    The transport runs transport_spectrum's kernel stage by stage:
+    transport_mixed stages the four factors' kept blocks in mixed[1..4],
+    zero past them, and they ride in the drift's inverse real transform;
+    their product (transport_samples) rides in its forward one into
+    mixed[2], and kept_spectrum finishes it there. So drift and transport
+    take six calls, 15 one-axis passes, and the transport equals
+    transport_spectrum(c, c, grid, symbol) bit for bit. mixed[1] takes
+    Y f's transform and then the b2 flux, and mixed[3] and mixed[4] are
+    scratch.
+    """
+    if ws is None:
+        ws = drift_workspace(grid, symbol is not None)
+    mixed, samples = ws
+    # the stacks start at f's slot when there is a drift and at the
+    # factors' when not; the products are Y f and then u . grad f
+    lo = 0 if a is not None else 1
+    hi = 1 if symbol is None else 2
+    if symbol is not None:
+        m = kept_cols(grid)
+        mixed[1:, :, m:] = 0.0
+        transport_mixed(c, c, grid, symbol, mixed[1:, :, :m])
+    if a is not None:
+        np.fft.ifft(c, axis=-2, norm="forward", out=mixed[0])
+    np.fft.irfft(mixed[lo:len(samples)], axis=-1, norm="forward",
+                 out=samples[lo:])
+    if a is not None:
+        samples[0] *= grid.x                  # Y f
+    if symbol is not None:
+        transport_samples(samples[1:])
+    np.fft.rfft(samples[lo:hi], axis=-1, norm="forward", out=mixed[1 + lo:1 + hi])
+    if symbol is not None:
+        kept_spectrum(mixed[2], grid)
+    if a is None:
+        return None
+    (a11, a12), (a21, a22) = a
+    xf, yf, s1, s2 = mixed[0], mixed[1], mixed[3], mixed[4]
+    xf[:, ::grid.half_cols - 1].imag = 0.0
+    xf *= grid.x[:, None]                     # X f
+    np.multiply(yf, a12, out=s1)
+    np.multiply(xf, a21, out=s2)
+    yf *= a22
+    yf += s2                                  # b2 f
+    xf *= a11
+    xf += s1                                  # b1 f
+    np.fft.fft(mixed[:2], axis=-2, norm="forward", out=mixed[:2])
+    xf *= derivative_symbol(grid, 1, 0)
+    yf *= derivative_symbol(grid, 0, 1)
+    xf += yf
+    return xf
 
 
 def transport_spectrum(omega, w, grid, symbol):
     """Half spectrum of u . grad(w), u the velocity of omega under the
     Laplacian symbol given, from half spectra (symbol in the half layout
     too). 2/3-dealiased on both inputs and on the product, on the
-    n x (n/3 + 1) block of kept columns: four axis-0 inverse transforms
-    of that block and four axis-1 inverse real transforms
-    (transport_factors), the product, then one axis-1 forward real
-    transform and one axis-0 forward transform of the block
+    n x (n/3 + 1) block of kept columns, in four transform calls: the
+    stacked axis-0 inverse and axis-1 inverse real transforms of the four
+    factors (transport_factors), then, after the product, one axis-1
+    forward real transform and one axis-0 forward transform of the block
     (transport_product)."""
     return transport_product(transport_factors(omega, w, grid, symbol), grid)
 

@@ -30,6 +30,7 @@ from shearvortex.propagator import apply_semigroup
 from shearvortex.selfsim import FrameCoefficients, _frame_map, _laplacian_symbol
 from shearvortex.spectral import (MAX_DERIVATIVE_ORDER, affine_trig_sum,
                                   characteristic_flow, dealias_mask,
+                                  drift_divergence, drift_workspace,
                                   scale_spectrum, shear_phase, shear_spectrum,
                                   spectrum_norm, transport_spectrum)
 
@@ -153,9 +154,13 @@ def test_frame_equation_has_one_right_hand_side():
 
 
 def test_frame_advection_has_one_routine():
-    # evolve and nonlinear_term advect through selfsim._advection_spectrum
-    calls = _callers(("transport", "transport_spectrum"), "selfsim.py")
-    assert calls == {("selfsim.py", "_advection_spectrum")}
+    # evolve and nonlinear_term advect through selfsim._frame_rhs alone,
+    # whose _drift_spectrum (the test above) hands the frame symbol to
+    # spectral.drift_divergence, where the transport rides in the drift's
+    # transforms
+    calls = _callers(("transport", "transport_spectrum", "drift_divergence"),
+                     "selfsim.py")
+    assert calls == {("selfsim.py", "_drift_spectrum")}
 
 
 def test_only_the_grid_builds_wavenumbers_and_meshes():
@@ -563,6 +568,20 @@ def test_kept_block_transport_equals_full_width_kernel(n, t, same):
     want = transport_spectrum_full_width(omega, w, g, symbol)
     assert np.abs(want).max() > 0.0
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [16, 128])
+def test_drift_divergence_carries_the_transport_kernel_bit_for_bit(n):
+    # the transport that rides in the drift's stacked transforms is the
+    # kernel's, byte for byte, with or without a drift beside it
+    g = make_grid(16.0, n, "selfsim")
+    symbol = _laplacian_symbol(g, FrameCoefficients.at_time(3.0))
+    c = localized_field(g, seed=8).coeffs
+    want = transport_spectrum(c, c, g, symbol).tobytes()
+    for a in (((0.1, -0.2), (0.3, 0.4)), None):
+        ws = drift_workspace(g, True)
+        drift_divergence(c, a, g, ws, symbol)
+        assert ws[0][2].tobytes() == want
 
 
 def _sheared_frame_gap(L, n, t):

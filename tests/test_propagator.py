@@ -621,6 +621,16 @@ def test_picard_errors_carry_the_update_distances(monkeypatch):
     assert exhausted.value.residual == dists[1]
 
 
+def test_picard_refuses_an_overflowing_kato_norm():
+    # at amplitude 1e150 the L^(4/3) norm overflows to inf; inf <= tol * inf
+    # must not read as convergence
+    f = make_field("gaussian", make_grid(16.0, 64), params={"amplitude": 1e150})
+    with pytest.warns(RuntimeWarning), pytest.raises(DivergenceError) as info:
+        picard_solve(f, 1.0, 1.0, 9)
+    assert "overflowed" in str(info.value)
+    assert info.value.ratios == []
+
+
 def test_picard_rejects_bad_arguments(phys_grid):
     f = localized_field(phys_grid, seed=1)
     with pytest.raises(DomainError):

@@ -1,0 +1,48 @@
+"""tools/run_artifacts.py --compare: the numbers of two output trees."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "run_artifacts.py"
+
+
+def _tool():
+    # the tool puts src/ and perfbench/ on sys.path; later tests get it back
+    path = list(sys.path)
+    try:
+        spec = importlib.util.spec_from_file_location("run_artifacts", TOOL)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = path
+    return module
+
+
+def _run(root, mass, drift, payload, extra=None):
+    run = root / "sim"
+    run.mkdir(parents=True)
+    (run / "diagnostics.csv").write_text(
+        f"t,mass\n1.0,{mass[0]!r}\n2.0,{mass[1]!r}\n", encoding="ascii")
+    (run / "summary.txt").write_text(
+        f"status: OK\nmass relative drift: {drift!r}\n", encoding="ascii")
+    np.asarray(payload, dtype="<f8").tofile(run / "final.snap")
+    if extra:
+        (run / extra).write_text("", encoding="ascii")
+
+
+def test_compare_prints_the_largest_relative_differences(tmp_path, capsys):
+    _run(tmp_path / "a", (0.5, 0.25), 2e-16, [1.0, -2.0, 0.0])
+    _run(tmp_path / "b", (0.5, 0.25 * (1 + 4e-16)), 3e-16, [1.0, -2.0, 1e-15],
+         extra="probes.csv")
+    assert _tool().main(["--compare", str(tmp_path / "a"),
+                         str(tmp_path / "b")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "sim"
+    assert f"  probes.csv: only in {tmp_path / 'b'}" in lines
+    assert "  diagnostics.csv t: 0" in lines
+    assert "  diagnostics.csv mass: 4.44e-16" in lines
+    assert "  summary.txt mass relative drift [0]: 0.5" in lines
+    assert "  final.snap payload: 5e-16" in lines

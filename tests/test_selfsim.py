@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -12,9 +13,11 @@ from shearvortex import (
     GridError,
     ResolutionError,
     SelfSimilarState,
+    Trajectory,
     amplitude,
     apply_generator,
     apply_limit_generator,
+    apply_semigroup,
     evolve,
     green_kernel,
     inverse_laplacian,
@@ -34,6 +37,7 @@ from shearvortex import selfsim
 from shearvortex.errors import TruncationError
 from shearvortex.fokker_planck import eigenfunction, gaussian
 from shearvortex.initial_data import make_field
+from shearvortex.propagator import _duhamel_targets
 from shearvortex.selfsim import sample_schedule
 from shearvortex.spectral import derivative, spectrum_norm
 
@@ -520,7 +524,16 @@ def test_conservative_drift_is_no_farther_from_the_refined_run(monkeypatch):
     fine = SelfSimilarState(omega=_zero_padded(state.omega, 256), t=1.0, nu=1.0)
     ref = final(fine)[::2, ::2]
     new = np.linalg.norm(final(state) - ref)
-    monkeypatch.setattr(selfsim, "_drift_spectrum", drift_spectrum_nonconservative)
+    conservative = selfsim._drift_spectrum
+
+    def nonconservative(c, co, grid, ws, symbol):
+        # the transport rides in the drift's transforms, which may
+        # overwrite c: the oracle reads c first
+        drift = drift_spectrum_nonconservative(c, co, grid)
+        conservative(c, co, grid, ws, symbol)
+        return drift
+
+    monkeypatch.setattr(selfsim, "_drift_spectrum", nonconservative)
     old = np.linalg.norm(final(state) - ref)
     assert new <= old
 
@@ -610,13 +623,15 @@ def test_half_spectrum_rhs_matches_full_layout_oracle(frame_grid, t, nonlinear):
 
 
 def test_evolve_step_uses_only_real_transforms(monkeypatch):
-    # one step with no monitor call: three RHS
-    # evaluations, each of one irfft2 and two rfft2 for the drift, and a
-    # transport term on the n x (n/3 + 1) block of columns the 2/3 rule
-    # keeps: four axis-0 inverse transforms of that block, four axis-1
-    # inverse real transforms of length n, one axis-1 forward real
-    # transform and one axis-0 forward transform of the block. No complex
-    # transform runs on an n x n array
+    # one step with no monitor call: three RHS evaluations of 15 one-axis
+    # passes in six calls. The transport's four factors go through one
+    # stacked axis-0 inverse transform of the n x (n/3 + 1) block of
+    # columns the 2/3 rule keeps, then c's axis-0 inverse transform; one
+    # stacked axis-1 inverse real transform of those five mixed arrays;
+    # one stacked axis-1 forward real transform of Y f and the transport
+    # product; the axis-0 forward transform of the product's kept block;
+    # one stacked axis-0 forward transform of the two drift fluxes. No
+    # complex transform runs on an n x n array
     g = make_grid(16.0, 64, "selfsim")
     n, m, h = g.n, g.n // 3 + 1, g.half_cols
     # a state held as coefficients, so no transform of the input is counted
@@ -636,11 +651,11 @@ def test_evolve_step_uses_only_real_transforms(monkeypatch):
     monkeypatch.setattr(selfsim, "_tail_monitor", lambda *args: None)
     dtau = 2e-3
     final = evolve(state, float(np.exp(dtau)), dtau)
-    rhs = ([("irfft2", None, (n, h))] + [("rfft2", None, (n, n))] * 2
-           + [("ifft", 0, (n, m))] * 4 + [("irfft", 1, (n, h))] * 4
-           + [("rfft", 1, (n, n))] + [("fft", 0, (n, m))])
-    assert sorted(calls) == sorted(rhs * 3)
-    assert all(shape == (n, m) for name, _, shape in calls
+    rhs = [("ifft", -2, (4, n, m)), ("ifft", -2, (n, h)),
+           ("irfft", -1, (5, n, h)), ("rfft", -1, (2, n, n)),
+           ("fft", -2, (n, m)), ("fft", -2, (2, n, h))]
+    assert calls == rhs * 3
+    assert all(shape[-2:] != (n, n) for name, _, shape in calls
                if name in ("fft", "ifft"))
     assert final.t == pytest.approx(np.exp(dtau), rel=1e-15)
     # the final state is a real field: its full spectrum is exactly Hermitian
@@ -650,6 +665,51 @@ def test_evolve_step_uses_only_real_transforms(monkeypatch):
     # the growth test's norm is the full spectrum's l2 norm
     assert spectrum_norm(final.omega.coeffs) == pytest.approx(
         np.linalg.norm(c), rel=1e-14)
+
+
+def test_workspaces_do_not_outlive_their_calls():
+    # evolve steps in arrays it allocates per call, and the Duhamel march
+    # reuses one node buffer within a call: a later call, on the same
+    # state or another grid, neither sees nor changes an earlier result
+    g = make_grid(16.0, 128, "selfsim")
+    small = make_grid(16.0, 64, "selfsim")
+    state = SelfSimilarState(omega=localized_field(g, seed=14), t=1.0, nu=1.0)
+    t_end = float(np.exp(0.01))
+    first = evolve(state, t_end, 2e-3)
+    held = first.omega.coeffs.copy()
+    evolve(SelfSimilarState(omega=gaussian(small) * 3.0, t=1.0, nu=1.0),
+           t_end, 2e-3)
+    second = evolve(state, t_end, 2e-3)
+    assert np.array_equal(second.omega.coeffs, held)
+    assert np.array_equal(first.omega.coeffs, held)
+    f = make_field("gaussian", make_grid(16.0, 64), params={"amplitude": 0.01})
+    times = (1.0, 1.25, 1.5)
+    traj = Trajectory(times=times, nu=1.0, fields=tuple(
+        apply_semigroup(f, 1.0, t - times[0]) for t in times))
+    once = _duhamel_targets(traj, traj, times)
+    again = _duhamel_targets(traj, traj, times)
+    assert np.abs(once[-1].coeffs).max() > 0.0
+    assert all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(once, again))
+
+
+def test_evolve_workspace_is_no_larger_than_the_temporaries_it_replaced():
+    # four nonlinear steps at n = 128: the per-call workspace and what is
+    # still made per stage peak, above the input, no higher than the
+    # per-stage temporaries did before the workspace (2390832 bytes,
+    # tracemalloc, the same call)
+    g = make_grid(16.0, 128, "selfsim")
+    state = SelfSimilarState(omega=Field(g, coeffs=localized_field(g, seed=14).coeffs),
+                             t=1.0, nu=1.0)
+    t_end = float(np.exp(4 * 2e-3))
+    evolve(state, t_end, 2e-3)  # builds the grid's lazily kept arrays
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        evolve(state, t_end, 2e-3)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2390832
 
 
 def test_step_control_validation(frame_grid):

@@ -1,6 +1,8 @@
-"""Write the artifacts of a fixed set of runs, and src/ code-line counts.
+"""Write the artifacts of a fixed set of runs, and src/ code-line counts;
+or compare two such sets as numbers.
 
 Usage: python tools/run_artifacts.py OUT
+       python tools/run_artifacts.py --compare A B
 
 Runs in-process, each into OUT/<name>/: the three benchmark workloads
 (perfbench/run.py's config_text(workload, 1)), a linear run with a
@@ -12,20 +14,34 @@ tokenize and ast (comments, blank lines and docstrings left out).
 A refactor that keeps the numbers leaves every file identical: run this
 script in two checkouts and compare the outputs with diff -r; only
 src_code_lines.txt should differ.
+
+A change at roundoff level changes bytes but not numbers, so --compare
+reads two output directories A and B run by run (each subdirectory the
+two share) and prints, for each, the largest relative difference of each
+diagnostics.csv column (|a - b| / |a| over its rows), of each number in
+summary.txt (by line label and position) and of each snapshot payload
+(max |a - b| / max |a| over its samples). A difference in text, shape or
+the set of files is printed as such.
 """
 
 import ast
+import csv
 import importlib.util
 import io
+import re
 import sys
 import tokenize
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 sys.path[:0] = [str(SRC), str(ROOT / "perfbench")]
 
 from shearvortex import ShearVortexError, parse_config, run_experiment  # noqa: E402
+
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
 
 # runs beside the workloads, as overrides of the config defaults; the
 # simulate run's Gaussian is under-resolved at n = 64, so it fails after
@@ -63,10 +79,86 @@ def code_lines(path):
     return len(lines - docs)
 
 
+def _relative(a, b):
+    """Largest |a - b| / |a| over the numbers a and b, 0 where both are
+    equal (zeros and NaNs included), inf where only a is zero."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    same = (a == b) | (np.isnan(a) & np.isnan(b))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.where(same, 0.0, np.abs(a - b) / np.abs(a))
+    return float(np.nan_to_num(rel, nan=np.inf).max(initial=0.0))
+
+
+def _columns(path):
+    with open(path, newline="", encoding="ascii") as fh:
+        rows = list(csv.reader(fh))
+    return rows[0], rows[1:]
+
+
+def _compare_csv(a, b):
+    (head_a, rows_a), (head_b, rows_b) = _columns(a), _columns(b)
+    if head_a != head_b or len(rows_a) != len(rows_b):
+        return [("", "header or row count differs")]
+    return [(name, _relative([float(r[j]) for r in rows_a],
+                             [float(r[j]) for r in rows_b]))
+            for j, name in enumerate(head_a)]
+
+
+def _summary_numbers(path):
+    """{(label, position): number} and {label: text without numbers}."""
+    numbers, texts = {}, {}
+    for line in path.read_text(encoding="ascii").splitlines():
+        label, _, value = line.partition(": ")
+        texts[label] = NUMBER.sub("#", value)
+        for j, word in enumerate(NUMBER.findall(value)):
+            numbers[label, j] = float(word)
+    return numbers, texts
+
+
+def _compare_summary(a, b):
+    (num_a, text_a), (num_b, text_b) = _summary_numbers(a), _summary_numbers(b)
+    out = [(label, "text differs") for label in sorted(set(text_a) | set(text_b))
+           if text_a.get(label) != text_b.get(label)]
+    out += [(f"{label} [{j}]", _relative(num_a[label, j], num_b[label, j]))
+            for label, j in num_a if (label, j) in num_b]
+    return out
+
+
+def _compare_snapshot(a, b):
+    va, vb = (np.fromfile(p, dtype="<f8") for p in (a, b))  # raw payloads
+    if va.shape != vb.shape:
+        return [("", "shape differs")]
+    diff = np.abs(va - vb).max(initial=0.0)
+    return [("payload", 0.0 if diff == 0.0 else float(diff / np.abs(va).max()))]
+
+
+def compare(a, b):
+    """Print the numeric differences of output directories a and b."""
+    readers = {"diagnostics.csv": _compare_csv, "summary.txt": _compare_summary}
+    for run in sorted(p.name for p in a.iterdir()
+                      if p.is_dir() and (b / p.name).is_dir()):
+        print(run)
+        names_a = {p.name for p in (a / run).iterdir()}
+        names_b = {p.name for p in (b / run).iterdir()}
+        for name in sorted(names_a ^ names_b):
+            print(f"  {name}: only in {a if name in names_a else b}")
+        for name in sorted(names_a & names_b):
+            reader = readers.get(name, _compare_snapshot
+                                 if name.endswith(".snap") else None)
+            if reader is None:
+                continue
+            for key, value in reader(a / run / name, b / run / name):
+                shown = value if isinstance(value, str) else f"{value:.3g}"
+                print(f"  {name}{' ' * bool(key)}{key}: {shown}")
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
+    if len(argv) == 3 and argv[0] == "--compare":
+        compare(Path(argv[1]), Path(argv[2]))
+        return 0
     if len(argv) != 1:
-        print(__doc__.splitlines()[2], file=sys.stderr)
+        print("\n".join(__doc__.splitlines()[3:5]), file=sys.stderr)
         return 2
     out = Path(argv[0])
     bench = _bench_module()
