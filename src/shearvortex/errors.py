@@ -42,9 +42,10 @@ class DomainError(ShearVortexError):
 
 
 def check_positive(value, what):
-    """Raise DomainError unless value is a finite real number > 0; NaN and
-    non-numbers such as the string "1" or the complex 1j fail."""
-    if not (isinstance(value, numbers.Real) and 0.0 < value < math.inf):
+    """Raise DomainError unless value is a finite real number > 0; NaN,
+    integers too large for a float (read by check_real) and non-numbers
+    such as the string "1" or the complex 1j fail."""
+    if not 0.0 < check_real(value, what) < math.inf:
         raise DomainError(f"{what} must be positive and finite, got {value!r}")
 
 

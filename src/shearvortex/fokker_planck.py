@@ -52,6 +52,7 @@ def eigenfunction(a, b, grid):
 
 def eigenvalue(a, b):
     """Decay rate of eigenfunction(a, b) under the limit semigroup."""
+    a, b = check_order(a, "eigenvalue order"), check_order(b, "eigenvalue order")
     return -(3 * a + b) / 2.0
 
 

@@ -5,6 +5,8 @@ and is checked to be localized (tail mass below tol outside the half-box)
 so that downstream coordinate-weighted operations are trustworthy.
 """
 
+from collections.abc import Mapping
+
 import numpy as np
 
 from .errors import DomainError, ResolutionError, check_order
@@ -70,8 +72,10 @@ def make_field(entry, grid, seed=0, params=None):
 
     The seed is a nonnegative integral number (7 and 7.0 alike).
     """
+    if not isinstance(params, (Mapping, type(None))):
+        raise DomainError(f"initial data params must be a mapping, got {params!r}")
     params = dict(params or {})
-    if entry not in CATALOG:
+    if not isinstance(entry, str) or entry not in CATALOG:
         raise DomainError(f"unknown initial-data entry {entry!r}; "
                           f"catalog: {CATALOG}")
     if check_order(seed, "seed") < 0:

@@ -23,17 +23,20 @@ once, and each target is vetted for aliasing and read back once. The
 shear has determinant 1, so the transport term there is the same
 Poisson bracket with the Laplacian symbol -(xi^2 + (eta - tau xi)^2).
 Its factors (spectral.transport_factors) are linear in the spectra, so a
-quadrature node's are interpolated from its stencil samples' factors:
-per iteration, the factors' inverse transforms run once per sample and
-the product's forward transforms once per node. Each node's combination
-is written into one buffer the march reuses, and transport_product forms
-the product there in place. Its result is non-zero only on the
-n x (n/3 + 1) block of columns the 2/3 rule keeps, so the node mask,
-the carry multipliers and the accumulation run on that block alone, and
-a target is widened to the half layout only to be vetted and read back.
-Each sample interval is integrated once, by Gauss panels graded at the
-band's fastest decay rate, so one Picard iteration costs a number of
-transforms linear in the number of time samples.
+quadrature node's are interpolated from its stencil samples' factors.
+All nodes of a panel set lie in one sample interval and read its
+stencil, so the march takes them in stacks of up to a stencil's width:
+one matrix product combines a stack's factors into a workspace the march
+reuses, and one transport_product call transforms the stack. Per
+iteration, the factors' inverse transforms run once per sample and the
+product's forward transforms once per stack. The product is non-zero
+only on the n x (n/3 + 1) block of columns the 2/3 rule keeps, so each
+node's real multiplier (Gauss weight, carry and physical 2/3 mask) and
+the accumulation run on that block alone, and a target is widened to the
+half layout only to be vetted and read back. Each sample interval is
+integrated once, by Gauss panels graded at the band's fastest decay
+rate, so one Picard iteration costs a number of transforms linear in the
+number of time samples.
 """
 
 import bisect
@@ -88,6 +91,12 @@ def symbol_value(nu, t, xi, eta):
     t = check_times(t, "symbol_value time")
     xi = check_reals(xi, "symbol_value xi")
     eta = check_reals(eta, "symbol_value eta")
+    return _damping(nu, t, xi, eta)
+
+
+def _damping(nu, t, xi, eta):
+    """symbol_value's multiplier in closed form, its arguments unchecked
+    and broadcast together."""
     expo = t * (xi ** 2 + eta ** 2) + t ** 2 * xi * eta + (t ** 3 / 3.0) * xi ** 2
     return np.exp(-nu * expo)
 
@@ -208,11 +217,14 @@ def kato_norm(traj):
 
 
 def _lagrange_weights(ts, s, width=4):
-    """Interpolation stencil (indices, weights) for time s on sample grid ts."""
+    """Interpolation stencil (indices, weights) for time s on sample grid ts.
+    s may be an array of times inside one sample interval: they share one
+    stencil, found from the least of them, and each weight is an array
+    over s."""
     n = len(ts)
     width = min(width, n)
     # center the stencil on s, clamped to the sample range
-    i = int(np.searchsorted(ts, s))
+    i = int(np.searchsorted(ts, np.min(s)))
     lo = max(0, min(i - width // 2, n - width))
     idx = range(lo, lo + width)
     w = []
@@ -251,10 +263,11 @@ def _carry(nu, grid, a, b, cols=None):
     """The linear flow in shearing coordinates from shear time a to b:
     the real multiplier exp(-nu * integral over [a, b] of
     xi^2 + (eta - r xi)^2 dr) on the half layout, or on its first cols
-    columns."""
+    columns; an array of start times a gives one multiplier per entry,
+    on leading axes."""
     kx, ky = grid.wavegrid()
     ky = ky[:, :cols]
-    return symbol_value(nu, b - a, kx, ky - b * kx)
+    return _damping(nu, b - a, kx, ky - b * kx)
 
 
 def _duhamel_targets(traj1, traj2, targets):
@@ -280,6 +293,12 @@ def _duhamel_targets(traj1, traj2, targets):
     which equals the transport kernel on the spectra (and stream
     functions) interpolated at s up to roundoff, as the factors are
     linear in the spectra; it is then cut to the physical 2/3 box at s.
+    A panel set's nodes share the interval's stencil, so they go through
+    transport_product in stacks of at most the stencil's width, each
+    formed by one matrix product and weighed by one real multiplier per
+    node: its Gauss weight, its carry to the panel set's end and its
+    physical 2/3 box. So the node workspace is never larger than the
+    ring of factors.
     J is only ever multiplied, so it carries its decay and no shear
     leakage: each target is vetted for content whose physical frequency
     lies past the band, which the read-back would drop, and read back.
@@ -310,7 +329,7 @@ def _duhamel_targets(traj1, traj2, targets):
     width = len(_lagrange_weights(ts, t0)[0])
     ring = np.empty((width, 4, grid.n, grid.n))
     held = [None] * width  # the sample index each slot holds
-    node = np.empty((4, grid.n, grid.n))  # a node's combination, reused
+    nodes = np.empty_like(ring)  # up to width nodes' combinations, reused
 
     def factors(i):
         tau = ts[i] - t0
@@ -318,25 +337,31 @@ def _duhamel_targets(traj1, traj2, targets):
         g2 = g1 if traj2 is traj1 else _flow(traj2.fields[i].coeffs, grid, -tau)
         return transport_factors(g1, g2, grid, -(kx ** 2 + (ky - tau * kx) ** 2))
 
-    def divergence(s):
-        weights = np.empty(width)
-        for i, wi in zip(*_lagrange_weights(ts, s)):
-            slot = i % width
-            if held[slot] != i:
-                ring[slot] = factors(i)
-                held[slot] = i
-            weights[slot] = wi
-        np.einsum("i,i...->...", weights, ring, out=node)
-        g = transport_product(node, grid)[:, :m]
-        # transport_product keeps the shearing lattice's 2/3 box; the node
-        # keeps the physical one at its shear time too (grid.keep at t_0)
-        g *= np.abs(ky_kept - (s - t0) * kx) <= (2.0 / 3.0) * grid.band
-        return g
-
     def panels(a, b):
+        # every node lies inside [a, b], within one sample interval, so all
+        # read that interval's stencil: fill its slots once, then combine,
+        # transform and weigh up to width nodes per stacked call
+        s_all, w_all = _panel_set(a, b, rate)
+        idx, lagrange = _lagrange_weights(ts, s_all)
+        for i in idx:
+            if held[i % width] != i:
+                ring[i % width], held[i % width] = factors(i), i
+        # node x slot; slot c holds sample idx[j] for c = (idx[0] + j) % width
+        weights = np.roll(np.transpose(lagrange), idx[0] % width, axis=1)
         total = np.zeros((grid.n, m), dtype=np.complex128)
-        for s, w in zip(*_panel_set(a, b, rate)):
-            total += w * _carry(nu, grid, s - t0, b - t0, m) * divergence(s)
+        for lo in range(0, len(s_all), width):
+            s, w = s_all[lo:lo + width], w_all[lo:lo + width]
+            stack = nodes[:len(s)]
+            np.matmul(weights[lo:lo + width], ring.reshape(width, -1),
+                      out=stack.reshape(len(s), -1))
+            g = transport_product(stack, grid)[..., :m]
+            # the multiplier: Gauss weight, carry to b, and the physical
+            # 2/3 box at each node's shear time (transport_product keeps
+            # the shearing lattice's, grid.keep at t_0)
+            lag = (s - t0)[:, None, None]
+            mult = _carry(nu, grid, lag, b - t0, m) * w[:, None, None]
+            mult *= np.abs(ky_kept - lag * kx) <= (2.0 / 3.0) * grid.band
+            total += np.multiply(g, mult, out=g).sum(axis=0)
         return total
 
     zero = np.zeros((grid.n, grid.half_cols), dtype=np.complex128)

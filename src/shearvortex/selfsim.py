@@ -125,8 +125,10 @@ def selfsim_coords(t, nu, x, y):
 
 def amplitude(t, nu):
     """Vorticity rescaling factor of the frame, the frame map's
-    determinant a b = nu t sqrt(1 + t^2/12)."""
-    a, _, b = _frame_map(t, nu)
+    determinant a b = nu t sqrt(1 + t^2/12), at a time t >= 0 (a number
+    or an array)."""
+    check_positive(nu, "viscosity")
+    a, _, b = _frame_map(check_times(t, "time"), nu)
     return a * b
 
 

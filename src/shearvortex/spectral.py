@@ -43,7 +43,11 @@ samples; transport_samples forms the product in place; one axis-1
 forward real transform and kept_spectrum's axis-0 forward transform of
 the kept columns finish it. So the kernel makes ten one-axis passes in
 four numpy calls. The Duhamel march calls the halves apart, to build
-each sample's factors once; transport wraps the kernel for Fields.
+each sample's factors once, and hands transport_product a stack of
+several nodes' factors on a leading axis: transport_samples and
+kept_spectrum work on the last three (factors) or two (spectrum) axes,
+so a stacked call gives each slice's own result bit for bit. transport
+wraps the kernel for Fields.
 drift_divergence runs the same stages for the frame equation, with the
 factors and their product riding in the transforms of the drift's
 fluxes, so that a frame right-hand side makes its 15 passes in six
@@ -238,9 +242,10 @@ def transport_factors(omega, w, grid, symbol):
 
 def transport_samples(factors):
     """Samples of u1 d1 w + u2 d2 w from the samples (u1, u2, d1 w, d2 w)
-    transport_factors returns, formed in place: the result is factors[0],
-    and factors[1] is overwritten too."""
-    u1, u2, w1, w2 = factors
+    transport_factors returns, or a stack of them on leading axes, formed
+    in place: the result is the u1 plane (index 0 on axis -3) of factors,
+    and the u2 plane is overwritten too."""
+    u1, u2, w1, w2 = np.moveaxis(factors, -3, 0)
     u1 *= w1
     u2 *= w2
     u1 += u2
@@ -249,20 +254,22 @@ def transport_samples(factors):
 
 def kept_spectrum(rows, grid):
     """The 2/3-dealiased half spectrum whose mixed (axis-0 physical,
-    axis-1 spectral) representation is rows, formed in rows: one axis-0
-    forward transform of the n/3 + 1 kept columns, the 2/3 mask there,
-    and the other columns zeroed. Returns rows."""
+    axis-1 spectral) representation is rows, or a stack of them on
+    leading axes, formed in rows: one axis-0 forward transform of the
+    n/3 + 1 kept columns, the 2/3 mask there, and the other columns
+    zeroed. Returns rows."""
     m = kept_cols(grid)
-    kept = rows[:, :m]
+    kept = rows[..., :m]
     np.fft.fft(kept, axis=-2, norm="forward", out=kept)
     kept *= grid.keep[:, :m]
-    rows[:, m:] = 0.0
+    rows[..., m:] = 0.0
     return rows
 
 
 def transport_product(factors, grid):
     """Half spectrum of u1 d1 w + u2 d2 w from the samples transport_factors
-    returns, 2/3-dealiased, in two transform calls: the product is formed
+    returns, or a stack of such spectra from a stack of them on leading
+    axes, 2/3-dealiased, in two transform calls: the product is formed
     in place in factors (transport_samples), then one axis-1 forward real
     transform and the axis-0 forward transform of the n/3 + 1 kept
     columns (kept_spectrum). Only those columns of the result can be

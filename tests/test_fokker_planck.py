@@ -65,6 +65,9 @@ def test_eigenfunction_order_cap(frame_grid):
     for a, b in ((1.7, 0), (0, 0.5), (np.nan, 1)):
         with pytest.raises(DomainError):
             eigenfunction(a, b, frame_grid)
+    for a, b in ((1.7, 0), (0, 0.5), (np.nan, 1), ("a", 1), (1, "1"), (1j, 0)):
+        with pytest.raises(DomainError):
+            eigenvalue(a, b)
 
 
 def test_eigenvalue_table():

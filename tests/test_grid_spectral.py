@@ -31,8 +31,10 @@ from shearvortex.selfsim import FrameCoefficients, _frame_map, _laplacian_symbol
 from shearvortex.spectral import (MAX_DERIVATIVE_ORDER, affine_trig_sum,
                                   characteristic_flow, dealias_mask,
                                   drift_divergence, drift_workspace,
-                                  scale_spectrum, shear_phase, shear_spectrum,
-                                  spectrum_norm, transport_spectrum)
+                                  kept_spectrum, scale_spectrum, shear_phase,
+                                  shear_spectrum, spectrum_norm,
+                                  transport_factors, transport_product,
+                                  transport_spectrum)
 
 from conftest import localized_field
 from oracles import (GAUSSIAN_L2, SPEED_G_AT_R2, advection_divergence,
@@ -582,6 +584,26 @@ def test_drift_divergence_carries_the_transport_kernel_bit_for_bit(n):
         ws = drift_workspace(g, True)
         drift_divergence(c, a, g, ws, symbol)
         assert ws[0][2].tobytes() == want
+
+
+@pytest.mark.parametrize("n", [16, 128])
+@pytest.mark.parametrize("count", [1, 4])
+def test_stacked_transport_product_equals_per_slice_calls(n, count):
+    # the Duhamel march transforms several nodes' factors in one stacked
+    # call: each slice of the result is that slice's own call, byte for
+    # byte, for transport_product and for its last stage, kept_spectrum
+    g = make_grid(16.0, n)
+    stack = np.stack([
+        transport_factors(localized_field(g, seed=seed).coeffs,
+                          localized_field(g, seed=seed + 9).coeffs,
+                          g, g.laplacian) for seed in range(count)])
+    want = [transport_product(f.copy(), g).tobytes() for f in stack]
+    assert [c.tobytes() for c in transport_product(stack.copy(), g)] == want
+    rng = np.random.default_rng(4)
+    rows = rng.standard_normal((count, n, g.half_cols, 2))
+    rows = rows.view(np.complex128)[..., 0]
+    want = [kept_spectrum(r.copy(), g).tobytes() for r in rows]
+    assert [c.tobytes() for c in kept_spectrum(rows.copy(), g)] == want
 
 
 def _sheared_frame_gap(L, n, t):

@@ -155,6 +155,14 @@ def test_unknown_entry_and_leftover_params(frame_grid):
         make_field("dipole", frame_grid, params={"gamma": 1.0})
 
 
+def test_make_field_rejects_a_non_mapping_or_a_non_string_entry(frame_grid):
+    # neither may escape as a raw ValueError
+    with pytest.raises(DomainError):
+        make_field("gaussian", frame_grid, params="amplitude=0.05")
+    with pytest.raises(DomainError):
+        make_field(np.zeros(3), frame_grid)
+
+
 @pytest.mark.parametrize("seed", [1.7, "3", b"3", -1, np.nan, np.inf, "x",
                                   None, 1j])
 def test_make_field_rejects_bad_seeds(frame_grid, seed):

@@ -380,15 +380,22 @@ def test_panel_set_resolves_the_fastest_decay():
 
 
 def _count_divergences(monkeypatch):
-    """Lists that grow by one entry per transport_product call (a node's
-    transport term) and per transport_factors call (a sample's factors)
-    in the march."""
-    products, factors = [], []
+    """Lists the march fills: the node count of each transport_product
+    call (a stack of nodes' transport terms), one entry per
+    transport_factors call (a sample's factors), and the number of
+    products made before each panel set."""
+    products, factors, sets = [], [], []
     product, build = propagator.transport_product, propagator.transport_factors
+    panel_set = propagator._panel_set
 
-    def counted_product(*args):
-        products.append(None)
-        return product(*args)
+    def counted_product(stack, grid):
+        assert stack.ndim == 4
+        products.append(len(stack))
+        return product(stack, grid)
+
+    def counted_set(*args):
+        sets.append(len(products))
+        return panel_set(*args)
 
     def counted_build(*args):
         factors.append(None)
@@ -396,14 +403,21 @@ def _count_divergences(monkeypatch):
 
     monkeypatch.setattr(propagator, "transport_product", counted_product)
     monkeypatch.setattr(propagator, "transport_factors", counted_build)
-    return products, factors
+    monkeypatch.setattr(propagator, "_panel_set", counted_set)
+    return products, factors, sets
+
+
+def _calls_per_set(products, sets):
+    """The number of stacked products each panel set made."""
+    return [b - a for a, b in zip(sets, sets[1:] + [len(products)])]
 
 
 def test_duhamel_evaluates_each_node_once(resolved_trajectories, monkeypatch):
     # each interval is integrated once, and a sample target is the marched
     # accumulator itself, so no interval is summed again for its right end;
     # each sample's transport factors are built once per march, from its
-    # copy in shearing coordinates
+    # copy in shearing coordinates. A panel set's nodes are transformed in
+    # stacks of at most a stencil's width (4 samples here)
     first, _ = resolved_trajectories
     grid = first.grid
     rate = 2.0 * first.nu * grid.k_max ** 2
@@ -412,19 +426,22 @@ def test_duhamel_evaluates_each_node_once(resolved_trajectories, monkeypatch):
     assert rate * (times[1] - times[0]) <= 4.0
     window = Trajectory(times=times, nu=1.0, fields=tuple(
         apply_semigroup(f, 1.0, t - times[0]) for t in times))
-    products, factors = _count_divergences(monkeypatch)
+    products, factors, sets = _count_divergences(monkeypatch)
     _duhamel_targets(window, window, times)
-    assert len(products) == 8 * 16
+    assert sum(products) == 8 * 16
     assert len(factors) == len(times)
+    assert max(_calls_per_set(products, sets)) <= math.ceil(8 / 4)
 
     # the resolved window's intervals of 0.25 need a graded panel set
     depth = 1 + math.ceil(math.log2(rate * 0.25 / 4.0))
     assert depth > 1
     products.clear()
     factors.clear()
+    sets.clear()
     _duhamel_targets(first, first, first.times)
-    assert len(products) == 8 * depth * 3
+    assert sum(products) == 8 * depth * 3
     assert len(factors) == len(first.times)
+    assert max(_calls_per_set(products, sets)) <= math.ceil(8 * depth / 4)
 
 
 def test_duhamel_memory_does_not_grow_with_the_samples():
@@ -691,10 +708,12 @@ def test_shearing_multiplier_composes_and_reads_back_as_the_propagator():
         assert np.abs(read - want).max() <= 1e-12 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("nu", [np.nan, np.inf, "1", 1j])
+@pytest.mark.parametrize("nu", [np.nan, np.inf, "1", 1j,
+                                pytest.param(10 ** 400, id="10**400")])
 @pytest.mark.parametrize("site", ["green_kernel", "symbol_value",
                                   "apply_semigroup", "picard_solve",
-                                  "nonlinear_term", "selfsim_coords"])
+                                  "nonlinear_term", "selfsim_coords",
+                                  "amplitude"])
 def test_viscosity_must_be_positive_and_finite(site, nu):
     g = make_grid(16.0, 32)
     f = localized_field(g, seed=2)
@@ -706,6 +725,7 @@ def test_viscosity_must_be_positive_and_finite(site, nu):
         "picard_solve": lambda: picard_solve(f, nu, 0.5, 3),
         "nonlinear_term": lambda: nonlinear_term(frame_f, 2.0, nu),
         "selfsim_coords": lambda: selfsim_coords(2.0, nu, 0.0, 0.0),
+        "amplitude": lambda: amplitude(2.0, nu),
     }[site]
     with pytest.raises(DomainError):
         call()
@@ -715,7 +735,7 @@ def test_viscosity_must_be_positive_and_finite(site, nu):
 @pytest.mark.parametrize("site", ["apply_semigroup_t", "selfsim_coords_t",
                                   "frame_coefficients", "char_map",
                                   "limit_semigroup", "lp_norm",
-                                  "weighted_norm"])
+                                  "weighted_norm", "amplitude_t"])
 def test_scalar_arguments_must_be_real_numbers(site, value):
     # a string or complex scalar is rejected before any comparison with it
     f = localized_field(make_grid(16.0, 32), seed=2)
@@ -728,6 +748,7 @@ def test_scalar_arguments_must_be_real_numbers(site, value):
         "limit_semigroup": lambda: fp_apply(frame_f, value),
         "lp_norm": lambda: lp_norm(f, value),
         "weighted_norm": lambda: weighted_norm(f, value),
+        "amplitude_t": lambda: amplitude(value, 1.0),
     }[site]
     with pytest.raises(DomainError):
         call()

@@ -21,8 +21,8 @@ def _tool():
     return module
 
 
-def _run(root, mass, drift, payload, extra=None):
-    run = root / "sim"
+def _run(root, mass, drift, payload, extra=None, name="sim"):
+    run = root / name
     run.mkdir(parents=True)
     (run / "diagnostics.csv").write_text(
         f"t,mass\n1.0,{mass[0]!r}\n2.0,{mass[1]!r}\n", encoding="ascii")
@@ -46,3 +46,15 @@ def test_compare_prints_the_largest_relative_differences(tmp_path, capsys):
     assert "  diagnostics.csv mass: 4.44e-16" in lines
     assert "  summary.txt mass relative drift [0]: 0.5" in lines
     assert "  final.snap payload: 5e-16" in lines
+
+
+def test_compare_names_the_runs_only_one_tree_has(tmp_path, capsys):
+    _run(tmp_path / "a", (0.5, 0.25), 2e-16, [1.0])
+    _run(tmp_path / "a", (0.5, 0.25), 2e-16, [1.0], name="linear")
+    _run(tmp_path / "b", (0.5, 0.25), 2e-16, [1.0])
+    _run(tmp_path / "b", (0.5, 0.25), 2e-16, [1.0], name="probe")
+    assert _tool().main(["--compare", str(tmp_path / "a"),
+                         str(tmp_path / "b")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == [f"linear: only in {tmp_path / 'a'}",
+                         f"probe: only in {tmp_path / 'b'}", "sim"]

@@ -16,9 +16,10 @@ script in two checkouts and compare the outputs with diff -r; only
 src_code_lines.txt should differ.
 
 A change at roundoff level changes bytes but not numbers, so --compare
-reads two output directories A and B run by run (each subdirectory the
-two share) and prints, for each, the largest relative difference of each
-diagnostics.csv column (|a - b| / |a| over its rows), of each number in
+reads two output directories A and B run by run (each subdirectory; a
+run that only one tree has is named as such) and prints, for each run
+the two share, the largest relative difference of each diagnostics.csv
+column (|a - b| / |a| over its rows), of each number in
 summary.txt (by line label and position) and of each snapshot payload
 (max |a - b| / max |a| over its samples). A difference in text, shape or
 the set of files is printed as such.
@@ -135,8 +136,11 @@ def _compare_snapshot(a, b):
 def compare(a, b):
     """Print the numeric differences of output directories a and b."""
     readers = {"diagnostics.csv": _compare_csv, "summary.txt": _compare_summary}
-    for run in sorted(p.name for p in a.iterdir()
-                      if p.is_dir() and (b / p.name).is_dir()):
+    runs_a, runs_b = ({p.name for p in d.iterdir() if p.is_dir()} for d in (a, b))
+    for run in sorted(runs_a | runs_b):
+        if run not in runs_a & runs_b:
+            print(f"{run}: only in {a if run in runs_a else b}")
+            continue
         print(run)
         names_a = {p.name for p in (a / run).iterdir()}
         names_b = {p.name for p in (b / run).iterdir()}
