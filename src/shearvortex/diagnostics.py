@@ -9,7 +9,9 @@ read off one Gram table: the weighted-L2 inner products of the samples
 <x>^m d^a omega, each sample formed once per call and summed as it
 streams in from spectral.derivative_pass; this module takes no
 transform of its own. record measures the distance to alpha times the
-fixed Gaussian from samples as well.
+fixed Gaussian from samples as well. record and the energy pair run
+their large temporaries in a spectral.Arena, the run's when the caller
+hands one down, so a run's samples reuse the same slabs and weights.
 """
 
 import math
@@ -23,8 +25,8 @@ from .errors import DomainError, FitError, GridError, check_real, check_time
 from .grid import Field, Frame
 from .propagator import apply_semigroup as heat_shear_semigroup
 from .selfsim import invert_frame_laplacian
-from .spectral import (derivative, derivative_pass, lp_norm, lp_samples,
-                       mass, weight_samples, weighted_l2, weighted_norm)
+from .spectral import (Arena, derivative, derivative_pass, lp_norm,
+                       lp_samples, mass, weighted_l2, weighted_norm)
 
 #: fixed exponent grid for the L^p columns (4/3 is the fixed-point norm)
 P_GRID = (1.0, 4.0 / 3.0, 2.0, np.inf)
@@ -111,7 +113,7 @@ class DiagnosticsRecord:
     dissipation: float = None
 
 
-def record(state, opts=None):
+def record(state, opts=None, ws=None):
     """Compute the configured diagnostics for one frame state.
 
     convergence_L2m is the weighted-L2 distance to alpha times the fixed
@@ -119,30 +121,38 @@ def record(state, opts=None):
     the frame-coordinates L1 distance exactly (the amplitude factor
     cancels the Jacobian), so no resampling is involved. Every column is
     read off the state's samples, the energy pair's derivatives off its
-    spectrum, and each distinct weight <x>^m and the magnitudes |omega|
-    are formed once. A column that is not finite raises GridError.
+    spectrum. Every large temporary runs in the arena ws (spectral.Arena;
+    its own if None): the distance to the Gaussian, |omega| and the
+    quadratures' products on slabs 0-2, then the energy pair, and each
+    weight <x>^m is the arena's, formed once per arena. opts must be a
+    RecordOptions (DomainError otherwise); a column that is not finite
+    raises GridError.
     """
-    opts = opts or RecordOptions()
+    if opts is None:
+        opts = RecordOptions()
+    if not isinstance(opts, RecordOptions):
+        raise DomainError(f"record options must be RecordOptions, got {opts!r}")
     om = state.omega
     grid = om.grid
+    ws = Arena(grid) if ws is None else ws
     v = om.values
-    diff = v - state.alpha * grid.gaussian_values
-    powers = {m: weight_samples(grid, m) for m in opts.weight_exponents}
-    mag = np.abs(v)
-    lp = {p: lp_samples(mag, grid, p) for p in P_GRID}
-    weighted = {(m, 0, 0): weighted_l2(powers[m], v, grid)
+    (diff,), (mag,), (scratch,) = (ws.take(i, (v.shape, float)) for i in range(3))
+    np.subtract(v, np.multiply(grid.gaussian_values, state.alpha, out=diff), out=diff)
+    powers = {m: ws.weight(m) for m in opts.weight_exponents}
+    np.abs(v, out=mag)
+    lp = {p: lp_samples(mag, grid, p, scratch) for p in P_GRID}
+    weighted = {(m, 0, 0): weighted_l2(powers[m], v, grid, scratch)
                 for m in opts.weight_exponents}
-    conv = {m: weighted_l2(powers[m], diff, grid)
+    conv = {m: weighted_l2(powers[m], diff, grid, scratch)
             for m in opts.weight_exponents}
-    conv_l1 = lp_samples(np.abs(diff), grid, 1.0)
+    conv_l1 = lp_samples(np.abs(diff, out=mag), grid, 1.0)
     total = float(mass(om))
     if not all(map(math.isfinite, (total, conv_l1, *lp.values(),
                                    *weighted.values(), *conv.values()))):
         raise GridError("a diagnostic of the state is not finite")
     e = d = None
     if opts.energy is not None:
-        e, d = energy_functionals(om, state.t, opts.energy,
-                                  powers.get(opts.energy.m))
+        e, d = energy_functionals(om, state.t, opts.energy, ws=ws)
     return DiagnosticsRecord(
         t=state.t, tau=state.tau, mass=total, lp_norms=lp,
         weighted=weighted, convergence_L2m=conv,
@@ -211,7 +221,7 @@ _ORDERS = tuple(sorted({o for row in _E_TERMS + _D_TERMS for o in row[2:]
 _CROSS = {a: b for _, _, a, b in _E_TERMS if a != b}
 
 
-def energy_functionals(omega, t, coef, weight=None):
+def energy_functionals(omega, t, coef, weight=None, ws=None):
     """The energy E(t) and dissipation D(t) of the hypocoercive pair.
 
     Both sum rows of one Gram table of weighted-L2 inner products of the
@@ -221,16 +231,18 @@ def energy_functionals(omega, t, coef, weight=None):
     field's own samples and the nine derivatives stream in from one
     spectral.derivative_pass: each square sum is taken as its sample
     arrives, and each cross pair when its later factor does, so at most
-    one earlier factor is held. weight holds the (n, n) samples of <x>^m
-    when the caller has them (record shares its own); a sample or square
-    sum that is not finite raises GridError.
+    one earlier factor is held. The pass and f_0 run on slabs 0-3 of the
+    arena ws (spectral.Arena; its own if None). weight holds the (n, n)
+    samples of <x>^m when the caller has them, else the arena's are
+    used; a sample or square sum that is not finite raises GridError.
     """
     t = check_time(t, "energy time")
     if t < coef.t0:
         raise DomainError(f"energy functionals need t >= t0 = {coef.t0}")
     grid = omega.grid
+    ws = Arena(grid) if ws is None else ws
     if weight is None:
-        weight = weight_samples(grid, coef.m)
+        weight = ws.weight(coef.m)
     elif np.shape(weight) != (grid.n, grid.n):
         raise GridError(f"weight shape {np.shape(weight)} != "
                         f"({grid.n}, {grid.n})")
@@ -246,15 +258,16 @@ def energy_functionals(omega, t, coef, weight=None):
             raise GridError(f"weighted derivative {o} of the field is not "
                             "finite")
 
-    square((0, 0), weight * omega.values)
-    for o, f in derivative_pass(omega.coeffs, grid, _ORDERS[1:]):
+    f0, = ws.take(2, ((grid.n, grid.n), float))
+    square((0, 0), np.multiply(weight, omega.values, out=f0))
+    for o, f in derivative_pass(omega.coeffs, grid, _ORDERS[1:], ws,
+                                _CROSS.values()):
         f *= weight
         square(o, f)
         if o in _CROSS:
             gram[o, _CROSS[o]] = float(np.vdot(f, kept.pop(_CROSS[o]))) * h2
         elif o in _CROSS.values():
             kept[o] = f
-        del f       # free the sample before the pass makes the next
     e = sum(cs[ci] * log ** lp * gram[a, b] for ci, lp, a, b in _E_TERMS)
     d = sum(cs[ci] * log ** lp
             * (gram[b, b] + (decay * gram[a, a] if a is not None else 0.0))

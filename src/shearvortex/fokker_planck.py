@@ -9,7 +9,9 @@ the map char_map(tau) and the damping exp(symbol_exponent), the kernel
 the physical heat-shear propagator runs too. Here the map is not a pure
 shear, so the kernel's trig-exact read takes both of its stages: an FFT
 shear, then the dense affine scaling that also changes the self-similar
-frame.
+frame. apply_semigroup runs its tail check, damping and flow in a
+spectral.Arena, the run's when the caller hands one down, and returns a
+Field of its own.
 """
 
 from dataclasses import dataclass
@@ -19,8 +21,8 @@ import numpy as np
 from .errors import (ResolutionError, UnsupportedOrderError,
                      check_order, check_reals, check_time, check_times)
 from .grid import Field
-from .spectral import (characteristic_flow, derivative_symbol,
-                       spectral_tail_ratio)
+from .spectral import (Arena, _spectrum_tail, characteristic_flow,
+                       derivative_symbol)
 
 SQRT3 = np.sqrt(3.0)
 
@@ -65,10 +67,15 @@ def symbol_exponent(tau, xi, eta):
     tau = check_times(tau, "symbol_exponent tau")
     xi = check_reals(xi, "symbol_exponent xi")
     eta = check_reals(eta, "symbol_exponent eta")
-    e = np.exp(-tau)
-    return (-(1 - e) ** 3 * xi ** 2
-            - 2.0 * SQRT3 * e * (1 - e) ** 2 * xi * eta
-            - (1 - e) * (1 + 3 * e ** 2) * eta ** 2)
+    return _exponent(np.exp(-tau), xi, eta)
+
+
+def _exponent(e, xi, eta, out=None):
+    """symbol_exponent at e = exp(-tau), unchecked, formed in out (an
+    array of the broadcast shape) when given."""
+    cross = np.multiply(2.0 * SQRT3 * e * (1 - e) ** 2 * xi, eta, out=out)
+    return np.subtract(np.subtract(-(1 - e) ** 3 * xi ** 2, cross, out=out),
+                       (1 - e) * (1 + 3 * e ** 2) * eta ** 2, out=out)
 
 
 @dataclass(frozen=True)
@@ -105,7 +112,7 @@ def char_map(tau):
     )
 
 
-def apply_semigroup(f, tau):
+def apply_semigroup(f, tau, ws=None):
     """Advance a field by the limit semigroup over a time tau >= 0.
 
     The zero mode is exactly preserved, so the mass of the field is
@@ -113,16 +120,23 @@ def apply_semigroup(f, tau):
     be resolved (decayed well before the band edge); otherwise the
     characteristic shift moves significant content across the band and
     the result is unreliable.
+
+    Every large temporary runs in the arena ws (spectral.Arena; its own if
+    None): the tail check and the damping on slab 4, the flow on slabs
+    0-3. The result is a Field of its own.
     """
     tau = check_time(tau, "tau")
     if tau == 0.0:
         return f
-    r = spectral_tail_ratio(f)
+    grid = f.grid
+    ws = Arena(grid) if ws is None else ws
+    damping, = ws.take(4, (f.coeffs.shape, float))
+    r = _spectrum_tail(f.coeffs, grid, damping)
     if r > RESOLVED_TAIL_TOL:
         raise ResolutionError(
             f"spectrum not resolved: outer-band ratio {r:.2e} exceeds "
             f"{RESOLVED_TAIL_TOL:g}")
     cm = char_map(tau)
     m = (cm.m11, cm.m12), (cm.m21, cm.m22)    # m11 > 0 for every tau >= 0
-    damping = np.exp(symbol_exponent(tau, *f.grid.wavegrid()))
-    return Field(f.grid, coeffs=characteristic_flow(f.coeffs, f.grid, m, damping))
+    np.exp(_exponent(np.exp(-tau), *grid.wavegrid(), damping), out=damping)
+    return Field(grid, coeffs=characteristic_flow(f.coeffs, grid, m, damping, ws))

@@ -6,6 +6,8 @@ The runner owns the sampling: simulate and linear evolve the frame state
 from one time of sample_schedule to the next, fp-decay applies the limit
 semigroup at those times, and picard's cross-check evolves to each of the
 mild solution's time samples; each sampled state goes to the recorder.
+fp-decay owns one spectral.Arena for the run and hands it to the
+semigroup and the recorder, so their large temporaries share its slabs.
 
 Outputs are a pure function of (config, seed): floats are serialized
 with repr (shortest round-trip form), reductions run single-threaded in
@@ -40,7 +42,7 @@ from .selfsim import (
     sample_schedule,
 )
 from .snapshot import write_snapshot
-from .spectral import lp_norm, mass
+from .spectral import Arena, lp_norm, mass
 
 PROBE_ENSEMBLE_SIZE = 10
 PROBE_TIMES = 5
@@ -110,8 +112,8 @@ class _Recorder:
         self.records = []
         self.index = 0
 
-    def __call__(self, state):
-        rec = record(state, self.opts)
+    def __call__(self, state, ws=None):
+        rec = record(state, self.opts, ws)
         self.records.append(rec)
         if self.cadence and self.index % self.cadence == 0:
             write_snapshot(state, os.path.join(
@@ -254,11 +256,12 @@ def _run_fp_decay(cfg, recorder):
                     params=cfg.initial_params)
     alpha = float(mass(f0))
     taus = sample_schedule(cfg.t_init, cfg.t_end, cfg.samples_per_decade)
+    ws = Arena(frame_grid)      # the flow and record share its slabs
     for tau in (s - taus[0] for s in taus):
         state = SelfSimilarState(
-            omega=fp_apply(f0, tau), t=float(cfg.t_init * np.exp(tau)),
+            omega=fp_apply(f0, tau, ws), t=float(cfg.t_init * np.exp(tau)),
             nu=cfg.nu, alpha=alpha)
-        recorder(state)
+        recorder(state, ws)
     recs = recorder.records
     m_fit = 3.0 if 3.0 in cfg.weights else cfg.weights[-1]
     series = [(r.t, r.weighted[(m_fit, 0, 0)]) for r in recs]

@@ -42,6 +42,7 @@ from .spectral import (
     spectral_tail_ratio,
     spectrum_norm,
     tail_mass_ratio,
+    tail_ratios,
 )
 
 SQRT3 = np.sqrt(3.0)
@@ -343,8 +344,10 @@ def _skew_rate(co, grid):
 
 
 def _tail_monitor(f, on_tail, t):
-    spec_tail = spectral_tail_ratio(f)
-    phys_tail = tail_mass_ratio(f)
+    """Check the spectral and box tails of f, a Field or the pair of its
+    tail ratios already read."""
+    spec_tail, phys_tail = ((spectral_tail_ratio(f), tail_mass_ratio(f))
+                            if isinstance(f, Field) else f)
     worst = max(spec_tail, phys_tail)
     if worst <= MONITOR_TAIL_TOL:
         return
@@ -431,7 +434,9 @@ def _march(state, target, dtau, nu, on_tail):
     stage combinations are formed in place with the association of the
     classic formulas, k1 being folded into E k1 + 4 Eh k2 before k3 takes
     k2's place; the midpoint stage reuses sym_mid as its frame symbol.
-    The right-hand sides' workspace is freed with the call.
+    The tail monitor reads the accepted spectrum in the workspace's first
+    two mixed arrays and first samples array, which hold nothing between
+    right-hand sides. The workspace is freed with the call.
     """
     grid = state.omega.grid
     shape = (grid.n, grid.half_cols)
@@ -507,5 +512,6 @@ def _march(state, target, dtau, nu, on_tail):
         tau = tau_new
         steps_done += 1
         if steps_done % MONITOR_EVERY == 0:
-            _tail_monitor(Field(grid, coeffs=c), on_tail, np.exp(tau))
+            _tail_monitor(tail_ratios(c, grid, ws[0][:2], ws[1][0]), on_tail,
+                          np.exp(tau))
     return c, tau

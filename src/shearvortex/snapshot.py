@@ -26,8 +26,9 @@ def _sidecar(path):
 
 
 def _replace_files(items):
-    """Write each (path, bytes) pair to path + ".tmp", then move the files
-    into place in order; a failed write touches no target."""
+    """Write each (path, data) pair, data bytes or a contiguous array, to
+    path + ".tmp", then move the files into place in order; a failed
+    write touches no target."""
     tmps = [os.fspath(path) + ".tmp" for path, _ in items]
     try:
         for tmp, (_, data) in zip(tmps, items):
@@ -43,7 +44,8 @@ def _replace_files(items):
 
 
 def write_snapshot(obj, path):
-    """Persist a Field or a SelfSimilarState (duck-typed on .omega)."""
+    """Persist a Field or a SelfSimilarState (duck-typed on .omega). The
+    payload is hashed and written from the samples' own buffer."""
     if hasattr(obj, "omega"):
         f = obj.omega
         meta_extra = {"kind": "state", "t": repr(float(obj.t)),
@@ -51,7 +53,7 @@ def write_snapshot(obj, path):
     else:
         f = obj
         meta_extra = {"kind": "field"}
-    payload = np.ascontiguousarray(f.values, dtype="<f8").tobytes()
+    payload = np.ascontiguousarray(f.values, dtype="<f8")  # a view if little-endian
     meta = {
         "format": _FORMAT,
         "n": str(f.grid.n),
@@ -60,7 +62,7 @@ def write_snapshot(obj, path):
         "dtype": "float64",
         "endianness": "little",
         "order": "row-major, second axis fastest",
-        "payload_bytes": str(len(payload)),
+        "payload_bytes": str(payload.nbytes),
         "sha256": hashlib.sha256(payload).hexdigest(),
     }
     meta.update(meta_extra)

@@ -55,18 +55,67 @@ calls. derivative_pass samples derivatives of a half spectrum by the
 same row-column split: one axis-0 inverse transform per x-order, shared
 by that order's axis-1 inverse real transforms.
 
+Large temporaries run in an Arena: numbered slabs, each as large as one
+n x (n/2 + 1) complex array, allocated on first use and kept, plus the
+weight samples <x>^m. A run owns one (fp-decay's runner makes it) and
+hands it down through the limit semigroup's flow and record, which run
+one after the other on the same slabs, so a sample loop reuses memory
+instead of freeing and faulting it in again. Kernels take their arrays
+as views of slabs (Arena.take) and name in their docstrings the slabs
+they write; a kernel given no arena makes its own, so a standalone call
+allocates what its temporaries need and no more. What a kernel returns
+on a slab is valid until the slab is taken again; outputs stay fresh
+because a Field copies the arrays it is built from.
+
 All operations assume smooth fields that decay well inside the box, so the
 periodic spectral representation is accurate. Quadrature is the rectangle
 rule, exact for resolved trigonometric content.
 """
 
+import math
 from itertools import groupby
 
 import numpy as np
 
-from .errors import (DomainError, TruncationError, UnsupportedOrderError,
-                     check_order, check_real)
+from .errors import (DomainError, GridError, TruncationError,
+                     UnsupportedOrderError, check_order, check_real)
 from .grid import MAX_DERIVATIVE_ORDER, Field
+
+
+class Arena:
+    """The large temporaries of a run, on numbered slabs of n (n/2 + 1)
+    complex entries each (bytes, grown when a request is larger), and the
+    weight samples <x>^m; each is allocated on first use and kept.
+
+    A run makes one and hands it down, so that one sample's kernels and
+    the next sample's reuse the same memory; a kernel given none makes
+    its own. A kernel's docstring names the slabs it writes: callees get
+    the slabs their caller is done with, and what a kernel returns on a
+    slab is valid until that slab is taken again. Fields copy what they
+    are given, so a Field built from a slab stays fresh."""
+
+    def __init__(self, grid=None):
+        self.grid = grid
+        self._slabs, self._weights = [], {}
+
+    def take(self, i, *specs):
+        """Arrays of the (shape, dtype) specs, laid out in turn on slab i
+        at 16-byte offsets; what slab i held before is overwritten."""
+        sizes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in specs]
+        starts = np.cumsum([0] + [-(-size // 16) * 16 for size in sizes])
+        self._slabs += [None] * (i + 1 - len(self._slabs))
+        if self._slabs[i] is None or self._slabs[i].size < starts[-1]:
+            least = 16 * self.grid.n * self.grid.half_cols if self.grid else 0
+            self._slabs[i] = np.empty(max(starts[-1], least), dtype=np.uint8)
+        return [self._slabs[i][at:at + size].view(dtype).reshape(shape)
+                for at, size, (shape, dtype) in zip(starts, sizes, specs)]
+
+    def weight(self, m):
+        """weight_samples(grid, m), formed once."""
+        m = _weight_exponent(m)
+        if m not in self._weights:
+            self._weights[m] = weight_samples(self.grid, m)
+        return self._weights[m]
 
 
 def derivative(f, a, b):
@@ -93,23 +142,30 @@ def derivative_symbol(grid, a, b):
     return mult
 
 
-def derivative_pass(c, grid, orders):
+def derivative_pass(c, grid, orders, ws=None, held=()):
     """Yield (order, samples) of d^a/dx1^a d^b/dx2^b of the real field with
     half spectrum c for each order (a, b) in orders, in ascending order,
     and no Field. irfft2 splits by rows and columns, so the orders of one
     a share its axis-0 stage: one axis-0 inverse transform of c (ik1)^a
     per distinct a, then one axis-1 inverse real transform of that mixed
-    array times (ik2)^b per order; the factor (ik)^0 = 1 is skipped. Each
-    samples array is fresh, for the caller to keep or overwrite; unlike a
-    Field's, it is not checked for finiteness."""
-    d, h = grid.multipliers, grid.half_cols
-    mixed, product = np.empty((2, *c.shape), dtype=np.complex128)
+    array times (ik2)^b per order; the factor (ik)^0 = 1 is skipped.
+
+    The pass runs on slabs 0 and 1 of the arena ws (its own if None), and
+    each samples array is slab 2, valid until the next order is yielded,
+    or slab 3 for an order in held, valid until the next such order: a
+    caller that keeps one sample across others names its order in held,
+    and overwrites any sample at will. Unlike a Field's, the samples are
+    not checked for finiteness."""
+    d, h, n = grid.multipliers, grid.half_cols, grid.n
+    ws = Arena(grid) if ws is None else ws
+    (mixed,), (product,) = (ws.take(i, (c.shape, complex)) for i in (0, 1))
     for a, group in groupby(sorted(orders), key=lambda o: o[0]):
         spec = np.multiply(c, d[a][:, None], out=product) if a else c
         np.fft.ifft(spec, axis=0, norm="forward", out=mixed)
-        for _, b in group:
-            spec = np.multiply(mixed, d[b][:h], out=product) if b else mixed
-            yield (a, b), np.fft.irfft(spec, axis=1, norm="forward")
+        for o in group:
+            spec = np.multiply(mixed, d[o[1]][:h], out=product) if o[1] else mixed
+            out, = ws.take(3 if o in held else 2, ((n, n), float))
+            yield o, np.fft.irfft(spec, axis=1, norm="forward", out=out)
 
 
 def _solve(c, symbol):
@@ -129,12 +185,24 @@ def _velocity(psi, d1, d2, out):
     return out
 
 
+def _symbol(grid, symbol):
+    """The Laplacian symbol operand of the public Biot-Savart entries:
+    grid.laplacian for None, else a real array in grid's half layout
+    (GridError otherwise)."""
+    if symbol is None:
+        return grid.laplacian
+    if (np.shape(symbol) != (grid.n, grid.half_cols)
+            or np.asarray(symbol).dtype.kind not in "biuf"):
+        raise GridError(f"symbol must be a real {grid.n} x {grid.half_cols} "
+                        f"array, got {type(symbol).__name__} of shape "
+                        f"{np.shape(symbol)}")
+    return symbol
+
+
 def inverse_laplacian(f, symbol=None):
     """Solve lap(psi) = f with the mean-zero gauge (zero mode -> 0); lap has
     the Fourier symbol given, by default the plain one, grid.laplacian."""
-    if symbol is None:
-        symbol = f.grid.laplacian
-    return Field(f.grid, coeffs=_solve(f.coeffs, symbol))
+    return Field(f.grid, coeffs=_solve(f.coeffs, _symbol(f.grid, symbol)))
 
 
 def biot_savart(omega, symbol=None):
@@ -144,47 +212,42 @@ def biot_savart(omega, symbol=None):
     omega minus its mean value when the symbol is the plain Laplacian's.
     """
     grid = omega.grid
-    if symbol is None:
-        symbol = grid.laplacian
-    u1, u2 = _velocity(_solve(omega.coeffs, symbol),
+    u1, u2 = _velocity(_solve(omega.coeffs, _symbol(grid, symbol)),
                        derivative_symbol(grid, 1, 0),
                        derivative_symbol(grid, 0, 1),
                        np.empty((2, grid.n, grid.half_cols), dtype=np.complex128))
     return Field(grid, coeffs=u1), Field(grid, coeffs=u2)
 
 
-def _top_rows(c):
-    """Rows 0..n/2 of the full spectrum of the real field with half
-    spectrum c, (n/2 + 1) x n: columns 0..n/2 are c's, and columns
-    n/2+1..n-1 mirror c's columns n/2-1..1 by Hermitian symmetry; the
-    self-mirrored columns 0 and n/2 take their Hermitian part, which is
-    what irfft2 reads of them."""
+def _top_rows(c, top, mirror):
+    """Write into top rows 0..n/2 of the full spectrum of the real field
+    with half spectrum c, (n/2 + 1) x n: columns 0..n/2 are c's, and
+    columns n/2+1..n-1 mirror c's columns n/2-1..1 by Hermitian symmetry;
+    the self-mirrored columns 0 and n/2 take their Hermitian part, which
+    is what irfft2 reads of them. mirror, (n/2 + 1) x (n/2 + 1), is
+    scratch."""
     n = c.shape[0]
     h = n // 2 + 1
-    mirror = np.empty((h, h), dtype=np.complex128)    # conj(c[-j, l])
-    mirror[0] = c[0]
+    mirror[0] = c[0]                                  # conj(c[-j, l])
     mirror[1:] = c[:n // 2 - 1:-1]
     np.conjugate(mirror, out=mirror)
-    top = np.empty((h, n), dtype=np.complex128)
     top[:, :h] = c[:h]
     top[:, h:] = mirror[:, h - 2:0:-1]
     for col in (0, n // 2):
         top[:, col] = 0.5 * (c[:h, col] + mirror[:, col])
-    return top
 
 
-def _mirror_rows(top, cols):
-    """The first cols columns of the n x n array H with H[-j, -l] =
-    conj(H[j, l]) (indices mod n) whose rows 0..n/2 are top, an
-    (n/2 + 1) x n array: rows n/2+1..n-1 are the conjugate mirrors of
-    rows n/2-1..1, and rows 0 and n/2 are top's as they are."""
+def _mirror_rows(top, out):
+    """Write into out, n x cols, the first cols columns of the n x n array
+    H with H[-j, -l] = conj(H[j, l]) (indices mod n) whose rows 0..n/2
+    are top, an (n/2 + 1) x n array: rows n/2+1..n-1 are the conjugate
+    mirrors of rows n/2-1..1, and rows 0 and n/2 are top's as they are."""
     h, n = top.shape
-    out = np.empty((n, cols), dtype=np.complex128)
+    cols = out.shape[1]
     out[:h] = top[:, :cols]
     rows = top[h - 2:0:-1]                            # rows n/2-1..1
     np.conjugate(rows[:, :1], out=out[h:, :1])
     np.conjugate(rows[:, n - 1:n - cols:-1], out=out[h:, 1:])
-    return out
 
 
 def spectrum_norm(c):
@@ -256,12 +319,13 @@ def kept_spectrum(rows, grid):
     """The 2/3-dealiased half spectrum whose mixed (axis-0 physical,
     axis-1 spectral) representation is rows, or a stack of them on
     leading axes, formed in rows: one axis-0 forward transform of the
-    n/3 + 1 kept columns, the 2/3 mask there, and the other columns
-    zeroed. Returns rows."""
-    m = kept_cols(grid)
+    n/3 + 1 kept columns, and the rest zeroed: the other columns, and on
+    the kept ones the rows n/3 + 1 .. n - n/3 - 1 that the 2/3 rule drops
+    (grid.keep). Returns rows."""
+    m, n = kept_cols(grid), grid.n
     kept = rows[..., :m]
     np.fft.fft(kept, axis=-2, norm="forward", out=kept)
-    kept *= grid.keep[:, :m]
+    kept[..., n // 3 + 1:n - n // 3, :] = 0.0
     rows[..., m:] = 0.0
     return rows
 
@@ -378,10 +442,8 @@ def transport(omega, w, symbol=None):
     """u . grad(w) with u = biot_savart(omega, symbol), 2/3-dealiased on
     both inputs and on the product; equal to div(u w), as div(u) = 0."""
     grid = omega.grid
-    if symbol is None:
-        symbol = grid.laplacian
     return Field(grid, coeffs=transport_spectrum(omega.coeffs, w.coeffs,
-                                                 grid, symbol))
+                                                 grid, _symbol(grid, symbol)))
 
 
 def mass(f):
@@ -399,17 +461,18 @@ def lp_norm(f, p):
     return lp_samples(np.abs(f.values), f.grid, p)
 
 
-def lp_samples(v, grid, p):
+def lp_samples(v, grid, p, scratch=None):
     """L^p norm of the samples whose magnitudes are v, by rectangle-rule
-    quadrature; p in [1, inf], unchecked."""
+    quadrature; p in [1, inf], unchecked. Powers of v are formed in
+    scratch, shaped like v (fresh if None)."""
     if np.isinf(p):
         return float(v.max())
     h2 = grid.spacing ** 2
     if p == 1.0:
         return float(np.sum(v) * h2)
     if p == 2.0:
-        return float(np.sqrt(np.sum(v * v) * h2))
-    return float((np.sum(v ** p) * h2) ** (1.0 / p))
+        return float(np.sqrt(np.sum(np.multiply(v, v, out=scratch)) * h2))
+    return float((np.sum(np.power(v, p, out=scratch)) * h2) ** (1.0 / p))
 
 
 def _weight_exponent(m):
@@ -439,9 +502,11 @@ def weight_samples(grid, m):
     return grid.bracket_sq ** (0.5 * _weight_exponent(m))
 
 
-def weighted_l2(w, v, grid):
-    """L^2 norm of the samples w * v by rectangle-rule quadrature."""
-    return float(np.sqrt(np.sum((w * v) ** 2) * grid.spacing ** 2))
+def weighted_l2(w, v, grid, scratch=None):
+    """L^2 norm of the samples w * v by rectangle-rule quadrature; the
+    product is formed in scratch, shaped like v (fresh if None)."""
+    wv = np.multiply(w, v, out=scratch)
+    return float(np.sqrt(np.sum(np.square(wv, out=wv)) * grid.spacing ** 2))
 
 
 def weighted_inner(f, g, m=0.0):
@@ -463,11 +528,17 @@ def spectral_tail_ratio(f):
     A resolved field keeps this small; values above ~1e-6 signal that
     energy is piling up against the truncation.
     """
-    c = np.abs(f.coeffs)
+    return _spectrum_tail(f.coeffs, f.grid)
+
+
+def _spectrum_tail(c, grid, out=None):
+    """spectral_tail_ratio of the half spectrum c; |c| is formed in out,
+    a float array shaped like c (fresh if None)."""
+    c = np.abs(c, out=out)
     peak = c.max()
     if peak == 0.0:
         return 0.0
-    return float(c[f.grid.outer_band].max() / peak)
+    return float(np.max(c, where=grid.outer_band, initial=0.0) / peak)
 
 
 TAIL_MASS_TOL = 1e-8  # largest tail mass ratio of a localized field
@@ -475,11 +546,29 @@ TAIL_MASS_TOL = 1e-8  # largest tail mass ratio of a localized field
 
 def tail_mass_ratio(f):
     """Fraction of the L^1 mass outside the half-box |x|, |y| <= L/2."""
-    v = np.abs(f.values)
+    return _samples_tail(f.values, f.grid)
+
+
+def _samples_tail(v, grid, out=None, pick=None):
+    """tail_mass_ratio of the samples v: |v| is formed in out, shaped
+    like v, and the tail's entries are gathered in pick, a 1-D float
+    array of at least n^2 entries (fresh if None)."""
+    v = np.abs(v, out=out)
     total = v.sum()
     if total == 0.0:
         return 0.0
-    return float(v[f.grid.outside_half_box].sum() / total)
+    far = grid.outside_half_box.ravel()
+    pick = None if pick is None else pick[:np.count_nonzero(far)]
+    return float(np.compress(far, v.ravel(), out=pick).sum() / total)
+
+
+def tail_ratios(c, grid, mixed, v):
+    """(spectral_tail_ratio, tail_mass_ratio) of the real field with half
+    spectrum c, read in the caller's buffers: mixed, two complex arrays
+    shaped like c, and v, n x n, which is left holding |samples|."""
+    spec = _spectrum_tail(c, grid, v.reshape(-1)[:c.size].reshape(c.shape))
+    _irfft2(c, grid, mixed[0], v)
+    return spec, _samples_tail(v, grid, v, mixed[1].view(float).reshape(-1))
 
 
 def check_localized(f, what):
@@ -516,17 +605,36 @@ def shear_spectrum(coeffs, grid, slope):
     mirrors of rows n/2-1..1. Returns the evaluated array together with
     the boolean mask of lattice points whose request lies outside the
     resolvable band (those values are periodic wraps and should be
-    discarded or vetted by the caller).
+    discarded or vetted by the caller). A slope that is not a finite real
+    raises DomainError, and coeffs not shaped as grid's half spectrum
+    GridError.
     """
-    mixed = np.fft.ifft(_top_rows(coeffs), axis=1, norm="forward")
+    if not math.isfinite(check_real(slope, "shear slope")):
+        raise DomainError(f"shear slope must be finite, got {slope!r}")
+    if np.shape(coeffs) != (grid.n, grid.half_cols):
+        raise GridError(f"coeffs shape {np.shape(coeffs)} != "
+                        f"({grid.n}, {grid.half_cols})")
+    return _shear(np.asarray(coeffs, dtype=complex), grid, slope, Arena(grid))
+
+
+def _shear(c, grid, slope, ws):
+    """shear_spectrum, unchecked, on slabs 0-2 of the arena ws: the
+    evaluated array is slab 1 and the mask slab 2."""
+    n, h = grid.n, grid.half_cols
+    (mixed,), (mirror,) = ws.take(0, ((h, n), complex)), ws.take(1, ((h, h), complex))
+    _top_rows(c, mixed, mirror)
+    np.fft.ifft(mixed, axis=1, norm="forward", out=mixed)
     mixed *= shear_phase(grid, slope)
-    out = _mirror_rows(np.fft.fft(mixed, axis=1, norm="forward"),
-                       coeffs.shape[1])
+    np.fft.fft(mixed, axis=1, norm="forward", out=mixed)
+    out, = ws.take(1, (c.shape, complex))
+    _mirror_rows(mixed, out)
     kx, ky = grid.wavegrid()
-    return out, np.abs(slope * kx + ky) > grid.band
+    request, oob = ws.take(2, (c.shape, float), (c.shape, bool))
+    np.abs(np.add(slope * kx, ky, out=request), out=request)
+    return out, np.greater(request, grid.band, out=oob)
 
 
-def scale_spectrum(v, grid, target, u11, u12, u22):
+def scale_spectrum(v, grid, target, u11, u12, u22, ws=None):
     """Target's half spectrum whose coefficient at each mode (xi_j, eta_k)
     of target is the spectrum of the real samples v on grid read at
     (u11*xi_j + u12*eta_k, u22*eta_k): the transform of v there, a sum
@@ -536,19 +644,24 @@ def scale_spectrum(v, grid, target, u11, u12, u22):
 
     The map is upper triangular in (xi, eta), so affine_trig_sum runs on
     the transposed samples, where it is lower triangular, with target's
-    n/2 + 1 half-layout columns as its row points.
+    n/2 + 1 half-layout columns as its row points. It runs on slabs 0-3
+    of the arena ws (its own if None); v may be slab 0, and the result
+    is slab 1.
     """
+    ws = Arena(max(grid, target, key=lambda g: g.n)) if ws is None else ws
     kx, ky = target.wavegrid()
-    out = affine_trig_sum(v.T, grid.x, ky[0], target.k, u22, u12, u11).T
+    out = affine_trig_sum(v.T, grid.x, ky[0], target.k, u22, u12, u11, ws).T
     out /= (target.half_width / grid.half_width * grid.n) ** 2  # (2 L_target / h)^2
     out *= target.signs[:, :target.half_cols]  # back to fft-array sign convention
-    out[np.abs(u11 * kx + u12 * ky) > grid.band] = 0.0
+    request, oob = ws.take(0, (out.shape, float), (out.shape, bool))
+    np.abs(np.add(u11 * kx, u12 * ky, out=request), out=request)
+    out[np.greater(request, grid.band, out=oob)] = 0.0
     if abs(u22) * np.abs(target.k).max() > grid.band:
         out[:, np.abs(u22 * ky[0]) > grid.band] = 0.0
     return out
 
 
-def characteristic_flow(c, grid, m, damping):
+def characteristic_flow(c, grid, m, damping, ws=None):
     """The half spectrum c read at the backward image (m11 xi + m12 eta,
     m21 xi + m22 eta) of each mode of the map m = ((m11, m12), (m21, m22)),
     m11 != 0, then multiplied by damping, a multiplier on the half layout;
@@ -558,38 +671,43 @@ def characteristic_flow(c, grid, m, damping):
     m21/m11, zero the targets whose shear request leaves the band, then
     run scale_spectrum on the samples of the sheared spectrum by U =
     [[m11, m12], [0, det(m)/m11]] unless U is the identity, which it is
-    exactly when m11 = m22 = 1 and m12 = 0.
+    exactly when m11 = m22 = 1 and m12 = 0. It runs on slabs 0-3 of the
+    arena ws (its own if None), and the result is slab 1.
     """
     (m11, m12), (m21, m22) = m
-    out, oob = shear_spectrum(c, grid, m21 / m11)
+    ws = Arena(grid) if ws is None else ws
+    out, oob = _shear(c, grid, m21 / m11, ws)
     out[oob] = 0.0
     if (m11, m12, m22) != (1.0, 0.0, 1.0):
-        out = scale_spectrum(np.fft.irfft2(out, norm="forward"), grid, grid,
-                             m11, m12, (m11 * m22 - m12 * m21) / m11)
+        v = _irfft2(out, grid, out, ws.take(0, ((grid.n, grid.n), float))[0])
+        out = scale_spectrum(v, grid, grid, m11, m12,
+                             (m11 * m22 - m12 * m21) / m11, ws)
     out *= damping
     return out
 
 
-def _fold(a):
-    """Even and odd parts of the rows of a over the mirror j <-> n - j, on
-    rows 0..n/2: row m is a[m] + a[n - m] and a[m] - a[n - m]; the
-    self-mirrored rows 0 and n/2 enter both parts whole."""
+def _irfft2(c, grid, mixed, out):
+    """irfft2(c, norm="forward") written into out, by the axes irfft2
+    takes them: the axis-0 inverse transform into mixed, shaped like c
+    (c itself may be given), then the axis-1 inverse real one."""
+    np.fft.ifft(c, axis=0, norm="forward", out=mixed)
+    return np.fft.irfft(mixed, n=grid.n, axis=1, norm="forward", out=out)
+
+
+def _fold(a, even, odd):
+    """Write into even and odd the even and odd parts of the rows of a
+    over the mirror j <-> n - j, on rows 0..n/2: row m is a[m] + a[n - m]
+    and a[m] - a[n - m]; the self-mirrored rows 0 and n/2 enter both
+    parts whole."""
     n = a.shape[0]
-    even = a[:n // 2 + 1].copy()
-    odd = even.copy()
+    np.copyto(even, a[:n // 2 + 1])
+    np.copyto(odd, even)
     tail = a[:n // 2:-1]        # rows n-1..n/2+1, the mirrors of rows 1..n/2-1
     even[1:-1] += tail
     odd[1:-1] -= tail
-    return even, odd
 
 
-def _real_product(m, z):
-    """The real matrix m times z, real or complex, as one real product
-    (a complex z is read as its interleaved real and imaginary parts)."""
-    return (m @ z.view(np.float64)).view(z.dtype)
-
-
-def affine_trig_sum(a, s, rp, rq, m11, m21, m22):
+def affine_trig_sum(a, s, rp, rq, m11, m21, m22, ws=None):
     """Trigonometric sum of a lattice at a lower-triangular image of another.
 
     Returns out[p, q] = sum over j, k of a[j, k] exp(-i (s_j X + s_k Y))
@@ -612,25 +730,50 @@ def affine_trig_sum(a, s, rp, rq, m11, m21, m22):
     of len(rp) (n/2 + 1) arguments, stage 2 of (n/2 + 1)^2. Cost: about
     2 len(rp) n^2 real multiply-adds for a real a, 3 len(rp) n^2 for a
     complex one, on one path.
+
+    Every array runs on slabs 0-3 of the arena ws (its own if None): the
+    folds, the cosine and sine tables (stage 2's one at a time), both
+    stages' products and the phase combination are formed in place, and
+    the result is slab 1. a may be slab 0, which is overwritten once a
+    is folded.
     """
+    ws = Arena() if ws is None else ws
     h = len(s) // 2 + 1
-    nq = len(rq)
+    nq, npt = len(rq), len(rp)
     hq = nq // 2 + 1
     phase = -1j
-    even, odd = _fold(a)                                  # [m, k]
-    arg = np.outer(rp, m11 * s[:h])
-    out = (_real_product(np.cos(arg), even)
-           + phase * _real_product(np.sin(arg), odd))    # [p, k]
-    even, odd = _fold(out.T)                              # [m, p]
-    arg = np.outer(m21 * s[:h], rp)                       # phase in rp_p per s_m
-    cos, sin = np.cos(arg), phase * np.sin(arg)
-    even, odd = even * cos + odd * sin, odd * cos + even * sin
-    arg = np.outer(rq[:hq], m22 * s[:h])
-    plus = _real_product(np.cos(arg), even)               # [q, p]
-    minus = phase * _real_product(np.sin(arg), odd)
-    out = np.empty((nq, len(rp)), dtype=np.complex128)
-    out[:hq] = plus + minus
-    out[hq:] = plus[hq - 2:0:-1] - minus[hq - 2:0:-1]
+    even, odd = ws.take(1, ((2, h, a.shape[1]), a.dtype))[0]      # [m, k]
+    _fold(a, even, odd)
+    arg, cos, sin = ws.take(0, ((3, npt, h), float))[0]
+    np.outer(rp, m11 * s[:h], out=arg)
+    products = ws.take(2, ((2, npt, a.shape[1]), a.dtype))[0]
+    np.matmul(np.cos(arg, out=cos), even.view(float), out=products[0].view(float))
+    np.matmul(np.sin(arg, out=sin), odd.view(float), out=products[1].view(float))
+    out, = ws.take(1, ((npt, len(s)), complex))
+    np.add(products[0], np.multiply(phase, products[1], out=out), out=out)  # [p, k]
+    even, arg = ws.take(0, ((h, npt), complex), ((h, npt), float))
+    odd, = ws.take(2, ((h, npt), complex))
+    _fold(out.T, even, odd)                               # [m, p]
+    sin, cos = ws.take(1, ((h, npt), complex), ((h, npt), float))
+    np.outer(m21 * s[:h], rp, out=arg)
+    np.cos(arg, out=cos)
+    np.multiply(phase, np.sin(arg, out=arg), out=sin)     # phase in rp_p per s_m
+    even_sin, = ws.take(3, ((h, npt), complex))
+    np.multiply(even, sin, out=even_sin)
+    np.multiply(odd, sin, out=sin)                        # odd sin
+    even *= cos
+    even += sin                                           # even cos + odd sin
+    odd *= cos
+    odd += even_sin                                       # odd cos + even sin
+    out, = ws.take(1, ((nq, npt), complex))
+    plus, (minus,) = out[:hq], ws.take(3, ((hq, npt), complex))   # [q, p]
+    for trig, part, z in ((np.cos, plus, even), (np.sin, minus, odd)):
+        arg = ws.take(0, ((h, npt), complex), ((hq, h), float))[1]
+        trig(np.outer(rq[:hq], m22 * s[:h], out=arg), out=arg)
+        np.matmul(arg, z.view(float), out=part.view(float))
+    np.multiply(phase, minus, out=minus)
+    np.subtract(plus[hq - 2:0:-1], minus[hq - 2:0:-1], out=out[hq:])
+    plus += minus
     return out.T
 
 

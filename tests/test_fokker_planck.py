@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from shearvortex import (
     weighted_norm,
 )
 from shearvortex import spectral
+from shearvortex.diagnostics import EnergyCoefficients, RecordOptions, record
 from shearvortex.errors import DomainError, ResolutionError, UnsupportedOrderError
 from shearvortex.fokker_planck import (
     SQRT3,
@@ -22,6 +25,8 @@ from shearvortex.fokker_planck import (
     gaussian,
     symbol_exponent,
 )
+from shearvortex.selfsim import SelfSimilarState
+from shearvortex.spectral import Arena
 
 from conftest import NON_REAL_POINTS, localized_field
 from oracles import GAUSSIAN_PEAK, forward_chars, limit_semigroup_full
@@ -333,3 +338,58 @@ def test_semigroup_rejects_unresolved_spectrum():
     psi = eigenfunction(1, 0, g)
     with pytest.raises(ResolutionError):
         apply_semigroup(psi, 1.0)
+
+
+# ------------------------------------------------------------- the run arena
+
+def _fp_sample(f0, tau, ws=None):
+    """One fp-decay sample, as the runner takes it: the flow to tau, then
+    record, both in the arena ws."""
+    state = SelfSimilarState(omega=apply_semigroup(f0, tau, ws),
+                             t=float(np.exp(tau)), nu=1.0, alpha=mass(f0))
+    opts = RecordOptions(energy=EnergyCoefficients.from_scale())
+    return state, record(state, opts, ws)
+
+
+def test_one_arena_over_several_taus_matches_fresh_calls_bit_for_bit():
+    # the flow and record reuse one arena's slabs from sample to sample:
+    # each sample equals fresh calls' bit for bit, a later sample leaves
+    # the earlier states unchanged, and the arena keeps at most 8
+    # slab-sized arrays (slabs and weights)
+    grid = make_grid(20.0, 128, "selfsim")
+    f0 = eigenfunction(1, 0, grid)
+    ws = Arena(grid)
+    held = []
+    for tau in (0.1, 0.5, 1.2, 0.0):
+        state, rec = _fp_sample(f0, tau, ws)
+        fresh_state, fresh_rec = _fp_sample(f0, tau)
+        assert state.omega.coeffs.tobytes() == fresh_state.omega.coeffs.tobytes()
+        assert rec == fresh_rec
+        held.append((state, state.omega.coeffs.copy(), state.omega.values.copy()))
+    for state, coeffs, values in held:
+        assert state.omega.coeffs.tobytes() == coeffs.tobytes()
+        assert state.omega.values.tobytes() == values.tobytes()
+    assert len(ws._slabs) + len(ws._weights) <= 8
+
+
+def test_warm_fp_decay_sample_allocates_only_what_it_keeps():
+    # with the arena warm, one sample (flow + record) at n = 128 peaks,
+    # above the arena, at what it returns and keeps: the state's coeffs
+    # and values (the half spectrum irfft2 makes on the way to the values
+    # counted too), 397312 bytes, and the returned objects, under 8 KiB.
+    # The same sample peaked at 1323572 bytes before the arena
+    # (tracemalloc, no arena: every temporary fresh)
+    grid = make_grid(20.0, 128, "selfsim")
+    f0 = eigenfunction(1, 0, grid)
+    ws = Arena(grid)
+    _fp_sample(f0, 0.3, ws)    # fills the arena and the grid's arrays
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        state, _ = _fp_sample(f0, 0.6, ws)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    kept = 2 * state.omega.coeffs.nbytes + state.omega.values.nbytes
+    assert kept == 397312
+    assert peak <= kept + 8192, peak

@@ -23,12 +23,15 @@ from shearvortex import (
     weighted_inner,
     weighted_norm,
 )
-from shearvortex.diagnostics import PROBE_KINDS
+from shearvortex.diagnostics import PROBE_KINDS, record
+from shearvortex.errors import ShearVortexError
 from shearvortex.fokker_planck import char_map, gaussian
 from shearvortex.initial_data import make_field
 from shearvortex.propagator import apply_semigroup
-from shearvortex.selfsim import FrameCoefficients, _frame_map, _laplacian_symbol
+from shearvortex.selfsim import (FrameCoefficients, SelfSimilarState,
+                                 _frame_map, _laplacian_symbol)
 from shearvortex.spectral import (MAX_DERIVATIVE_ORDER, affine_trig_sum,
+                                  inverse_laplacian,
                                   characteristic_flow, dealias_mask,
                                   drift_divergence, drift_workspace,
                                   kept_spectrum, scale_spectrum, shear_phase,
@@ -897,3 +900,43 @@ def test_characteristic_flow_takes_its_map_and_damping():
                           (cm.m11 * cm.m22 - cm.m12 * cm.m21) / cm.m11)
     got = characteristic_flow(c, grid, ((cm.m11, cm.m12), (cm.m21, cm.m22)), d)
     assert got.tobytes() == (want * d).tobytes()
+
+
+# ------------------------------------------------------ value-level contract
+
+_GRID = make_grid(16.0, 16, "selfsim")
+_F = gaussian(_GRID)
+_LAP = _GRID.laplacian
+# one row per value-level case that raised a raw error or passed silently
+_VALUE_CASES = {
+    "record opts array": lambda: record(SelfSimilarState(omega=_F, t=1.0, nu=1.0),
+                                        np.zeros(3)),
+    "shear slope string": lambda: shear_spectrum(_F.coeffs, _GRID, "1"),
+    "shear slope nan": lambda: shear_spectrum(_F.coeffs, _GRID, np.nan),
+    "shear slope inf": lambda: shear_spectrum(_F.coeffs, _GRID, np.inf),
+    "shear coeffs shape": lambda: shear_spectrum(_F.coeffs[:, :3], _GRID, 0.5),
+    "shear coeffs vector": lambda: shear_spectrum(np.zeros(3), _GRID, 0.5),
+    "inverse_laplacian symbol string": lambda: inverse_laplacian(_F, "1"),
+    "inverse_laplacian symbol shape": lambda: inverse_laplacian(_F, np.zeros(3)),
+    "biot_savart symbol complex": lambda: biot_savart(_F, _LAP * 1j),
+    "biot_savart symbol object": lambda: biot_savart(_F, object()),
+    "transport symbol shape": lambda: transport(_F, _F, _LAP[:, :-1]),
+    "transport symbol list": lambda: transport(_F, _F, [1.0, 2.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_VALUE_CASES))
+def test_value_level_cases_raise_toolkit_errors(case):
+    with pytest.raises(ShearVortexError):
+        _VALUE_CASES[case]()
+
+
+def test_checked_entries_accept_what_they_did():
+    # the checks reject nothing the kernels took before: a numpy slope,
+    # a frame symbol and the plain one given explicitly
+    out, oob = shear_spectrum(_F.coeffs, _GRID, np.float64(0.5))
+    assert out.shape == _F.coeffs.shape and oob.dtype == bool
+    sym = _laplacian_symbol(_GRID, FrameCoefficients.at_time(2.0))
+    assert np.array_equal(inverse_laplacian(_F, sym).coeffs,
+                          inverse_laplacian(_F, sym.copy()).coeffs)
+    assert np.array_equal(transport(_F, _F, _LAP).coeffs, transport(_F, _F).coeffs)

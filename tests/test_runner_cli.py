@@ -260,6 +260,26 @@ def test_rerun_reproduces_artifacts_byte_for_byte(simulate_runs):
             assert fa.read() == fb.read(), name
 
 
+def test_fp_decay_rerun_reproduces_artifacts_byte_for_byte(tmp_path):
+    # two in-process fp-decay runs, each in one arena shared by the flow,
+    # record and the snapshots, write the same files, byte for byte
+    cfg = write_config(tmp_path, (
+        "initial_data = eigenfunction\n"
+        "initial_params = a=1, b=0\n"
+        "grid_l = 20.0\n"
+        "grid_n = 128\n"
+        "t_end = 3.2\n"
+        "snapshot_cadence = 1\n"))
+    dirs = [tmp_path / "a", tmp_path / "b"]
+    for d in dirs:
+        assert main(["fp-decay", "--config", cfg, "--out", str(d)]) == 0
+    names = sorted(os.listdir(dirs[0]))
+    assert names == sorted(os.listdir(dirs[1]))
+    assert "state_00009.snap" in names and "final.snap" in names
+    for name in names:
+        assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
+
+
 def test_simulate_artifacts(simulate_runs):
     a, _ = simulate_runs
     summary = read_lines(os.path.join(a, "summary.txt"))
