@@ -23,23 +23,28 @@ once, and each target is vetted for aliasing and read back once. The
 shear has determinant 1, so the transport term there is the same
 Poisson bracket with the Laplacian symbol -(xi^2 + (eta - tau xi)^2).
 Its factors (spectral.transport_factors) are linear in the spectra, so a
-quadrature node's are interpolated from its stencil samples' factors.
-All nodes of a panel set lie in one sample interval and read its
-stencil, so the march takes them in stacks of up to a stencil's width:
-one matrix product combines a stack's factors into a workspace the march
-reuses, and one transport_product call transforms the stack. Per
+quadrature node's are the Lagrange combination of its stencil samples'
+factors, and its term, bilinear in them, is the combination of the
+stencil's pair terms with the products of the Lagrange weights. All
+nodes of a panel set lie in one sample interval and read its stencil,
+so the march transforms each pair of samples that share a stencil once
+(spectral.pair_product, stacked), keeps the pairs in a fixed ring, and
+weighs each with one real multiplier: the sum over the set's nodes of
+the pair's weight times the node's multiplier (Gauss weight, carry and
+physical 2/3 mask), one small matrix product per chunk of nodes. Per
 iteration, the factors' inverse transforms run once per sample and the
-product's forward transforms once per stack. The product is non-zero
-only on the n x (n/3 + 1) block of columns the 2/3 rule keeps, so each
-node's real multiplier (Gauss weight, carry and physical 2/3 mask) and
-the accumulation run on that block alone, and a target is widened to the
-half layout only to be vetted and read back. Each sample interval is
-integrated once, by Gauss panels graded at the band's fastest decay
-rate, so one Picard iteration costs a number of transforms linear in the
-number of time samples.
+forward transforms once per pair: a 4-wide stencil has 10 pairs, and
+each later stencil brings 4, whatever the panel depth. The pair spectra
+are non-zero only on the n x (n/3 + 1) block of columns the 2/3 rule
+keeps, so the multipliers and the accumulation run on that block alone,
+and a target is widened to the half layout only to be vetted and read
+back. Each sample interval is integrated once, by Gauss panels graded
+at the band's fastest decay rate, so one Picard iteration costs a number
+of transforms linear in the number of time samples.
 """
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -59,8 +64,8 @@ from .errors import (
 )
 from .grid import Field
 from .selfsim import amplitude, selfsim_coords
-from .spectral import (characteristic_flow, kept_cols, lp_norm,
-                       transport_factors, transport_product)
+from .spectral import (characteristic_flow, kept_cols, lp_norm, pair_product,
+                       transport_factors)
 
 
 def green_kernel(nu, t, x, y):
@@ -289,22 +294,32 @@ def _duhamel_targets(traj1, traj2, targets):
     The march runs on arrays. Each sample is read into shearing
     coordinates, and its transport factors built there, once per call,
     and kept while a stencil reads them, at most 4 samples' at a time.
-    g(s) is spectral.transport_product of the factors interpolated at s,
-    which equals the transport kernel on the spectra (and stream
-    functions) interpolated at s up to roundoff, as the factors are
-    linear in the spectra; it is then cut to the physical 2/3 box at s.
-    A panel set's nodes share the interval's stencil, so they go through
-    transport_product in stacks of at most the stencil's width, each
-    formed by one matrix product and weighed by one real multiplier per
-    node: its Gauss weight, its carry to the panel set's end and its
-    physical 2/3 box. So the node workspace is never larger than the
-    ring of factors.
+    g(s) is the transport term of the factors interpolated at s, which
+    equals the transport kernel on the spectra (and stream functions)
+    interpolated at s up to roundoff, as the factors are linear in the
+    spectra; it is then cut to the physical 2/3 box at s. The term is
+    bilinear in the factors, so with the stencil's Lagrange weights L_i,
+    g(s) = sum over stencil pairs i <= j of L_i(s) L_j(s) Q_ij, where
+    Q_ij = u_i . grad w_j + u_j . grad w_i, or u_i . grad w_i when i = j
+    (spectral.pair_product). Each pair is transformed once per call,
+    when a stencil first reads it, and its kept block held in a ring of
+    one slot per pair of a stencil (10 for 4 samples) while stencils
+    read it; consecutive stencils share all pairs but those of the
+    sample that leaves. A panel set's nodes all read one stencil, so its
+    integral is sum M_ij Q_ij on the kept block, with one real
+    multiplier M_ij per pair: the sum over the nodes of L_i L_j times
+    the node's multiplier (its Gauss weight, its carry to the panel
+    set's end and its physical 2/3 box), formed by one small matrix
+    product per chunk of at most a stencil's width of nodes. As L_i L_j
+    is symmetric, this serves two different trajectories alike.
     J is only ever multiplied, so it carries its decay and no shear
     leakage: each target is vetted for content whose physical frequency
     lies past the band, which the read-back would drop, and read back.
     """
-    if traj1.nu != traj2.nu or traj1.times != traj2.times:
-        raise GridError("duhamel term needs trajectories on a common time grid")
+    if (traj1.nu != traj2.nu or traj1.times != traj2.times
+            or traj1.grid != traj2.grid):
+        raise GridError("duhamel term needs trajectories on a common grid "
+                        "and time grid")
     nu = traj1.nu
     grid = traj1.grid
     ts = traj1.times
@@ -320,16 +335,20 @@ def _duhamel_targets(traj1, traj2, targets):
     kx, ky = grid.wavegrid()
     m = kept_cols(grid)
     ky_kept = ky[:, :m]
-    # The transport factors are linear in the spectra, so a node's are the
-    # Lagrange combination of its stencil samples' factors. A stencil
-    # reads `width` consecutive samples and the stencils only move
-    # forward, so slot i % width of the ring holds sample i's factors from
-    # its first read to its last; a sample whose slot was taken is rebuilt.
-    # A stencil covers every slot, so the combination reads no unfilled one.
+    # A stencil reads `width` consecutive samples and the stencils only
+    # move forward, so slot i % width of the factor ring holds sample i's
+    # factors, and the pair ring's slot for the residues {i, j} mod width
+    # holds pair (i, j)'s kept spectrum, from the first read to the last:
+    # a slot is taken when its lower sample leaves the stencil, and a
+    # sample or pair whose slot was taken is formed again. Within one
+    # stencil the residues are distinct, so a stencil covers every slot.
     width = len(_lagrange_weights(ts, t0)[0])
     ring = np.empty((width, 4, grid.n, grid.n))
-    held = [None] * width  # the sample index each slot holds
-    nodes = np.empty_like(ring)  # up to width nodes' combinations, reused
+    held = [None] * width  # the sample index each factor slot holds
+    pairs = list(itertools.combinations_with_replacement(range(width), 2))
+    slot_of = {pair: c for c, pair in enumerate(pairs)}  # residues -> slot
+    pair_ring = np.empty((len(pairs), grid.n, m), dtype=np.complex128)
+    held_pairs = [None] * len(pairs)  # the sample pair each slot holds
 
     def factors(i):
         tau = ts[i] - t0
@@ -339,30 +358,38 @@ def _duhamel_targets(traj1, traj2, targets):
 
     def panels(a, b):
         # every node lies inside [a, b], within one sample interval, so all
-        # read that interval's stencil: fill its slots once, then combine,
-        # transform and weigh up to width nodes per stacked call
+        # read that interval's stencil: transform its pairs not yet held,
+        # up to width per stacked call, then weigh each pair by the sum
+        # over the nodes of L_i L_j times the node's multiplier, formed
+        # for up to width nodes per matrix product
         s_all, w_all = _panel_set(a, b, rate)
         idx, lagrange = _lagrange_weights(ts, s_all)
         for i in idx:
             if held[i % width] != i:
                 ring[i % width], held[i % width] = factors(i), i
-        # node x slot; slot c holds sample idx[j] for c = (idx[0] + j) % width
-        weights = np.roll(np.transpose(lagrange), idx[0] % width, axis=1)
-        total = np.zeros((grid.n, m), dtype=np.complex128)
+        slots = [slot_of[tuple(sorted((idx[p] % width, idx[q] % width)))]
+                 for p, q in pairs]
+        new = [((idx[p], idx[q]), c) for (p, q), c in zip(pairs, slots)
+               if held_pairs[c] != (idx[p], idx[q])]
+        for lo in range(0, len(new), width):
+            chunk = new[lo:lo + width]
+            spectra = pair_product(ring, [(i % width, j % width)
+                                          for (i, j), _ in chunk], grid)
+            for (pair, c), spectrum in zip(chunk, spectra):
+                pair_ring[c], held_pairs[c] = spectrum[:, :m], pair
+        weights = np.empty((len(pairs), len(s_all)))  # slot x node
+        weights[slots] = [lagrange[p] * lagrange[q] for p, q in pairs]
+        mults = np.zeros(pair_ring.shape)
         for lo in range(0, len(s_all), width):
             s, w = s_all[lo:lo + width], w_all[lo:lo + width]
-            stack = nodes[:len(s)]
-            np.matmul(weights[lo:lo + width], ring.reshape(width, -1),
-                      out=stack.reshape(len(s), -1))
-            g = transport_product(stack, grid)[..., :m]
-            # the multiplier: Gauss weight, carry to b, and the physical
-            # 2/3 box at each node's shear time (transport_product keeps
-            # the shearing lattice's, grid.keep at t_0)
+            # the node multiplier: Gauss weight, carry to b, and the
+            # physical 2/3 box at the node's shear time (the pair spectra
+            # keep the shearing lattice's, grid.keep at t_0)
             lag = (s - t0)[:, None, None]
             mult = _carry(nu, grid, lag, b - t0, m) * w[:, None, None]
             mult *= np.abs(ky_kept - lag * kx) <= (2.0 / 3.0) * grid.band
-            total += np.multiply(g, mult, out=g).sum(axis=0)
-        return total
+            mults += np.tensordot(weights[:, lo:lo + width], mult, 1)
+        return (mults * pair_ring).sum(axis=0)
 
     zero = np.zeros((grid.n, grid.half_cols), dtype=np.complex128)
     done = {t0: Field(grid, coeffs=zero)}

@@ -42,12 +42,16 @@ transform; one stacked axis-1 inverse real transform gives their
 samples; transport_samples forms the product in place; one axis-1
 forward real transform and kept_spectrum's axis-0 forward transform of
 the kept columns finish it. So the kernel makes ten one-axis passes in
-four numpy calls. The Duhamel march calls the halves apart, to build
-each sample's factors once, and hands transport_product a stack of
-several nodes' factors on a leading axis: transport_samples and
-kept_spectrum work on the last three (factors) or two (spectrum) axes,
-so a stacked call gives each slice's own result bit for bit. transport
-wraps the kernel for Fields.
+four numpy calls. The Duhamel march calls the halves apart: it builds
+each sample's factors once, and as the term is bilinear in them, a
+node's term is a fixed real combination of its stencil's pair terms.
+pair_product forms those (pair_samples, beside transport_samples) and
+sends a stack of them through transport_product's own forward stage
+(_forward_product), so the march transforms each pair once, not each
+node. transport_samples, pair_samples and kept_spectrum work on the
+last three (factors) or two (spectrum) axes, so a stacked call gives
+each slice's own result bit for bit. transport wraps the kernel for
+Fields.
 drift_divergence runs the same stages for the frame equation, with the
 factors and their product riding in the transforms of the drift's
 fluxes, so that a frame right-hand side makes its 15 passes in six
@@ -264,6 +268,15 @@ def kept_cols(grid):
     return grid.n // 3 + 1
 
 
+def _drop_rows(block, grid):
+    """Zero in place, and return, the rows n/3 + 1 .. n - n/3 - 1 (axis
+    -2) of block, the kept columns of a half spectrum or a stack of
+    them: on those columns the 2/3 rule (grid.keep) drops these rows."""
+    n = grid.n
+    block[..., n // 3 + 1:n - n // 3, :] = 0.0
+    return block
+
+
 def transport_mixed(omega, w, grid, symbol, out):
     """Write into out, a 4 x n x (n/3 + 1) array, the mixed (axis-0
     physical, axis-1 spectral) representations of u1, u2, d1 w and d2 w
@@ -273,11 +286,10 @@ def transport_mixed(omega, w, grid, symbol, out):
     then one stacked axis-0 inverse transform runs in place. out may be
     the kept block of a wider stack (see drift_divergence)."""
     m = kept_cols(grid)
-    keep = grid.keep[:, :m]
     d1 = derivative_symbol(grid, 1, 0)
     d2 = derivative_symbol(grid, 0, 1)[:, :m]
-    od = omega[:, :m] * keep
-    wd = od if w is omega else w[:, :m] * keep
+    od = _drop_rows(omega[:, :m].copy(), grid)
+    wd = od if w is omega else _drop_rows(w[:, :m].copy(), grid)
     np.multiply(d1, wd, out=out[2])
     np.multiply(d2, wd, out=out[3])
     psi = _solve(od, symbol[:, :m])
@@ -322,24 +334,56 @@ def kept_spectrum(rows, grid):
     n/3 + 1 kept columns, and the rest zeroed: the other columns, and on
     the kept ones the rows n/3 + 1 .. n - n/3 - 1 that the 2/3 rule drops
     (grid.keep). Returns rows."""
-    m, n = kept_cols(grid), grid.n
+    m = kept_cols(grid)
     kept = rows[..., :m]
     np.fft.fft(kept, axis=-2, norm="forward", out=kept)
-    kept[..., n // 3 + 1:n - n // 3, :] = 0.0
+    _drop_rows(kept, grid)
     rows[..., m:] = 0.0
     return rows
+
+
+def pair_samples(factors, pairs):
+    """Samples of the pair terms of a stack of transport_factors' samples
+    (factors, k x 4 x n x n), in a new array with pairs' order on axis 0:
+    for (a, b), u_a . grad w_b + u_b . grad w_a, or u_a . grad w_a (as
+    transport_samples forms it) when a = b. So the term of the factors
+    sum_a c_a factors[a] is the sum over pairs a <= b of c_a c_b times
+    the pair's term."""
+    out = np.empty((len(pairs),) + factors.shape[2:])
+    scratch = np.empty(factors.shape[2:])
+    for q, (a, b) in zip(out, pairs):
+        (u1, u2, w1, w2), (v1, v2, z1, z2) = factors[a], factors[b]
+        np.multiply(u1, z1, out=q)
+        q += np.multiply(u2, z2, out=scratch)
+        if a != b:
+            q += np.multiply(v1, w1, out=scratch)
+            q += np.multiply(v2, w2, out=scratch)
+    return out
+
+
+def _forward_product(samples, grid):
+    """The 2/3-dealiased half spectrum of product samples, or a stack of
+    them on leading axes, formed in two transform calls: one axis-1
+    forward real transform and the axis-0 forward transform of the
+    n/3 + 1 kept columns (kept_spectrum). Only those columns can be
+    non-zero."""
+    rows = np.fft.rfft(samples, axis=-1, norm="forward")
+    return kept_spectrum(rows, grid)
 
 
 def transport_product(factors, grid):
     """Half spectrum of u1 d1 w + u2 d2 w from the samples transport_factors
     returns, or a stack of such spectra from a stack of them on leading
-    axes, 2/3-dealiased, in two transform calls: the product is formed
-    in place in factors (transport_samples), then one axis-1 forward real
-    transform and the axis-0 forward transform of the n/3 + 1 kept
-    columns (kept_spectrum). Only those columns of the result can be
-    non-zero."""
-    rows = np.fft.rfft(transport_samples(factors), axis=-1, norm="forward")
-    return kept_spectrum(rows, grid)
+    axes, 2/3-dealiased: the product is formed in place in factors
+    (transport_samples), then transformed (_forward_product)."""
+    return _forward_product(transport_samples(factors), grid)
+
+
+def pair_product(factors, pairs, grid):
+    """The 2/3-dealiased half spectra of the pair terms
+    pair_samples(factors, pairs), on a leading axis, through
+    transport_product's forward stage, stacked (_forward_product)."""
+    return _forward_product(pair_samples(factors, pairs), grid)
 
 
 def drift_workspace(grid, transport):

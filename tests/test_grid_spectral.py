@@ -34,7 +34,8 @@ from shearvortex.spectral import (MAX_DERIVATIVE_ORDER, affine_trig_sum,
                                   inverse_laplacian,
                                   characteristic_flow, dealias_mask,
                                   drift_divergence, drift_workspace,
-                                  kept_spectrum, scale_spectrum, shear_phase,
+                                  kept_spectrum, pair_product,
+                                  scale_spectrum, shear_phase,
                                   shear_spectrum, spectrum_norm,
                                   transport_factors, transport_product,
                                   transport_spectrum)
@@ -607,6 +608,45 @@ def test_stacked_transport_product_equals_per_slice_calls(n, count):
     rows = rows.view(np.complex128)[..., 0]
     want = [kept_spectrum(r.copy(), g).tobytes() for r in rows]
     assert [c.tobytes() for c in kept_spectrum(rows.copy(), g)] == want
+
+
+def _factor_ring(g, count):
+    """count samples' transport factors, stacked, from seeded fields."""
+    return np.stack([
+        transport_factors(localized_field(g, seed=seed).coeffs,
+                          localized_field(g, seed=seed + 9).coeffs,
+                          g, g.laplacian) for seed in range(count)])
+
+
+@pytest.mark.parametrize("n", [16, 128])
+def test_stacked_pair_product_equals_per_pair_calls(n):
+    # the Duhamel march transforms several pairs' terms in one stacked
+    # call: each slice of the result is that pair's own call, byte for
+    # byte, in any order and with repeats of a sample
+    g = make_grid(16.0, n)
+    ring = _factor_ring(g, 4)
+    which = [(0, 1), (2, 2), (3, 1), (0, 0), (1, 3)]
+    want = [pair_product(ring, [pair], g)[0].tobytes() for pair in which]
+    assert [c.tobytes() for c in pair_product(ring, which, g)] == want
+
+
+def test_pair_terms_sum_to_the_combined_factors_transport():
+    # the march's identity: the term of the factors combined with weights
+    # c_i is the sum over pairs i <= j of c_i c_j times the pair's term,
+    # for weights of mixed sign as Lagrange weights are (the first set is
+    # the cubic stencil's at its midpoint), within 1e-13 of the peak; a
+    # diagonal pair's term is transport_product's of that sample
+    g = make_grid(16.0, 64)
+    ring = _factor_ring(g, 4)
+    which = [(i, j) for i in range(4) for j in range(i, 4)]
+    spectra = pair_product(ring, which, g)
+    assert spectra[0].tobytes() == transport_product(ring[0].copy(), g).tobytes()
+    for c in ([-0.0625, 0.5625, 0.5625, -0.0625], [0.3, -1.2, 2.1, -0.2]):
+        want = transport_product(np.tensordot(c, ring, 1), g)
+        got = sum(c[i] * c[j] * q for (i, j), q in zip(which, spectra))
+        peak = np.abs(want).max()
+        assert peak > 0.0
+        assert np.abs(got - want).max() <= 1e-13 * peak
 
 
 def _sheared_frame_gap(L, n, t):

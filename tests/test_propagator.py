@@ -379,45 +379,44 @@ def test_panel_set_resolves_the_fastest_decay():
     assert len(_panel_set(2.0, 3.0, 4.0)[0]) == 8
 
 
-def _count_divergences(monkeypatch):
-    """Lists the march fills: the node count of each transport_product
-    call (a stack of nodes' transport terms), one entry per
-    transport_factors call (a sample's factors), and the number of
-    products made before each panel set."""
-    products, factors, sets = [], [], []
-    product, build = propagator.transport_product, propagator.transport_factors
-    panel_set = propagator._panel_set
+def _count_transforms(monkeypatch):
+    """Lists the march fills: the pair count of each pair_product call,
+    the plane count of each forward product transform (every product
+    spectrum, a pair's or a node's, goes through
+    spectral._forward_product), and one entry per transport_factors call
+    (a sample's factors)."""
+    pairs, planes, factors = [], [], []
+    pair_product, forward = propagator.pair_product, spectral._forward_product
+    build = propagator.transport_factors
 
-    def counted_product(stack, grid):
-        assert stack.ndim == 4
-        products.append(len(stack))
-        return product(stack, grid)
+    def counted_pairs(ring, which, grid):
+        pairs.append(len(which))
+        return pair_product(ring, which, grid)
 
-    def counted_set(*args):
-        sets.append(len(products))
-        return panel_set(*args)
+    def counted_forward(samples, grid):
+        planes.append(len(samples) if samples.ndim == 3 else 1)
+        return forward(samples, grid)
 
     def counted_build(*args):
         factors.append(None)
         return build(*args)
 
-    monkeypatch.setattr(propagator, "transport_product", counted_product)
+    monkeypatch.setattr(propagator, "pair_product", counted_pairs)
+    monkeypatch.setattr(spectral, "_forward_product", counted_forward)
     monkeypatch.setattr(propagator, "transport_factors", counted_build)
-    monkeypatch.setattr(propagator, "_panel_set", counted_set)
-    return products, factors, sets
+    return pairs, planes, factors
 
 
-def _calls_per_set(products, sets):
-    """The number of stacked products each panel set made."""
-    return [b - a for a, b in zip(sets, sets[1:] + [len(products)])]
-
-
-def test_duhamel_evaluates_each_node_once(resolved_trajectories, monkeypatch):
+def test_duhamel_transforms_each_stencil_pair_once(resolved_trajectories,
+                                                   monkeypatch):
     # each interval is integrated once, and a sample target is the marched
-    # accumulator itself, so no interval is summed again for its right end;
-    # each sample's transport factors are built once per march, from its
-    # copy in shearing coordinates. A panel set's nodes are transformed in
-    # stacks of at most a stencil's width (4 samples here)
+    # accumulator itself. Each sample's transport factors are built once
+    # per march, from its copy in shearing coordinates, and each pair of
+    # samples that share a 4-wide stencil is transformed once: the first
+    # stencil has 10 pairs, each later one brings the 4 of its new
+    # sample, in stacks of at most 4. Every forward product transform is
+    # of pair terms, so no node's term is transformed, and the count
+    # does not grow with the panel depth
     first, _ = resolved_trajectories
     grid = first.grid
     rate = 2.0 * first.nu * grid.k_max ** 2
@@ -426,22 +425,44 @@ def test_duhamel_evaluates_each_node_once(resolved_trajectories, monkeypatch):
     assert rate * (times[1] - times[0]) <= 4.0
     window = Trajectory(times=times, nu=1.0, fields=tuple(
         apply_semigroup(f, 1.0, t - times[0]) for t in times))
-    products, factors, sets = _count_divergences(monkeypatch)
+    pairs, planes, factors = _count_transforms(monkeypatch)
     _duhamel_targets(window, window, times)
-    assert sum(products) == 8 * 16
+    assert sum(pairs) == 10 + 4 * (len(times) - 4) == 62
+    assert max(pairs) <= 4
+    assert planes == pairs
     assert len(factors) == len(times)
-    assert max(_calls_per_set(products, sets)) <= math.ceil(8 / 4)
 
-    # the resolved window's intervals of 0.25 need a graded panel set
-    depth = 1 + math.ceil(math.log2(rate * 0.25 / 4.0))
-    assert depth > 1
-    products.clear()
-    factors.clear()
-    sets.clear()
-    _duhamel_targets(first, first, first.times)
-    assert sum(products) == 8 * depth * 3
-    assert len(factors) == len(first.times)
-    assert max(_calls_per_set(products, sets)) <= math.ceil(8 * depth / 4)
+    # the resolved window's intervals of 0.25 need a graded panel set,
+    # 8 nodes per panel (8 * depth * 3 node terms per march); nu = 4
+    # grades it two panels deeper
+    for nu in (1.0, 4.0):
+        depth = 1 + math.ceil(math.log2(nu * rate * 0.25 / 4.0))
+        assert depth > 1
+        graded = Trajectory(times=first.times, fields=first.fields, nu=nu)
+        for counts in (pairs, planes, factors):
+            counts.clear()
+        _duhamel_targets(graded, graded, graded.times)
+        assert sum(pairs) == 10
+        assert planes == pairs
+        assert len(factors) == len(first.times)
+
+
+@pytest.mark.parametrize("other", [
+    make_grid(20.0, 64), make_grid(16.0, 128),
+    make_grid(20.0, 128, "selfsim")])
+def test_duhamel_rejects_trajectories_on_different_grids(
+        resolved_trajectories, other):
+    # a different n used to end in a raw broadcast ValueError, and a
+    # different half width or frame in a mixed-grid answer
+    first, _ = resolved_trajectories
+    f = make_field("gaussian", other, params={"amplitude": 0.05})
+    second = Trajectory(times=first.times, nu=first.nu,
+                        fields=tuple(f for _ in first.times))
+    for a, b in ((first, second), (second, first)):
+        with pytest.raises(GridError):
+            duhamel_bilinear(a, b, 1.5)
+        with pytest.raises(GridError):
+            _duhamel_targets(a, b, [1.5])
 
 
 def test_duhamel_memory_does_not_grow_with_the_samples():

@@ -58,3 +58,28 @@ def test_compare_names_the_runs_only_one_tree_has(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[:3] == [f"linear: only in {tmp_path / 'a'}",
                          f"probe: only in {tmp_path / 'b'}", "sim"]
+
+
+def test_compare_reads_every_csv_and_names_the_files_it_skips(tmp_path, capsys):
+    # probes.csv has a text column beside its numbers: a doubled ratio
+    # shows as a relative difference of 1, a changed kind as differs
+    for tree, ratio, kind in (("a", 0.25, "lp"), ("b", 0.5, "lp"),
+                              ("c", 0.25, "energy")):
+        _run(tmp_path / tree, (0.5, 0.25), 2e-16, [1.0])
+        (tmp_path / tree / "sim" / "probes.csv").write_text(
+            f"kind,t,ratio\n{kind},1.0,{ratio!r}\n", encoding="ascii")
+        (tmp_path / tree / "sim" / "config.txt").write_text(
+            "mode = simulate\n", encoding="ascii")
+    tool = _tool()
+    assert tool.main(["--compare", str(tmp_path / "a"),
+                      str(tmp_path / "b")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "  probes.csv kind: equal" in lines
+    assert "  probes.csv t: 0" in lines
+    assert "  probes.csv ratio: 1" in lines
+    assert "  config.txt: not compared" in lines
+    assert tool.main(["--compare", str(tmp_path / "a"),
+                      str(tmp_path / "c")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "  probes.csv kind: differs" in lines
+    assert "  probes.csv ratio: 0" in lines

@@ -18,11 +18,12 @@ src_code_lines.txt should differ.
 A change at roundoff level changes bytes but not numbers, so --compare
 reads two output directories A and B run by run (each subdirectory; a
 run that only one tree has is named as such) and prints, for each run
-the two share, the largest relative difference of each diagnostics.csv
-column (|a - b| / |a| over its rows), of each number in
-summary.txt (by line label and position) and of each snapshot payload
-(max |a - b| / max |a| over its samples). A difference in text, shape or
-the set of files is printed as such.
+the two share, the largest relative difference of each numeric column
+of every CSV file (|a - b| / |a| over its rows; a column with text in
+it reads equal or differs), of each number in summary.txt (by line
+label and position) and of each snapshot payload (max |a - b| / max |a|
+over its samples). A difference in text, shape or the set of files is
+printed as such, and so is each file it does not compare.
 """
 
 import ast
@@ -96,13 +97,28 @@ def _columns(path):
     return rows[0], rows[1:]
 
 
+def _numbers(words):
+    """The words as floats, or None if one of them is not a number."""
+    try:
+        return [float(word) for word in words]
+    except ValueError:
+        return None
+
+
 def _compare_csv(a, b):
     (head_a, rows_a), (head_b, rows_b) = _columns(a), _columns(b)
-    if head_a != head_b or len(rows_a) != len(rows_b):
+    if (head_a != head_b or len(rows_a) != len(rows_b)
+            or any(len(r) != len(head_a) for r in rows_a + rows_b)):
         return [("", "header or row count differs")]
-    return [(name, _relative([float(r[j]) for r in rows_a],
-                             [float(r[j]) for r in rows_b]))
-            for j, name in enumerate(head_a)]
+    out = []
+    for j, name in enumerate(head_a):
+        col_a, col_b = [r[j] for r in rows_a], [r[j] for r in rows_b]
+        num_a, num_b = _numbers(col_a), _numbers(col_b)
+        if num_a is None or num_b is None:
+            out.append((name, "equal" if col_a == col_b else "differs"))
+        else:
+            out.append((name, _relative(num_a, num_b)))
+    return out
 
 
 def _summary_numbers(path):
@@ -135,7 +151,7 @@ def _compare_snapshot(a, b):
 
 def compare(a, b):
     """Print the numeric differences of output directories a and b."""
-    readers = {"diagnostics.csv": _compare_csv, "summary.txt": _compare_summary}
+    readers = {".csv": _compare_csv, ".snap": _compare_snapshot}
     runs_a, runs_b = ({p.name for p in d.iterdir() if p.is_dir()} for d in (a, b))
     for run in sorted(runs_a | runs_b):
         if run not in runs_a & runs_b:
@@ -147,9 +163,10 @@ def compare(a, b):
         for name in sorted(names_a ^ names_b):
             print(f"  {name}: only in {a if name in names_a else b}")
         for name in sorted(names_a & names_b):
-            reader = readers.get(name, _compare_snapshot
-                                 if name.endswith(".snap") else None)
+            reader = (_compare_summary if name == "summary.txt"
+                      else readers.get(Path(name).suffix))
             if reader is None:
+                print(f"  {name}: not compared")
                 continue
             for key, value in reader(a / run / name, b / run / name):
                 shown = value if isinstance(value, str) else f"{value:.3g}"
