@@ -26,7 +26,8 @@ from .grid import Field, Frame
 from .propagator import apply_semigroup as heat_shear_semigroup
 from .selfsim import invert_frame_laplacian
 from .spectral import (Arena, derivative, derivative_pass, lp_norm,
-                       lp_samples, mass, weighted_l2, weighted_norm)
+                       lp_samples, mass, sample_values, weighted_l2,
+                       weighted_norm)
 
 #: fixed exponent grid for the L^p columns (4/3 is the fixed-point norm)
 P_GRID = (1.0, 4.0 / 3.0, 2.0, np.inf)
@@ -121,12 +122,17 @@ def record(state, opts=None, ws=None):
     the frame-coordinates L1 distance exactly (the amplitude factor
     cancels the Jacobian), so no resampling is involved. Every column is
     read off the state's samples, the energy pair's derivatives off its
-    spectrum. Every large temporary runs in the arena ws (spectral.Arena;
-    its own if None): the distance to the Gaussian, |omega| and the
-    quadratures' products on slabs 0-2, then the energy pair, and each
-    weight <x>^m is the arena's, formed once per arena. opts must be a
-    RecordOptions (DomainError otherwise); a column that is not finite
-    raises GridError.
+    spectrum. A state that holds only its half spectrum, as the limit
+    semigroup leaves it, is sampled by axes (spectral.sample_values):
+    the axis-0 inverse transform on slab 4, shared with the energy
+    pair's x-order-0 derivatives, then the axis-1 inverse real one into
+    the values the state's Field keeps, so that a snapshot reads them.
+    Every large temporary runs in the arena ws (spectral.Arena; its own
+    if None): the distance to the Gaussian, |omega| and the quadratures'
+    products on slabs 0-2, then the energy pair, and each weight <x>^m
+    is the arena's, formed once per arena. opts must be a RecordOptions
+    (DomainError otherwise); a column that is not finite raises
+    GridError.
     """
     if opts is None:
         opts = RecordOptions()
@@ -135,7 +141,7 @@ def record(state, opts=None, ws=None):
     om = state.omega
     grid = om.grid
     ws = Arena(grid) if ws is None else ws
-    v = om.values
+    v, mixed0 = sample_values(om, ws, 4)
     (diff,), (mag,), (scratch,) = (ws.take(i, (v.shape, float)) for i in range(3))
     np.subtract(v, np.multiply(grid.gaussian_values, state.alpha, out=diff), out=diff)
     powers = {m: ws.weight(m) for m in opts.weight_exponents}
@@ -152,7 +158,8 @@ def record(state, opts=None, ws=None):
         raise GridError("a diagnostic of the state is not finite")
     e = d = None
     if opts.energy is not None:
-        e, d = energy_functionals(om, state.t, opts.energy, ws=ws)
+        e, d = energy_functionals(om, state.t, opts.energy, ws=ws,
+                                  mixed0=mixed0)
     return DiagnosticsRecord(
         t=state.t, tau=state.tau, mass=total, lp_norms=lp,
         weighted=weighted, convergence_L2m=conv,
@@ -221,7 +228,7 @@ _ORDERS = tuple(sorted({o for row in _E_TERMS + _D_TERMS for o in row[2:]
 _CROSS = {a: b for _, _, a, b in _E_TERMS if a != b}
 
 
-def energy_functionals(omega, t, coef, weight=None, ws=None):
+def energy_functionals(omega, t, coef, weight=None, ws=None, mixed0=None):
     """The energy E(t) and dissipation D(t) of the hypocoercive pair.
 
     Both sum rows of one Gram table of weighted-L2 inner products of the
@@ -234,7 +241,9 @@ def energy_functionals(omega, t, coef, weight=None, ws=None):
     one earlier factor is held. The pass and f_0 run on slabs 0-3 of the
     arena ws (spectral.Arena; its own if None). weight holds the (n, n)
     samples of <x>^m when the caller has them, else the arena's are
-    used; a sample or square sum that is not finite raises GridError.
+    used, and mixed0 the axis-0 inverse transform of omega's spectrum
+    when the caller has it (record), which the x-order-0 derivatives
+    read; a sample or square sum that is not finite raises GridError.
     """
     t = check_time(t, "energy time")
     if t < coef.t0:
@@ -261,7 +270,7 @@ def energy_functionals(omega, t, coef, weight=None, ws=None):
     f0, = ws.take(2, ((grid.n, grid.n), float))
     square((0, 0), np.multiply(weight, omega.values, out=f0))
     for o, f in derivative_pass(omega.coeffs, grid, _ORDERS[1:], ws,
-                                _CROSS.values()):
+                                _CROSS.values(), mixed0):
         f *= weight
         square(o, f)
         if o in _CROSS:

@@ -9,9 +9,11 @@ the map char_map(tau) and the damping exp(symbol_exponent), the kernel
 the physical heat-shear propagator runs too. Here the map is not a pure
 shear, so the kernel's trig-exact read takes both of its stages: an FFT
 shear, then the dense affine scaling that also changes the self-similar
-frame. apply_semigroup runs its tail check, damping and flow in a
-spectral.Arena, the run's when the caller hands one down, and returns a
-Field of its own.
+frame. semigroup_flow advances one field to each time of a list: it vets
+the field and forms its shear rows (spectral.shear_rows) once, then runs
+the damping and the flow (spectral.flow_rows) per time, in a
+spectral.Arena, the run's when the caller hands one down; each result is
+a Field of its own. apply_semigroup is its one-time case.
 """
 
 from dataclasses import dataclass
@@ -21,12 +23,12 @@ import numpy as np
 from .errors import (ResolutionError, UnsupportedOrderError,
                      check_order, check_reals, check_time, check_times)
 from .grid import Field
-from .spectral import (Arena, _spectrum_tail, characteristic_flow,
-                       derivative_symbol)
+from .spectral import (Arena, _spectrum_tail, derivative_symbol, flow_rows,
+                       shear_rows)
 
 SQRT3 = np.sqrt(3.0)
 
-RESOLVED_TAIL_TOL = 1e-8  # outer-band ratio that apply_semigroup accepts
+RESOLVED_TAIL_TOL = 1e-8  # outer-band ratio that semigroup_flow accepts
 
 
 def gaussian(grid):
@@ -113,30 +115,48 @@ def char_map(tau):
 
 
 def apply_semigroup(f, tau, ws=None):
-    """Advance a field by the limit semigroup over a time tau >= 0.
+    """Advance a field by the limit semigroup over a time tau >= 0: the
+    one-tau case of semigroup_flow, whose arena use it shares.
 
     The zero mode is exactly preserved, so the mass of the field is
     invariant up to the rounding of its samples. The input spectrum should
     be resolved (decayed well before the band edge); otherwise the
     characteristic shift moves significant content across the band and
     the result is unreliable.
-
-    Every large temporary runs in the arena ws (spectral.Arena; its own if
-    None): the tail check and the damping on slab 4, the flow on slabs
-    0-3. The result is a Field of its own.
     """
-    tau = check_time(tau, "tau")
-    if tau == 0.0:
-        return f
+    return next(semigroup_flow(f, (tau,), ws))
+
+
+def semigroup_flow(f, taus, ws=None):
+    """Yield f advanced by the limit semigroup to each tau >= 0 of taus in
+    turn, each a Field of its own; a tau of 0 yields f itself.
+
+    The work on f alone is done once, at the first positive tau: its tail
+    check (ResolutionError unless its spectrum is resolved) and its shear
+    rows (spectral.shear_rows). So a run's samples share it, and a
+    sample at tau = 0 is yielded before an unresolved f raises. Every
+    large temporary runs in the arena ws (spectral.Arena; its own if
+    None): the tail check and each tau's damping on slab 4, the rows on
+    slab 5 for the whole flow, and each flow (spectral.flow_rows) on
+    slabs 0-3, so the caller may use slabs 0-4 between two samples.
+    """
     grid = f.grid
     ws = Arena(grid) if ws is None else ws
-    damping, = ws.take(4, (f.coeffs.shape, float))
-    r = _spectrum_tail(f.coeffs, grid, damping)
-    if r > RESOLVED_TAIL_TOL:
-        raise ResolutionError(
-            f"spectrum not resolved: outer-band ratio {r:.2e} exceeds "
-            f"{RESOLVED_TAIL_TOL:g}")
-    cm = char_map(tau)
-    m = (cm.m11, cm.m12), (cm.m21, cm.m22)    # m11 > 0 for every tau >= 0
-    np.exp(_exponent(np.exp(-tau), *grid.wavegrid(), damping), out=damping)
-    return Field(grid, coeffs=characteristic_flow(f.coeffs, grid, m, damping, ws))
+    rows = None
+    for tau in taus:
+        tau = check_time(tau, "tau")
+        if tau == 0.0:
+            yield f
+            continue
+        damping, = ws.take(4, (f.coeffs.shape, float))
+        if rows is None:
+            r = _spectrum_tail(f.coeffs, grid, damping)
+            if r > RESOLVED_TAIL_TOL:
+                raise ResolutionError(
+                    f"spectrum not resolved: outer-band ratio {r:.2e} "
+                    f"exceeds {RESOLVED_TAIL_TOL:g}")
+            rows = shear_rows(f.coeffs, grid, ws, 5)
+        cm = char_map(tau)
+        m = (cm.m11, cm.m12), (cm.m21, cm.m22)    # m11 > 0 for every tau >= 0
+        np.exp(_exponent(np.exp(-tau), *grid.wavegrid(), damping), out=damping)
+        yield Field(grid, coeffs=flow_rows(rows, grid, m, damping, ws))

@@ -233,6 +233,20 @@ class Field:
             self._coeffs = c
         return self._coeffs
 
+    def keep_values(self, v):
+        """Keep v, the samples of this field's coeffs formed by the caller
+        (spectral.sample_values), as its values, without a copy; v is
+        made read-only. GridError if the field holds values already or v
+        is not an n x n float64 array."""
+        n = self.grid.n
+        if self._values is not None:
+            raise GridError("field holds its values already")
+        if not (isinstance(v, np.ndarray) and v.dtype == np.float64
+                and v.shape == (n, n)):
+            raise GridError(f"values must be a float64 {n} x {n} array")
+        v.setflags(write=False)
+        self._values = v
+
     @property
     def has_values(self):
         return self._values is not None

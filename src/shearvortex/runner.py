@@ -6,8 +6,10 @@ The runner owns the sampling: simulate and linear evolve the frame state
 from one time of sample_schedule to the next, fp-decay applies the limit
 semigroup at those times, and picard's cross-check evolves to each of the
 mild solution's time samples; each sampled state goes to the recorder.
-fp-decay owns one spectral.Arena for the run and hands it to the
-semigroup and the recorder, so their large temporaries share its slabs.
+fp-decay flows its initial field through one fokker_planck.semigroup_flow
+over the run's times, and owns one spectral.Arena for the run that it
+hands to the flow and the recorder, so their large temporaries share its
+slabs.
 
 Outputs are a pure function of (config, seed): floats are serialized
 with repr (shortest round-trip form), reductions run single-threaded in
@@ -30,7 +32,7 @@ from .diagnostics import (
     record,
 )
 from .errors import ShearVortexError
-from .fokker_planck import apply_semigroup as fp_apply
+from .fokker_planck import semigroup_flow
 from .grid import make_grid
 from .initial_data import make_field
 from .propagator import picard_solve
@@ -257,10 +259,10 @@ def _run_fp_decay(cfg, recorder):
     alpha = float(mass(f0))
     taus = sample_schedule(cfg.t_init, cfg.t_end, cfg.samples_per_decade)
     ws = Arena(frame_grid)      # the flow and record share its slabs
-    for tau in (s - taus[0] for s in taus):
-        state = SelfSimilarState(
-            omega=fp_apply(f0, tau, ws), t=float(cfg.t_init * np.exp(tau)),
-            nu=cfg.nu, alpha=alpha)
+    taus = [s - taus[0] for s in taus]
+    for tau, omega in zip(taus, semigroup_flow(f0, taus, ws)):
+        state = SelfSimilarState(omega=omega, t=float(cfg.t_init * np.exp(tau)),
+                                 nu=cfg.nu, alpha=alpha)
         recorder(state, ws)
     recs = recorder.records
     m_fit = 3.0 if 3.0 in cfg.weights else cfg.weights[-1]

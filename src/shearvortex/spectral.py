@@ -17,7 +17,13 @@ conjugate mirrors, and _mirror_rows, the one row completion, fills in
 rows n/2+1..n-1 of its output. The dense sums of affine_trig_sum and the
 shear's phase fold by the mirror symmetry of grid.x and grid.k
 (x_{n-j} = -x_j, k_{n-j} = -k_j), so they take cosines and sines at
-n/2 + 1 points per axis.
+n/2 + 1 points per axis; the shear's phase writes them as the real and
+imaginary parts of its complex array. affine_trig_sum's three table
+pairs, over a lattice also evenly spaced on its first n/2 entries, are
+products of the cosines and sines at about 2 sqrt(n/2) points per row
+by angle addition (_trig_tables). What a shear reads of a spectrum
+(shear_rows) does not depend on the slope, so a flow of one spectrum
+to several times forms it once (flow_rows).
 
 Both linear semigroups, the physical heat-shear propagator and the
 frame's limit semigroup, are one Ornstein-Uhlenbeck operation: read the
@@ -64,7 +70,10 @@ n x (n/2 + 1) complex array, allocated on first use and kept, plus the
 weight samples <x>^m. A run owns one (fp-decay's runner makes it) and
 hands it down through the limit semigroup's flow and record, which run
 one after the other on the same slabs, so a sample loop reuses memory
-instead of freeing and faulting it in again. Kernels take their arrays
+instead of freeing and faulting it in again; the flow keeps its input's
+shear rows on slab 5 for the whole run. record samples a state that
+holds only its half spectrum by axes (sample_values), the first stage
+on slab 4, and the energy pass's x-order-0 derivatives read that stage. Kernels take their arrays
 as views of slabs (Arena.take) and name in their docstrings the slabs
 they write; a kernel given no arena makes its own, so a standalone call
 allocates what its temporaries need and no more. What a kernel returns
@@ -76,6 +85,7 @@ periodic spectral representation is accurate. Quadrature is the rectangle
 rule, exact for resolved trigonometric content.
 """
 
+import functools
 import math
 from itertools import groupby
 
@@ -84,6 +94,11 @@ import numpy as np
 from .errors import (DomainError, GridError, TruncationError,
                      UnsupportedOrderError, check_order, check_real)
 from .grid import MAX_DERIVATIVE_ORDER, Field
+
+
+@functools.cache
+def _itemsize(dtype):
+    return np.dtype(dtype).itemsize
 
 
 class Arena:
@@ -105,14 +120,17 @@ class Arena:
     def take(self, i, *specs):
         """Arrays of the (shape, dtype) specs, laid out in turn on slab i
         at 16-byte offsets; what slab i held before is overwritten."""
-        sizes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in specs]
-        starts = np.cumsum([0] + [-(-size // 16) * 16 for size in sizes])
+        spans, end = [], 0
+        for shape, dtype in specs:
+            size = math.prod(shape) * _itemsize(dtype)
+            spans.append((end, size))
+            end += -(-size // 16) * 16
         self._slabs += [None] * (i + 1 - len(self._slabs))
-        if self._slabs[i] is None or self._slabs[i].size < starts[-1]:
+        if self._slabs[i] is None or self._slabs[i].size < end:
             least = 16 * self.grid.n * self.grid.half_cols if self.grid else 0
-            self._slabs[i] = np.empty(max(starts[-1], least), dtype=np.uint8)
+            self._slabs[i] = np.empty(max(end, least), dtype=np.uint8)
         return [self._slabs[i][at:at + size].view(dtype).reshape(shape)
-                for at, size, (shape, dtype) in zip(starts, sizes, specs)]
+                for (at, size), (shape, dtype) in zip(spans, specs)]
 
     def weight(self, m):
         """weight_samples(grid, m), formed once."""
@@ -146,13 +164,15 @@ def derivative_symbol(grid, a, b):
     return mult
 
 
-def derivative_pass(c, grid, orders, ws=None, held=()):
+def derivative_pass(c, grid, orders, ws=None, held=(), mixed0=None):
     """Yield (order, samples) of d^a/dx1^a d^b/dx2^b of the real field with
     half spectrum c for each order (a, b) in orders, in ascending order,
     and no Field. irfft2 splits by rows and columns, so the orders of one
     a share its axis-0 stage: one axis-0 inverse transform of c (ik1)^a
     per distinct a, then one axis-1 inverse real transform of that mixed
     array times (ik2)^b per order; the factor (ik)^0 = 1 is skipped.
+    mixed0, when given, is the axis-0 inverse transform of c itself (as
+    sample_values leaves it), which the orders with a = 0 read instead.
 
     The pass runs on slabs 0 and 1 of the arena ws (its own if None), and
     each samples array is slab 2, valid until the next order is yielded,
@@ -164,12 +184,26 @@ def derivative_pass(c, grid, orders, ws=None, held=()):
     ws = Arena(grid) if ws is None else ws
     (mixed,), (product,) = (ws.take(i, (c.shape, complex)) for i in (0, 1))
     for a, group in groupby(sorted(orders), key=lambda o: o[0]):
-        spec = np.multiply(c, d[a][:, None], out=product) if a else c
-        np.fft.ifft(spec, axis=0, norm="forward", out=mixed)
+        if a or mixed0 is None:
+            spec = _scaled(c, d[a][:, None], product) if a else c
+            read = np.fft.ifft(spec, axis=0, norm="forward", out=mixed)
+        else:
+            read = mixed0
         for o in group:
-            spec = np.multiply(mixed, d[o[1]][:h], out=product) if o[1] else mixed
+            spec = _scaled(read, d[o[1]][:h], product) if o[1] else read
             out, = ws.take(3 if o in held else 2, ((n, n), float))
             yield o, np.fft.irfft(spec, axis=1, norm="forward", out=out)
+
+
+def _scaled(a, factor, out):
+    """np.multiply(a, factor, out=out) for a factor that broadcasts
+    against a, with numpy's smallest ufunc buffer: for a broadcast
+    operand numpy allocates its iterator's buffers, np.getbufsize()
+    entries (128 KiB of complex), though it fills none when nothing is
+    cast, and an allocation that size is a fresh mapping each time."""
+    with np.errstate():
+        np.setbufsize(16)
+        return np.multiply(a, factor, out=out)
 
 
 def _solve(c, symbol):
@@ -623,14 +657,22 @@ def check_localized(f, what):
                               f"exceeds {TAIL_MASS_TOL:g}", tail=r)
 
 
-def shear_phase(grid, slope):
+def shear_phase(grid, slope, out=None):
     """Rows 0..n/2 of the phase exp(-i slope xi_j y_q) of the shear by
-    slope, (n/2 + 1) x n: the rows shear_spectrum transforms. The
-    exponentials are taken at columns 0..n/2; as y_{n-q} = -y_q, columns
-    n/2+1..n-1 are the conjugates of columns n/2-1..1."""
+    slope, (n/2 + 1) x n, written into out when given (fresh if None):
+    the rows shear_spectrum transforms. The cosines and sines are taken
+    at columns 0..n/2, into the real and imaginary parts, the same bytes
+    as the complex exponential (+0.0 for a zero sine, as exp gives it);
+    as y_{n-q} = -y_q, columns n/2+1..n-1 are the conjugates of columns
+    n/2-1..1."""
     n, h = grid.n, grid.half_cols
-    out = np.empty((h, n), dtype=np.complex128)
-    out[:, :h] = np.exp(-1j * slope * np.outer(grid.k[:h], grid.x[:h]))
+    out = np.empty((h, n), dtype=np.complex128) if out is None else out
+    top = out[:, :h]
+    arg = np.multiply(np.outer(grid.k[:h], grid.x[:h], out=top.imag), -slope,
+                      out=top.imag)
+    np.cos(arg, out=top.real)
+    np.sin(arg, out=arg)
+    arg += 0.0
     np.conjugate(out[:, h - 2:0:-1], out=out[:, h:])
     return out
 
@@ -658,22 +700,39 @@ def shear_spectrum(coeffs, grid, slope):
     if np.shape(coeffs) != (grid.n, grid.half_cols):
         raise GridError(f"coeffs shape {np.shape(coeffs)} != "
                         f"({grid.n}, {grid.half_cols})")
-    return _shear(np.asarray(coeffs, dtype=complex), grid, slope, Arena(grid))
+    ws = Arena(grid)
+    return _shear(shear_rows(np.asarray(coeffs, dtype=complex), grid, ws),
+                  grid, slope, ws)
 
 
-def _shear(c, grid, slope, ws):
-    """shear_spectrum, unchecked, on slabs 0-2 of the arena ws: the
-    evaluated array is slab 1 and the mask slab 2."""
+def shear_rows(c, grid, ws, i=0):
+    """What a shear reads of the half spectrum c: rows 0..n/2 of its full
+    spectrum (_top_rows), (n/2 + 1) x n, taken to the mixed (axis-0
+    spectral, axis-1 physical) representation by one axis-1 inverse
+    transform, on slab i (not 1) of the arena ws; slab 1 is scratch. They
+    do not depend on the slope, so a flow of one spectrum by several maps
+    forms them once (on a slab no other kernel takes)."""
     n, h = grid.n, grid.half_cols
-    (mixed,), (mirror,) = ws.take(0, ((h, n), complex)), ws.take(1, ((h, h), complex))
-    _top_rows(c, mixed, mirror)
-    np.fft.ifft(mixed, axis=1, norm="forward", out=mixed)
-    mixed *= shear_phase(grid, slope)
+    (rows,), (mirror,) = ws.take(i, ((h, n), complex)), ws.take(1, ((h, h), complex))
+    _top_rows(c, rows, mirror)
+    return np.fft.ifft(rows, axis=1, norm="forward", out=rows)
+
+
+def _shear(rows, grid, slope, ws):
+    """shear_spectrum of the spectrum whose shear_rows are rows, unchecked,
+    on slabs 0-2 of the arena ws: the phase on slab 1, the phased rows on
+    slab 0 (rows may be slab 0, which is then overwritten), the evaluated
+    array is slab 1 and the mask slab 2."""
+    n, h = grid.n, grid.half_cols
+    phase = shear_phase(grid, slope, out=ws.take(1, ((h, n), complex))[0])
+    mixed, = ws.take(0, ((h, n), complex))
+    np.multiply(rows, phase, out=mixed)
     np.fft.fft(mixed, axis=1, norm="forward", out=mixed)
-    out, = ws.take(1, (c.shape, complex))
+    shape = (n, h)
+    out, = ws.take(1, (shape, complex))
     _mirror_rows(mixed, out)
     kx, ky = grid.wavegrid()
-    request, oob = ws.take(2, (c.shape, float), (c.shape, bool))
+    request, oob = ws.take(2, (shape, float), (shape, bool))
     np.abs(np.add(slope * kx, ky, out=request), out=request)
     return out, np.greater(request, grid.band, out=oob)
 
@@ -709,18 +768,27 @@ def characteristic_flow(c, grid, m, damping, ws=None):
     """The half spectrum c read at the backward image (m11 xi + m12 eta,
     m21 xi + m22 eta) of each mode of the map m = ((m11, m12), (m21, m22)),
     m11 != 0, then multiplied by damping, a multiplier on the half layout;
-    trig-exact on the band.
+    trig-exact on the band. It runs on slabs 0-3 of the arena ws (its own
+    if None), and the result is slab 1: flow_rows on c's shear_rows,
+    formed on slab 0.
+    """
+    ws = Arena(grid) if ws is None else ws
+    return flow_rows(shear_rows(c, grid, ws), grid, m, damping, ws)
+
+
+def flow_rows(rows, grid, m, damping, ws):
+    """characteristic_flow of the spectrum whose shear_rows are rows, on
+    slabs 0-3 of the arena ws (rows may be slab 0, which is then
+    overwritten); the result is slab 1.
 
     The read splits as m = [[1, 0], [m21/m11, 1]] U: shear_spectrum by
     m21/m11, zero the targets whose shear request leaves the band, then
     run scale_spectrum on the samples of the sheared spectrum by U =
     [[m11, m12], [0, det(m)/m11]] unless U is the identity, which it is
-    exactly when m11 = m22 = 1 and m12 = 0. It runs on slabs 0-3 of the
-    arena ws (its own if None), and the result is slab 1.
+    exactly when m11 = m22 = 1 and m12 = 0.
     """
     (m11, m12), (m21, m22) = m
-    ws = Arena(grid) if ws is None else ws
-    out, oob = _shear(c, grid, m21 / m11, ws)
+    out, oob = _shear(rows, grid, m21 / m11, ws)
     out[oob] = 0.0
     if (m11, m12, m22) != (1.0, 0.0, 1.0):
         v = _irfft2(out, grid, out, ws.take(0, ((grid.n, grid.n), float))[0])
@@ -730,10 +798,27 @@ def characteristic_flow(c, grid, m, damping, ws=None):
     return out
 
 
+def sample_values(f, ws, i):
+    """f's samples, and the axis-0 inverse transform of its half spectrum
+    when it was taken here, else None. A Field that holds only its half
+    spectrum gets its samples by the axes irfft2 takes, bit for bit: the
+    axis-0 inverse transform onto slab i of the arena ws, then the axis-1
+    inverse real transform into a new array that f keeps as its values
+    (Field.keep_values), so that later readers, a snapshot among them,
+    take no transform. The slab holds the first stage until it is taken
+    again, for derivative_pass to share (mixed0)."""
+    if f.has_values:
+        return f.values, None
+    mixed, = ws.take(i, (f.coeffs.shape, complex))
+    f.keep_values(_irfft2(f.coeffs, f.grid, mixed, None))
+    return f.values, mixed
+
+
 def _irfft2(c, grid, mixed, out):
-    """irfft2(c, norm="forward") written into out, by the axes irfft2
-    takes them: the axis-0 inverse transform into mixed, shaped like c
-    (c itself may be given), then the axis-1 inverse real one."""
+    """irfft2(c, norm="forward") written into out (fresh if None), by the
+    axes irfft2 takes them: the axis-0 inverse transform into mixed,
+    shaped like c (c itself may be given), then the axis-1 inverse real
+    one."""
     np.fft.ifft(c, axis=0, norm="forward", out=mixed)
     return np.fft.irfft(mixed, n=grid.n, axis=1, norm="forward", out=out)
 
@@ -751,6 +836,78 @@ def _fold(a, even, odd):
     odd[1:-1] -= tail
 
 
+def _check_lattice(v, what, uniform=False):
+    """GridError unless v, of even length, is mirrored about index 0
+    (v_{n-j} = -v_j for 0 < j < n/2) and, if uniform, evenly spaced on
+    its first n/2 entries, each to a few ulps of max |v|."""
+    v = np.asarray(v)
+    n = len(v)
+    if v.ndim != 1 or n < 2 or n % 2:
+        raise GridError(f"{what} must be a lattice of even length, got shape {v.shape}")
+    tol = 8 * np.finfo(float).eps * np.abs(v).max()
+    if np.abs(v[1:n // 2] + v[:n // 2:-1]).max(initial=0.0) > tol:
+        raise GridError(f"{what} is not mirrored about index 0")
+    if uniform and np.abs(np.diff(v[:n // 2]) - (v[1] - v[0])).max(initial=0.0) > tol:
+        raise GridError(f"{what} is not evenly spaced on its first n/2 entries")
+
+
+def _blocks(n):
+    """(block length, block count) of _trig_tables over the n/2 evenly
+    spaced points of a lattice of n: the length a power of two near
+    sqrt(n/2) that divides n/2."""
+    m = n // 2
+    b = math.gcd(m, 1 << (m.bit_length() - 1) // 2)
+    return b, m // b
+
+
+def _table_specs(n, npt):
+    """The (shape, dtype) specs of _trig_tables' scratch for a lattice of
+    n and npt row points: a product over the n/2 evenly spaced points,
+    and the arguments, then cosines and sines, at the block starts and
+    at the offsets within a block."""
+    b, q = _blocks(n)
+    return ((q, b, npt), float), ((2, q, 1, npt), float), ((2, 1, b, npt), float)
+
+
+def _trig_tables(c, s, r, cos, sin, scratch):
+    """Write cos(c s_j r_p) and sin(c s_j r_p) into cos[j, p] and sin[j, p]
+    for j = 0..n/2 (cos and sin may be strided views), s a lattice of n
+    evenly spaced on its first n/2 entries (_check_lattice); scratch holds
+    arrays of the specs _table_specs(n, len(r)).
+
+    By angle addition over blocks of B (_blocks): with j = B q + i,
+    s_j = s_{Bq} + (s_i - s_0) + d_j, so the tables are products of the
+    cosines and sines at the block starts and at the offsets within a
+    block, 2 (n/(2B) + B) len(r) arguments in all instead of (n/2 + 1)
+    len(r). d_j, zero on an exactly even lattice and a few ulps on any
+    other, enters to first order, exp(i c r_p d_j) = 1 + i c r_p d_j,
+    which is exact in double precision. The last entry s_{n/2} does not
+    follow the spacing on grid.k (the self-mirrored Nyquist wavenumber)
+    and is taken directly."""
+    m = len(s) // 2
+    b, q = _blocks(len(s))
+    tmp, start, step = scratch
+    np.multiply.outer(c * s[:m:b], r, out=start[0, :, 0])
+    np.multiply.outer(c * (s[:b] - s[0]), r, out=step[0, 0])
+    for arg in (start, step):
+        np.sin(arg[0], out=arg[1])
+        np.cos(arg[0], out=arg[0])
+    c3, s3 = cos[:m].reshape(q, b, -1), sin[:m].reshape(q, b, -1)
+    np.multiply(start[0], step[0], out=c3)
+    c3 -= np.multiply(start[1], step[1], out=tmp)
+    np.multiply(start[1], step[0], out=s3)
+    s3 += np.multiply(start[0], step[1], out=tmp)
+    blocks = s[:m].reshape(q, b)
+    d = (blocks - blocks[:, :1]) - (s[:b] - s[0])
+    if d.any():
+        cr = c * r
+        c3 -= np.multiply(np.multiply.outer(d, cr, out=tmp), s3, out=tmp)
+        s3 += np.multiply(np.multiply.outer(d, cr, out=tmp), c3, out=tmp)
+    np.multiply(c * s[m], r, out=cos[m])
+    np.sin(cos[m], out=sin[m])
+    np.cos(cos[m], out=cos[m])
+
+
 def affine_trig_sum(a, s, rp, rq, m11, m21, m22, ws=None):
     """Trigonometric sum of a lattice at a lower-triangular image of another.
 
@@ -763,58 +920,63 @@ def affine_trig_sum(a, s, rp, rq, m11, m21, m22, ws=None):
     upper-triangular map is lower triangular, and a half spectrum needs
     only the rows rp of its n/2 + 1 columns.
 
-    Precondition: s, of length n with a n x n, and rq are even lattices
-    mirrored about index 0 (s_{n-j} = -s_j, the entries 0 and n/2 alone),
-    as grid.k is and grid.x is to an ulp; rp may be any points. The sums
-    fold by that symmetry: rows j and n - j of a, and columns k and n - k
-    of the stage-1 output, enter as their sum times a cosine and their
-    difference times a sine, and output column n - q is column q with the
-    sine part's sign flipped. So each stage is two real matrix products
-    over n/2 + 1 points; stage 1 and the phase take the cosines and sines
-    of len(rp) (n/2 + 1) arguments, stage 2 of (n/2 + 1)^2. Cost: about
-    2 len(rp) n^2 real multiply-adds for a real a, 3 len(rp) n^2 for a
-    complex one, on one path.
+    Precondition, checked (GridError): s, of length n with a n x n, and
+    rq are even lattices mirrored about index 0 (s_{n-j} = -s_j, the
+    entries 0 and n/2 alone), and s is evenly spaced on its first n/2
+    entries, as grid.k is and grid.x is to an ulp; rp may be any points.
+    The sums fold by the mirror symmetry: rows j and n - j of a, and
+    columns k and n - k of the phased stage-1 output, enter as their sum
+    times a cosine and their difference times a sine, and output column
+    n - q is column q with the sine part's sign flipped. So each stage is
+    two real matrix products over n/2 + 1 points. The cosine and sine
+    tables of stage 1, the phase and stage 2 are built by angle addition
+    along s (_trig_tables), at about 2 sqrt(n/2) arguments per row point
+    instead of n/2 + 1. Cost: about 2 len(rp) n^2 real multiply-adds for
+    a real a, 3 len(rp) n^2 for a complex one, on one path.
 
     Every array runs on slabs 0-3 of the arena ws (its own if None): the
-    folds, the cosine and sine tables (stage 2's one at a time), both
-    stages' products and the phase combination are formed in place, and
-    the result is slab 1. a may be slab 0, which is overwritten once a
-    is folded.
+    folds, the tables, both stages' products and the phase are formed in
+    place, and the result is slab 1. a may be slab 0, which is
+    overwritten once a is folded.
     """
+    _check_lattice(s, "s", uniform=True)
+    _check_lattice(rq, "rq")
     ws = Arena() if ws is None else ws
-    h = len(s) // 2 + 1
-    nq, npt = len(rq), len(rp)
-    hq = nq // 2 + 1
+    n, npt, nq = len(s), len(rp), len(rq)
+    h, hq = n // 2 + 1, nq // 2 + 1
     phase = -1j
     even, odd = ws.take(1, ((2, h, a.shape[1]), a.dtype))[0]      # [m, k]
     _fold(a, even, odd)
-    arg, cos, sin = ws.take(0, ((3, npt, h), float))[0]
-    np.outer(rp, m11 * s[:h], out=arg)
+    cos, sin, *scratch = ws.take(0, ((h, npt), float), ((h, npt), float),
+                                 *_table_specs(n, npt))
+    _trig_tables(m11, s, rp, cos, sin, scratch)
     products = ws.take(2, ((2, npt, a.shape[1]), a.dtype))[0]
-    np.matmul(np.cos(arg, out=cos), even.view(float), out=products[0].view(float))
-    np.matmul(np.sin(arg, out=sin), odd.view(float), out=products[1].view(float))
-    out, = ws.take(1, ((npt, len(s)), complex))
+    np.matmul(cos.T, even.view(float), out=products[0].view(float))
+    np.matmul(sin.T, odd.view(float), out=products[1].view(float))
+    out, = ws.take(1, ((npt, n), complex))
     np.add(products[0], np.multiply(phase, products[1], out=out), out=out)  # [p, k]
-    even, arg = ws.take(0, ((h, npt), complex), ((h, npt), float))
-    odd, = ws.take(2, ((h, npt), complex))
-    _fold(out.T, even, odd)                               # [m, p]
-    sin, cos = ws.take(1, ((h, npt), complex), ((h, npt), float))
-    np.outer(m21 * s[:h], rp, out=arg)
-    np.cos(arg, out=cos)
-    np.multiply(phase, np.sin(arg, out=arg), out=sin)     # phase in rp_p per s_m
-    even_sin, = ws.take(3, ((h, npt), complex))
-    np.multiply(even, sin, out=even_sin)
-    np.multiply(odd, sin, out=sin)                        # odd sin
-    even *= cos
-    even += sin                                           # even cos + odd sin
-    odd *= cos
-    odd += even_sin                                       # odd cos + even sin
+    # the phase exp(-i m21 rp_p s_k) on column k, the conjugate of column
+    # n - k's, then the fold over k
+    ph, *scratch = ws.take(0, ((h, npt), complex), *_table_specs(n, npt))
+    _trig_tables(-m21, s, rp, ph.real, ph.imag, scratch)         # [m, p]
+    (even,), (odd,) = ws.take(2, ((h, npt), complex)), ws.take(3, ((h, npt), complex))
+    cols, inner = out.T, odd[1:-1]
+    np.multiply(cols[:h], ph, out=even)                   # column k, phased
+    np.conjugate(cols[:n // 2:-1], out=inner)             # column n - k ...
+    inner *= ph[1:-1]
+    np.conjugate(inner, out=inner)                        # ... phased
+    np.subtract(even[1:-1], inner, out=inner)             # odd part
+    even[1:-1] *= 2.0
+    even[1:-1] -= inner                                   # even part
+    odd[0], odd[-1] = even[0], even[-1]
     out, = ws.take(1, ((nq, npt), complex))
-    plus, (minus,) = out[:hq], ws.take(3, ((hq, npt), complex))   # [q, p]
-    for trig, part, z in ((np.cos, plus, even), (np.sin, minus, odd)):
-        arg = ws.take(0, ((h, npt), complex), ((hq, h), float))[1]
-        trig(np.outer(rq[:hq], m22 * s[:h], out=arg), out=arg)
-        np.matmul(arg, z.view(float), out=part.view(float))
+    cos, sin, *scratch = ws.take(0, ((h, hq), float), ((h, hq), float),
+                                 *_table_specs(n, hq))
+    _trig_tables(m22, s, rq[:hq], cos, sin, scratch)
+    plus = out[:hq]                                       # [q, p]
+    np.matmul(cos.T, even.view(float), out=plus.view(float))
+    minus, = ws.take(2, ((hq, npt), complex))
+    np.matmul(sin.T, odd.view(float), out=minus.view(float))
     np.multiply(phase, minus, out=minus)
     np.subtract(plus[hq - 2:0:-1], minus[hq - 2:0:-1], out=out[hq:])
     plus += minus

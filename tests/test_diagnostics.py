@@ -288,10 +288,11 @@ class _PowerCount(np.ndarray):
 def test_record_on_fp_decay_state_reads_samples_once(monkeypatch, energy_m,
                                                      powers):
     # the state apply_semigroup leaves holds its half spectrum only, so
-    # record transforms nothing but its samples, once, and the energy
-    # pair's nine derivative samples (four axis-0 and nine axis-1
-    # transforms), calls no derivative, and forms each distinct weight
-    # power once
+    # record transforms nothing but its samples, once, by axes, and the
+    # energy pair's nine derivative samples, whose x-order-0 ones share
+    # the samples' axis-0 transform (four axis-0 transforms in all, and
+    # ten axis-1 ones), calls no derivative, and forms each distinct
+    # weight power once
     grid = make_grid(16.0, 64, "selfsim")
     bracket = grid.bracket_sq.view(_PowerCount)
     bracket.log = []
@@ -304,7 +305,7 @@ def test_record_on_fp_decay_state_reads_samples_once(monkeypatch, energy_m,
     calls = []
     _count_sampling(monkeypatch, calls)
     rec = record(state, opts)
-    assert calls == ["irfft2"] + _PASS_CALLS
+    assert calls == ["ifft/0", "irfft/1"] + _PASS_CALLS[1:]
     assert sorted(bracket.log) == powers
     assert np.isfinite(rec.energy) and np.isfinite(rec.dissipation)
 

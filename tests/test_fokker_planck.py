@@ -13,7 +13,7 @@ from shearvortex import (
     mass,
     weighted_norm,
 )
-from shearvortex import spectral
+from shearvortex import fokker_planck, spectral
 from shearvortex.diagnostics import EnergyCoefficients, RecordOptions, record
 from shearvortex.errors import DomainError, ResolutionError, UnsupportedOrderError
 from shearvortex.fokker_planck import (
@@ -311,17 +311,24 @@ class _TrigSizes:
 
 
 def test_semigroup_takes_trig_at_half_lattice_points(small_grid, monkeypatch):
-    # the shear's phase and both stages of the scale kernel fold by the
-    # lattices' mirror symmetry, so no exponential, cosine or sine that
-    # spectral evaluates during one call spans more than (n/2 + 1)^2
-    # arguments
+    # the shear's phase folds by the lattices' mirror symmetry: one cosine
+    # and one sine of (n/2 + 1)^2 arguments. The scale kernel's three
+    # table pairs are built by angle addition over blocks of about
+    # sqrt(n/2) points: no other cosine or sine that spectral evaluates
+    # during one call spans more than (n/2 + 1) 2 sqrt(n/2) arguments,
+    # nor all of them together more than 6 (n/2 + 1) (5/2 sqrt(n/2) + 1)
+    # (it was 6 (n/2 + 1)^2); spectral takes no exponential
     f = gaussian(small_grid)
     trig = _TrigSizes()
     monkeypatch.setattr(spectral, "np", trig)
     apply_semigroup(f, 0.7)
     names = {name for name, _ in trig.sizes}
-    assert names == {"exp", "cos", "sin"}
-    assert max(size for _, size in trig.sizes) <= small_grid.half_cols ** 2
+    assert names == {"cos", "sin"}
+    h, root = small_grid.half_cols, np.sqrt(small_grid.n / 2)
+    sizes = sorted(size for _, size in trig.sizes)
+    assert sizes[-2:] == [h ** 2] * 2
+    assert sizes[-3] <= 2 * root * h
+    assert sum(sizes[:-2]) <= 6 * h * (2.5 * root + 1)
 
 
 def test_semigroup_rejects_negative_time(frame_grid):
@@ -375,8 +382,8 @@ def test_one_arena_over_several_taus_matches_fresh_calls_bit_for_bit():
 def test_warm_fp_decay_sample_allocates_only_what_it_keeps():
     # with the arena warm, one sample (flow + record) at n = 128 peaks,
     # above the arena, at what it returns and keeps: the state's coeffs
-    # and values (the half spectrum irfft2 makes on the way to the values
-    # counted too), 397312 bytes, and the returned objects, under 8 KiB.
+    # and values, 264192 bytes (record samples the state by axes, with
+    # the first stage on a slab), and the returned objects, under 8 KiB.
     # The same sample peaked at 1323572 bytes before the arena
     # (tracemalloc, no arena: every temporary fresh)
     grid = make_grid(20.0, 128, "selfsim")
@@ -390,6 +397,54 @@ def test_warm_fp_decay_sample_allocates_only_what_it_keeps():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    kept = 2 * state.omega.coeffs.nbytes + state.omega.values.nbytes
-    assert kept == 397312
+    kept = state.omega.coeffs.nbytes + state.omega.values.nbytes
+    assert kept == 264192
     assert peak <= kept + 8192, peak
+
+
+def test_record_samples_a_flowed_state_as_irfft2_does():
+    # record gives a state that holds only its half spectrum its samples
+    # by axes, the first stage shared with the energy pass: the values it
+    # leaves on the Field equal irfft2's byte for byte, and stay there
+    for n in (128, 256, 512):
+        grid = make_grid(20.0, n, "selfsim")
+        state, _ = _fp_sample(eigenfunction(1, 0, grid), 0.4)
+        assert state.omega.has_values
+        want = np.fft.irfft2(state.omega.coeffs, norm="forward")
+        assert state.omega.values.tobytes() == want.tobytes()
+        assert not state.omega.values.flags.writeable
+
+
+def test_flow_over_taus_matches_one_tau_calls_and_prepares_once(monkeypatch):
+    # semigroup_flow vets f and forms its shear rows once, at the first
+    # positive tau, and each of its samples equals apply_semigroup's one
+    # tau call bit for bit, with record's use of the arena in between
+    grid = make_grid(20.0, 128, "selfsim")
+    f0 = eigenfunction(1, 0, grid)
+    taus = (0.0, 0.2, 0.9, 0.0, 1.7)
+    counts = {"_spectrum_tail": 0, "shear_rows": 0}
+    for name in counts:
+        def counted(*args, _name=name, _fn=getattr(fokker_planck, name)):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(fokker_planck, name, counted)
+    ws = Arena(grid)
+    opts = RecordOptions(energy=EnergyCoefficients.from_scale())
+    flowed = []
+    for tau, omega in zip(taus, fokker_planck.semigroup_flow(f0, taus, ws)):
+        flowed.append(omega)
+        record(SelfSimilarState(omega=omega, t=float(np.exp(tau)), nu=1.0,
+                                alpha=mass(f0)), opts, ws)
+    assert counts == {"_spectrum_tail": 1, "shear_rows": 1}
+    assert flowed[0] is f0 and flowed[3] is f0
+    for tau, omega in zip(taus, flowed):
+        assert omega.coeffs.tobytes() == apply_semigroup(f0, tau).coeffs.tobytes()
+
+
+def test_flow_yields_tau_zero_before_rejecting_an_unresolved_field():
+    g = make_grid(20.0, 64, "selfsim")
+    psi = eigenfunction(1, 0, g)
+    flow = fokker_planck.semigroup_flow(psi, (0.0, 1.0))
+    assert next(flow) is psi
+    with pytest.raises(ResolutionError):
+        next(flow)

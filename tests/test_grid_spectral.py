@@ -30,7 +30,8 @@ from shearvortex.initial_data import make_field
 from shearvortex.propagator import apply_semigroup
 from shearvortex.selfsim import (FrameCoefficients, SelfSimilarState,
                                  _frame_map, _laplacian_symbol)
-from shearvortex.spectral import (MAX_DERIVATIVE_ORDER, affine_trig_sum,
+from shearvortex.spectral import (MAX_DERIVATIVE_ORDER, _table_specs,
+                                  _trig_tables, affine_trig_sum,
                                   inverse_laplacian,
                                   characteristic_flow, dealias_mask,
                                   drift_divergence, drift_workspace,
@@ -276,8 +277,9 @@ def test_propagator_leaves_shears_and_transforms_to_spectral():
 
 def test_only_the_characteristic_flow_shears_and_scales():
     # one kernel for both linear semigroups: the heat-shear propagator and
-    # the limit semigroup run spectral.characteristic_flow, and no other
-    # module shears or scales a spectrum itself
+    # the limit semigroup run spectral.characteristic_flow (the limit
+    # semigroup its two parts, shear_rows once per input and flow_rows per
+    # time), and no other module shears or scales a spectrum itself
     calls = _calls_outside("spectral.py", ("sheared", "shear_phase",
                                            "shear_spectrum", "scale_spectrum"))
     assert not calls, calls
@@ -410,6 +412,21 @@ def test_field_keeps_read_only_float_copies(small_grid):
     g = Field(small_grid, values=v)
     v[0, 0] = 2.0
     assert g.values[0, 0] == 1.0
+
+
+def test_field_keeps_the_values_it_is_handed_only_once(small_grid):
+    # keep_values takes the samples of the coeffs formed elsewhere without
+    # a copy and freezes them; it refuses a second set and a wrong array
+    f = Field(small_grid, coeffs=np.zeros((64, 33)))
+    for bad in (np.zeros((64, 33)), np.zeros((64, 64), dtype=np.float32),
+                [[0.0] * 64] * 64):
+        with pytest.raises(GridError):
+            f.keep_values(bad)
+    v = np.zeros((64, 64))
+    f.keep_values(v)
+    assert f.values is v and not v.flags.writeable
+    with pytest.raises(GridError):
+        f.keep_values(np.zeros((64, 64)))
 
 
 def test_constant_field_spectrum(small_grid):
@@ -833,6 +850,61 @@ def test_folded_kernel_matches_the_dense_kernel(n, complex_lattice):
             want = affine_trig_sum_dense(a, s, rp, r, *args, -1)
             assert got.shape == want.shape == (len(rp), n)
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def _tables(c, s, r):
+    """_trig_tables' (cos, sin), (n/2 + 1) x len(r), on fresh arrays."""
+    h = len(s) // 2 + 1
+    cos, sin = np.empty((h, len(r))), np.empty((h, len(r)))
+    _trig_tables(c, s, r, cos, sin,
+                 [np.empty(shape, dtype) for shape, dtype in _table_specs(len(s), len(r))])
+    return cos, sin
+
+
+@pytest.mark.parametrize("half_width", [20.0, 16.3])
+@pytest.mark.parametrize("n", [16, 128, 512])
+def test_angle_addition_tables_are_as_accurate_as_the_direct_formula(n, half_width):
+    # cos and sin of c s_j r_p, j = 0..n/2, against long double on the
+    # exact product of the given floats; over positions (s = grid.x, rows
+    # at wavenumbers) and over wavenumbers (s = grid.k, whose entry n/2 is
+    # the Nyquist one, off the spacing). L = 16.3 spaces grid.x unevenly
+    # by ulps, which the tables take to first order. The error stays
+    # within twice the direct np.cos / np.sin of the rounded product's
+    # (1.4e-14 at n = 128, 5.7e-14 at n = 512 for c = 1)
+    grid = make_grid(half_width, n)
+    h = grid.half_cols
+    for c in (1.0, -0.8, 1.7):
+        for s, r in ((grid.x, grid.k[:h]), (grid.k, grid.x[:h])):
+            exact = np.multiply.outer(np.longdouble(c) * s[:h].astype(np.longdouble),
+                                      r.astype(np.longdouble))
+            arg = np.multiply.outer(c * s[:h], r)
+            for got, trig in zip(_tables(c, s, r), (np.cos, np.sin)):
+                want = trig(exact)
+                direct = np.abs(trig(arg) - want).max()
+                assert np.abs(got - want).max() <= 2 * direct, (c, trig)
+
+
+def test_affine_kernel_rejects_a_lattice_off_its_precondition():
+    # s must be mirrored and evenly spaced on its first n/2 entries, rq
+    # mirrored, each to a few ulps; a perturbation of 1e-9 of the spacing
+    # breaks either, and so does an odd length
+    grid = make_grid(8.0, 16, "selfsim")
+    a = np.random.default_rng(2).standard_normal((16, 16))
+    args = (0.8, -0.3, 1.1)
+    h = grid.half_cols
+    uneven = grid.x.copy()
+    uneven[3] += 1e-9 * grid.spacing
+    unmirrored = grid.k.copy()
+    unmirrored[-2] *= 1.0 + 1e-9
+    for s, rq in ((uneven, grid.k), (unmirrored, grid.x), (grid.x, unmirrored),
+                  (grid.x, grid.k[:-1])):
+        with pytest.raises(GridError):
+            affine_trig_sum(a, s, grid.k[:h], rq, *args)
+    # the grid's own lattices pass at every size, uneven ulps included
+    for n, half_width in ((8, 16.0), (512, 20.0), (512, 16.3), (128, np.pi)):
+        g = make_grid(half_width, n)
+        for s in (g.x, g.k):
+            affine_trig_sum(np.ones((n, n)), s, s[:3], s, *args)
 
 
 def test_scale_spectrum_between_grids_of_different_lengths():

@@ -506,10 +506,10 @@ def _calls_in_march(monkeypatch, targets):
     inside = []
 
     def counted(name, fn):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             if inside:
                 calls[name].append(args)
-            return fn(*args)
+            return fn(*args, **kwargs)
         return wrapper
 
     for owner, name in targets:

@@ -83,3 +83,36 @@ def test_compare_reads_every_csv_and_names_the_files_it_skips(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert "  probes.csv kind: differs" in lines
     assert "  probes.csv ratio: 0" in lines
+
+
+def _sidecar(run, t, digest, frame="selfsim"):
+    (run / "final.snap.meta").write_text(
+        f"alpha = 1.0\nformat = shearvortex-snapshot-1\nframe = {frame}\n"
+        f"half_width = 20.0\nkind = state\nn = 512\nnu = 1.0\n"
+        f"sha256 = {digest}\nt = {t!r}\n", encoding="ascii")
+
+
+def test_compare_reads_snapshot_sidecars(tmp_path, capsys):
+    # the sidecar's numbers as relative differences, its hash as equal or
+    # differs, and another field only when it differs
+    for tree, t, digest, frame in (("a", 2.0, "ab12", "selfsim"),
+                                   ("b", 2.0 * (1 + 1e-15), "cd34", "selfsim"),
+                                   ("c", 2.0, "ab12", "physical")):
+        _run(tmp_path / tree, (0.5, 0.25), 2e-16, [1.0])
+        _sidecar(tmp_path / tree / "sim", t, digest, frame)
+    tool = _tool()
+    assert tool.main(["--compare", str(tmp_path / "a"),
+                      str(tmp_path / "b")]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if ".meta" in line]
+    assert lines == ["  final.snap.meta alpha: 0",
+                     "  final.snap.meta half_width: 0",
+                     "  final.snap.meta n: 0",
+                     "  final.snap.meta nu: 0",
+                     "  final.snap.meta sha256: differs",
+                     "  final.snap.meta t: 1.11e-15"]
+    assert tool.main(["--compare", str(tmp_path / "a"),
+                      str(tmp_path / "c")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "  final.snap.meta frame: differs" in lines
+    assert "  final.snap.meta sha256: equal" in lines

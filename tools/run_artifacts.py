@@ -21,9 +21,11 @@ run that only one tree has is named as such) and prints, for each run
 the two share, the largest relative difference of each numeric column
 of every CSV file (|a - b| / |a| over its rows; a column with text in
 it reads equal or differs), of each number in summary.txt (by line
-label and position) and of each snapshot payload (max |a - b| / max |a|
-over its samples). A difference in text, shape or the set of files is
-printed as such, and so is each file it does not compare.
+label and position), of each snapshot payload (max |a - b| / max |a|
+over its samples) and of each snapshot sidecar's numbers (t, nu, alpha,
+n, half_width; its sha256 reads equal or differs). A difference in
+text, shape or the set of files is printed as such, and so is each file
+it does not compare.
 """
 
 import ast
@@ -149,9 +151,34 @@ def _compare_snapshot(a, b):
     return [("payload", 0.0 if diff == 0.0 else float(diff / np.abs(va).max()))]
 
 
+# the sidecar fields (snapshot.write_snapshot) compared as numbers; the
+# payload hash reads equal or differs, any other field only if it differs
+META_NUMBERS = ("t", "nu", "alpha", "n", "half_width")
+
+
+def _meta(path):
+    pairs = (line.partition(" = ") for line in
+             path.read_text(encoding="ascii").splitlines())
+    return {key: value for key, _, value in pairs}
+
+
+def _compare_meta(a, b):
+    meta_a, meta_b = _meta(a), _meta(b)
+    out = []
+    for key in sorted(set(meta_a) | set(meta_b)):
+        va, vb = meta_a.get(key), meta_b.get(key)
+        nums = _numbers([va, vb]) if None not in (va, vb) else None
+        if key in META_NUMBERS and nums is not None:
+            out.append((key, _relative(nums[0], nums[1])))
+        elif key == "sha256" or va != vb:
+            out.append((key, "equal" if va == vb else "differs"))
+    return out
+
+
 def compare(a, b):
     """Print the numeric differences of output directories a and b."""
-    readers = {".csv": _compare_csv, ".snap": _compare_snapshot}
+    readers = {".csv": _compare_csv, ".snap": _compare_snapshot,
+               ".meta": _compare_meta}
     runs_a, runs_b = ({p.name for p in d.iterdir() if p.is_dir()} for d in (a, b))
     for run in sorted(runs_a | runs_b):
         if run not in runs_a & runs_b:
