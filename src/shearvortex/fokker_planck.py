@@ -138,7 +138,9 @@ def semigroup_flow(f, taus, ws=None):
     large temporary runs in the arena ws (spectral.Arena; its own if
     None): the tail check and each tau's damping on slab 4, the rows on
     slab 5 for the whole flow, and each flow (spectral.flow_rows) on
-    slabs 0-3, so the caller may use slabs 0-4 between two samples.
+    slabs 0-3. So a caller on the same thread may use slabs 0-4 between
+    two samples; fp-decay's runner advances the flow on a worker thread
+    instead, in an arena of its own, while it records the sample before.
     """
     grid = f.grid
     ws = Arena(grid) if ws is None else ws

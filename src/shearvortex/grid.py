@@ -13,10 +13,9 @@ fft order over all n wavenumbers and columns over k_0 .. k_{n/2}.
 A GridSpec owns every array that depends on the grid alone: the points x
 and wavenumbers k, built with it, and, built on first use and then kept,
 the band edge, the 2/3 keep mask, the outer-eighth and half-box masks, the
-(-1)^(j+k) signs, the derivative multipliers, the Laplacian's symbol and
-the samples of <x>^2 = 1 + |x|^2 and of the frame Gaussian. The masks,
-the symbol and wavegrid() are in the half layout; the multipliers are per
-axis and the signs cover the full lattice. These arrays are read-only and
+derivative multipliers, the Laplacian's symbol and the samples of the
+frame Gaussian. The masks, the symbol and wavegrid() are in the half
+layout; the multipliers are per axis. These arrays are read-only and
 take no part in comparing grids.
 """
 
@@ -123,13 +122,6 @@ class GridSpec:
         return _frozen(far[:, None] | far[None, :])
 
     @cached_property
-    def signs(self):
-        """(-1)^(j+k) pattern relating fft-array coefficients of a box that
-        starts at -L to the spectrum with phases centred on the origin."""
-        s = np.where(np.arange(self.n) % 2 == 0, 1.0, -1.0)
-        return _frozen(np.outer(s, s))
-
-    @cached_property
     def multipliers(self):
         """(i k)^p along one axis for p = 0..MAX_DERIVATIVE_ORDER. Odd p
         zero the Nyquist mode, whose real coefficient has no well-defined
@@ -145,11 +137,6 @@ class GridSpec:
         """Fourier symbol -(k1^2 + k2^2) of the Laplacian; zero at k = 0."""
         kx, ky = self.wavegrid()
         return _frozen(-(kx ** 2 + ky ** 2))
-
-    @cached_property
-    def bracket_sq(self):
-        """Samples of <x>^2 = 1 + |x|^2; the weight <x>^m is its m/2 power."""
-        return _frozen(1.0 + self.x[:, None] ** 2 + self.x[None, :] ** 2)
 
     @cached_property
     def gaussian_values(self):

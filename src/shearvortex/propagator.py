@@ -44,6 +44,7 @@ of transforms linear in the number of time samples.
 """
 
 import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -242,13 +243,18 @@ def _lagrange_weights(ts, s, width=4):
     return list(idx), w
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+@functools.cache
+def _gauss_legendre():
+    """The 8-point Gauss-Legendre rule on [-1, 1], formed on first use:
+    numpy loads numpy.polynomial only then, and only picard reads it."""
+    return np.polynomial.legendre.leggauss(8)
 
 
 def _gl_nodes(a, b):
     """8-point Gauss-Legendre nodes/weights on [a, b]."""
     mid, rad = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + rad * _GL_NODES, rad * _GL_WEIGHTS
+    nodes, weights = _gauss_legendre()
+    return mid + rad * nodes, rad * weights
 
 
 def _panel_set(a, b, rate):

@@ -7,17 +7,24 @@ from one time of sample_schedule to the next, fp-decay applies the limit
 semigroup at those times, and picard's cross-check evolves to each of the
 mild solution's time samples; each sampled state goes to the recorder.
 fp-decay flows its initial field through one fokker_planck.semigroup_flow
-over the run's times, and owns one spectral.Arena for the run that it
-hands to the flow and the recorder, so their large temporaries share its
-slabs.
+over the run's times. No flow reads the previous sample's record, so the
+flow runs on one worker thread, one sample ahead of the recorder
+(_one_ahead): sample i + 1 flows while the main thread records sample i,
+and the worker is joined before the run returns or raises. Each thread
+owns one spectral.Arena for the run, the worker's for the flow and the
+main thread's for the recorder, so each side's large temporaries reuse
+its own slabs. The main thread writes every CSV row and snapshot, in
+sample order.
 
 Outputs are a pure function of (config, seed): floats are serialized
-with repr (shortest round-trip form), reductions run single-threaded in
-a fixed order, and random fields come from a seeded generator, so a
-rerun with the same config reproduces every artifact byte for byte.
+with repr (shortest round-trip form), each reduction runs in one thread
+(fp-decay's flow on the worker, all else on the main thread) in a fixed
+order, and random fields come from a seeded generator, so a rerun with
+the same config reproduces every artifact byte for byte.
 """
 
 import os
+import threading
 
 import numpy as np
 
@@ -257,13 +264,19 @@ def _run_fp_decay(cfg, recorder):
     f0 = make_field(cfg.initial_data, frame_grid, cfg.seed,
                     params=cfg.initial_params)
     alpha = float(mass(f0))
+    f0.coeffs       # formed here: the worker and record both read them
     taus = sample_schedule(cfg.t_init, cfg.t_end, cfg.samples_per_decade)
-    ws = Arena(frame_grid)      # the flow and record share its slabs
     taus = [s - taus[0] for s in taus]
-    for tau, omega in zip(taus, semigroup_flow(f0, taus, ws)):
-        state = SelfSimilarState(omega=omega, t=float(cfg.t_init * np.exp(tau)),
-                                 nu=cfg.nu, alpha=alpha)
-        recorder(state, ws)
+    ws = Arena(frame_grid)      # record's; the flow runs in its own
+    flow = _one_ahead(semigroup_flow(f0, taus, Arena(frame_grid)))
+    try:
+        for tau, omega in zip(taus, flow):
+            state = SelfSimilarState(omega=omega,
+                                     t=float(cfg.t_init * np.exp(tau)),
+                                     nu=cfg.nu, alpha=alpha)
+            recorder(state, ws)
+    finally:
+        flow.close()            # joins the worker
     recs = recorder.records
     m_fit = 3.0 if 3.0 in cfg.weights else cfg.weights[-1]
     series = [(r.t, r.weighted[(m_fit, 0, 0)]) for r in recs]
@@ -274,6 +287,42 @@ def _run_fp_decay(cfg, recorder):
         f"norm initial: {series[0][1]!r}",
         f"norm final: {series[-1][1]!r}",
     ]
+
+
+def _one_ahead(items):
+    """Yield the items of the iterator items in turn, each computed on one
+    worker thread while the caller holds the item before it, so the
+    worker runs at most one item ahead. An exception that items raises
+    is raised here in its turn, after the items before it. The worker is
+    joined when this generator returns, raises or is closed."""
+    turn, ready = threading.Semaphore(0), threading.Semaphore(0)
+    outcome, stop = [None, None], []
+
+    def work():
+        while turn.acquire() and not stop:
+            try:
+                outcome[:] = next(items), None
+            except BaseException as exc:    # re-raised by the reader
+                outcome[:] = None, exc
+            ready.release()
+
+    worker = threading.Thread(target=work, name="shearvortex-flow")
+    worker.start()
+    try:
+        turn.release()
+        while True:
+            ready.acquire()
+            item, exc = outcome
+            if isinstance(exc, StopIteration):
+                return
+            if exc is not None:
+                raise exc
+            turn.release()      # the next item, while the caller holds this
+            yield item
+    finally:
+        stop.append(True)
+        turn.release()
+        worker.join()
 
 
 def _run_picard(cfg, recorder):

@@ -67,16 +67,19 @@ by that order's axis-1 inverse real transforms.
 
 Large temporaries run in an Arena: numbered slabs, each as large as one
 n x (n/2 + 1) complex array, allocated on first use and kept, plus the
-weight samples <x>^m. A run owns one (fp-decay's runner makes it) and
-hands it down through the limit semigroup's flow and record, which run
-one after the other on the same slabs, so a sample loop reuses memory
-instead of freeing and faulting it in again; the flow keeps its input's
-shear rows on slab 5 for the whole run. record samples a state that
+weight samples <x>^m. An arena serves one thread at a time. fp-decay's
+runner makes two for a run: one for the limit semigroup's flow, on its
+worker thread, and one for record, on the main thread. Each is handed
+down from sample to sample, so a sample loop reuses memory instead of
+freeing and faulting it in again; the flow keeps its input's shear rows
+on slab 5 of its arena for the whole run. record samples a state that
 holds only its half spectrum by axes (sample_values), the first stage
-on slab 4, and the energy pass's x-order-0 derivatives read that stage. Kernels take their arrays
-as views of slabs (Arena.take) and name in their docstrings the slabs
-they write; a kernel given no arena makes its own, so a standalone call
-allocates what its temporaries need and no more. What a kernel returns
+on slab 4, and the energy pass's x-order-0 derivatives read that stage.
+A flow and a record may also share one arena when they run in turn on
+one thread, as the flow leaves slabs 0-4 free between samples. Kernels
+take their arrays as views of slabs (Arena.take) and name in their
+docstrings the slabs they write; a kernel given no arena makes its own,
+so a standalone call allocates what its temporaries need and no more. What a kernel returns
 on a slab is valid until the slab is taken again; outputs stay fresh
 because a Field copies the arrays it is built from.
 
@@ -108,10 +111,12 @@ class Arena:
 
     A run makes one and hands it down, so that one sample's kernels and
     the next sample's reuse the same memory; a kernel given none makes
-    its own. A kernel's docstring names the slabs it writes: callees get
-    the slabs their caller is done with, and what a kernel returns on a
-    slab is valid until that slab is taken again. Fields copy what they
-    are given, so a Field built from a slab stays fresh."""
+    its own. An arena serves one thread at a time: kernels running at
+    once on two threads need one each. A kernel's docstring names the
+    slabs it writes: callees get the slabs their caller is done with, and
+    what a kernel returns on a slab is valid until that slab is taken
+    again. Fields copy what they are given, so a Field built from a slab
+    stays fresh."""
 
     def __init__(self, grid=None):
         self.grid = grid
@@ -575,9 +580,15 @@ def weighted_norm(f, m, a=0, b=0):
     return weighted_l2(weight_samples(f.grid, m), g.values, f.grid)
 
 
+def _bracket_sq(grid):
+    """Samples of <x>^2 = 1 + |x|^2; the weight <x>^m is its m/2 power."""
+    return 1.0 + grid.x[:, None] ** 2 + grid.x[None, :] ** 2
+
+
 def weight_samples(grid, m):
-    """Samples of the weight <x>^m = (1 + |x|^2)^(m/2), m in [0, 12]."""
-    return grid.bracket_sq ** (0.5 * _weight_exponent(m))
+    """Samples of the weight <x>^m = (1 + |x|^2)^(m/2), m in [0, 12],
+    formed on each call (Arena.weight keeps them for a run)."""
+    return _bracket_sq(grid) ** (0.5 * _weight_exponent(m))
 
 
 def weighted_l2(w, v, grid, scratch=None):
@@ -590,7 +601,7 @@ def weighted_l2(w, v, grid, scratch=None):
 def weighted_inner(f, g, m=0.0):
     """Weighted L^2 inner product (f, g) with weight <x>^(2m), m in [0, 12]."""
     m = _weight_exponent(m)
-    w2 = f.grid.bracket_sq ** m if m else 1.0
+    w2 = _bracket_sq(f.grid) ** m if m else 1.0
     h2 = f.grid.spacing ** 2
     return float(np.sum(w2 * f.values * g.values) * h2)
 
@@ -755,7 +766,8 @@ def scale_spectrum(v, grid, target, u11, u12, u22, ws=None):
     kx, ky = target.wavegrid()
     out = affine_trig_sum(v.T, grid.x, ky[0], target.k, u22, u12, u11, ws).T
     out /= (target.half_width / grid.half_width * grid.n) ** 2  # (2 L_target / h)^2
-    out *= target.signs[:, :target.half_cols]  # back to fft-array sign convention
+    out[1::2, ::2] *= -1.0      # back to the fft-array sign convention:
+    out[::2, 1::2] *= -1.0      # (-1)^(j+k) at row j, column k
     request, oob = ws.take(0, (out.shape, float), (out.shape, bool))
     np.abs(np.add(u11 * kx, u12 * ky, out=request), out=request)
     out[np.greater(request, grid.band, out=oob)] = 0.0

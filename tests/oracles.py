@@ -449,7 +449,7 @@ def limit_semigroup_full(f, tau):
     out = np.exp(-1j * np.outer(k, u22 * x)) @ v
     out *= np.exp(-1j * np.outer(k, u12 * x))
     out = (out @ np.exp(-1j * np.outer(u11 * x, k))).T / n ** 2
-    out *= grid.signs
+    out *= (-1.0) ** np.add.outer(np.arange(n), np.arange(n))
     out[np.abs(u11 * k[:, None] + u12 * k[None, :]) > grid.band] = 0.0
     out[:, np.abs(u22 * k) > grid.band] = 0.0
     return out * np.exp(symbol_exponent(tau, k[:, None], k[None, :]))

@@ -313,16 +313,13 @@ def _plan_by_formula(L, n):
     k1, k2 = np.meshgrid(k, k, indexing="ij")
     j = np.abs(np.fft.fftfreq(n, d=1.0 / n))
     keep = j <= n / 3.0
-    s = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     plan = {
         "x": x, "k": k, "mode_index": j,
         "keep": keep[:, None] & keep[None, :h],
         "outer_band": (j[:, None] >= (7.0 / 16.0) * n)
         | (j[None, :h] >= (7.0 / 16.0) * n),
         "outside_half_box": (np.abs(x1) > 0.5 * L) | (np.abs(x2) > 0.5 * L),
-        "signs": np.outer(s, s),
         "laplacian": -(k1 ** 2 + k2 ** 2)[:, :h],
-        "bracket_sq": 1.0 + x1 ** 2 + x2 ** 2,
         "gaussian_values": np.exp(-(x1 ** 2 + x2 ** 2) / 4.0) / (4.0 * np.pi),
     }
     for order in range(MAX_DERIVATIVE_ORDER + 1):

@@ -2,6 +2,8 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -12,16 +14,22 @@ from shearvortex import (
     Field,
     RunConfig,
     SelfSimilarState,
+    diagnostics,
     errors,
+    fokker_planck,
     make_grid,
+    parse_config,
     read_snapshot,
     run_experiment,
+    runner,
     selfsim,
     write_snapshot,
 )
 from shearvortex.cli import main
 from shearvortex.diagnostics import rate_fit
+from shearvortex.errors import GridError
 from shearvortex.runner import resolve_output_dir
+from shearvortex.spectral import Arena
 
 from conftest import localized_field
 
@@ -260,16 +268,20 @@ def test_rerun_reproduces_artifacts_byte_for_byte(simulate_runs):
             assert fa.read() == fb.read(), name
 
 
+FP_DECAY_N128 = ("initial_data = eigenfunction\n"
+                 "initial_params = a=1, b=0\n"
+                 "grid_l = 20.0\n"
+                 "grid_n = 128\n"
+                 "t_end = 3.2\n"
+                 "snapshot_cadence = 1\n")
+
+
 def test_fp_decay_rerun_reproduces_artifacts_byte_for_byte(tmp_path):
-    # two in-process fp-decay runs, each in one arena shared by the flow,
-    # record and the snapshots, write the same files, byte for byte
-    cfg = write_config(tmp_path, (
-        "initial_data = eigenfunction\n"
-        "initial_params = a=1, b=0\n"
-        "grid_l = 20.0\n"
-        "grid_n = 128\n"
-        "t_end = 3.2\n"
-        "snapshot_cadence = 1\n"))
+    # two in-process fp-decay runs, each flowing its samples on a worker
+    # thread in an arena of its own while the main thread records them
+    # and writes the snapshots in another, write the same files, byte
+    # for byte
+    cfg = write_config(tmp_path, FP_DECAY_N128)
     dirs = [tmp_path / "a", tmp_path / "b"]
     for d in dirs:
         assert main(["fp-decay", "--config", cfg, "--out", str(d)]) == 0
@@ -278,6 +290,121 @@ def test_fp_decay_rerun_reproduces_artifacts_byte_for_byte(tmp_path):
     assert "state_00009.snap" in names and "final.snap" in names
     for name in names:
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
+
+
+def test_fp_decay_overlap_writes_what_one_thread_writes(tmp_path,
+                                                       monkeypatch):
+    # the run flows sample i + 1 on a worker thread, in an arena of its
+    # own, while the main thread records sample i; a reference loop that
+    # runs the flow, record and the snapshots in one thread on one arena
+    # writes every file the same, byte for byte
+    cfg = write_config(tmp_path, FP_DECAY_N128)
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["fp-decay", "--config", cfg, "--out", str(a)]) == 0
+    arenas = []
+
+    def one_arena(grid):
+        arenas.append(arenas[0] if arenas else Arena(grid))
+        return arenas[-1]
+
+    monkeypatch.setattr(runner, "Arena", one_arena)
+    monkeypatch.setattr(runner, "_one_ahead", iter)   # the flow in line
+    assert main(["fp-decay", "--config", cfg, "--out", str(b)]) == 0
+    assert len(arenas) == 2 and arenas[0] is arenas[1]
+    names = sorted(os.listdir(a))
+    assert names == sorted(os.listdir(b))
+    assert {"diagnostics.csv", "summary.txt", "final.snap",
+            "state_00009.snap", "state_00009.snap.meta"} <= set(names)
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def _counted_flow(begun):
+    """runner.semigroup_flow that logs the thread that begins each item."""
+    def flow(f, taus, ws):
+        items = fokker_planck.semigroup_flow(f, taus, ws)
+        while True:
+            begun.append(threading.current_thread())
+            try:
+                omega = next(items)
+            except StopIteration:
+                return
+            yield omega
+    return flow
+
+
+def test_fp_decay_flows_one_sample_ahead_on_a_worker_that_ends_with_the_run(
+        tmp_path, monkeypatch):
+    # every flow runs on one worker thread, which has begun at most the
+    # item after the one record reads, and no thread outlives the run
+    begun, ahead = [], []
+
+    def counted_record(state, opts, ws=None):
+        ahead.append(len(begun) - len(ahead))
+        return diagnostics.record(state, opts, ws)
+
+    monkeypatch.setattr(runner, "semigroup_flow", _counted_flow(begun))
+    monkeypatch.setattr(runner, "record", counted_record)
+    threads = threading.active_count()
+    run_experiment(parse_config("mode = fp-decay\n" + FP_DECAY_N128),
+                   str(tmp_path / "out"))
+    assert threading.active_count() == threads
+    assert len(ahead) == 10 and len(begun) in (10, 11)
+    assert 1 <= min(ahead) and max(ahead) <= 2, ahead
+    assert len(set(begun)) == 1
+    assert begun[0] is not threading.main_thread()
+
+
+def test_unresolved_fp_decay_leaves_no_thread(tmp_path, capsys):
+    # the run of test_unresolved_fp_decay_exits_4_with_partial_outputs:
+    # the worker's ResolutionError reaches the main thread after tau = 0
+    # is recorded, and the worker is joined
+    out = str(tmp_path / "out")
+    threads = threading.active_count()
+    assert main(["fp-decay", "--initial-data", "gaussian", "--grid-n", "32",
+                 "--grid-l", "16", "--t-end", "3.2", "--out", out]) == 4
+    assert threading.active_count() == threads
+    assert "ResolutionError" in capsys.readouterr().err
+    summary = read_lines(os.path.join(out, "summary.txt"))
+    assert summary_value(summary, "samples recorded before failure:") == "1"
+
+
+def test_fp_decay_record_failure_joins_the_worker_mid_flow(tmp_path,
+                                                           monkeypatch):
+    # record fails at sample 3 once the worker has begun sample 4's flow:
+    # the three samples before it are written, the summary is FAILED and
+    # the worker is joined before the error leaves the run
+    recorded, flowing_4 = [], threading.Event()
+
+    def flow(f, taus, ws):
+        for i, omega in enumerate(fokker_planck.semigroup_flow(f, taus, ws)):
+            yield omega
+            if i == 3:      # the worker begins sample 4 and stays in its
+                flowing_4.set()     # flow for 0.2 s, so a run that did
+                time.sleep(0.2)     # not join it would leave it alive
+
+    def failing_record(state, opts, ws=None):
+        if len(recorded) == 3:
+            assert flowing_4.wait(30)
+            raise GridError("record failed at sample 3")
+        recorded.append(state)
+        return diagnostics.record(state, opts, ws)
+
+    monkeypatch.setattr(runner, "semigroup_flow", flow)
+    monkeypatch.setattr(runner, "record", failing_record)
+    out = tmp_path / "out"
+    threads = threading.active_count()
+    with pytest.raises(GridError):
+        run_experiment(parse_config("mode = fp-decay\n" + FP_DECAY_N128),
+                       str(out))
+    assert threading.active_count() == threads
+    assert len(recorded) == 3
+    assert len(read_lines(out / "diagnostics.csv")) == 4
+    summary = read_lines(out / "summary.txt")
+    assert summary[0] == "status: FAILED GridError: record failed at sample 3"
+    assert summary_value(summary, "samples recorded before failure:") == "3"
+    assert sorted(p for p in os.listdir(out) if p.endswith(".snap")) == [
+        f"state_{i:05d}.snap" for i in range(3)]
 
 
 def test_simulate_artifacts(simulate_runs):

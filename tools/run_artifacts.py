@@ -6,10 +6,12 @@ Usage: python tools/run_artifacts.py OUT
 
 Runs in-process, each into OUT/<name>/: the three benchmark workloads
 (perfbench/run.py's config_text(workload, 1)), a linear run with a
-snapshot every second sample, a probe run at n = 64 and a simulate run
-at n = 64 that fails. Then writes OUT/src_code_lines.txt: the code lines
-of each module under src/shearvortex and their total, counted with
-tokenize and ast (comments, blank lines and docstrings left out).
+snapshot every second sample, a probe run at n = 64, a simulate run at
+n = 64 that fails, and an fp-decay run at n = 32 that fails (its flow
+raises on the worker thread after the first sample is recorded). Then
+writes OUT/src_code_lines.txt: the code lines of each module under
+src/shearvortex and their total, counted with tokenize and ast
+(comments, blank lines and docstrings left out).
 
 A refactor that keeps the numbers leaves every file identical: run this
 script in two checkouts and compare the outputs with diff -r; only
@@ -48,12 +50,15 @@ from shearvortex import ShearVortexError, parse_config, run_experiment  # noqa: 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
 
 # runs beside the workloads, as overrides of the config defaults; the
-# simulate run's Gaussian is under-resolved at n = 64, so it fails after
-# its first sample with ResolutionError
+# simulate run's Gaussian is under-resolved at n = 64 and the fp-decay
+# run's at n = 32 on L = 16, so each fails after its first sample with
+# ResolutionError
 EXTRA_RUNS = {
     "linear": "mode = linear\ngrid_n = 128\nt_end = 10\nsnapshot_cadence = 2\n",
     "probe": "mode = probe\ngrid_n = 64\nt_end = 10\n",
     "simulate-fails": "mode = simulate\ngrid_n = 64\nt_end = 2\n",
+    "fp-decay-fails": ("mode = fp-decay\ninitial_data = gaussian\n"
+                       "grid_n = 32\ngrid_l = 16\nt_end = 3.2\n"),
 }
 
 
