@@ -10,8 +10,9 @@ read off one Gram table: the weighted-L2 inner products of the samples
 streams in from spectral.derivative_pass; this module takes no
 transform of its own. record measures the distance to alpha times the
 fixed Gaussian from samples as well. record and the energy pair run
-their large temporaries in a spectral.Arena, the run's when the caller
-hands one down, so a run's samples reuse the same slabs and weights.
+their large temporaries in the calling thread's arena scope
+(spectral.arena_scope), so the samples of a run that opens one reuse
+the same slabs and weights.
 """
 
 import math
@@ -25,7 +26,7 @@ from .errors import DomainError, FitError, GridError, check_real, check_time
 from .grid import Field, Frame
 from .propagator import apply_semigroup as heat_shear_semigroup
 from .selfsim import invert_frame_laplacian
-from .spectral import (Arena, derivative, derivative_pass, lp_norm,
+from .spectral import (arena_scope, derivative, derivative_pass, lp_norm,
                        lp_samples, mass, sample_values, weighted_l2,
                        weighted_norm)
 
@@ -114,7 +115,7 @@ class DiagnosticsRecord:
     dissipation: float = None
 
 
-def record(state, opts=None, ws=None):
+def record(state, opts=None):
     """Compute the configured diagnostics for one frame state.
 
     convergence_L2m is the weighted-L2 distance to alpha times the fixed
@@ -127,12 +128,12 @@ def record(state, opts=None, ws=None):
     the axis-0 inverse transform on slab 4, shared with the energy
     pair's x-order-0 derivatives, then the axis-1 inverse real one into
     the values the state's Field keeps, so that a snapshot reads them.
-    Every large temporary runs in the arena ws (spectral.Arena; its own
-    if None): the distance to the Gaussian, |omega| and the quadratures'
-    products on slabs 0-2, then the energy pair, and each weight <x>^m
-    is the arena's, formed once per arena. opts must be a RecordOptions
-    (DomainError otherwise); a column that is not finite raises
-    GridError.
+    Every large temporary runs in the calling thread's arena scope
+    (spectral.arena_scope; one of its own if none is open): the distance
+    to the Gaussian, |omega| and the quadratures' products on slabs 0-2,
+    then the energy pair, and each weight <x>^m is the arena's, formed
+    once per arena. opts must be a RecordOptions (DomainError
+    otherwise); a column that is not finite raises GridError.
     """
     if opts is None:
         opts = RecordOptions()
@@ -140,26 +141,25 @@ def record(state, opts=None, ws=None):
         raise DomainError(f"record options must be RecordOptions, got {opts!r}")
     om = state.omega
     grid = om.grid
-    ws = Arena(grid) if ws is None else ws
-    v, mixed0 = sample_values(om, ws, 4)
-    (diff,), (mag,), (scratch,) = (ws.take(i, (v.shape, float)) for i in range(3))
-    np.subtract(v, np.multiply(grid.gaussian_values, state.alpha, out=diff), out=diff)
-    powers = {m: ws.weight(m) for m in opts.weight_exponents}
-    np.abs(v, out=mag)
-    lp = {p: lp_samples(mag, grid, p, scratch) for p in P_GRID}
-    weighted = {(m, 0, 0): weighted_l2(powers[m], v, grid, scratch)
+    with arena_scope() as ws:
+        v, mixed0 = sample_values(om, 4)
+        (diff,), (mag,), (scratch,) = (ws.take(i, (v.shape, float)) for i in range(3))
+        np.subtract(v, np.multiply(grid.gaussian_values, state.alpha, out=diff), out=diff)
+        powers = {m: ws.weight(grid, m) for m in opts.weight_exponents}
+        np.abs(v, out=mag)
+        lp = {p: lp_samples(mag, grid, p, scratch) for p in P_GRID}
+        weighted = {(m, 0, 0): weighted_l2(powers[m], v, grid, scratch)
+                    for m in opts.weight_exponents}
+        conv = {m: weighted_l2(powers[m], diff, grid, scratch)
                 for m in opts.weight_exponents}
-    conv = {m: weighted_l2(powers[m], diff, grid, scratch)
-            for m in opts.weight_exponents}
-    conv_l1 = lp_samples(np.abs(diff, out=mag), grid, 1.0)
-    total = float(mass(om))
-    if not all(map(math.isfinite, (total, conv_l1, *lp.values(),
-                                   *weighted.values(), *conv.values()))):
-        raise GridError("a diagnostic of the state is not finite")
-    e = d = None
-    if opts.energy is not None:
-        e, d = energy_functionals(om, state.t, opts.energy, ws=ws,
-                                  mixed0=mixed0)
+        conv_l1 = lp_samples(np.abs(diff, out=mag), grid, 1.0)
+        total = float(mass(om))
+        if not all(map(math.isfinite, (total, conv_l1, *lp.values(),
+                                       *weighted.values(), *conv.values()))):
+            raise GridError("a diagnostic of the state is not finite")
+        e = d = None
+        if opts.energy is not None:
+            e, d = energy_functionals(om, state.t, opts.energy, mixed0=mixed0)
     return DiagnosticsRecord(
         t=state.t, tau=state.tau, mass=total, lp_norms=lp,
         weighted=weighted, convergence_L2m=conv,
@@ -228,7 +228,7 @@ _ORDERS = tuple(sorted({o for row in _E_TERMS + _D_TERMS for o in row[2:]
 _CROSS = {a: b for _, _, a, b in _E_TERMS if a != b}
 
 
-def energy_functionals(omega, t, coef, weight=None, ws=None, mixed0=None):
+def energy_functionals(omega, t, coef, weight=None, mixed0=None):
     """The energy E(t) and dissipation D(t) of the hypocoercive pair.
 
     Both sum rows of one Gram table of weighted-L2 inner products of the
@@ -239,20 +239,18 @@ def energy_functionals(omega, t, coef, weight=None, ws=None, mixed0=None):
     spectral.derivative_pass: each square sum is taken as its sample
     arrives, and each cross pair when its later factor does, so at most
     one earlier factor is held. The pass and f_0 run on slabs 0-3 of the
-    arena ws (spectral.Arena; its own if None). weight holds the (n, n)
-    samples of <x>^m when the caller has them, else the arena's are
-    used, and mixed0 the axis-0 inverse transform of omega's spectrum
-    when the caller has it (record), which the x-order-0 derivatives
-    read; a sample or square sum that is not finite raises GridError.
+    calling thread's arena scope (spectral.arena_scope; one of its own
+    if none is open). weight holds the (n, n) samples of <x>^m when the
+    caller has them, else the arena's are used, and mixed0 the axis-0
+    inverse transform of omega's spectrum when the caller has it
+    (record), which the x-order-0 derivatives read; a sample or square
+    sum that is not finite raises GridError.
     """
     t = check_time(t, "energy time")
     if t < coef.t0:
         raise DomainError(f"energy functionals need t >= t0 = {coef.t0}")
     grid = omega.grid
-    ws = Arena(grid) if ws is None else ws
-    if weight is None:
-        weight = ws.weight(coef.m)
-    elif np.shape(weight) != (grid.n, grid.n):
+    if weight is not None and np.shape(weight) != (grid.n, grid.n):
         raise GridError(f"weight shape {np.shape(weight)} != "
                         f"({grid.n}, {grid.n})")
     log = float(np.log(t / coef.t0))
@@ -267,16 +265,18 @@ def energy_functionals(omega, t, coef, weight=None, ws=None, mixed0=None):
             raise GridError(f"weighted derivative {o} of the field is not "
                             "finite")
 
-    f0, = ws.take(2, ((grid.n, grid.n), float))
-    square((0, 0), np.multiply(weight, omega.values, out=f0))
-    for o, f in derivative_pass(omega.coeffs, grid, _ORDERS[1:], ws,
-                                _CROSS.values(), mixed0):
-        f *= weight
-        square(o, f)
-        if o in _CROSS:
-            gram[o, _CROSS[o]] = float(np.vdot(f, kept.pop(_CROSS[o]))) * h2
-        elif o in _CROSS.values():
-            kept[o] = f
+    with arena_scope() as ws:
+        weight = ws.weight(grid, coef.m) if weight is None else weight
+        f0, = ws.take(2, ((grid.n, grid.n), float))
+        square((0, 0), np.multiply(weight, omega.values, out=f0))
+        for o, f in derivative_pass(omega.coeffs, grid, _ORDERS[1:],
+                                    _CROSS.values(), mixed0):
+            f *= weight
+            square(o, f)
+            if o in _CROSS:
+                gram[o, _CROSS[o]] = float(np.vdot(f, kept.pop(_CROSS[o]))) * h2
+            elif o in _CROSS.values():
+                kept[o] = f
     e = sum(cs[ci] * log ** lp * gram[a, b] for ci, lp, a, b in _E_TERMS)
     d = sum(cs[ci] * log ** lp
             * (gram[b, b] + (decay * gram[a, a] if a is not None else 0.0))

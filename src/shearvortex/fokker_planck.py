@@ -11,9 +11,9 @@ shear, so the kernel's trig-exact read takes both of its stages: an FFT
 shear, then the dense affine scaling that also changes the self-similar
 frame. semigroup_flow advances one field to each time of a list: it vets
 the field and forms its shear rows (spectral.shear_rows) once, then runs
-the damping and the flow (spectral.flow_rows) per time, in a
-spectral.Arena, the run's when the caller hands one down; each result is
-a Field of its own. apply_semigroup is its one-time case.
+the damping and the flow (spectral.flow_rows) per time, in the calling
+thread's arena scope (spectral.arena_scope); each result is a Field of
+its own. apply_semigroup is its one-time case.
 """
 
 from dataclasses import dataclass
@@ -23,8 +23,8 @@ import numpy as np
 from .errors import (ResolutionError, UnsupportedOrderError,
                      check_order, check_reals, check_time, check_times)
 from .grid import Field
-from .spectral import (Arena, _spectrum_tail, derivative_symbol, flow_rows,
-                       shear_rows)
+from .spectral import (_spectrum_tail, arena_scope, derivative_symbol,
+                       flow_rows, shear_rows)
 
 SQRT3 = np.sqrt(3.0)
 
@@ -114,7 +114,7 @@ def char_map(tau):
     )
 
 
-def apply_semigroup(f, tau, ws=None):
+def apply_semigroup(f, tau):
     """Advance a field by the limit semigroup over a time tau >= 0: the
     one-tau case of semigroup_flow, whose arena use it shares.
 
@@ -124,41 +124,44 @@ def apply_semigroup(f, tau, ws=None):
     characteristic shift moves significant content across the band and
     the result is unreliable.
     """
-    return next(semigroup_flow(f, (tau,), ws))
+    return next(semigroup_flow(f, (tau,)))
 
 
-def semigroup_flow(f, taus, ws=None):
+def semigroup_flow(f, taus):
     """Yield f advanced by the limit semigroup to each tau >= 0 of taus in
     turn, each a Field of its own; a tau of 0 yields f itself.
 
     The work on f alone is done once, at the first positive tau: its tail
     check (ResolutionError unless its spectrum is resolved) and its shear
     rows (spectral.shear_rows). So a run's samples share it, and a
-    sample at tau = 0 is yielded before an unresolved f raises. Every
-    large temporary runs in the arena ws (spectral.Arena; its own if
-    None): the tail check and each tau's damping on slab 4, the rows on
-    slab 5 for the whole flow, and each flow (spectral.flow_rows) on
-    slabs 0-3. So a caller on the same thread may use slabs 0-4 between
-    two samples; fp-decay's runner advances the flow on a worker thread
-    instead, in an arena of its own, while it records the sample before.
+    sample at tau = 0 is yielded before an unresolved f raises. Each
+    sample's large temporaries run in the arena scope of the thread that
+    asks for it (spectral.arena_scope; one of its own if none is open),
+    never held open across a yield: the tail check and each tau's
+    damping on slab 4, the rows on slab 5, kept for the whole flow, and
+    each flow (spectral.flow_rows) on slabs 0-3. So a caller in the same
+    scope may use slabs 0-4 between two samples; fp-decay's runner
+    advances the flow on a worker thread instead, in that thread's scope,
+    while it records the sample before in its own.
     """
     grid = f.grid
-    ws = Arena(grid) if ws is None else ws
     rows = None
     for tau in taus:
         tau = check_time(tau, "tau")
         if tau == 0.0:
             yield f
             continue
-        damping, = ws.take(4, (f.coeffs.shape, float))
-        if rows is None:
-            r = _spectrum_tail(f.coeffs, grid, damping)
-            if r > RESOLVED_TAIL_TOL:
-                raise ResolutionError(
-                    f"spectrum not resolved: outer-band ratio {r:.2e} "
-                    f"exceeds {RESOLVED_TAIL_TOL:g}")
-            rows = shear_rows(f.coeffs, grid, ws, 5)
-        cm = char_map(tau)
-        m = (cm.m11, cm.m12), (cm.m21, cm.m22)    # m11 > 0 for every tau >= 0
-        np.exp(_exponent(np.exp(-tau), *grid.wavegrid(), damping), out=damping)
-        yield Field(grid, coeffs=flow_rows(rows, grid, m, damping, ws))
+        with arena_scope() as ws:
+            damping, = ws.take(4, (f.coeffs.shape, float))
+            if rows is None:
+                r = _spectrum_tail(f.coeffs, grid, damping)
+                if r > RESOLVED_TAIL_TOL:
+                    raise ResolutionError(
+                        f"spectrum not resolved: outer-band ratio {r:.2e} "
+                        f"exceeds {RESOLVED_TAIL_TOL:g}")
+                rows = shear_rows(f.coeffs, grid, 5)
+            cm = char_map(tau)
+            m = (cm.m11, cm.m12), (cm.m21, cm.m22)    # m11 > 0 for every tau >= 0
+            np.exp(_exponent(np.exp(-tau), *grid.wavegrid(), damping), out=damping)
+            omega = Field(grid, coeffs=flow_rows(rows, grid, m, damping))
+        yield omega

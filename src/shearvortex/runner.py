@@ -10,9 +10,10 @@ fp-decay flows its initial field through one fokker_planck.semigroup_flow
 over the run's times. No flow reads the previous sample's record, so the
 flow runs on one worker thread, one sample ahead of the recorder
 (_one_ahead): sample i + 1 flows while the main thread records sample i,
-and the worker is joined before the run returns or raises. Each thread
-owns one spectral.Arena for the run, the worker's for the flow and the
-main thread's for the recorder, so each side's large temporaries reuse
+and the worker closes the flow and is joined before the run returns or
+raises. Each thread opens one arena scope for the run
+(spectral.arena_scope), the worker around its flow loop and the main
+thread around its record loop, so each side's large temporaries reuse
 its own slabs. The main thread writes every CSV row and snapshot, in
 sample order.
 
@@ -25,6 +26,7 @@ the same config reproduces every artifact byte for byte.
 
 import os
 import threading
+from contextlib import closing
 
 import numpy as np
 
@@ -51,7 +53,7 @@ from .selfsim import (
     sample_schedule,
 )
 from .snapshot import write_snapshot
-from .spectral import Arena, lp_norm, mass
+from .spectral import arena_scope, lp_norm, mass
 
 PROBE_ENSEMBLE_SIZE = 10
 PROBE_TIMES = 5
@@ -121,8 +123,8 @@ class _Recorder:
         self.records = []
         self.index = 0
 
-    def __call__(self, state, ws=None):
-        rec = record(state, self.opts, ws)
+    def __call__(self, state):
+        rec = record(state, self.opts)
         self.records.append(rec)
         if self.cadence and self.index % self.cadence == 0:
             write_snapshot(state, os.path.join(
@@ -267,16 +269,14 @@ def _run_fp_decay(cfg, recorder):
     f0.coeffs       # formed here: the worker and record both read them
     taus = sample_schedule(cfg.t_init, cfg.t_end, cfg.samples_per_decade)
     taus = [s - taus[0] for s in taus]
-    ws = Arena(frame_grid)      # record's; the flow runs in its own
-    flow = _one_ahead(semigroup_flow(f0, taus, Arena(frame_grid)))
-    try:
+    # record's scope; the flow's worker opens its own, and closing the
+    # flow joins the worker
+    with arena_scope(), closing(_one_ahead(semigroup_flow(f0, taus))) as flow:
         for tau, omega in zip(taus, flow):
             state = SelfSimilarState(omega=omega,
                                      t=float(cfg.t_init * np.exp(tau)),
                                      nu=cfg.nu, alpha=alpha)
-            recorder(state, ws)
-    finally:
-        flow.close()            # joins the worker
+            recorder(state)
     recs = recorder.records
     m_fit = 3.0 if 3.0 in cfg.weights else cfg.weights[-1]
     series = [(r.t, r.weighted[(m_fit, 0, 0)]) for r in recs]
@@ -290,21 +290,24 @@ def _run_fp_decay(cfg, recorder):
 
 
 def _one_ahead(items):
-    """Yield the items of the iterator items in turn, each computed on one
-    worker thread while the caller holds the item before it, so the
-    worker runs at most one item ahead. An exception that items raises
-    is raised here in its turn, after the items before it. The worker is
-    joined when this generator returns, raises or is closed."""
+    """Yield the items of the generator items in turn, each computed on
+    one worker thread, in an arena scope of its own, while the caller
+    holds the item before it, so the worker runs at most one item ahead.
+    An exception that items raises is raised here in its turn, after the
+    items before it. When this generator returns, raises or is closed,
+    the worker closes items, so their cleanup runs on its thread, and is
+    joined."""
     turn, ready = threading.Semaphore(0), threading.Semaphore(0)
     outcome, stop = [None, None], []
 
     def work():
-        while turn.acquire() and not stop:
-            try:
-                outcome[:] = next(items), None
-            except BaseException as exc:    # re-raised by the reader
-                outcome[:] = None, exc
-            ready.release()
+        with arena_scope(), closing(items):
+            while turn.acquire() and not stop:
+                try:
+                    outcome[:] = next(items), None
+                except BaseException as exc:    # re-raised by the reader
+                    outcome[:] = None, exc
+                ready.release()
 
     worker = threading.Thread(target=work, name="shearvortex-flow")
     worker.start()

@@ -32,9 +32,10 @@ from .errors import (BlowUpError, DomainError, GridError, ResolutionError,
                      check_reals, check_time, check_times)
 from .grid import Field, Frame
 from .spectral import (
+    arena_scope,
     check_localized,
+    drift_arrays,
     drift_divergence,
-    drift_workspace,
     inverse_laplacian,
     kept_cols,
     mass,
@@ -232,7 +233,7 @@ def invert_frame_laplacian(f, t):
     return inverse_laplacian(f, _laplacian_symbol(f.grid, FrameCoefficients.at_time(t)))
 
 
-def _drift_spectrum(c, co, grid, ws=None, symbol=None):
+def _drift_spectrum(c, co, grid, symbol=None):
     """Half spectrum of the first- and zeroth-order terms of the generator
     with coefficients co, applied to the field f with half spectrum c.
 
@@ -248,18 +249,18 @@ def _drift_spectrum(c, co, grid, ws=None, symbol=None):
     differentiates spectrally. The derivative multipliers vanish at the
     zero mode, so the terms carry no mass by construction.
 
-    ws and symbol are drift_divergence's: the workspace (fresh if None)
-    and, when given, the frame Laplacian symbol under which the field's
-    transport rides in the same transforms. A co of None runs the
+    symbol is drift_divergence's: when given, the frame Laplacian symbol
+    under which the field's transport rides in the same transforms, left
+    in the drift arrays (spectral.drift_arrays). A co of None runs the
     transport alone and returns None.
     """
     a = None if co is None else (
         (co.dil1, -(co.dil1 * co.mix + co.rot)),
         (co.rot - co.mix * co.dil1, co.dil2 + co.mix * co.mix * co.dil1))
-    return drift_divergence(c, a, grid, ws, symbol)
+    return drift_divergence(c, a, grid, symbol)
 
 
-def _frame_rhs(c, co, grid, shift=0.0, nu=None, sym=None, ws=None, out=None):
+def _frame_rhs(c, co, grid, shift=0.0, nu=None, sym=None, out=None):
     """Half spectrum of the frame equation's explicit terms with
     coefficients co for the field with half spectrum c: drifts, constant,
     the diffusion minus the integrating-factor symbol shift and, when nu
@@ -271,34 +272,33 @@ def _frame_rhs(c, co, grid, shift=0.0, nu=None, sym=None, ws=None, out=None):
     the shift itself, the (sym - shift) c term is exactly zero and is
     skipped. A shift of None leaves out the drifts, the constant and the
     diffusion: the result is the advection term alone (nonlinear_term).
-    ws is the workspace (spectral.drift_workspace, with transport exactly
-    when nu is given; fresh if None) and out the array the result is
-    written to (fresh if None). c may be ws's first mixed array, which is
-    overwritten.
+    out is the array the result is written to (fresh if None). c may be
+    the first of spectral.drift_arrays' mixed arrays (with transport
+    exactly when nu is given), which is overwritten.
 
     A nonlinear right-hand side makes 15 one-axis transform passes in six
     numpy calls, all in spectral.drift_divergence, where the transport
     rides in the drift's transforms; a linear one makes five passes in
     four calls.
     """
-    if ws is None:
-        ws = drift_workspace(grid, nu is not None)
     if sym is None:
         sym = _laplacian_symbol(grid, co)
     if out is None:
         out = np.empty((grid.n, grid.half_cols), dtype=np.complex128)
     symbol = None if nu is None else sym
-    if shift is None:
-        _drift_spectrum(c, None, grid, ws, symbol)
-        return np.multiply(ws[0][2], -(co.nonlin / nu), out=out)
-    if sym is shift:
-        np.copyto(out, _drift_spectrum(c, co, grid, ws, symbol))
-    else:
-        np.multiply(sym - shift, c, out=out)
-        out += _drift_spectrum(c, co, grid, ws, symbol)
+    with arena_scope():
+        mixed, _ = drift_arrays(grid, nu is not None)
+        if shift is None:
+            _drift_spectrum(c, None, grid, symbol)
+            return np.multiply(mixed[2], -(co.nonlin / nu), out=out)
+        if sym is shift:
+            np.copyto(out, _drift_spectrum(c, co, grid, symbol))
+        else:
+            np.multiply(sym - shift, c, out=out)
+            out += _drift_spectrum(c, co, grid, symbol)
     if nu is not None:
         m = kept_cols(grid)
-        advection = ws[0][2][:, :m]
+        advection = mixed[2][:, :m]
         advection *= -(co.nonlin / nu)
         out[:, :m] += advection
     return out
@@ -394,7 +394,7 @@ def evolve(state, t_end, dtau=2e-3, nonlinear=True, on_tail="error"):
     and the frozen-symbol correction) advance with an explicit third-order
     Runge-Kutta stage cycle, which keeps the skew drift terms inside the
     stability region. The steps run on arrays, the half spectrum of the
-    state, in one workspace per call (_march); Fields are built only for
+    state, in one arena scope per call (_march); Fields are built only for
     the result, the tail monitor and a blow-up's last state. The tail
     monitor runs every MONITOR_EVERY steps and on the result, and on_tail
     (one of TAIL_ACTIONS) says what a resolution loss does. Callers that
@@ -411,8 +411,9 @@ def evolve(state, t_end, dtau=2e-3, nonlinear=True, on_tail="error"):
         return state
     if math.log(t_end / state.t) / dtau > MAX_STEPS:
         raise DomainError(f"ln(t_end/t) / dtau exceeds {MAX_STEPS:g} steps")
-    c, tau = _march(state, float(np.log(t_end)), dtau,
-                    state.nu if nonlinear else None, on_tail)
+    with arena_scope():     # _march's drift arrays, dropped with the call
+        c, tau = _march(state, float(np.log(t_end)), dtau,
+                        state.nu if nonlinear else None, on_tail)
     state = replace(state, omega=Field(state.omega.grid, coeffs=c),
                     t=float(np.exp(tau)))
     _tail_monitor(state.omega, on_tail, state.t)
@@ -424,24 +425,25 @@ def _march(state, target, dtau, nu, on_tail):
     viscosity nu unless it is None: the half spectrum there and its
     log-time.
 
-    Every right-hand side and stage runs in arrays allocated here, once:
-    the right-hand sides' workspace (drift_workspace), the accepted and
-    the trial spectrum, two stage slopes and one integrating factor,
-    which holds Eh = exp(h sym_mid / 2) until k2 is weighted and
-    E = exp(h sym_mid) after. Each stage's input is formed in the
-    workspace's first mixed array, which the right-hand side then
-    overwrites, and its last is scratch between right-hand sides. The
-    stage combinations are formed in place with the association of the
-    classic formulas, k1 being folded into E k1 + 4 Eh k2 before k3 takes
-    k2's place; the midpoint stage reuses sym_mid as its frame symbol.
-    The tail monitor reads the accepted spectrum in the workspace's first
-    two mixed arrays and first samples array, which hold nothing between
-    right-hand sides. The workspace is freed with the call.
+    Every right-hand side and stage runs in arrays taken here, once: the
+    right-hand sides' drift arrays (spectral.drift_arrays, in evolve's
+    arena scope), and, allocated, the accepted and the trial
+    spectrum, two stage slopes and one integrating factor, which holds
+    Eh = exp(h sym_mid / 2) until k2 is weighted and E = exp(h sym_mid)
+    after. Each stage's input is formed in the first mixed drift array,
+    which the right-hand side then overwrites, and the last is scratch
+    between right-hand sides. The stage combinations are formed in place
+    with the association of the classic formulas, k1 being folded into
+    E k1 + 4 Eh k2 before k3 takes k2's place; the midpoint stage reuses
+    sym_mid as its frame symbol.
+    The tail monitor reads the accepted spectrum in the first two mixed
+    and the first samples drift arrays, which hold nothing between
+    right-hand sides.
     """
     grid = state.omega.grid
     shape = (grid.n, grid.half_cols)
-    ws = drift_workspace(grid, nu is not None)
-    stage, scratch = ws[0][0], ws[0][-1]
+    mixed, samples = drift_arrays(grid, nu is not None)
+    stage, scratch = mixed[0], mixed[-1]
     c, trial, k1, k2 = np.empty((4, *shape), dtype=np.complex128)
     E = np.empty(shape)
     np.copyto(c, state.omega.coeffs)
@@ -470,12 +472,12 @@ def _march(state, target, dtau, nu, on_tail):
                 sym_mid = _laplacian_symbol(grid, co_mid)
                 np.exp(np.multiply(0.5 * hh, sym_mid, out=E), out=E)   # Eh
                 _frame_rhs(trial, at_time(np.exp(tau_new)), grid, sym_mid, nu,
-                           ws=ws, out=k1)
+                           out=k1)
                 np.multiply(0.5 * hh, k1, out=stage)
                 stage += trial
                 stage *= E                            # Eh (c + h/2 k1)
                 _frame_rhs(stage, co_mid, grid, sym_mid, nu, sym=sym_mid,
-                           ws=ws, out=k2)
+                           out=k2)
                 k2 *= E                               # Eh k2
                 np.exp(np.multiply(hh, sym_mid, out=E), out=E)         # E
                 np.multiply(hh, k1, out=stage)
@@ -487,7 +489,7 @@ def _march(state, target, dtau, nu, on_tail):
                 k2 *= 4.0
                 k1 += k2                              # E k1 + 4 Eh k2
                 _frame_rhs(stage, at_time(np.exp(tau_new + hh)), grid, sym_mid,
-                           nu, ws=ws, out=k2)         # k3
+                           nu, out=k2)                # k3
                 k1 += k2
                 k1 *= hh / 6.0
                 trial *= E
@@ -512,6 +514,6 @@ def _march(state, target, dtau, nu, on_tail):
         tau = tau_new
         steps_done += 1
         if steps_done % MONITOR_EVERY == 0:
-            _tail_monitor(tail_ratios(c, grid, ws[0][:2], ws[1][0]), on_tail,
+            _tail_monitor(tail_ratios(c, grid, mixed[:2], samples[0]), on_tail,
                           np.exp(tau))
     return c, tau

@@ -12,9 +12,9 @@ Every spectrum is a half spectrum, the rfft2 layout of a Field's coeffs
 (see grid). Column 0 and the Nyquist column n/2 are their own conjugate
 mirrors; the other columns stand for themselves and their mirror images.
 The shear mixes columns, so shear_spectrum runs on full rows, but only
-on rows 0..n/2 (_top_rows): rows j and n - j of a real field's spectrum are
-conjugate mirrors, and _mirror_rows, the one row completion, fills in
-rows n/2+1..n-1 of its output. The dense sums of affine_trig_sum and the
+on rows 0..n/2 (shear_rows): rows j and n - j of a real field's spectrum
+are conjugate mirrors, and _shear, the one row completion, fills in rows
+n/2+1..n-1 of its output. The dense sums of affine_trig_sum and the
 shear's phase fold by the mirror symmetry of grid.x and grid.k
 (x_{n-j} = -x_j, k_{n-j} = -k_j), so they take cosines and sines at
 n/2 + 1 points per axis; the shear's phase writes them as the real and
@@ -65,31 +65,46 @@ calls. derivative_pass samples derivatives of a half spectrum by the
 same row-column split: one axis-0 inverse transform per x-order, shared
 by that order's axis-1 inverse real transforms.
 
-Large temporaries run in an Arena: numbered slabs, each as large as one
-n x (n/2 + 1) complex array, allocated on first use and kept, plus the
-weight samples <x>^m. An arena serves one thread at a time. fp-decay's
-runner makes two for a run: one for the limit semigroup's flow, on its
-worker thread, and one for record, on the main thread. Each is handed
-down from sample to sample, so a sample loop reuses memory instead of
-freeing and faulting it in again; the flow keeps its input's shear rows
-on slab 5 of its arena for the whole run. record samples a state that
-holds only its half spectrum by axes (sample_values), the first stage
-on slab 4, and the energy pass's x-order-0 derivatives read that stage.
-A flow and a record may also share one arena when they run in turn on
-one thread, as the flow leaves slabs 0-4 free between samples. Kernels
-take their arrays as views of slabs (Arena.take) and name in their
-docstrings the slabs they write; a kernel given no arena makes its own,
-so a standalone call allocates what its temporaries need and no more. What a kernel returns
-on a slab is valid until the slab is taken again; outputs stay fresh
-because a Field copies the arrays it is built from.
+Large temporaries run in the calling thread's Arena, opened by
+arena_scope: numbered slabs of bytes, each allocated on first use and
+kept, plus the weight samples <x>^m of each grid. A kernel reads the
+thread's open arena; an entry point with none open opens one for its
+call, so a standalone call allocates what its temporaries need and its
+callees share them. A generator opens its scope per item, never across
+a yield. fp-decay's runner opens one scope on the main thread around
+its record loop, and its flow worker one around its own loop, so each
+side reuses its slabs from sample to sample instead of freeing and
+faulting them in again. What a kernel returns on a slab is valid until
+the slab is taken again; a Field copies the arrays it is built from.
+The slabs each kernel takes (its result's slab in brackets):
+
+    derivative_pass      0-1, each sample on 2 [2], or 3 if held [3]
+    shear_rows           i, default 0 [i]; 1 as scratch
+    _shear               0-2 [1; the mask on 2]
+    flow_rows            0-3, through _shear and scale_spectrum [1]
+    scale_spectrum       0-3, through affine_trig_sum [1]
+    affine_trig_sum      0-3 [1]
+    sample_values        i, the axis-0 stage [i]
+    semigroup_flow       4 (tail check, damping), 5 (its input's shear
+                         rows, for the whole flow), 0-3 (flow_rows)
+    record               0-2, 4 (sample_values), energy_functionals'
+    energy_functionals   2, derivative_pass's 0-3
+    drift_divergence     6, the drift arrays (drift_arrays)
+
+So a flow and a record may share one arena in turn on one thread, as
+the flow leaves slabs 0-4 free between samples, and the frame evolver's
+drift arrays sit beside both. propagator's Duhamel targets hold one
+characteristic_flow result (slab 1) while they compute the next, so no
+scope is opened around a run of the evolver, the Duhamel march or the
+probes: each kernel call there has an arena of its own.
 
 All operations assume smooth fields that decay well inside the box, so the
 periodic spectral representation is accurate. Quadrature is the rectangle
 rule, exact for resolved trigonometric content.
 """
 
-import functools
 import math
+import threading
 from itertools import groupby
 
 import numpy as np
@@ -99,27 +114,21 @@ from .errors import (DomainError, GridError, TruncationError,
 from .grid import MAX_DERIVATIVE_ORDER, Field
 
 
-@functools.cache
-def _itemsize(dtype):
-    return np.dtype(dtype).itemsize
-
-
 class Arena:
-    """The large temporaries of a run, on numbered slabs of n (n/2 + 1)
-    complex entries each (bytes, grown when a request is larger), and the
-    weight samples <x>^m; each is allocated on first use and kept.
+    """The large temporaries of one arena scope (arena_scope), on numbered
+    slabs of bytes, grown when a request is larger, and the weight
+    samples <x>^m of each grid; each is allocated on first use and kept
+    while the scope is open.
 
-    A run makes one and hands it down, so that one sample's kernels and
-    the next sample's reuse the same memory; a kernel given none makes
-    its own. An arena serves one thread at a time: kernels running at
-    once on two threads need one each. A kernel's docstring names the
+    A scope belongs to one thread: the kernels a thread runs in it share
+    its arena, one sample's and the next's alike, and kernels running at
+    once on two threads have one each. A kernel's docstring names the
     slabs it writes: callees get the slabs their caller is done with, and
     what a kernel returns on a slab is valid until that slab is taken
     again. Fields copy what they are given, so a Field built from a slab
     stays fresh."""
 
-    def __init__(self, grid=None):
-        self.grid = grid
+    def __init__(self):
         self._slabs, self._weights = [], {}
 
     def take(self, i, *specs):
@@ -127,22 +136,37 @@ class Arena:
         at 16-byte offsets; what slab i held before is overwritten."""
         spans, end = [], 0
         for shape, dtype in specs:
-            size = math.prod(shape) * _itemsize(dtype)
-            spans.append((end, size))
-            end += -(-size // 16) * 16
+            spans.append(end)
+            end += -(-math.prod(shape) * np.dtype(dtype).itemsize // 16) * 16
         self._slabs += [None] * (i + 1 - len(self._slabs))
         if self._slabs[i] is None or self._slabs[i].size < end:
-            least = 16 * self.grid.n * self.grid.half_cols if self.grid else 0
-            self._slabs[i] = np.empty(max(end, least), dtype=np.uint8)
-        return [self._slabs[i][at:at + size].view(dtype).reshape(shape)
-                for (at, size), (shape, dtype) in zip(spans, specs)]
+            self._slabs[i] = np.empty(end, dtype=np.uint8)
+        return [np.ndarray(shape, dtype, self._slabs[i], at)
+                for at, (shape, dtype) in zip(spans, specs)]
 
-    def weight(self, m):
+    def weight(self, grid, m):
         """weight_samples(grid, m), formed once."""
-        m = _weight_exponent(m)
-        if m not in self._weights:
-            self._weights[m] = weight_samples(self.grid, m)
-        return self._weights[m]
+        if (grid, m) not in self._weights:
+            self._weights[grid, m] = weight_samples(grid, m)
+        return self._weights[grid, m]
+
+
+_scope = threading.local()      # .arena: the thread's open Arena, or None
+
+
+class arena_scope:
+    """The calling thread's open Arena, for a with block: the kernels the
+    block calls take their large temporaries from it. With none open, a
+    fresh one is opened for the block and dropped when it exits, by an
+    exception too; else the open one serves and stays open."""
+
+    def __enter__(self):
+        self.outer = getattr(_scope, "arena", None)
+        _scope.arena = self.outer or Arena()
+        return _scope.arena
+
+    def __exit__(self, *exc):
+        _scope.arena = self.outer
 
 
 def derivative(f, a, b):
@@ -169,7 +193,7 @@ def derivative_symbol(grid, a, b):
     return mult
 
 
-def derivative_pass(c, grid, orders, ws=None, held=(), mixed0=None):
+def derivative_pass(c, grid, orders, held=(), mixed0=None):
     """Yield (order, samples) of d^a/dx1^a d^b/dx2^b of the real field with
     half spectrum c for each order (a, b) in orders, in ascending order,
     and no Field. irfft2 splits by rows and columns, so the orders of one
@@ -179,25 +203,26 @@ def derivative_pass(c, grid, orders, ws=None, held=(), mixed0=None):
     mixed0, when given, is the axis-0 inverse transform of c itself (as
     sample_values leaves it), which the orders with a = 0 read instead.
 
-    The pass runs on slabs 0 and 1 of the arena ws (its own if None), and
-    each samples array is slab 2, valid until the next order is yielded,
-    or slab 3 for an order in held, valid until the next such order: a
-    caller that keeps one sample across others names its order in held,
-    and overwrites any sample at will. Unlike a Field's, the samples are
+    Each order runs in the calling thread's arena scope (opened per order,
+    never across a yield), on slabs 0 and 1, and each samples array is
+    slab 2, valid until the next order is yielded, or slab 3 for an order
+    in held, valid until the next such order: a caller that keeps one
+    sample across others names its order in held, and overwrites any
+    sample at will. Unlike a Field's, the samples are
     not checked for finiteness."""
     d, h, n = grid.multipliers, grid.half_cols, grid.n
-    ws = Arena(grid) if ws is None else ws
-    (mixed,), (product,) = (ws.take(i, (c.shape, complex)) for i in (0, 1))
     for a, group in groupby(sorted(orders), key=lambda o: o[0]):
-        if a or mixed0 is None:
-            spec = _scaled(c, d[a][:, None], product) if a else c
-            read = np.fft.ifft(spec, axis=0, norm="forward", out=mixed)
-        else:
-            read = mixed0
+        read = None if a else mixed0
         for o in group:
-            spec = _scaled(read, d[o[1]][:h], product) if o[1] else read
-            out, = ws.take(3 if o in held else 2, ((n, n), float))
-            yield o, np.fft.irfft(spec, axis=1, norm="forward", out=out)
+            with arena_scope() as ws:
+                (mixed,), (product,) = (ws.take(i, (c.shape, complex)) for i in (0, 1))
+                if read is None:
+                    spec = _scaled(c, d[a][:, None], product) if a else c
+                    read = np.fft.ifft(spec, axis=0, norm="forward", out=mixed)
+                spec = _scaled(read, d[o[1]][:h], product) if o[1] else read
+                out, = ws.take(3 if o in held else 2, ((n, n), float))
+                samples = np.fft.irfft(spec, axis=1, norm="forward", out=out)
+            yield o, samples
 
 
 def _scaled(a, factor, out):
@@ -260,37 +285,6 @@ def biot_savart(omega, symbol=None):
                        derivative_symbol(grid, 0, 1),
                        np.empty((2, grid.n, grid.half_cols), dtype=np.complex128))
     return Field(grid, coeffs=u1), Field(grid, coeffs=u2)
-
-
-def _top_rows(c, top, mirror):
-    """Write into top rows 0..n/2 of the full spectrum of the real field
-    with half spectrum c, (n/2 + 1) x n: columns 0..n/2 are c's, and
-    columns n/2+1..n-1 mirror c's columns n/2-1..1 by Hermitian symmetry;
-    the self-mirrored columns 0 and n/2 take their Hermitian part, which
-    is what irfft2 reads of them. mirror, (n/2 + 1) x (n/2 + 1), is
-    scratch."""
-    n = c.shape[0]
-    h = n // 2 + 1
-    mirror[0] = c[0]                                  # conj(c[-j, l])
-    mirror[1:] = c[:n // 2 - 1:-1]
-    np.conjugate(mirror, out=mirror)
-    top[:, :h] = c[:h]
-    top[:, h:] = mirror[:, h - 2:0:-1]
-    for col in (0, n // 2):
-        top[:, col] = 0.5 * (c[:h, col] + mirror[:, col])
-
-
-def _mirror_rows(top, out):
-    """Write into out, n x cols, the first cols columns of the n x n array
-    H with H[-j, -l] = conj(H[j, l]) (indices mod n) whose rows 0..n/2
-    are top, an (n/2 + 1) x n array: rows n/2+1..n-1 are the conjugate
-    mirrors of rows n/2-1..1, and rows 0 and n/2 are top's as they are."""
-    h, n = top.shape
-    cols = out.shape[1]
-    out[:h] = top[:, :cols]
-    rows = top[h - 2:0:-1]                            # rows n/2-1..1
-    np.conjugate(rows[:, :1], out=out[h:, :1])
-    np.conjugate(rows[:, n - 1:n - cols:-1], out=out[h:, 1:])
 
 
 def spectrum_norm(c):
@@ -425,29 +419,28 @@ def pair_product(factors, pairs, grid):
     return _forward_product(pair_samples(factors, pairs), grid)
 
 
-def drift_workspace(grid, transport):
-    """The arrays drift_divergence runs in, as (mixed, samples): mixed
-    holds five n x (n/2 + 1) mixed (axis-0 physical, axis-1 spectral)
-    arrays, zero to start, and samples the axis-1 inverse real transforms
-    of the first five of them (with transport) or of the first alone.
-    Between calls they hold nothing, so a caller may form the next call's
-    input in mixed[0] and use mixed[-1] as scratch."""
-    n = grid.n
-    return (np.zeros((5, n, grid.half_cols), dtype=np.complex128),
-            np.empty((5 if transport else 1, n, n)))
+def drift_arrays(grid, transport):
+    """The arrays drift_divergence runs in, on slab 6 of the calling
+    thread's open arena, as (mixed, samples): mixed holds five
+    n x (n/2 + 1) mixed (axis-0 physical, axis-1 spectral) arrays, and
+    samples the axis-1 inverse real transforms of the first five of them
+    (with transport) or of the first alone. Between calls they hold
+    nothing, so a caller in the same scope may form the next call's input
+    in mixed[0] and use mixed[-1] as scratch."""
+    with arena_scope() as ws:
+        return ws.take(6, ((5, grid.n, grid.half_cols), complex),
+                       ((5 if transport else 1, grid.n, grid.n), float))
 
 
-def drift_divergence(c, a, grid, ws=None, symbol=None):
+def drift_divergence(c, a, grid, symbol=None):
     """Half spectrum of div(b f) for the real field f with half spectrum
     c and the drift b = a x linear in the sample coordinates x = (X, Y),
     a = ((a11, a12), (a21, a22)); and, given a Laplacian symbol, of the
     transport of f by its own velocity under it, 2/3-dealiased. The drift
-    spectrum is returned as mixed[0] of the workspace ws = (mixed,
-    samples) (drift_workspace, with transport exactly when the symbol is
-    given; fresh if None), and
-    the transport's is left in mixed[2]; both are valid until ws is used
-    again. c may be mixed[0]. An a of None runs the transport alone and
-    returns None.
+    spectrum is returned as mixed[0] of drift_arrays (with transport
+    exactly when the symbol is given), and the transport's is left in
+    mixed[2]; both are valid until the arrays are taken again. c may be
+    mixed[0]. An a of None runs the transport alone and returns None.
 
     The fluxes b f are formed in the mixed representation. X depends on
     axis 0 alone, so the axis-1 real transform of X f is X times M, the
@@ -468,9 +461,7 @@ def drift_divergence(c, a, grid, ws=None, symbol=None):
     Y f's transform and then the b2 flux, and mixed[3] and mixed[4] are
     scratch.
     """
-    if ws is None:
-        ws = drift_workspace(grid, symbol is not None)
-    mixed, samples = ws
+    mixed, samples = drift_arrays(grid, symbol is not None)
     # the stacks start at f's slot when there is a drift and at the
     # factors' when not; the products are Y f and then u . grad f
     lo = 0 if a is not None else 1
@@ -711,44 +702,60 @@ def shear_spectrum(coeffs, grid, slope):
     if np.shape(coeffs) != (grid.n, grid.half_cols):
         raise GridError(f"coeffs shape {np.shape(coeffs)} != "
                         f"({grid.n}, {grid.half_cols})")
-    ws = Arena(grid)
-    return _shear(shear_rows(np.asarray(coeffs, dtype=complex), grid, ws),
-                  grid, slope, ws)
+    with arena_scope():
+        return _shear(shear_rows(np.asarray(coeffs, dtype=complex), grid),
+                      grid, slope)
 
 
-def shear_rows(c, grid, ws, i=0):
+def shear_rows(c, grid, i=0):
     """What a shear reads of the half spectrum c: rows 0..n/2 of its full
-    spectrum (_top_rows), (n/2 + 1) x n, taken to the mixed (axis-0
-    spectral, axis-1 physical) representation by one axis-1 inverse
-    transform, on slab i (not 1) of the arena ws; slab 1 is scratch. They
-    do not depend on the slope, so a flow of one spectrum by several maps
-    forms them once (on a slab no other kernel takes)."""
+    spectrum, (n/2 + 1) x n, taken to the mixed (axis-0 spectral, axis-1
+    physical) representation by one axis-1 inverse transform, on slab i
+    (not 1); slab 1 is scratch. Their columns 0..n/2 are c's, and columns
+    n/2+1..n-1 mirror c's columns n/2-1..1 by Hermitian symmetry; the
+    self-mirrored columns 0 and n/2 take their Hermitian part, which is
+    what irfft2 reads of them. They do not depend on the slope, so a flow
+    of one spectrum by several maps forms them once (on a slab no other
+    kernel takes)."""
     n, h = grid.n, grid.half_cols
-    (rows,), (mirror,) = ws.take(i, ((h, n), complex)), ws.take(1, ((h, h), complex))
-    _top_rows(c, rows, mirror)
-    return np.fft.ifft(rows, axis=1, norm="forward", out=rows)
+    with arena_scope() as ws:
+        (rows,), (mirror,) = ws.take(i, ((h, n), complex)), ws.take(1, ((h, h), complex))
+        mirror[0] = c[0]                              # conj(c[-j, l])
+        mirror[1:] = c[:n // 2 - 1:-1]
+        np.conjugate(mirror, out=mirror)
+        rows[:, :h] = c[:h]
+        rows[:, h:] = mirror[:, h - 2:0:-1]
+        for col in (0, n // 2):
+            rows[:, col] = 0.5 * (c[:h, col] + mirror[:, col])
+        return np.fft.ifft(rows, axis=1, norm="forward", out=rows)
 
 
-def _shear(rows, grid, slope, ws):
+def _shear(rows, grid, slope):
     """shear_spectrum of the spectrum whose shear_rows are rows, unchecked,
-    on slabs 0-2 of the arena ws: the phase on slab 1, the phased rows on
-    slab 0 (rows may be slab 0, which is then overwritten), the evaluated
-    array is slab 1 and the mask slab 2."""
+    on slabs 0-2: the phase on slab 1, the phased rows on slab 0 (rows
+    may be slab 0, which is then overwritten), the evaluated array is
+    slab 1 and the mask slab 2. The evaluated rows 0..n/2 are the phased
+    rows' transforms, and rows n/2+1..n-1 the conjugate mirrors of rows
+    n/2-1..1 (H[-j, -l] = conj(H[j, l]), indices mod n)."""
     n, h = grid.n, grid.half_cols
-    phase = shear_phase(grid, slope, out=ws.take(1, ((h, n), complex))[0])
-    mixed, = ws.take(0, ((h, n), complex))
-    np.multiply(rows, phase, out=mixed)
-    np.fft.fft(mixed, axis=1, norm="forward", out=mixed)
     shape = (n, h)
-    out, = ws.take(1, (shape, complex))
-    _mirror_rows(mixed, out)
-    kx, ky = grid.wavegrid()
-    request, oob = ws.take(2, (shape, float), (shape, bool))
-    np.abs(np.add(slope * kx, ky, out=request), out=request)
-    return out, np.greater(request, grid.band, out=oob)
+    with arena_scope() as ws:
+        phase = shear_phase(grid, slope, out=ws.take(1, ((h, n), complex))[0])
+        mixed, = ws.take(0, ((h, n), complex))
+        np.multiply(rows, phase, out=mixed)
+        np.fft.fft(mixed, axis=1, norm="forward", out=mixed)
+        out, = ws.take(1, (shape, complex))
+        out[:h] = mixed[:, :h]
+        mirrored = mixed[h - 2:0:-1]                  # rows n/2-1..1
+        np.conjugate(mirrored[:, :1], out=out[h:, :1])
+        np.conjugate(mirrored[:, n - 1:n - h:-1], out=out[h:, 1:])
+        kx, ky = grid.wavegrid()
+        request, oob = ws.take(2, (shape, float), (shape, bool))
+        np.abs(np.add(slope * kx, ky, out=request), out=request)
+        return out, np.greater(request, grid.band, out=oob)
 
 
-def scale_spectrum(v, grid, target, u11, u12, u22, ws=None):
+def scale_spectrum(v, grid, target, u11, u12, u22):
     """Target's half spectrum whose coefficient at each mode (xi_j, eta_k)
     of target is the spectrum of the real samples v on grid read at
     (u11*xi_j + u12*eta_k, u22*eta_k): the transform of v there, a sum
@@ -758,40 +765,38 @@ def scale_spectrum(v, grid, target, u11, u12, u22, ws=None):
 
     The map is upper triangular in (xi, eta), so affine_trig_sum runs on
     the transposed samples, where it is lower triangular, with target's
-    n/2 + 1 half-layout columns as its row points. It runs on slabs 0-3
-    of the arena ws (its own if None); v may be slab 0, and the result
-    is slab 1.
+    n/2 + 1 half-layout columns as its row points. It runs on slabs 0-3;
+    v may be slab 0, and the result is slab 1.
     """
-    ws = Arena(max(grid, target, key=lambda g: g.n)) if ws is None else ws
     kx, ky = target.wavegrid()
-    out = affine_trig_sum(v.T, grid.x, ky[0], target.k, u22, u12, u11, ws).T
-    out /= (target.half_width / grid.half_width * grid.n) ** 2  # (2 L_target / h)^2
-    out[1::2, ::2] *= -1.0      # back to the fft-array sign convention:
-    out[::2, 1::2] *= -1.0      # (-1)^(j+k) at row j, column k
-    request, oob = ws.take(0, (out.shape, float), (out.shape, bool))
-    np.abs(np.add(u11 * kx, u12 * ky, out=request), out=request)
-    out[np.greater(request, grid.band, out=oob)] = 0.0
+    with arena_scope() as ws:
+        out = affine_trig_sum(v.T, grid.x, ky[0], target.k, u22, u12, u11).T
+        out /= (target.half_width / grid.half_width * grid.n) ** 2  # (2 L_target / h)^2
+        out[1::2, ::2] *= -1.0      # back to the fft-array sign convention:
+        out[::2, 1::2] *= -1.0      # (-1)^(j+k) at row j, column k
+        request, oob = ws.take(0, (out.shape, float), (out.shape, bool))
+        np.abs(np.add(u11 * kx, u12 * ky, out=request), out=request)
+        out[np.greater(request, grid.band, out=oob)] = 0.0
     if abs(u22) * np.abs(target.k).max() > grid.band:
         out[:, np.abs(u22 * ky[0]) > grid.band] = 0.0
     return out
 
 
-def characteristic_flow(c, grid, m, damping, ws=None):
+def characteristic_flow(c, grid, m, damping):
     """The half spectrum c read at the backward image (m11 xi + m12 eta,
     m21 xi + m22 eta) of each mode of the map m = ((m11, m12), (m21, m22)),
     m11 != 0, then multiplied by damping, a multiplier on the half layout;
-    trig-exact on the band. It runs on slabs 0-3 of the arena ws (its own
-    if None), and the result is slab 1: flow_rows on c's shear_rows,
-    formed on slab 0.
+    trig-exact on the band. It runs on slabs 0-3, and the result is slab
+    1: flow_rows on c's shear_rows, formed on slab 0.
     """
-    ws = Arena(grid) if ws is None else ws
-    return flow_rows(shear_rows(c, grid, ws), grid, m, damping, ws)
+    with arena_scope():
+        return flow_rows(shear_rows(c, grid), grid, m, damping)
 
 
-def flow_rows(rows, grid, m, damping, ws):
+def flow_rows(rows, grid, m, damping):
     """characteristic_flow of the spectrum whose shear_rows are rows, on
-    slabs 0-3 of the arena ws (rows may be slab 0, which is then
-    overwritten); the result is slab 1.
+    slabs 0-3 (rows may be slab 0, which is then overwritten); the result
+    is slab 1.
 
     The read splits as m = [[1, 0], [m21/m11, 1]] U: shear_spectrum by
     m21/m11, zero the targets whose shear request leaves the band, then
@@ -800,28 +805,30 @@ def flow_rows(rows, grid, m, damping, ws):
     exactly when m11 = m22 = 1 and m12 = 0.
     """
     (m11, m12), (m21, m22) = m
-    out, oob = _shear(rows, grid, m21 / m11, ws)
-    out[oob] = 0.0
-    if (m11, m12, m22) != (1.0, 0.0, 1.0):
-        v = _irfft2(out, grid, out, ws.take(0, ((grid.n, grid.n), float))[0])
-        out = scale_spectrum(v, grid, grid, m11, m12,
-                             (m11 * m22 - m12 * m21) / m11, ws)
+    with arena_scope() as ws:
+        out, oob = _shear(rows, grid, m21 / m11)
+        out[oob] = 0.0
+        if (m11, m12, m22) != (1.0, 0.0, 1.0):
+            v = _irfft2(out, grid, out, ws.take(0, ((grid.n, grid.n), float))[0])
+            out = scale_spectrum(v, grid, grid, m11, m12,
+                                 (m11 * m22 - m12 * m21) / m11)
     out *= damping
     return out
 
 
-def sample_values(f, ws, i):
+def sample_values(f, i):
     """f's samples, and the axis-0 inverse transform of its half spectrum
     when it was taken here, else None. A Field that holds only its half
     spectrum gets its samples by the axes irfft2 takes, bit for bit: the
-    axis-0 inverse transform onto slab i of the arena ws, then the axis-1
-    inverse real transform into a new array that f keeps as its values
+    axis-0 inverse transform onto slab i, then the axis-1 inverse real
+    transform into a new array that f keeps as its values
     (Field.keep_values), so that later readers, a snapshot among them,
     take no transform. The slab holds the first stage until it is taken
     again, for derivative_pass to share (mixed0)."""
     if f.has_values:
         return f.values, None
-    mixed, = ws.take(i, (f.coeffs.shape, complex))
+    with arena_scope() as ws:
+        mixed, = ws.take(i, (f.coeffs.shape, complex))
     f.keep_values(_irfft2(f.coeffs, f.grid, mixed, None))
     return f.values, mixed
 
@@ -920,7 +927,7 @@ def _trig_tables(c, s, r, cos, sin, scratch):
     np.cos(cos[m], out=cos[m])
 
 
-def affine_trig_sum(a, s, rp, rq, m11, m21, m22, ws=None):
+def affine_trig_sum(a, s, rp, rq, m11, m21, m22):
     """Trigonometric sum of a lattice at a lower-triangular image of another.
 
     Returns out[p, q] = sum over j, k of a[j, k] exp(-i (s_j X + s_k Y))
@@ -946,53 +953,52 @@ def affine_trig_sum(a, s, rp, rq, m11, m21, m22, ws=None):
     instead of n/2 + 1. Cost: about 2 len(rp) n^2 real multiply-adds for
     a real a, 3 len(rp) n^2 for a complex one, on one path.
 
-    Every array runs on slabs 0-3 of the arena ws (its own if None): the
-    folds, the tables, both stages' products and the phase are formed in
-    place, and the result is slab 1. a may be slab 0, which is
-    overwritten once a is folded.
+    Every array runs on slabs 0-3: the folds, the tables, both stages'
+    products and the phase are formed in place, and the result is slab 1.
+    a may be slab 0, which is overwritten once a is folded.
     """
     _check_lattice(s, "s", uniform=True)
     _check_lattice(rq, "rq")
-    ws = Arena() if ws is None else ws
     n, npt, nq = len(s), len(rp), len(rq)
     h, hq = n // 2 + 1, nq // 2 + 1
     phase = -1j
-    even, odd = ws.take(1, ((2, h, a.shape[1]), a.dtype))[0]      # [m, k]
-    _fold(a, even, odd)
-    cos, sin, *scratch = ws.take(0, ((h, npt), float), ((h, npt), float),
-                                 *_table_specs(n, npt))
-    _trig_tables(m11, s, rp, cos, sin, scratch)
-    products = ws.take(2, ((2, npt, a.shape[1]), a.dtype))[0]
-    np.matmul(cos.T, even.view(float), out=products[0].view(float))
-    np.matmul(sin.T, odd.view(float), out=products[1].view(float))
-    out, = ws.take(1, ((npt, n), complex))
-    np.add(products[0], np.multiply(phase, products[1], out=out), out=out)  # [p, k]
-    # the phase exp(-i m21 rp_p s_k) on column k, the conjugate of column
-    # n - k's, then the fold over k
-    ph, *scratch = ws.take(0, ((h, npt), complex), *_table_specs(n, npt))
-    _trig_tables(-m21, s, rp, ph.real, ph.imag, scratch)         # [m, p]
-    (even,), (odd,) = ws.take(2, ((h, npt), complex)), ws.take(3, ((h, npt), complex))
-    cols, inner = out.T, odd[1:-1]
-    np.multiply(cols[:h], ph, out=even)                   # column k, phased
-    np.conjugate(cols[:n // 2:-1], out=inner)             # column n - k ...
-    inner *= ph[1:-1]
-    np.conjugate(inner, out=inner)                        # ... phased
-    np.subtract(even[1:-1], inner, out=inner)             # odd part
-    even[1:-1] *= 2.0
-    even[1:-1] -= inner                                   # even part
-    odd[0], odd[-1] = even[0], even[-1]
-    out, = ws.take(1, ((nq, npt), complex))
-    cos, sin, *scratch = ws.take(0, ((h, hq), float), ((h, hq), float),
-                                 *_table_specs(n, hq))
-    _trig_tables(m22, s, rq[:hq], cos, sin, scratch)
-    plus = out[:hq]                                       # [q, p]
-    np.matmul(cos.T, even.view(float), out=plus.view(float))
-    minus, = ws.take(2, ((hq, npt), complex))
-    np.matmul(sin.T, odd.view(float), out=minus.view(float))
-    np.multiply(phase, minus, out=minus)
-    np.subtract(plus[hq - 2:0:-1], minus[hq - 2:0:-1], out=out[hq:])
-    plus += minus
-    return out.T
+    with arena_scope() as ws:
+        even, odd = ws.take(1, ((2, h, a.shape[1]), a.dtype))[0]      # [m, k]
+        _fold(a, even, odd)
+        cos, sin, *scratch = ws.take(0, ((h, npt), float), ((h, npt), float),
+                                     *_table_specs(n, npt))
+        _trig_tables(m11, s, rp, cos, sin, scratch)
+        products = ws.take(2, ((2, npt, a.shape[1]), a.dtype))[0]
+        np.matmul(cos.T, even.view(float), out=products[0].view(float))
+        np.matmul(sin.T, odd.view(float), out=products[1].view(float))
+        out, = ws.take(1, ((npt, n), complex))
+        np.add(products[0], np.multiply(phase, products[1], out=out), out=out)  # [p, k]
+        # the phase exp(-i m21 rp_p s_k) on column k, the conjugate of column
+        # n - k's, then the fold over k
+        ph, *scratch = ws.take(0, ((h, npt), complex), *_table_specs(n, npt))
+        _trig_tables(-m21, s, rp, ph.real, ph.imag, scratch)         # [m, p]
+        (even,), (odd,) = ws.take(2, ((h, npt), complex)), ws.take(3, ((h, npt), complex))
+        cols, inner = out.T, odd[1:-1]
+        np.multiply(cols[:h], ph, out=even)                   # column k, phased
+        np.conjugate(cols[:n // 2:-1], out=inner)             # column n - k ...
+        inner *= ph[1:-1]
+        np.conjugate(inner, out=inner)                        # ... phased
+        np.subtract(even[1:-1], inner, out=inner)             # odd part
+        even[1:-1] *= 2.0
+        even[1:-1] -= inner                                   # even part
+        odd[0], odd[-1] = even[0], even[-1]
+        out, = ws.take(1, ((nq, npt), complex))
+        cos, sin, *scratch = ws.take(0, ((h, hq), float), ((h, hq), float),
+                                     *_table_specs(n, hq))
+        _trig_tables(m22, s, rq[:hq], cos, sin, scratch)
+        plus = out[:hq]                                       # [q, p]
+        np.matmul(cos.T, even.view(float), out=plus.view(float))
+        minus, = ws.take(2, ((hq, npt), complex))
+        np.matmul(sin.T, odd.view(float), out=minus.view(float))
+        np.multiply(phase, minus, out=minus)
+        np.subtract(plus[hq - 2:0:-1], minus[hq - 2:0:-1], out=out[hq:])
+        plus += minus
+        return out.T
 
 
 def resampled(f, grid, u11, u12, u22):

@@ -26,7 +26,7 @@ from shearvortex.fokker_planck import (
     symbol_exponent,
 )
 from shearvortex.selfsim import SelfSimilarState
-from shearvortex.spectral import Arena
+from shearvortex.spectral import arena_scope
 
 from conftest import NON_REAL_POINTS, localized_field
 from oracles import GAUSSIAN_PEAK, forward_chars, limit_semigroup_full
@@ -349,13 +349,13 @@ def test_semigroup_rejects_unresolved_spectrum():
 
 # ------------------------------------------------------------- the run arena
 
-def _fp_sample(f0, tau, ws=None):
+def _fp_sample(f0, tau):
     """One fp-decay sample, as the runner takes it: the flow to tau, then
-    record, both in the arena ws."""
-    state = SelfSimilarState(omega=apply_semigroup(f0, tau, ws),
+    record, both in the calling thread's arena scope."""
+    state = SelfSimilarState(omega=apply_semigroup(f0, tau),
                              t=float(np.exp(tau)), nu=1.0, alpha=mass(f0))
     opts = RecordOptions(energy=EnergyCoefficients.from_scale())
-    return state, record(state, opts, ws)
+    return state, record(state, opts)
 
 
 def test_one_arena_over_several_taus_matches_fresh_calls_bit_for_bit():
@@ -365,14 +365,15 @@ def test_one_arena_over_several_taus_matches_fresh_calls_bit_for_bit():
     # slab-sized arrays (slabs and weights)
     grid = make_grid(20.0, 128, "selfsim")
     f0 = eigenfunction(1, 0, grid)
-    ws = Arena(grid)
+    taus = (0.1, 0.5, 1.2, 0.0)
+    fresh = [_fp_sample(eigenfunction(1, 0, grid), tau) for tau in taus]
     held = []
-    for tau in (0.1, 0.5, 1.2, 0.0):
-        state, rec = _fp_sample(f0, tau, ws)
-        fresh_state, fresh_rec = _fp_sample(f0, tau)
-        assert state.omega.coeffs.tobytes() == fresh_state.omega.coeffs.tobytes()
-        assert rec == fresh_rec
-        held.append((state, state.omega.coeffs.copy(), state.omega.values.copy()))
+    with arena_scope() as ws:
+        for tau, (fresh_state, fresh_rec) in zip(taus, fresh):
+            state, rec = _fp_sample(f0, tau)
+            assert state.omega.coeffs.tobytes() == fresh_state.omega.coeffs.tobytes()
+            assert rec == fresh_rec
+            held.append((state, state.omega.coeffs.copy(), state.omega.values.copy()))
     for state, coeffs, values in held:
         assert state.omega.coeffs.tobytes() == coeffs.tobytes()
         assert state.omega.values.tobytes() == values.tobytes()
@@ -388,15 +389,15 @@ def test_warm_fp_decay_sample_allocates_only_what_it_keeps():
     # (tracemalloc, no arena: every temporary fresh)
     grid = make_grid(20.0, 128, "selfsim")
     f0 = eigenfunction(1, 0, grid)
-    ws = Arena(grid)
-    _fp_sample(f0, 0.3, ws)    # fills the arena and the grid's arrays
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        state, _ = _fp_sample(f0, 0.6, ws)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    with arena_scope():
+        _fp_sample(f0, 0.3)    # fills the arena and the grid's arrays
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            state, _ = _fp_sample(f0, 0.6)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
     kept = state.omega.coeffs.nbytes + state.omega.values.nbytes
     assert kept == 264192
     assert peak <= kept + 8192, peak
@@ -428,13 +429,13 @@ def test_flow_over_taus_matches_one_tau_calls_and_prepares_once(monkeypatch):
             counts[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(fokker_planck, name, counted)
-    ws = Arena(grid)
     opts = RecordOptions(energy=EnergyCoefficients.from_scale())
     flowed = []
-    for tau, omega in zip(taus, fokker_planck.semigroup_flow(f0, taus, ws)):
-        flowed.append(omega)
-        record(SelfSimilarState(omega=omega, t=float(np.exp(tau)), nu=1.0,
-                                alpha=mass(f0)), opts, ws)
+    with arena_scope():
+        for tau, omega in zip(taus, fokker_planck.semigroup_flow(f0, taus)):
+            flowed.append(omega)
+            record(SelfSimilarState(omega=omega, t=float(np.exp(tau)), nu=1.0,
+                                    alpha=mass(f0)), opts)
     assert counts == {"_spectrum_tail": 1, "shear_rows": 1}
     assert flowed[0] is f0 and flowed[3] is f0
     for tau, omega in zip(taus, flowed):

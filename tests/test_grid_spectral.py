@@ -1,4 +1,6 @@
 import ast
+import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -32,9 +34,9 @@ from shearvortex.selfsim import (FrameCoefficients, SelfSimilarState,
                                  _frame_map, _laplacian_symbol)
 from shearvortex.spectral import (MAX_DERIVATIVE_ORDER, _table_specs,
                                   _trig_tables, affine_trig_sum,
-                                  inverse_laplacian,
+                                  inverse_laplacian, _scope, arena_scope,
                                   characteristic_flow, dealias_mask,
-                                  drift_divergence, drift_workspace,
+                                  drift_arrays, drift_divergence,
                                   kept_spectrum, pair_product,
                                   scale_spectrum, shear_phase,
                                   shear_spectrum, spectrum_norm,
@@ -299,6 +301,27 @@ def test_only_the_scale_stage_runs_the_affine_sum():
                 if name in ("affine_trig_sum", "full_spectrum"):
                     calls.append((path.name, owner.get(id(node)), name))
     assert calls == [("spectral.py", "scale_spectrum", "affine_trig_sum")], calls
+
+
+def test_temporaries_come_from_arena_scopes_alone():
+    # a kernel takes its large temporaries from the calling thread's arena
+    # scope: no src/ function has an arena parameter ws, and only
+    # spectral's scope code builds an Arena
+    found = [f"{path.name}:{node.lineno} {node.name}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and "ws" in [a.arg for a in (*node.args.posonlyargs,
+                                          *node.args.args,
+                                          *node.args.kwonlyargs)]]
+    assert not found, found
+    built = {(path.name, top.name)
+             for path in sorted(SRC.glob("*.py"))
+             for top in ast.parse(path.read_text(encoding="utf-8")).body
+             for node in ast.walk(top)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Arena"}
+    assert built == {("spectral.py", "arena_scope")}, built
 
 
 def _plan_by_formula(L, n):
@@ -590,6 +613,81 @@ def test_kept_block_transport_equals_full_width_kernel(n, t, same):
     assert np.array_equal(got, want)
 
 
+def _flow_case(seed):
+    g = make_grid(16.0, 32, "selfsim")
+    m = ((0.9, 0.2), (0.3, 1.1))
+    return (g, localized_field(g, seed=seed).coeffs, m,
+            np.ones((g.n, g.half_cols)))
+
+
+def test_arena_scopes_nest_and_close_on_errors():
+    # a nested scope serves the open arena and leaves it open, by an
+    # exception too; the outermost one drops its arena on exit, so the
+    # next scope is fresh and the thread holds no arena between scopes
+    assert getattr(_scope, "arena", None) is None
+    with arena_scope() as outer:
+        with arena_scope() as inner:
+            assert inner is outer
+        with pytest.raises(GridError):
+            with arena_scope():
+                raise GridError("inside a nested scope")
+        assert _scope.arena is outer
+    assert _scope.arena is None
+    with pytest.raises(GridError):
+        with arena_scope() as failed:
+            raise GridError("inside an outermost scope")
+    assert _scope.arena is None
+    with arena_scope() as fresh:
+        assert fresh is not outer and fresh is not failed
+
+
+def test_kernels_outside_a_scope_return_independent_results():
+    # outside any scope each characteristic_flow call has an arena of its
+    # own, so a result held while the next is computed (the Duhamel
+    # targets' g1 and g2) stays as it was; in one scope the two share
+    # slab 1, which is why no scope is opened around those runs
+    g, c, m, d = _flow_case(8)
+    first = characteristic_flow(c, g, m, d)
+    held = first.copy()
+    second = characteristic_flow(localized_field(g, seed=9).coeffs, g, m, d)
+    assert first.tobytes() == held.tobytes()
+    assert not np.shares_memory(first, second)
+    with arena_scope():
+        assert np.shares_memory(characteristic_flow(c, g, m, d),
+                                characteristic_flow(c, g, m, d))
+
+
+def test_threads_scoped_kernels_never_share_slabs():
+    # three threads, more than the cores, run the flow in scopes of their
+    # own at once, with a short switch interval: each gets the one-thread
+    # result every time, in an arena whose slabs no other thread holds
+    g, c, m, d = _flow_case(8)
+    want = characteristic_flow(c, g, m, d).tobytes()
+    start, results = threading.Barrier(3), {}
+
+    def run(k):
+        with arena_scope() as arena:
+            start.wait(timeout=30)
+            results[k] = arena, [characteristic_flow(c, g, m, d).tobytes()
+                                 for _ in range(20)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(got == [want] * 20 for _, got in results.values())
+    slabs = [s.ctypes.data for arena, _ in results.values()
+             for s in arena._slabs if s is not None]
+    assert len(results) == 3 and len(set(slabs)) == len(slabs) > 0
+
+
 @pytest.mark.parametrize("n", [16, 128])
 def test_drift_divergence_carries_the_transport_kernel_bit_for_bit(n):
     # the transport that rides in the drift's stacked transforms is the
@@ -599,9 +697,9 @@ def test_drift_divergence_carries_the_transport_kernel_bit_for_bit(n):
     c = localized_field(g, seed=8).coeffs
     want = transport_spectrum(c, c, g, symbol).tobytes()
     for a in (((0.1, -0.2), (0.3, 0.4)), None):
-        ws = drift_workspace(g, True)
-        drift_divergence(c, a, g, ws, symbol)
-        assert ws[0][2].tobytes() == want
+        with arena_scope():
+            drift_divergence(c, a, g, symbol)
+            assert drift_arrays(g, True)[0][2].tobytes() == want
 
 
 @pytest.mark.parametrize("n", [16, 128])

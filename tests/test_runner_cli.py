@@ -23,13 +23,13 @@ from shearvortex import (
     run_experiment,
     runner,
     selfsim,
+    spectral,
     write_snapshot,
 )
 from shearvortex.cli import main
 from shearvortex.diagnostics import rate_fit
 from shearvortex.errors import GridError
 from shearvortex.runner import resolve_output_dir
-from shearvortex.spectral import Arena
 
 from conftest import localized_field
 
@@ -294,23 +294,23 @@ def test_fp_decay_rerun_reproduces_artifacts_byte_for_byte(tmp_path):
 
 def test_fp_decay_overlap_writes_what_one_thread_writes(tmp_path,
                                                        monkeypatch):
-    # the run flows sample i + 1 on a worker thread, in an arena of its
-    # own, while the main thread records sample i; a reference loop that
-    # runs the flow, record and the snapshots in one thread on one arena
-    # writes every file the same, byte for byte
+    # the run flows sample i + 1 on a worker thread, in an arena scope of
+    # its own, while the main thread records sample i in its scope; a
+    # reference loop that runs the flow, record and the snapshots in one
+    # thread on one arena writes every file the same, byte for byte
     cfg = write_config(tmp_path, FP_DECAY_N128)
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["fp-decay", "--config", cfg, "--out", str(a)]) == 0
-    arenas = []
+    arenas, take = {}, spectral.Arena.take
 
-    def one_arena(grid):
-        arenas.append(arenas[0] if arenas else Arena(grid))
-        return arenas[-1]
+    def logged_take(arena, *args):
+        arenas[id(arena)] = arena, threading.current_thread()
+        return take(arena, *args)
 
-    monkeypatch.setattr(runner, "Arena", one_arena)
+    monkeypatch.setattr(spectral.Arena, "take", logged_take)
     monkeypatch.setattr(runner, "_one_ahead", iter)   # the flow in line
     assert main(["fp-decay", "--config", cfg, "--out", str(b)]) == 0
-    assert len(arenas) == 2 and arenas[0] is arenas[1]
+    assert [thread for _, thread in arenas.values()] == [threading.main_thread()]
     names = sorted(os.listdir(a))
     assert names == sorted(os.listdir(b))
     assert {"diagnostics.csv", "summary.txt", "final.snap",
@@ -321,8 +321,8 @@ def test_fp_decay_overlap_writes_what_one_thread_writes(tmp_path,
 
 def _counted_flow(begun):
     """runner.semigroup_flow that logs the thread that begins each item."""
-    def flow(f, taus, ws):
-        items = fokker_planck.semigroup_flow(f, taus, ws)
+    def flow(f, taus):
+        items = fokker_planck.semigroup_flow(f, taus)
         while True:
             begun.append(threading.current_thread())
             try:
@@ -339,9 +339,9 @@ def test_fp_decay_flows_one_sample_ahead_on_a_worker_that_ends_with_the_run(
     # item after the one record reads, and no thread outlives the run
     begun, ahead = [], []
 
-    def counted_record(state, opts, ws=None):
+    def counted_record(state, opts):
         ahead.append(len(begun) - len(ahead))
-        return diagnostics.record(state, opts, ws)
+        return diagnostics.record(state, opts)
 
     monkeypatch.setattr(runner, "semigroup_flow", _counted_flow(begun))
     monkeypatch.setattr(runner, "record", counted_record)
@@ -349,6 +349,7 @@ def test_fp_decay_flows_one_sample_ahead_on_a_worker_that_ends_with_the_run(
     run_experiment(parse_config("mode = fp-decay\n" + FP_DECAY_N128),
                    str(tmp_path / "out"))
     assert threading.active_count() == threads
+    assert getattr(spectral._scope, "arena", None) is None
     assert len(ahead) == 10 and len(begun) in (10, 11)
     assert 1 <= min(ahead) and max(ahead) <= 2, ahead
     assert len(set(begun)) == 1
@@ -364,6 +365,7 @@ def test_unresolved_fp_decay_leaves_no_thread(tmp_path, capsys):
     assert main(["fp-decay", "--initial-data", "gaussian", "--grid-n", "32",
                  "--grid-l", "16", "--t-end", "3.2", "--out", out]) == 4
     assert threading.active_count() == threads
+    assert getattr(spectral._scope, "arena", None) is None
     assert "ResolutionError" in capsys.readouterr().err
     summary = read_lines(os.path.join(out, "summary.txt"))
     assert summary_value(summary, "samples recorded before failure:") == "1"
@@ -372,32 +374,42 @@ def test_unresolved_fp_decay_leaves_no_thread(tmp_path, capsys):
 def test_fp_decay_record_failure_joins_the_worker_mid_flow(tmp_path,
                                                            monkeypatch):
     # record fails at sample 3 once the worker has begun sample 4's flow:
-    # the three samples before it are written, the summary is FAILED and
-    # the worker is joined before the error leaves the run
-    recorded, flowing_4 = [], threading.Event()
+    # the three samples before it are written, the summary is FAILED, and
+    # the worker closes the flow, on its own thread, and is joined before
+    # the error leaves the run
+    recorded, flowing_4, ran_on = [], threading.Event(), []
 
-    def flow(f, taus, ws):
-        for i, omega in enumerate(fokker_planck.semigroup_flow(f, taus, ws)):
-            yield omega
-            if i == 3:      # the worker begins sample 4 and stays in its
-                flowing_4.set()     # flow for 0.2 s, so a run that did
-                time.sleep(0.2)     # not join it would leave it alive
+    def flow(f, taus):
+        ran_on.append(threading.current_thread())
+        try:
+            for i, omega in enumerate(fokker_planck.semigroup_flow(f, taus)):
+                yield omega
+                if i == 3:      # the worker begins sample 4 and stays in its
+                    flowing_4.set()     # flow for 0.2 s, so a run that did
+                    time.sleep(0.2)     # not join it would leave it alive
+        finally:
+            ran_on.append(threading.current_thread())
 
-    def failing_record(state, opts, ws=None):
+    def failing_record(state, opts):
         if len(recorded) == 3:
             assert flowing_4.wait(30)
             raise GridError("record failed at sample 3")
         recorded.append(state)
-        return diagnostics.record(state, opts, ws)
+        return diagnostics.record(state, opts)
 
     monkeypatch.setattr(runner, "semigroup_flow", flow)
     monkeypatch.setattr(runner, "record", failing_record)
     out = tmp_path / "out"
     threads = threading.active_count()
-    with pytest.raises(GridError):
+    # raised keeps the error's traceback, and with it the flow, alive: a
+    # flow the worker had not closed would still be suspended here
+    with pytest.raises(GridError) as raised:  # noqa: F841
         run_experiment(parse_config("mode = fp-decay\n" + FP_DECAY_N128),
                        str(out))
     assert threading.active_count() == threads
+    assert getattr(spectral._scope, "arena", None) is None
+    assert len(ran_on) == 2 and ran_on[0] is ran_on[1]
+    assert ran_on[0] is not threading.main_thread()
     assert len(recorded) == 3
     assert len(read_lines(out / "diagnostics.csv")) == 4
     summary = read_lines(out / "summary.txt")

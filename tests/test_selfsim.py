@@ -526,11 +526,11 @@ def test_conservative_drift_is_no_farther_from_the_refined_run(monkeypatch):
     new = np.linalg.norm(final(state) - ref)
     conservative = selfsim._drift_spectrum
 
-    def nonconservative(c, co, grid, ws, symbol):
+    def nonconservative(c, co, grid, symbol):
         # the transport rides in the drift's transforms, which may
         # overwrite c: the oracle reads c first
         drift = drift_spectrum_nonconservative(c, co, grid)
-        conservative(c, co, grid, ws, symbol)
+        conservative(c, co, grid, symbol)
         return drift
 
     monkeypatch.setattr(selfsim, "_drift_spectrum", nonconservative)
