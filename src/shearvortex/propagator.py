@@ -358,8 +358,11 @@ def _duhamel_targets(traj1, traj2, targets):
 
     def factors(i):
         tau = ts[i] - t0
-        g1 = _flow(traj1.fields[i].coeffs, grid, -tau)
-        g2 = g1 if traj2 is traj1 else _flow(traj2.fields[i].coeffs, grid, -tau)
+        g1 = g2 = _flow(traj1.fields[i].coeffs, grid, -tau)
+        if traj2 is not traj1:
+            # in an open arena scope the second flow takes g1's slab
+            g1 = g1.copy()
+            g2 = _flow(traj2.fields[i].coeffs, grid, -tau)
         return transport_factors(g1, g2, grid, -(kx ** 2 + (ky - tau * kx) ** 2))
 
     def panels(a, b):
@@ -429,28 +432,36 @@ PICARD_TOL = 1e-10    # relative Kato-norm update that ends the iteration
 MAX_PICARD_SAMPLES = 1025  # time samples picard_solve accepts
 
 
-def picard_solve(omega0, nu, horizon, n_times, t_start=0.0):
-    """Iterate the mild formulation to its fixed point on [t_start, t_start+horizon].
-
-    The iteration maps a trajectory to (linear flow of the data) plus the
-    bilinear term of the trajectory with itself, sampled on a uniform time
-    grid. Convergence is measured in the weighted Kato norm of successive
-    differences, relative to the trajectory norm; the per-iteration
-    distances are kept on the result as traj.history. Sustained growth of
-    the differences, or a distance or norm that overflows, raises
-    DivergenceError; exhausting the budget raises NoConvergenceError.
-    More than MAX_PICARD_SAMPLES samples raise DomainError before any
-    work.
-    """
-    check_positive(nu, "viscosity")
+def picard_times(horizon, n_times, t_start=0.0):
+    """The time samples of picard_solve: n_times, evenly spaced over
+    [t_start, t_start + horizon]. A horizon that is not positive, a
+    t_start that is not a finite time, or a count outside 2 to
+    MAX_PICARD_SAMPLES raises DomainError."""
     check_positive(horizon, "horizon")
     n_times = check_order(n_times, "n_times")
     if not 2 <= n_times <= MAX_PICARD_SAMPLES:
         raise DomainError(f"need 2 to {MAX_PICARD_SAMPLES} sample times, "
                           f"got {n_times}")
     t_start = check_time(t_start, "t_start")
-    times = tuple(t_start + horizon * j / (n_times - 1) for j in range(n_times))
-    linear = tuple(apply_semigroup(omega0, nu, t - t_start) for t in times)
+    return tuple(t_start + horizon * j / (n_times - 1) for j in range(n_times))
+
+
+def picard_solve(omega0, nu, horizon, n_times, t_start=0.0):
+    """Iterate the mild formulation to its fixed point on [t_start, t_start+horizon].
+
+    The iteration maps a trajectory to (linear flow of the data) plus the
+    bilinear term of the trajectory with itself, sampled on a uniform time
+    grid (picard_times). Convergence is measured in the weighted Kato norm
+    of successive differences, relative to the trajectory norm; the
+    per-iteration distances are kept on the result as traj.history.
+    Sustained growth of the differences, or a distance or norm that
+    overflows, raises DivergenceError; exhausting the budget raises
+    NoConvergenceError. More than MAX_PICARD_SAMPLES samples raise
+    DomainError before any work.
+    """
+    check_positive(nu, "viscosity")
+    times = picard_times(horizon, n_times, t_start)
+    linear = tuple(apply_semigroup(omega0, nu, t - times[0]) for t in times)
     traj = Trajectory(times=times, fields=linear, nu=nu)
     dists = []  # Kato distance of each update
     for _ in range(PICARD_MAX_ITER):

@@ -14,14 +14,23 @@ and the worker closes the flow and is joined before the run returns or
 raises. Each thread opens one arena scope for the run
 (spectral.arena_scope), the worker around its flow loop and the main
 thread around its record loop, so each side's large temporaries reuse
-its own slabs. The main thread writes every CSV row and snapshot, in
-sample order.
+its own slabs. picard's cross-check needs only the initial field and
+the sample times (propagator.picard_times), so from t_init >= 1 the two
+solvers run at once (_cross_checked): picard_solve, and the frame image
+of each Picard field, on one worker thread; the frame evolver's chain
+and each state's record on the main thread. Neither side opens a
+run-long scope. The worker is joined before the run returns or raises;
+then the samples are committed, and the first failure in the order of
+a one-thread run is raised. The main thread writes every CSV row and
+snapshot, in sample order. simulate, linear, probe and picard from
+t_init < 1 start no thread.
 
 Outputs are a pure function of (config, seed): floats are serialized
 with repr (shortest round-trip form), each reduction runs in one thread
-(fp-decay's flow on the worker, all else on the main thread) in a fixed
-order, and random fields come from a seeded generator, so a rerun with
-the same config reproduces every artifact byte for byte.
+(fp-decay's flow, picard's solve and its fields' frame images on the
+worker, all else on the main thread) in a fixed order, and random
+fields come from a seeded generator, so a rerun with the same config
+reproduces every artifact byte for byte.
 """
 
 import os
@@ -44,7 +53,7 @@ from .errors import ShearVortexError
 from .fokker_planck import semigroup_flow
 from .grid import make_grid
 from .initial_data import make_field
-from .propagator import picard_solve
+from .propagator import picard_solve, picard_times
 from .selfsim import (
     SelfSimilarState,
     amplitude,
@@ -124,7 +133,10 @@ class _Recorder:
         self.index = 0
 
     def __call__(self, state):
-        rec = record(state, self.opts)
+        return self.commit(state, record(state, self.opts))
+
+    def commit(self, state, rec):
+        """Keep rec, the record of state, as the next sample."""
         self.records.append(rec)
         if self.cadence and self.index % self.cadence == 0:
             write_snapshot(state, os.path.join(
@@ -336,21 +348,11 @@ def _run_picard(cfg, recorder):
     n_times = picard_samples(cfg)
     om0 = make_field(cfg.initial_data, phys_grid, cfg.seed,
                      params=cfg.initial_params)
-    traj = picard_solve(om0, cfg.nu, cfg.t_end - cfg.t_init, n_times,
-                        t_start=cfg.t_init)
-    sup_gap = None
+    window = (cfg.t_end - cfg.t_init, n_times, cfg.t_init)
     if cfg.t_init >= 1.0:
-        frame_grid = make_grid(cfg.grid_l, cfg.grid_n, "selfsim")
-        state = phys_to_selfsim(om0, cfg.t_init, cfg.nu, frame_grid)
-        recorder(state)
-        sup_gap = 0.0
-        for t_i, om_i in zip(traj.times[1:], traj.fields[1:]):
-            state = evolve(state, float(t_i), cfg.dtau, on_tail=cfg.on_tail)
-            recorder(state)
-            ref = phys_to_selfsim(om_i, float(t_i), cfg.nu, frame_grid)
-            gap = float(lp_norm(state.omega - ref.omega, 2))
-            scale = float(lp_norm(ref.omega, 2))
-            sup_gap = max(sup_gap, gap / scale if scale > 0 else gap)
+        traj, sup_gap = _cross_checked(cfg, om0, window, recorder)
+    else:
+        traj, sup_gap = picard_solve(om0, cfg.nu, *window), None
     return traj.fields[-1], [
         f"time samples: {n_times}",
         "picard update distances: "
@@ -361,6 +363,83 @@ def _run_picard(cfg, recorder):
         + (repr(sup_gap) if sup_gap is not None
            else "n/a (window starts before t = 1)"),
     ]
+
+
+def _cross_checked(cfg, om0, window, recorder):
+    """Picard's solve of om0 over window (picard_times' arguments) and
+    the frame evolver's chain through its time samples, run at once: a
+    worker thread solves and reads each field past the first into the
+    frame, while the main thread evolves om0's frame image and records
+    each state. Once both are done, the samples are committed in order,
+    and a failure is raised where the serial run would have met it: the
+    solve's, with nothing recorded; then om0's frame image's; then, per
+    sample i, the step to t_i's, the record's and the frame image of
+    field i's, after the samples before it. Returns the trajectory and
+    the sup over samples of the relative L2 gap of the two solvers in
+    the frame."""
+    frame_grid = make_grid(cfg.grid_l, cfg.grid_n, "selfsim")
+    solved = []     # the worker's outcome: its results, or its error
+
+    def solve():
+        try:
+            traj = picard_solve(om0, cfg.nu, *window)
+            solved.append((traj, *_collected(
+                phys_to_selfsim(om, t, cfg.nu, frame_grid)
+                for t, om in zip(traj.times[1:], traj.fields[1:]))))
+        except BaseException as exc:    # raised after the join
+            solved.append(exc)
+
+    om0.coeffs      # formed here: both threads read them
+    worker = threading.Thread(target=solve, name="shearvortex-picard")
+    worker.start()
+    try:
+        chain, failed = _collected(_frame_chain(cfg, om0, window, frame_grid,
+                                                recorder.opts, solved))
+    finally:
+        worker.join()
+    if isinstance(solved[0], BaseException):
+        raise solved[0]
+    traj, images, image_failed = solved[0]
+    # field i's frame image comes after the step to t_i and its record
+    if image_failed is not None and len(chain) > len(images) + 1:
+        chain, failed = chain[:len(images) + 2], image_failed
+    for state, rec in chain:
+        recorder.commit(state, rec)
+    if failed is not None:
+        raise failed
+    sup_gap = 0.0
+    for (state, _), ref in zip(chain[1:], images):
+        gap = float(lp_norm(state.omega - ref.omega, 2))
+        scale = float(lp_norm(ref.omega, 2))
+        sup_gap = max(sup_gap, gap / scale if scale > 0 else gap)
+    return traj, sup_gap
+
+
+def _collected(items):
+    """The items up to the first whose computation raises, and that
+    error (None if there is none)."""
+    done = []
+    try:
+        for item in items:
+            done.append(item)
+    except Exception as exc:    # raised in its turn by the caller
+        return done, exc
+    return done, None
+
+
+def _frame_chain(cfg, om0, window, frame_grid, opts, solved):
+    """Yield the frame evolver's states, each with its record, from om0's
+    frame image through the time samples of window. Stops early once the
+    solve has failed (its error is in solved), as that error is raised
+    first."""
+    times = picard_times(*window)
+    state = phys_to_selfsim(om0, times[0], cfg.nu, frame_grid)
+    yield state, record(state, opts)
+    for t in times[1:]:
+        if solved and isinstance(solved[0], BaseException):
+            return
+        state = evolve(state, t, cfg.dtau, on_tail=cfg.on_tail)
+        yield state, record(state, opts)
 
 
 def _run_probe(cfg, recorder):

@@ -93,10 +93,13 @@ The slabs each kernel takes (its result's slab in brackets):
 
 So a flow and a record may share one arena in turn on one thread, as
 the flow leaves slabs 0-4 free between samples, and the frame evolver's
-drift arrays sit beside both. propagator's Duhamel targets hold one
-characteristic_flow result (slab 1) while they compute the next, so no
-scope is opened around a run of the evolver, the Duhamel march or the
-probes: each kernel call there has an arena of its own.
+drift arrays sit beside both. propagator's Duhamel targets copy the
+first of two trajectories' flowed samples (slab 1) before they flow the
+second's, so the march gives the same bytes in a scope as without one.
+Still no scope is opened around a run of the evolver, the Duhamel march
+or the probes: each kernel call there has an arena of its own. picard's
+runner solves on a worker thread while its main thread runs the evolver
+and records, and neither thread opens a run-long scope.
 
 All operations assume smooth fields that decay well inside the box, so the
 periodic spectral representation is accurate. Quadrature is the rectangle

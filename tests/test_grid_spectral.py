@@ -643,9 +643,9 @@ def test_arena_scopes_nest_and_close_on_errors():
 
 def test_kernels_outside_a_scope_return_independent_results():
     # outside any scope each characteristic_flow call has an arena of its
-    # own, so a result held while the next is computed (the Duhamel
-    # targets' g1 and g2) stays as it was; in one scope the two share
-    # slab 1, which is why no scope is opened around those runs
+    # own, so a result held while the next is computed stays as it was;
+    # in one scope the two share slab 1, which is why the Duhamel targets
+    # copy g1 before they flow g2
     g, c, m, d = _flow_case(8)
     first = characteristic_flow(c, g, m, d)
     held = first.copy()

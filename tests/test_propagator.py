@@ -23,7 +23,7 @@ from shearvortex import (
     picard_solve,
     transport,
 )
-from shearvortex import errors, propagator, spectral
+from shearvortex import diagnostics, errors, propagator, selfsim, spectral
 from shearvortex.fokker_planck import apply_semigroup as fp_apply
 from shearvortex.fokker_planck import char_map, gaussian
 from shearvortex.initial_data import make_field
@@ -284,6 +284,60 @@ def resolved_trajectories():
     return (linear_flow({"amplitude": 0.05}),
             linear_flow({"amplitude": 0.05, "center": (1.0, -0.5),
                          "widths": (1.5, 1.0)}))
+
+
+@pytest.mark.parametrize("horizon, n_times, t_start", [
+    (0.25, 17, 1.0), (0.1, 7, 0.3), (2.0, 3, 0.0)])
+def test_picard_times_are_the_solve_times(horizon, n_times, t_start):
+    # the runner reads picard's time samples before the solve returns
+    zero = Field(make_grid(16.0, 16), values=np.zeros((16, 16)))
+    traj = picard_solve(zero, 1.0, horizon, n_times, t_start=t_start)
+    times = propagator.picard_times(horizon, n_times, t_start)
+    assert np.array(times).tobytes() == np.array(traj.times).tobytes()
+
+
+def _scoped_case(name, trajs):
+    """A call of the named entry on resolved_trajectories' data."""
+    om = trajs[0].fields[0]
+    frame = make_grid(20.0, 128, "selfsim")
+    state = selfsim.phys_to_selfsim(om, 1.0, 1.0, frame)
+    return {
+        "duhamel_bilinear": lambda: duhamel_bilinear(*trajs, 1.6),
+        "picard_solve": lambda: picard_solve(om, 1.0, 0.25, 5, t_start=1.0),
+        "evolve": lambda: selfsim.evolve(state, 1.05, 0.004).omega,
+        "phys_to_selfsim": lambda: selfsim.phys_to_selfsim(
+            om, 1.5, 1.0, frame).omega,
+        "selfsim_to_phys": lambda: selfsim.selfsim_to_phys(state, om.grid),
+        "apply_semigroup": lambda: apply_semigroup(om, 1.0, 0.5),
+        "fokker_planck.apply_semigroup": lambda: fp_apply(state.omega, 0.5),
+        "record": lambda: diagnostics.record(state),
+    }[name]
+
+
+def _result_bytes(result):
+    if isinstance(result, Field):
+        return result.values.tobytes() + result.coeffs.tobytes()
+    if isinstance(result, Trajectory):
+        return b"".join(map(_result_bytes, result.fields))
+    return repr(result).encode()
+
+
+@pytest.mark.parametrize("name", [
+    "duhamel_bilinear", "picard_solve", "evolve", "phys_to_selfsim",
+    "selfsim_to_phys", "apply_semigroup", "fokker_planck.apply_semigroup",
+    "record"])
+def test_entries_give_the_same_bytes_inside_an_arena_scope(
+        resolved_trajectories, name):
+    # an entry run inside an open arena scope shares the scope's slabs
+    # with its callees, and twice in one scope it finds them written by
+    # its first call; either way its result is the standalone call's,
+    # byte for byte. The Duhamel march on two different trajectories
+    # holds the first one's flowed sample while it flows the second's.
+    call = _scoped_case(name, resolved_trajectories)
+    want = _result_bytes(call())
+    with spectral.arena_scope():
+        assert _result_bytes(call()) == want
+        assert _result_bytes(call()) == want
 
 
 @pytest.mark.parametrize("mixed,targets", [

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -147,12 +148,169 @@ def test_picard_mode_cross_checks_frame_evolver(tmp_path):
                          PICARD_GAP) == gap
 
 
-def test_picard_mode_starts_before_the_frame(tmp_path):
+def test_picard_cross_check_failure_keeps_the_samples_before_it(tmp_path,
+                                                              capsys):
+    # at dtau = 0.0077 the solve succeeds and the frame evolver raises
+    # ResolutionError on its way to t = 1.145: the ten samples before it
+    # are written, and no thread outlives the run
+    cfg = write_config(tmp_path, PICARD_CONFIG.replace("0.004", "0.0077"))
+    out = str(tmp_path / "out")
+    threads = threading.enumerate()
+    assert main(["picard", "--config", cfg, "--out", out]) == 4
+    assert threading.enumerate() == threads
+    assert "ResolutionError" in capsys.readouterr().err
+    summary = read_lines(os.path.join(out, "summary.txt"))
+    assert summary[0].startswith("status: FAILED ResolutionError")
+    assert summary_value(summary, "samples recorded before failure:") == "10"
+    rows = read_lines(os.path.join(out, "diagnostics.csv"))
+    assert rows[0] == CSV_HEADER and len(rows) == 11
+    assert not os.path.exists(os.path.join(out, "final.snap"))
+
+
+def _picard_time(k):
+    """The k-th time sample of PICARD_CONFIG's picard run."""
+    return 1.0 + 0.25 * k / 16
+
+
+def _failing_at(monkeypatch, name, k, exc):
+    """Make runner.<name>(field or state, t, ...) raise exc when t is the
+    k-th time sample of PICARD_CONFIG's run."""
+    call = getattr(runner, name)
+
+    def failing(first, t, *args, **kwargs):
+        if t == _picard_time(k):
+            raise exc
+        return call(first, t, *args, **kwargs)
+
+    monkeypatch.setattr(runner, name, failing)
+
+
+@pytest.mark.parametrize("evolve_at, frame_at, rows, failed", [
+    (None, 3, 4, "frame"),      # sample 3's frame image: after its record
+    (3, None, 3, "evolve"),     # the step to sample 3: before its record
+    (3, 5, 3, "evolve"),        # the earlier failure is raised
+    (5, 3, 4, "frame"),
+    (4, 3, 4, "frame"),         # frame image 3 comes before the step to 4
+    (3, 3, 3, "evolve"),        # the step to 3 comes before frame image 3
+    (None, 0, 0, "frame"),      # om0's frame image, before any record
+])
+def test_picard_cross_check_failures_replay_the_serial_order(
+        tmp_path, monkeypatch, evolve_at, frame_at, rows, failed):
+    # per sample i the run steps the evolver to t_i, records the state and
+    # then reads the Picard field at t_i into the frame; the first failure
+    # in that order is raised, unchanged, after the samples before it are
+    # written, and no thread outlives the run
+    errs = {"evolve": errors.ResolutionError("evolve failed"),
+            "frame": errors.ResolutionError("frame image failed")}
+    if evolve_at is not None:
+        _failing_at(monkeypatch, "evolve", evolve_at, errs["evolve"])
+    if frame_at is not None:
+        _failing_at(monkeypatch, "phys_to_selfsim", frame_at, errs["frame"])
+    out = tmp_path / "out"
+    threads = threading.enumerate()
+    with pytest.raises(errors.ResolutionError) as raised:
+        run_experiment(parse_config("mode = picard\n" + PICARD_CONFIG),
+                       str(out))
+    assert threading.enumerate() == threads
+    assert raised.value is errs[failed]
+    summary = read_lines(out / "summary.txt")
+    assert summary[0] == f"status: FAILED ResolutionError: {errs[failed]}"
+    assert summary_value(summary, "samples recorded before failure:") == (
+        str(rows))
+    assert len(read_lines(out / "diagnostics.csv")) == rows + 1
+
+
+def test_picard_solve_failure_outranks_the_cross_check(tmp_path,
+                                                       monkeypatch):
+    # the solve runs first in the serial order, so its error is raised
+    # with nothing recorded even when the cross-check fails as well
+    def failing_solve(*args, **kwargs):
+        raise errors.NoConvergenceError("solve failed")
+
+    monkeypatch.setattr(runner, "picard_solve", failing_solve)
+    _failing_at(monkeypatch, "evolve", 2, errors.ResolutionError("evolve"))
+    out = tmp_path / "out"
+    threads = threading.enumerate()
+    with pytest.raises(errors.NoConvergenceError):
+        run_experiment(parse_config("mode = picard\n" + PICARD_CONFIG),
+                       str(out))
+    assert threading.enumerate() == threads
+    summary = read_lines(out / "summary.txt")
+    assert summary[0] == "status: FAILED NoConvergenceError: solve failed"
+    assert read_lines(out / "diagnostics.csv") == [CSV_HEADER]
+
+
+class _InlineThread:
+    """A threading.Thread that runs its target in line, on start."""
+
+    def __init__(self, target, name=None):
+        self.target = target
+
+    def start(self):
+        self.target()
+
+    def join(self):
+        pass
+
+
+def _logged(monkeypatch, ran, name):
+    """Log in ran[name] the threads that call runner.<name>."""
+    call = getattr(runner, name)
+
+    def logged(*args, **kwargs):
+        ran.setdefault(name, set()).add(threading.current_thread())
+        return call(*args, **kwargs)
+
+    monkeypatch.setattr(runner, name, logged)
+
+
+def test_picard_solves_on_a_worker_beside_the_frame_evolver(tmp_path,
+                                                            monkeypatch):
+    # the solve and its fields' frame images run on one worker thread,
+    # the frame evolver's chain and record on the main thread, and the
+    # worker ends with the run; with a short switch interval the files
+    # are those of a run that solves first and then runs the chain, on
+    # one thread, byte for byte
+    ran = {}
+    for name in ("picard_solve", "phys_to_selfsim", "evolve", "record"):
+        _logged(monkeypatch, ran, name)
+    cfg = parse_config("mode = picard\nsnapshot_cadence = 4\n"
+                       + PICARD_CONFIG)
+    a, b = tmp_path / "a", tmp_path / "b"
+    threads = threading.enumerate()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        run_experiment(cfg, str(a))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.enumerate() == threads
+    main_thread = threading.main_thread()
+    (worker,) = ran["picard_solve"]
+    assert worker is not main_thread
+    assert ran["phys_to_selfsim"] == {main_thread, worker}
+    assert ran["evolve"] == ran["record"] == {main_thread}
+    monkeypatch.setattr(runner, "threading",
+                        types.SimpleNamespace(Thread=_InlineThread))
+    run_experiment(cfg, str(b))
+    names = sorted(os.listdir(a))
+    assert names == sorted(os.listdir(b))
+    assert {"diagnostics.csv", "summary.txt", "final.snap",
+            "state_00016.snap"} <= set(names)
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_picard_mode_starts_before_the_frame(tmp_path, monkeypatch):
     # from t_init = 0 no frame state exists, so nothing is recorded and
-    # the frame evolver's cross-check is left out
+    # the frame evolver's cross-check is left out: the solve runs on the
+    # main thread
+    ran = {}
+    _logged(monkeypatch, ran, "picard_solve")
     out = str(tmp_path / "out")
     assert main(["picard", "--grid-n", "128", "--grid-l", "20",
                  "--t-init", "0", "--t-end", "0.25", "--out", out]) == 0
+    assert ran == {"picard_solve": {threading.main_thread()}}
     summary = read_lines(os.path.join(out, "summary.txt"))
     assert summary[:2] == ["status: OK", "mode: picard"]
     assert summary_value(summary, "time samples:") == "17"
@@ -535,10 +693,15 @@ def test_diverging_picard_exits_3(tmp_path, capsys):
         "grid_n = 64\n"
         "t_end = 2.0\n"))
     out = str(tmp_path / "out")
+    threads = threading.enumerate()
     assert main(["picard", "--config", cfg, "--out", out]) == 3
+    assert threading.enumerate() == threads
+    # the solve's error, raised before its cross-check records a sample
     assert "DivergenceError" in capsys.readouterr().err
     summary = read_lines(os.path.join(out, "summary.txt"))
     assert summary[0].startswith("status: FAILED DivergenceError")
+    assert summary_value(summary, "samples recorded before failure:") == "0"
+    assert read_lines(os.path.join(out, "diagnostics.csv")) == [CSV_HEADER]
 
 
 def test_unresolved_run_exits_4_with_partial_outputs(tmp_path, capsys):

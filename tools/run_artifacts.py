@@ -7,8 +7,10 @@ Usage: python tools/run_artifacts.py OUT
 Runs in-process, each into OUT/<name>/: the three benchmark workloads
 (perfbench/run.py's config_text(workload, 1)), a linear run with a
 snapshot every second sample, a probe run at n = 64, a simulate run at
-n = 64 that fails, and an fp-decay run at n = 32 that fails (its flow
-raises on the worker thread after the first sample is recorded). Then
+n = 64 that fails, an fp-decay run at n = 32 that fails (its flow
+raises on the worker thread after the first sample is recorded), and a
+picard run at n = 128 whose frame evolver fails on the main thread while
+the solve runs on a worker (ten samples recorded). Then
 writes OUT/src_code_lines.txt: the code lines of each module under
 src/shearvortex and their total, counted with tokenize and ast
 (comments, blank lines and docstrings left out).
@@ -52,13 +54,17 @@ NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
 # runs beside the workloads, as overrides of the config defaults; the
 # simulate run's Gaussian is under-resolved at n = 64 and the fp-decay
 # run's at n = 32 on L = 16, so each fails after its first sample with
-# ResolutionError
+# ResolutionError. The picard run's solve succeeds, and at dtau = 0.0077
+# its frame evolver fails with ResolutionError after ten samples
 EXTRA_RUNS = {
     "linear": "mode = linear\ngrid_n = 128\nt_end = 10\nsnapshot_cadence = 2\n",
     "probe": "mode = probe\ngrid_n = 64\nt_end = 10\n",
     "simulate-fails": "mode = simulate\ngrid_n = 64\nt_end = 2\n",
     "fp-decay-fails": ("mode = fp-decay\ninitial_data = gaussian\n"
                        "grid_n = 32\ngrid_l = 16\nt_end = 3.2\n"),
+    "picard-fails": ("mode = picard\ninitial_data = gaussian\n"
+                     "initial_params = amplitude=0.05\ngrid_n = 128\n"
+                     "grid_l = 20\nt_end = 1.25\ndtau = 0.0077\n"),
 }
 
 
