@@ -115,7 +115,7 @@ class DiagnosticsRecord:
     dissipation: float = None
 
 
-def record(state, opts=None):
+def record(state, opts=None, mixed0=None):
     """Compute the configured diagnostics for one frame state.
 
     convergence_L2m is the weighted-L2 distance to alpha times the fixed
@@ -128,6 +128,10 @@ def record(state, opts=None):
     the axis-0 inverse transform on slab 4, shared with the energy
     pair's x-order-0 derivatives, then the axis-1 inverse real one into
     the values the state's Field keeps, so that a snapshot reads them.
+    A caller that sampled the state itself passes its axis-0 stage as
+    mixed0, which those derivatives read instead (energy_functionals):
+    fp-decay's flow worker samples each state, and the main thread
+    records it with the stage, taking no axis-0 transform of x-order 0.
     Every large temporary runs in the calling thread's arena scope
     (spectral.arena_scope; one of its own if none is open): the distance
     to the Gaussian, |omega| and the quadratures' products on slabs 0-2,
@@ -142,7 +146,8 @@ def record(state, opts=None):
     om = state.omega
     grid = om.grid
     with arena_scope() as ws:
-        v, mixed0 = sample_values(om, 4)
+        v, stage = sample_values(om, 4)
+        mixed0 = stage if mixed0 is None else mixed0
         (diff,), (mag,), (scratch,) = (ws.take(i, (v.shape, float)) for i in range(3))
         np.subtract(v, np.multiply(grid.gaussian_values, state.alpha, out=diff), out=diff)
         powers = {m: ws.weight(grid, m) for m in opts.weight_exponents}

@@ -142,7 +142,9 @@ def semigroup_flow(f, taus):
     each flow (spectral.flow_rows) on slabs 0-3. So a caller in the same
     scope may use slabs 0-4 between two samples; fp-decay's runner
     advances the flow on a worker thread instead, in that thread's scope,
-    while it records the sample before in its own.
+    and that thread also samples each result (spectral.sample_values)
+    and hashes its snapshot, while the main thread records the sample
+    before in its own scope and writes its files.
     """
     grid = f.grid
     rows = None

@@ -7,30 +7,38 @@ from one time of sample_schedule to the next, fp-decay applies the limit
 semigroup at those times, and picard's cross-check evolves to each of the
 mild solution's time samples; each sampled state goes to the recorder.
 fp-decay flows its initial field through one fokker_planck.semigroup_flow
-over the run's times. No flow reads the previous sample's record, so the
-flow runs on one worker thread, one sample ahead of the recorder
-(_one_ahead): sample i + 1 flows while the main thread records sample i,
-and the worker closes the flow and is joined before the run returns or
-raises. Each thread opens one arena scope for the run
-(spectral.arena_scope), the worker around its flow loop and the main
-thread around its record loop, so each side's large temporaries reuse
-its own slabs. picard's cross-check needs only the initial field and
-the sample times (propagator.picard_times), so from t_init >= 1 the two
-solvers run at once (_cross_checked): picard_solve, and the frame image
-of each Picard field, on one worker thread; the frame evolver's chain
-and each state's record on the main thread. Neither side opens a
-run-long scope. The worker is joined before the run returns or raises;
+over the run's times. No flow reads the previous sample's record, so
+every step that needs only the flowed field runs on one worker thread,
+one sample ahead of the recorder (_one_ahead): the flow, the state's
+samples (spectral.sample_values, whose axis-0 stage goes with the
+state) and, for each sample a snapshot is written of, its encoding,
+payload hash included (snapshot.encode_snapshot). The cadence that
+picks those samples is the recorder's (_Recorder.writes). Sample i + 1
+is flowed, sampled and encoded while the main thread records sample i
+from its samples and stage, and the worker closes the flow and is
+joined before the run returns or raises. Each thread opens one arena
+scope for the run (spectral.arena_scope), the worker around its loop
+and the main thread around its record loop, so each side's large
+temporaries reuse its own slabs. picard's cross-check needs only the
+initial field and the sample times (propagator.picard_times), so from
+t_init >= 1 the two solvers run at once (_cross_checked): picard_solve,
+and the frame image of each Picard field, on one worker thread; the
+frame evolver's chain and each state's record on the main thread.
+Neither side opens a run-long scope, and each keeps only the samples
+the gap of the two solvers reads (a chain state only when its snapshot
+is written). The worker is joined before the run returns or raises;
 then the samples are committed, and the first failure in the order of
 a one-thread run is raised. The main thread writes every CSV row and
-snapshot, in sample order. simulate, linear, probe and picard from
-t_init < 1 start no thread.
+snapshot file, in sample order. simulate, linear, probe and picard
+from t_init < 1 start no thread, and the main thread samples, hashes
+and writes each of their snapshots.
 
 Outputs are a pure function of (config, seed): floats are serialized
 with repr (shortest round-trip form), each reduction runs in one thread
-(fp-decay's flow, picard's solve and its fields' frame images on the
-worker, all else on the main thread) in a fixed order, and random
-fields come from a seeded generator, so a rerun with the same config
-reproduces every artifact byte for byte.
+(fp-decay's flow, samples and snapshot hashes, picard's solve and its
+fields' frame images on the worker, all else on the main thread) in a
+fixed order, and random fields come from a seeded generator, so a rerun
+with the same config reproduces every artifact byte for byte.
 """
 
 import os
@@ -61,8 +69,8 @@ from .selfsim import (
     phys_to_selfsim,
     sample_schedule,
 )
-from .snapshot import write_snapshot
-from .spectral import arena_scope, lp_norm, mass
+from .snapshot import encode_snapshot, write_snapshot
+from .spectral import arena_scope, lp_norm, lp_samples, mass, sample_values
 
 PROBE_ENSEMBLE_SIZE = 10
 PROBE_TIMES = 5
@@ -133,13 +141,19 @@ class _Recorder:
         self.index = 0
 
     def __call__(self, state):
-        return self.commit(state, record(state, self.opts))
+        return self.commit(record(state, self.opts), state)
 
-    def commit(self, state, rec):
-        """Keep rec, the record of state, as the next sample."""
+    def writes(self, index):
+        """Whether the snapshot cadence writes sample index."""
+        return bool(self.cadence) and index % self.cadence == 0
+
+    def commit(self, rec, snapshot):
+        """Keep rec as the next sample, and write snapshot, its state or
+        that state's encoding (snapshot.encode_snapshot), if the cadence
+        writes the sample; snapshot may be None if it does not."""
         self.records.append(rec)
-        if self.cadence and self.index % self.cadence == 0:
-            write_snapshot(state, os.path.join(
+        if self.writes(self.index):
+            write_snapshot(snapshot, os.path.join(
                 self.outdir, f"state_{self.index:05d}.snap"))
         self.index += 1
         return rec
@@ -281,18 +295,32 @@ def _run_fp_decay(cfg, recorder):
     f0.coeffs       # formed here: the worker and record both read them
     taus = sample_schedule(cfg.t_init, cfg.t_end, cfg.samples_per_decade)
     taus = [s - taus[0] for s in taus]
-    # record's scope; the flow's worker opens its own, and closing the
-    # flow joins the worker
-    with arena_scope(), closing(_one_ahead(semigroup_flow(f0, taus))) as flow:
-        for tau, omega in zip(taus, flow):
-            state = SelfSimilarState(omega=omega,
-                                     t=float(cfg.t_init * np.exp(tau)),
-                                     nu=cfg.nu, alpha=alpha)
-            recorder(state)
+    last = len(taus) - 1
+
+    def sampled(flow):
+        """Each state of flow, sampled, with its axis-0 stage, a new array
+        as the main thread records the state while this generator
+        samples the next, and its snapshot's encoding if the cadence
+        writes it or it is the last (final.snap), else None."""
+        with closing(flow):
+            for i, (tau, omega) in enumerate(zip(taus, flow)):
+                state = SelfSimilarState(omega=omega,
+                                         t=float(cfg.t_init * np.exp(tau)),
+                                         nu=cfg.nu, alpha=alpha)
+                _, stage = sample_values(omega)
+                keep = recorder.writes(i) or i == last
+                yield state, stage, encode_snapshot(state) if keep else None
+
+    flow = _one_ahead(sampled(semigroup_flow(f0, taus)))
+    # record's scope; the worker opens its own, and closing flow joins it
+    with arena_scope(), closing(flow):
+        for state, stage, snapshot in flow:
+            recorder.commit(record(state, recorder.opts, mixed0=stage),
+                            snapshot)
     recs = recorder.records
     m_fit = 3.0 if 3.0 in cfg.weights else cfg.weights[-1]
     series = [(r.t, r.weighted[(m_fit, 0, 0)]) for r in recs]
-    return state, [
+    return snapshot, [
         f"samples: {len(recs)}",
         f"fitted decay exponent of the L2({_fmt_m(m_fit)}) norm: "
         + _try_fit(series, None),
@@ -376,7 +404,7 @@ def _cross_checked(cfg, om0, window, recorder):
     sample i, the step to t_i's, the record's and the frame image of
     field i's, after the samples before it. Returns the trajectory and
     the sup over samples of the relative L2 gap of the two solvers in
-    the frame."""
+    the frame, read off the samples each side keeps."""
     frame_grid = make_grid(cfg.grid_l, cfg.grid_n, "selfsim")
     solved = []     # the worker's outcome: its results, or its error
 
@@ -384,7 +412,7 @@ def _cross_checked(cfg, om0, window, recorder):
         try:
             traj = picard_solve(om0, cfg.nu, *window)
             solved.append((traj, *_collected(
-                phys_to_selfsim(om, t, cfg.nu, frame_grid)
+                phys_to_selfsim(om, t, cfg.nu, frame_grid).omega.values
                 for t, om in zip(traj.times[1:], traj.fields[1:]))))
         except BaseException as exc:    # raised after the join
             solved.append(exc)
@@ -394,7 +422,7 @@ def _cross_checked(cfg, om0, window, recorder):
     worker.start()
     try:
         chain, failed = _collected(_frame_chain(cfg, om0, window, frame_grid,
-                                                recorder.opts, solved))
+                                                recorder, solved))
     finally:
         worker.join()
     if isinstance(solved[0], BaseException):
@@ -403,14 +431,14 @@ def _cross_checked(cfg, om0, window, recorder):
     # field i's frame image comes after the step to t_i and its record
     if image_failed is not None and len(chain) > len(images) + 1:
         chain, failed = chain[:len(images) + 2], image_failed
-    for state, rec in chain:
-        recorder.commit(state, rec)
+    for _, rec, state in chain:
+        recorder.commit(rec, state)
     if failed is not None:
         raise failed
     sup_gap = 0.0
-    for (state, _), ref in zip(chain[1:], images):
-        gap = float(lp_norm(state.omega - ref.omega, 2))
-        scale = float(lp_norm(ref.omega, 2))
+    for (v, _, _), ref in zip(chain[1:], images):
+        gap = lp_samples(np.abs(v - ref), frame_grid, 2)
+        scale = lp_samples(np.abs(ref), frame_grid, 2)
         sup_gap = max(sup_gap, gap / scale if scale > 0 else gap)
     return traj, sup_gap
 
@@ -427,19 +455,22 @@ def _collected(items):
     return done, None
 
 
-def _frame_chain(cfg, om0, window, frame_grid, opts, solved):
-    """Yield the frame evolver's states, each with its record, from om0's
-    frame image through the time samples of window. Stops early once the
-    solve has failed (its error is in solved), as that error is raised
-    first."""
+def _frame_chain(cfg, om0, window, frame_grid, recorder, solved):
+    """Yield the frame evolver's states, from om0's frame image through
+    the time samples of window, each as its samples, its record and, if
+    recorder's cadence writes its snapshot, itself (else None). Stops
+    early once the solve has failed (its error is in solved), as that
+    error is raised first."""
     times = picard_times(*window)
     state = phys_to_selfsim(om0, times[0], cfg.nu, frame_grid)
-    yield state, record(state, opts)
-    for t in times[1:]:
-        if solved and isinstance(solved[0], BaseException):
-            return
-        state = evolve(state, t, cfg.dtau, on_tail=cfg.on_tail)
-        yield state, record(state, opts)
+    for i, t in enumerate(times):
+        if i:
+            if solved and isinstance(solved[0], BaseException):
+                return
+            state = evolve(state, t, cfg.dtau, on_tail=cfg.on_tail)
+        rec = record(state, recorder.opts)
+        yield (state.omega.values, rec,
+               state if recorder.writes(i) else None)
 
 
 def _run_probe(cfg, recorder):

@@ -4,13 +4,18 @@ Payload: little-endian IEEE-754 doubles of the physical-space samples,
 row major with the second axis fastest. Sidecar (path + ".meta") lists
 every metadata key needed to rebuild the object and a sha256 of the
 payload; reads validate the checksum and every structural invariant
-before constructing anything. Both files are written beside their targets
-and moved into place, payload first, so no partial file takes their names.
+before constructing anything. A write is an encoding (encode_snapshot:
+the payload view, the sidecar and its hash), which any thread may make,
+then the files: both are written beside their targets and moved into
+place, payload first, so no partial file takes their names. fp-decay's
+flow worker encodes the snapshots of its samples, and the runner's main
+thread writes them, in sample order.
 """
 
 import contextlib
 import hashlib
 import os
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,9 +48,18 @@ def _replace_files(items):
         os.replace(tmp, path)
 
 
-def write_snapshot(obj, path):
-    """Persist a Field or a SelfSimilarState (duck-typed on .omega). The
-    payload is hashed and written from the samples' own buffer."""
+class Encoded(NamedTuple):
+    """A snapshot's bytes: the payload (a contiguous array) and the
+    sidecar."""
+
+    payload: np.ndarray
+    sidecar: bytes
+
+
+def encode_snapshot(obj):
+    """The Encoded bytes of a Field or a SelfSimilarState (duck-typed on
+    .omega). The payload is a view of the samples' own buffer, hashed
+    where it lies."""
     if hasattr(obj, "omega"):
         f = obj.omega
         meta_extra = {"kind": "state", "t": repr(float(obj.t)),
@@ -67,7 +81,14 @@ def write_snapshot(obj, path):
     }
     meta.update(meta_extra)
     sidecar = "".join(f"{k} = {meta[k]}\n" for k in sorted(meta))
-    _replace_files([(path, payload), (_sidecar(path), sidecar.encode("ascii"))])
+    return Encoded(payload, sidecar.encode("ascii"))
+
+
+def write_snapshot(obj, path):
+    """Persist a Field or a SelfSimilarState, or write the Encoded bytes
+    of one (encode_snapshot), as path and its sidecar."""
+    payload, sidecar = obj if isinstance(obj, Encoded) else encode_snapshot(obj)
+    _replace_files([(path, payload), (_sidecar(path), sidecar)])
 
 
 def read_metadata(path):

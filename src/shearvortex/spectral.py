@@ -74,8 +74,12 @@ callees share them. A generator opens its scope per item, never across
 a yield. fp-decay's runner opens one scope on the main thread around
 its record loop, and its flow worker one around its own loop, so each
 side reuses its slabs from sample to sample instead of freeing and
-faulting them in again. What a kernel returns on a slab is valid until
-the slab is taken again; a Field copies the arrays it is built from.
+faulting them in again. The worker also samples each state, with the
+axis-0 stage in a new array (sample_values with no slab), and hashes
+its snapshot; the main thread records the state from that stage and
+writes the files, as the worker flows the next sample on its slabs.
+What a kernel returns on a slab is valid until the slab is taken
+again; a Field copies the arrays it is built from.
 The slabs each kernel takes (its result's slab in brackets):
 
     derivative_pass      0-1, each sample on 2 [2], or 3 if held [3]
@@ -84,10 +88,11 @@ The slabs each kernel takes (its result's slab in brackets):
     flow_rows            0-3, through _shear and scale_spectrum [1]
     scale_spectrum       0-3, through affine_trig_sum [1]
     affine_trig_sum      0-3 [1]
-    sample_values        i, the axis-0 stage [i]
+    sample_values        i, the axis-0 stage [i]; none if i is None
     semigroup_flow       4 (tail check, damping), 5 (its input's shear
                          rows, for the whole flow), 0-3 (flow_rows)
-    record               0-2, 4 (sample_values), energy_functionals'
+    record               0-2, 4 (sample_values, unless the caller
+                         sampled), energy_functionals'
     energy_functionals   2, derivative_pass's 0-3
     drift_divergence     6, the drift arrays (drift_arrays)
 
@@ -819,19 +824,24 @@ def flow_rows(rows, grid, m, damping):
     return out
 
 
-def sample_values(f, i):
+def sample_values(f, i=None):
     """f's samples, and the axis-0 inverse transform of its half spectrum
     when it was taken here, else None. A Field that holds only its half
     spectrum gets its samples by the axes irfft2 takes, bit for bit: the
-    axis-0 inverse transform onto slab i, then the axis-1 inverse real
-    transform into a new array that f keeps as its values
-    (Field.keep_values), so that later readers, a snapshot among them,
-    take no transform. The slab holds the first stage until it is taken
-    again, for derivative_pass to share (mixed0)."""
+    axis-0 inverse transform onto slab i, or into a new array if i is
+    None, then the axis-1 inverse real transform into a new array that f
+    keeps as its values (Field.keep_values), so that later readers, a
+    snapshot among them, take no transform. The first stage is kept for
+    derivative_pass to share (mixed0): on slab i until the slab is taken
+    again, and a new array for as long as its reader needs it, on any
+    thread."""
     if f.has_values:
         return f.values, None
-    with arena_scope() as ws:
-        mixed, = ws.take(i, (f.coeffs.shape, complex))
+    if i is None:
+        mixed = np.empty(f.coeffs.shape, complex)
+    else:
+        with arena_scope() as ws:
+            mixed, = ws.take(i, (f.coeffs.shape, complex))
     f.keep_values(_irfft2(f.coeffs, f.grid, mixed, None))
     return f.values, mixed
 

@@ -305,6 +305,15 @@ def test_record_on_fp_decay_state_reads_samples_once(monkeypatch, energy_m,
     assert calls == ["ifft/0", "irfft/1"] + _PASS_CALLS[1:]
     assert sorted(log) == powers
     assert np.isfinite(rec.energy) and np.isfinite(rec.dissipation)
+    # the same state sampled by its caller, who hands over the axis-0
+    # stage (fp-decay's worker samples, its main thread records): record
+    # takes no transform of x-order 0, and gives the same record
+    handed = SelfSimilarState(omega=fokker_planck.apply_semigroup(f0, 0.5),
+                              t=2.0, nu=1.0, alpha=mass(f0))
+    _, stage = spectral.sample_values(handed.omega)
+    calls.clear()
+    assert repr(record(handed, opts, mixed0=stage)) == repr(rec)
+    assert calls == _PASS_CALLS[1:]
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import shutil
 import subprocess
@@ -497,9 +498,9 @@ def test_fp_decay_flows_one_sample_ahead_on_a_worker_that_ends_with_the_run(
     # item after the one record reads, and no thread outlives the run
     begun, ahead = [], []
 
-    def counted_record(state, opts):
+    def counted_record(state, opts, mixed0=None):
         ahead.append(len(begun) - len(ahead))
-        return diagnostics.record(state, opts)
+        return diagnostics.record(state, opts, mixed0=mixed0)
 
     monkeypatch.setattr(runner, "semigroup_flow", _counted_flow(begun))
     monkeypatch.setattr(runner, "record", counted_record)
@@ -512,6 +513,37 @@ def test_fp_decay_flows_one_sample_ahead_on_a_worker_that_ends_with_the_run(
     assert 1 <= min(ahead) and max(ahead) <= 2, ahead
     assert len(set(begun)) == 1
     assert begun[0] is not threading.main_thread()
+
+
+def test_fp_decay_samples_and_hashes_on_the_worker(tmp_path, monkeypatch):
+    # the worker samples each state (both sampling transforms) and hashes
+    # each snapshot, final.snap's included; record on the main thread
+    # finds the samples there
+    sampled, hashed = [], []
+
+    def logged_sampling(module):
+        def sample_values(f, *args):
+            v, stage = spectral.sample_values(f, *args)
+            sampled.append((threading.current_thread(), stage is not None))
+            return v, stage
+        monkeypatch.setattr(module, "sample_values", sample_values)
+
+    def logged_sha256(data, _sha256=hashlib.sha256):
+        hashed.append(threading.current_thread())
+        return _sha256(data)
+
+    for module in (runner, diagnostics):
+        logged_sampling(module)
+    monkeypatch.setattr(hashlib, "sha256", logged_sha256)
+    run_experiment(parse_config("mode = fp-decay\n" + FP_DECAY_N128),
+                   str(tmp_path / "out"))
+    # f0 holds its samples already; each later state is sampled here
+    main = threading.main_thread()
+    on_worker = [taken for thread, taken in sampled if thread is not main]
+    assert on_worker == [False] + [True] * 9
+    assert not any(taken for thread, taken in sampled if thread is main)
+    workers = {thread for thread, _ in sampled if thread is not main}
+    assert len(workers) == 1 and len(hashed) == 10 and set(hashed) == workers
 
 
 def test_unresolved_fp_decay_leaves_no_thread(tmp_path, capsys):
@@ -548,12 +580,12 @@ def test_fp_decay_record_failure_joins_the_worker_mid_flow(tmp_path,
         finally:
             ran_on.append(threading.current_thread())
 
-    def failing_record(state, opts):
+    def failing_record(state, opts, mixed0=None):
         if len(recorded) == 3:
             assert flowing_4.wait(30)
             raise GridError("record failed at sample 3")
         recorded.append(state)
-        return diagnostics.record(state, opts)
+        return diagnostics.record(state, opts, mixed0=mixed0)
 
     monkeypatch.setattr(runner, "semigroup_flow", flow)
     monkeypatch.setattr(runner, "record", failing_record)

@@ -1,4 +1,6 @@
 import hashlib
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +47,34 @@ def test_state_round_trip(field, tmp_path):
     assert isinstance(back, SelfSimilarState)
     assert (back.t, back.nu, back.alpha) == (3.5, 0.7, state.alpha)
     assert np.array_equal(back.omega.values, field.values)
+
+
+@pytest.mark.parametrize("kind", ["field", "state"])
+def test_an_encoding_from_another_thread_writes_the_same_bytes(
+        field, tmp_path, kind):
+    # fp-decay's worker encodes a snapshot (payload view, sidecar, hash)
+    # and the main thread writes it: the files are write_snapshot's own,
+    # byte for byte, and read back as the object
+    obj = field if kind == "field" else SelfSimilarState(omega=field, t=3.5,
+                                                         nu=0.7)
+    encoded = []
+    worker = threading.Thread(
+        target=lambda: encoded.append(snapshot.encode_snapshot(obj)))
+    worker.start()
+    worker.join(30)
+    assert not worker.is_alive() and len(encoded) == 1
+    direct, handed = tmp_path / "direct.snap", tmp_path / "handed.snap"
+    write_snapshot(obj, direct)
+    write_snapshot(encoded[0], handed)
+    for suffix in ("", ".meta"):
+        assert (Path(f"{handed}{suffix}").read_bytes()
+                == Path(f"{direct}{suffix}").read_bytes())
+    back = read_snapshot(handed)
+    if kind == "field":
+        assert np.array_equal(back.values, field.values)
+    else:
+        assert (back.t, back.nu, back.alpha) == (3.5, 0.7, obj.alpha)
+        assert np.array_equal(back.omega.values, field.values)
 
 
 def test_metadata_keys(field, tmp_path):

@@ -8,9 +8,12 @@ Runs in-process, each into OUT/<name>/: the three benchmark workloads
 (perfbench/run.py's config_text(workload, 1)), a linear run with a
 snapshot every second sample, a probe run at n = 64, a simulate run at
 n = 64 that fails, an fp-decay run at n = 32 that fails (its flow
-raises on the worker thread after the first sample is recorded), and a
-picard run at n = 128 whose frame evolver fails on the main thread while
-the solve runs on a worker (ten samples recorded). Then
+raises on the worker thread after the first sample is recorded), an
+fp-decay run at n = 128 with a snapshot every fourth sample (its worker
+encodes samples 0, 4 and 8 and the last, and the main thread writes
+state_00000, state_00004, state_00008 and final.snap), and a picard run
+at n = 128 whose frame evolver fails on the main thread while the solve
+runs on a worker (ten samples recorded). Then
 writes OUT/src_code_lines.txt: the code lines of each module under
 src/shearvortex and their total, counted with tokenize and ast
 (comments, blank lines and docstrings left out).
@@ -54,14 +57,19 @@ NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
 # runs beside the workloads, as overrides of the config defaults; the
 # simulate run's Gaussian is under-resolved at n = 64 and the fp-decay
 # run's at n = 32 on L = 16, so each fails after its first sample with
-# ResolutionError. The picard run's solve succeeds, and at dtau = 0.0077
-# its frame evolver fails with ResolutionError after ten samples
+# ResolutionError. The fp-decay-cadence run's ten samples are snapshot
+# at 0, 4 and 8, not at the last, which only final.snap holds. The
+# picard run's solve succeeds, and at dtau = 0.0077 its frame evolver
+# fails with ResolutionError after ten samples
 EXTRA_RUNS = {
     "linear": "mode = linear\ngrid_n = 128\nt_end = 10\nsnapshot_cadence = 2\n",
     "probe": "mode = probe\ngrid_n = 64\nt_end = 10\n",
     "simulate-fails": "mode = simulate\ngrid_n = 64\nt_end = 2\n",
     "fp-decay-fails": ("mode = fp-decay\ninitial_data = gaussian\n"
                        "grid_n = 32\ngrid_l = 16\nt_end = 3.2\n"),
+    "fp-decay-cadence": ("mode = fp-decay\ninitial_data = eigenfunction\n"
+                         "initial_params = a=1, b=0\ngrid_n = 128\n"
+                         "grid_l = 20\nt_end = 3.2\nsnapshot_cadence = 4\n"),
     "picard-fails": ("mode = picard\ninitial_data = gaussian\n"
                      "initial_params = amplitude=0.05\ngrid_n = 128\n"
                      "grid_l = 20\nt_end = 1.25\ndtau = 0.0077\n"),
