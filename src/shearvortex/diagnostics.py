@@ -129,9 +129,8 @@ def record(state, opts=None, mixed0=None):
     pair's x-order-0 derivatives, then the axis-1 inverse real one into
     the values the state's Field keeps, so that a snapshot reads them.
     A caller that sampled the state itself passes its axis-0 stage as
-    mixed0, which those derivatives read instead (energy_functionals):
-    fp-decay's flow worker samples each state, and the main thread
-    records it with the stage, taking no axis-0 transform of x-order 0.
+    mixed0, which those derivatives read instead (energy_functionals),
+    so record takes no axis-0 transform of x-order 0.
     Every large temporary runs in the calling thread's arena scope
     (spectral.arena_scope; one of its own if none is open): the distance
     to the Gaussian, |omega| and the quadratures' products on slabs 0-2,
@@ -233,7 +232,7 @@ _ORDERS = tuple(sorted({o for row in _E_TERMS + _D_TERMS for o in row[2:]
 _CROSS = {a: b for _, _, a, b in _E_TERMS if a != b}
 
 
-def energy_functionals(omega, t, coef, weight=None, mixed0=None):
+def energy_functionals(omega, t, coef, mixed0=None):
     """The energy E(t) and dissipation D(t) of the hypocoercive pair.
 
     Both sum rows of one Gram table of weighted-L2 inner products of the
@@ -245,19 +244,15 @@ def energy_functionals(omega, t, coef, weight=None, mixed0=None):
     arrives, and each cross pair when its later factor does, so at most
     one earlier factor is held. The pass and f_0 run on slabs 0-3 of the
     calling thread's arena scope (spectral.arena_scope; one of its own
-    if none is open). weight holds the (n, n) samples of <x>^m when the
-    caller has them, else the arena's are used, and mixed0 the axis-0
-    inverse transform of omega's spectrum when the caller has it
-    (record), which the x-order-0 derivatives read; a sample or square
-    sum that is not finite raises GridError.
+    if none is open), and the weight <x>^m is the arena's. mixed0 holds
+    the axis-0 inverse transform of omega's spectrum when the caller has
+    it (record), which the x-order-0 derivatives read; a sample or
+    square sum that is not finite raises GridError.
     """
     t = check_time(t, "energy time")
     if t < coef.t0:
         raise DomainError(f"energy functionals need t >= t0 = {coef.t0}")
     grid = omega.grid
-    if weight is not None and np.shape(weight) != (grid.n, grid.n):
-        raise GridError(f"weight shape {np.shape(weight)} != "
-                        f"({grid.n}, {grid.n})")
     log = float(np.log(t / coef.t0))
     decay = 1.0 / (1.0 + t * t)
     cs = (1.0, coef.c1, coef.c2, coef.c3, coef.c4, coef.c5, coef.c6, coef.c7)
@@ -271,7 +266,7 @@ def energy_functionals(omega, t, coef, weight=None, mixed0=None):
                             "finite")
 
     with arena_scope() as ws:
-        weight = ws.weight(grid, coef.m) if weight is None else weight
+        weight = ws.weight(grid, coef.m)
         f0, = ws.take(2, ((grid.n, grid.n), float))
         square((0, 0), np.multiply(weight, omega.values, out=f0))
         for o, f in derivative_pass(omega.coeffs, grid, _ORDERS[1:],

@@ -140,11 +140,7 @@ def semigroup_flow(f, taus):
     never held open across a yield: the tail check and each tau's
     damping on slab 4, the rows on slab 5, kept for the whole flow, and
     each flow (spectral.flow_rows) on slabs 0-3. So a caller in the same
-    scope may use slabs 0-4 between two samples; fp-decay's runner
-    advances the flow on a worker thread instead, in that thread's scope,
-    and that thread also samples each result (spectral.sample_values)
-    and hashes its snapshot, while the main thread records the sample
-    before in its own scope and writes its files.
+    scope may use slabs 0-4 between two samples.
     """
     grid = f.grid
     rows = None

@@ -6,32 +6,33 @@ The runner owns the sampling: simulate and linear evolve the frame state
 from one time of sample_schedule to the next, fp-decay applies the limit
 semigroup at those times, and picard's cross-check evolves to each of the
 mild solution's time samples; each sampled state goes to the recorder.
-fp-decay flows its initial field through one fokker_planck.semigroup_flow
-over the run's times. No flow reads the previous sample's record, so
-every step that needs only the flowed field runs on one worker thread,
-one sample ahead of the recorder (_one_ahead): the flow, the state's
-samples (spectral.sample_values, whose axis-0 stage goes with the
-state) and, for each sample a snapshot is written of, its encoding,
-payload hash included (snapshot.encode_snapshot). The cadence that
-picks those samples is the recorder's (_Recorder.writes). Sample i + 1
-is flowed, sampled and encoded while the main thread records sample i
-from its samples and stage, and the worker closes the flow and is
-joined before the run returns or raises. Each thread opens one arena
-scope for the run (spectral.arena_scope), the worker around its loop
-and the main thread around its record loop, so each side's large
-temporaries reuse its own slabs. picard's cross-check needs only the
-initial field and the sample times (propagator.picard_times), so from
-t_init >= 1 the two solvers run at once (_cross_checked): picard_solve,
-and the frame image of each Picard field, on one worker thread; the
-frame evolver's chain and each state's record on the main thread.
-Neither side opens a run-long scope, and each keeps only the samples
-the gap of the two solvers reads (a chain state only when its snapshot
-is written). The worker is joined before the run returns or raises;
-then the samples are committed, and the first failure in the order of
-a one-thread run is raised. The main thread writes every CSV row and
-snapshot file, in sample order. simulate, linear, probe and picard
-from t_init < 1 start no thread, and the main thread samples, hashes
-and writes each of their snapshots.
+
+Threads. Two modes run work off the main thread, both through one
+primitive, _one_ahead: a context manager that starts one worker thread
+on entry, which computes the items of a generator in an arena scope of
+its own (spectral.arena_scope) at most one item ahead of the reader,
+and which closes the generator on its own thread and is joined on exit,
+before the run returns or raises. fp-decay flows its initial field
+through one fokker_planck.semigroup_flow over the run's times; no flow
+reads the previous sample's record, so the worker flows sample i + 1,
+samples it (spectral.sample_values, its axis-0 stage in a new array
+that goes with the state) and, for each sample a snapshot is written
+of, encodes it, payload hash included (snapshot.encode_snapshot), while
+the main thread records sample i from its samples and stage (record's
+mixed0) in its own run-long scope. The cadence that picks those
+samples is the recorder's (_Recorder.writes). picard's cross-check
+needs only the initial field and the sample times
+(propagator.picard_times), so from t_init >= 1 the two solvers run at
+once (_cross_checked): the worker's one item is picard_solve and the
+frame image of each Picard field, while the main thread runs the frame
+evolver's chain and each state's record, with no run-long scope, and
+reads the item once the chain is done. Each side keeps only the
+samples the gap of the two solvers reads (a chain state only when its
+snapshot is written); then the samples are committed, and the first
+failure in the order of a one-thread run is raised. The main thread
+writes every CSV row and snapshot file, in sample order. simulate,
+linear, probe and picard from t_init < 1 start no thread, and the main
+thread samples, hashes and writes each of their snapshots.
 
 Outputs are a pure function of (config, seed): floats are serialized
 with repr (shortest round-trip form), each reduction runs in one thread
@@ -43,7 +44,7 @@ with the same config reproduces every artifact byte for byte.
 
 import os
 import threading
-from contextlib import closing
+from contextlib import closing, contextmanager
 
 import numpy as np
 
@@ -297,12 +298,12 @@ def _run_fp_decay(cfg, recorder):
     taus = [s - taus[0] for s in taus]
     last = len(taus) - 1
 
-    def sampled(flow):
-        """Each state of flow, sampled, with its axis-0 stage, a new array
-        as the main thread records the state while this generator
-        samples the next, and its snapshot's encoding if the cadence
-        writes it or it is the last (final.snap), else None."""
-        with closing(flow):
+    def sampled():
+        """Each state of f0's flow over taus, sampled, with its axis-0
+        stage, a new array as the main thread records the state while
+        this generator samples the next, and its snapshot's encoding if
+        the cadence writes it or it is the last (final.snap), else None."""
+        with closing(semigroup_flow(f0, taus)) as flow:
             for i, (tau, omega) in enumerate(zip(taus, flow)):
                 state = SelfSimilarState(omega=omega,
                                          t=float(cfg.t_init * np.exp(tau)),
@@ -311,9 +312,8 @@ def _run_fp_decay(cfg, recorder):
                 keep = recorder.writes(i) or i == last
                 yield state, stage, encode_snapshot(state) if keep else None
 
-    flow = _one_ahead(sampled(semigroup_flow(f0, taus)))
-    # record's scope; the worker opens its own, and closing flow joins it
-    with arena_scope(), closing(flow):
+    # record's scope; the worker opens its own
+    with arena_scope(), _one_ahead(sampled()) as flow:
         for state, stage, snapshot in flow:
             recorder.commit(record(state, recorder.opts, mixed0=stage),
                             snapshot)
@@ -329,14 +329,15 @@ def _run_fp_decay(cfg, recorder):
     ]
 
 
+@contextmanager
 def _one_ahead(items):
-    """Yield the items of the generator items in turn, each computed on
-    one worker thread, in an arena scope of its own, while the caller
-    holds the item before it, so the worker runs at most one item ahead.
-    An exception that items raises is raised here in its turn, after the
-    items before it. When this generator returns, raises or is closed,
-    the worker closes items, so their cleanup runs on its thread, and is
-    joined."""
+    """Start one worker thread that computes the items of the generator
+    items in turn, in an arena scope of its own, and give an iterator
+    over them; the worker begins the first item on entry and each next
+    one as the caller takes the one before it, so it runs at most one
+    item ahead. An exception that items raises is raised by the iterator
+    in its turn, after the items before it. On exit the worker closes
+    items, so their cleanup runs on its thread, and is joined."""
     turn, ready = threading.Semaphore(0), threading.Semaphore(0)
     outcome, stop = [None, None], []
 
@@ -349,10 +350,7 @@ def _one_ahead(items):
                     outcome[:] = None, exc
                 ready.release()
 
-    worker = threading.Thread(target=work, name="shearvortex-flow")
-    worker.start()
-    try:
-        turn.release()
+    def taken():
         while True:
             ready.acquire()
             item, exc = outcome
@@ -362,6 +360,12 @@ def _one_ahead(items):
                 raise exc
             turn.release()      # the next item, while the caller holds this
             yield item
+
+    worker = threading.Thread(target=work, name="shearvortex-worker")
+    worker.start()
+    turn.release()
+    try:
+        yield taken()
     finally:
         stop.append(True)
         turn.release()
@@ -396,38 +400,28 @@ def _run_picard(cfg, recorder):
 def _cross_checked(cfg, om0, window, recorder):
     """Picard's solve of om0 over window (picard_times' arguments) and
     the frame evolver's chain through its time samples, run at once: a
-    worker thread solves and reads each field past the first into the
-    frame, while the main thread evolves om0's frame image and records
-    each state. Once both are done, the samples are committed in order,
-    and a failure is raised where the serial run would have met it: the
-    solve's, with nothing recorded; then om0's frame image's; then, per
-    sample i, the step to t_i's, the record's and the frame image of
-    field i's, after the samples before it. Returns the trajectory and
-    the sup over samples of the relative L2 gap of the two solvers in
-    the frame, read off the samples each side keeps."""
+    worker thread (_one_ahead) solves and reads each field past the first
+    into the frame, while the main thread evolves om0's frame image and
+    records each state. Once both are done, the samples are committed in
+    order, and a failure is raised where the serial run would have met
+    it: the solve's, with nothing recorded; then om0's frame image's;
+    then, per sample i, the step to t_i's, the record's and the frame
+    image of field i's, after the samples before it. Returns the
+    trajectory and the sup over samples of the relative L2 gap of the
+    two solvers in the frame, read off the samples each side keeps."""
     frame_grid = make_grid(cfg.grid_l, cfg.grid_n, "selfsim")
-    solved = []     # the worker's outcome: its results, or its error
 
-    def solve():
-        try:
-            traj = picard_solve(om0, cfg.nu, *window)
-            solved.append((traj, *_collected(
-                phys_to_selfsim(om, t, cfg.nu, frame_grid).omega.values
-                for t, om in zip(traj.times[1:], traj.fields[1:]))))
-        except BaseException as exc:    # raised after the join
-            solved.append(exc)
+    def solved():
+        traj = picard_solve(om0, cfg.nu, *window)
+        yield (traj, *_collected(
+            phys_to_selfsim(om, t, cfg.nu, frame_grid).omega.values
+            for t, om in zip(traj.times[1:], traj.fields[1:])))
 
     om0.coeffs      # formed here: both threads read them
-    worker = threading.Thread(target=solve, name="shearvortex-picard")
-    worker.start()
-    try:
+    with _one_ahead(solved()) as solve:
         chain, failed = _collected(_frame_chain(cfg, om0, window, frame_grid,
-                                                recorder, solved))
-    finally:
-        worker.join()
-    if isinstance(solved[0], BaseException):
-        raise solved[0]
-    traj, images, image_failed = solved[0]
+                                                recorder))
+        traj, images, image_failed = next(solve)
     # field i's frame image comes after the step to t_i and its record
     if image_failed is not None and len(chain) > len(images) + 1:
         chain, failed = chain[:len(images) + 2], image_failed
@@ -455,18 +449,14 @@ def _collected(items):
     return done, None
 
 
-def _frame_chain(cfg, om0, window, frame_grid, recorder, solved):
+def _frame_chain(cfg, om0, window, frame_grid, recorder):
     """Yield the frame evolver's states, from om0's frame image through
     the time samples of window, each as its samples, its record and, if
-    recorder's cadence writes its snapshot, itself (else None). Stops
-    early once the solve has failed (its error is in solved), as that
-    error is raised first."""
+    recorder's cadence writes its snapshot, itself (else None)."""
     times = picard_times(*window)
     state = phys_to_selfsim(om0, times[0], cfg.nu, frame_grid)
     for i, t in enumerate(times):
         if i:
-            if solved and isinstance(solved[0], BaseException):
-                return
             state = evolve(state, t, cfg.dtau, on_tail=cfg.on_tail)
         rec = record(state, recorder.opts)
         yield (state.omega.values, rec,

@@ -7,9 +7,7 @@ payload; reads validate the checksum and every structural invariant
 before constructing anything. A write is an encoding (encode_snapshot:
 the payload view, the sidecar and its hash), which any thread may make,
 then the files: both are written beside their targets and moved into
-place, payload first, so no partial file takes their names. fp-decay's
-flow worker encodes the snapshots of its samples, and the runner's main
-thread writes them, in sample order.
+place, payload first, so no partial file takes their names.
 """
 
 import contextlib

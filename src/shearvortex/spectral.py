@@ -71,15 +71,12 @@ kept, plus the weight samples <x>^m of each grid. A kernel reads the
 thread's open arena; an entry point with none open opens one for its
 call, so a standalone call allocates what its temporaries need and its
 callees share them. A generator opens its scope per item, never across
-a yield. fp-decay's runner opens one scope on the main thread around
-its record loop, and its flow worker one around its own loop, so each
-side reuses its slabs from sample to sample instead of freeing and
-faulting them in again. The worker also samples each state, with the
-axis-0 stage in a new array (sample_values with no slab), and hashes
-its snapshot; the main thread records the state from that stage and
-writes the files, as the worker flows the next sample on its slabs.
-What a kernel returns on a slab is valid until the slab is taken
-again; a Field copies the arrays it is built from.
+a yield. A caller that opens one scope around a loop reuses its slabs
+from item to item instead of freeing and faulting them in again. What
+a kernel returns on a slab is valid until the slab is taken again, so
+a result that another thread reads while this one goes on
+(sample_values' axis-0 stage with no slab) goes into a new array; a
+Field copies the arrays it is built from.
 The slabs each kernel takes (its result's slab in brackets):
 
     derivative_pass      0-1, each sample on 2 [2], or 3 if held [3]
@@ -101,10 +98,6 @@ the flow leaves slabs 0-4 free between samples, and the frame evolver's
 drift arrays sit beside both. propagator's Duhamel targets copy the
 first of two trajectories' flowed samples (slab 1) before they flow the
 second's, so the march gives the same bytes in a scope as without one.
-Still no scope is opened around a run of the evolver, the Duhamel march
-or the probes: each kernel call there has an arena of its own. picard's
-runner solves on a worker thread while its main thread runs the evolver
-and records, and neither thread opens a run-long scope.
 
 All operations assume smooth fields that decay well inside the box, so the
 periodic spectral representation is accurate. Quadrature is the rectangle

@@ -139,13 +139,12 @@ def derivative_samples(c, grid, a, b):
     return np.fft.irfft2(c * derivative_symbol(grid, a, b), norm="forward")
 
 
-def energy_per_order(omega, t, coef, weight=None):
+def energy_per_order(omega, t, coef):
     """E and D of the hypocoercive pair from the samples <x>^m d^a omega,
     each order by its own derivative_samples, and the inner product of
     every pair of orders the row tables name, summed row by row."""
     grid = omega.grid
-    if weight is None:
-        weight = weight_samples(grid, coef.m)
+    weight = weight_samples(grid, coef.m)
     rows = _E_TERMS + _D_TERMS
     orders = {o for row in rows for o in row[2:] if o is not None}
     f = {o: weight * derivative_samples(omega.coeffs, grid, *o) for o in orders}

@@ -23,7 +23,7 @@ from shearvortex.diagnostics import P_GRID
 from shearvortex.errors import DomainError, FitError, GridError
 from shearvortex.fokker_planck import eigenfunction, gaussian
 from shearvortex.selfsim import invert_frame_laplacian
-from shearvortex.spectral import derivative, weight_samples
+from shearvortex.spectral import derivative
 
 from conftest import localized_field
 from oracles import energy_per_order
@@ -355,27 +355,19 @@ def test_energy_rejects_times_that_are_not_finite_reals(small_grid, t):
                            EnergyCoefficients.from_scale())
 
 
-@pytest.mark.parametrize("shape", [(3, 3), (64, 1), (64,), (65, 65)])
-def test_energy_rejects_weight_of_another_shape(small_grid, shape):
-    with pytest.raises(GridError):
-        energy_functionals(gaussian(small_grid), 2.0,
-                           EnergyCoefficients.from_scale(), np.ones(shape))
-
-
 @pytest.mark.parametrize("n", [16, 64, 128])
 def test_energy_pass_matches_per_order_transforms(n):
     # the pass's row-column split against one irfft2 per derivative
-    # order, with the weight formed inside and with a weight passed in
+    # order
     grid = make_grid(16.0, n, "selfsim")
     om = localized_field(grid, seed=n, corr=1.5)
     for m in (2.0, 3.0):
         coef = EnergyCoefficients.from_scale(m=m)
-        for weight in (None, weight_samples(grid, 1.0)):
-            for t in (1.0, 2.0, 30.0):
-                got = energy_functionals(om, t, coef, weight)
-                want = energy_per_order(om, t, coef, weight)
-                for g, w in zip(got, want):
-                    assert abs(g - w) <= 1e-13 * abs(w), (m, t, g, w)
+        for t in (1.0, 2.0, 30.0):
+            got = energy_functionals(om, t, coef)
+            want = energy_per_order(om, t, coef)
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-13 * abs(w), (m, t, g, w)
 
 
 def test_energy_call_holds_at_most_five_arrays(frame_grid):

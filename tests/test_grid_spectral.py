@@ -223,6 +223,13 @@ def test_only_run_experiment_closes_a_run():
     assert len(finals) == 1, finals
 
 
+def test_only_one_ahead_starts_a_thread():
+    # both two-thread modes, fp-decay's flow and picard's cross-check,
+    # run their worker through runner._one_ahead, the one place in src/
+    # that builds a threading.Thread
+    assert _callers(("Thread",)) == {("runner.py", "_one_ahead")}
+
+
 def test_probe_kinds_are_decided_in_one_table():
     # a kind's ratio, parameter and ensemble frame come from the
     # diagnostics table: no comparison with a kind's name in diagnostics.py,

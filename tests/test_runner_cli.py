@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import os
 import shutil
@@ -5,7 +6,6 @@ import subprocess
 import sys
 import threading
 import time
-import types
 
 import numpy as np
 import pytest
@@ -241,17 +241,12 @@ def test_picard_solve_failure_outranks_the_cross_check(tmp_path,
     assert read_lines(out / "diagnostics.csv") == [CSV_HEADER]
 
 
-class _InlineThread:
-    """A threading.Thread that runs its target in line, on start."""
-
-    def __init__(self, target, name=None):
-        self.target = target
-
-    def start(self):
-        self.target()
-
-    def join(self):
-        pass
+@contextlib.contextmanager
+def _inline_one_ahead(items):
+    """runner._one_ahead in line: the items, each computed on the calling
+    thread as it is taken, and closed on exit."""
+    with contextlib.closing(items):
+        yield items
 
 
 def _logged(monkeypatch, ran, name):
@@ -270,8 +265,8 @@ def test_picard_solves_on_a_worker_beside_the_frame_evolver(tmp_path,
     # the solve and its fields' frame images run on one worker thread,
     # the frame evolver's chain and record on the main thread, and the
     # worker ends with the run; with a short switch interval the files
-    # are those of a run that solves first and then runs the chain, on
-    # one thread, byte for byte
+    # are those of a run that runs the chain and then the solve, on one
+    # thread, byte for byte
     ran = {}
     for name in ("picard_solve", "phys_to_selfsim", "evolve", "record"):
         _logged(monkeypatch, ran, name)
@@ -291,8 +286,7 @@ def test_picard_solves_on_a_worker_beside_the_frame_evolver(tmp_path,
     assert worker is not main_thread
     assert ran["phys_to_selfsim"] == {main_thread, worker}
     assert ran["evolve"] == ran["record"] == {main_thread}
-    monkeypatch.setattr(runner, "threading",
-                        types.SimpleNamespace(Thread=_InlineThread))
+    monkeypatch.setattr(runner, "_one_ahead", _inline_one_ahead)
     run_experiment(cfg, str(b))
     names = sorted(os.listdir(a))
     assert names == sorted(os.listdir(b))
@@ -300,6 +294,30 @@ def test_picard_solves_on_a_worker_beside_the_frame_evolver(tmp_path,
             "state_00016.snap"} <= set(names)
     for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_picard_solve_begins_before_the_chain_steps(tmp_path,
+                                                    monkeypatch):
+    # the worker begins the solve as the cross-check starts, not when the
+    # main thread reads its outcome after the chain: the chain's first
+    # step waits for the solve to have begun
+    began, waited = threading.Event(), []
+    solve, step = runner.picard_solve, runner.evolve
+
+    def logged_solve(*args, **kwargs):
+        began.set()
+        return solve(*args, **kwargs)
+
+    def waiting_evolve(*args, **kwargs):
+        if not waited:
+            waited.append(began.wait(10))
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "picard_solve", logged_solve)
+    monkeypatch.setattr(runner, "evolve", waiting_evolve)
+    run_experiment(parse_config("mode = picard\n" + PICARD_CONFIG),
+                   str(tmp_path / "out"))
+    assert waited == [True]
 
 
 def test_picard_mode_starts_before_the_frame(tmp_path, monkeypatch):
@@ -467,7 +485,7 @@ def test_fp_decay_overlap_writes_what_one_thread_writes(tmp_path,
         return take(arena, *args)
 
     monkeypatch.setattr(spectral.Arena, "take", logged_take)
-    monkeypatch.setattr(runner, "_one_ahead", iter)   # the flow in line
+    monkeypatch.setattr(runner, "_one_ahead", _inline_one_ahead)
     assert main(["fp-decay", "--config", cfg, "--out", str(b)]) == 0
     assert [thread for _, thread in arenas.values()] == [threading.main_thread()]
     names = sorted(os.listdir(a))

@@ -11,10 +11,11 @@ n = 64 that fails, an fp-decay run at n = 32 that fails (its flow
 raises on the worker thread after the first sample is recorded), an
 fp-decay run at n = 128 with a snapshot every fourth sample (its worker
 encodes samples 0, 4 and 8 and the last, and the main thread writes
-state_00000, state_00004, state_00008 and final.snap), and a picard run
+state_00000, state_00004, state_00008 and final.snap), a picard run
 at n = 128 whose frame evolver fails on the main thread while the solve
-runs on a worker (ten samples recorded). Then
-writes OUT/src_code_lines.txt: the code lines of each module under
+runs on a worker (ten samples recorded), and a picard run at n = 64
+whose solve fails on the worker (DivergenceError, no sample recorded).
+Then writes OUT/src_code_lines.txt: the code lines of each module under
 src/shearvortex and their total, counted with tokenize and ast
 (comments, blank lines and docstrings left out).
 
@@ -59,8 +60,10 @@ NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
 # run's at n = 32 on L = 16, so each fails after its first sample with
 # ResolutionError. The fp-decay-cadence run's ten samples are snapshot
 # at 0, 4 and 8, not at the last, which only final.snap holds. The
-# picard run's solve succeeds, and at dtau = 0.0077 its frame evolver
-# fails with ResolutionError after ten samples
+# picard-fails run's solve succeeds, and at dtau = 0.0077 its frame
+# evolver fails with ResolutionError after ten samples; the
+# picard-solve-fails run's amplitude-400 Gaussian makes the solve
+# diverge (DivergenceError) before any sample is recorded
 EXTRA_RUNS = {
     "linear": "mode = linear\ngrid_n = 128\nt_end = 10\nsnapshot_cadence = 2\n",
     "probe": "mode = probe\ngrid_n = 64\nt_end = 10\n",
@@ -73,6 +76,9 @@ EXTRA_RUNS = {
     "picard-fails": ("mode = picard\ninitial_data = gaussian\n"
                      "initial_params = amplitude=0.05\ngrid_n = 128\n"
                      "grid_l = 20\nt_end = 1.25\ndtau = 0.0077\n"),
+    "picard-solve-fails": ("mode = picard\ninitial_data = gaussian\n"
+                           "initial_params = amplitude=400.0\n"
+                           "grid_n = 64\nt_end = 2.0\n"),
 }
 
 
