@@ -522,10 +522,10 @@ def transport(omega, w, symbol=None):
 
 
 def mass(f):
-    """Integral of f over the box: zero spectral mode times the box area."""
-    if f.has_coeffs and not f.has_values:
-        return float(f.coeffs[0, 0].real) * (2.0 * f.grid.half_width) ** 2
-    return float(np.sum(f.values)) * f.grid.spacing ** 2
+    """Integral of f over the box: zero spectral mode times the box area,
+    the exact value the solvers conserve, whether or not f holds its
+    samples."""
+    return float(f.coeffs[0, 0].real) * (2.0 * f.grid.half_width) ** 2
 
 
 def lp_norm(f, p):
