@@ -60,6 +60,16 @@ def test_compare_names_the_runs_only_one_tree_has(tmp_path, capsys):
                          f"probe: only in {tmp_path / 'b'}", "sim"]
 
 
+def test_compare_reads_inf_where_a_zero_moves(tmp_path, capsys):
+    # a roundoff mass of zero-mass data that moves off 0.0 has no
+    # relative size: it reads inf, not the largest finite float
+    _run(tmp_path / "a", (0.0, 0.25), 0.0, [1.0])
+    _run(tmp_path / "b", (1e-17, 0.25), 0.0, [1.0])
+    assert _tool().main(["--compare", str(tmp_path / "a"),
+                         str(tmp_path / "b")]) == 0
+    assert "  diagnostics.csv mass: inf" in capsys.readouterr().out.splitlines()
+
+
 def test_compare_reads_every_csv_and_names_the_files_it_skips(tmp_path, capsys):
     # probes.csv has a text column beside its numbers: a doubled ratio
     # shows as a relative difference of 1, a changed kind as differs

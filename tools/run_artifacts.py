@@ -115,7 +115,8 @@ def _relative(a, b):
     same = (a == b) | (np.isnan(a) & np.isnan(b))
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.where(same, 0.0, np.abs(a - b) / np.abs(a))
-    return float(np.nan_to_num(rel, nan=np.inf).max(initial=0.0))
+    return float(np.nan_to_num(rel, nan=np.inf, posinf=np.inf)
+                 .max(initial=0.0))
 
 
 def _columns(path):
