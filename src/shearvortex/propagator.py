@@ -35,12 +35,15 @@ physical 2/3 mask), one small matrix product per chunk of nodes. Per
 iteration, the factors' inverse transforms run once per sample and the
 forward transforms once per pair: a 4-wide stencil has 10 pairs, and
 each later stencil brings 4, whatever the panel depth. The pair spectra
-are non-zero only on the n x (n/3 + 1) block of columns the 2/3 rule
-keeps, so the multipliers and the accumulation run on that block alone,
-and a target is widened to the half layout only to be vetted and read
-back. Each sample interval is integrated once, by Gauss panels graded
-at the band's fastest decay rate, so one Picard iteration costs a number
-of transforms linear in the number of time samples.
+are non-zero only on the 2n/3 + 1 rows and n/3 + 1 columns the 2/3
+rule keeps, so the multipliers and the accumulation run on that block
+alone, and a target is widened to the half layout only to be vetted and
+read back. Each sample interval is integrated once, by Gauss panels
+graded at the band's fastest decay rate, so one Picard iteration costs a
+number of transforms linear in the number of time samples. What depends
+on the time grid alone (each interval's multipliers and carry, each
+shear slope's phase and band-exit mask) is built once per Picard solve
+and dropped when it ends (picard_solve, spectral.solve_memo).
 """
 
 import bisect
@@ -65,8 +68,8 @@ from .errors import (
 )
 from .grid import Field
 from .selfsim import amplitude, selfsim_coords
-from .spectral import (characteristic_flow, kept_cols, lp_norm, pair_product,
-                       transport_factors)
+from .spectral import (band_exit, characteristic_flow, kept_cols, lp_norm,
+                       pair_product, solve_memo, transport_factors)
 
 
 def green_kernel(nu, t, x, y):
@@ -147,10 +150,12 @@ def _check_alias(c, grid, t, alias_tol, nu=None):
     carry at its destination, since that is exactly what the discarded
     contribution would have amounted to; a spectrum in shearing
     coordinates carries its decay already. It is significant above
-    alias_tol times the peak |c|.
+    alias_tol times the peak |c|. The lost modes are those whose request
+    -t xi + eta leaves the band (spectral.band_exit), kept once per lag
+    in an open solve memo.
     """
     kx, ky = np.broadcast_arrays(*grid.wavegrid())
-    lost = np.abs(ky - t * kx) > grid.band
+    lost = band_exit(grid, -t)
     if not lost.any():
         return
     mag = np.abs(c)
@@ -281,7 +286,7 @@ def _carry(nu, grid, a, b, cols=None):
     return _damping(nu, b - a, kx, ky - b * kx)
 
 
-def _duhamel_targets(traj1, traj2, targets):
+def _duhamel_targets(traj1, traj2, targets, tables=None):
     """Bilinear Duhamel integrals at several target times, in one march.
 
     Each target t gets -(integral over s in [t_0, t] of S(t - s) g(s)),
@@ -316,11 +321,22 @@ def _duhamel_targets(traj1, traj2, targets):
     multiplier M_ij per pair: the sum over the nodes of L_i L_j times
     the node's multiplier (its Gauss weight, its carry to the panel
     set's end and its physical 2/3 box), formed by one small matrix
-    product per chunk of at most a stencil's width of nodes. As L_i L_j
-    is symmetric, this serves two different trajectories alike.
+    product per chunk of at most a stencil's width of nodes, and the
+    sum is taken pair by pair into one array. As L_i L_j is symmetric,
+    this serves two different trajectories alike. On the kept block the
+    pair spectra are zero off the 2n/3 + 1 rows the 2/3 rule keeps, so
+    the ring, the multipliers, the carries and J hold those rows alone;
+    J stays +0.0 on the others, which is what a target reads there.
     J is only ever multiplied, so it carries its decay and no shear
     leakage: each target is vetted for content whose physical frequency
     lies past the band, which the read-back would drop, and read back.
+
+    What an interval needs of the time grid alone (its panel set,
+    stencil, pair slots, multipliers and carry) is built once per call,
+    or, given tables (a spectral.SolveMemo, picard_solve's), once per
+    solve: kept in tables.intervals, keyed by the interval's ends, and
+    read by the solve's later iterations. Nothing that depends on the
+    trajectories is kept.
     """
     if (traj1.nu != traj2.nu or traj1.times != traj2.times
             or traj1.grid != traj2.grid):
@@ -341,6 +357,8 @@ def _duhamel_targets(traj1, traj2, targets):
     kx, ky = grid.wavegrid()
     m = kept_cols(grid)
     ky_kept = ky[:, :m]
+    # the rows the 2/3 rule keeps on the kept columns (spectral._drop_rows)
+    rows = np.r_[:grid.n // 3 + 1, grid.n - grid.n // 3:grid.n]
     # A stencil reads `width` consecutive samples and the stencils only
     # move forward, so slot i % width of the factor ring holds sample i's
     # factors, and the pair ring's slot for the residues {i, j} mod width
@@ -353,8 +371,9 @@ def _duhamel_targets(traj1, traj2, targets):
     held = [None] * width  # the sample index each factor slot holds
     pairs = list(itertools.combinations_with_replacement(range(width), 2))
     slot_of = {pair: c for c, pair in enumerate(pairs)}  # residues -> slot
-    pair_ring = np.empty((len(pairs), grid.n, m), dtype=np.complex128)
+    pair_ring = np.empty((len(pairs), len(rows), m), dtype=np.complex128)
     held_pairs = [None] * len(pairs)  # the sample pair each slot holds
+    total, term = np.empty((2, len(rows), m), dtype=np.complex128)
 
     def factors(i):
         tau = ts[i] - t0
@@ -365,30 +384,22 @@ def _duhamel_targets(traj1, traj2, targets):
             g2 = _flow(traj2.fields[i].coeffs, grid, -tau)
         return transport_factors(g1, g2, grid, -(kx ** 2 + (ky - tau * kx) ** 2))
 
-    def panels(a, b):
-        # every node lies inside [a, b], within one sample interval, so all
-        # read that interval's stencil: transform its pairs not yet held,
-        # up to width per stacked call, then weigh each pair by the sum
-        # over the nodes of L_i L_j times the node's multiplier, formed
-        # for up to width nodes per matrix product
+    def interval(a, b):
+        # (stencil, pair slots, multipliers, carry from a to b) of [a, b]:
+        # every node lies inside [a, b], within one sample interval, so
+        # all read that interval's stencil; each pair's multiplier is the
+        # sum over the nodes of L_i L_j times the node's multiplier,
+        # formed for up to width nodes per matrix product
+        entry = None if tables is None else tables.intervals.get((a, b))
+        if entry is not None:
+            return entry
         s_all, w_all = _panel_set(a, b, rate)
         idx, lagrange = _lagrange_weights(ts, s_all)
-        for i in idx:
-            if held[i % width] != i:
-                ring[i % width], held[i % width] = factors(i), i
         slots = [slot_of[tuple(sorted((idx[p] % width, idx[q] % width)))]
                  for p, q in pairs]
-        new = [((idx[p], idx[q]), c) for (p, q), c in zip(pairs, slots)
-               if held_pairs[c] != (idx[p], idx[q])]
-        for lo in range(0, len(new), width):
-            chunk = new[lo:lo + width]
-            spectra = pair_product(ring, [(i % width, j % width)
-                                          for (i, j), _ in chunk], grid)
-            for (pair, c), spectrum in zip(chunk, spectra):
-                pair_ring[c], held_pairs[c] = spectrum[:, :m], pair
         weights = np.empty((len(pairs), len(s_all)))  # slot x node
         weights[slots] = [lagrange[p] * lagrange[q] for p, q in pairs]
-        mults = np.zeros(pair_ring.shape)
+        mults = np.zeros((len(pairs), grid.n, m))
         for lo in range(0, len(s_all), width):
             s, w = s_all[lo:lo + width], w_all[lo:lo + width]
             # the node multiplier: Gauss weight, carry to b, and the
@@ -398,23 +409,56 @@ def _duhamel_targets(traj1, traj2, targets):
             mult = _carry(nu, grid, lag, b - t0, m) * w[:, None, None]
             mult *= np.abs(ky_kept - lag * kx) <= (2.0 / 3.0) * grid.band
             mults += np.tensordot(weights[:, lo:lo + width], mult, 1)
-        return (mults * pair_ring).sum(axis=0)
+        # both are formed on all rows, then cut to the kept ones: a matrix
+        # product's bytes may depend on its operands' shape
+        entry = idx, slots, mults[:, rows], _carry(nu, grid, a - t0, b - t0, m)[rows]
+        if tables is not None:
+            for table in entry[2:]:
+                table.setflags(write=False)
+            tables.intervals[a, b] = entry
+        return entry
+
+    def panels(a, b):
+        # the carry from a to b, and the panel set's integral on the kept
+        # rows, into total: transform the stencil's pairs not yet held,
+        # up to width per stacked call, then add each pair's term times
+        # its multiplier in slot order, from +0.0, the bytes of the
+        # stacked sum over the slots
+        idx, slots, mults, carry = interval(a, b)
+        for i in idx:
+            if held[i % width] != i:
+                ring[i % width], held[i % width] = factors(i), i
+        new = [((idx[p], idx[q]), c) for (p, q), c in zip(pairs, slots)
+               if held_pairs[c] != (idx[p], idx[q])]
+        for lo in range(0, len(new), width):
+            chunk = new[lo:lo + width]
+            spectra = pair_product(ring, [(i % width, j % width)
+                                          for (i, j), _ in chunk], grid)
+            for (pair, c), spectrum in zip(chunk, spectra):
+                pair_ring[c], held_pairs[c] = spectrum[rows, :m], pair
+        total.fill(0.0)
+        for mult, spectrum in zip(mults, pair_ring):
+            np.add(total, np.multiply(mult, spectrum, out=term), out=total)
+        return carry, total
 
     zero = np.zeros((grid.n, grid.half_cols), dtype=np.complex128)
     done = {t0: Field(grid, coeffs=zero)}
-    acc = zero[:, :m]  # J_k, on the kept columns
+    acc = np.zeros((len(rows), m), dtype=np.complex128)  # J_k, kept rows
     last = max(reads.values(), default=0)
     for k in range(last + 1):
-        tau_k = ts[k] - t0
         for t in [t for t, j in reads.items() if j == k]:
             part = zero.copy()
-            part[:, :m] = acc if t == ts[k] else (
-                _carry(nu, grid, tau_k, t - t0, m) * acc + panels(ts[k], t))
+            if t == ts[k]:
+                part[rows, :m] = acc
+            else:
+                carry, panel = panels(ts[k], t)
+                part[rows, :m] = carry * acc + panel
             _check_alias(part, grid, t - t0, _ALIAS_TOL)
             done[t] = Field(grid, coeffs=-_flow(part, grid, t - t0))
         if k < last:
-            acc = (_carry(nu, grid, tau_k, ts[k + 1] - t0, m) * acc
-                   + panels(ts[k], ts[k + 1]))
+            carry, panel = panels(ts[k], ts[k + 1])
+            np.multiply(carry, acc, out=acc)
+            acc += panel
     return [done[t] for t in targets]
 
 
@@ -458,36 +502,45 @@ def picard_solve(omega0, nu, horizon, n_times, t_start=0.0):
     overflows, raises DivergenceError; exhausting the budget raises
     NoConvergenceError. More than MAX_PICARD_SAMPLES samples raise
     DomainError before any work.
+
+    What depends only on the time grid, nu and the grid is built once
+    per solve: the solve opens a spectral.solve_memo on its thread around
+    the linear flow and the iterations, where the shears keep each
+    slope's phase and band-exit mask and the march (_duhamel_targets)
+    its intervals' tables. The memo is emptied and closed when the solve
+    returns or raises, so no table outlives it.
     """
     check_positive(nu, "viscosity")
     times = picard_times(horizon, n_times, t_start)
-    linear = tuple(apply_semigroup(omega0, nu, t - times[0]) for t in times)
-    traj = Trajectory(times=times, fields=linear, nu=nu)
-    dists = []  # Kato distance of each update
-    for _ in range(PICARD_MAX_ITER):
-        fields = tuple(lin + cor for lin, cor in
-                       zip(linear, _duhamel_targets(traj, traj, times)))
-        dists.append(kato_norm(Trajectory(times=times, nu=nu, fields=tuple(
-            a - b for a, b in zip(fields, traj.fields)))))
-        traj = Trajectory(times=times, fields=fields, nu=nu,
-                          history=tuple(dists))
-        scale = kato_norm(traj)
-        # a zero distance ends the iteration below, so no quotient of
-        # distances divides by zero
-        ratios = [b / a for a, b in zip(dists, dists[1:])]
-        if not (math.isfinite(dists[-1]) and math.isfinite(scale)):
-            # an overflowed norm would pass the tolerance test as inf <= inf
-            raise DivergenceError(
-                f"Picard Kato norms overflowed (update distance {dists[-1]!r}, "
-                f"trajectory norm {scale!r}); data too large for the "
-                "contraction regime", ratios=ratios)
-        scale = max(scale, 1e-300)
-        if len(dists) >= 3 and dists[-3] <= dists[-2] <= dists[-1]:
-            raise DivergenceError(
-                f"Picard differences growing (ratios {ratios[-2]:.3f}, {ratios[-1]:.3f}); "
-                "data too large for the contraction regime", ratios=ratios)
-        if dists[-1] <= PICARD_TOL * scale:
-            return traj
+    with solve_memo() as tables:
+        linear = tuple(apply_semigroup(omega0, nu, t - times[0]) for t in times)
+        traj = Trajectory(times=times, fields=linear, nu=nu)
+        dists = []  # Kato distance of each update
+        for _ in range(PICARD_MAX_ITER):
+            fields = tuple(lin + cor for lin, cor in zip(
+                linear, _duhamel_targets(traj, traj, times, tables)))
+            dists.append(kato_norm(Trajectory(times=times, nu=nu, fields=tuple(
+                a - b for a, b in zip(fields, traj.fields)))))
+            traj = Trajectory(times=times, fields=fields, nu=nu,
+                              history=tuple(dists))
+            scale = kato_norm(traj)
+            # a zero distance ends the iteration below, so no quotient of
+            # distances divides by zero
+            ratios = [b / a for a, b in zip(dists, dists[1:])]
+            if not (math.isfinite(dists[-1]) and math.isfinite(scale)):
+                # an overflowed norm would pass the tolerance test as inf <= inf
+                raise DivergenceError(
+                    f"Picard Kato norms overflowed (update distance {dists[-1]!r}, "
+                    f"trajectory norm {scale!r}); data too large for the "
+                    "contraction regime", ratios=ratios)
+            scale = max(scale, 1e-300)
+            if len(dists) >= 3 and dists[-3] <= dists[-2] <= dists[-1]:
+                raise DivergenceError(
+                    f"Picard differences growing (ratios {ratios[-2]:.3f}, "
+                    f"{ratios[-1]:.3f}); data too large for the contraction "
+                    "regime", ratios=ratios)
+            if dists[-1] <= PICARD_TOL * scale:
+                return traj
     raise NoConvergenceError(
         f"Picard iteration did not reach tol={PICARD_TOL:g} within {PICARD_MAX_ITER} "
         f"iterations (last relative update {dists[-1] / scale:.3e})", residual=dists[-1])

@@ -23,10 +23,11 @@ mixed0) in its own run-long scope. The cadence that picks those
 samples is the recorder's (_Recorder.writes). picard's cross-check
 needs only the initial field and the sample times
 (propagator.picard_times), so from t_init >= 1 the two solvers run at
-once (_cross_checked): the worker's one item is picard_solve and the
-frame image of each Picard field, while the main thread runs the frame
-evolver's chain and each state's record, with no run-long scope, and
-reads the item once the chain is done. Each side keeps only the
+once (_cross_checked): the worker's one item is picard_solve, whose
+time-grid tables (spectral.solve_memo) live on the worker for the solve
+alone, and the frame image of each Picard field, while the main thread
+runs the frame evolver's chain and each state's record, with no
+run-long scope, and reads the item once the chain is done. Each side keeps only the
 samples the gap of the two solvers reads (a chain state only when its
 snapshot is written); then the samples are committed, and the first
 failure in the order of a one-thread run is raised. The main thread

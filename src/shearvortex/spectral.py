@@ -81,7 +81,7 @@ The slabs each kernel takes (its result's slab in brackets):
 
     derivative_pass      0-1, each sample on 2 [2], or 3 if held [3]
     shear_rows           i, default 0 [i]; 1 as scratch
-    _shear               0-2 [1; the mask on 2]
+    _shear               0-2 [1; the mask on 2, or the memo's]
     flow_rows            0-3, through _shear and scale_spectrum [1]
     scale_spectrum       0-3, through affine_trig_sum [1]
     affine_trig_sum      0-3 [1]
@@ -98,6 +98,21 @@ the flow leaves slabs 0-4 free between samples, and the frame evolver's
 drift arrays sit beside both. propagator's Duhamel targets copy the
 first of two trajectories' flowed samples (slab 1) before they flow the
 second's, so the march gives the same bytes in a scope as without one.
+
+A Picard solve keeps, for as long as it runs, the arrays that depend on
+its time grid alone, in a SolveMemo that propagator.picard_solve, and
+only it, opens on the thread that runs the solve (solve_memo): the
+runner's worker when picard's cross-check runs beside the frame
+evolver, else the caller's thread. Its shears keep each slope's phase
+as its (n/2 + 1) x (n/2 + 1) top block and its band-exit mask as
+booleans, keyed by (grid, slope), read through the thread as the arena
+is, so no kernel takes a table argument; the march keeps its
+intervals' multipliers and carries there (propagator._duhamel_targets).
+The memo is emptied and closed when the solve returns or raises. With
+none open, each shear forms its phase and mask in its slabs: so does
+fp-decay's limit flow, whose every sample shears by a new slope, and
+every other entry. The memo is not the arena's, since an arena may
+serve a whole run (fp-decay's worker keeps one for its flow).
 
 All operations assume smooth fields that decay well inside the box, so the
 periodic spectral representation is accurate. Quadrature is the rectangle
@@ -152,7 +167,8 @@ class Arena:
         return self._weights[grid, m]
 
 
-_scope = threading.local()      # .arena: the thread's open Arena, or None
+_scope = threading.local()      # .arena: the thread's open Arena, or None;
+                                # .memo: its open SolveMemo, or None
 
 
 class arena_scope:
@@ -168,6 +184,44 @@ class arena_scope:
 
     def __exit__(self, *exc):
         _scope.arena = self.outer
+
+
+class SolveMemo:
+    """The arrays of one solve that depend only on its grid, viscosity
+    and time grid, each built on first use, kept read-only until the
+    solve ends (solve_memo) and keyed by the exact values it is built
+    from: per (grid, slope), the top block of the shear's phase (_phase)
+    and its band-exit mask (band_exit); per interval ends, the Duhamel
+    march's entries (propagator._duhamel_targets)."""
+
+    def __init__(self):
+        self.phases, self.exits, self.intervals = {}, {}, {}
+
+    def clear(self):
+        for table in (self.phases, self.exits, self.intervals):
+            table.clear()
+
+
+class solve_memo:
+    """A fresh SolveMemo for a with block, open on the calling thread,
+    where _phase and band_exit read it. On exit, by an exception too, it
+    is emptied and the thread's previous memo, if any, is open again."""
+
+    def __enter__(self):
+        self.outer = getattr(_scope, "memo", None)
+        _scope.memo = SolveMemo()
+        return _scope.memo
+
+    def __exit__(self, *exc):
+        _scope.memo.clear()
+        _scope.memo = self.outer
+
+
+def _kept(a):
+    """A read-only copy of a, as a solve memo keeps it."""
+    a = a.copy()
+    a.flags.writeable = False
+    return a
 
 
 def derivative(f, a, b):
@@ -664,10 +718,12 @@ def shear_phase(grid, slope, out=None):
     """Rows 0..n/2 of the phase exp(-i slope xi_j y_q) of the shear by
     slope, (n/2 + 1) x n, written into out when given (fresh if None):
     the rows shear_spectrum transforms. The cosines and sines are taken
-    at columns 0..n/2, into the real and imaginary parts, the same bytes
-    as the complex exponential (+0.0 for a zero sine, as exp gives it);
-    as y_{n-q} = -y_q, columns n/2+1..n-1 are the conjugates of columns
-    n/2-1..1."""
+    at columns 0..n/2, the top block, into the real and imaginary parts,
+    the same bytes as the complex exponential (+0.0 for a zero sine, as
+    exp gives it, so slopes +0.0 and -0.0 give the same bytes); as
+    y_{n-q} = -y_q, columns n/2+1..n-1 are the conjugates of columns
+    n/2-1..1 (_mirror_phase). Formed on each call; a solve keeps the top
+    blocks it builds (_phase)."""
     n, h = grid.n, grid.half_cols
     out = np.empty((h, n), dtype=np.complex128) if out is None else out
     top = out[:, :h]
@@ -676,8 +732,51 @@ def shear_phase(grid, slope, out=None):
     np.cos(arg, out=top.real)
     np.sin(arg, out=arg)
     arg += 0.0
+    return _mirror_phase(out, h)
+
+
+def _mirror_phase(out, h):
+    """Write columns n/2+1..n-1 of the phase out as the conjugates of its
+    columns n/2-1..1, and return out."""
     np.conjugate(out[:, h - 2:0:-1], out=out[:, h:])
     return out
+
+
+def _phase(grid, slope, out):
+    """shear_phase(grid, slope, out). In the thread's open solve memo the
+    phase is built once per (grid, slope) and its top block kept, (n/2 +
+    1) x (n/2 + 1), half the phase; later calls copy the block into out
+    and mirror it, the same bytes."""
+    memo = getattr(_scope, "memo", None)
+    if memo is None:
+        return shear_phase(grid, slope, out=out)
+    h = grid.half_cols
+    top = memo.phases.get((grid, slope))
+    if top is None:
+        shear_phase(grid, slope, out=out)
+        memo.phases[grid, slope] = _kept(out[:, :h])
+        return out
+    out[:, :h] = top
+    return _mirror_phase(out, h)
+
+
+def band_exit(grid, slope, out=None):
+    """Boolean mask of the half-layout modes (xi, eta) whose shear request
+    slope xi + eta lies past the band: formed in out, a (float, bool)
+    pair of arrays shaped like the half layout, the float one scratch
+    (fresh if None). In the thread's open solve memo it is formed once
+    per (grid, slope) and the kept read-only mask is returned."""
+    memo = getattr(_scope, "memo", None)
+    if memo is not None and (grid, slope) in memo.exits:
+        return memo.exits[grid, slope]
+    kx, ky = grid.wavegrid()
+    shape = (grid.n, grid.half_cols)
+    request, oob = (np.empty(shape), np.empty(shape, bool)) if out is None else out
+    np.abs(np.add(slope * kx, ky, out=request), out=request)
+    np.greater(request, grid.band, out=oob)
+    if memo is not None:
+        oob = memo.exits[grid, slope] = _kept(oob)
+    return oob
 
 
 def shear_spectrum(coeffs, grid, slope):
@@ -733,15 +832,16 @@ def shear_rows(c, grid, i=0):
 
 def _shear(rows, grid, slope):
     """shear_spectrum of the spectrum whose shear_rows are rows, unchecked,
-    on slabs 0-2: the phase on slab 1, the phased rows on slab 0 (rows
-    may be slab 0, which is then overwritten), the evaluated array is
-    slab 1 and the mask slab 2. The evaluated rows 0..n/2 are the phased
+    on slabs 0-2: the phase on slab 1 (_phase), the phased rows on slab 0
+    (rows may be slab 0, which is then overwritten), the evaluated array
+    is slab 1 and the mask (band_exit) slab 2, or, in an open solve memo,
+    the memo's read-only mask. The evaluated rows 0..n/2 are the phased
     rows' transforms, and rows n/2+1..n-1 the conjugate mirrors of rows
     n/2-1..1 (H[-j, -l] = conj(H[j, l]), indices mod n)."""
     n, h = grid.n, grid.half_cols
     shape = (n, h)
     with arena_scope() as ws:
-        phase = shear_phase(grid, slope, out=ws.take(1, ((h, n), complex))[0])
+        phase = _phase(grid, slope, ws.take(1, ((h, n), complex))[0])
         mixed, = ws.take(0, ((h, n), complex))
         np.multiply(rows, phase, out=mixed)
         np.fft.fft(mixed, axis=1, norm="forward", out=mixed)
@@ -750,10 +850,8 @@ def _shear(rows, grid, slope):
         mirrored = mixed[h - 2:0:-1]                  # rows n/2-1..1
         np.conjugate(mirrored[:, :1], out=out[h:, :1])
         np.conjugate(mirrored[:, n - 1:n - h:-1], out=out[h:, 1:])
-        kx, ky = grid.wavegrid()
-        request, oob = ws.take(2, (shape, float), (shape, bool))
-        np.abs(np.add(slope * kx, ky, out=request), out=request)
-        return out, np.greater(request, grid.band, out=oob)
+        return out, band_exit(grid, slope,
+                              ws.take(2, (shape, float), (shape, bool)))
 
 
 def scale_spectrum(v, grid, target, u11, u12, u22):

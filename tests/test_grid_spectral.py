@@ -230,6 +230,13 @@ def test_only_one_ahead_starts_a_thread():
     assert _callers(("Thread",)) == {("runner.py", "_one_ahead")}
 
 
+def test_only_picard_solve_opens_the_solve_memo():
+    # the shear phases and masks and the march's interval tables live for
+    # one Picard solve, on the thread that runs it: no other entry keeps
+    # them, and no kernel takes them as an argument
+    assert _callers(("solve_memo",)) == {("propagator.py", "picard_solve")}
+
+
 def test_probe_kinds_are_decided_in_one_table():
     # a kind's ratio, parameter and ensemble frame come from the
     # diagnostics table: no comparison with a kind's name in diagnostics.py,

@@ -2,6 +2,7 @@
 
 import importlib.util
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,7 @@ def test_compare_prints_the_largest_relative_differences(tmp_path, capsys):
     _run(tmp_path / "b", (0.5, 0.25 * (1 + 4e-16)), 3e-16, [1.0, -2.0, 1e-15],
          extra="probes.csv")
     assert _tool().main(["--compare", str(tmp_path / "a"),
-                         str(tmp_path / "b")]) == 0
+                         str(tmp_path / "b")]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "sim"
     assert f"  probes.csv: only in {tmp_path / 'b'}" in lines
@@ -54,7 +55,7 @@ def test_compare_names_the_runs_only_one_tree_has(tmp_path, capsys):
     _run(tmp_path / "b", (0.5, 0.25), 2e-16, [1.0])
     _run(tmp_path / "b", (0.5, 0.25), 2e-16, [1.0], name="probe")
     assert _tool().main(["--compare", str(tmp_path / "a"),
-                         str(tmp_path / "b")]) == 0
+                         str(tmp_path / "b")]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[:3] == [f"linear: only in {tmp_path / 'a'}",
                          f"probe: only in {tmp_path / 'b'}", "sim"]
@@ -66,7 +67,7 @@ def test_compare_reads_inf_where_a_zero_moves(tmp_path, capsys):
     _run(tmp_path / "a", (0.0, 0.25), 0.0, [1.0])
     _run(tmp_path / "b", (1e-17, 0.25), 0.0, [1.0])
     assert _tool().main(["--compare", str(tmp_path / "a"),
-                         str(tmp_path / "b")]) == 0
+                         str(tmp_path / "b")]) == 1
     assert "  diagnostics.csv mass: inf" in capsys.readouterr().out.splitlines()
 
 
@@ -82,14 +83,14 @@ def test_compare_reads_every_csv_and_names_the_files_it_skips(tmp_path, capsys):
             "mode = simulate\n", encoding="ascii")
     tool = _tool()
     assert tool.main(["--compare", str(tmp_path / "a"),
-                      str(tmp_path / "b")]) == 0
+                      str(tmp_path / "b")]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert "  probes.csv kind: equal" in lines
     assert "  probes.csv t: 0" in lines
     assert "  probes.csv ratio: 1" in lines
     assert "  config.txt: not compared" in lines
     assert tool.main(["--compare", str(tmp_path / "a"),
-                      str(tmp_path / "c")]) == 0
+                      str(tmp_path / "c")]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert "  probes.csv kind: differs" in lines
     assert "  probes.csv ratio: 0" in lines
@@ -112,7 +113,7 @@ def test_compare_reads_snapshot_sidecars(tmp_path, capsys):
         _sidecar(tmp_path / tree / "sim", t, digest, frame)
     tool = _tool()
     assert tool.main(["--compare", str(tmp_path / "a"),
-                      str(tmp_path / "b")]) == 0
+                      str(tmp_path / "b")]) == 1
     lines = [line for line in capsys.readouterr().out.splitlines()
              if ".meta" in line]
     assert lines == ["  final.snap.meta alpha: 0",
@@ -122,7 +123,60 @@ def test_compare_reads_snapshot_sidecars(tmp_path, capsys):
                      "  final.snap.meta sha256: differs",
                      "  final.snap.meta t: 1.11e-15"]
     assert tool.main(["--compare", str(tmp_path / "a"),
-                      str(tmp_path / "c")]) == 0
+                      str(tmp_path / "c")]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert "  final.snap.meta frame: differs" in lines
     assert "  final.snap.meta sha256: equal" in lines
+
+
+def test_compare_returns_0_on_matching_trees(tmp_path, capsys):
+    # equal numbers, texts and hashes, and the same runs and files; a
+    # file it does not read counts as matching
+    for tree in ("a", "b"):
+        _run(tmp_path / tree, (0.5, 0.25), 2e-16, [1.0, 0.0], extra="x.log")
+        _sidecar(tmp_path / tree / "sim", 2.0, "ab12")
+    assert _tool().main(["--compare", str(tmp_path / "a"),
+                         str(tmp_path / "b")]) == 0
+    assert "  x.log: not compared" in capsys.readouterr().out.splitlines()
+
+
+def test_compare_returns_1_on_each_kind_of_difference(tmp_path, capsys):
+    # a tree against a copy changed in one place: a number, a text, a
+    # hash, a payload, a file or a run that only one tree has
+    changes = {
+        "number": ("diagnostics.csv", "t,mass\n1.0,0.5\n2.0,0.3\n"),
+        "text": ("summary.txt", "status: FAILED\nmass relative drift: 0.0\n"),
+        "hash": ("final.snap.meta", None),
+        "payload": ("final.snap", None),
+        "file": ("probes.csv", "kind\nlp\n"),
+        "run": ("../linear/summary.txt", "status: OK\n"),
+    }
+    tool = _tool()
+    for what, (name, text) in changes.items():
+        for tree in ("a", "b"):
+            _run(tmp_path / what / tree, (0.5, 0.25), 0.0, [1.0])
+            _sidecar(tmp_path / what / tree / "sim", 2.0, "ab12")
+        trees = [str(tmp_path / what / tree) for tree in ("a", "b")]
+        assert tool.main(["--compare", *trees]) == 0
+        run = tmp_path / what / "b" / "sim"
+        if what == "hash":
+            _sidecar(run, 2.0, "cd34")
+        elif what == "payload":
+            np.asarray([1.5], dtype="<f8").tofile(run / name)
+        else:
+            (run / name).parent.mkdir(exist_ok=True)
+            (run / name).write_text(text, encoding="ascii")
+        assert tool.main(["--compare", *trees]) == 1, what
+    capsys.readouterr()
+
+
+def test_compare_reads_inf_where_a_payload_moves_off_zero(tmp_path, capsys):
+    # an all-zero payload has no relative size: a change reads inf, with
+    # no division warning
+    _run(tmp_path / "a", (0.5, 0.25), 0.0, [0.0, 0.0])
+    _run(tmp_path / "b", (0.5, 0.25), 0.0, [0.0, 1e-300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _tool().main(["--compare", str(tmp_path / "a"),
+                             str(tmp_path / "b")]) == 1
+    assert "  final.snap payload: inf" in capsys.readouterr().out.splitlines()

@@ -33,7 +33,9 @@ label and position), of each snapshot payload (max |a - b| / max |a|
 over its samples) and of each snapshot sidecar's numbers (t, nu, alpha,
 n, half_width; its sha256 reads equal or differs). A difference in
 text, shape or the set of files is printed as such, and so is each file
-it does not compare.
+it does not compare. It exits with status 0 when the trees match (every
+printed number 0, every text and hash equal, the same runs and files)
+and 1 otherwise, so a byte-identity check need not be read by eye.
 """
 
 import ast
@@ -174,7 +176,10 @@ def _compare_snapshot(a, b):
     if va.shape != vb.shape:
         return [("", "shape differs")]
     diff = np.abs(va - vb).max(initial=0.0)
-    return [("payload", 0.0 if diff == 0.0 else float(diff / np.abs(va).max()))]
+    peak = np.abs(va).max(initial=0.0)
+    # a payload that moves off all-zero has no relative size: inf
+    return [("payload", 0.0 if diff == 0.0 else float(diff / peak) if peak
+             else np.inf)]
 
 
 # the sidecar fields (snapshot.write_snapshot) compared as numbers; the
@@ -202,10 +207,14 @@ def _compare_meta(a, b):
 
 
 def compare(a, b):
-    """Print the numeric differences of output directories a and b."""
+    """Print the numeric differences of output directories a and b, and
+    return whether they match: every printed number is 0, every text,
+    shape and hash equal, and both trees hold the same runs and files
+    (a file that is not compared counts as matching)."""
     readers = {".csv": _compare_csv, ".snap": _compare_snapshot,
                ".meta": _compare_meta}
     runs_a, runs_b = ({p.name for p in d.iterdir() if p.is_dir()} for d in (a, b))
+    same = runs_a == runs_b
     for run in sorted(runs_a | runs_b):
         if run not in runs_a & runs_b:
             print(f"{run}: only in {a if run in runs_a else b}")
@@ -213,6 +222,7 @@ def compare(a, b):
         print(run)
         names_a = {p.name for p in (a / run).iterdir()}
         names_b = {p.name for p in (b / run).iterdir()}
+        same &= names_a == names_b
         for name in sorted(names_a ^ names_b):
             print(f"  {name}: only in {a if name in names_a else b}")
         for name in sorted(names_a & names_b):
@@ -222,15 +232,16 @@ def compare(a, b):
                 print(f"  {name}: not compared")
                 continue
             for key, value in reader(a / run / name, b / run / name):
+                same &= value in ("equal", 0.0)
                 shown = value if isinstance(value, str) else f"{value:.3g}"
                 print(f"  {name}{' ' * bool(key)}{key}: {shown}")
+    return same
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) == 3 and argv[0] == "--compare":
-        compare(Path(argv[1]), Path(argv[2]))
-        return 0
+        return 0 if compare(Path(argv[1]), Path(argv[2])) else 1
     if len(argv) != 1:
         print("\n".join(__doc__.splitlines()[3:5]), file=sys.stderr)
         return 2
